@@ -81,6 +81,7 @@ from .magnus import (
 from .ncseries import (
     ExpansionReport,
     dyson_exp,
+    dyson_terms_simplex,
     newton_interpolate,
     newton_recursion_check,
     nth_derivative,

@@ -490,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(handler=_cmd_taylor)
 
-    p = sub.add_parser("dyson", help="simplex-integral expansion of exp(a+b)")
+    p = sub.add_parser("dyson", help="expansion of exp(a+b) from one block-bidiagonal "
+                       "exponential; simplex integrals are the verify-all oracle")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--b-scale", type=float, default=0.2, dest="b_scale")

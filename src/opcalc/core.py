@@ -54,10 +54,10 @@ def rel_err(value: np.ndarray, reference: np.ndarray) -> float:
 
 
 def as_matrix(m, dim: int | None = None) -> np.ndarray:
-    """Validate and convert to a square complex matrix with finite entries."""
+    """Validate and convert to a nonempty square complex matrix with finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {a.shape[0]}")
     if not np.all(np.isfinite(a.view(float))):

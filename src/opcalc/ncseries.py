@@ -1,5 +1,5 @@
 """Noncommutative Newton and Taylor expansions, commutator-series rewrites,
-and the simplex-integral (time-ordered) expansion of the matrix exponential.
+and the time-ordered (Dyson) expansion of the matrix exponential.
 
 Confluent divided differences (all nodes equal) are evaluated by the shared
 contour of :func:`opcalc.funcalc.dd_apply`; no limits are taken.
@@ -12,15 +12,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import as_matrix, eigen_decompose, matrix_exp, opnorm
 from .divdiff import bang_shriek, compositions
-from .errors import (
-    ConvergenceThresholdExceeded,
-    NonDiagonalizable,
-    SeriesDiverging,
-)
+from .errors import ConvergenceThresholdExceeded, SeriesDiverging
 from .funcalc import (
     Contour,
     apply_function,
@@ -40,6 +35,7 @@ __all__ = [
     "nth_derivative_fd",
     "taylor_series_ad",
     "dyson_exp",
+    "dyson_terms_simplex",
 ]
 
 
@@ -300,81 +296,46 @@ def taylor_series_ad(
     return total
 
 
-def _batch_exp(a: np.ndarray):
-    """s-array -> stack of exp(s_k a); eigendecomposition fast path."""
-    try:
-        spec, v, vinv = eigen_decompose(a)
-        w = spec.eigenvalues
+def dyson_terms_simplex(a, b, N: int) -> tuple[list, np.ndarray]:
+    """Dyson terms 1..N and the closing remainder by simplex quadrature.
 
-        def via_eig(s):
-            ews = np.exp(np.multiply.outer(np.asarray(s), w))  # (P, d)
-            return np.einsum("ij,kj,jl->kil", v, ews, vinv)
-
-        return via_eig
-    except NonDiagonalizable:
-        def via_expm(s):
-            return scipy.linalg.expm(np.asarray(s)[:, None, None] * a)
-
-        return via_expm
-
-
-def _dyson_term_factory(am: np.ndarray, bm: np.ndarray):
-    """Simplex integrand builder for exp(s_0 a) b ... b exp(s_n x) products.
-
-    In the eigenbasis of ``a`` the a-exponential factors are diagonal, so the
+    Order-n term: the integral over the standard n-simplex of
+    exp(s_0 a) b exp(s_1 a) ... b exp(s_n a); the closing remainder is the
+    order-(N+1) integral whose last factor is exp(s_{N+1} (a + b)).  In the
+    eigenbasis of ``a`` the a-exponential factors are diagonal, so the
     product chain needs only elementwise scalings plus multiplications by one
     constant matrix; this is what keeps high simplex dimensions affordable.
-    Falls back to stacked Pade exponentials when eigenbases are unusable.
+    Raises :class:`NonDiagonalizable` when ``a`` or ``a + b`` has no usable
+    eigenbasis.  This is the independent oracle for :func:`dyson_exp`.
     """
-    try:
-        spec, v, vinv = eigen_decompose(am)
-        specc, w, winv = eigen_decompose(am + bm)
-        lam, mu = spec.eigenvalues, specc.eigenvalues
-        bprime = vinv @ bm @ v
-        mix, mixinv = vinv @ w, winv @ v
+    am = as_matrix(a)
+    bm = as_matrix(b, dim=am.shape[0])
+    spec, v, vinv = eigen_decompose(am)
+    specc, w, winv = eigen_decompose(am + bm)
+    lam, mu = spec.eigenvalues, specc.eigenvalues
+    bprime = vinv @ bm @ v
+    mix, mixinv = vinv @ w, winv @ v
 
-        def term(order: int, closing: bool, rtol: float) -> np.ndarray:
-            if order == 0:
-                return matrix_exp(am)
+    def term(order: int, closing: bool) -> np.ndarray:
+        def integrand(s):
+            e = np.exp(s[:, :order, None] * lam[None, None, :])  # (P, order, d)
+            x = e[:, 0, :, None] * bprime[None]
+            for j in range(1, order):
+                x = x * e[:, j, None, :]
+                x = x @ bprime
+            if closing:
+                x = x @ mix
+                x = x * np.exp(s[:, order, None] * mu[None, :])[:, None, :]
+                x = x @ mixinv
+            else:
+                x = x * np.exp(s[:, order, None] * lam[None, :])[:, None, :]
+            return x
 
-            def integrand(s):
-                e = np.exp(s[:, :order, None] * lam[None, None, :])  # (P, order, d)
-                x = e[:, 0, :, None] * bprime[None]
-                for j in range(1, order):
-                    x = x * e[:, j, None, :]
-                    x = x @ bprime
-                if closing:
-                    x = x @ mix
-                    x = x * np.exp(s[:, order, None] * mu[None, :])[:, None, :]
-                    x = x @ mixinv
-                else:
-                    x = x * np.exp(s[:, order, None] * lam[None, :])[:, None, :]
-                return x
+        value = simplex_integrate(integrand, order, rtol=1e-9,
+                                  point_budget=1_500_000)
+        return v @ value @ vinv
 
-            value = simplex_integrate(integrand, order, rtol=rtol,
-                                      point_budget=1_500_000)
-            return v @ value @ vinv
-
-        return term
-    except NonDiagonalizable:
-        exp_a = _batch_exp(am)
-        exp_ab = _batch_exp(am + bm)
-
-        def term(order: int, closing: bool, rtol: float) -> np.ndarray:
-            if order == 0:
-                return matrix_exp(am)
-
-            def integrand(s):
-                x = exp_a(s[:, 0])
-                for j in range(1, order + 1):
-                    x = x @ bm
-                    last = closing and j == order
-                    x = x @ (exp_ab(s[:, j]) if last else exp_a(s[:, j]))
-                return x
-
-            return simplex_integrate(integrand, order, rtol=rtol)
-
-        return term
+    return [term(n, False) for n in range(1, N + 1)], term(N + 1, True)
 
 
 def dyson_exp(
@@ -382,33 +343,39 @@ def dyson_exp(
     b,
     N: int,
     *,
-    rtol: float = 1e-9,
     identity_tol: float = DEFAULTS.dyson_identity,
 ) -> ExpansionReport:
-    """Simplex-integral expansion of exp(a + b) in powers of the perturbation.
+    """Time-ordered (Dyson) expansion of exp(a + b) in powers of the perturbation.
 
     Order-n term: the integral over the standard n-simplex of
-    exp(s_0 a) b exp(s_1 a) ... b exp(s_n a).  The report records, per order,
-    the distance of the partial sum to exp(a + b); ``meta`` holds the exact
-    closing remainder (the order-(N+1) simplex integral whose last factor is
-    exp(s_{N+1} (a + b))) and the defect of partial + remainder = target,
-    which is an identity up to quadrature error.
+    exp(s_0 a) b exp(s_1 a) ... b exp(s_n a); the exact closing remainder is
+    the order-(N+1) integral whose last factor is exp(s_{N+1} (a + b)).  All
+    of them are blocks of one exponential (Van Loan 1978): with B the
+    block-bidiagonal matrix holding a, ..., a, a + b (N + 2 blocks) on the
+    diagonal and b on the superdiagonal, term n is block (0, n) of exp(B) and
+    the remainder is block (0, N + 1).  The report records, per order, the
+    distance of the partial sum to exp(a + b); ``meta`` holds the remainder
+    norm and the defect of partial + remainder = target, an identity up to
+    rounding.  :func:`dyson_terms_simplex` evaluates the same integrals by
+    simplex quadrature and serves as the ``verify-all`` oracle.
     """
     am = as_matrix(a)
     bm = as_matrix(b, dim=am.shape[0])
+    d = am.shape[0]
     target = matrix_exp(am + bm)
-    term = _dyson_term_factory(am, bm)
+    big = np.kron(np.eye(N + 2), am) + np.kron(np.eye(N + 2, k=1), bm)
+    big[-d:, -d:] += bm
+    row = matrix_exp(big)[:d]
+    terms = [row[:, k * d:(k + 1) * d] for k in range(N + 2)]
 
     partials = []
     norms = []
-    running = matrix_exp(am)
-    partials.append(running.copy())
-    norms.append(opnorm(target - running))
-    for order in range(1, N + 1):
-        running = running + term(order, False, rtol)
+    running = np.zeros_like(am)
+    for term in terms[:-1]:
+        running = running + term
         partials.append(running.copy())
         norms.append(opnorm(target - running))
-    remainder = term(N + 1, True, rtol)
+    remainder = terms[-1]
     defect = opnorm(running + remainder - target)
     converged = defect <= identity_tol * max(opnorm(target), 1e-300)
     return ExpansionReport(

@@ -23,7 +23,6 @@ from .errors import QuadratureNoConvergence
 
 __all__ = [
     "circle_points",
-    "contour_sum",
     "contour_quadrature",
     "simplex_rule",
     "iter_simplex_rule",
@@ -52,13 +51,6 @@ def circle_points(center: complex, radius: float, m: int):
     theta = 2.0 * np.pi * np.arange(m) / m
     offset = radius * np.exp(1j * theta)
     return center + offset, offset / m
-
-
-def contour_sum(batch_fn, center: complex, radius: float, m: int):
-    """One-shot trapezoid value of (2 pi i)^-1 * closed integral of batch_fn."""
-    zeta, w = circle_points(center, radius, m)
-    vals = np.asarray(batch_fn(zeta))
-    return np.tensordot(w, vals, axes=(0, 0))
 
 
 def contour_quadrature(

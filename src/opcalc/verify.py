@@ -31,7 +31,14 @@ from .functions import (
 )
 from .generate import gen_matrix
 from .magnus import magnus_solve, rk_reference, triangular_field
-from .ncseries import dyson_exp, newton_interpolate, newton_recursion_check, taylor_expand, taylor_series_ad
+from .ncseries import (
+    dyson_exp,
+    dyson_terms_simplex,
+    newton_interpolate,
+    newton_recursion_check,
+    taylor_expand,
+    taylor_series_ad,
+)
 from .rearrange import (
     family_from_exponents,
     kernel_F,
@@ -227,14 +234,19 @@ def check_taylor_decay(seed: int, tol: Tolerances) -> CheckResult:
 
 
 def check_dyson(seed: int, tol: Tolerances) -> CheckResult:
+    # the simplex quadrature closes the identity on its own and reproduces
+    # every block-exponential term of dyson_exp
     worst = 0.0
     for k in range(2):
         a = gen_matrix("random", 2, seed + k)
         b = 0.2 * gen_matrix("random", 2, seed + 40 + k)
         report = dyson_exp(a, b, N=3)
-        worst = max(
-            worst, report.meta["identity_defect"] / max(opnorm(report.target), 1e-300)
-        )
+        terms, remainder = dyson_terms_simplex(a, b, N=3)
+        scale = max(opnorm(report.target), 1e-300)
+        defect = opnorm(matrix_exp(a) + sum(terms) + remainder - report.target)
+        blocks = np.diff(report.partial_sums, axis=0)
+        disagreement = max(opnorm(x - y) for x, y in zip(terms, blocks))
+        worst = max(worst, defect / scale, disagreement / scale)
     return _result("dyson-finite-remainder-identity", worst, tol.dyson_identity)
 
 

@@ -3,9 +3,13 @@ import pytest
 
 from opcalc import (
     TensorOperator,
+    apply_function,
     commutator,
+    dd_apply,
+    dyson_exp,
     eigen_decompose,
     embed_slot,
+    exp_function,
     gen_matrix,
     kron,
     matrix_exp,
@@ -212,6 +216,20 @@ class TestJson:
     def test_shape_guard(self):
         with pytest.raises(DimensionMismatch):
             matrix_from_json({"dim": 2, "re": [1.0, 2.0], "im": [0.0, 0.0]})
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda z: apply_function(exp_function(), z),
+        lambda z: dd_apply(exp_function(), [z, z], [z]),
+        lambda z: dyson_exp(z, z, N=1),
+    ],
+    ids=["apply_function", "dd_apply", "dyson_exp"],
+)
+def test_empty_matrix_rejected(entry):
+    with pytest.raises(DimensionMismatch):
+        entry(np.zeros((0, 0)))
 
 
 class TestTensorOperatorType:

@@ -6,6 +6,7 @@ import pytest
 from opcalc import (
     dd_apply,
     dyson_exp,
+    dyson_terms_simplex,
     exp_function,
     gen_matrix,
     matrix_exp,
@@ -231,3 +232,36 @@ class TestDyson:
         b = 0.1 * gen_matrix("random", 2, 100)
         report = dyson_exp(a, b, N=2)
         assert np.array_equal(report.target, matrix_exp(a + b))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_block_terms_match_simplex_quadrature(self, d, N):
+        a = gen_matrix("random", d, 101 + N)
+        b = 0.25 * gen_matrix("random", d, 105 + N)
+        report = dyson_exp(a, b, N=N)
+        terms, remainder = dyson_terms_simplex(a, b, N)
+        for n, term in enumerate(terms, start=1):
+            block = report.partial_sums[n] - report.partial_sums[n - 1]
+            assert opnorm(block - term) <= 1e-10
+        # target minus the last partial sum is the block remainder up to the
+        # identity defect
+        closing = report.target - report.partial_sums[-1]
+        assert opnorm(closing - remainder) <= 1e-10
+        assert report.meta["exact_remainder_norm"] == pytest.approx(
+            opnorm(remainder), abs=1e-10
+        )
+
+    def test_jordan_block_terms_match_cauchy_coefficients(self):
+        # term n is the eps^n coefficient of exp(a + eps b); trapezoid rule on
+        # |eps| = 1 with d x d exponentials only (no eigenbasis, no blocks)
+        a = np.array([[0.3, 1.0, 0.0], [0.0, 0.3, 1.0], [0.0, 0.0, 0.3]])
+        b = 0.3 * gen_matrix("random", 3, 110)
+        N, m = 4, 64
+        eps = np.exp(2j * np.pi * np.arange(m) / m)
+        samples = [matrix_exp(a + e * b) for e in eps]
+        report = dyson_exp(a, b, N=N)
+        for n in range(N + 1):
+            coeff = sum(x * e ** (-n) for x, e in zip(samples, eps)) / m
+            term = report.partial_sums[n] - (report.partial_sums[n - 1] if n else 0)
+            assert opnorm(term - coeff) <= 1e-12 * opnorm(report.target)
+        assert report.converged
