@@ -322,6 +322,12 @@ def _cmd_dyson(args, tol) -> tuple[dict, bool]:
 
 def _cmd_magnus(args, tol) -> tuple[dict, bool]:
     t0 = time.perf_counter()
+    if args.rows < 1:
+        raise ValueError(f"--rows must be at least 1, got {args.rows}")
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise ValueError(f"--h must be positive and finite, got {args.h!r}")
+    if not (math.isfinite(args.t_end) and args.t_end >= 0):
+        raise ValueError(f"--t-end must be finite and nonnegative, got {args.t_end!r}")
     if args.field.endswith(".json"):
         with open(args.field) as fh:
             samples = json.load(fh)
@@ -330,14 +336,17 @@ def _cmd_magnus(args, tol) -> tuple[dict, bool]:
         )
     else:
         field = builtin_field(args.field)
-    steps = max(1, math.ceil(args.t_end / args.h))
+    # a remainder below 1e-9 of a step is rounding, not one more step, so no
+    # checkpoint lands within rounding of t_end
+    steps = max(1, math.ceil(args.t_end / args.h - 1e-9))
     report_every = max(1, steps // args.rows)
     checkpoints = [k * args.h for k in range(report_every, steps, report_every)]
     checkpoints.append(args.t_end)
+    solved = magnus_solve(field, args.t_end, args.h, args.order, checkpoints=checkpoints)
+    references = rk_reference(field, args.t_end, h=args.t_end / 32.0,
+                              checkpoints=checkpoints)
     rows = [[0.0, 0.0, 0.0]]
-    for t in checkpoints:
-        omega, y = magnus_solve(field, t, args.h, args.order)
-        reference = rk_reference(field, t, h=t / 32.0)
+    for t, (omega, y), reference in zip(checkpoints, solved, references):
         rows.append([float(t), opnorm(omega), opnorm(y - reference)])
     residuals = [_residual("magnus-log-consistency", rows[-1][2], tol.magnus_vs_rk)]
     if args.format == "csv":
@@ -505,7 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=1.0, dest="t_end")
     p.add_argument("--h", type=float, default=0.005)
     p.add_argument("--order", type=int, default=28)
-    p.add_argument("--rows", type=int, default=20, help="max CSV rows")
+    p.add_argument("--rows", type=int, default=20,
+                   help="report a row every floor(steps/rows) steps, steps = "
+                   "ceil(t_end/h), plus t = 0 and t_end; one solve whatever the count")
     common(p)
     p.set_defaults(handler=_cmd_magnus, format_default="csv")
 

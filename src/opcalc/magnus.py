@@ -89,11 +89,33 @@ def magnus_rhs(omega, a_t, order: int, table: BernoulliTable | None = None) -> n
     return total
 
 
-def _rk4(rhs, y0: np.ndarray, t_end: float, h: float, monitor=None) -> np.ndarray:
-    y = y0.copy()
-    t = 0.0
-    while t < t_end - 1e-14 * max(1.0, t_end):
-        step = min(h, t_end - t)
+def _stops(t_end: float, checkpoints) -> list[float]:
+    """The stop times of one pass: the checkpoints, then ``t_end``."""
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"end time must be finite and nonnegative, got {t_end!r}")
+    stops = [float(t) for t in (checkpoints or ())] + [float(t_end)]
+    if not all(math.isfinite(t) for t in stops) or stops[0] < 0.0:
+        raise ValueError("checkpoints must be finite and nonnegative")
+    if any(b < a for a, b in zip(stops, stops[1:])):
+        raise ValueError("checkpoints must be sorted and end at or before t_end")
+    return stops
+
+
+def _rk4(rhs, y0: np.ndarray, stops: list[float], h: float, monitor=None) -> list[np.ndarray]:
+    """Classical RK4 from t = 0 with step ``h``; the state at each sorted stop.
+
+    The grid 0, h, 2h, ... ends with one step shortened to land on the last
+    stop, so it does not depend on the other stops.  A stop within
+    ``1e-14 * max(1, stop)`` of a grid time is read there without a step; a
+    stop short of the next grid time is reached by one step shortened to land
+    on it, taken from the grid time before it.  Each state is therefore the
+    one a solve ending at that stop would return, bit for bit.
+    """
+    t_end = stops[-1]
+    if not h > 0 and t_end > 0:
+        raise ValueError("step must be positive")
+
+    def advance(t, y, step):
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * step, y + 0.5 * step * k1)
         k3 = rhs(t + 0.5 * step, y + 0.5 * step * k2)
@@ -104,7 +126,25 @@ def _rk4(rhs, y0: np.ndarray, t_end: float, h: float, monitor=None) -> np.ndarra
             raise StepRejected(f"non-finite state at t = {t:g}")
         if monitor is not None:
             monitor(t, y)
-    return y
+        return y
+
+    y = y0.copy()
+    t = 0.0
+    states: list[np.ndarray] = []
+    while True:
+        step = min(h, t_end - t)
+        while len(states) < len(stops):
+            stop = stops[len(states)]
+            if t >= stop - 1e-14 * max(1.0, stop):
+                states.append(y)
+            elif stop - t < step:
+                states.append(advance(t, y, stop - t))
+            else:
+                break
+        if len(states) == len(stops):
+            return states
+        y = advance(t, y, step)
+        t += step
 
 
 def magnus_solve(
@@ -116,7 +156,8 @@ def magnus_solve(
     table: BernoulliTable | None = None,
     branch_radius: float = BRANCH_RADIUS,
     trace: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+    checkpoints=None,
+):
     """Integrate the log of the propagator and return (Omega(t_end), exp(Omega)).
 
     ``A`` is a callable t -> matrix.  The commutator series is truncated at
@@ -124,9 +165,13 @@ def magnus_solve(
     aborts with :class:`BranchRadiusExceeded` once |Omega| reaches
     ``branch_radius`` (default pi), where the principal logarithm could no
     longer be trusted.  ``trace``, when given, collects (t, |Omega(t)|) rows.
+
+    With ``checkpoints``, a sorted sequence of times in [0, t_end], the same
+    pass to ``t_end`` returns instead a list of (Omega(t), exp(Omega(t))), one
+    per checkpoint, each bit for bit what ``magnus_solve(A, t, h, ...)``
+    returns.
     """
-    if h <= 0:
-        raise ValueError("step must be positive")
+    stops = _stops(t_end, checkpoints)
     tab = table or bernoulli(order)
     a0 = as_matrix(A(0.0))
     omega0 = np.zeros_like(a0)
@@ -143,8 +188,10 @@ def magnus_solve(
         if trace is not None:
             trace.append((t, nrm))
 
-    omega = _rk4(rhs, omega0, t_end, h, monitor)
-    return omega, matrix_exp(omega)
+    omegas = _rk4(rhs, omega0, stops, h, monitor)
+    if checkpoints is None:
+        return omegas[-1], matrix_exp(omegas[-1])
+    return [(om, matrix_exp(om)) for om in omegas[:-1]]
 
 
 def rk_reference(
@@ -154,25 +201,34 @@ def rk_reference(
     *,
     rtol: float = 1e-10,
     max_halvings: int = 20,
-) -> np.ndarray:
+    checkpoints=None,
+):
     """Propagator of Y' = A(t) Y, Y(0) = 1, by RK4 with Richardson step-halving.
 
     The step is halved until two consecutive answers agree to ``rtol`` in
-    operator norm (relative to the finer answer).
+    operator norm (relative to the finer answer).  With ``checkpoints``, a
+    sorted sequence of times in [0, t_end], each pass also stops at every
+    checkpoint, a halving level is accepted only when all of them agree, and
+    the list of propagators at the checkpoints is returned.
     """
+    stops = _stops(t_end, checkpoints)
     a0 = as_matrix(A(0.0))
     eye = np.eye(a0.shape[0], dtype=complex)
 
     def rhs(t, y):
         return _field_value(A, t, a0.shape[0]) @ y
 
+    def agree(cur, prev):
+        return all(opnorm(c - p) <= rtol * max(opnorm(c), 1e-300)
+                   for c, p in zip(cur, prev))
+
     step = h if h is not None else t_end / 64.0
-    prev = _rk4(rhs, eye, t_end, step)
+    prev = _rk4(rhs, eye, stops, step)
     for _ in range(max_halvings):
         step *= 0.5
-        cur = _rk4(rhs, eye, t_end, step)
-        if opnorm(cur - prev) <= rtol * max(opnorm(cur), 1e-300):
-            return cur
+        cur = _rk4(rhs, eye, stops, step)
+        if agree(cur, prev):
+            return cur[-1] if checkpoints is None else cur[:-1]
         prev = cur
     raise QuadratureNoConvergence("step halving did not stabilize the propagator")
 

@@ -6,6 +6,7 @@ import pytest
 from opcalc import gen_matrix, matrix_from_json, matrix_to_json, opnorm
 from opcalc.cli import main
 from opcalc.errors import OpcalcError
+from opcalc.magnus import builtin_field, magnus_solve, rk_reference
 
 
 class TestGenMatrix:
@@ -192,6 +193,87 @@ class TestMagnusCommand:
         )
         assert code == 0
         assert json.loads(out)["residuals"][0]["pass"]
+
+    @pytest.mark.parametrize("field", ["triangular", "perturbed:7"])
+    @pytest.mark.parametrize("rows", [5, 20])
+    def test_rows_match_per_checkpoint_solves(self, field, rows, capsys):
+        # oracle: solve both ODEs from t = 0 for each row on its own
+        h, order = 0.008, 20
+        code, out, _ = run_cli(
+            ["magnus", "--field", field, "--h", str(h), "--order", str(order),
+             "--rows", str(rows), "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        got = json.loads(out)["results"]["rows"]
+        every = 125 // rows
+        assert [t for t, _, _ in got] == [0.0] + [k * h for k in range(every, 125, every)] + [1.0]
+        A = builtin_field(field)
+        for t, omega_norm, discrepancy in got[1:]:
+            omega, y = magnus_solve(A, t, h, order)
+            reference = rk_reference(A, t, h=t / 32.0)
+            assert abs(omega_norm - opnorm(omega)) <= 1e-14
+            assert abs(discrepancy - opnorm(y - reference)) <= 1e-10
+        assert got[-1][1] == opnorm(omega)  # t = t_end: the same solve, bit for bit
+
+    def test_cost_does_not_grow_with_rows(self, monkeypatch, capsys):
+        # field evaluations of the log solve plus the reference, counted
+        calls = []
+
+        def counting_field(name):
+            field = builtin_field(name)
+
+            def A(t):
+                calls.append(t)
+                return field(t)
+
+            return A
+
+        monkeypatch.setattr("opcalc.cli.builtin_field", counting_field)
+        costs = {}
+        for rows in (1, 20):
+            calls.clear()
+            code, _, _ = run_cli(["magnus", "--h", "0.008", "--order", "20",
+                                  "--rows", str(rows), "--format", "json"], capsys)
+            assert code == 0
+            costs[rows] = len(calls)
+        assert costs[20] <= 1.25 * costs[1]
+
+    def test_checkpoint_within_rounding_of_t_end(self, capsys):
+        # 0.45 / 0.03 = 15.000000000000002: 15 steps, and 15 * 0.03 is t_end
+        code, out, _ = run_cli(
+            ["magnus", "--t-end", "0.45", "--h", "0.03", "--order", "12", "--rows", "5"],
+            capsys,
+        )
+        assert code == 0
+        times = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+        assert times == [0.0, 0.09, 0.18, 0.27, 0.36, 0.45]
+
+    def test_more_rows_than_steps(self, capsys):
+        code, out, _ = run_cli(
+            ["magnus", "--t-end", "0.45", "--h", "0.03", "--order", "12", "--rows", "40"],
+            capsys,
+        )
+        assert code == 0
+        times = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+        assert times == [0.0] + [k * 0.03 for k in range(1, 15)] + [0.45]
+
+    def test_rows_below_one_rejected(self, capsys):
+        code, _, err = run_cli(["magnus", "--rows", "0"], capsys)
+        assert code == 2
+        assert "--rows" in err
+
+    def test_nonpositive_step_rejected(self, capsys):
+        for h in ("0", "-0.01", "nan"):
+            code, _, err = run_cli(["magnus", "--h", h], capsys)
+            assert code == 2
+            assert "--h" in err
+
+    def test_bad_end_time_rejected(self, capsys):
+        for t_end in ("-1", "inf", "nan"):
+            code, out, err = run_cli(["magnus", "--t-end", t_end], capsys)
+            assert (code, out) == (2, "")
+            assert "--t-end" in err
 
 
 class TestRearrangeCommand:

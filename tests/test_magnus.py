@@ -122,6 +122,83 @@ class TestSolve:
         assert trace[-1][0] == pytest.approx(0.5)
 
 
+class TestCheckpoints:
+    def test_each_checkpoint_is_its_own_solve(self):
+        # bit for bit: one pass reads the states a solve ending there returns
+        field = perturbed_triangular_field(3)
+        h = 0.006
+        times = [0.0, 7 * h, 0.1, 0.25, 50 * h, 0.7, 1.0]
+        path = magnus_solve(field, 1.0, h, 16, checkpoints=times)
+        assert len(path) == len(times)
+        for t, (omega, y) in zip(times, path):
+            single = magnus_solve(field, t, h, 16)
+            assert np.array_equal(omega, single[0])
+            assert np.array_equal(y, single[1])
+
+    def test_reference_checkpoints_agree(self):
+        field = perturbed_triangular_field(4)
+        times = [0.1, 0.37, 0.5, 1.0]
+        path = rk_reference(field, 1.0, h=1.0 / 32, checkpoints=times)
+        assert np.array_equal(path[-1], rk_reference(field, 1.0, h=1.0 / 32))
+        for t, y in zip(times, path):
+            assert opnorm(y - rk_reference(field, t, h=t / 32)) <= 1e-10 * opnorm(y)
+
+    def test_halving_stops_when_every_checkpoint_converged(self):
+        # y1 oscillates on [0, 1/2], then decays by e^-10, so |Y(1)| no longer
+        # sees its error: converging at t = 1 alone would leave t = 1/2 at 1e-10
+        def field(t):
+            return np.diag([30 * np.cos(60 * t) - 80 * max(t - 0.5, 0.0), 0.0]).astype(complex)
+
+        y = rk_reference(field, 1.0, h=1.0 / 32, checkpoints=[0.5])[0]
+        exact = np.diag([np.exp(0.5 * np.sin(30.0)), 1.0])
+        assert rel_err(y, exact) <= 1e-11
+
+    def test_near_coincident_stops_take_no_empty_step(self):
+        # 15 * 0.03 = 0.44999999999999996 sits within rounding of t_end = 0.45
+        h, t_end = 0.03, 0.45
+        times = [k * h for k in range(1, 16)] + [t_end]
+        trace = []
+        path = magnus_solve(triangular_field(), t_end, h, 8, trace=trace, checkpoints=times)
+        assert len(path) == len(times)
+        stepped = [t for t, _ in trace]
+        assert all(b > a for a, b in zip(stepped, stepped[1:]))
+        assert np.array_equal(path[-1][0], magnus_solve(triangular_field(), t_end, h, 8)[0])
+
+    def test_end_time_on_grid_takes_no_extra_step(self):
+        field, calls = triangular_field(), []
+
+        def A(t):
+            calls.append(t)
+            return field(t)
+
+        magnus_solve(A, 0.5, 0.125, 4, checkpoints=[0.125, 0.25, 0.375, 0.5])
+        assert len(calls) == 1 + 4 * 4
+
+    def test_zero_end_time(self):
+        path = rk_reference(triangular_field(), 0.0, h=0.0, checkpoints=[0.0])
+        assert np.array_equal(path[0], np.eye(2))
+
+    @pytest.mark.parametrize("t_end", [-1.0, np.inf, np.nan])
+    def test_bad_end_time(self, t_end):
+        with pytest.raises(ValueError):
+            magnus_solve(triangular_field(), t_end, 0.01)
+        with pytest.raises(ValueError):
+            rk_reference(triangular_field(), t_end)
+
+    @pytest.mark.parametrize("times", [[0.5, 0.25], [-0.1, 0.5], [0.5, 2.0]])
+    def test_bad_checkpoints(self, times):
+        with pytest.raises(ValueError):
+            magnus_solve(triangular_field(), 1.0, 0.01, checkpoints=times)
+        with pytest.raises(ValueError):
+            rk_reference(triangular_field(), 1.0, checkpoints=times)
+
+    def test_zero_step(self):
+        with pytest.raises(ValueError):
+            magnus_solve(triangular_field(), 1.0, 0.0)
+        with pytest.raises(ValueError):
+            rk_reference(triangular_field(), 1.0, h=0.0)
+
+
 class TestReference:
     def test_zero_field(self):
         y = rk_reference(lambda t: np.zeros((2, 2)), 1.0)
