@@ -9,6 +9,7 @@ the trapezoid rule spectrally accurate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,7 @@ from .core import (
     opnorm,
     rel_err,
 )
+from .divdiff import circle_around, compositions
 from .errors import (
     ArityCap,
     ContourViolation,
@@ -120,20 +122,13 @@ def _as_tuple(a, comm_tol: float = DEFAULTS.comm_tol) -> CommutingTuple:
 def contour_for(m, margin: float = 0.1, nodes: int = 16) -> Contour:
     """Circle centered at the eigenvalue centroid, enclosing the spectrum with margin."""
     lam = np.linalg.eigvals(as_matrix(m))
-    return _contour_around(lam, margin, nodes)
+    return Contour(*circle_around(lam, margin), nodes)
 
 
 def contour_for_union(mats: Sequence, margin: float = 0.1, nodes: int = 16) -> Contour:
     """Circle enclosing the union of the spectra of several matrices."""
     lam = np.concatenate([np.linalg.eigvals(as_matrix(m)) for m in mats])
-    return _contour_around(lam, margin, nodes)
-
-
-def _contour_around(points: np.ndarray, margin: float, nodes: int) -> Contour:
-    center = complex(points.mean())
-    spread = float(np.max(np.abs(points - center)))
-    radius = (1.0 + margin) * spread + margin * (1.0 + spread)
-    return Contour(center, radius, nodes)
+    return Contour(*circle_around(lam, margin), nodes)
 
 
 def _check_encloses(c: Contour, mats: Sequence[np.ndarray]) -> None:
@@ -329,7 +324,9 @@ def funcalc_elementary(
     if len(fs) != n:
         raise ContourViolation(f"need {n} functions, got {len(fs)}")
     product = MultivariateFunction(
-        fn=lambda *zs: np.prod([fj(z) for fj, z in zip(fs, zs)], axis=0),
+        # broadcast: the leading-axis loop of funcalc_n passes scalar nodes
+        # next to tail grids
+        fn=lambda *zs: functools.reduce(np.multiply, [fj(z) for fj, z in zip(fs, zs)]),
         domains=tuple(fj.domain for fj in fs),
         name="*".join(fj.name for fj in fs),
     )
@@ -395,7 +392,8 @@ def dd_apply(
 
     Integrates f(z) (z-a_0)^-1 b_1 (z-a_1)^-1 ... b_n (z-a_n)^-1 directly in
     d x d arithmetic (the big tensor operator is never materialized); equals
-    ``pair(dd_tensor(f, mats), bs)``.
+    ``pair(dd_tensor(f, mats), bs)``.  A node repeated in ``mats`` (confluent
+    slots) shares one resolvent stack per batch of contour points.
     """
     ms = [as_matrix(m) for m in mats]
     d = ms[0].shape[0]
@@ -406,11 +404,20 @@ def dd_apply(
     _check_encloses(c, ms)
     _check_domain(c, f.domain)
 
+    distinct: list[np.ndarray] = []
+    slots = []
+    for m in ms:
+        k = next((i for i, u in enumerate(distinct) if np.array_equal(u, m)), len(distinct))
+        if k == len(distinct):
+            distinct.append(m)
+        slots.append(k)
+
     def batch(zeta):
-        x = _resolvents(zeta, ms[0])
-        for b, m in zip(bmats, ms[1:]):
+        res = [_resolvents(zeta, m) for m in distinct]
+        x = res[slots[0]]
+        for b, k in zip(bmats, slots[1:]):
             x = x @ b
-            x = x @ _resolvents(zeta, m)
+            x = x @ res[k]
         return np.asarray(f(zeta), dtype=complex)[:, None, None] * x
 
     return contour_quadrature(batch, c.center, c.radius, start=c.nodes,
@@ -425,19 +432,13 @@ def dd_commuting(
     rtol: float = DEFAULTS.funcalc_rtol,
     comm_tol: float = DEFAULTS.comm_tol,
 ) -> np.ndarray:
-    """Matrix-valued divided difference of a commuting tuple (shared contour)."""
+    """Matrix-valued divided difference of a commuting tuple (shared contour).
+
+    The commuting case of :func:`dd_apply` with identity factors.
+    """
     tup = _as_tuple(a, comm_tol)
-    c = contour or contour_for_union(tup.mats)
-    _check_encloses(c, tup.mats)
-    _check_domain(c, f.domain)
-
-    def batch(zeta):
-        x = _resolvents(zeta, tup[0])
-        for m in tup.mats[1:]:
-            x = x @ _resolvents(zeta, m)
-        return np.asarray(f(zeta), dtype=complex)[:, None, None] * x
-
-    return contour_quadrature(batch, c.center, c.radius, start=c.nodes, rtol=rtol)
+    eye = np.eye(tup.dim, dtype=complex)
+    return dd_apply(f, tup.mats, [eye] * (len(tup) - 1), contour, rtol=rtol)
 
 
 def genocchi_hermite_matrix(
@@ -459,8 +460,6 @@ def genocchi_hermite_matrix(
     n = len(tup) - 1
     if n == 0:
         return apply_function(f, tup[0])
-
-    from .divdiff import compositions
 
     lattice = grid - 1
     for alpha in compositions(lattice, n + 1):

@@ -109,14 +109,15 @@ def _rk4(rhs, y0: np.ndarray, stops: list[float], h: float, monitor=None) -> lis
     ``1e-14 * max(1, stop)`` of a grid time is read there without a step; a
     stop short of the next grid time is reached by one step shortened to land
     on it, taken from the grid time before it.  Each state is therefore the
-    one a solve ending at that stop would return, bit for bit.
+    one a solve ending at that stop would return, bit for bit.  The first
+    stage ``rhs(t, y)`` at a grid time is computed once and shared by the
+    landing steps and the main step taken from there.
     """
     t_end = stops[-1]
     if not h > 0 and t_end > 0:
         raise ValueError("step must be positive")
 
-    def advance(t, y, step):
-        k1 = rhs(t, y)
+    def advance(t, y, step, k1):
         k2 = rhs(t + 0.5 * step, y + 0.5 * step * k1)
         k3 = rhs(t + 0.5 * step, y + 0.5 * step * k2)
         k4 = rhs(t + step, y + step * k3)
@@ -133,17 +134,19 @@ def _rk4(rhs, y0: np.ndarray, stops: list[float], h: float, monitor=None) -> lis
     states: list[np.ndarray] = []
     while True:
         step = min(h, t_end - t)
+        k1 = None
         while len(states) < len(stops):
             stop = stops[len(states)]
             if t >= stop - 1e-14 * max(1.0, stop):
                 states.append(y)
             elif stop - t < step:
-                states.append(advance(t, y, stop - t))
+                k1 = rhs(t, y) if k1 is None else k1
+                states.append(advance(t, y, stop - t, k1))
             else:
                 break
         if len(states) == len(stops):
             return states
-        y = advance(t, y, step)
+        y = advance(t, y, step, rhs(t, y) if k1 is None else k1)
         t += step
 
 

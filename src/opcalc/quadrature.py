@@ -2,8 +2,10 @@
 
 Three families:
 
-* trapezoid sums on circles with node doubling (spectrally accurate for
-  integrands holomorphic in an annulus around the circle),
+* trapezoid sums on circles with nested node doubling: each level reuses
+  the integrand values of the one before and evaluates only the new nodes
+  (spectrally accurate for integrands holomorphic in an annulus around the
+  circle),
 * Gauss-Legendre rules on the standard simplex through the map
   ``t_j = u_1 * ... * u_j`` from the unit cube (smooth integrands only),
 * globally adaptive 15-point Gauss-Kronrod panels, plus the substitution
@@ -64,23 +66,24 @@ def contour_quadrature(
     chunk: int | None = None,
     stats: dict | None = None,
 ):
-    """Node-doubling trapezoid for (2 pi i)^-1 * closed circle integral.
+    """Nested node-doubling trapezoid for (2 pi i)^-1 * closed circle integral.
 
-    ``batch_fn(zeta)`` maps an array of m contour points to the m integrand
-    values (any trailing shape).  Doubling stops when two consecutive levels
-    agree to ``rtol`` relative to the current value, with an absolute floor of
-    a few ulps of the total integrand mass (so exact zeros converge).  With
-    ``chunk`` set, at most that many integrand values are materialized at a
-    time (for bulky tensor-valued integrands).
+    ``batch_fn(zeta)`` maps an array of contour points to their integrand
+    values (any trailing shape).  The m nodes of one level are the even nodes
+    of the next, so doubling to 2m evaluates only the m new (odd) nodes of
+    ``circle_points(center, radius, 2m)`` and halves the previous sum, whose
+    weights ``offset/m`` become ``offset/(2m)``; every node is evaluated once.
+    Doubling stops when two consecutive levels agree to ``rtol`` relative to
+    the current value, with an absolute floor of a few ulps of the total
+    integrand mass (so exact zeros converge).  With ``chunk`` set, at most
+    that many integrand values are materialized at a time (for bulky
+    tensor-valued integrands).
     """
-    m = max(16, int(start))
-
-    def level(mm):
-        zeta, w = circle_points(center, radius, mm)
-        step = mm if chunk is None else max(1, int(chunk))
+    def weighted_sum(zeta, w):
+        step = len(zeta) if chunk is None else max(1, int(chunk))
         value = None
         mass = 0.0
-        for lo in range(0, mm, step):
+        for lo in range(0, len(zeta), step):
             vals = np.asarray(batch_fn(zeta[lo : lo + step]))
             part = np.tensordot(w[lo : lo + step], vals, axes=(0, 0))
             value = part if value is None else value + part
@@ -89,10 +92,14 @@ def contour_quadrature(
             )
         return value, mass
 
-    prev, prev_mass = level(m)
+    m = max(16, int(start))
+    prev, prev_mass = weighted_sum(*circle_points(center, radius, m))
     while m < cap:
         m *= 2
-        cur, mass = level(m)
+        zeta, w = circle_points(center, radius, m)
+        new, new_mass = weighted_sum(zeta[1::2], w[1::2])
+        cur = 0.5 * prev + new
+        mass = 0.5 * prev_mass + new_mass
         err = _norm(cur - prev)
         floor = max(rtol * _norm(cur), 2e-15 * max(mass, prev_mass), _TINY)
         prev, prev_mass = cur, mass

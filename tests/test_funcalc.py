@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -34,7 +35,8 @@ from opcalc.errors import (
     ContourViolation,
     NonCommutingTuple,
 )
-from opcalc.quadrature import circle_points
+from opcalc import funcalc
+from opcalc.quadrature import circle_points, contour_quadrature
 
 EXP = exp_function()
 
@@ -206,6 +208,17 @@ class TestElementary:
         oracle = np.linalg.inv(lam * eye - mats[0]) @ np.linalg.inv(lam * eye - mats[1])
         assert rel_err(got, oracle) < 1e-9
 
+    def test_three_variables_in_the_leading_axis_loop(self, monkeypatch):
+        # past 16 nodes per axis the loop passes scalar leading nodes next to
+        # tail grids; the tuple converges at 64
+        monkeypatch.setattr(funcalc, "funcalc_n",
+                            functools.partial(funcalc.funcalc_n, block_budget=4096))
+        h = 0.1 * gen_matrix("hermitian", 2, 51)
+        eye = np.eye(2, dtype=complex)
+        tup = CommutingTuple([0.5 * h, 0.3 * h @ h + 0.1 * eye, h - 0.2 * eye])
+        got = funcalc_elementary([EXP, power_function(1), EXP], tup)
+        assert rel_err(got, matrix_exp(tup[0]) @ tup[1] @ matrix_exp(tup[2])) < 1e-9
+
 
 class TestDDTensor:
     def test_single_slot(self):
@@ -249,6 +262,41 @@ class TestDDApply:
         direct = dd_apply(EXP, mats, bs)
         tensored = pair(dd_tensor(EXP, mats), bs)
         assert rel_err(direct, tensored) <= 1e-8
+
+    def test_repeated_node_inverted_once(self, monkeypatch):
+        a, c = gen_matrix("random", 2, 44), gen_matrix("random", 2, 45)
+        mats = [a, a, c, a]
+        bs = [gen_matrix("random", 2, 46 + j) for j in range(3)]
+        calls, batches = [], []
+        resolvents = funcalc._resolvents
+
+        def counting_resolvents(zeta, m):
+            calls.append(len(zeta))
+            return resolvents(zeta, m)
+
+        def counting_quadrature(batch_fn, *args, **kwargs):
+            def batch(zeta):
+                batches.append(len(zeta))
+                return batch_fn(zeta)
+
+            return contour_quadrature(batch, *args, **kwargs)
+
+        monkeypatch.setattr(funcalc, "_resolvents", counting_resolvents)
+        monkeypatch.setattr(funcalc, "contour_quadrature", counting_quadrature)
+        got = dd_apply(EXP, mats, bs)
+        assert calls == [n for n in batches for _ in range(2)]
+
+        # the same arithmetic as one inversion per slot, bit for bit
+        ct = contour_for_union(mats)
+
+        def per_slot(zeta):
+            x = resolvents(zeta, mats[0])
+            for b, m in zip(bs, mats[1:]):
+                x = x @ b @ resolvents(zeta, m)
+            return np.exp(zeta)[:, None, None] * x
+
+        assert np.array_equal(got, contour_quadrature(per_slot, ct.center, ct.radius))
+        assert rel_err(got, pair(dd_tensor(EXP, mats), bs)) <= 1e-8
 
     def test_linearity_in_f(self):
         mats = [gen_matrix("random", 2, 35 + j) for j in range(2)]

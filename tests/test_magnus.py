@@ -174,6 +174,23 @@ class TestCheckpoints:
         magnus_solve(A, 0.5, 0.125, 4, checkpoints=[0.125, 0.25, 0.375, 0.5])
         assert len(calls) == 1 + 4 * 4
 
+    def test_landing_steps_share_the_first_stage(self):
+        # the 21 checkpoints of `magnus --rows 20 --h 0.008` sit off the grid
+        # by rounding, so most are reached by a landing step; one that
+        # recomputed rhs(t, y) would cost 577 field evaluations, against 501
+        # for the plain solve
+        field, calls = triangular_field(), []
+
+        def A(t):
+            calls.append(t)
+            return field(t)
+
+        h = 0.008
+        times = [k * h for k in range(6, 125, 6)] + [1.0]
+        path = magnus_solve(A, 1.0, h, 8, checkpoints=times)
+        assert len(times) == 21 and len(calls) < 577
+        assert np.array_equal(path[-1][0], magnus_solve(triangular_field(), 1.0, h, 8)[0])
+
     def test_zero_end_time(self):
         path = rk_reference(triangular_field(), 0.0, h=0.0, checkpoints=[0.0])
         assert np.array_equal(path[0], np.eye(2))
