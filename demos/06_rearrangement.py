@@ -45,7 +45,7 @@ a = gen_matrix("hermitian", 2, 3)
 ok, report = sector_check(a, 0.3)
 print(f"  spectrum in the strip of half-width 0.3: {ok}")
 fam_mod = modular_family(a, p=2, delta=0.3)
-print(f"  slot-lift factorization residual: {fam_mod.eqtrear5_residual:.2e}")
+print(f"  slot-lift factorization residual: {fam_mod.slot_lift_residual:.2e}")
 mu = np.linalg.eigvals(fam_mod.delta_products[-1].matrix)
 print(f"  product spectrum args within double sector: max |arg| = "
       f"{np.max(np.abs(np.angle(mu))):.3f} < 0.6")

@@ -58,11 +58,9 @@ from .funcalc import (
 from .functions import (
     Disc,
     Entire,
-    HalfPlane,
     HoloFunction,
     MultivariateFunction,
     Sector,
-    Strip,
     exp_function,
     log_function,
     named_function,

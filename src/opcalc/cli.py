@@ -2,9 +2,10 @@
 
 Subcommands: ``dd``, ``funcalc``, ``newton``, ``taylor``, ``dyson``,
 ``magnus``, ``rearrange``, ``verify-all``, ``gen``.  Reports are JSON (CSV for
-time/decay series); every checked residual is reported together with the
-tolerance it was held to, and the exit status is 0 only if all residuals pass
-(1 on residual failure, 2 on input errors).
+time/decay series); every checked residual is a record of the identity
+registry in ``opcalc.verify``, reported with the tolerance it was held to, and
+the exit status is 0 only if all residuals pass (1 on residual failure, 2 on
+input errors).
 
 Reports contain no timestamps or timings unless ``--timings`` is passed, so
 identical job specs and seeds produce byte-identical output.
@@ -15,14 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
 import numpy as np
 
-from . import divdiff
-from .core import matrix_exp, matrix_from_json, matrix_to_json, opnorm, pair, rel_err
+from . import divdiff, verify
+from .core import matrix_exp, matrix_from_json, matrix_to_json, opnorm, pair
 from .errors import OpcalcError
 from .funcalc import (
     CommutingTuple,
@@ -44,7 +44,6 @@ from .rearrange import (
     rearrange_rhs_G,
 )
 from .tolerances import DEFAULTS
-from .verify import run_battery
 
 __all__ = ["main", "gen_matrix"]
 
@@ -58,49 +57,47 @@ def _nodes_from_json(text: str) -> np.ndarray:
     return np.array([complex(re, im) for re, im in data])
 
 
-def _residual(identity: str, value: float, tolerance: float) -> dict:
-    return {
-        "identity": identity,
-        "value": float(value),
-        "tolerance": float(tolerance),
-        "pass": bool(value <= tolerance),
-    }
-
-
-def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
+def _write(text: str, path: str | None) -> None:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _write_csv(path_or_stdout, header: list[str], rows: list[list]) -> None:
+def _csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
               for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path_or_stdout is None:
-        sys.stdout.write(text)
-    else:
-        with open(path_or_stdout, "w") as fh:
-            fh.write(text)
+    return "\n".join(lines) + "\n"
 
 
-def _finish(report: dict, args, t0: float) -> bool:
-    report["diagnostics"]["worker_cap"] = os.environ.get("OPCALC_THREADS", "")
-    if args.timings:
-        report["timings"] = {"wall_seconds": time.perf_counter() - t0}
-    ok = all(r["pass"] for r in report["residuals"])
-    for r in report["residuals"]:
-        if not r["pass"]:
+def _verdict(residuals: list[verify.Residual]) -> bool:
+    """Print a FAIL line per failing residual; True if all pass."""
+    for r in residuals:
+        if not r.passed:
             print(
-                f"FAIL {r['identity']}: residual {r['value']:.3e} exceeds "
-                f"tolerance {r['tolerance']:.3e}",
+                f"FAIL {r.identity}: residual {r.value:.3e} exceeds "
+                f"tolerance {r.tolerance:.3e}",
                 file=sys.stderr,
             )
-    return ok
+    return all(r.passed for r in residuals)
+
+
+def _report(args, params: dict, results: dict, residuals: list[verify.Residual],
+            diagnostics: dict | None = None, **extra) -> tuple[dict, bool]:
+    """A subcommand's JSON report, and whether every residual passed."""
+    report = {
+        "subcommand": args.subcommand,
+        "params": params,
+        "seed": args.seed,
+        "results": results,
+        "residuals": [{"identity": r.identity, "value": r.value,
+                       "tolerance": r.tolerance, "pass": r.passed} for r in residuals],
+        "diagnostics": diagnostics or {},
+        **extra,
+    }
+    return report, _verdict(residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +105,6 @@ def _finish(report: dict, args, t0: float) -> bool:
 
 
 def _cmd_dd(args, tol) -> tuple[dict, bool]:
-    t0 = time.perf_counter()
     f = named_function(args.f)
     xs = _nodes_from_json(args.nodes)
     stats: dict = {}
@@ -139,32 +135,12 @@ def _cmd_dd(args, tol) -> tuple[dict, bool]:
             if args.method != "all":
                 raise
             notes[m] = str(exc)  # e.g. coincident nodes for the recursion
-    residuals = []
-    names = sorted(values)
-    scale = max(max(abs(v) for v in values.values()), 1e-300)
-    for i, mi in enumerate(names):
-        for mj in names[i + 1:]:
-            residuals.append(
-                _residual(
-                    f"divided-difference-agreement:{mi}={mj}",
-                    abs(values[mi] - values[mj]) / scale,
-                    tol.dd_four_way,
-                )
-            )
-    report = {
-        "subcommand": "dd",
-        "params": {"f": args.f, "nodes": args.nodes, "method": args.method},
-        "seed": args.seed,
-        "results": {m: _complex_json(v) for m, v in values.items()},
-        "notes": notes,
-        "residuals": residuals,
-        "diagnostics": stats,
-    }
-    return report, _finish(report, args, t0)
+    params = {"f": args.f, "nodes": args.nodes, "method": args.method}
+    results = {m: _complex_json(v) for m, v in values.items()}
+    return _report(args, params, results, verify.dd_agreement(values, tol), stats, notes=notes)
 
 
 def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
-    t0 = time.perf_counter()
     if args.job == "-":
         job = json.load(sys.stdin)
     else:
@@ -191,14 +167,7 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
             value = apply_function(f, mats[0], contour, stats=stats)
             results["value"] = matrix_to_json(value)
             try:
-                oracle = apply_via_eig(f, mats[0])
-                residuals.append(
-                    _residual(
-                        "calculus-eigendecomposition-oracle",
-                        rel_err(value, oracle),
-                        tol.funcalc_eig_oracle,
-                    )
-                )
+                residuals.append(verify.eig_oracle(value, apply_via_eig(f, mats[0]), tol))
             except OpcalcError:
                 results["oracle"] = "matrix not diagonalizable; contour value only"
         else:
@@ -208,13 +177,7 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
             tup = CommutingTuple(mats)
             value = funcalc_elementary(fs, tup, check_tol=tol.tensor_rule, stats=stats)
             results["value"] = matrix_to_json(value)
-            residuals.append(
-                _residual(
-                    "tensor-product-rule",
-                    stats.get("tensor_rule_defect", 0.0),
-                    tol.tensor_rule,
-                )
-            )
+            residuals.append(verify.tensor_rule_measured(stats, tol))
     elif mode == "ddtensor":
         f = named_function(fnames if isinstance(fnames, str) else fnames[0])
         op = dd_tensor(f, mats, contour, stats=stats)
@@ -226,102 +189,46 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
         value = dd_apply(f, mats, bs, contour, stats=stats)
         results["value"] = matrix_to_json(value)
         tensored = pair(dd_tensor(f, mats, contour), bs)
-        residuals.append(
-            _residual(
-                "tensor-pairing-consistency",
-                rel_err(value, tensored),
-                tol.pair_consistency,
-            )
-        )
+        residuals.append(verify.pairing_consistency(value, tensored, tol))
     else:
         raise OpcalcError(f"unknown mode {mode!r}")
-    report = {
-        "subcommand": "funcalc",
-        "params": {"job": job},
-        "seed": args.seed,
-        "results": results,
-        "residuals": residuals,
-        "diagnostics": stats,
-    }
-    return report, _finish(report, args, t0)
+    return _report(args, {"job": job}, results, residuals, stats)
 
 
-def _expansion_report(kind: str, args, report, residuals, extra=None) -> dict:
-    body = {
-        "subcommand": kind,
-        "params": {
-            k: getattr(args, k)
-            for k in ("f", "dim", "order", "b_scale", "count")
-            if hasattr(args, k)
-        },
-        "seed": args.seed,
-        "results": report.to_dict(),
-        "residuals": residuals,
-        "diagnostics": extra or {},
-    }
+def _expansion_report(args, report, residuals, diagnostics=None) -> tuple[dict, bool]:
     if getattr(args, "csv", None):
         rows = [[n, float(r)] for n, r in enumerate(report.remainder_norms)]
-        _write_csv(args.csv, ["order", "remainder_norm"], rows)
-    return body
+        _write(_csv(["order", "remainder_norm"], rows), args.csv)
+    params = {k: getattr(args, k) for k in ("f", "dim", "order", "b_scale", "count")
+              if hasattr(args, k)}
+    return _report(args, params, report.to_dict(), residuals, diagnostics)
 
 
 def _cmd_newton(args, tol) -> tuple[dict, bool]:
-    t0 = time.perf_counter()
     f = named_function(args.f)
     mats = [gen_matrix("random", args.dim, args.seed + j) for j in range(args.count)]
     report = newton_interpolate(f, mats)
-    residuals = [
-        _residual(
-            "newton-interpolation",
-            report.final_residual / max(opnorm(report.target), 1e-300),
-            tol.newton_residual,
-        )
-    ]
-    body = _expansion_report("newton", args, report, residuals)
-    return body, _finish(body, args, t0)
+    return _expansion_report(args, report, [verify.newton_residual(report, tol)])
 
 
 def _cmd_taylor(args, tol) -> tuple[dict, bool]:
-    t0 = time.perf_counter()
     f = named_function(args.f)
     a = gen_matrix("random", args.dim, args.seed)
     b = args.b_scale * gen_matrix("random", args.dim, args.seed + 1)
     report = taylor_expand(f, a, b, N=args.order)
-    c2b = report.meta["c2"] * opnorm(b)
-    rems = report.meta["explicit_remainder_norms"]
-    floor = 1e-13 * max(opnorm(report.target), 1.0)
-    ratio = max(
-        ((r1 / r0) / c2b
-         for r0, r1 in zip(rems, rems[1:]) if r0 > floor and r1 > floor),
-        default=0.0,
-    )
-    defect = max(report.meta["identity_defects"]) / max(opnorm(report.target), 1e-300)
-    residuals = [
-        _residual("taylor-remainder-geometric-decay", ratio, 1.0),
-        _residual("taylor-finite-remainder-identity", defect, tol.dyson_identity),
-    ]
-    body = _expansion_report("taylor", args, report, residuals, {"c2_times_b": c2b})
-    return body, _finish(body, args, t0)
+    residuals = [verify.taylor_decay(report, b, tol), verify.taylor_remainder(report, tol)]
+    return _expansion_report(args, report, residuals,
+                             {"c2_times_b": verify.taylor_decay_bound(report, b)})
 
 
 def _cmd_dyson(args, tol) -> tuple[dict, bool]:
-    t0 = time.perf_counter()
     a = gen_matrix("random", args.dim, args.seed)
     b = args.b_scale * gen_matrix("random", args.dim, args.seed + 1)
     report = dyson_exp(a, b, N=args.order)
-    residuals = [
-        _residual(
-            "dyson-finite-remainder-identity",
-            report.meta["identity_defect"] / max(opnorm(report.target), 1e-300),
-            tol.dyson_identity,
-        )
-    ]
-    body = _expansion_report("dyson", args, report, residuals)
-    return body, _finish(body, args, t0)
+    return _expansion_report(args, report, [verify.dyson_defect(report, tol)])
 
 
 def _cmd_magnus(args, tol) -> tuple[dict, bool]:
-    t0 = time.perf_counter()
     if args.rows < 1:
         raise ValueError(f"--rows must be at least 1, got {args.rows}")
     if not (math.isfinite(args.h) and args.h > 0):
@@ -347,36 +254,19 @@ def _cmd_magnus(args, tol) -> tuple[dict, bool]:
                               checkpoints=checkpoints)
     rows = [[0.0, 0.0, 0.0]]
     for t, (omega, y), reference in zip(checkpoints, solved, references):
-        rows.append([float(t), opnorm(omega), opnorm(y - reference)])
-    residuals = [_residual("magnus-log-consistency", rows[-1][2], tol.magnus_vs_rk)]
+        check = verify.magnus_discrepancy(y, reference, tol)
+        rows.append([float(t), opnorm(omega), check.value])
+    # only the last row, at t_end, is held to the tolerance
+    columns = ["t", "omega_norm", "discrepancy"]
     if args.format == "csv":
-        _write_csv(args.output, ["t", "omega_norm", "discrepancy"], rows)
-        for r in residuals:
-            if not r["pass"]:
-                print(
-                    f"FAIL {r['identity']}: residual {r['value']:.3e} exceeds "
-                    f"tolerance {r['tolerance']:.3e}",
-                    file=sys.stderr,
-                )
-        return {"residuals": residuals}, all(r["pass"] for r in residuals)
-    report = {
-        "subcommand": "magnus",
-        "params": {
-            "field": args.field,
-            "t_end": args.t_end,
-            "h": args.h,
-            "order": args.order,
-        },
-        "seed": args.seed,
-        "results": {"rows": rows, "columns": ["t", "omega_norm", "discrepancy"]},
-        "residuals": residuals,
-        "diagnostics": {},
-    }
-    return report, _finish(report, args, t0)
+        _write(_csv(columns, rows), args.output)
+        return {}, _verdict([check])
+    params = {"field": args.field, "t_end": args.t_end, "h": args.h, "order": args.order,
+              "rows": args.rows}
+    return _report(args, params, {"rows": rows, "columns": columns}, [check])
 
 
 def _cmd_rearrange(args, tol) -> tuple[dict, bool]:
-    t0 = time.perf_counter()
     qs = [int(q) for q in args.family.split(",")]
     if len(qs) != args.p + 1:
         raise OpcalcError(f"--family needs p+1 = {args.p + 1} exponents")
@@ -387,65 +277,26 @@ def _cmd_rearrange(args, tol) -> tuple[dict, bool]:
     lhs = rearrange_lhs(fs, A, bs, delta=args.delta)
     rf = rearrange_rhs_F(fs, A, bs, delta=args.delta)
     rg = rearrange_rhs_G(fs, A, bs, delta=args.delta)
-    scale = max(opnorm(lhs), 1e-300)
-    residuals = [
-        _residual("rearrangement:lhs=rhs-F", opnorm(lhs - rf) / scale, tol.rearrange_three_way),
-        _residual("rearrangement:lhs=rhs-G", opnorm(lhs - rg) / scale, tol.rearrange_three_way),
-        _residual("rearrangement:rhs-F=rhs-G", opnorm(rf - rg) / scale, tol.rearrange_three_way),
-    ]
-    report = {
-        "subcommand": "rearrange",
-        "params": {
-            "p": args.p,
-            "dim": args.dim,
-            "family": args.family,
-            "delta": args.delta,
-        },
-        "seed": args.seed,
-        "results": {
-            "lhs": matrix_to_json(lhs),
-            "rhs_F": matrix_to_json(rf),
-            "rhs_G": matrix_to_json(rg),
-        },
-        "residuals": residuals,
-        "diagnostics": {},
-    }
-    return report, _finish(report, args, t0)
+    params = {"p": args.p, "dim": args.dim, "family": args.family, "delta": args.delta}
+    results = {"lhs": matrix_to_json(lhs), "rhs_F": matrix_to_json(rf),
+               "rhs_G": matrix_to_json(rg)}
+    return _report(args, params, results, verify.rearrangement(lhs, rf, rg, tol))
 
 
 def _cmd_verify_all(args, tol) -> tuple[dict, bool]:
-    t0 = time.perf_counter()
-    results = run_battery(args.seed, tol)
+    results = verify.run_battery(args.seed, tol)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.identity}: residual {r.residual:.3e} "
+        print(f"{status} {r.identity}: residual {r.value:.3e} "
               f"(tolerance {r.tolerance:.3e})")
-    report = {
-        "subcommand": "verify-all",
-        "params": {},
-        "seed": args.seed,
-        "results": {},
-        "residuals": [
-            _residual(r.identity, r.residual, r.tolerance) for r in results
-        ],
-        "diagnostics": {},
-    }
-    return report, _finish(report, args, t0)
+    return _report(args, {}, {}, results)
 
 
 def _cmd_gen(args, tol) -> tuple[dict, bool]:
-    t0 = time.perf_counter()
     out = gen_matrix(args.kind, args.dim, args.seed)
     mats = list(out) if isinstance(out, tuple) else [out]
-    report = {
-        "subcommand": "gen",
-        "params": {"kind": args.kind, "dim": args.dim},
-        "seed": args.seed,
-        "results": {"matrices": [matrix_to_json(m) for m in mats]},
-        "residuals": [],
-        "diagnostics": {},
-    }
-    return report, _finish(report, args, t0)
+    results = {"matrices": [matrix_to_json(m) for m in mats]}
+    return _report(args, {"kind": args.kind, "dim": args.dim}, results, [])
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +431,16 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = getattr(args, "format_default", "json")
     tol = DEFAULTS.scaled(args.tol_scale)
+    t0 = time.perf_counter()
     try:
         report, ok = args.handler(args, tol)
     except (OpcalcError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.subcommand != "magnus" or args.format == "json":
-        _emit(report, args)
+        if args.timings:
+            report["timings"] = {"wall_seconds": time.perf_counter() - t0}
+        _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
     return 0 if ok else 1
 
 

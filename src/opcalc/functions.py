@@ -28,9 +28,7 @@ from .errors import DomainViolation
 __all__ = [
     "Domain",
     "Disc",
-    "Strip",
     "Sector",
-    "HalfPlane",
     "Entire",
     "HoloFunction",
     "MultivariateFunction",
@@ -67,19 +65,6 @@ class Disc(Domain):
 
 
 @dataclass(frozen=True)
-class Strip(Domain):
-    """|Im z| < delta."""
-
-    delta: float
-
-    def contains(self, z):
-        return np.abs(np.imag(np.asarray(z))) < self.delta
-
-    def boundary_distance(self, z):
-        return self.delta - np.abs(np.imag(np.asarray(z)))
-
-
-@dataclass(frozen=True)
 class Sector(Domain):
     """|arg z| < delta, z != 0."""
 
@@ -94,17 +79,6 @@ class Sector(Domain):
         gap = self.delta - np.abs(np.angle(z))
         # distance to the bounding rays, capped by the distance to the tip
         return np.where(gap > 0, np.abs(z) * np.sin(np.minimum(gap, np.pi / 2)), 0.0)
-
-
-@dataclass(frozen=True)
-class HalfPlane(Domain):
-    """Re z > 0."""
-
-    def contains(self, z):
-        return np.real(np.asarray(z)) > 0
-
-    def boundary_distance(self, z):
-        return np.real(np.asarray(z))
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ class ModularFamily:
     A: np.ndarray
     delta_products: list  # TensorOperator, j = 1..p: exp(-nabla^(1)) ... exp(-nabla^(j))
     delta: float
-    eqtrear5_residual: float
+    slot_lift_residual: float
 
 
 def modular_family(

@@ -2,10 +2,11 @@
 
 Each test prints a single PASS/FAIL line with the worst observed residual,
 its tolerance, and the runtime against the budget.  Run with ``-s`` to see
-the lines as they appear (pytest captures them otherwise).
+the lines as they appear (pytest captures them otherwise).  Residuals come
+from the identity registry in ``opcalc.verify``; each criterion supplies its
+own seeded inputs and holds the values to its own tolerances.
 """
 
-import math
 import time
 
 import numpy as np
@@ -28,20 +29,13 @@ from opcalc import (
     funcalc_elementary,
     funcalc_n,
     gen_matrix,
-    kernel_F,
-    kernel_G,
     magnus_solve,
     matrix_exp,
-    multinomial_identity,
     newton_interpolate,
-    newton_recursion_check,
-    opnorm,
     pair,
     power_function,
-    rel_err,
     resolvent_function,
     rk_reference,
-    simplex_moment_s,
     taylor_expand,
     taylor_series_ad,
 )
@@ -52,6 +46,26 @@ from opcalc.rearrange import (
     rearrange_lhs,
     rearrange_rhs_F,
     rearrange_rhs_G,
+)
+from opcalc.tolerances import DEFAULTS as TOL
+from opcalc.verify import (
+    combinatorics_exactness,
+    commutator_series,
+    contour_refinement,
+    dd_agreement,
+    dyson_defect,
+    eig_oracle,
+    homomorphism,
+    kernel_scaling,
+    magnus_discrepancy,
+    newton_recursion,
+    newton_residual,
+    pairing_consistency,
+    power_closed_form,
+    rearrangement,
+    taylor_decay,
+    taylor_decay_bound,
+    tensor_rule,
 )
 
 EXP = exp_function()
@@ -88,15 +102,13 @@ def test_criterion_1_four_way_divided_differences():
         n = 1 + seed % 4
         xs = seeded_disc_nodes(seed, n + 1)
         for f in fns:
-            vals = [
-                dd_recursive(f, xs),
-                dd_explicit(f, xs),
-                dd_contour(f, xs),
-                dd_hermite(f, xs),
-            ]
-            scale = max(max(abs(v) for v in vals), 1e-300)
-            spread = max(abs(v - w) for v in vals for w in vals)
-            worst = max(worst, spread / scale)
+            values = {
+                "recursive": dd_recursive(f, xs),
+                "explicit": dd_explicit(f, xs),
+                "contour": dd_contour(f, xs),
+                "hermite": dd_hermite(f, xs),
+            }
+            worst = max(worst, *(r.value for r in dd_agreement(values, TOL)))
     finish(1, "four-way divided differences", worst, 1e-8, t0, 5.0)
 
 
@@ -108,28 +120,18 @@ def test_criterion_2_closed_forms():
         for N in range(-3, 9):
             closed = dd_power(xs, N)
             via = dd_recursive(power_function(N), xs)
-            worst = max(worst, abs(closed - via) / max(abs(closed), 1.0))
-    exact_failures = 0
-    for n in range(1, 5):
-        for total in range(0, 7):
-            for alpha in compositions(total, n + 1):
-                val = simplex_moment_s(alpha, exact=True)
-                fact = 1
-                for part in alpha:
-                    fact *= math.factorial(part)
-                exact_failures += val * math.factorial(total + n) != fact
+            worst = max(worst, power_closed_form(closed, via, TOL).value)
+    alphas = [alpha for n in range(1, 5) for total in range(0, 7)
+              for alpha in compositions(total, n + 1)]
+    multinomials = []
     for n in range(1, 5):
         for btot in range(0, 5):
             for beta in compositions(btot, n):
-                for m in range(btot, 9):
-                    brute, closed = multinomial_identity(beta, m, "=")
-                    exact_failures += brute != closed
-                brute, closed = multinomial_identity(beta, 8, "<=")
-                exact_failures += brute != closed
+                multinomials += [(beta, m, "=") for m in range(btot, 9)]
+                multinomials.append((beta, 8, "<="))
                 if n <= 3:
-                    for m in range(btot, 8):
-                        brute, closed = multinomial_identity(beta, m, "<=")
-                        exact_failures += brute != closed
+                    multinomials += [(beta, m, "<=") for m in range(btot, 8)]
+    exact_failures = int(combinatorics_exactness(alphas, multinomials, TOL).value)
     worst = max(worst, float(exact_failures))
     finish(2, "closed forms and combinatorics", worst, 1e-10, t0, 2.0,
            extra=f"{exact_failures} exact failures")
@@ -142,7 +144,8 @@ def test_criterion_3_functional_calculus_oracle():
         d = 2 + k % 3
         a = gen_matrix("diagonalizable", d, 1000 + k)
         for f in (EXP, resolvent_function(3.0)):
-            worst_eig = max(worst_eig, rel_err(funcalc_n(f, (a,)), apply_via_eig(f, a)))
+            worst_eig = max(worst_eig,
+                            eig_oracle(funcalc_n(f, (a,)), apply_via_eig(f, a), TOL).value)
     assert worst_eig <= 1e-9
 
     worst_alg = 0.0
@@ -153,10 +156,10 @@ def test_criterion_3_functional_calculus_oracle():
         tup = CommutingTuple(gen_matrix("commuting-pair", 2 + k % 3, 2000 + k))
         lhs = funcalc_n(fg, tup)
         rhs = funcalc_n(f2, tup) @ funcalc_n(g2, tup)
-        worst_alg = max(worst_alg, rel_err(lhs, rhs))
+        worst_alg = max(worst_alg, homomorphism(lhs, rhs, TOL).value)
         got = funcalc_elementary([EXP, resolvent_function(3.0)], tup)
         want = apply_via_eig(EXP, tup[0]) @ apply_via_eig(resolvent_function(3.0), tup[1])
-        worst_alg = max(worst_alg, rel_err(got, want))
+        worst_alg = max(worst_alg, tensor_rule(got, want, TOL).value)
     finish(3, "functional-calculus oracle", max(worst_eig, worst_alg * 0.1), 1e-9,
            t0, 10.0, extra=f"homomorphism/product-rule worst {worst_alg:.2e} vs 1e-8")
 
@@ -171,7 +174,7 @@ def test_criterion_4_tensor_consistency():
         bs = [gen_matrix("random", d, 3500 + 17 * k + j) for j in range(n)]
         direct = dd_apply(EXP, mats, bs)
         tensored = pair(dd_tensor(EXP, mats), bs)
-        worst = max(worst, rel_err(direct, tensored))
+        worst = max(worst, pairing_consistency(direct, tensored, TOL).value)
     finish(4, "pairing of tensor divided differences", worst, 1e-8, t0, 10.0)
 
 
@@ -182,16 +185,14 @@ def test_criterion_5_newton():
         d = 2 + k % 3
         n = 1 + k % 4
         mats = [gen_matrix("random", d, 4000 + 31 * k + j) for j in range(n + 1)]
-        report = newton_interpolate(EXP, mats)
-        worst = max(worst, report.final_residual / max(opnorm(report.target), 1e-300))
+        worst = max(worst, newton_residual(newton_interpolate(EXP, mats), TOL).value)
     worst_rec = 0.0
     for k in range(6):
         d = 2 + k % 2
         n = 1 + k % 3
         mats = [gen_matrix("random", d, 5000 + 37 * k + j) for j in range(n + 2)]
         bs = [gen_matrix("random", d, 5500 + 37 * k + j) for j in range(n)]
-        scale = max(1.0, opnorm(matrix_exp(mats[-1])))
-        worst_rec = max(worst_rec, newton_recursion_check(EXP, mats, bs) / scale)
+        worst_rec = max(worst_rec, newton_recursion(EXP, mats, bs, TOL).value)
     finish(5, "interpolation through matrix nodes", max(worst, worst_rec), 1e-8,
            t0, 30.0)
 
@@ -206,24 +207,16 @@ def test_criterion_6_taylor_and_commutator_series():
             left = taylor_series_ad(f, a, bs, order_cap=cap, side="left-f")
             right = taylor_series_ad(f, a, bs, order_cap=cap, side="right-f")
             direct = dd_apply(f, [a] * (n + 1), bs)
-            scale = max(opnorm(direct), 1e-300)
-            worst = max(
-                worst,
-                opnorm(left - right) / scale,
-                opnorm(left - direct) / scale,
-                opnorm(right - direct) / scale,
-            )
+            # each orientation against the other and the direct pairing
+            worst = max(worst, commutator_series(left, right, direct, TOL).value,
+                        commutator_series(right, left, direct, TOL).value)
     assert worst <= 1e-6
 
     a = gen_matrix("random", 3, 6200)
     b = 0.1 * gen_matrix("random", 3, 6201)
     report = taylor_expand(EXP, a, b, N=8)
-    bound = report.meta["c2"] * opnorm(b)
-    rems = report.meta["explicit_remainder_norms"]
-    floor = 1e-13 * opnorm(report.target)
-    decay_ok = all(
-        r1 / r0 <= bound for r0, r1 in zip(rems, rems[1:]) if min(r0, r1) > floor
-    )
+    bound = taylor_decay_bound(report, b)
+    decay_ok = taylor_decay(report, b, TOL).passed
     finish(6, "perturbation series coherence", worst if decay_ok else 1.0, 1e-6,
            t0, 30.0, extra=f"decay bound c2|b| = {bound:.3f}")
 
@@ -236,10 +229,7 @@ def test_criterion_7_dyson_identity():
         order = k % 6
         a = gen_matrix("random", d, 7000 + k)
         b = 0.25 * gen_matrix("random", d, 7100 + k)
-        report = dyson_exp(a, b, N=order)
-        worst = max(
-            worst, report.meta["identity_defect"] / max(opnorm(report.target), 1e-300)
-        )
+        worst = max(worst, dyson_defect(dyson_exp(a, b, N=order), TOL).value)
     finish(7, "closed perturbation expansion of exp", worst, 1e-7, t0, 30.0)
 
 
@@ -249,13 +239,13 @@ def test_criterion_8_magnus():
     worst = 0.0
     for field in fields:
         _, y = magnus_solve(field, 1.0, h=1.0 / 200, order=28)
-        worst = max(worst, opnorm(y - rk_reference(field, 1.0)))
+        worst = max(worst, magnus_discrepancy(y, rk_reference(field, 1.0), TOL).value)
     assert worst <= 1e-6
 
     field = triangular_field()
     ref = rk_reference(field, 1.0)
-    d1 = opnorm(magnus_solve(field, 1.0, h=0.1, order=28)[1] - ref)
-    d2 = opnorm(magnus_solve(field, 1.0, h=0.05, order=28)[1] - ref)
+    d1, d2 = (magnus_discrepancy(magnus_solve(field, 1.0, h=h, order=28)[1], ref, TOL).value
+              for h in (0.1, 0.05))
     ratio = d1 / d2 if d2 > 1e-11 else np.inf
     finish(8, "log-propagator vs Runge-Kutta", worst if ratio >= 8.0 else 1.0,
            1e-6, t0, 10.0, extra=f"step-halving ratio {ratio:.1f} >= 8")
@@ -277,13 +267,7 @@ def test_criterion_9_rearrangement():
                     lhs = rearrange_lhs(fam, A, bs, delta=0.4)
                     rf = rearrange_rhs_F(fam, A, bs, delta=0.4)
                     rg = rearrange_rhs_G(fam, A, bs, delta=0.4)
-                    scale = max(opnorm(lhs), 1e-300)
-                    worst = max(
-                        worst,
-                        opnorm(lhs - rf) / scale,
-                        opnorm(lhs - rg) / scale,
-                        opnorm(rf - rg) / scale,
-                    )
+                    worst = max(worst, *(r.value for r in rearrangement(lhs, rf, rg, TOL)))
     assert worst <= 1e-6
 
     rng = np.random.default_rng(9000)
@@ -291,21 +275,15 @@ def test_criterion_9_rearrangement():
     worst_scalar = 0.0
     for _ in range(100):
         s = rng.uniform(0.5, 2.0, 2) * np.exp(1j * rng.uniform(-0.35, 0.35, 2))
-        F = kernel_F(fam, s)
-        G = kernel_G(fam, [s[1] / s[0]])
-        worst_scalar = max(worst_scalar, abs(F - G / s[0]) / max(abs(F), 1e-300))
         c = rng.uniform(0.4, 2.5)
-        worst_scalar = max(
-            worst_scalar, abs(kernel_F(fam, c * s) - F / c) / max(abs(F), 1e-300)
-        )
+        worst_scalar = max(worst_scalar, kernel_scaling(fam, s, c, TOL).value)
     finish(9, "half-line rearrangement three ways", max(worst, worst_scalar * 1e3),
            1e-6, t0, 120.0, extra=f"scalar identities worst {worst_scalar:.2e} vs 1e-9")
 
 
 def test_criterion_10_contour_refinement():
     t0 = time.perf_counter()
-    violations = 0
-    reached_floor = 0
+    worst = 0.0  # doublings that grow above the floor, plus cases that miss it
     cases = 0
     for seed in range(5):
         n = 1 + seed % 3
@@ -313,15 +291,10 @@ def test_criterion_10_contour_refinement():
         for f in (EXP, power_function(5), resolvent_function(3.0)):
             exact = dd_explicit(f, xs)
             center, radius = circle_around(xs)
-            floor = 1e-13 * max(abs(exact), 1.0)
-            errs = [
-                abs(dd_contour(f, xs, Contour(center, radius, m), refine=False) - exact)
-                for m in (16, 32, 64, 128, 256)
-            ]
-            for e0, e1 in zip(errs, errs[1:]):
-                violations += not (e1 <= e0 or e1 <= floor)
-            reached_floor += errs[-1] <= floor
+            approximations = [dd_contour(f, xs, Contour(center, radius, m), refine=False)
+                              for m in (16, 32, 64, 128, 256)]
+            monotone, floor = contour_refinement(approximations, exact, TOL)
+            worst += monotone.value + floor.value
             cases += 1
-    worst = float(violations + (cases - reached_floor))
     finish(10, "circle-quadrature refinement", worst, 0.0, t0, 5.0,
            extra=f"{cases} cases, all reached the 1e-13 floor")

@@ -3,10 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from opcalc import gen_matrix, matrix_from_json, matrix_to_json, opnorm
+from opcalc import gen_matrix, matrix_exp, matrix_from_json, matrix_to_json, opnorm
+from opcalc import verify
 from opcalc.cli import main
 from opcalc.errors import OpcalcError
+from opcalc.functions import named_function
 from opcalc.magnus import builtin_field, magnus_solve, rk_reference
+from opcalc.ncseries import taylor_expand
+from opcalc.rearrange import (
+    family_from_exponents,
+    rearrange_lhs,
+    rearrange_rhs_F,
+    rearrange_rhs_G,
+)
+from opcalc.tolerances import DEFAULTS
 
 
 class TestGenMatrix:
@@ -309,6 +319,76 @@ class TestVerifyAll:
         assert code1 == code2 == 0
         assert out1 == out2
         assert out1.count("PASS") >= 16
+
+
+class TestIdentityRegistry:
+    """Every residual a subcommand reports is a record of ``opcalc.verify``."""
+
+    @staticmethod
+    def _entries(records):
+        return [{"identity": r.identity, "value": r.value, "tolerance": r.tolerance,
+                 "pass": r.passed} for r in records]
+
+    def test_emitted_names_are_registered(self, tmp_path, capsys):
+        mats = [gen_matrix("random", 2, 3 + j) for j in range(3)]
+        jobs = {
+            "single": {"function": "exp", "mode": "funcalc",
+                       "matrices": [matrix_to_json(gen_matrix("diagonalizable", 3, 1))]},
+            "elementary": {"function": ["exp", "exp"], "mode": "funcalc",
+                           "matrices": [matrix_to_json(m)
+                                        for m in gen_matrix("commuting-pair", 2, 2)]},
+            "ddapply": {"function": "exp", "mode": "ddapply",
+                        "matrices": [matrix_to_json(m) for m in mats],
+                        "b_matrices": [matrix_to_json(m) for m in mats[:2]]},
+        }
+        commands = [["dd", "--f", "exp", "--nodes", "[[0,0],[1,0],[0,1]]"],
+                    ["newton", "--dim", "2", "--count", "3"],
+                    ["taylor", "--dim", "2", "--order", "4"],
+                    ["dyson", "--dim", "2", "--order", "2"],
+                    ["magnus", "--h", "0.02", "--order", "20", "--rows", "2",
+                     "--format", "json"],
+                    ["rearrange"],
+                    ["verify-all", "--seed", "3"]]
+        for name, job in jobs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(job))
+            commands.append(["funcalc", "--job", str(path)])
+        emitted = {}
+        for argv in commands:
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0, argv
+            residuals = json.loads(out[out.find("{"):])["residuals"]  # after PASS lines
+            assert residuals, argv
+            for r in residuals:
+                field = verify.IDENTITIES.get(r["identity"])
+                assert field is not None, (argv, r["identity"])
+                assert r["tolerance"] == getattr(DEFAULTS, field), (argv, r["identity"])
+            emitted[argv[0]] = [r["identity"] for r in residuals]
+        battery = [check(3, DEFAULTS).identity for check in verify.BATTERY]
+        assert emitted["verify-all"] == battery
+
+    def test_rearrange_residuals_are_the_registry(self, capsys):
+        code, out, _ = run_cli(["rearrange", "--p", "1", "--dim", "3", "--family", "2,1",
+                                "--delta", "0.25", "--seed", "11"], capsys)
+        assert code == 0
+        fs = family_from_exponents([2, 1])
+        A = matrix_exp(gen_matrix("hermitian", 3, 11))
+        bs = [gen_matrix("random", 3, 12)]
+        routes = [route(fs, A, bs, delta=0.25)
+                  for route in (rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G)]
+        want = verify.rearrangement(*routes, DEFAULTS)
+        assert json.loads(out)["residuals"] == self._entries(want)
+
+    def test_taylor_residuals_are_the_registry(self, capsys):
+        code, out, _ = run_cli(["taylor", "--f", "exp", "--dim", "3", "--order", "6",
+                                "--b-scale", "0.2", "--seed", "5"], capsys)
+        assert code == 0
+        a = gen_matrix("random", 3, 5)
+        b = 0.2 * gen_matrix("random", 3, 6)
+        report = taylor_expand(named_function("exp"), a, b, N=6)
+        want = [verify.taylor_decay(report, b, DEFAULTS),
+                verify.taylor_remainder(report, DEFAULTS)]
+        assert json.loads(out)["residuals"] == self._entries(want)
 
 
 class TestErrorPaths:

@@ -92,7 +92,7 @@ class TestModularFamily:
 
     def test_random_hermitian_residual(self):
         fam = modular_family(gen_matrix("hermitian", 2, 2), p=2, delta=0.3)
-        assert fam.eqtrear5_residual <= 1e-10
+        assert fam.slot_lift_residual <= 1e-10
 
     def test_slot_factorization_directly(self):
         a = gen_matrix("hermitian", 2, 3)
