@@ -108,11 +108,7 @@ def _cmd_dd(args, tol) -> tuple[dict, bool]:
     f = named_function(args.f)
     xs = _nodes_from_json(args.nodes)
     stats: dict = {}
-    methods = (
-        ["recursive", "explicit", "contour", "hermite"]
-        if args.method == "all"
-        else [args.method]
-    )
+    methods = verify.DD_ROUTES if args.method == "all" else [args.method]
     values: dict[str, complex] = {}
     notes: dict[str, str] = {}
     for m in methods:

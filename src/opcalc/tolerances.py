@@ -2,7 +2,8 @@
 
 Every identity of the registry (``opcalc.verify.IDENTITIES``) names the field
 that holds its residual; the CLI flag ``--tol-scale`` multiplies all of them
-uniformly.
+uniformly.  The few identities held to a fixed number instead (an exact count
+of failures, the Taylor decay ratio) are not scaled.
 Individual library functions carry the same numbers as keyword defaults so
 they stay usable without this module.
 """
@@ -39,8 +40,6 @@ class Tolerances:
     magnus_vs_rk: float = 1e-6           # absolute, desk-scale fields
     rearrange_three_way: float = 1e-6
     kernel_scaling: float = 1e-9
-    taylor_decay_ratio: float = 1.0      # successive remainder ratio over c2*|b|
-    exact_count: float = 0.0             # failed cases of an exact (integer) identity
 
     def scaled(self, factor: float) -> "Tolerances":
         """All tolerances multiplied by ``factor`` (structural caps included)."""

@@ -66,16 +66,17 @@ __all__ = [
     "rearrangement", "kernel_scaling", "contour_refinement", "run_battery", "BATTERY",
 ]
 
-# The four routes of a divided difference that `dd --method all` compares.
-DD_ROUTES = ("contour", "explicit", "hermite", "recursive")
+# The four routes of a divided difference that `dd --method all` runs, in order.
+DD_ROUTES = ("recursive", "explicit", "contour", "hermite")
 
-# Every identity name a record can carry, and the Tolerances field it is held to.
+# Every identity name a record can carry, and what it is held to: the name of a
+# Tolerances field (scaled by --tol-scale) or a fixed bound (never scaled).
 IDENTITIES = {
     **{f"divided-difference-agreement:{a}={b}": "dd_four_way"
-       for a, b in itertools.combinations(DD_ROUTES, 2)},
+       for a, b in itertools.combinations(sorted(DD_ROUTES), 2)},
     "divided-difference-four-way-agreement": "dd_four_way",
     "power-closed-form": "dd_power_vs_recursive",
-    "simplex-moment-and-multinomial-exactness": "exact_count",
+    "simplex-moment-and-multinomial-exactness": 0.0,
     "calculus-eigendecomposition-oracle": "funcalc_eig_oracle",
     "calculus-homomorphism": "funcalc_homomorphism",
     "tensor-product-rule": "tensor_rule",
@@ -83,7 +84,7 @@ IDENTITIES = {
     "newton-interpolation": "newton_residual",
     "newton-recursion": "recursion_residual",
     "commutator-series-coherence": "ad_series",
-    "taylor-remainder-geometric-decay": "taylor_decay_ratio",
+    "taylor-remainder-geometric-decay": 1.0,
     "taylor-finite-remainder-identity": "dyson_identity",
     "dyson-finite-remainder-identity": "dyson_identity",
     "magnus-log-consistency": "magnus_vs_rk",
@@ -92,8 +93,8 @@ IDENTITIES = {
     "rearrangement:rhs-F=rhs-G": "rearrange_three_way",
     "rearrangement-three-way": "rearrange_three_way",
     "kernel-scaling-identity": "kernel_scaling",
-    "contour-refinement-monotone": "exact_count",
-    "contour-refinement-floor": "exact_count",
+    "contour-refinement-monotone": 0.0,
+    "contour-refinement-floor": 0.0,
 }
 
 
@@ -108,7 +109,8 @@ class Residual:
 
 
 def _record(identity: str, value: float, tol: Tolerances) -> Residual:
-    tolerance = getattr(tol, IDENTITIES[identity])
+    bound = IDENTITIES[identity]
+    tolerance = getattr(tol, bound) if isinstance(bound, str) else bound
     return Residual(identity, float(value), float(tolerance), bool(value <= tolerance))
 
 

@@ -360,9 +360,11 @@ class TestIdentityRegistry:
             residuals = json.loads(out[out.find("{"):])["residuals"]  # after PASS lines
             assert residuals, argv
             for r in residuals:
-                field = verify.IDENTITIES.get(r["identity"])
-                assert field is not None, (argv, r["identity"])
-                assert r["tolerance"] == getattr(DEFAULTS, field), (argv, r["identity"])
+                bound = verify.IDENTITIES.get(r["identity"])
+                assert bound is not None, (argv, r["identity"])
+                if isinstance(bound, str):
+                    bound = getattr(DEFAULTS, bound)
+                assert r["tolerance"] == bound, (argv, r["identity"])
             emitted[argv[0]] = [r["identity"] for r in residuals]
         battery = [check(3, DEFAULTS).identity for check in verify.BATTERY]
         assert emitted["verify-all"] == battery
@@ -389,6 +391,14 @@ class TestIdentityRegistry:
         want = [verify.taylor_decay(report, b, DEFAULTS),
                 verify.taylor_remainder(report, DEFAULTS)]
         assert json.loads(out)["residuals"] == self._entries(want)
+
+    def test_tol_scale_leaves_fixed_bounds(self, capsys):
+        code, out, _ = run_cli(["taylor", "--dim", "2", "--order", "4",
+                                "--tol-scale", "10"], capsys)
+        assert code == 0
+        tolerances = {r["identity"]: r["tolerance"] for r in json.loads(out)["residuals"]}
+        assert tolerances == {"taylor-remainder-geometric-decay": 1.0,
+                              "taylor-finite-remainder-identity": 10 * DEFAULTS.dyson_identity}
 
 
 class TestErrorPaths:
