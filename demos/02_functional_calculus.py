@@ -1,8 +1,10 @@
 """Matrix functions by circle quadrature against resolvents.
 
 A single matrix needs one circle around its spectrum; a commuting tuple gets
-one circle per variable and a tensor-grid quadrature.  The eigendecomposition
-route is kept strictly separate and serves as the oracle.
+one circle per variable and a tensor-grid quadrature.  Every circle comes from
+``contour_around``, which builds it around the eigenvalues and refuses one
+that misses the spectrum or leaves the function's domain.  The
+eigendecomposition route is kept strictly separate and serves as the oracle.
 """
 
 import numpy as np
@@ -11,7 +13,8 @@ from opcalc import (
     CommutingTuple,
     MultivariateFunction,
     apply_via_eig,
-    contour_for,
+    Contour,
+    contour_around,
     exp_function,
     funcalc_elementary,
     funcalc_n,
@@ -20,6 +23,7 @@ from opcalc import (
     rel_err,
     resolvent_function,
 )
+from opcalc.errors import ContourViolation
 
 exp = exp_function()
 
@@ -28,8 +32,12 @@ print("1. one matrix, two routes")
 print("=" * 70)
 
 a = gen_matrix("diagonalizable", 3, 7)
-c = contour_for(a)
+c = contour_around(np.linalg.eigvals(a))
 print(f"  auto contour: center {c.center:.3f}, radius {c.radius:.3f}")
+try:
+    contour_around(np.linalg.eigvals(a), contour=Contour(c.center, 0.5 * c.radius))
+except ContourViolation as exc:
+    print(f"  half that radius is refused: {exc}")
 via_contour = funcalc_n(exp, (a,))
 via_eig = apply_via_eig(exp, a)
 print(f"  |contour - eigen| / |eigen| = {rel_err(via_contour, via_eig):.2e}")

@@ -46,8 +46,6 @@ from .funcalc import (
     Contour,
     apply_function,
     apply_via_eig,
-    contour_for,
-    contour_for_union,
     dd_apply,
     dd_commuting,
     dd_tensor,
@@ -87,6 +85,7 @@ from .ncseries import (
     taylor_expand,
     taylor_series_ad,
 )
+from .quadrature import contour_around
 from .rearrange import (
     ModularFamily,
     SectorConfig,

@@ -26,7 +26,6 @@ from .core import matrix_exp, matrix_from_json, matrix_to_json, opnorm, pair
 from .errors import OpcalcError
 from .funcalc import (
     CommutingTuple,
-    Contour,
     apply_function,
     apply_via_eig,
     dd_apply,
@@ -37,6 +36,7 @@ from .functions import named_function
 from .generate import KINDS, gen_matrix
 from .magnus import builtin_field, field_from_samples, magnus_solve, rk_reference
 from .ncseries import dyson_exp, newton_interpolate, taylor_expand
+from .quadrature import Contour
 from .rearrange import (
     family_from_exponents,
     rearrange_lhs,
@@ -109,8 +109,7 @@ def _cmd_dd(args, tol) -> tuple[dict, bool]:
     xs = _nodes_from_json(args.nodes)
     stats: dict = {}
     methods = verify.DD_ROUTES if args.method == "all" else [args.method]
-    values: dict[str, complex] = {}
-    notes: dict[str, str] = {}
+    values: dict = {}  # a route's value, or the OpcalcError it refused with
     for m in methods:
         try:
             if m == "recursive":
@@ -130,10 +129,12 @@ def _cmd_dd(args, tol) -> tuple[dict, bool]:
         except OpcalcError as exc:
             if args.method != "all":
                 raise
-            notes[m] = str(exc)  # e.g. coincident nodes for the recursion
+            values[m] = exc  # e.g. coincident nodes for the recursion
+    residuals = verify.dd_agreement(values, tol)
     params = {"f": args.f, "nodes": args.nodes, "method": args.method}
-    results = {m: _complex_json(v) for m, v in values.items()}
-    return _report(args, params, results, verify.dd_agreement(values, tol), stats, notes=notes)
+    results = {m: _complex_json(v) for m, v in values.items() if not isinstance(v, OpcalcError)}
+    notes = {m: str(v) for m, v in values.items() if isinstance(v, OpcalcError)}
+    return _report(args, params, results, residuals, stats, notes=notes)
 
 
 def _cmd_funcalc(args, tol) -> tuple[dict, bool]:

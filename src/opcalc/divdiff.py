@@ -27,7 +27,6 @@ from scipy.special import gammaln
 from .errors import (
     CoincidentNodes,
     ContourTooTight,
-    ContourViolation,
     DomainViolation,
     OpcalcError,
     PoleAtNode,
@@ -35,7 +34,7 @@ from .errors import (
     ZeroNodeNegativePower,
 )
 from .functions import HoloFunction
-from .quadrature import circle_points, contour_quadrature, simplex_integrate
+from .quadrature import circle_points, contour_around, contour_quadrature, simplex_integrate
 
 __all__ = [
     "dd_recursive",
@@ -50,7 +49,6 @@ __all__ = [
     "dd_series_eval",
     "multinomial_identity",
     "compositions",
-    "circle_around",
 ]
 
 COMPOSITION_CAP = 10**6
@@ -100,15 +98,6 @@ def dd_explicit(f, xs, coincidence_tol: float = 1e-8) -> complex:
     return complex(total)
 
 
-def circle_around(points, margin: float = 0.1) -> tuple[complex, float]:
-    """Center and radius of a circle strictly enclosing the given points."""
-    pts = _nodes(points)
-    center = complex(pts.mean())
-    spread = float(np.max(np.abs(pts - center))) if pts.size else 0.0
-    radius = (1.0 + margin) * spread + margin * (1.0 + spread)
-    return center, radius
-
-
 def dd_contour(
     f,
     xs,
@@ -121,29 +110,18 @@ def dd_contour(
 ) -> complex:
     """Divided difference as a circle integral of f(z) * prod (z - x_j)^-1.
 
-    Works for coincident nodes.  ``contour`` is any object with ``center``,
-    ``radius`` and ``nodes`` attributes (see :class:`opcalc.funcalc.Contour`);
-    by default a circle with 10% margin around the nodes is used.  With
-    ``refine=False`` a single trapezoid pass at ``contour.nodes`` is taken,
-    which is useful for convergence studies.
+    Works for coincident nodes.  The circle is ``contour`` (see
+    :class:`opcalc.quadrature.Contour`) or the automatic one, as checked by
+    :func:`opcalc.quadrature.contour_around`.  With ``refine=False`` a single
+    trapezoid pass at ``contour.nodes`` is taken, which is useful for
+    convergence studies.
     """
     x = _nodes(xs)
-    if contour is None:
-        center, radius = circle_around(x)
-        start = 16
-    else:
-        center, radius, start = contour.center, contour.radius, contour.nodes
-        if np.any(np.abs(x - center) >= radius):
-            raise ContourViolation("contour does not enclose all nodes")
-
-    if isinstance(f, HoloFunction):
-        zeta_probe, _ = circle_points(center, radius, 64)
-        if not np.all(f.domain.contains(zeta_probe)):
-            raise ContourViolation("contour exits the declared function domain")
+    c = contour_around(x, f.domain if isinstance(f, HoloFunction) else None, contour)
 
     def batch(zeta):
         gap = np.min(np.abs(zeta[:, None] - x[None, :]))
-        if gap < min_distance * radius:
+        if gap < min_distance * c.radius:
             raise ContourTooTight(
                 f"quadrature node within {min_distance:g} * radius of a node"
             )
@@ -153,10 +131,10 @@ def dd_contour(
         return vals
 
     if not refine:
-        zeta, w = circle_points(center, radius, start)
+        zeta, w = circle_points(c.center, c.radius, c.nodes)
         return complex(np.sum(w * batch(zeta)))
     return complex(
-        contour_quadrature(batch, center, radius, start=start, rtol=rtol, stats=stats)
+        contour_quadrature(batch, c.center, c.radius, start=c.nodes, rtol=rtol, stats=stats)
     )
 
 
@@ -174,6 +152,8 @@ def dd_hermite(
     Needs ``n`` derivatives of ``f``; when the handle has none they are
     synthesized by Cauchy circles, so the convex hull of the nodes must sit
     strictly inside the declared domain (checked at every quadrature point).
+    From 8 nodes on, the simplex point budget leaves one order and so no error
+    estimate: :class:`opcalc.errors.QuadratureNoConvergence` is raised first.
     """
     x = _nodes(xs)
     n = x.size - 1

@@ -4,13 +4,15 @@ Single matrices, commuting tuples (tensor-grid circle quadrature), tensor
 divided differences of arbitrary (non-commuting) tuples, and their pairing
 with interleaved matrix factors.  All contours are circles: matrix spectra
 are finite point sets, so a circle with margin always encloses them and keeps
-the trapezoid rule spectrally accurate.
+the trapezoid rule spectrally accurate.  Every entry point takes its circle
+from :func:`opcalc.quadrature.contour_around` (built around the spectrum, or
+the one passed in, checked against the spectrum and the domain), and a
+single matrix is the one-slot case of :func:`dd_apply`.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,24 +25,21 @@ from .core import (
     opnorm,
     rel_err,
 )
-from .divdiff import circle_around, compositions
+from .divdiff import compositions
 from .errors import (
     ArityCap,
     ContourViolation,
     DomainViolation,
     NonCommutingTuple,
-    QuadratureNoConvergence,
     TensorRuleViolation,
 )
 from .functions import HoloFunction, MultivariateFunction
-from .quadrature import circle_points, contour_quadrature, simplex_integrate
+from .quadrature import Contour, _refine, contour_around, contour_quadrature, simplex_integrate
 from .tolerances import DEFAULTS
 
 __all__ = [
     "Contour",
     "CommutingTuple",
-    "contour_for",
-    "contour_for_union",
     "apply_via_eig",
     "apply_function",
     "funcalc_n",
@@ -53,24 +52,6 @@ __all__ = [
 
 MAX_ARITY = 4
 MAX_AXIS_NODES = 256
-
-
-@dataclass(frozen=True)
-class Contour:
-    """Circular integration cycle: center, radius, starting trapezoid count."""
-
-    center: complex
-    radius: float
-    nodes: int = 16
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ContourViolation("contour radius must be positive")
-        if self.nodes < 16 or self.nodes & (self.nodes - 1):
-            raise ContourViolation("node count must be a power of two >= 16")
-
-    def points(self, m: int | None = None):
-        return circle_points(self.center, self.radius, m or self.nodes)
 
 
 class CommutingTuple:
@@ -119,31 +100,9 @@ def _as_tuple(a, comm_tol: float = DEFAULTS.comm_tol) -> CommutingTuple:
     return CommutingTuple(a, comm_tol)
 
 
-def contour_for(m, margin: float = 0.1, nodes: int = 16) -> Contour:
-    """Circle centered at the eigenvalue centroid, enclosing the spectrum with margin."""
-    lam = np.linalg.eigvals(as_matrix(m))
-    return Contour(*circle_around(lam, margin), nodes)
-
-
-def contour_for_union(mats: Sequence, margin: float = 0.1, nodes: int = 16) -> Contour:
-    """Circle enclosing the union of the spectra of several matrices."""
-    lam = np.concatenate([np.linalg.eigvals(as_matrix(m)) for m in mats])
-    return Contour(*circle_around(lam, margin), nodes)
-
-
-def _check_encloses(c: Contour, mats: Sequence[np.ndarray]) -> None:
-    for m in mats:
-        lam = np.linalg.eigvals(m)
-        if np.max(np.abs(lam - c.center)) >= c.radius:
-            raise ContourViolation("contour does not enclose the spectrum")
-
-
-def _check_domain(c: Contour, domain) -> None:
-    if domain is None:
-        return
-    zeta, _ = c.points(64)
-    if not np.all(domain.contains(zeta)):
-        raise ContourViolation("contour exits the declared function domain")
+def _spectrum(mats: Sequence) -> np.ndarray:
+    """Eigenvalues of every matrix in ``mats``, in order."""
+    return np.concatenate([np.linalg.eigvals(m) for m in mats])
 
 
 def _resolvents(zeta: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -172,18 +131,8 @@ def apply_function(
     rtol: float = DEFAULTS.funcalc_rtol,
     stats: dict | None = None,
 ) -> np.ndarray:
-    """f(m) by circle quadrature of f(z) (z - m)^-1."""
-    a = as_matrix(m)
-    c = contour or contour_for(a)
-    _check_encloses(c, [a])
-    _check_domain(c, getattr(f, "domain", None))
-
-    def batch(zeta):
-        vals = np.asarray(f(zeta), dtype=complex)
-        return vals[:, None, None] * _resolvents(zeta, a)
-
-    return contour_quadrature(batch, c.center, c.radius, start=c.nodes, rtol=rtol,
-                              cap=8192, stats=stats)
+    """f(m) by circle quadrature of f(z) (z - m)^-1: the one-slot :func:`dd_apply`."""
+    return dd_apply(f, [m], [], contour, rtol=rtol, stats=stats)
 
 
 def funcalc_n(
@@ -200,7 +149,8 @@ def funcalc_n(
     """f(a_1, ..., a_n) for a commuting tuple by tensor-grid circle quadrature.
 
     One circle per variable; all axes double their trapezoid counts together
-    until two levels agree to ``rtol`` in operator norm (per-axis count capped
+    until two levels agree by the stopping rule of
+    :func:`opcalc.quadrature._refine`, in operator norm (per-axis count capped
     at ``cap``, arity capped at 4).  Grid blocks larger than ``block_budget``
     entries are never materialized: leading axes fall back to a loop, so the
     three- and four-variable cases cost time rather than memory.  Wide spectra
@@ -220,12 +170,12 @@ def funcalc_n(
         domains = (f.domain,)
 
     if cs is None:
-        cs = [contour_for(m) for m in tup]
+        cs = [None] * n
     if len(cs) != n:
         raise ContourViolation(f"need {n} contours, got {len(cs)}")
-    for j, c in enumerate(cs):
-        _check_encloses(c, [tup[j]])
-        _check_domain(c, domains[j] if j < len(domains) else None)
+    cs = [contour_around(np.linalg.eigvals(tup[j]),
+                         domains[j] if j < len(domains) else None, c)
+          for j, c in enumerate(cs)]
 
     d = tup.dim
     start = max(16, max(c.nodes for c in cs))
@@ -287,21 +237,17 @@ def funcalc_n(
             mass_total += scale * mass
         return total, mass_total
 
-    m_nodes = start
-    prev, prev_mass = level(m_nodes)
-    while m_nodes < cap:
-        m_nodes *= 2
-        cur, mass = level(m_nodes)
-        err = opnorm(cur - prev)
-        floor = max(rtol * opnorm(cur), 2e-15 * max(mass, prev_mass), 1e-300)
-        prev, prev_mass = cur, mass
-        if err <= floor:
-            if stats is not None:
-                stats["axis_nodes"] = m_nodes
-            return cur
-    raise QuadratureNoConvergence(
-        f"tensor-grid quadrature did not stabilize within {cap} nodes per axis"
-    )
+    def levels():
+        m_nodes = start
+        yield m_nodes, *level(m_nodes)
+        while m_nodes < cap:
+            m_nodes *= 2
+            yield m_nodes, *level(m_nodes)
+
+    m_nodes, value = _refine(levels(), rtol, opnorm)
+    if stats is not None:
+        stats["axis_nodes"] = m_nodes
+    return value
 
 
 def funcalc_elementary(
@@ -360,9 +306,7 @@ def dd_tensor(
     """
     ms = [as_matrix(m) for m in mats]
     d = ms[0].shape[0]
-    c = contour or contour_for_union(ms)
-    _check_encloses(c, ms)
-    _check_domain(c, f.domain)
+    c = contour_around(_spectrum(ms), getattr(f, "domain", None), contour)
 
     def batch(zeta):
         out = _resolvents(zeta, ms[0])
@@ -400,9 +344,7 @@ def dd_apply(
     if len(bs) != len(ms) - 1:
         raise ContourViolation(f"{len(ms)} nodes pair with {len(ms) - 1} factors")
     bmats = [as_matrix(b, dim=d) for b in bs]
-    c = contour or contour_for_union(ms)
-    _check_encloses(c, ms)
-    _check_domain(c, f.domain)
+    c = contour_around(_spectrum(ms), getattr(f, "domain", None), contour)
 
     distinct: list[np.ndarray] = []
     slots = []

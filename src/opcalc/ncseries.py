@@ -16,14 +16,9 @@ import numpy as np
 from .core import as_matrix, eigen_decompose, matrix_exp, opnorm
 from .divdiff import bang_shriek, compositions
 from .errors import ConvergenceThresholdExceeded, SeriesDiverging
-from .funcalc import (
-    Contour,
-    apply_function,
-    contour_for_union,
-    dd_apply,
-)
+from .funcalc import _spectrum, apply_function, dd_apply
 from .functions import HoloFunction
-from .quadrature import simplex_integrate
+from .quadrature import Contour, contour_around, simplex_integrate
 from .tolerances import DEFAULTS
 
 __all__ = [
@@ -87,7 +82,7 @@ def newton_interpolate(
     """
     ms = [as_matrix(m) for m in mats]
     n = len(ms) - 1
-    c = contour or contour_for_union(ms)
+    c = contour_around(_spectrum(ms), contour=contour)
     target = apply_function(f, ms[n], c, rtol=rtol)
     running = apply_function(f, ms[0], c, rtol=rtol)
     partials = [running.copy()]
@@ -121,7 +116,7 @@ def newton_recursion_check(
     n = len(ms) - 2
     if n < 0 or len(bs) != n:
         raise ValueError("need n+2 nodes and n factors")
-    c = contour or contour_for_union(ms)
+    c = contour_around(_spectrum(ms), contour=contour)
     swapped = ms[:n] + [ms[n + 1]]
     lhs = dd_apply(f, swapped, bs, c, rtol=rtol) - dd_apply(f, ms[: n + 1], bs, c, rtol=rtol)
     rhs = dd_apply(f, ms, list(bs) + [ms[n + 1] - ms[n]], c, rtol=rtol)
@@ -155,7 +150,7 @@ def taylor_expand(
     """
     am = as_matrix(a)
     bm = as_matrix(b, dim=am.shape[0])
-    c = contour or contour_for_union([am, am + bm])
+    c = contour_around(_spectrum([am, am + bm]), contour=contour)
     c2 = _resolvent_sup(c, am)
     if c2 * opnorm(bm) >= 1.0:
         warnings.warn(
@@ -205,7 +200,7 @@ def nth_derivative(
     am = as_matrix(a)
     bs = [as_matrix(b, dim=am.shape[0]) for b in bs]
     n = len(bs)
-    c = contour or contour_for_union([am])
+    c = contour_around(np.linalg.eigvals(am), contour=contour)
     total = np.zeros_like(am)
     for perm in itertools.permutations(range(n)):
         total = total + dd_apply(f, [am] * (n + 1), [bs[k] for k in perm], c, rtol=rtol)
@@ -254,7 +249,7 @@ def taylor_series_ad(
     am = as_matrix(a)
     bs = [as_matrix(b, dim=am.shape[0]) for b in bs]
     n = len(bs)
-    c = contour_for_union([am])
+    c = contour_around(np.linalg.eigvals(am))
 
     # iterated commutator tables ad_a^k(b_j), k = 0..order_cap
     ad: list[list[np.ndarray]] = []

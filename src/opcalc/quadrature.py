@@ -11,22 +11,28 @@ Three families:
 * globally adaptive 15-point Gauss-Kronrod panels, plus the substitution
   ``u = t / (1 - t)`` for integrals over [0, inf).
 
+Every circle of the contour calculus comes from :func:`contour_around`, and
+every refining rule (circle and simplex doubling, and the tensor grid of
+``funcalc.funcalc_n``) stops by the one rule of :func:`_refine`.
+
 All reductions run in a fixed order so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureNoConvergence
+from .errors import ContourViolation, QuadratureNoConvergence
 
 __all__ = [
+    "Contour",
+    "contour_around",
     "circle_points",
     "contour_quadrature",
-    "simplex_rule",
     "iter_simplex_rule",
     "simplex_integrate",
     "adaptive_gauss_kronrod",
@@ -44,8 +50,77 @@ def _norm(x) -> float:
     return float(np.linalg.norm(x.ravel()))
 
 
+def _refine(levels, rtol: float, norm=_norm):
+    """``(size, value)`` of the first of the ``(size, value, mass)`` levels that
+    agrees with the one before within ``rtol`` relative, or within 2e-15 of the
+    larger mass sum |w| |f| (so exact zeros converge).
+    """
+    size, prev, prev_mass = next(levels)
+    err = floor = float("nan")
+    for size, value, mass in levels:
+        err = norm(value - prev)
+        floor = max(rtol * norm(value), 2e-15 * max(mass, prev_mass), _TINY)
+        if err <= floor:
+            return size, value
+        prev, prev_mass = value, mass
+    raise QuadratureNoConvergence(
+        f"no two levels agreed up to size {size}: "
+        f"last difference {err:.3e}, floor {floor:.3e}"
+    )
+
+
+def _weighted_sum(fn, blocks):
+    """Sum of ``w * fn(points)`` over ``(points, w)`` blocks, and its mass sum |w| |fn|."""
+    value = None
+    mass = 0.0
+    for pts, w in blocks:
+        vals = np.asarray(fn(pts))
+        part = np.tensordot(w, vals, axes=(0, 0))
+        value = part if value is None else value + part
+        mass += float(np.sum(np.abs(w) * np.abs(vals).reshape(len(w), -1).sum(axis=1)))
+    return value, mass
+
+
 # ---------------------------------------------------------------------------
 # circle trapezoid
+
+
+@dataclass(frozen=True)
+class Contour:
+    """Circular integration cycle: center, radius, starting trapezoid count."""
+
+    center: complex
+    radius: float
+    nodes: int = 16
+
+    def __post_init__(self):
+        if self.radius <= 0:
+            raise ContourViolation("contour radius must be positive")
+        if self.nodes < 16 or self.nodes & (self.nodes - 1):
+            raise ContourViolation("node count must be a power of two >= 16")
+
+    def points(self, m: int | None = None):
+        return circle_points(self.center, self.radius, m or self.nodes)
+
+
+def contour_around(points, domain=None, contour=None) -> Contour:
+    """``contour``, or by default the circle around ``points`` (eigenvalues or
+    nodes) at their centroid with radius 1.1 spread + 0.1 (1 + spread).
+
+    Raises :class:`ContourViolation` unless it strictly encloses every point
+    and 64 probe points on it lie in ``domain`` (when given).
+    """
+    pts = np.ravel(np.asarray(points, dtype=complex))
+    if contour is None:
+        center = complex(pts.mean())
+        spread = float(np.max(np.abs(pts - center)))
+        contour = Contour(center, 1.1 * spread + 0.1 * (1.0 + spread))
+    if np.any(np.abs(pts - contour.center) >= contour.radius):
+        raise ContourViolation("contour does not enclose the spectrum")
+    probe, _ = circle_points(contour.center, contour.radius, 64)
+    if domain is not None and not np.all(domain.contains(probe)):
+        raise ContourViolation("contour exits the declared function domain")
+    return contour
 
 
 def circle_points(center: complex, radius: float, m: int):
@@ -73,43 +148,29 @@ def contour_quadrature(
     of the next, so doubling to 2m evaluates only the m new (odd) nodes of
     ``circle_points(center, radius, 2m)`` and halves the previous sum, whose
     weights ``offset/m`` become ``offset/(2m)``; every node is evaluated once.
-    Doubling stops when two consecutive levels agree to ``rtol`` relative to
-    the current value, with an absolute floor of a few ulps of the total
-    integrand mass (so exact zeros converge).  With ``chunk`` set, at most
-    that many integrand values are materialized at a time (for bulky
-    tensor-valued integrands).
+    With ``chunk`` set, at most that many integrand values are materialized
+    at a time (for bulky tensor-valued integrands).
     """
-    def weighted_sum(zeta, w):
+    def blocks(zeta, w):
         step = len(zeta) if chunk is None else max(1, int(chunk))
-        value = None
-        mass = 0.0
         for lo in range(0, len(zeta), step):
-            vals = np.asarray(batch_fn(zeta[lo : lo + step]))
-            part = np.tensordot(w[lo : lo + step], vals, axes=(0, 0))
-            value = part if value is None else value + part
-            mass += float(
-                np.sum(np.abs(w[lo : lo + step]) * np.abs(vals).reshape(len(vals), -1).sum(axis=1))
-            )
-        return value, mass
+            yield zeta[lo : lo + step], w[lo : lo + step]
 
-    m = max(16, int(start))
-    prev, prev_mass = weighted_sum(*circle_points(center, radius, m))
-    while m < cap:
-        m *= 2
-        zeta, w = circle_points(center, radius, m)
-        new, new_mass = weighted_sum(zeta[1::2], w[1::2])
-        cur = 0.5 * prev + new
-        mass = 0.5 * prev_mass + new_mass
-        err = _norm(cur - prev)
-        floor = max(rtol * _norm(cur), 2e-15 * max(mass, prev_mass), _TINY)
-        prev, prev_mass = cur, mass
-        if err <= floor:
-            if stats is not None:
-                stats["contour_nodes"] = m
-            return cur
-    raise QuadratureNoConvergence(
-        f"circle trapezoid did not stabilize within {cap} nodes"
-    )
+    def levels():
+        m = max(16, int(start))
+        value, mass = _weighted_sum(batch_fn, blocks(*circle_points(center, radius, m)))
+        yield m, value, mass
+        while m < cap:
+            m *= 2
+            zeta, w = circle_points(center, radius, m)
+            new, new_mass = _weighted_sum(batch_fn, blocks(zeta[1::2], w[1::2]))
+            value, mass = 0.5 * value + new, 0.5 * mass + new_mass
+            yield m, value, mass
+
+    m, value = _refine(levels(), rtol)
+    if stats is not None:
+        stats["contour_nodes"] = m
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +222,6 @@ def iter_simplex_rule(n: int, q: int, chunk: int = 1 << 18):
         yield s, wt
 
 
-@lru_cache(maxsize=64)
-def simplex_rule(n: int, q: int):
-    """Materialized simplex rule (small n*q only); see :func:`iter_simplex_rule`."""
-    ss, ws = zip(*iter_simplex_rule(n, q))
-    return np.concatenate(ss), np.concatenate(ws)
-
-
 def _order_schedule(n: int, start: int, cap: int, point_budget: int):
     budget_q = max(3, int(point_budget ** (1.0 / max(n, 1))))
     q = min(start, budget_q)
@@ -189,7 +243,6 @@ def simplex_integrate(
     start: int = 8,
     cap: int = 128,
     point_budget: int = 4_000_000,
-    chunk: int = 1 << 18,
     stats: dict | None = None,
 ):
     """Integrate ``fn`` over the standard n-simplex with degree doubling.
@@ -197,37 +250,22 @@ def simplex_integrate(
     ``fn(S)`` maps a (p, n+1) block of barycentric points to p values (any
     trailing shape).  The per-axis Gauss-Legendre order starts at ``start``
     and doubles up to ``cap``, additionally capped so a level never exceeds
-    ``point_budget`` points.
+    ``point_budget`` points.  A budget that leaves a single order gives no
+    error estimate, so it raises before ``fn`` is called.
     """
     if n == 0:
         return np.asarray(fn(np.ones((1, 1))))[0]
-
-    def level(q):
-        value = None
-        mass = 0.0
-        for s, w in iter_simplex_rule(n, q, chunk):
-            vals = np.asarray(fn(s))
-            part = np.tensordot(w, vals, axes=(0, 0))
-            value = part if value is None else value + part
-            mass += float(np.sum(w * np.abs(vals).reshape(len(w), -1).sum(axis=1)))
-        return value, mass
-
     schedule = _order_schedule(n, start, cap, point_budget)
-    prev, prev_mass = level(schedule[0])
-    for q in schedule[1:]:
-        cur, mass = level(q)
-        err = _norm(cur - prev)
-        floor = max(rtol * _norm(cur), 2e-15 * max(mass, prev_mass), _TINY)
-        prev, prev_mass = cur, mass
-        if err <= floor:
-            if stats is not None:
-                stats["simplex_order"] = q
-            return cur
     if len(schedule) == 1:
-        return prev
-    raise QuadratureNoConvergence(
-        f"simplex rule did not stabilize within orders {schedule}"
-    )
+        raise QuadratureNoConvergence(
+            f"point budget {point_budget} leaves the single order {schedule[0]} "
+            f"on the {n}-simplex, so no error estimate"
+        )
+    q, value = _refine(((q, *_weighted_sum(fn, iter_simplex_rule(n, q)))
+                        for q in schedule), rtol)
+    if stats is not None:
+        stats["simplex_order"] = q
+    return value
 
 
 # ---------------------------------------------------------------------------

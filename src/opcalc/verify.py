@@ -22,9 +22,9 @@ import numpy as np
 
 from . import divdiff
 from .core import matrix_exp, opnorm, pair, rel_err
+from .errors import OpcalcError
 from .funcalc import (
     CommutingTuple,
-    Contour,
     apply_via_eig,
     dd_apply,
     dd_tensor,
@@ -47,6 +47,7 @@ from .ncseries import (
     taylor_expand,
     taylor_series_ad,
 )
+from .quadrature import Contour, contour_around
 from .rearrange import (
     family_from_exponents,
     kernel_F,
@@ -124,7 +125,16 @@ def _worst(identity: str, records: list[Residual], tol: Tolerances) -> Residual:
 
 
 def dd_agreement(values: dict, tol: Tolerances) -> list[Residual]:
-    """Divided differences by named routes, pairwise, relative to the largest."""
+    """Divided differences by named routes, pairwise, relative to the largest.
+
+    A route that refused maps to its :class:`OpcalcError` and is left out; if
+    every route refused, an :class:`OpcalcError` names each route's reason.
+    """
+    refused = {k: v for k, v in values.items() if isinstance(v, OpcalcError)}
+    values = {k: v for k, v in values.items() if k not in refused}
+    if not values:
+        raise OpcalcError("every route refused: " + "; ".join(
+            f"{k}: {v}" for k, v in refused.items()))
     scale = max(max(abs(v) for v in values.values()), 1e-300)
     return [
         _record(f"divided-difference-agreement:{a}={b}",
@@ -452,8 +462,8 @@ def check_contour_refinement(seed: int, tol: Tolerances) -> Residual:
     f = exp_function()
     xs = _disc_nodes(rng, 3)
     exact = divdiff.dd_explicit(f, xs)
-    center, radius = divdiff.circle_around(xs)
-    approximations = [divdiff.dd_contour(f, xs, Contour(center, radius, m), refine=False)
+    c = contour_around(xs)
+    approximations = [divdiff.dd_contour(f, xs, Contour(c.center, c.radius, m), refine=False)
                       for m in (16, 32, 64, 128, 256)]
     monotone, _ = contour_refinement(approximations, exact, tol)
     return monotone

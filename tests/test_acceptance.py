@@ -39,7 +39,7 @@ from opcalc import (
     taylor_expand,
     taylor_series_ad,
 )
-from opcalc.divdiff import circle_around
+from opcalc.quadrature import contour_around
 from opcalc.magnus import perturbed_triangular_field, triangular_field
 from opcalc.rearrange import (
     family_from_exponents,
@@ -290,8 +290,8 @@ def test_criterion_10_contour_refinement():
         xs = seeded_disc_nodes(10_000 + seed, n + 1)
         for f in (EXP, power_function(5), resolvent_function(3.0)):
             exact = dd_explicit(f, xs)
-            center, radius = circle_around(xs)
-            approximations = [dd_contour(f, xs, Contour(center, radius, m), refine=False)
+            c = contour_around(xs)
+            approximations = [dd_contour(f, xs, Contour(c.center, c.radius, m), refine=False)
                               for m in (16, 32, 64, 128, 256)]
             monotone, floor = contour_refinement(approximations, exact, TOL)
             worst += monotone.value + floor.value

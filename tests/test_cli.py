@@ -73,6 +73,24 @@ class TestDDCommand:
         assert "recursive" in report["notes"]
         assert report["results"]["contour"][0] == pytest.approx(1.0, rel=1e-9)
 
+    def test_eight_nodes_note_the_hermite_refusal(self, capsys):
+        ring = 0.8 * np.exp(2j * np.pi * np.arange(8) / 8)
+        nodes = json.dumps([[z.real, z.imag] for z in ring])
+        code, out, _ = run_cli(["dd", "--f", "exp", "--nodes", nodes, "--method", "all"],
+                               capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert "hermite" in report["notes"]
+        assert sorted(report["results"]) == ["contour", "explicit", "recursive"]
+
+    def test_every_route_refused_is_input_error(self, capsys):
+        code, out, err = run_cli(
+            ["dd", "--f", "log", "--nodes", "[[0,0],[0,0]]", "--method", "all"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert all(f"{route}:" in err for route in verify.DD_ROUTES)
+
     def test_byte_identical_reports(self, capsys):
         args = ["dd", "--f", "exp", "--nodes", "[[0,0],[1,0]]", "--seed", "5"]
         _, out1, _ = run_cli(args, capsys)

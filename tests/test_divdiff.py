@@ -24,13 +24,14 @@ from opcalc import (
     simplex_moment_s,
     simplex_moment_t,
 )
-from opcalc.divdiff import circle_around
+from opcalc.quadrature import contour_around, iter_simplex_rule
 from opcalc.errors import (
     CoincidentNodes,
     ContourTooTight,
     ContourViolation,
     DomainViolation,
     PoleAtNode,
+    QuadratureNoConvergence,
     SeriesDiverging,
     ZeroNodeNegativePower,
 )
@@ -121,9 +122,9 @@ class TestContour:
         rng = np.random.default_rng(3)
         xs = disc_nodes(rng, 3)
         exact = dd_explicit(EXP, xs)
-        center, radius = circle_around(xs)
+        c = contour_around(xs)
         errs = [
-            abs(dd_contour(EXP, xs, Contour(center, radius, m), refine=False) - exact)
+            abs(dd_contour(EXP, xs, Contour(c.center, c.radius, m), refine=False) - exact)
             for m in (16, 32, 64, 128, 256)
         ]
         floor = 1e-13 * max(abs(exact), 1.0)
@@ -155,6 +156,20 @@ class TestHermite:
         f = HoloFunction(np.exp, Disc(0.0, 4.0))
         xs = [0.1, 0.4, 0.8]
         assert dd_hermite(f, xs) == pytest.approx(dd_recursive(EXP, xs), rel=1e-8)
+
+    def test_eight_nodes_refused_before_integrating(self):
+        # the point budget leaves one simplex order at n = 7: no error estimate
+        calls = []
+        f = HoloFunction(np.exp, deriv=lambda k, z: calls.append(k) or np.exp(z))
+        with pytest.raises(QuadratureNoConvergence):
+            dd_hermite(f, np.linspace(0.0, 0.7, 8))
+        assert calls == []
+
+    def test_synthesized_derivative_that_does_not_settle(self):
+        # order 20 on Disc(0, 4): the Cauchy circles reach 8192 nodes unsettled
+        f = HoloFunction(np.exp, Disc(0.0, 4.0))
+        with pytest.raises(QuadratureNoConvergence, match="order 20.*8192 nodes"):
+            f.derivative(20, 0.1)
 
 
 class TestPowerClosedForm:
@@ -239,9 +254,7 @@ class TestSimplexMoments:
 
     def test_quadrature_agrees_with_closed_form(self):
         # independent oracle: integrate monomials with the simplex rule itself
-        from opcalc.quadrature import simplex_rule
-
-        s, w = simplex_rule(3, 12)
+        s, w = (np.concatenate(part) for part in zip(*iter_simplex_rule(3, 12)))
         for alpha in [(0, 0, 0, 0), (1, 0, 2, 0), (2, 1, 1, 1)]:
             quad = float(np.sum(w * np.prod(s ** np.asarray(alpha), axis=1)))
             assert quad == pytest.approx(simplex_moment_s(alpha), rel=1e-12)

@@ -10,9 +10,10 @@ from opcalc import (
     Disc,
     HoloFunction,
     MultivariateFunction,
+    apply_function,
     apply_via_eig,
-    contour_for,
-    contour_for_union,
+    contour_around,
+    dd_contour,
     dd_apply,
     dd_commuting,
     dd_recursive,
@@ -24,6 +25,7 @@ from opcalc import (
     genocchi_hermite_matrix,
     matrix_exp,
     multikron,
+    newton_interpolate,
     opnorm,
     pair,
     power_function,
@@ -41,6 +43,12 @@ from opcalc.quadrature import circle_points, contour_quadrature
 EXP = exp_function()
 
 
+def circle_for(*mats, nodes=16):
+    """The automatic circle around the union of the spectra, starting at ``nodes``."""
+    c = contour_around(np.concatenate([np.linalg.eigvals(m) for m in mats]))
+    return Contour(c.center, c.radius, nodes)
+
+
 class TestContourType:
     def test_validation(self):
         with pytest.raises(ContourViolation):
@@ -51,18 +59,18 @@ class TestContourType:
             Contour(0.0, 1.0, nodes=24)  # not a power of two
 
     def test_contour_for_point_spectrum(self):
-        c = contour_for(np.zeros((2, 2)))
+        c = circle_for(np.zeros((2, 2)))
         assert c.center == 0.0
         assert c.radius == pytest.approx(0.1)
 
     def test_contour_for_two_eigenvalues(self):
-        c = contour_for(np.diag([-1.0, 1.0]))
+        c = circle_for(np.diag([-1.0, 1.0]))
         assert c.center == pytest.approx(0.0)
         assert c.radius == pytest.approx(1.3)
 
     def test_margin_holds(self):
         a = gen_matrix("random", 4, 0)
-        c = contour_for(a)
+        c = circle_for(a)
         lam = np.linalg.eigvals(a)
         assert np.all(c.radius - np.abs(lam - c.center) >= 0.05 * c.radius)
 
@@ -150,7 +158,7 @@ class TestFuncalcN:
     def test_linearity(self):
         # identical quadrature paths: start high so the first doubling converges
         a = gen_matrix("random", 3, 7)
-        c = [contour_for(a, nodes=128)]
+        c = [circle_for(a, nodes=128)]
         f = EXP
         g = resolvent_function(3.0)
         h = HoloFunction(lambda z: 2.0 * np.exp(z) - 0.5 / (3.0 - z), Disc(0.0, 2.8))
@@ -163,6 +171,21 @@ class TestFuncalcN:
         with pytest.raises(ContourViolation):
             funcalc_n(EXP, (a,), [Contour(0.0, 1.0)])
 
+    @pytest.mark.parametrize("route", ["apply_function", "funcalc_n", "dd_tensor",
+                                       "dd_apply", "dd_contour", "newton_interpolate"])
+    def test_every_route_refuses_a_circle_that_misses_the_spectrum(self, route):
+        a, c = np.diag([0.0, 5.0]), Contour(0.0, 1.0)
+        calls = {
+            "apply_function": lambda: apply_function(EXP, a, c),
+            "funcalc_n": lambda: funcalc_n(EXP, (a,), [c]),
+            "dd_tensor": lambda: dd_tensor(EXP, [a, a], c),
+            "dd_apply": lambda: dd_apply(EXP, [a, a], [a], c),
+            "dd_contour": lambda: dd_contour(EXP, [0.0, 5.0], c),
+            "newton_interpolate": lambda: newton_interpolate(EXP, [a, a], contour=c),
+        }
+        with pytest.raises(ContourViolation, match="enclose"):
+            calls[route]()
+
     def test_continuity_bound(self):
         # resolvent-identity bound: |f(a)-f(a')| <= eps * sup-integral of
         # |f| |R_a| |R_a'| on the shared contour
@@ -170,7 +193,7 @@ class TestFuncalcN:
         eps = 1e-4
         da = gen_matrix("random", 3, 9)
         a2 = a + eps * da
-        c = contour_for_union([a, a2])
+        c = circle_for(a, a2)
         got = opnorm(funcalc_n(EXP, (a,), [c]) - funcalc_n(EXP, (a2,), [c]))
         zeta, w = circle_points(c.center, c.radius, 256)
         eye = np.eye(3)
@@ -287,7 +310,7 @@ class TestDDApply:
         assert calls == [n for n in batches for _ in range(2)]
 
         # the same arithmetic as one inversion per slot, bit for bit
-        ct = contour_for_union(mats)
+        ct = circle_for(*mats)
 
         def per_slot(zeta):
             x = resolvents(zeta, mats[0])
@@ -301,7 +324,7 @@ class TestDDApply:
     def test_linearity_in_f(self):
         mats = [gen_matrix("random", 2, 35 + j) for j in range(2)]
         bs = [gen_matrix("random", 2, 40)]
-        c = contour_for_union(mats, nodes=128)
+        c = circle_for(*mats, nodes=128)
         h = HoloFunction(lambda z: np.exp(z) + 0.7 * z**2)
         combo = dd_apply(h, mats, bs, c)
         parts = dd_apply(EXP, mats, bs, c) + 0.7 * dd_apply(power_function(2), mats, bs, c)

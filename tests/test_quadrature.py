@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from opcalc import gen_matrix
-from opcalc.errors import QuadratureNoConvergence
-from opcalc.quadrature import circle_points, contour_quadrature
+from opcalc import Disc, gen_matrix
+from opcalc.errors import ContourViolation, QuadratureNoConvergence
+from opcalc.quadrature import (
+    Contour,
+    _refine,
+    circle_points,
+    contour_around,
+    contour_quadrature,
+    simplex_integrate,
+)
 
 
 def full_recompute(batch_fn, center, radius, *, start=16, rtol=1e-12, cap=8192):
@@ -90,3 +97,66 @@ def test_no_convergence_after_cap_points():
     with pytest.raises(QuadratureNoConvergence):
         contour_quadrature(fn, 0.0, 1.0, cap=1024)
     assert sum(points) == 1024
+
+
+def test_refine_accepts_the_first_agreeing_pair_lazily():
+    made = []
+
+    def levels():
+        for size, value in ((16, 1.0), (32, 0.5), (64, 0.5 + 1e-16), (128, 9.0)):
+            made.append(size)
+            yield size, value, 1.0
+
+    assert _refine(levels(), 1e-12) == (64, 0.5 + 1e-16)
+    assert made == [16, 32, 64]
+
+
+def test_refine_names_last_size_difference_and_floor():
+    levels = iter([(8, 1.0, 1.0), (16, 3.0, 3.0)])
+    with pytest.raises(QuadratureNoConvergence,
+                       match=r"size 16: last difference 2\.000e\+00, floor 3\.000e-12"):
+        _refine(levels, 1e-12)
+
+
+def test_refine_floor_accepts_exact_zero():
+    # levels at round-off distance from zero agree through the mass floor, whatever rtol says
+    assert _refine(iter([(16, 0.0, 1.0), (32, 1e-16, 1.0)]), 0.0) == (32, 1e-16)
+
+
+@pytest.mark.parametrize("n", [7, 14])
+def test_simplex_single_order_refused_before_integrating(n):
+    # 4e6 points leave one Gauss-Legendre order from n = 7 on
+    calls = []
+
+    def fn(s):
+        calls.append(len(s))
+        return np.ones(len(s))
+
+    with pytest.raises(QuadratureNoConvergence, match="single order"):
+        simplex_integrate(fn, n)
+    assert calls == []
+
+
+class TestContourAround:
+    def test_auto_circle(self):
+        c = contour_around([-1.0, 1.0])
+        assert (c.center, c.nodes) == (0.0, 16)
+        assert c.radius == pytest.approx(1.3)
+
+    def test_point_spectrum(self):
+        c = contour_around(np.zeros(3))
+        assert (c.center, c.radius) == (0.0, pytest.approx(0.1))
+
+    def test_given_circle_is_kept(self):
+        given = Contour(0.5, 2.0, 64)
+        assert contour_around([0.0, 1.0], contour=given) is given
+
+    def test_given_circle_must_enclose(self):
+        with pytest.raises(ContourViolation, match="enclose"):
+            contour_around([0.0, 1.0], contour=Contour(0.0, 1.0))
+
+    def test_circle_must_stay_in_the_domain(self):
+        # auto circle around [0, 0.9] reaches 1.09, outside the unit disc
+        with pytest.raises(ContourViolation, match="domain"):
+            contour_around([0.0, 0.9], Disc(0.0, 1.0))
+        contour_around([0.0, 0.9], Disc(0.0, 2.0))
