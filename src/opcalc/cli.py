@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--output", default=None, help="write the report here")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--tol-scale", type=float, default=1.0,
                        help="multiply all tolerances")
         p.add_argument("--timings", action="store_true",
@@ -365,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=20,
                    help="report a row every floor(steps/rows) steps, steps = "
                    "ceil(t_end/h), plus t = 0 and t_end; one solve whatever the count")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     common(p)
-    p.set_defaults(handler=_cmd_magnus, format_default="csv")
+    p.set_defaults(handler=_cmd_magnus)
 
     p = sub.add_parser("rearrange", help="three-way half-line rearrangement check")
     p.add_argument("--p", type=int, default=1)
@@ -425,8 +425,6 @@ def main(argv=None) -> int:
         return 2
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = getattr(args, "format_default", "json")
     tol = DEFAULTS.scaled(args.tol_scale)
     t0 = time.perf_counter()
     try:

@@ -13,6 +13,7 @@ single matrix is the one-slot case of :func:`dd_apply`.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +53,7 @@ __all__ = [
 
 MAX_ARITY = 4
 MAX_AXIS_NODES = 256
+BLOCK = 1 << 22  # most grid points funcalc_n passes to f at once
 
 
 class CommutingTuple:
@@ -142,20 +144,19 @@ def funcalc_n(
     *,
     rtol: float = DEFAULTS.funcalc_rtol,
     comm_tol: float = DEFAULTS.comm_tol,
-    cap: int = MAX_AXIS_NODES,
-    block_budget: int = 1 << 22,
     stats: dict | None = None,
 ) -> np.ndarray:
     """f(a_1, ..., a_n) for a commuting tuple by tensor-grid circle quadrature.
 
     One circle per variable; all axes double their trapezoid counts together
-    until two levels agree by the stopping rule of
-    :func:`opcalc.quadrature._refine`, in operator norm (per-axis count capped
-    at ``cap``, arity capped at 4).  Grid blocks larger than ``block_budget``
-    entries are never materialized: leading axes fall back to a loop, so the
-    three- and four-variable cases cost time rather than memory.  Wide spectra
-    need many nodes per axis; passing contours with a larger margin makes the
-    trapezoid converge geometrically faster.
+    (up to ``MAX_AXIS_NODES``, arity capped at 4) until two levels agree by
+    the stopping rule of :func:`opcalc.quadrature._refine`, in operator norm.
+    Each level tiles the grid into blocks of at most ``BLOCK`` points,
+    evaluates f once per block on sparse axis grids and contracts the block
+    one axis at a time against the weighted resolvents, so three and four
+    variables cost time rather than memory.  Wide spectra need many nodes per
+    axis; passing contours with a larger margin makes the trapezoid converge
+    geometrically faster.
     """
     tup = _as_tuple(a, comm_tol)
     n = len(tup)
@@ -181,66 +182,43 @@ def funcalc_n(
     start = max(16, max(c.nodes for c in cs))
 
     def level(m_nodes: int):
-        zetas, ws, res, res_norms = [], [], [], []
-        for j, c in enumerate(cs):
+        zetas, wres, nus = [], [], []
+        for c, m in zip(cs, tup):
             zeta, w = c.points(m_nodes)
+            r = _resolvents(zeta, m)
             zetas.append(zeta)
-            ws.append(w)
-            r = _resolvents(zeta, tup[j])
-            res.append(r)
-            res_norms.append(np.linalg.norm(r, axis=(1, 2)))
-        # trailing axes are contracted as one dense block; leading axes are
-        # looped so memory stays bounded for three and four variables
-        tail = n
-        while tail > 1 and m_nodes**tail > block_budget:
-            tail -= 1
-        lead = n - tail
-        tail_grids = np.meshgrid(*zetas[lead:], indexing="ij")
-        tail_coef = np.ones((1,) * tail, dtype=complex)
-        tail_nu = np.ones((1,) * tail)
-        for axis in range(tail):
-            shape = [1] * tail
-            shape[axis] = m_nodes
-            tail_coef = tail_coef * ws[lead + axis].reshape(shape)
-            tail_nu = tail_nu * (
-                np.abs(ws[lead + axis]) * res_norms[lead + axis]
-            ).reshape(shape)
-
-        def tail_value(lead_zetas):
-            fv = np.asarray(f(*lead_zetas, *tail_grids), dtype=complex)
-            coef = np.broadcast_to(fv, (m_nodes,) * tail) * tail_coef
-            x = np.tensordot(coef, res[lead], axes=(0, 0))
-            for r in res[lead + 1:]:
-                x = np.einsum("a...ij,ajk->...ik", x, r)
-            mass = float(np.sum(np.abs(fv) * tail_nu))
-            return x, mass
-
-        if lead == 0:
-            return tail_value(())
-
-        total = np.zeros((d, d), dtype=complex)
-        mass_total = 0.0
-        for flat in range(m_nodes**lead):
-            idx = []
-            remainder = flat
-            for _ in range(lead):
-                idx.append(remainder % m_nodes)
-                remainder //= m_nodes
-            idx.reverse()
-            x, mass = tail_value(tuple(zetas[j][idx[j]] for j in range(lead)))
-            weight = np.eye(d, dtype=complex)
-            scale = 1.0
-            for j in range(lead):
-                weight = weight @ (ws[j][idx[j]] * res[j][idx[j]])
-                scale *= abs(ws[j][idx[j]]) * res_norms[j][idx[j]]
-            total = total + weight @ x
-            mass_total += scale * mass
-        return total, mass_total
+            wres.append(w[:, None, None] * r)
+            nus.append(np.abs(w) * np.linalg.norm(r, axis=(1, 2)))
+        # block steps per axis: whole trailing axes, a run of the next axis,
+        # single nodes before that
+        steps, room = [], BLOCK
+        for _ in range(n):
+            steps.insert(0, min(m_nodes, room))
+            room //= steps[0]
+        value, mass = np.zeros((d, d), dtype=complex), 0.0
+        for block in itertools.product(
+            *[[slice(s, s + step) for s in range(0, m_nodes, step)] for step in steps]
+        ):
+            axes = [z[b] for z, b in zip(zetas, block)]
+            fv = np.broadcast_to(
+                np.asarray(f(*np.meshgrid(*axes, indexing="ij", sparse=True)), dtype=complex),
+                tuple(map(len, axes)),
+            )
+            # sum factorisation: contract the last axis, then each earlier one
+            x = np.tensordot(fv, wres[-1][block[-1]], axes=(-1, 0))
+            for r, b in zip(wres[-2::-1], block[-2::-1]):
+                x = np.sum(r[b] @ x, axis=-3)
+            weight = np.abs(fv)
+            for nu, b in zip(nus[::-1], block[::-1]):
+                weight = weight @ nu[b]
+            value += x
+            mass += float(weight)
+        return value, mass
 
     def levels():
         m_nodes = start
         yield m_nodes, *level(m_nodes)
-        while m_nodes < cap:
+        while m_nodes < MAX_AXIS_NODES:
             m_nodes *= 2
             yield m_nodes, *level(m_nodes)
 
@@ -270,8 +248,7 @@ def funcalc_elementary(
     if len(fs) != n:
         raise ContourViolation(f"need {n} functions, got {len(fs)}")
     product = MultivariateFunction(
-        # broadcast: the leading-axis loop of funcalc_n passes scalar nodes
-        # next to tail grids
+        # broadcast: funcalc_n passes sparse axis grids
         fn=lambda *zs: functools.reduce(np.multiply, [fj(z) for fj, z in zip(fs, zs)]),
         domains=tuple(fj.domain for fj in fs),
         name="*".join(fj.name for fj in fs),

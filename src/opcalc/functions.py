@@ -168,9 +168,14 @@ class HoloFunction:
 
 @dataclass(frozen=True)
 class MultivariateFunction:
-    """Function of several complex variables with per-variable domains."""
+    """Function of several complex variables with per-variable domains.
 
-    fn: Callable  # fn(z1, ..., zn) on broadcastable arrays
+    ``fn(z1, ..., zn)`` receives sparse, broadcastable axis grids (each array
+    varies along its own axis only) and may return any shape that broadcasts
+    to them: a variable it ignores need not widen its output.
+    """
+
+    fn: Callable
     domains: tuple = field(default_factory=tuple)
     name: str = "custom"
 

@@ -16,7 +16,7 @@ import numpy as np
 from .core import as_matrix, eigen_decompose, matrix_exp, opnorm
 from .divdiff import bang_shriek, compositions
 from .errors import ConvergenceThresholdExceeded, SeriesDiverging
-from .funcalc import _spectrum, apply_function, dd_apply
+from .funcalc import _resolvents, _spectrum, apply_function, dd_apply
 from .functions import HoloFunction
 from .quadrature import Contour, contour_around, simplex_integrate
 from .tolerances import DEFAULTS
@@ -125,9 +125,7 @@ def newton_recursion_check(
 
 def _resolvent_sup(c: Contour, a: np.ndarray, samples: int = 128) -> float:
     zeta, _ = c.points(samples)
-    eye = np.eye(a.shape[0], dtype=complex)
-    res = np.linalg.inv(zeta[:, None, None] * eye - a)
-    return float(np.max(np.linalg.norm(res, ord=2, axis=(1, 2))))
+    return float(np.max(np.linalg.norm(_resolvents(zeta, a), ord=2, axis=(1, 2))))
 
 
 def taylor_expand(

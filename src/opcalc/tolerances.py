@@ -4,8 +4,10 @@ Every identity of the registry (``opcalc.verify.IDENTITIES``) names the field
 that holds its residual; the CLI flag ``--tol-scale`` multiplies all of them
 uniformly.  The few identities held to a fixed number instead (an exact count
 of failures, the Taylor decay ratio) are not scaled.
-Individual library functions carry the same numbers as keyword defaults so
-they stay usable without this module.
+The structural gates and quadrature targets here are the keyword defaults of
+the library functions that read them.  Other library thresholds, such as the
+node-coincidence gate and the contour and simplex targets of ``divdiff``, live
+only as literal keyword defaults of their functions.
 """
 
 from __future__ import annotations
@@ -18,13 +20,9 @@ class Tolerances:
     # structural gates
     eig_cond_cap: float = 1e8            # eigenvector condition above which a matrix counts as defective
     eig_residual: float = 1e-10          # relative reconstruction error of V diag(w) V^-1
-    coincidence: float = 1e-8            # relative node-coincidence threshold for the recursion
     comm_tol: float = 1e-10              # relative commutator norm for commuting tuples
-    contour_min_distance: float = 1e-6   # x radius: closest approach of quadrature nodes to poles
     # quadrature targets
-    contour_rtol: float = 1e-12          # circle trapezoid node-doubling
     funcalc_rtol: float = 1e-10          # tensor-grid contour quadrature
-    hermite_rtol: float = 1e-10          # simplex Gauss-Legendre degree-doubling
     halfline_rtol: float = 1e-10         # adaptive Gauss-Kronrod on [0, inf)
     # identity-check tolerances (relative unless noted)
     dd_four_way: float = 1e-8

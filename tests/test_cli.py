@@ -104,6 +104,13 @@ class TestDDCommand:
         assert code == 2
         assert "error" in err
 
+    def test_format_is_a_magnus_flag(self, capsys):
+        # only magnus has a CSV report; elsewhere --format is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["dd", "--f", "exp", "--nodes", "[[0,0],[1,0]]", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
 
 class TestFuncalcCommand:
     def test_single_matrix_oracle(self, tmp_path, capsys):

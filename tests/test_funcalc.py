@@ -49,6 +49,12 @@ def circle_for(*mats, nodes=16):
     return Contour(c.center, c.radius, nodes)
 
 
+def wide_circles(tup, scale=2.0):
+    """One circle per matrix at ``scale`` times the automatic radius: fewer nodes per axis."""
+    return [Contour(c.center, scale * c.radius)
+            for c in (contour_around(np.linalg.eigvals(m)) for m in tup)]
+
+
 class TestContourType:
     def test_validation(self):
         with pytest.raises(ContourViolation):
@@ -130,15 +136,57 @@ class TestFuncalcN:
         got = funcalc_n(f, tup)
         assert rel_err(got, tup[0] @ tup[1] @ tup[2]) <= 1e-9
 
-    def test_block_budget_independent(self):
-        # forcing the leading-axis loop must not change the value
+    def test_block_budget_independent(self, monkeypatch):
+        # tiling the grid into many blocks must not change the value
         h = gen_matrix("hermitian", 2, 51)
         eye = np.eye(2, dtype=complex)
         tup = CommutingTuple([0.5 * h, 0.3 * h @ h + 0.1 * eye, h - 0.2 * eye])
         f = MultivariateFunction(lambda a, b, c: np.exp(a) * b * c, (None,) * 3)
-        dense = funcalc_n(f, tup)
-        looped = funcalc_n(f, tup, block_budget=512)
-        assert rel_err(looped, dense) <= 1e-12
+        whole = funcalc_n(f, tup)
+        monkeypatch.setattr(funcalc, "BLOCK", 512)
+        blocked = funcalc_n(f, tup)
+        assert rel_err(blocked, whole) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_no_evaluation_exceeds_the_block(self, n, monkeypatch):
+        # at 4x the automatic radius a polynomial converges at 32 nodes; with
+        # 3 * 8**(n-1) points a block holds whole trailing axes, a clipped run
+        # of the next axis and single nodes before it
+        h = gen_matrix("hermitian", 2, 53)
+        eye = np.eye(2, dtype=complex)
+        tup = CommutingTuple([h + k * eye for k in range(n)])
+        sizes = []
+
+        def fn(*zs):
+            sizes.append(np.broadcast(*zs).size)
+            return math.prod(1 + z for z in zs)
+
+        f = MultivariateFunction(fn, (None,) * n)
+        whole = funcalc_n(f, tup, wide_circles(tup, 4.0))
+        assert max(sizes) == 32**n
+        sizes.clear()
+        monkeypatch.setattr(funcalc, "BLOCK", 3 * 8 ** (n - 1))
+        blocked = funcalc_n(f, tup, wide_circles(tup, 4.0))
+        assert max(sizes) <= funcalc.BLOCK
+        assert rel_err(blocked, whole) <= 1e-12
+        assert rel_err(blocked, functools.reduce(np.matmul, [eye + m for m in tup])) <= 1e-9
+
+    def test_four_variables(self):
+        h = 0.5 * gen_matrix("hermitian", 2, 52)
+        eye = np.eye(2, dtype=complex)
+        tup = CommutingTuple([h, 0.3 * h @ h + 0.1 * eye, h - 0.2 * eye, eye - h])
+        f = MultivariateFunction(lambda a, b, c, e: np.exp(a) * b * np.exp(c) * e,
+                                 (None,) * 4)
+        got = funcalc_n(f, tup, wide_circles(tup))
+        want = matrix_exp(tup[0]) @ tup[1] @ matrix_exp(tup[2]) @ tup[3]
+        assert rel_err(got, want) <= 1e-9
+
+    def test_output_that_does_not_span_the_grid(self):
+        # f ignores z2, so it returns one column that broadcasts over the grid
+        a1, a2 = gen_matrix("commuting-pair", 3, 6)
+        f = MultivariateFunction(lambda z1, z2: np.exp(z1), (None, None))
+        got = funcalc_n(f, CommutingTuple([a1, a2]))
+        assert rel_err(got, matrix_exp(a1)) <= 1e-9
 
     def test_eig_oracle(self):
         for k in range(5):
@@ -232,10 +280,9 @@ class TestElementary:
         assert rel_err(got, oracle) < 1e-9
 
     def test_three_variables_in_the_leading_axis_loop(self, monkeypatch):
-        # past 16 nodes per axis the loop passes scalar leading nodes next to
-        # tail grids; the tuple converges at 64
-        monkeypatch.setattr(funcalc, "funcalc_n",
-                            functools.partial(funcalc.funcalc_n, block_budget=4096))
+        # past 16 nodes per axis the leading axis is split into runs (single
+        # nodes at 64) next to whole trailing axes; the tuple converges at 64
+        monkeypatch.setattr(funcalc, "BLOCK", 4096)
         h = 0.1 * gen_matrix("hermitian", 2, 51)
         eye = np.eye(2, dtype=complex)
         tup = CommutingTuple([0.5 * h, 0.3 * h @ h + 0.1 * eye, h - 0.2 * eye])
