@@ -46,6 +46,7 @@ from .funcalc import (
     Contour,
     apply_function,
     apply_via_eig,
+    bidiagonal,
     dd_apply,
     dd_commuting,
     dd_tensor,

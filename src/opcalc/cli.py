@@ -405,6 +405,8 @@ def _apply_config(argv: list[str]) -> list[str]:
         return argv
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
     inserts: list[str] = []
     for key, value in cfg.items():
         flag = "--" + str(key).replace("_", "-")
@@ -420,7 +422,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         argv = _apply_config(argv)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser = build_parser()

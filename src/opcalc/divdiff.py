@@ -149,28 +149,19 @@ def dd_hermite(
 ) -> complex:
     """Divided difference as the simplex integral of f^(n) over convex combinations.
 
-    Needs ``n`` derivatives of ``f``; when the handle has none they are
-    synthesized by Cauchy circles, so the convex hull of the nodes must sit
-    strictly inside the declared domain (checked at every quadrature point).
+    Holds when f is holomorphic on the convex hull of the nodes, so the hull
+    must sit strictly inside the declared domain (checked exactly before
+    integrating).  Needs ``n`` derivatives of ``f``; when the handle has none
+    they are synthesized by Cauchy circles.
     From 8 nodes on, the simplex point budget leaves one order and so no error
     estimate: :class:`opcalc.errors.QuadratureNoConvergence` is raised first.
     """
     x = _nodes(xs)
     n = x.size - 1
-    if not np.all(f.domain.contains(x)):
-        raise DomainViolation("node outside the declared function domain")
-    if n == 0:
-        return complex(f(x[0]))
-
-    def integrand(s):
-        z = s @ x
-        if not np.all(f.domain.contains(z)):
-            raise DomainViolation("convex hull of nodes leaves the function domain")
-        return np.asarray(f.derivative(n, z), dtype=complex)
-
-    value = simplex_integrate(integrand, n, rtol=rtol, start=start, cap=cap,
-                              stats=stats)
-    return complex(value)
+    if not f.domain.contains_hull(x):
+        raise DomainViolation("convex hull of nodes leaves the function domain")
+    return complex(simplex_integrate(lambda s: np.asarray(f.derivative(n, s @ x), dtype=complex),
+                                     n, rtol=rtol, start=start, cap=cap, stats=stats))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -6,8 +6,10 @@ with interleaved matrix factors.  All contours are circles: matrix spectra
 are finite point sets, so a circle with margin always encloses them and keeps
 the trapezoid rule spectrally accurate.  Every entry point takes its circle
 from :func:`opcalc.quadrature.contour_around` (built around the spectrum, or
-the one passed in, checked against the spectrum and the domain), and a
-single matrix is the one-slot case of :func:`dd_apply`.
+the one passed in, checked against the spectrum and the domain).  A pairing
+with factors is a block of f of one block-bidiagonal matrix
+(:func:`bidiagonal`), and a single matrix is the one-slot case of
+:func:`dd_apply`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .divdiff import compositions
 from .errors import (
     ArityCap,
     ContourViolation,
+    DimensionMismatch,
     DomainViolation,
     NonCommutingTuple,
     TensorRuleViolation,
@@ -46,6 +49,7 @@ __all__ = [
     "funcalc_n",
     "funcalc_elementary",
     "dd_tensor",
+    "bidiagonal",
     "dd_apply",
     "dd_commuting",
     "genocchi_hermite_matrix",
@@ -300,6 +304,35 @@ def dd_tensor(
     return TensorOperator(value, d, len(ms))
 
 
+def bidiagonal(diag: Sequence, sup: Sequence) -> np.ndarray:
+    """Block-bidiagonal B with ``diag`` on the diagonal and ``sup`` just above.
+
+    Block (i, j) of f(B) is the pairing [a_i..a_j] f (b_{i+1} ... b_j) (Opitz
+    1964).  Every block must be square of one dimension (DimensionMismatch).
+    """
+    d = as_matrix(diag[0]).shape[0]
+    ms = [as_matrix(m, dim=d) for m in diag]
+    bs = [as_matrix(b, dim=d) for b in sup]
+    if len(bs) != len(ms) - 1:
+        raise DimensionMismatch(f"{len(ms)} diagonal blocks need {len(ms) - 1} above them")
+    return np.block([[ms[i] if j == i else bs[i] if j == i + 1 else np.zeros((d, d))
+                      for j in range(len(ms))] for i in range(len(ms))])
+
+
+def _f_bidiagonal(f, diag, sup, contour=None, *, rtol, stats=None) -> np.ndarray:
+    """f(B), B = ``bidiagonal(diag, sup)``, by circle quadrature of f(z) (z - B)^-1.
+
+    The circle is built around the diagonal blocks' spectra, not from the
+    eigenvalues of B, which is defective when blocks repeat.
+    """
+    big = bidiagonal(diag, sup)
+    c = contour_around(_spectrum(diag), getattr(f, "domain", None), contour)
+    return contour_quadrature(
+        lambda zeta: np.asarray(f(zeta), dtype=complex)[:, None, None] * _resolvents(zeta, big),
+        c.center, c.radius, start=c.nodes, rtol=rtol, stats=stats,
+        chunk=max(1, (1 << 23) // big.size))  # bounds the values held at once
+
+
 def dd_apply(
     f: HoloFunction,
     mats: Sequence,
@@ -311,36 +344,13 @@ def dd_apply(
 ) -> np.ndarray:
     """Divided difference of a tuple paired with interleaved matrix factors.
 
-    Integrates f(z) (z-a_0)^-1 b_1 (z-a_1)^-1 ... b_n (z-a_n)^-1 directly in
-    d x d arithmetic (the big tensor operator is never materialized); equals
-    ``pair(dd_tensor(f, mats), bs)``.  A node repeated in ``mats`` (confluent
-    slots) shares one resolvent stack per batch of contour points.
+    [a_0..a_n] f (b_1 ... b_n) is block (0, n) of f(``bidiagonal(mats, bs)``),
+    so the d^(n+1) tensor operator is never built; equals
+    ``pair(dd_tensor(f, mats), bs)``.
     """
-    ms = [as_matrix(m) for m in mats]
-    d = ms[0].shape[0]
-    if len(bs) != len(ms) - 1:
-        raise ContourViolation(f"{len(ms)} nodes pair with {len(ms) - 1} factors")
-    bmats = [as_matrix(b, dim=d) for b in bs]
-    c = contour_around(_spectrum(ms), getattr(f, "domain", None), contour)
-
-    distinct: list[np.ndarray] = []
-    slots = []
-    for m in ms:
-        k = next((i for i, u in enumerate(distinct) if np.array_equal(u, m)), len(distinct))
-        if k == len(distinct):
-            distinct.append(m)
-        slots.append(k)
-
-    def batch(zeta):
-        res = [_resolvents(zeta, m) for m in distinct]
-        x = res[slots[0]]
-        for b, k in zip(bmats, slots[1:]):
-            x = x @ b
-            x = x @ res[k]
-        return np.asarray(f(zeta), dtype=complex)[:, None, None] * x
-
-    return contour_quadrature(batch, c.center, c.radius, start=c.nodes,
-                              rtol=rtol, stats=stats)
+    fb = _f_bidiagonal(f, mats, bs, contour, rtol=rtol, stats=stats)
+    d = fb.shape[0] // len(mats)
+    return fb[:d, -d:]
 
 
 def dd_commuting(

@@ -51,6 +51,10 @@ class Domain:
     def boundary_distance(self, z) -> np.ndarray:
         raise NotImplementedError
 
+    def contains_hull(self, z) -> bool:
+        """Whether the convex hull of ``z`` lies in the set (exact for convex sets)."""
+        return bool(np.all(self.contains(z)))
+
 
 @dataclass(frozen=True)
 class Disc(Domain):
@@ -79,6 +83,17 @@ class Sector(Domain):
         gap = self.delta - np.abs(np.angle(z))
         # distance to the bounding rays, capped by the distance to the tip
         return np.where(gap > 0, np.abs(z) * np.sin(np.minimum(gap, np.pi / 2)), 0.0)
+
+    def contains_hull(self, z) -> bool:
+        # The hull's boundary is made of node-to-node segments.  From p to q, arg z
+        # sweeps monotonically from angle(p) by angle(q / p), which is pi through 0;
+        # the sweep must stay inside the sector.
+        p = np.ravel(np.asarray(z, dtype=complex))
+        if not np.all(self.contains(p)):
+            return False
+        turn = np.angle(p[None, :] / p[:, None])
+        end = np.angle(p)[:, None] + turn
+        return bool(np.all((np.abs(turn) < np.pi) & (np.abs(end) < self.delta)))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Noncommutative Newton and Taylor expansions, commutator-series rewrites,
 and the time-ordered (Dyson) expansion of the matrix exponential.
 
-Confluent divided differences (all nodes equal) are evaluated by the shared
-contour of :func:`opcalc.funcalc.dd_apply`; no limits are taken.
+Every divided-difference pairing, confluent or not, is a block of f of one
+block-bidiagonal matrix (:func:`opcalc.funcalc.bidiagonal`), evaluated on
+one contour; no limits are taken.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .core import as_matrix, eigen_decompose, matrix_exp, opnorm
 from .divdiff import bang_shriek, compositions
 from .errors import ConvergenceThresholdExceeded, SeriesDiverging
-from .funcalc import _resolvents, _spectrum, apply_function, dd_apply
+from .funcalc import _f_bidiagonal, _resolvents, _spectrum, apply_function, bidiagonal, dd_apply
 from .functions import HoloFunction
 from .quadrature import Contour, contour_around, simplex_integrate
 from .tolerances import DEFAULTS
@@ -77,21 +78,18 @@ def newton_interpolate(
 
     Builds f(a_0) plus the divided-difference corrections paired with the
     increment products (a_n - a_0)...(a_n - a_{j-1}); the matrices need not
-    commute, so the factor order matters and is preserved.  The target f(a_n)
-    comes from the single-variable calculus.
+    commute, so the factor order matters and is preserved.  Every term is a
+    block of row 0 of one f(B), B = ``bidiagonal(a_0..a_n; a_n - a_0, ...,
+    a_n - a_{n-1})``.  The target f(a_n) comes from a separate quadrature of
+    the single-variable calculus.
     """
-    ms = [as_matrix(m) for m in mats]
-    n = len(ms) - 1
+    d = as_matrix(mats[0]).shape[0]
+    ms = [as_matrix(m, dim=d) for m in mats]
     c = contour_around(_spectrum(ms), contour=contour)
-    target = apply_function(f, ms[n], c, rtol=rtol)
-    running = apply_function(f, ms[0], c, rtol=rtol)
-    partials = [running.copy()]
-    norms = [opnorm(running - target)]
-    for j in range(1, n + 1):
-        increments = [ms[n] - ms[i] for i in range(j)]
-        running = running + dd_apply(f, ms[: j + 1], increments, c, rtol=rtol)
-        partials.append(running.copy())
-        norms.append(opnorm(running - target))
+    fb = _f_bidiagonal(f, ms, [ms[-1] - m for m in ms[:-1]], c, rtol=rtol)
+    target = apply_function(f, ms[-1], c, rtol=rtol)
+    partials = list(itertools.accumulate(fb[:d, j * d:(j + 1) * d] for j in range(len(ms))))
+    norms = [opnorm(p - target) for p in partials]
     converged = norms[-1] <= residual_tol * max(opnorm(target), 1e-300)
     return ExpansionReport(partials, norms, target, converged)
 
@@ -123,11 +121,6 @@ def newton_recursion_check(
     return opnorm(lhs - rhs)
 
 
-def _resolvent_sup(c: Contour, a: np.ndarray, samples: int = 128) -> float:
-    zeta, _ = c.points(samples)
-    return float(np.max(np.linalg.norm(_resolvents(zeta, a), ord=2, axis=(1, 2))))
-
-
 def taylor_expand(
     f: HoloFunction,
     a,
@@ -142,32 +135,28 @@ def taylor_expand(
     Partial sums accumulate the terms [a, ..., a] f (b ... b) for orders
     0..N.  The remainder after each order is recorded two ways: as the
     explicit mixed-node term with a + b in the last slot, and as the distance
-    to the target f(a + b).  ``meta['c2']`` holds the resolvent sup on the
-    contour; a perturbation with c2 * |b| >= 1 is outside the guaranteed
-    convergence region and triggers a warning (the sums are still computed).
+    to the target f(a + b).  With B = ``bidiagonal(a, ..., a, a + b; b, ...,
+    b)`` (N + 2 blocks), term j is block (0, j) of one f(B) and the explicit
+    remainder after order j is block (N - j, N + 1); the target is a separate
+    quadrature.  ``meta['c2']`` holds the resolvent sup on the contour; a
+    perturbation with c2 * |b| >= 1 is outside the guaranteed convergence
+    region and triggers a warning (the sums are still computed).
     """
     am = as_matrix(a)
-    bm = as_matrix(b, dim=am.shape[0])
+    d = am.shape[0]
+    bm = as_matrix(b, dim=d)
     c = contour_around(_spectrum([am, am + bm]), contour=contour)
-    c2 = _resolvent_sup(c, am)
+    c2 = float(np.max(np.linalg.norm(_resolvents(c.points(128)[0], am), ord=2, axis=(1, 2))))
     if c2 * opnorm(bm) >= 1.0:
         warnings.warn(
             f"c2*|b| = {c2 * opnorm(bm):.3g} >= 1; remainder may not shrink",
             ConvergenceThresholdExceeded,
         )
+    fb = _f_bidiagonal(f, [am] * (N + 1) + [am + bm], [bm] * (N + 1), c, rtol=rtol)
     target = apply_function(f, am + bm, c, rtol=rtol)
-    partials = []
-    norms = []
-    explicit = []
-    defects = []
-    running = np.zeros_like(am)
-    for j in range(N + 1):
-        running = running + dd_apply(f, [am] * (j + 1), [bm] * j, c, rtol=rtol)
-        partials.append(running.copy())
-        norms.append(opnorm(target - running))
-        rem = dd_apply(f, [am] * (j + 1) + [am + bm], [bm] * (j + 1), c, rtol=rtol)
-        explicit.append(opnorm(rem))
-        defects.append(opnorm(running + rem - target))
+    partials = list(itertools.accumulate(fb[:d, j * d:(j + 1) * d] for j in range(N + 1)))
+    norms = [opnorm(target - p) for p in partials]
+    rems = [fb[(N - j) * d:(N - j + 1) * d, -d:] for j in range(N + 1)]
     converged = norms[-1] <= 1e-8 * max(opnorm(target), 1e-300)
     return ExpansionReport(
         partials,
@@ -176,8 +165,8 @@ def taylor_expand(
         converged,
         meta={
             "c2": c2,
-            "explicit_remainder_norms": explicit,
-            "identity_defects": defects,
+            "explicit_remainder_norms": [opnorm(r) for r in rems],
+            "identity_defects": [opnorm(p + r - target) for p, r in zip(partials, rems)],
         },
     )
 
@@ -356,20 +345,11 @@ def dyson_exp(
     bm = as_matrix(b, dim=am.shape[0])
     d = am.shape[0]
     target = matrix_exp(am + bm)
-    big = np.kron(np.eye(N + 2), am) + np.kron(np.eye(N + 2, k=1), bm)
-    big[-d:, -d:] += bm
-    row = matrix_exp(big)[:d]
-    terms = [row[:, k * d:(k + 1) * d] for k in range(N + 2)]
-
-    partials = []
-    norms = []
-    running = np.zeros_like(am)
-    for term in terms[:-1]:
-        running = running + term
-        partials.append(running.copy())
-        norms.append(opnorm(target - running))
-    remainder = terms[-1]
-    defect = opnorm(running + remainder - target)
+    row = matrix_exp(bidiagonal([am] * (N + 1) + [am + bm], [bm] * (N + 1)))[:d]
+    partials = list(itertools.accumulate(row[:, k * d:(k + 1) * d] for k in range(N + 1)))
+    norms = [opnorm(target - p) for p in partials]
+    remainder = row[:, -d:]
+    defect = opnorm(partials[-1] + remainder - target)
     converged = defect <= identity_tol * max(opnorm(target), 1e-300)
     return ExpansionReport(
         partials,

@@ -501,3 +501,29 @@ class TestConfigFile:
     def test_missing_config_is_input_error(self, capsys):
         code, _, err = run_cli(["newton", "--config", "/nonexistent.json"], capsys)
         assert code == 2
+
+    def test_non_object_config_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        code, out, err = run_cli(["newton", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == "" and "JSON object" in err
+
+    # Config values become flags in argv rather than parser defaults, so the
+    # three properties below hold; set_defaults would lose each of them.
+    def test_config_supplies_required_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"f": "exp", "nodes": "[[0,0],[1,0]]"}))
+        code, out, _ = run_cli(["dd", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["params"]["f"] == "exp"
+
+    @pytest.mark.parametrize("extra", [{"method": "nope"}, {"bogus": 1}])
+    def test_config_values_are_parsed_as_flags(self, tmp_path, capsys, extra):
+        # choices stay enforced and unknown keys are rejected
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"f": "exp", "nodes": "[[0,0],[1,0]]", **extra}))
+        with pytest.raises(SystemExit) as exc:
+            main(["dd", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert next(iter(extra)) in capsys.readouterr().err

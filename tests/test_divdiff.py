@@ -8,6 +8,7 @@ from opcalc import (
     Contour,
     Disc,
     HoloFunction,
+    Sector,
     bang_shriek,
     compositions,
     dd_contour,
@@ -18,6 +19,7 @@ from opcalc import (
     dd_resolvent,
     dd_series_eval,
     exp_function,
+    log_function,
     multinomial_identity,
     power_function,
     resolvent_function,
@@ -150,6 +152,37 @@ class TestHermite:
         f = HoloFunction(np.exp, Disc(0.0, 1.0), deriv=lambda k, z: np.exp(z))
         with pytest.raises(DomainViolation):
             dd_hermite(f, [0.0, 1.5])
+
+    def test_hull_across_the_log_slit_is_refused(self):
+        # every node is in the slit plane, but the hull crosses (-inf, 0]
+        calls = []
+        log = log_function()
+        f = HoloFunction(np.log, log.domain,
+                         deriv=lambda k, z: calls.append(k) or log.deriv(k, z))
+        with pytest.raises(DomainViolation, match="convex hull"):
+            dd_hermite(f, [0.002 - 0.075j, -0.522 - 0.495j, -0.767 + 0.639j])
+        assert calls == []
+
+    def test_log_hull_clear_of_the_slit(self):
+        # left half-plane nodes on one side of the slit, and a hull around 1
+        log = log_function()
+        for xs in ([-0.5 + 0.1j, -0.8 + 0.9j, -0.1 + 0.5j], [0.4 - 0.6j, 1.5, 0.6 + 0.7j]):
+            assert dd_hermite(log, xs) == pytest.approx(dd_recursive(log, xs), rel=1e-9)
+
+    @pytest.mark.parametrize("delta", [np.pi * (1 - 1e-12), 0.75 * np.pi, np.pi / 3])
+    def test_sector_hull_test_matches_dense_segments(self, delta):
+        # oracle: the continuous argument along every node-to-node segment,
+        # sampled densely and unwrapped from its start, stays in (-delta, delta)
+        rng = np.random.default_rng(5)
+        t = np.linspace(0.0, 1.0, 4001)[:, None, None]
+        verdicts = set()
+        for _ in range(300):
+            p = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+            args = np.unwrap(np.angle((1 - t) * p[:, None] + t * p[None, :]), axis=0)
+            want = bool(np.all(np.abs(args) < delta))
+            assert Sector(delta).contains_hull(p) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_synthesized_derivatives(self):
         # no derivative handle: Cauchy-circle synthesis on a disc domain

@@ -12,6 +12,7 @@ from opcalc import (
     MultivariateFunction,
     apply_function,
     apply_via_eig,
+    bidiagonal,
     contour_around,
     dd_contour,
     dd_apply,
@@ -35,10 +36,11 @@ from opcalc import (
 from opcalc.errors import (
     ArityCap,
     ContourViolation,
+    DimensionMismatch,
     NonCommutingTuple,
 )
 from opcalc import funcalc
-from opcalc.quadrature import circle_points, contour_quadrature
+from opcalc.quadrature import circle_points
 
 EXP = exp_function()
 
@@ -333,40 +335,27 @@ class TestDDApply:
         tensored = pair(dd_tensor(EXP, mats), bs)
         assert rel_err(direct, tensored) <= 1e-8
 
-    def test_repeated_node_inverted_once(self, monkeypatch):
-        a, c = gen_matrix("random", 2, 44), gen_matrix("random", 2, 45)
-        mats = [a, a, c, a]
+    @pytest.mark.parametrize("pattern", ["repeated", "distinct", "non-commuting"])
+    def test_exp_is_a_block_of_the_bidiagonal_exponential(self, pattern):
+        # contour-free oracle: block (0, n) of the Pade exponential of B
+        a, c = gen_matrix("hermitian", 2, 44), gen_matrix("random", 2, 45)
+        mats = {
+            "repeated": [a, a, a, a],
+            "distinct": [a, 0.5 * a + np.eye(2), -a, 2.0 * a],
+            "non-commuting": [a, a, c, a],
+        }[pattern]
         bs = [gen_matrix("random", 2, 46 + j) for j in range(3)]
-        calls, batches = [], []
-        resolvents = funcalc._resolvents
+        want = matrix_exp(bidiagonal(mats, bs))[:2, -2:]
+        assert rel_err(dd_apply(EXP, mats, bs), want) <= 1e-10
 
-        def counting_resolvents(zeta, m):
-            calls.append(len(zeta))
-            return resolvents(zeta, m)
-
-        def counting_quadrature(batch_fn, *args, **kwargs):
-            def batch(zeta):
-                batches.append(len(zeta))
-                return batch_fn(zeta)
-
-            return contour_quadrature(batch, *args, **kwargs)
-
-        monkeypatch.setattr(funcalc, "_resolvents", counting_resolvents)
-        monkeypatch.setattr(funcalc, "contour_quadrature", counting_quadrature)
-        got = dd_apply(EXP, mats, bs)
-        assert calls == [n for n in batches for _ in range(2)]
-
-        # the same arithmetic as one inversion per slot, bit for bit
-        ct = circle_for(*mats)
-
-        def per_slot(zeta):
-            x = resolvents(zeta, mats[0])
-            for b, m in zip(bs, mats[1:]):
-                x = x @ b @ resolvents(zeta, m)
-            return np.exp(zeta)[:, None, None] * x
-
-        assert np.array_equal(got, contour_quadrature(per_slot, ct.center, ct.radius))
-        assert rel_err(got, pair(dd_tensor(EXP, mats), bs)) <= 1e-8
+    def test_mixed_dimensions_raise_typed(self):
+        mats = [gen_matrix("random", 2, 47), gen_matrix("random", 3, 48)]
+        with pytest.raises(DimensionMismatch):
+            dd_apply(EXP, mats, [np.eye(2)])
+        with pytest.raises(DimensionMismatch):
+            newton_interpolate(EXP, mats)
+        with pytest.raises(DimensionMismatch):
+            bidiagonal(mats[:1], [np.eye(3)])
 
     def test_linearity_in_f(self):
         mats = [gen_matrix("random", 2, 35 + j) for j in range(2)]

@@ -20,9 +20,24 @@ from opcalc import (
     taylor_expand,
     taylor_series_ad,
 )
+from opcalc import funcalc
 from opcalc.errors import ConvergenceThresholdExceeded
 
 EXP = exp_function()
+
+
+@pytest.fixture
+def quadratures(monkeypatch):
+    """The circle of every contour quadrature the contour calculus makes."""
+    calls = []
+    inner = funcalc.contour_quadrature
+
+    def counting(batch_fn, center, radius, **kwargs):
+        calls.append((center, radius))
+        return inner(batch_fn, center, radius, **kwargs)
+
+    monkeypatch.setattr(funcalc, "contour_quadrature", counting)
+    return calls
 
 
 class TestNewton:
@@ -49,6 +64,14 @@ class TestNewton:
         mats = [base + 0.05 * gen_matrix("random", 3, 11 + j) for j in range(3)]
         report = newton_interpolate(EXP, mats)
         assert report.remainder_norms[-1] < report.remainder_norms[0]
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    def test_two_quadratures_at_every_order(self, quadratures, n):
+        # every term from one f(B), the target from its own quadrature
+        mats = [gen_matrix("random", 2, 70 + j) for j in range(n + 1)]
+        report = newton_interpolate(EXP, mats)
+        assert len(quadratures) == 2
+        assert len(report.partial_sums) == n + 1
 
 
 class TestNewtonRecursion:
@@ -112,6 +135,16 @@ class TestTaylor:
         b = 2.0 * gen_matrix("random", 2, 65)
         with pytest.warns(ConvergenceThresholdExceeded):
             taylor_expand(EXP, a, b, N=1)
+
+    @pytest.mark.parametrize("N", [0, 1, 4, 10])
+    def test_two_quadratures_at_every_order(self, quadratures, N):
+        # terms and explicit remainders from one f(B), the target from its own
+        a = gen_matrix("random", 2, 80)
+        b = 0.05 * gen_matrix("random", 2, 81)
+        report = taylor_expand(EXP, a, b, N)
+        assert len(quadratures) == 2
+        assert len(report.meta["explicit_remainder_norms"]) == N + 1
+        assert max(report.meta["identity_defects"]) <= 1e-12 * opnorm(report.target)
 
 
 class TestNthDerivative:
