@@ -38,7 +38,8 @@ from .errors import (
     TensorRuleViolation,
 )
 from .functions import HoloFunction, MultivariateFunction
-from .quadrature import Contour, _refine, contour_around, contour_quadrature, simplex_integrate
+from .quadrature import Contour, _circle_levels, _refine, contour_around, contour_quadrature
+from .quadrature import simplex_integrate
 from .tolerances import DEFAULTS
 
 __all__ = [
@@ -58,6 +59,7 @@ __all__ = [
 MAX_ARITY = 4
 MAX_AXIS_NODES = 256
 BLOCK = 1 << 22  # most grid points funcalc_n passes to f at once
+ENTRIES = 1 << 23  # most integrand entries dd_tensor and dd_apply hold at once
 
 
 class CommutingTuple:
@@ -284,24 +286,34 @@ def dd_tensor(
 
     A single circle around the union of the spectra integrates
     f(z) * (z - a_0)^-1 (x) ... (x) (z - a_n)^-1 into an (n+1)-slot operator.
+    The slots are split into a leading and a trailing half, so a level's sum
+    over the nodes is one matrix product of the two halves' Kronecker stacks
+    and no node's d^(n+1)-square integrand is formed.
     """
     ms = [as_matrix(m) for m in mats]
     d = ms[0].shape[0]
     c = contour_around(_spectrum(ms), getattr(f, "domain", None), contour)
+    halves = ms[: len(ms) // 2], ms[len(ms) // 2 :]
+    p, q = (d ** len(h) for h in halves)
 
-    def batch(zeta):
-        out = _resolvents(zeta, ms[0])
-        for m in ms[1:]:
-            r = _resolvents(zeta, m)
-            p, q = out.shape[1], r.shape[1]
-            out = np.einsum("kab,kcd->kacbd", out, r).reshape(len(zeta), p * q, p * q)
-        return np.asarray(f(zeta), dtype=complex)[:, None, None] * out
+    def kron(zeta, part):
+        out = np.ones((len(zeta), 1, 1), dtype=complex)
+        for r in (_resolvents(zeta, m) for m in part):
+            k = out.shape[1] * r.shape[1]
+            out = np.einsum("kab,kcd->kacbd", out, r).reshape(len(zeta), k, k)
+        return out
 
-    big = d ** len(ms)
-    value = contour_quadrature(batch, c.center, c.radius, start=c.nodes,
-                               rtol=rtol, chunk=max(1, (1 << 23) // big**2),
-                               stats=stats)
-    return TensorOperator(value, d, len(ms))
+    def weighted(zeta, w):
+        cw = w * np.asarray(f(zeta), dtype=complex)
+        left, right = (kron(zeta, h) for h in halves)
+        mass = np.abs(cw) @ (np.abs(left).sum(axis=(1, 2)) * np.abs(right).sum(axis=(1, 2)))
+        return np.einsum("k,kab,kce->acbe", cw, left, right, optimize=True), float(mass)
+
+    step = max(1, ENTRIES // (p * p + q * q))
+    m, value = _refine(_circle_levels(weighted, c.center, c.radius, c.nodes, 8192, step), rtol)
+    if stats is not None:
+        stats["contour_nodes"] = m
+    return TensorOperator(value.reshape(p * q, p * q), d, len(ms))
 
 
 def bidiagonal(diag: Sequence, sup: Sequence) -> np.ndarray:
@@ -330,7 +342,7 @@ def _f_bidiagonal(f, diag, sup, contour=None, *, rtol, stats=None) -> np.ndarray
     return contour_quadrature(
         lambda zeta: np.asarray(f(zeta), dtype=complex)[:, None, None] * _resolvents(zeta, big),
         c.center, c.radius, start=c.nodes, rtol=rtol, stats=stats,
-        chunk=max(1, (1 << 23) // big.size))  # bounds the values held at once
+        chunk=max(1, ENTRIES // big.size))
 
 
 def dd_apply(

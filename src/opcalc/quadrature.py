@@ -151,26 +151,37 @@ def contour_quadrature(
     With ``chunk`` set, at most that many integrand values are materialized
     at a time (for bulky tensor-valued integrands).
     """
-    def blocks(zeta, w):
-        step = len(zeta) if chunk is None else max(1, int(chunk))
-        for lo in range(0, len(zeta), step):
-            yield zeta[lo : lo + step], w[lo : lo + step]
-
-    def levels():
-        m = max(16, int(start))
-        value, mass = _weighted_sum(batch_fn, blocks(*circle_points(center, radius, m)))
-        yield m, value, mass
-        while m < cap:
-            m *= 2
-            zeta, w = circle_points(center, radius, m)
-            new, new_mass = _weighted_sum(batch_fn, blocks(zeta[1::2], w[1::2]))
-            value, mass = 0.5 * value + new, 0.5 * mass + new_mass
-            yield m, value, mass
-
-    m, value = _refine(levels(), rtol)
+    step = None if chunk is None else max(1, int(chunk))
+    levels = _circle_levels(lambda zeta, w: _weighted_sum(batch_fn, [(zeta, w)]),
+                            center, radius, start, cap, step)
+    m, value = _refine(levels, rtol)
     if stats is not None:
         stats["contour_nodes"] = m
     return value
+
+
+def _circle_levels(weighted, center: complex, radius: float, start: int, cap: int, step):
+    """``(m, value, mass)`` levels of nested node doubling; ``weighted(zeta, w)``
+    returns the sum of ``w`` times the integrand over at most ``step`` nodes
+    (all when None), and its mass.  A level adds its new (odd) nodes to half
+    the last one."""
+    def total(zeta, w):
+        size = step or len(zeta)
+        value, mass = weighted(zeta[:size], w[:size])
+        for lo in range(size, len(zeta), size):
+            more, more_mass = weighted(zeta[lo : lo + size], w[lo : lo + size])
+            value, mass = value + more, mass + more_mass
+        return value, mass
+
+    m = max(16, int(start))
+    value, mass = total(*circle_points(center, radius, m))
+    yield m, value, mass
+    while m < cap:
+        m *= 2
+        zeta, w = circle_points(center, radius, m)
+        new, new_mass = total(zeta[1::2], w[1::2])
+        value, mass = 0.5 * value + new, 0.5 * mass + new_mass
+        yield m, value, mass
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +193,6 @@ def gauss_legendre_01(q: int):
     """Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(q)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _digits(flat: np.ndarray, q: int, n: int) -> np.ndarray:
-    # mixed-radix decode of flat indices into n base-q digits (axis 0 slowest)
-    out = np.empty((flat.size, n), dtype=np.int64)
-    rem = flat.copy()
-    for j in range(n - 1, -1, -1):
-        out[:, j] = rem % q
-        rem //= q
-    return out
 
 
 def iter_simplex_rule(n: int, q: int, chunk: int = 1 << 18):
@@ -208,7 +209,7 @@ def iter_simplex_rule(n: int, q: int, chunk: int = 1 << 18):
     total = q**n
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        idx = _digits(np.arange(lo, hi, dtype=np.int64), q, n)
+        idx = np.stack(np.unravel_index(np.arange(lo, hi), (q,) * n), axis=1)  # axis 0 slowest
         u = x[idx]  # (p, n)
         t = np.cumprod(u, axis=1)  # t_j = u_1 ... u_j, decreasing in j
         s = np.empty((hi - lo, n + 1))

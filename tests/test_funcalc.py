@@ -40,7 +40,7 @@ from opcalc.errors import (
     NonCommutingTuple,
 )
 from opcalc import funcalc
-from opcalc.quadrature import circle_points
+from opcalc.quadrature import circle_points, contour_quadrature
 
 EXP = exp_function()
 
@@ -315,6 +315,25 @@ class TestDDTensor:
         eye = np.eye(2)
         oracle = multikron([np.linalg.inv(lam * eye - m) for m in mats])
         assert rel_err(op.matrix, oracle) < 1e-9
+
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4, 5])
+    def test_matches_the_full_kronecker_integrand(self, slots):
+        # the split sum of each level against f(z) (z - a_0)^-1 (x) ... formed per node
+        mats = [gen_matrix("random", 2, 40 + j) for j in range(slots)]
+        c = circle_for(*mats)
+
+        def full(zeta):
+            return np.exp(zeta)[:, None, None] * np.stack(
+                [multikron([np.linalg.inv(z * np.eye(2) - m) for m in mats]) for z in zeta])
+
+        want = contour_quadrature(full, c.center, c.radius, start=c.nodes, rtol=1e-12)
+        assert rel_err(dd_tensor(EXP, mats).matrix, want) < 1e-12
+
+    def test_stacks_split_into_node_batches(self, monkeypatch):
+        mats = [gen_matrix("random", 2, 50 + j) for j in range(3)]
+        whole = dd_tensor(EXP, mats).matrix
+        monkeypatch.setattr(funcalc, "ENTRIES", 64)   # 3 nodes per batch
+        assert rel_err(dd_tensor(EXP, mats).matrix, whole) < 1e-13
 
 
 class TestDDApply:
