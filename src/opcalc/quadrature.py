@@ -304,7 +304,10 @@ def _gk15(fn, a: float, b: float):
     vals = np.asarray(fn(x))
     k15 = half * np.tensordot(_WGK, vals, axes=(0, 0))
     g7 = half * np.tensordot(_WG, vals[_GAUSS_IDX], axes=(0, 0))
-    return k15, _norm(k15 - g7)
+    err = _norm(k15 - g7)
+    if not np.isfinite(err):
+        raise QuadratureNoConvergence(f"non-finite error estimate on panel [{a:.3g}, {b:.3g}]")
+    return k15, err
 
 
 def adaptive_gauss_kronrod(

@@ -10,11 +10,16 @@ A^(0)..A^(p) and paired with the b factors, and as A^-1 times the kernel G
 applied to cumulative products of the modular operators exp(-nabla_a).
 All three must agree; that agreement is the content of the identity this
 module verifies.
+
+Each route is one half-line quadrature in A's eigenbasis.  The slot lifts
+and the modular products are jointly diagonal there, so a kernel route
+evaluates its kernel once on all d^(p+1) eigenvalue tuples and sums it
+against V^-1 b_j V (the Daletskii-Krein form).
 """
 
 from __future__ import annotations
 
-import itertools
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +30,11 @@ from .core import (
     eigen_decompose,
     embed_slot,
     matrix_exp,
-    multikron,
     nabla,
-    pair,
     rel_err,
 )
-from .errors import DecayViolation, NonDiagonalizable, SectorViolation
+from .errors import DecayViolation, SectorViolation
 from .functions import HoloFunction, Sector
-from .funcalc import apply_function
 from .quadrature import halfline_integrate
 from .tolerances import DEFAULTS
 
@@ -203,47 +205,56 @@ def modular_family(
     return ModularFamily(A, products, delta, worst)
 
 
-def kernel_F(fs, s, *, rtol: float = DEFAULTS.halfline_rtol, depth_cap: int = 30) -> complex:
-    """F(s_0..s_p) = int_0^inf f_0(u s_0) ... f_p(u s_p) du."""
+def kernel_F(fs, s, *, rtol: float = DEFAULTS.halfline_rtol, depth_cap: int = 30):
+    """F(s_0..s_p) = int_0^inf f_0(u s_0) ... f_p(u s_p) du.
+
+    ``s`` is one argument tuple, or many along leading axes (the last axis
+    has length p+1).  Every tuple goes through one half-line quadrature whose
+    error estimate covers them all.  One tuple gives a ``complex``, many an
+    array of their leading shape.
+    """
     _check_decay(fs)
     pts = np.asarray(s, dtype=complex)
-    if pts.size != len(fs):
-        raise DecayViolation(f"{len(fs)} functions need {len(fs)} arguments")
+    if pts.ndim == 0 or pts.shape[-1] != len(fs):
+        raise DecayViolation(f"{len(fs)} functions need {len(fs)}-argument tuples")
 
     def integrand(u):
-        vals = fs[0](u * pts[0])
-        for f, sj in zip(fs[1:], pts[1:]):
-            vals = vals * f(u * sj)
+        vals = fs[0](np.multiply.outer(u, pts[..., 0]))
+        for j, f in enumerate(fs[1:], start=1):
+            vals = vals * f(np.multiply.outer(u, pts[..., j]))
         return vals
 
-    return complex(halfline_integrate(integrand, rtol=rtol, depth_cap=depth_cap))
+    value = halfline_integrate(integrand, rtol=rtol, depth_cap=depth_cap)
+    return complex(value) if pts.ndim == 1 else value
 
 
-def kernel_G(fs, lam, *, rtol: float = DEFAULTS.halfline_rtol, depth_cap: int = 30) -> complex:
-    """G(l_1..l_p) = int_0^inf f_0(u) f_1(u l_1) ... f_p(u l_p) du."""
+def kernel_G(fs, lam, *, rtol: float = DEFAULTS.halfline_rtol, depth_cap: int = 30):
+    """G(l_1..l_p) = F(1, l_1..l_p) = int_0^inf f_0(u) f_1(u l_1) ... f_p(u l_p) du.
+
+    Tuples batch along leading axes as in :func:`kernel_F`.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    pts = np.concatenate([np.ones(lam.shape[:-1] + (1,)), lam], axis=-1)
+    return kernel_F(fs, pts, rtol=rtol, depth_cap=depth_cap)
+
+
+def _eigenbasis(fs, A, bs, delta):
+    """The input check of every route: decay, factor count, A = V diag(lam) V^-1
+    and lam in the sector.  Returns lam, V, V^-1 and the b factors."""
     _check_decay(fs)
-    pts = np.asarray(lam, dtype=complex)
-    if pts.size != len(fs) - 1:
-        raise DecayViolation(f"{len(fs)} functions need {len(fs) - 1} arguments")
-
-    def integrand(u):
-        vals = np.asarray(fs[0](np.asarray(u, dtype=complex)), dtype=complex)
-        for f, lj in zip(fs[1:], pts):
-            vals = vals * f(u * lj)
-        return vals
-
-    return complex(halfline_integrate(integrand, rtol=rtol, depth_cap=depth_cap))
-
-
-def _sector_eigs(A, delta: float | None) -> np.ndarray:
-    lam = np.linalg.eigvals(as_matrix(A))
+    Am = as_matrix(A)
+    bmats = [as_matrix(b, dim=Am.shape[0]) for b in bs]
+    if len(bmats) != len(fs) - 1:
+        raise SectorViolation(f"{len(fs)} functions need {len(fs) - 1} factors")
+    spec, v, vinv = eigen_decompose(Am)
+    lam = spec.eigenvalues
     cap = delta if delta is not None else np.pi / 2
     if np.any(lam == 0) or np.any(np.abs(np.angle(lam)) >= cap):
         raise SectorViolation(
             "matrix spectrum must lie in the open sector |arg z| < "
             f"{cap:g} (eigenvalues {lam})"
         )
-    return lam
+    return lam, v, vinv, bmats
 
 
 def rearrange_lhs(
@@ -258,31 +269,14 @@ def rearrange_lhs(
 ) -> np.ndarray:
     """Direct adaptive quadrature of int f_0(uA) b_1 f_1(uA) ... b_p f_p(uA) du.
 
-    Matrix arguments go through the eigendecomposition of A; if A is too far
-    from diagonalizable, each factor falls back to the single-variable contour
-    calculus (slower, works for any spectrum inside the sector).
+    Each factor f(uA) is V diag(f(u lam)) V^-1 in A's eigenbasis; A must be
+    diagonalizable (:class:`NonDiagonalizable` otherwise).
     """
-    _check_decay(fs)
-    Am = as_matrix(A)
-    _sector_eigs(Am, delta)
-    bmats = [as_matrix(b, dim=Am.shape[0]) for b in bs]
-    if len(bmats) != len(fs) - 1:
-        raise SectorViolation(f"{len(fs)} functions need {len(fs) - 1} factors")
+    lam, v, vinv, bmats = _eigenbasis(fs, A, bs, delta)
 
-    try:
-        spec, v, vinv = eigen_decompose(Am)
-        lam = spec.eigenvalues
-
-        def factor(f, u):
-            vals = np.asarray(f(np.multiply.outer(u, lam)), dtype=complex)
-            return np.einsum("ij,kj,jl->kil", v, vals, vinv)
-
-    except NonDiagonalizable:
-        def factor(f, u):
-            out = np.empty((len(u), Am.shape[0], Am.shape[0]), dtype=complex)
-            for k, uk in enumerate(u):
-                out[k] = apply_function(f.holo, uk * Am)
-            return out
+    def factor(f, u):
+        vals = np.asarray(f(np.multiply.outer(u, lam)), dtype=complex)
+        return np.einsum("ij,kj,jl->kil", v, vals, vinv)
 
     def integrand(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -295,24 +289,22 @@ def rearrange_lhs(
     return halfline_integrate(integrand, rtol=rtol, depth_cap=depth_cap, stats=stats)
 
 
-def _joint_diagonal(fs, A, bs, delta, values_for):
-    """Shared scaffolding: kernel values on joint eigenvalue tuples, paired with bs."""
-    _check_decay(fs)
-    Am = as_matrix(A)
-    _sector_eigs(Am, delta)
-    p = len(fs) - 1
-    if len(bs) != p:
-        raise SectorViolation(f"{len(fs)} functions need {p} factors")
-    spec, v, vinv = eigen_decompose(Am)
-    lam = spec.eigenvalues
-    d = Am.shape[0]
-    w = multikron([v] * (p + 1))
-    winv = multikron([vinv] * (p + 1))
-    vals = np.empty(d ** (p + 1), dtype=complex)
-    for flat, idx in enumerate(itertools.product(range(d), repeat=p + 1)):
-        vals[flat] = values_for(lam[list(idx)])
-    t = TensorOperator((w * vals) @ winv, d, p + 1)
-    return pair(t, [as_matrix(b, dim=d) for b in bs])
+def _joint_diagonal(fs, A, bs, delta, kernel):
+    """Sum of a kernel over joint eigenvalue tuples, paired with the b factors.
+
+    ``kernel(s)`` maps the meshgrid s[i_0..i_p] = (lam_{i_0}..lam_{i_p}) to the
+    kernel's values K[i_0..i_p].  With b'_j = V^-1 b_j V the result is V X V^-1, where
+    X[i_0, i_p] = sum K[i_0..i_p] b'_1[i_0, i_1] ... b'_p[i_{p-1}, i_p]
+    (X = diag(K) when p = 0).
+    """
+    lam, v, vinv, bmats = _eigenbasis(fs, A, bs, delta)
+    p = len(bmats)
+    k = kernel(np.stack(np.meshgrid(*[lam] * (p + 1), indexing="ij"), axis=-1))
+    if p == 0:
+        return (v * k) @ vinv
+    idx = string.ascii_lowercase[: p + 1]
+    subscripts = ",".join([idx] + [idx[j : j + 2] for j in range(p)]) + f"->{idx[0]}{idx[p]}"
+    return v @ np.einsum(subscripts, k, *[vinv @ b @ v for b in bmats]) @ vinv
 
 
 def rearrange_rhs_F(
@@ -326,12 +318,14 @@ def rearrange_rhs_F(
 ) -> np.ndarray:
     """Kernel F on the commuting slot lifts of A, paired with the b factors.
 
-    The lifts A^(0)..A^(p) are jointly diagonalized by the tensor power of
-    A's eigenbasis, so F acts entrywise on tuples of eigenvalues.
+    The lifts A^(0)..A^(p) are jointly diagonal in the tensor power of A's
+    eigenbasis, so F acts on tuples of eigenvalues: one batched kernel call
+    over all d^(p+1) tuples, then the Daletskii-Krein sum of
+    :func:`_joint_diagonal`.
     """
     return _joint_diagonal(
         fs, A, bs, delta,
-        values_for=lambda s: kernel_F(fs, s, rtol=rtol, depth_cap=depth_cap),
+        kernel=lambda s: kernel_F(fs, s, rtol=rtol, depth_cap=depth_cap),
     )
 
 
@@ -348,11 +342,11 @@ def rearrange_rhs_G(
 
     The products exp(-nabla^(1))...exp(-nabla^(j)) of the log of A share the
     joint eigenbasis of the slot lifts; their eigenvalues on the tuple
-    (i_0..i_p) are the ratios lam_{i_j} / lam_{i_0}, so G also acts entrywise.
+    (i_0..i_p) are the ratios lam_{i_j} / lam_{i_0}.  So G acts on tuples of
+    ratios in one batched kernel call, and A^-1 is the factor 1 / lam_{i_0}.
     """
-    Am = as_matrix(A)
-    value = _joint_diagonal(
-        fs, Am, bs, delta,
-        values_for=lambda s: kernel_G(fs, s[1:] / s[0], rtol=rtol, depth_cap=depth_cap),
+    return _joint_diagonal(
+        fs, A, bs, delta,
+        kernel=lambda s: kernel_G(fs, s[..., 1:] / s[..., :1], rtol=rtol,
+                                  depth_cap=depth_cap) / s[..., 0],
     )
-    return np.linalg.inv(Am) @ value

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opcalc import (
     SectorConfig,
@@ -10,7 +14,9 @@ from opcalc import (
     kernel_G,
     matrix_exp,
     modular_family,
+    multikron,
     opnorm,
+    pair,
     power_rational,
     rearrange_lhs,
     rearrange_rhs_F,
@@ -18,8 +24,31 @@ from opcalc import (
     rel_err,
     sector_check,
 )
-from opcalc.errors import DecayViolation, SectorViolation
+from opcalc import rearrange
+from opcalc.core import TensorOperator, eigen_decompose
+from opcalc.errors import (
+    DecayViolation,
+    NonDiagonalizable,
+    QuadratureNoConvergence,
+    SectorViolation,
+)
 from opcalc.rearrange import validate_decay
+
+
+def kron_oracle(fs, A, bs, route):
+    """The rhs routes through the (p+1)-fold Kronecker eigenbasis: one scalar
+    kernel per eigenvalue tuple on the diagonal, then the slotwise pairing."""
+    p, d = len(bs), A.shape[0]
+    spec, v, vinv = eigen_decompose(A)
+    lam = spec.eigenvalues
+    vals = np.empty(d ** (p + 1), dtype=complex)
+    for flat, idx in enumerate(itertools.product(range(d), repeat=p + 1)):
+        s = lam[list(idx)]
+        vals[flat] = (kernel_F(fs, s) if route == "F"
+                      else kernel_G(fs, s[1:] / s[0]))
+    w, winv = multikron([v] * (p + 1)), multikron([vinv] * (p + 1))
+    value = pair(TensorOperator((w * vals) @ winv, d, p + 1), bs)
+    return value if route == "F" else np.linalg.inv(A) @ value
 
 
 class TestSectorGeometry:
@@ -224,3 +253,80 @@ class TestThreeWay:
         bad = np.diag([-1.0, 1.0])  # negative real eigenvalue: outside any sector
         with pytest.raises(SectorViolation):
             rearrange_lhs(fam, bad, [np.eye(2)])
+
+
+class TestJointEigenbasis:
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(p=st.integers(0, 3), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           spread=st.floats(0.0, 1.5), q0=st.integers(2, 3),
+           qs=st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    @example(p=3, d=3, seed=44, spread=1.5, q0=2, qs=[1, 1, 1])
+    def test_rhs_matches_kronecker_oracle(self, p, d, seed, spread, q0, qs):
+        # f_0 decays like s^-2 or faster, so every p passes the decay gate
+        fs = family_from_exponents([q0, *qs[:p]])
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = z + z.conj().T
+        A = matrix_exp(spread * h / max(opnorm(h), 1e-300))
+        bs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+              for _ in range(p)]
+        for route, fn in (("F", rearrange_rhs_F), ("G", rearrange_rhs_G)):
+            want = kron_oracle(fs, A, bs, route)
+            assert rel_err(fn(fs, A, bs), want) <= 1e-12
+
+    @pytest.mark.parametrize("route", [rearrange_rhs_F, rearrange_rhs_G])
+    def test_one_halfline_quadrature_per_route(self, route, monkeypatch):
+        calls = []
+        halfline = rearrange.halfline_integrate
+
+        def counting(fn, **kwargs):
+            calls.append(fn)
+            return halfline(fn, **kwargs)
+
+        monkeypatch.setattr(rearrange, "halfline_integrate", counting)
+        A = matrix_exp(gen_matrix("hermitian", 3, 40))
+        bs = [gen_matrix("random", 3, 41 + j) for j in range(3)]
+        route(family_from_exponents([1, 1, 1, 1]), A, bs)
+        assert len(calls) == 1
+
+    def test_p0_is_kernel_of_A(self):
+        # no factors: V diag(K(lam)) V^-1, here K(s) = int (1+us)^-2 du = 1/s
+        fs = family_from_exponents([2])
+        A = matrix_exp(gen_matrix("hermitian", 3, 42))
+        inv = np.linalg.inv(A)
+        assert rel_err(rearrange_rhs_F(fs, A, []), inv) <= 1e-9
+        assert rel_err(rearrange_rhs_G(fs, A, []), inv) <= 1e-9
+        assert rel_err(rearrange_lhs(fs, A, []), inv) <= 1e-9
+
+    def test_batched_kernel_F_matches_per_tuple(self):
+        fs = family_from_exponents([2, 1, 1])
+        rng = np.random.default_rng(43)
+        s = (rng.uniform(0.3, 3.0, (4, 5, 3))
+             * np.exp(1j * rng.uniform(-0.4, 0.4, (4, 5, 3))))
+        batch = kernel_F(fs, s)
+        assert batch.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            single = kernel_F(fs, s[idx])
+            assert isinstance(single, complex)
+            assert abs(batch[idx] - single) <= 1e-13 * abs(single)
+
+    def test_kernel_G_is_kernel_F_at_one(self):
+        fs = family_from_exponents([1, 2, 1])
+        lam = [0.7 + 0.1j, 1.9 - 0.2j]
+        assert kernel_G(fs, lam) == kernel_F(fs, [1, *lam])
+
+    def test_jordan_block_refused_by_every_route(self):
+        fs = family_from_exponents([1, 1])
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+        for route in (rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G):
+            with pytest.raises(NonDiagonalizable):
+                route(fs, jordan, [np.eye(2)])
+
+    def test_pole_on_the_half_line_raises(self):
+        # (1 - u)^-1 (1 + u)^-1 has a pole at u = 1, a Kronrod node
+        fs = family_from_exponents([1, 1])
+        with np.errstate(all="ignore"):
+            with pytest.raises(QuadratureNoConvergence):
+                kernel_F(fs, [-1, 1])
+            with pytest.raises(QuadratureNoConvergence):
+                kernel_F(fs, [[1, 1], [-1, 1], [2, 1]])
