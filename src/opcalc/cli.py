@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--output", default=None, help="write the report here")
         p.add_argument("--tol-scale", type=float, default=1.0,
-                       help="multiply all tolerances")
+                       help="multiply every identity tolerance")
         p.add_argument("--timings", action="store_true",
                        help="include wall time (breaks byte-identical reports)")
         p.add_argument("--config", default=None,

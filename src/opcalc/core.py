@@ -18,7 +18,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NonDiagonalizable, SlotOutOfRange
-from .tolerances import DEFAULTS
 
 __all__ = [
     "Spectrum",
@@ -37,6 +36,9 @@ __all__ = [
     "matrix_to_json",
     "matrix_from_json",
 ]
+
+EIG_COND_CAP = 1e8  # eigenvector condition above which a matrix counts as defective
+EIG_RESIDUAL = 1e-10  # largest relative reconstruction error of V diag(w) V^-1
 
 
 def opnorm(m: np.ndarray) -> float:
@@ -73,26 +75,25 @@ class Spectrum:
     conditioning: float
 
 
-def eigen_decompose(
-    m, cond_cap: float = DEFAULTS.eig_cond_cap
-) -> tuple[Spectrum, np.ndarray, np.ndarray]:
+def eigen_decompose(m) -> tuple[Spectrum, np.ndarray, np.ndarray]:
     """Diagonalize ``m = V diag(w) V^-1``.
 
     Returns ``(Spectrum, V, V^-1)``.  Raises :class:`NonDiagonalizable` when the
-    eigenvector condition number exceeds ``cond_cap`` or the reconstruction
-    residual is too large; callers holding such a matrix must fall back to a
-    contour method, which never needs this factorization.
+    eigenvector condition number exceeds ``EIG_COND_CAP`` or the relative
+    reconstruction residual exceeds ``EIG_RESIDUAL``; callers holding such a
+    matrix must fall back to a contour method, which never needs this
+    factorization.
     """
     a = as_matrix(m)
     w, v = np.linalg.eig(a)
     cond = float(np.linalg.cond(v))
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > EIG_COND_CAP:
         raise NonDiagonalizable(
-            f"eigenvector condition {cond:.3e} exceeds cap {cond_cap:.1e}"
+            f"eigenvector condition {cond:.3e} exceeds cap {EIG_COND_CAP:.1e}"
         )
     vinv = np.linalg.inv(v)
     residual = rel_err((v * w) @ vinv, a) if opnorm(a) > 0 else 0.0
-    if residual > DEFAULTS.eig_residual:
+    if residual > EIG_RESIDUAL:
         raise NonDiagonalizable(f"reconstruction residual {residual:.3e}")
     return Spectrum(w, cond), v, vinv
 

@@ -61,22 +61,23 @@ def _nodes(xs) -> np.ndarray:
     return arr
 
 
-def _require_distinct(xs: np.ndarray, tol: float) -> None:
+def _require_distinct(xs: np.ndarray) -> None:
+    """Refuse nodes closer than 1e-8 relative to the largest (at least 1)."""
     scale = max(1.0, float(np.max(np.abs(xs))))
     n = xs.size
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(xs[i] - xs[j]) <= tol * scale:
+            if abs(xs[i] - xs[j]) <= 1e-8 * scale:
                 raise CoincidentNodes(
-                    f"nodes {i} and {j} closer than {tol:g} * {scale:g}; "
+                    f"nodes {i} and {j} closer than 1e-08 * {scale:g}; "
                     "use the contour or simplex form"
                 )
 
 
-def dd_recursive(f, xs, coincidence_tol: float = 1e-8) -> complex:
+def dd_recursive(f, xs) -> complex:
     """Divided difference by the difference-quotient recursion."""
     x = _nodes(xs)
-    _require_distinct(x, coincidence_tol)
+    _require_distinct(x)
     coef = np.asarray(f(x), dtype=complex).copy()
     n = x.size - 1
     for level in range(1, n + 1):
@@ -86,10 +87,10 @@ def dd_recursive(f, xs, coincidence_tol: float = 1e-8) -> complex:
     return complex(coef[0])
 
 
-def dd_explicit(f, xs, coincidence_tol: float = 1e-8) -> complex:
+def dd_explicit(f, xs) -> complex:
     """Divided difference by the permutation-symmetric sum over nodes."""
     x = _nodes(xs)
-    _require_distinct(x, coincidence_tol)
+    _require_distinct(x)
     fx = np.asarray(f(x), dtype=complex)
     total = 0.0 + 0.0j
     for k in range(x.size):
@@ -103,17 +104,16 @@ def dd_contour(
     xs,
     contour=None,
     *,
-    rtol: float = 1e-12,
     refine: bool = True,
-    min_distance: float = 1e-6,
     stats: dict | None = None,
 ) -> complex:
     """Divided difference as a circle integral of f(z) * prod (z - x_j)^-1.
 
     Works for coincident nodes.  The circle is ``contour`` (see
     :class:`opcalc.quadrature.Contour`) or the automatic one, as checked by
-    :func:`opcalc.quadrature.contour_around`.  With ``refine=False`` a single
-    trapezoid pass at ``contour.nodes`` is taken, which is useful for
+    :func:`opcalc.quadrature.contour_around`; a quadrature node within 1e-6
+    radii of a node raises :class:`ContourTooTight`.  With ``refine=False`` a
+    single trapezoid pass at ``contour.nodes`` is taken, which is useful for
     convergence studies.
     """
     x = _nodes(xs)
@@ -121,10 +121,8 @@ def dd_contour(
 
     def batch(zeta):
         gap = np.min(np.abs(zeta[:, None] - x[None, :]))
-        if gap < min_distance * c.radius:
-            raise ContourTooTight(
-                f"quadrature node within {min_distance:g} * radius of a node"
-            )
+        if gap < 1e-6 * c.radius:
+            raise ContourTooTight("quadrature node within 1e-06 * radius of a node")
         vals = np.asarray(f(zeta), dtype=complex)
         for xj in x:
             vals = vals / (zeta - xj)
@@ -134,19 +132,11 @@ def dd_contour(
         zeta, w = circle_points(c.center, c.radius, c.nodes)
         return complex(np.sum(w * batch(zeta)))
     return complex(
-        contour_quadrature(batch, c.center, c.radius, start=c.nodes, rtol=rtol, stats=stats)
+        contour_quadrature(batch, c.center, c.radius, start=c.nodes, stats=stats)
     )
 
 
-def dd_hermite(
-    f: HoloFunction,
-    xs,
-    *,
-    rtol: float = 1e-10,
-    start: int = 8,
-    cap: int = 128,
-    stats: dict | None = None,
-) -> complex:
+def dd_hermite(f: HoloFunction, xs, *, stats: dict | None = None) -> complex:
     """Divided difference as the simplex integral of f^(n) over convex combinations.
 
     Holds when f is holomorphic on the convex hull of the nodes, so the hull
@@ -161,7 +151,7 @@ def dd_hermite(
     if not f.domain.contains_hull(x):
         raise DomainViolation("convex hull of nodes leaves the function domain")
     return complex(simplex_integrate(lambda s: np.asarray(f.derivative(n, s @ x), dtype=complex),
-                                     n, rtol=rtol, start=start, cap=cap, stats=stats))
+                                     n, stats=stats))
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -358,13 +348,13 @@ def multinomial_identity(beta, m: int, mode: str = "<=") -> tuple[int, int]:
         raise OpcalcError("m must be at least |beta|")
 
     def shell(total: int) -> int:
+        # alpha = beta + gamma runs over {alpha >= beta, |alpha| = total}
         acc = 0
-        for alpha in compositions(total, n):
-            if all(aj >= bj for aj, bj in zip(alpha, b)):
-                term = 1
-                for aj, bj in zip(alpha, b):
-                    term *= math.comb(aj, bj)
-                acc += term
+        for gamma in compositions(total - sum(b), n):
+            term = 1
+            for gj, bj in zip(gamma, b):
+                term *= math.comb(bj + gj, bj)
+            acc += term
         return acc
 
     if mode == "=":

@@ -5,6 +5,10 @@ class OpcalcError(Exception):
     """Base class for all opcalc errors."""
 
 
+class InvalidInput(OpcalcError, ValueError):
+    """An argument is malformed or out of range (also a ``ValueError``)."""
+
+
 class NonDiagonalizable(OpcalcError):
     """Eigenvector matrix is too ill-conditioned to trust; use a contour path."""
 

@@ -58,6 +58,7 @@ __all__ = [
 
 MAX_ARITY = 4
 MAX_AXIS_NODES = 256
+RTOL = 1e-10  # relative agreement at which a contour quadrature here stops refining
 BLOCK = 1 << 22  # most grid points funcalc_n passes to f at once
 ENTRIES = 1 << 23  # most integrand entries dd_tensor and dd_apply hold at once
 
@@ -66,24 +67,23 @@ class CommutingTuple:
     """Tuple of same-size matrices validated to commute pairwise.
 
     The commutator of every pair must have operator norm at most
-    ``comm_tol * |a_i| * |a_j|``.
+    ``1e-10 * |a_i| * |a_j|``.
     """
 
-    def __init__(self, mats: Sequence, comm_tol: float = DEFAULTS.comm_tol):
+    def __init__(self, mats: Sequence):
         self.mats = tuple(as_matrix(m) for m in mats)
         if not self.mats:
             raise NonCommutingTuple("empty tuple")
         d = self.mats[0].shape[0]
         self.mats = tuple(as_matrix(m, dim=d) for m in self.mats)
-        self.comm_tol = comm_tol
         norms = [max(opnorm(m), 1e-300) for m in self.mats]
         for i in range(len(self.mats)):
             for j in range(i + 1, len(self.mats)):
                 defect = opnorm(commutator(self.mats[i], self.mats[j]))
-                if defect > comm_tol * norms[i] * norms[j]:
+                if defect > 1e-10 * norms[i] * norms[j]:
                     raise NonCommutingTuple(
                         f"matrices {i} and {j}: commutator norm {defect:.3e} "
-                        f"exceeds {comm_tol:g} * |a_i| * |a_j|"
+                        "exceeds 1e-10 * |a_i| * |a_j|"
                     )
 
     @property
@@ -100,12 +100,12 @@ class CommutingTuple:
         return self.mats[k]
 
 
-def _as_tuple(a, comm_tol: float = DEFAULTS.comm_tol) -> CommutingTuple:
+def _as_tuple(a) -> CommutingTuple:
     if isinstance(a, CommutingTuple):
         return a
     if isinstance(a, np.ndarray) and a.ndim == 2:
         a = (a,)
-    return CommutingTuple(a, comm_tol)
+    return CommutingTuple(a)
 
 
 def _spectrum(mats: Sequence) -> np.ndarray:
@@ -136,11 +136,10 @@ def apply_function(
     m,
     contour: Contour | None = None,
     *,
-    rtol: float = DEFAULTS.funcalc_rtol,
     stats: dict | None = None,
 ) -> np.ndarray:
     """f(m) by circle quadrature of f(z) (z - m)^-1: the one-slot :func:`dd_apply`."""
-    return dd_apply(f, [m], [], contour, rtol=rtol, stats=stats)
+    return dd_apply(f, [m], [], contour, stats=stats)
 
 
 def funcalc_n(
@@ -148,8 +147,6 @@ def funcalc_n(
     a,
     cs: Sequence[Contour] | None = None,
     *,
-    rtol: float = DEFAULTS.funcalc_rtol,
-    comm_tol: float = DEFAULTS.comm_tol,
     stats: dict | None = None,
 ) -> np.ndarray:
     """f(a_1, ..., a_n) for a commuting tuple by tensor-grid circle quadrature.
@@ -164,7 +161,7 @@ def funcalc_n(
     axis; passing contours with a larger margin makes the trapezoid converge
     geometrically faster.
     """
-    tup = _as_tuple(a, comm_tol)
+    tup = _as_tuple(a)
     n = len(tup)
     if n > MAX_ARITY:
         raise ArityCap(f"tensor-grid quadrature supports up to {MAX_ARITY} variables")
@@ -228,7 +225,7 @@ def funcalc_n(
             m_nodes *= 2
             yield m_nodes, *level(m_nodes)
 
-    m_nodes, value = _refine(levels(), rtol, opnorm)
+    m_nodes, value = _refine(levels(), RTOL, opnorm)
     if stats is not None:
         stats["axis_nodes"] = m_nodes
     return value
@@ -240,7 +237,6 @@ def funcalc_elementary(
     cs: Sequence[Contour] | None = None,
     *,
     check_tol: float = DEFAULTS.tensor_rule,
-    rtol: float = DEFAULTS.funcalc_rtol,
     stats: dict | None = None,
 ) -> np.ndarray:
     """(f_1 x ... x f_n)(a) with the product-rule cross-check.
@@ -259,10 +255,10 @@ def funcalc_elementary(
         domains=tuple(fj.domain for fj in fs),
         name="*".join(fj.name for fj in fs),
     )
-    joint = funcalc_n(product, tup, cs, rtol=rtol)
+    joint = funcalc_n(product, tup, cs)
     singles = np.eye(tup.dim, dtype=complex)
     for j, fj in enumerate(fs):
-        singles = singles @ apply_function(fj, tup[j], cs[j] if cs else None, rtol=rtol)
+        singles = singles @ apply_function(fj, tup[j], cs[j] if cs else None)
     defect = rel_err(joint, singles)
     if stats is not None:
         stats["tensor_rule_defect"] = defect
@@ -279,7 +275,6 @@ def dd_tensor(
     mats: Sequence,
     contour: Contour | None = None,
     *,
-    rtol: float = DEFAULTS.funcalc_rtol,
     stats: dict | None = None,
 ) -> TensorOperator:
     """Tensor divided difference of a (not necessarily commuting) tuple.
@@ -310,7 +305,7 @@ def dd_tensor(
         return np.einsum("k,kab,kce->acbe", cw, left, right, optimize=True), float(mass)
 
     step = max(1, ENTRIES // (p * p + q * q))
-    m, value = _refine(_circle_levels(weighted, c.center, c.radius, c.nodes, 8192, step), rtol)
+    m, value = _refine(_circle_levels(weighted, c.center, c.radius, c.nodes, step), RTOL)
     if stats is not None:
         stats["contour_nodes"] = m
     return TensorOperator(value.reshape(p * q, p * q), d, len(ms))
@@ -331,7 +326,7 @@ def bidiagonal(diag: Sequence, sup: Sequence) -> np.ndarray:
                       for j in range(len(ms))] for i in range(len(ms))])
 
 
-def _f_bidiagonal(f, diag, sup, contour=None, *, rtol, stats=None) -> np.ndarray:
+def _f_bidiagonal(f, diag, sup, contour=None, *, stats=None) -> np.ndarray:
     """f(B), B = ``bidiagonal(diag, sup)``, by circle quadrature of f(z) (z - B)^-1.
 
     The circle is built around the diagonal blocks' spectra, not from the
@@ -341,7 +336,7 @@ def _f_bidiagonal(f, diag, sup, contour=None, *, rtol, stats=None) -> np.ndarray
     c = contour_around(_spectrum(diag), getattr(f, "domain", None), contour)
     return contour_quadrature(
         lambda zeta: np.asarray(f(zeta), dtype=complex)[:, None, None] * _resolvents(zeta, big),
-        c.center, c.radius, start=c.nodes, rtol=rtol, stats=stats,
+        c.center, c.radius, start=c.nodes, rtol=RTOL, stats=stats,
         chunk=max(1, ENTRIES // big.size))
 
 
@@ -351,7 +346,6 @@ def dd_apply(
     bs: Sequence,
     contour: Contour | None = None,
     *,
-    rtol: float = DEFAULTS.funcalc_rtol,
     stats: dict | None = None,
 ) -> np.ndarray:
     """Divided difference of a tuple paired with interleaved matrix factors.
@@ -360,49 +354,36 @@ def dd_apply(
     so the d^(n+1) tensor operator is never built; equals
     ``pair(dd_tensor(f, mats), bs)``.
     """
-    fb = _f_bidiagonal(f, mats, bs, contour, rtol=rtol, stats=stats)
+    fb = _f_bidiagonal(f, mats, bs, contour, stats=stats)
     d = fb.shape[0] // len(mats)
     return fb[:d, -d:]
 
 
-def dd_commuting(
-    f: HoloFunction,
-    a,
-    contour: Contour | None = None,
-    *,
-    rtol: float = DEFAULTS.funcalc_rtol,
-    comm_tol: float = DEFAULTS.comm_tol,
-) -> np.ndarray:
+def dd_commuting(f: HoloFunction, a, contour: Contour | None = None) -> np.ndarray:
     """Matrix-valued divided difference of a commuting tuple (shared contour).
 
     The commuting case of :func:`dd_apply` with identity factors.
     """
-    tup = _as_tuple(a, comm_tol)
+    tup = _as_tuple(a)
     eye = np.eye(tup.dim, dtype=complex)
-    return dd_apply(f, tup.mats, [eye] * (len(tup) - 1), contour, rtol=rtol)
+    return dd_apply(f, tup.mats, [eye] * (len(tup) - 1), contour)
 
 
-def genocchi_hermite_matrix(
-    f: HoloFunction,
-    a,
-    *,
-    rtol: float = 1e-9,
-    grid: int = 10,
-    comm_tol: float = DEFAULTS.comm_tol,
-) -> np.ndarray:
+def genocchi_hermite_matrix(f: HoloFunction, a) -> np.ndarray:
     """Divided difference of a commuting tuple as a simplex integral of f^(n).
 
     The n-th derivative is applied to the convex combination matrix through the
-    single-variable contour calculus at every quadrature node.  Holomorphy on
-    the union of combination spectra is checked on a simplex lattice with
-    ``grid`` points per axis before integrating.
+    single-variable contour calculus at every quadrature node; the simplex rule
+    stops at 1e-9 relative agreement.  Holomorphy on the union of combination
+    spectra is checked on a simplex lattice with 10 points per axis before
+    integrating.
     """
-    tup = _as_tuple(a, comm_tol)
+    tup = _as_tuple(a)
     n = len(tup) - 1
     if n == 0:
         return apply_function(f, tup[0])
 
-    lattice = grid - 1
+    lattice = 9  # 10 lattice points per axis
     for alpha in compositions(lattice, n + 1):
         comb = sum(w / lattice * m for w, m in zip(alpha, tup.mats))
         lam = np.linalg.eigvals(comb)
@@ -420,4 +401,4 @@ def genocchi_hermite_matrix(
             out[k] = apply_function(fn_deriv, comb)
         return out
 
-    return simplex_integrate(integrand, n, rtol=rtol, start=8, cap=32)
+    return simplex_integrate(integrand, n, rtol=1e-9, cap=32)

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainViolation, QuadratureNoConvergence
+from .errors import DomainViolation, InvalidInput, QuadratureNoConvergence
 
 __all__ = [
     "Domain",
@@ -109,13 +109,13 @@ class Entire(Domain):
 ENTIRE = Entire()
 
 
-def cauchy_derivative(f: "HoloFunction", k: int, z, nodes: int = 32, rtol: float = 1e-11):
+def cauchy_derivative(f: "HoloFunction", k: int, z):
     """k-th derivative via the Cauchy integral on a circle inside the domain.
 
     The circle around each point has radius half the distance to the domain
-    boundary; the trapezoid count doubles until two passes agree to ``rtol``
-    at every point, and :class:`QuadratureNoConvergence` is raised when they
-    still differ at 8192 nodes.
+    boundary; the trapezoid count doubles from 32 until two passes agree to
+    1e-11 relative at every point, and :class:`QuadratureNoConvergence` is
+    raised when they still differ at 8192 nodes.
     """
     z = np.asarray(z, dtype=complex)
     dist = np.asarray(f.domain.boundary_distance(z), dtype=float)
@@ -131,20 +131,20 @@ def cauchy_derivative(f: "HoloFunction", k: int, z, nodes: int = 32, rtol: float
         vals = f(zeta) * ring ** (-k)
         return kfac * np.mean(vals, axis=-1) / rho**k
 
-    prev = estimate(nodes)
-    m = nodes
+    m = 32
+    prev = estimate(m)
     diff = np.nan
     while m < 8192:
         m *= 2
         cur = estimate(m)
         scale = np.maximum(np.abs(cur), 1e-300)
-        if np.all(np.abs(cur - prev) <= rtol * scale):
+        if np.all(np.abs(cur - prev) <= 1e-11 * scale):
             return cur if cur.shape else complex(cur)
         diff = np.max(np.abs(cur - prev) / scale)
         prev = cur
     raise QuadratureNoConvergence(
         f"Cauchy derivative of order {k} did not stabilize within {m} nodes: "
-        f"last relative difference {diff:.3e}, rtol {rtol:g}"
+        f"last relative difference {diff:.3e}, rtol 1e-11"
     )
 
 
@@ -285,4 +285,4 @@ def named_function(name: str) -> HoloFunction:
     m = _RATIONAL_RE.match(name)
     if m:
         return rational_function(int(m.group(1)))
-    raise ValueError(f"unknown function name: {name!r}")
+    raise InvalidInput(f"unknown function name: {name!r}")

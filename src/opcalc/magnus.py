@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import as_matrix, commutator, matrix_exp, opnorm
-from .errors import BranchRadiusExceeded, QuadratureNoConvergence, StepRejected
+from .errors import BranchRadiusExceeded, InvalidInput, QuadratureNoConvergence, StepRejected
 
 __all__ = [
     "BernoulliTable",
@@ -62,7 +62,7 @@ class BernoulliTable:
 def bernoulli(K: int) -> BernoulliTable:
     """Bernoulli numbers through the binomial recurrence, exactly."""
     if K > BERNOULLI_CAP:
-        raise ValueError(f"table capped at K = {BERNOULLI_CAP}")
+        raise InvalidInput(f"table capped at K = {BERNOULLI_CAP}")
     fracs = [Fraction(1)]
     for n in range(1, K + 1):
         acc = Fraction(0)
@@ -77,7 +77,7 @@ def magnus_rhs(omega, a_t, order: int, table: BernoulliTable | None = None) -> n
     if table is None:
         table = bernoulli(order)
     if order >= len(table):
-        raise ValueError("order exceeds the Bernoulli table length")
+        raise InvalidInput("order exceeds the Bernoulli table length")
     om = as_matrix(omega)
     x = as_matrix(a_t, dim=om.shape[0])
     total = table.values[0] * x
@@ -92,12 +92,12 @@ def magnus_rhs(omega, a_t, order: int, table: BernoulliTable | None = None) -> n
 def _stops(t_end: float, checkpoints) -> list[float]:
     """The stop times of one pass: the checkpoints, then ``t_end``."""
     if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ValueError(f"end time must be finite and nonnegative, got {t_end!r}")
+        raise InvalidInput(f"end time must be finite and nonnegative, got {t_end!r}")
     stops = [float(t) for t in (checkpoints or ())] + [float(t_end)]
     if not all(math.isfinite(t) for t in stops) or stops[0] < 0.0:
-        raise ValueError("checkpoints must be finite and nonnegative")
+        raise InvalidInput("checkpoints must be finite and nonnegative")
     if any(b < a for a, b in zip(stops, stops[1:])):
-        raise ValueError("checkpoints must be sorted and end at or before t_end")
+        raise InvalidInput("checkpoints must be sorted and end at or before t_end")
     return stops
 
 
@@ -115,7 +115,7 @@ def _rk4(rhs, y0: np.ndarray, stops: list[float], h: float, monitor=None) -> lis
     """
     t_end = stops[-1]
     if not h > 0 and t_end > 0:
-        raise ValueError("step must be positive")
+        raise InvalidInput("step must be positive")
 
     def advance(t, y, step, k1):
         k2 = rhs(t + 0.5 * step, y + 0.5 * step * k1)
@@ -156,8 +156,6 @@ def magnus_solve(
     h: float,
     order: int = 8,
     *,
-    table: BernoulliTable | None = None,
-    branch_radius: float = BRANCH_RADIUS,
     trace: list | None = None,
     checkpoints=None,
 ):
@@ -166,8 +164,8 @@ def magnus_solve(
     ``A`` is a callable t -> matrix.  The commutator series is truncated at
     ``order``; stepping is classical RK4 with fixed step ``h``.  The solve
     aborts with :class:`BranchRadiusExceeded` once |Omega| reaches
-    ``branch_radius`` (default pi), where the principal logarithm could no
-    longer be trusted.  ``trace``, when given, collects (t, |Omega(t)|) rows.
+    ``BRANCH_RADIUS`` (pi), where the principal logarithm could no longer be
+    trusted.  ``trace``, when given, collects (t, |Omega(t)|) rows.
 
     With ``checkpoints``, a sorted sequence of times in [0, t_end], the same
     pass to ``t_end`` returns instead a list of (Omega(t), exp(Omega(t))), one
@@ -175,7 +173,7 @@ def magnus_solve(
     returns.
     """
     stops = _stops(t_end, checkpoints)
-    tab = table or bernoulli(order)
+    tab = bernoulli(order)
     a0 = as_matrix(A(0.0))
     omega0 = np.zeros_like(a0)
 
@@ -184,9 +182,9 @@ def magnus_solve(
 
     def monitor(t, om):
         nrm = opnorm(om)
-        if nrm >= branch_radius:
+        if nrm >= BRANCH_RADIUS:
             raise BranchRadiusExceeded(
-                f"|Omega| = {nrm:.4f} >= {branch_radius:.4f} at t = {t:g}"
+                f"|Omega| = {nrm:.4f} >= {BRANCH_RADIUS:.4f} at t = {t:g}"
             )
         if trace is not None:
             trace.append((t, nrm))
@@ -202,17 +200,15 @@ def rk_reference(
     t_end: float,
     h: float | None = None,
     *,
-    rtol: float = 1e-10,
-    max_halvings: int = 20,
     checkpoints=None,
 ):
     """Propagator of Y' = A(t) Y, Y(0) = 1, by RK4 with Richardson step-halving.
 
-    The step is halved until two consecutive answers agree to ``rtol`` in
-    operator norm (relative to the finer answer).  With ``checkpoints``, a
-    sorted sequence of times in [0, t_end], each pass also stops at every
-    checkpoint, a halving level is accepted only when all of them agree, and
-    the list of propagators at the checkpoints is returned.
+    The step is halved, at most 20 times, until two consecutive answers agree
+    to 1e-10 in operator norm (relative to the finer answer).  With
+    ``checkpoints``, a sorted sequence of times in [0, t_end], each pass also
+    stops at every checkpoint, a halving level is accepted only when all of
+    them agree, and the list of propagators at the checkpoints is returned.
     """
     stops = _stops(t_end, checkpoints)
     a0 = as_matrix(A(0.0))
@@ -222,12 +218,12 @@ def rk_reference(
         return _field_value(A, t, a0.shape[0]) @ y
 
     def agree(cur, prev):
-        return all(opnorm(c - p) <= rtol * max(opnorm(c), 1e-300)
+        return all(opnorm(c - p) <= 1e-10 * max(opnorm(c), 1e-300)
                    for c, p in zip(cur, prev))
 
     step = h if h is not None else t_end / 64.0
     prev = _rk4(rhs, eye, stops, step)
-    for _ in range(max_halvings):
+    for _ in range(20):
         step *= 0.5
         cur = _rk4(rhs, eye, stops, step)
         if agree(cur, prev):
@@ -272,7 +268,7 @@ def field_from_samples(times, mats):
     ts = np.asarray(times, dtype=float)
     ms = [as_matrix(m) for m in mats]
     if ts.size != len(ms) or ts.size < 2:
-        raise ValueError("need matching times and matrices, at least two samples")
+        raise InvalidInput("need matching times and matrices, at least two samples")
     order = np.argsort(ts)
     ts = ts[order]
     ms = [ms[k] for k in order]
@@ -295,4 +291,4 @@ def builtin_field(name: str):
         return triangular_field()
     if name.startswith("perturbed:"):
         return perturbed_triangular_field(int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown builtin field {name!r}")
+    raise InvalidInput(f"unknown builtin field {name!r}")

@@ -16,11 +16,10 @@ import numpy as np
 
 from .core import as_matrix, eigen_decompose, matrix_exp, opnorm
 from .divdiff import bang_shriek, compositions
-from .errors import ConvergenceThresholdExceeded, SeriesDiverging
+from .errors import ConvergenceThresholdExceeded, InvalidInput, SeriesDiverging
 from .funcalc import _f_bidiagonal, _resolvents, _spectrum, apply_function, bidiagonal, dd_apply
 from .functions import HoloFunction
 from .quadrature import Contour, contour_around, simplex_integrate
-from .tolerances import DEFAULTS
 
 __all__ = [
     "ExpansionReport",
@@ -47,7 +46,7 @@ class ExpansionReport:
 
     def __post_init__(self):
         if len(self.partial_sums) != len(self.remainder_norms):
-            raise ValueError("one remainder norm per partial sum")
+            raise InvalidInput("one remainder norm per partial sum")
 
     @property
     def final_residual(self) -> float:
@@ -66,14 +65,8 @@ class ExpansionReport:
         }
 
 
-def newton_interpolate(
-    f: HoloFunction,
-    mats,
-    *,
-    contour: Contour | None = None,
-    rtol: float = DEFAULTS.funcalc_rtol,
-    residual_tol: float = DEFAULTS.newton_residual,
-) -> ExpansionReport:
+def newton_interpolate(f: HoloFunction, mats, *,
+                       contour: Contour | None = None) -> ExpansionReport:
     """Interpolation expansion of f(a_n) through the nodes a_0, ..., a_n.
 
     Builds f(a_0) plus the divided-difference corrections paired with the
@@ -81,27 +74,21 @@ def newton_interpolate(
     commute, so the factor order matters and is preserved.  Every term is a
     block of row 0 of one f(B), B = ``bidiagonal(a_0..a_n; a_n - a_0, ...,
     a_n - a_{n-1})``.  The target f(a_n) comes from a separate quadrature of
-    the single-variable calculus.
+    the single-variable calculus.  The report counts as converged when the last
+    remainder is within 1e-8 of |f(a_n)|.
     """
     d = as_matrix(mats[0]).shape[0]
     ms = [as_matrix(m, dim=d) for m in mats]
     c = contour_around(_spectrum(ms), contour=contour)
-    fb = _f_bidiagonal(f, ms, [ms[-1] - m for m in ms[:-1]], c, rtol=rtol)
-    target = apply_function(f, ms[-1], c, rtol=rtol)
+    fb = _f_bidiagonal(f, ms, [ms[-1] - m for m in ms[:-1]], c)
+    target = apply_function(f, ms[-1], c)
     partials = list(itertools.accumulate(fb[:d, j * d:(j + 1) * d] for j in range(len(ms))))
     norms = [opnorm(p - target) for p in partials]
-    converged = norms[-1] <= residual_tol * max(opnorm(target), 1e-300)
+    converged = norms[-1] <= 1e-8 * max(opnorm(target), 1e-300)
     return ExpansionReport(partials, norms, target, converged)
 
 
-def newton_recursion_check(
-    f: HoloFunction,
-    mats,
-    bs,
-    *,
-    contour: Contour | None = None,
-    rtol: float = DEFAULTS.funcalc_rtol,
-) -> float:
+def newton_recursion_check(f: HoloFunction, mats, bs, *, contour: Contour | None = None) -> float:
     """Residual of the divided-difference recursion under node exchange.
 
     ``mats`` supplies a_0, ..., a_{n+1} (so n + 2 matrices) and ``bs`` the n
@@ -113,11 +100,11 @@ def newton_recursion_check(
     ms = [as_matrix(m) for m in mats]
     n = len(ms) - 2
     if n < 0 or len(bs) != n:
-        raise ValueError("need n+2 nodes and n factors")
+        raise InvalidInput("need n+2 nodes and n factors")
     c = contour_around(_spectrum(ms), contour=contour)
     swapped = ms[:n] + [ms[n + 1]]
-    lhs = dd_apply(f, swapped, bs, c, rtol=rtol) - dd_apply(f, ms[: n + 1], bs, c, rtol=rtol)
-    rhs = dd_apply(f, ms, list(bs) + [ms[n + 1] - ms[n]], c, rtol=rtol)
+    lhs = dd_apply(f, swapped, bs, c) - dd_apply(f, ms[: n + 1], bs, c)
+    rhs = dd_apply(f, ms, list(bs) + [ms[n + 1] - ms[n]], c)
     return opnorm(lhs - rhs)
 
 
@@ -128,7 +115,6 @@ def taylor_expand(
     N: int,
     *,
     contour: Contour | None = None,
-    rtol: float = DEFAULTS.funcalc_rtol,
 ) -> ExpansionReport:
     """Expansion of f(a + b) in confluent divided-difference terms.
 
@@ -152,8 +138,8 @@ def taylor_expand(
             f"c2*|b| = {c2 * opnorm(bm):.3g} >= 1; remainder may not shrink",
             ConvergenceThresholdExceeded,
         )
-    fb = _f_bidiagonal(f, [am] * (N + 1) + [am + bm], [bm] * (N + 1), c, rtol=rtol)
-    target = apply_function(f, am + bm, c, rtol=rtol)
+    fb = _f_bidiagonal(f, [am] * (N + 1) + [am + bm], [bm] * (N + 1), c)
+    target = apply_function(f, am + bm, c)
     partials = list(itertools.accumulate(fb[:d, j * d:(j + 1) * d] for j in range(N + 1)))
     norms = [opnorm(target - p) for p in partials]
     rems = [fb[(N - j) * d:(N - j + 1) * d, -d:] for j in range(N + 1)]
@@ -171,14 +157,7 @@ def taylor_expand(
     )
 
 
-def nth_derivative(
-    f: HoloFunction,
-    a,
-    bs,
-    *,
-    contour: Contour | None = None,
-    rtol: float = DEFAULTS.funcalc_rtol,
-) -> np.ndarray:
+def nth_derivative(f: HoloFunction, a, bs, *, contour: Contour | None = None) -> np.ndarray:
     """n-th derivative of the matrix map induced by f, in directions bs.
 
     Sum over all orderings of the directions of the confluent
@@ -190,7 +169,7 @@ def nth_derivative(
     c = contour_around(np.linalg.eigvals(am), contour=contour)
     total = np.zeros_like(am)
     for perm in itertools.permutations(range(n)):
-        total = total + dd_apply(f, [am] * (n + 1), [bs[k] for k in perm], c, rtol=rtol)
+        total = total + dd_apply(f, [am] * (n + 1), [bs[k] for k in perm], c)
     return total
 
 
@@ -216,9 +195,6 @@ def taylor_series_ad(
     bs,
     order_cap: int = 30,
     side: str = "left-f",
-    *,
-    rtol: float = DEFAULTS.funcalc_rtol,
-    shell_stop: float = 1e-14,
 ) -> np.ndarray:
     """Divided-difference pairing rewritten as a nested-commutator series.
 
@@ -228,11 +204,11 @@ def taylor_series_ad(
     derivative factor on the right.  ``ad^alpha(b)`` is the product of
     iterated commutators ad_a^{alpha_j}(b_j).  Matrix-argument derivatives go
     through the single-variable calculus.  Shells are total-degree layers;
-    the sum stops early once a shell drops below ``shell_stop`` of the running
-    sum and raises :class:`SeriesDiverging` after three growing shells.
+    the sum stops early once a shell drops below 1e-14 of the running sum and
+    raises :class:`SeriesDiverging` after three growing shells.
     """
     if side not in ("left-f", "right-f"):
-        raise ValueError(f"side must be 'left-f' or 'right-f', got {side!r}")
+        raise InvalidInput(f"side must be 'left-f' or 'right-f', got {side!r}")
     am = as_matrix(a)
     bs = [as_matrix(b, dim=am.shape[0]) for b in bs]
     n = len(bs)
@@ -251,7 +227,7 @@ def taylor_series_ad(
     prev_mag = None
     grows = 0
     for s in range(order_cap + 1):
-        deriv_mat = apply_function(f.deriv_function(n + s), am, c, rtol=rtol)
+        deriv_mat = apply_function(f.deriv_function(n + s), am, c)
         shell = np.zeros_like(am)
         for alpha in compositions(s, n):
             prod = np.eye(am.shape[0], dtype=complex)
@@ -273,7 +249,7 @@ def taylor_series_ad(
         else:
             grows = 0
         prev_mag = mag
-        if mag <= shell_stop * max(opnorm(total), 1e-300):
+        if mag <= 1e-14 * max(opnorm(total), 1e-300):
             break
     return total
 
@@ -320,13 +296,7 @@ def dyson_terms_simplex(a, b, N: int) -> tuple[list, np.ndarray]:
     return [term(n, False) for n in range(1, N + 1)], term(N + 1, True)
 
 
-def dyson_exp(
-    a,
-    b,
-    N: int,
-    *,
-    identity_tol: float = DEFAULTS.dyson_identity,
-) -> ExpansionReport:
+def dyson_exp(a, b, N: int) -> ExpansionReport:
     """Time-ordered (Dyson) expansion of exp(a + b) in powers of the perturbation.
 
     Order-n term: the integral over the standard n-simplex of
@@ -338,8 +308,9 @@ def dyson_exp(
     the remainder is block (0, N + 1).  The report records, per order, the
     distance of the partial sum to exp(a + b); ``meta`` holds the remainder
     norm and the defect of partial + remainder = target, an identity up to
-    rounding.  :func:`dyson_terms_simplex` evaluates the same integrals by
-    simplex quadrature and serves as the ``verify-all`` oracle.
+    rounding; the report counts as converged when that defect is within 1e-7
+    of |exp(a + b)|.  :func:`dyson_terms_simplex` evaluates the same integrals
+    by simplex quadrature and serves as the ``verify-all`` oracle.
     """
     am = as_matrix(a)
     bm = as_matrix(b, dim=am.shape[0])
@@ -350,7 +321,7 @@ def dyson_exp(
     norms = [opnorm(target - p) for p in partials]
     remainder = row[:, -d:]
     defect = opnorm(partials[-1] + remainder - target)
-    converged = defect <= identity_tol * max(opnorm(target), 1e-300)
+    converged = defect <= 1e-7 * max(opnorm(target), 1e-300)
     return ExpansionReport(
         partials,
         norms,

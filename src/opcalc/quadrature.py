@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+MAX_NODES = 8192  # most trapezoid nodes a circle quadrature doubles to
 
 
 def _norm(x) -> float:
@@ -137,7 +138,6 @@ def contour_quadrature(
     *,
     start: int = 16,
     rtol: float = 1e-12,
-    cap: int = 8192,
     chunk: int | None = None,
     stats: dict | None = None,
 ):
@@ -147,24 +147,24 @@ def contour_quadrature(
     values (any trailing shape).  The m nodes of one level are the even nodes
     of the next, so doubling to 2m evaluates only the m new (odd) nodes of
     ``circle_points(center, radius, 2m)`` and halves the previous sum, whose
-    weights ``offset/m`` become ``offset/(2m)``; every node is evaluated once.
-    With ``chunk`` set, at most that many integrand values are materialized
-    at a time (for bulky tensor-valued integrands).
+    weights ``offset/m`` become ``offset/(2m)``; every node is evaluated once,
+    up to ``MAX_NODES`` nodes.  With ``chunk`` set, at most that many integrand
+    values are materialized at a time (for bulky tensor-valued integrands).
     """
     step = None if chunk is None else max(1, int(chunk))
     levels = _circle_levels(lambda zeta, w: _weighted_sum(batch_fn, [(zeta, w)]),
-                            center, radius, start, cap, step)
+                            center, radius, start, step)
     m, value = _refine(levels, rtol)
     if stats is not None:
         stats["contour_nodes"] = m
     return value
 
 
-def _circle_levels(weighted, center: complex, radius: float, start: int, cap: int, step):
-    """``(m, value, mass)`` levels of nested node doubling; ``weighted(zeta, w)``
-    returns the sum of ``w`` times the integrand over at most ``step`` nodes
-    (all when None), and its mass.  A level adds its new (odd) nodes to half
-    the last one."""
+def _circle_levels(weighted, center: complex, radius: float, start: int, step):
+    """``(m, value, mass)`` levels of nested node doubling up to ``MAX_NODES``;
+    ``weighted(zeta, w)`` returns the sum of ``w`` times the integrand over at
+    most ``step`` nodes (all when None), and its mass.  A level adds its new
+    (odd) nodes to half the last one."""
     def total(zeta, w):
         size = step or len(zeta)
         value, mass = weighted(zeta[:size], w[:size])
@@ -176,7 +176,7 @@ def _circle_levels(weighted, center: complex, radius: float, start: int, cap: in
     m = max(16, int(start))
     value, mass = total(*circle_points(center, radius, m))
     yield m, value, mass
-    while m < cap:
+    while m < MAX_NODES:
         m *= 2
         zeta, w = circle_points(center, radius, m)
         new, new_mass = total(zeta[1::2], w[1::2])
@@ -195,18 +195,19 @@ def gauss_legendre_01(q: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def iter_simplex_rule(n: int, q: int, chunk: int = 1 << 18):
+def iter_simplex_rule(n: int, q: int):
     """Yield (S, w) chunks of the Duffy-mapped Gauss-Legendre rule on the simplex.
 
     S has shape (p, n+1) holding the barycentric coordinates s_0..s_n
     (nonnegative, summing to 1); w are the corresponding weights for the
     measure ds_1...ds_n, which integrate to 1/n! over the whole simplex.
+    A chunk holds at most 2^18 points.
     """
     if n == 0:
         yield np.ones((1, 1)), np.ones(1)
         return
     x, w1 = gauss_legendre_01(q)
-    total = q**n
+    total, chunk = q**n, 1 << 18
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         idx = np.stack(np.unravel_index(np.arange(lo, hi), (q,) * n), axis=1)  # axis 0 slowest
@@ -223,9 +224,9 @@ def iter_simplex_rule(n: int, q: int, chunk: int = 1 << 18):
         yield s, wt
 
 
-def _order_schedule(n: int, start: int, cap: int, point_budget: int):
+def _order_schedule(n: int, cap: int, point_budget: int):
     budget_q = max(3, int(point_budget ** (1.0 / max(n, 1))))
-    q = min(start, budget_q)
+    q = min(8, budget_q)
     schedule = [q]
     while True:
         nxt = min(2 * q, cap, budget_q)
@@ -241,7 +242,6 @@ def simplex_integrate(
     n: int,
     *,
     rtol: float = 1e-10,
-    start: int = 8,
     cap: int = 128,
     point_budget: int = 4_000_000,
     stats: dict | None = None,
@@ -249,14 +249,14 @@ def simplex_integrate(
     """Integrate ``fn`` over the standard n-simplex with degree doubling.
 
     ``fn(S)`` maps a (p, n+1) block of barycentric points to p values (any
-    trailing shape).  The per-axis Gauss-Legendre order starts at ``start``
+    trailing shape).  The per-axis Gauss-Legendre order starts at 8
     and doubles up to ``cap``, additionally capped so a level never exceeds
     ``point_budget`` points.  A budget that leaves a single order gives no
     error estimate, so it raises before ``fn`` is called.
     """
     if n == 0:
         return np.asarray(fn(np.ones((1, 1))))[0]
-    schedule = _order_schedule(n, start, cap, point_budget)
+    schedule = _order_schedule(n, cap, point_budget)
     if len(schedule) == 1:
         raise QuadratureNoConvergence(
             f"point budget {point_budget} leaves the single order {schedule[0]} "
@@ -310,33 +310,24 @@ def _gk15(fn, a: float, b: float):
     return k15, err
 
 
-def adaptive_gauss_kronrod(
-    fn,
-    a: float,
-    b: float,
-    *,
-    rtol: float = 1e-10,
-    depth_cap: int = 30,
-    max_panels: int = 20000,
-    stats: dict | None = None,
-):
+def adaptive_gauss_kronrod(fn, a: float, b: float, *, stats: dict | None = None):
     """Globally adaptive Gauss-Kronrod on [a, b], worst panel split first.
 
     ``fn(x)`` maps a node array to integrand values (any trailing shape);
     errors are measured in the flat 2-norm of the Kronrod-Gauss difference.
+    Splits until the summed error estimate is at most 1e-10 relative, with at
+    most 30 halvings of a panel and 20000 panels.
     """
     value, err = _gk15(fn, a, b)
     heap = [(-err, 0, a, b, 0, value)]
     counter = 1
     total_err = err
-    while total_err > rtol * max(_norm(value), _TINY) and heap:
-        if len(heap) >= max_panels:
+    while total_err > 1e-10 * max(_norm(value), _TINY) and heap:
+        if len(heap) >= 20000:
             raise QuadratureNoConvergence("panel limit reached")
         neg_err, _, pa, pb, depth, pval = heapq.heappop(heap)
-        if depth >= depth_cap:
-            raise QuadratureNoConvergence(
-                f"panel depth cap {depth_cap} reached on [{pa:.3g}, {pb:.3g}]"
-            )
+        if depth >= 30:
+            raise QuadratureNoConvergence(f"panel depth cap 30 reached on [{pa:.3g}, {pb:.3g}]")
         pm = 0.5 * (pa + pb)
         lv, le = _gk15(fn, pa, pm)
         rv, re_ = _gk15(fn, pm, pb)
@@ -350,8 +341,7 @@ def adaptive_gauss_kronrod(
     return value
 
 
-def halfline_integrate(fn, *, rtol: float = 1e-10, depth_cap: int = 30,
-                       stats: dict | None = None):
+def halfline_integrate(fn, *, stats: dict | None = None):
     """Integral of ``fn`` over [0, inf) via u = t / (1 - t) and adaptive GK."""
 
     def g(t):
@@ -361,5 +351,4 @@ def halfline_integrate(fn, *, rtol: float = 1e-10, depth_cap: int = 30,
         scale = (1.0 - t) ** -2
         return vals * scale.reshape(scale.shape + (1,) * (vals.ndim - 1))
 
-    return adaptive_gauss_kronrod(g, 0.0, 1.0, rtol=rtol, depth_cap=depth_cap,
-                                  stats=stats)
+    return adaptive_gauss_kronrod(g, 0.0, 1.0, stats=stats)

@@ -36,7 +36,6 @@ from .core import (
 from .errors import DecayViolation, SectorViolation
 from .functions import HoloFunction, Sector
 from .quadrature import halfline_integrate
-from .tolerances import DEFAULTS
 
 __all__ = [
     "SectorFunction",
@@ -107,28 +106,22 @@ def family_from_exponents(qs) -> list[SectorFunction]:
     return [power_rational(int(q)) for q in qs]
 
 
-def validate_decay(
-    f: SectorFunction,
-    delta: float,
-    *,
-    rays: int = 5,
-    slack: float = 100.0,
-) -> bool:
-    """Sample rays in the double sector and check the tagged decay exponents.
+def validate_decay(f: SectorFunction, delta: float) -> bool:
+    """Sample 5 rays in the double sector and check the tagged decay exponents.
 
-    |f| * |s|^alpha must stay bounded (within ``slack`` of its value at
-    |s| = 10) as |s| grows, and |f| * |s|^beta as |s| shrinks.
+    |f| * |s|^alpha must stay bounded (within 100 times its value at |s| = 10)
+    as |s| grows, and |f| * |s|^beta (against |s| = 0.1) as |s| shrinks.
     """
-    angles = np.linspace(-1.8 * delta, 1.8 * delta, rays)
+    angles = np.linspace(-1.8 * delta, 1.8 * delta, 5)
     ok = True
     for theta in angles:
         ray = np.exp(1j * theta)
         far_ref = abs(f(10.0 * ray)) * 10.0**f.decay_far
         for r in (1e2, 1e4, 1e6):
-            ok &= abs(f(r * ray)) * r**f.decay_far <= slack * max(far_ref, 1e-300)
+            ok &= abs(f(r * ray)) * r**f.decay_far <= 100.0 * max(far_ref, 1e-300)
         near_ref = abs(f(0.1 * ray)) * 0.1**f.decay_near
         for r in (1e-2, 1e-4, 1e-6):
-            ok &= abs(f(r * ray)) * r**f.decay_near <= slack * max(near_ref, 1e-300)
+            ok &= abs(f(r * ray)) * r**f.decay_near <= 100.0 * max(near_ref, 1e-300)
     return bool(ok)
 
 
@@ -164,19 +157,13 @@ class ModularFamily:
     slot_lift_residual: float
 
 
-def modular_family(
-    a,
-    p: int,
-    delta: float,
-    *,
-    tol: float = 1e-10,
-) -> ModularFamily:
+def modular_family(a, p: int, delta: float) -> ModularFamily:
     """Build exp(-nabla_a^(j)) products on p+1 slots and verify their algebra.
 
     Requires spec(a) inside the strip of half-width ``delta``.  Validates that
     the slot lift of exp(a) into slot j equals the slot-0 lift times the
-    cumulative product (residual <= tol), and that every product spectrum
-    stays inside the double sector.
+    cumulative product (relative residual <= 1e-10), and that every product
+    spectrum stays inside the double sector.
     """
     am = as_matrix(a)
     ok, report = sector_check(am, delta)
@@ -198,14 +185,12 @@ def modular_family(
             raise SectorViolation(
                 f"modular product {j} has spectrum outside the double sector"
             )
-    if worst > tol:
-        raise SectorViolation(
-            f"slot-lift factorization residual {worst:.3e} exceeds {tol:g}"
-        )
+    if worst > 1e-10:
+        raise SectorViolation(f"slot-lift factorization residual {worst:.3e} exceeds 1e-10")
     return ModularFamily(A, products, delta, worst)
 
 
-def kernel_F(fs, s, *, rtol: float = DEFAULTS.halfline_rtol, depth_cap: int = 30):
+def kernel_F(fs, s):
     """F(s_0..s_p) = int_0^inf f_0(u s_0) ... f_p(u s_p) du.
 
     ``s`` is one argument tuple, or many along leading axes (the last axis
@@ -224,18 +209,18 @@ def kernel_F(fs, s, *, rtol: float = DEFAULTS.halfline_rtol, depth_cap: int = 30
             vals = vals * f(np.multiply.outer(u, pts[..., j]))
         return vals
 
-    value = halfline_integrate(integrand, rtol=rtol, depth_cap=depth_cap)
+    value = halfline_integrate(integrand)
     return complex(value) if pts.ndim == 1 else value
 
 
-def kernel_G(fs, lam, *, rtol: float = DEFAULTS.halfline_rtol, depth_cap: int = 30):
+def kernel_G(fs, lam):
     """G(l_1..l_p) = F(1, l_1..l_p) = int_0^inf f_0(u) f_1(u l_1) ... f_p(u l_p) du.
 
     Tuples batch along leading axes as in :func:`kernel_F`.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     pts = np.concatenate([np.ones(lam.shape[:-1] + (1,)), lam], axis=-1)
-    return kernel_F(fs, pts, rtol=rtol, depth_cap=depth_cap)
+    return kernel_F(fs, pts)
 
 
 def _eigenbasis(fs, A, bs, delta):
@@ -263,8 +248,6 @@ def rearrange_lhs(
     bs,
     *,
     delta: float | None = None,
-    rtol: float = DEFAULTS.halfline_rtol,
-    depth_cap: int = 30,
     stats: dict | None = None,
 ) -> np.ndarray:
     """Direct adaptive quadrature of int f_0(uA) b_1 f_1(uA) ... b_p f_p(uA) du.
@@ -286,7 +269,7 @@ def rearrange_lhs(
             x = x @ factor(f, u)
         return x
 
-    return halfline_integrate(integrand, rtol=rtol, depth_cap=depth_cap, stats=stats)
+    return halfline_integrate(integrand, stats=stats)
 
 
 def _joint_diagonal(fs, A, bs, delta, kernel):
@@ -307,15 +290,7 @@ def _joint_diagonal(fs, A, bs, delta, kernel):
     return v @ np.einsum(subscripts, k, *[vinv @ b @ v for b in bmats]) @ vinv
 
 
-def rearrange_rhs_F(
-    fs,
-    A,
-    bs,
-    *,
-    delta: float | None = None,
-    rtol: float = DEFAULTS.halfline_rtol,
-    depth_cap: int = 30,
-) -> np.ndarray:
+def rearrange_rhs_F(fs, A, bs, *, delta: float | None = None) -> np.ndarray:
     """Kernel F on the commuting slot lifts of A, paired with the b factors.
 
     The lifts A^(0)..A^(p) are jointly diagonal in the tensor power of A's
@@ -323,21 +298,10 @@ def rearrange_rhs_F(
     over all d^(p+1) tuples, then the Daletskii-Krein sum of
     :func:`_joint_diagonal`.
     """
-    return _joint_diagonal(
-        fs, A, bs, delta,
-        kernel=lambda s: kernel_F(fs, s, rtol=rtol, depth_cap=depth_cap),
-    )
+    return _joint_diagonal(fs, A, bs, delta, kernel=lambda s: kernel_F(fs, s))
 
 
-def rearrange_rhs_G(
-    fs,
-    A,
-    bs,
-    *,
-    delta: float | None = None,
-    rtol: float = DEFAULTS.halfline_rtol,
-    depth_cap: int = 30,
-) -> np.ndarray:
+def rearrange_rhs_G(fs, A, bs, *, delta: float | None = None) -> np.ndarray:
     """A^-1 times kernel G on the cumulative modular products, paired with bs.
 
     The products exp(-nabla^(1))...exp(-nabla^(j)) of the log of A share the
@@ -347,6 +311,5 @@ def rearrange_rhs_G(
     """
     return _joint_diagonal(
         fs, A, bs, delta,
-        kernel=lambda s: kernel_G(fs, s[..., 1:] / s[..., :1], rtol=rtol,
-                                  depth_cap=depth_cap) / s[..., 0],
+        kernel=lambda s: kernel_G(fs, s[..., 1:] / s[..., :1]) / s[..., 0],
     )

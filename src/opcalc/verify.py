@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -148,18 +149,32 @@ def power_closed_form(closed, recursive, tol: Tolerances) -> Residual:
     return _record("power-closed-form", abs(closed - recursive) / max(abs(closed), 1.0), tol)
 
 
+def _simplex_moment_integral(alpha) -> Fraction:
+    """The integral of s^alpha over the n-simplex, exactly, without its closed form.
+
+    The map t_k = u_1 ... u_k of :func:`opcalc.quadrature.iter_simplex_rule`
+    turns it into the product over k = 1..n of int_0^1 u^e (1 - u)^a du with
+    e = alpha_k + ... + alpha_n + n - k and a = alpha_{k-1}; expanding
+    (1 - u)^a binomially makes each factor sum_i C(a, i) (-1)^i / (e + i + 1).
+    """
+    n = len(alpha) - 1
+    total = Fraction(1)
+    for k in range(1, n + 1):
+        e, a = sum(alpha[k:]) + n - k, alpha[k - 1]
+        total *= sum(Fraction((-1) ** i * math.comb(a, i), e + i + 1) for i in range(a + 1))
+    return total
+
+
 def combinatorics_exactness(alphas, multinomials, tol: Tolerances) -> Residual:
     """Count of exact identities that fail.
 
-    ``alphas`` are compositions checked against the simplex moment
-    ``s(alpha) (|alpha| + n)! = alpha_0! ... alpha_n!``; ``multinomials`` are
-    ``(beta, m, mode)`` triples of :func:`divdiff.multinomial_identity`.
+    ``alphas`` are compositions whose closed-form simplex moment
+    :func:`divdiff.simplex_moment_s` must equal the exact iterated integral;
+    ``multinomials`` are ``(beta, m, mode)`` triples of
+    :func:`divdiff.multinomial_identity`.
     """
-    bad = 0
-    for alpha in alphas:
-        moment = divdiff.simplex_moment_s(alpha, exact=True)
-        bad += (moment * math.factorial(sum(alpha) + len(alpha) - 1)
-                != math.prod(math.factorial(part) for part in alpha))
+    bad = sum(divdiff.simplex_moment_s(alpha, exact=True) != _simplex_moment_integral(alpha)
+              for alpha in alphas)
     for beta, m, mode in multinomials:
         brute, closed = divdiff.multinomial_identity(beta, m, mode)
         bad += brute != closed

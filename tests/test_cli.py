@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -8,15 +10,28 @@ from opcalc import verify
 from opcalc.cli import main
 from opcalc.errors import OpcalcError
 from opcalc.functions import named_function
-from opcalc.magnus import builtin_field, magnus_solve, rk_reference
-from opcalc.ncseries import taylor_expand
+from opcalc.magnus import (
+    bernoulli,
+    builtin_field,
+    field_from_samples,
+    magnus_rhs,
+    magnus_solve,
+    rk_reference,
+    triangular_field,
+)
+from opcalc.ncseries import (
+    ExpansionReport,
+    newton_recursion_check,
+    taylor_expand,
+    taylor_series_ad,
+)
 from opcalc.rearrange import (
     family_from_exponents,
     rearrange_lhs,
     rearrange_rhs_F,
     rearrange_rhs_G,
 )
-from opcalc.tolerances import DEFAULTS
+from opcalc.tolerances import DEFAULTS, Tolerances
 
 
 class TestGenMatrix:
@@ -425,6 +440,38 @@ class TestIdentityRegistry:
         assert tolerances == {"taylor-remainder-geometric-decay": 1.0,
                               "taylor-finite-remainder-identity": 10 * DEFAULTS.dyson_identity}
 
+    def test_every_tolerance_bounds_an_identity(self):
+        bounds = {b for b in verify.IDENTITIES.values() if isinstance(b, str)}
+        assert set(Tolerances.__dataclass_fields__) == bounds
+
+    def test_tol_scale_reaches_every_field(self, capsys):
+        runs = {}
+        for scale in ("1", "10"):
+            code, out, _ = run_cli(["verify-all", "--seed", "3", "--tol-scale", scale], capsys)
+            assert code == 0
+            runs[scale] = json.loads(out[out.find("{"):])["residuals"]
+        seen = set()
+        for one, ten in zip(runs["1"], runs["10"], strict=True):
+            bound = verify.IDENTITIES[one["identity"]]
+            assert (ten["identity"], ten["value"]) == (one["identity"], one["value"])
+            if isinstance(bound, str):
+                seen.add(bound)
+                assert ten["tolerance"] == 10 * getattr(DEFAULTS, bound)
+            else:
+                assert ten["tolerance"] == one["tolerance"] == bound
+        assert seen == set(Tolerances.__dataclass_fields__)
+
+    def test_moment_integral_at_zero_is_simplex_volume(self):
+        for n in range(5):
+            assert verify._simplex_moment_integral((0,) * (n + 1)) == Fraction(1, factorial(n))
+
+    def test_planted_wrong_moment_is_counted(self, monkeypatch):
+        alphas = [(0, 0), (1, 2, 0), (2, 1, 1, 0)]
+        closed = verify.divdiff.simplex_moment_s
+        monkeypatch.setattr(verify.divdiff, "simplex_moment_s",
+                            lambda a, exact=False: closed(a, exact) * (2 if a == (1, 2, 0) else 1))
+        assert verify.combinatorics_exactness(alphas, [], DEFAULTS).value == 1.0
+
 
 class TestErrorPaths:
     def test_composition_cap(self):
@@ -450,6 +497,27 @@ class TestErrorPaths:
 
         with pytest.raises(ValueError):
             magnus_rhs(np.zeros((2, 2)), np.eye(2), order=10, table=bernoulli(4))
+
+    @pytest.mark.parametrize("call", [
+        lambda: ExpansionReport([np.eye(2)], [], np.eye(2), True),
+        lambda: newton_recursion_check(named_function("exp"), [np.eye(2)], []),
+        lambda: taylor_series_ad(named_function("exp"), np.eye(2), [np.eye(2)], side="up"),
+        lambda: bernoulli(31),
+        lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=10, table=bernoulli(4)),
+        lambda: magnus_solve(triangular_field(), -1.0, 0.1),
+        lambda: magnus_solve(triangular_field(), 1.0, 0.1, checkpoints=[float("nan")]),
+        lambda: magnus_solve(triangular_field(), 1.0, 0.1, checkpoints=[0.5, 0.2]),
+        lambda: magnus_solve(triangular_field(), 1.0, 0.0),
+        lambda: field_from_samples([0.0], [np.eye(2)]),
+        lambda: builtin_field("spiral"),
+        lambda: named_function("sinh"),
+    ], ids=["expansion-report", "newton-recursion", "ad-series-side", "bernoulli-cap",
+            "rhs-order", "end-time", "checkpoint-finite", "checkpoint-order", "step",
+            "samples", "builtin-field", "function-name"])
+    def test_invalid_input_is_typed(self, call):
+        with pytest.raises(OpcalcError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
 
     def test_kernel_arity(self):
         from opcalc import family_from_exponents, kernel_F
