@@ -14,6 +14,7 @@ identical job specs and seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import divdiff, verify
 from .core import matrix_exp, matrix_from_json, matrix_to_json, opnorm, pair
-from .errors import OpcalcError
+from .errors import InvalidInput, OpcalcError
 from .funcalc import (
     CommutingTuple,
     apply_function,
@@ -192,7 +193,12 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
     return _report(args, {"job": job}, results, residuals, stats)
 
 
-def _expansion_report(args, report, residuals, diagnostics=None) -> tuple[dict, bool]:
+def _expansion_report(args, report, residuals, measure: float, rtol: float,
+                      diagnostics=None) -> tuple[dict, bool]:
+    """The report of an expansion whose ``converged`` flag is judged again, as
+    ``measure <= rtol |target|`` at the --tol-scale'd ``rtol``: the library
+    judges it at the default tolerance."""
+    report.converged = measure <= rtol * max(opnorm(report.target), 1e-300)
     if getattr(args, "csv", None):
         rows = [[n, float(r)] for n, r in enumerate(report.remainder_norms)]
         _write(_csv(["order", "remainder_norm"], rows), args.csv)
@@ -205,7 +211,8 @@ def _cmd_newton(args, tol) -> tuple[dict, bool]:
     f = named_function(args.f)
     mats = [gen_matrix("random", args.dim, args.seed + j) for j in range(args.count)]
     report = newton_interpolate(f, mats)
-    return _expansion_report(args, report, [verify.newton_residual(report, tol)])
+    return _expansion_report(args, report, [verify.newton_residual(report, tol)],
+                             report.final_residual, tol.newton_residual)
 
 
 def _cmd_taylor(args, tol) -> tuple[dict, bool]:
@@ -214,7 +221,9 @@ def _cmd_taylor(args, tol) -> tuple[dict, bool]:
     b = args.b_scale * gen_matrix("random", args.dim, args.seed + 1)
     report = taylor_expand(f, a, b, N=args.order)
     residuals = [verify.taylor_decay(report, b, tol), verify.taylor_remainder(report, tol)]
+    # the last remainder relative to the target, as for newton
     return _expansion_report(args, report, residuals,
+                             report.final_residual, tol.newton_residual,
                              {"c2_times_b": verify.taylor_decay_bound(report, b)})
 
 
@@ -222,16 +231,17 @@ def _cmd_dyson(args, tol) -> tuple[dict, bool]:
     a = gen_matrix("random", args.dim, args.seed)
     b = args.b_scale * gen_matrix("random", args.dim, args.seed + 1)
     report = dyson_exp(a, b, N=args.order)
-    return _expansion_report(args, report, [verify.dyson_defect(report, tol)])
+    return _expansion_report(args, report, [verify.dyson_defect(report, tol)],
+                             report.meta["identity_defect"], tol.dyson_identity)
 
 
 def _cmd_magnus(args, tol) -> tuple[dict, bool]:
     if args.rows < 1:
-        raise ValueError(f"--rows must be at least 1, got {args.rows}")
+        raise InvalidInput(f"--rows must be at least 1, got {args.rows}")
     if not (math.isfinite(args.h) and args.h > 0):
-        raise ValueError(f"--h must be positive and finite, got {args.h!r}")
+        raise InvalidInput(f"--h must be positive and finite, got {args.h!r}")
     if not (math.isfinite(args.t_end) and args.t_end >= 0):
-        raise ValueError(f"--t-end must be finite and nonnegative, got {args.t_end!r}")
+        raise InvalidInput(f"--t-end must be finite and nonnegative, got {args.t_end!r}")
     if args.field.endswith(".json"):
         with open(args.field) as fh:
             samples = json.load(fh)
@@ -299,7 +309,13 @@ def _cmd_gen(args, tol) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    It binds no handler: :func:`main` looks ``_cmd_<subcommand>`` up at call
+    time, so a replaced module attribute is the one that runs.
+    """
     parser = argparse.ArgumentParser(
         prog="opcalc",
         description="Divided differences and contour-integral matrix calculus checks",
@@ -322,12 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="all",
                    choices=("recursive", "explicit", "contour", "hermite", "power", "all"))
     common(p)
-    p.set_defaults(handler=_cmd_dd)
 
     p = sub.add_parser("funcalc", help="contour functional calculus from a JSON job spec")
     p.add_argument("--job", required=True, help="job file path, or - for stdin")
     common(p)
-    p.set_defaults(handler=_cmd_funcalc)
 
     p = sub.add_parser("newton", help="interpolation expansion through random nodes")
     p.add_argument("--f", default="exp")
@@ -335,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=4, help="number of nodes")
     p.add_argument("--csv", default=None, help="write the remainder-decay table here")
     common(p)
-    p.set_defaults(handler=_cmd_newton)
 
     p = sub.add_parser("taylor", help="perturbation expansion with remainder tracking")
     p.add_argument("--f", default="exp")
@@ -344,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-scale", type=float, default=0.1, dest="b_scale")
     p.add_argument("--csv", default=None)
     common(p)
-    p.set_defaults(handler=_cmd_taylor)
 
     p = sub.add_parser("dyson", help="expansion of exp(a+b) from one block-bidiagonal "
                        "exponential; simplex integrals are the verify-all oracle")
@@ -353,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-scale", type=float, default=0.2, dest="b_scale")
     p.add_argument("--csv", default=None)
     common(p)
-    p.set_defaults(handler=_cmd_dyson)
 
     p = sub.add_parser("magnus", help="log-propagator integrator vs Runge-Kutta")
     p.add_argument("--field", default="triangular",
@@ -366,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "ceil(t_end/h), plus t = 0 and t_end; one solve whatever the count")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     common(p)
-    p.set_defaults(handler=_cmd_magnus)
 
     p = sub.add_parser("rearrange", help="three-way half-line rearrangement check")
     p.add_argument("--p", type=int, default=1)
@@ -374,17 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="1,1", help="comma exponents k_j of (1+s)^-k")
     p.add_argument("--delta", type=float, default=0.3)
     common(p)
-    p.set_defaults(handler=_cmd_rearrange)
 
     p = sub.add_parser("verify-all", help="run the whole identity battery")
     common(p)
-    p.set_defaults(handler=_cmd_verify_all)
 
     p = sub.add_parser("gen", help="emit seeded matrices as JSON")
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--dim", type=int, default=3)
     common(p)
-    p.set_defaults(handler=_cmd_gen)
 
     return parser
 
@@ -425,12 +432,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     tol = DEFAULTS.scaled(args.tol_scale)
     t0 = time.perf_counter()
     try:
-        report, ok = args.handler(args, tol)
+        report, ok = handler(args, tol)
     except (OpcalcError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -201,27 +201,50 @@ def iter_simplex_rule(n: int, q: int):
     S has shape (p, n+1) holding the barycentric coordinates s_0..s_n
     (nonnegative, summing to 1); w are the corresponding weights for the
     measure ds_1...ds_n, which integrate to 1/n! over the whole simplex.
-    A chunk holds at most 2^18 points.
+    Points run in C order over the q^n axis nodes (axis 0 slowest), and a
+    chunk holds the next at most 2^18 of them.
+
+    A chunk is cut from whole rows of the trailing ``k`` axes (q^k <= 4096
+    points each) under a short run of leading-axis prefixes.  The factors
+    t_j = u_1 ... u_j, the weight product and the Jacobian prod_j u_j^(n-1-j)
+    are products of per-axis 1-D factors, broadcast along the trailing axes
+    and multiplied left to right: only the prefixes are decoded, not the
+    points.
     """
     if n == 0:
         yield np.ones((1, 1)), np.ones(1)
         return
     x, w1 = gauss_legendre_01(q)
     total, chunk = q**n, 1 << 18
+    k = 1
+    while k < n and q ** (k + 1) <= 4096:
+        k += 1
+    lead, row = n - k, q**k
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        idx = np.stack(np.unravel_index(np.arange(lo, hi), (q,) * n), axis=1)  # axis 0 slowest
-        u = x[idx]  # (p, n)
-        t = np.cumprod(u, axis=1)  # t_j = u_1 ... u_j, decreasing in j
-        s = np.empty((hi - lo, n + 1))
-        s[:, 0] = 1.0 - t[:, 0]
-        s[:, 1:n] = t[:, : n - 1] - t[:, 1:]
-        s[:, n] = t[:, n - 1]
-        jac = np.ones(hi - lo)
+        first, stop = lo // row, -(-hi // row)
+        prefix = np.unravel_index(np.arange(first, stop), (q,) * lead) if lead else ()
+        bcast = (stop - first,) + (1,) * k
+
+        def axis(nodes, j):  # axis j's 1-D factor, broadcast against the block
+            if j < lead:
+                return nodes[prefix[j]].reshape(bcast)
+            return nodes.reshape((1,) * (j - lead + 1) + (q,) + (1,) * (n - 1 - j))
+
+        ts, t, wt, jac = [], 1.0, 1.0, 1.0
+        for j in range(n):
+            t = t * axis(x, j)
+            wt = wt * axis(w1, j)
+            ts.append(t)
         for j in range(n - 1):  # jacobian of the cube-to-simplex map
-            jac *= u[:, j] ** (n - 1 - j)
-        wt = w1[idx].prod(axis=1) * jac
-        yield s, wt
+            jac = jac * axis(x ** (n - 1 - j), j)
+        s = np.empty((stop - first,) + (q,) * k + (n + 1,))
+        s[..., 0] = 1.0 - ts[0]
+        for j in range(1, n):
+            s[..., j] = ts[j - 1] - ts[j]
+        s[..., n] = ts[n - 1]
+        cut = slice(lo - first * row, hi - first * row)
+        yield s.reshape(-1, n + 1)[cut], (wt * jac).reshape(-1)[cut]
 
 
 def _order_schedule(n: int, cap: int, point_budget: int):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -6,9 +9,9 @@ import numpy as np
 import pytest
 
 from opcalc import gen_matrix, matrix_exp, matrix_from_json, matrix_to_json, opnorm
-from opcalc import verify
+from opcalc import cli, verify
 from opcalc.cli import main
-from opcalc.errors import OpcalcError
+from opcalc.errors import InvalidInput, OpcalcError
 from opcalc.functions import named_function
 from opcalc.magnus import (
     bernoulli,
@@ -195,6 +198,14 @@ class TestSeriesCommands:
         report = json.loads(out)
         assert report["residuals"][0]["pass"]
 
+    def test_converged_flag_follows_tol_scale(self, capsys):
+        code, out, err = run_cli(
+            ["newton", "--dim", "2", "--count", "3", "--tol-scale", "1e-9"], capsys
+        )
+        assert code == 1
+        assert "FAIL newton-interpolation" in err
+        assert json.loads(out)["results"]["converged"] is False
+
     def test_taylor_with_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "decay.csv"
         code, out, _ = run_cli(
@@ -324,6 +335,12 @@ class TestMagnusCommand:
             code, out, err = run_cli(["magnus", "--t-end", t_end], capsys)
             assert (code, out) == (2, "")
             assert "--t-end" in err
+
+    @pytest.mark.parametrize("flags", [["--rows", "0"], ["--h", "0"], ["--t-end", "-1"]])
+    def test_bad_flags_are_typed(self, flags):
+        args = cli.build_parser().parse_args(["magnus", *flags])
+        with pytest.raises(InvalidInput, match=flags[0]):
+            cli._cmd_magnus(args, DEFAULTS)
 
 
 class TestRearrangeCommand:
@@ -595,3 +612,50 @@ class TestConfigFile:
             main(["dd", "--config", str(cfg)])
         assert exc.value.code == 2
         assert next(iter(extra)) in capsys.readouterr().err
+
+
+class TestRepeatedCalls:
+    """``main`` may run many times in one process on one shared parser."""
+
+    DD = ["dd", "--f", "exp", "--nodes", "[[0,0],[1,0]]", "--seed", "5"]
+
+    def test_second_call_prints_what_a_fresh_process_prints(self, capsys):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        fresh = subprocess.run([sys.executable, "-m", "opcalc.cli", *self.DD],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        first = run_cli(self.DD, capsys)
+        second = run_cli(self.DD, capsys)
+        assert first == second == (0, fresh.stdout, fresh.stderr)
+
+    def test_patched_handler_runs(self, monkeypatch, capsys):
+        run_cli(self.DD, capsys)  # the parser is built before the patch
+        calls = []
+
+        def patched(args, tol):
+            calls.append(args.f)
+            return {"patched": True}, True
+
+        monkeypatch.setattr(cli, "_cmd_dd", patched)
+        code, out, _ = run_cli(self.DD, capsys)
+        assert (code, calls, json.loads(out)) == (0, ["exp"], {"patched": True})
+
+    def test_config_does_not_leak_into_the_next_call(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": 2, "count": 2}))
+        code, out, _ = run_cli(["newton", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["params"] == {"f": "exp", "dim": 2, "count": 2}
+        code, out, _ = run_cli(["newton"], capsys)
+        assert code == 0
+        assert json.loads(out)["params"] == {"f": "exp", "dim": 3, "count": 4}
+
+    def test_usage_error_exits_2_between_calls(self, capsys):
+        assert run_cli(self.DD, capsys)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["dd", "--nodes", "[[0,0],[1,0]]"])  # --f is required
+        assert exc.value.code == 2
+        assert "--f" in capsys.readouterr().err
+        assert run_cli(self.DD, capsys)[0] == 0

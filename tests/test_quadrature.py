@@ -9,6 +9,8 @@ from opcalc.quadrature import (
     circle_points,
     contour_around,
     contour_quadrature,
+    gauss_legendre_01,
+    iter_simplex_rule,
     simplex_integrate,
 )
 
@@ -136,6 +138,39 @@ def test_simplex_single_order_refused_before_integrating(n):
     with pytest.raises(QuadratureNoConvergence, match="single order"):
         simplex_integrate(fn, n)
     assert calls == []
+
+
+def decoded_simplex_rule(n, q):
+    """Reference Duffy rule that decodes every flat point index into its q^n axis nodes."""
+    if n == 0:
+        yield np.ones((1, 1)), np.ones(1)
+        return
+    x, w1 = gauss_legendre_01(q)
+    total, chunk = q**n, 1 << 18
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        idx = np.stack(np.unravel_index(np.arange(lo, hi), (q,) * n), axis=1)
+        u = x[idx]
+        t = np.cumprod(u, axis=1)
+        s = np.empty((hi - lo, n + 1))
+        s[:, 0] = 1.0 - t[:, 0]
+        s[:, 1:n] = t[:, : n - 1] - t[:, 1:]
+        s[:, n] = t[:, n - 1]
+        jac = np.ones(hi - lo)
+        for j in range(n - 1):
+            jac *= u[:, j] ** (n - 1 - j)
+        yield s, w1[idx].prod(axis=1) * jac
+
+
+@pytest.mark.parametrize("n, q", [(0, 8), (1, 8), (2, 128), (3, 12), (4, 44), (5, 8)])
+def test_simplex_rule_is_bit_identical_to_index_decoding(n, q):
+    # 44^4 points do not fill whole 2^18-point chunks, so chunks cut rows apart
+    chunks = list(iter_simplex_rule(n, q))
+    want = list(decoded_simplex_rule(n, q))
+    assert len(chunks) == len(want)
+    for (s, w), (s_ref, w_ref) in zip(chunks, want):
+        assert s.shape == s_ref.shape and w.shape == w_ref.shape
+        assert s.tobytes() == s_ref.tobytes() and w.tobytes() == w_ref.tobytes()
 
 
 class TestContourAround:
