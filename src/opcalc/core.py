@@ -33,6 +33,7 @@ __all__ = [
     "pair",
     "matrix_exp",
     "commutator",
+    "stack_times",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -62,7 +63,7 @@ def as_matrix(m, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {a.shape[0]}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise DimensionMismatch("matrix entries must be finite")
     return a
 
@@ -219,6 +220,15 @@ def matrix_exp(m) -> np.ndarray:
 
 def commutator(x, y) -> np.ndarray:
     return x @ y - y @ x
+
+
+def stack_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x @ m`` for a stack ``x`` of shape (..., d, d) and one matrix ``m``.
+
+    The stack goes in as the rows of one (P d, d) GEMM: numpy's per-call cost
+    is paid once, not once per matrix of the stack.
+    """
+    return (x.reshape(-1, x.shape[-1]) @ m).reshape(x.shape)
 
 
 def matrix_to_json(m) -> dict:

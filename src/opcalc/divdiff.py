@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     CoincidentNodes,
@@ -223,8 +222,8 @@ def simplex_moment_s(alpha, exact: bool = False):
         for part in a:
             num *= math.factorial(part)
         return Fraction(num, math.factorial(sum(a) + n))
-    log = sum(gammaln(part + 1) for part in a) - gammaln(sum(a) + n + 1)
-    return float(np.exp(log))
+    log = sum(math.lgamma(part + 1) for part in a) - math.lgamma(sum(a) + n + 1)
+    return math.exp(log)
 
 
 def simplex_moment_t(alpha, exact: bool = False):

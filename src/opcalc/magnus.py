@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,7 @@ def _field_value(A, t: float, dim: int) -> np.ndarray:
     value = np.asarray(A(t), dtype=complex)
     if value.shape != (dim, dim):
         raise StepRejected(f"field returned shape {value.shape} at t = {t:g}")
-    if not np.all(np.isfinite(value.view(float))):
+    if not np.isfinite(value).all():
         raise StepRejected(f"field is not finite at t = {t:g}")
     return value
 
@@ -57,6 +58,11 @@ class BernoulliTable:
 
     def __len__(self):
         return len(self.values)
+
+    @cached_property
+    def series(self) -> tuple[float, ...]:
+        """The Magnus coefficients B_n / n!, n = 0..K."""
+        return tuple(v / math.factorial(n) for n, v in enumerate(self.values))
 
 
 def bernoulli(K: int) -> BernoulliTable:
@@ -80,10 +86,11 @@ def magnus_rhs(omega, a_t, order: int, table: BernoulliTable | None = None) -> n
         raise InvalidInput("order exceeds the Bernoulli table length")
     om = as_matrix(omega)
     x = as_matrix(a_t, dim=om.shape[0])
-    total = table.values[0] * x
+    series = table.series
+    total = series[0] * x
     for n in range(1, order + 1):
         x = commutator(om, x)
-        coeff = table.values[n] / math.factorial(n)
+        coeff = series[n]
         if coeff != 0.0:
             total = total + coeff * x
     return total
@@ -101,7 +108,8 @@ def _stops(t_end: float, checkpoints) -> list[float]:
     return stops
 
 
-def _rk4(rhs, y0: np.ndarray, stops: list[float], h: float, monitor=None) -> list[np.ndarray]:
+def _rk4(field, rhs, y0: np.ndarray, stops: list[float], h: float,
+         monitor=None) -> list[np.ndarray]:
     """Classical RK4 from t = 0 with step ``h``; the state at each sorted stop.
 
     The grid 0, h, 2h, ... ends with one step shortened to land on the last
@@ -109,28 +117,33 @@ def _rk4(rhs, y0: np.ndarray, stops: list[float], h: float, monitor=None) -> lis
     ``1e-14 * max(1, stop)`` of a grid time is read there without a step; a
     stop short of the next grid time is reached by one step shortened to land
     on it, taken from the grid time before it.  Each state is therefore the
-    one a solve ending at that stop would return, bit for bit.  The first
-    stage ``rhs(t, y)`` at a grid time is computed once and shared by the
-    landing steps and the main step taken from there.
+    one a solve ending at that stop would return, bit for bit.
+
+    The stages are ``rhs(field(t), y)``, and ``field`` is read once per
+    distinct time: a step reads it at its midpoint, which the second and
+    third stages share, and at its end, which is the next step's first
+    stage.  The first stage at a grid time is computed once and shared by
+    the landing steps and the main step taken from there.
     """
     t_end = stops[-1]
     if not h > 0 and t_end > 0:
         raise InvalidInput("step must be positive")
 
     def advance(t, y, step, k1):
-        k2 = rhs(t + 0.5 * step, y + 0.5 * step * k1)
-        k3 = rhs(t + 0.5 * step, y + 0.5 * step * k2)
-        k4 = rhs(t + step, y + step * k3)
+        a_mid = field(t + 0.5 * step)
+        k2 = rhs(a_mid, y + 0.5 * step * k1)
+        k3 = rhs(a_mid, y + 0.5 * step * k2)
+        a_end = field(t + step)
+        k4 = rhs(a_end, y + step * k3)
         y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += step
-        if not np.all(np.isfinite(y.view(float))):
+        if not np.isfinite(y).all():
             raise StepRejected(f"non-finite state at t = {t:g}")
         if monitor is not None:
             monitor(t, y)
-        return y
+        return y, a_end
 
-    y = y0.copy()
-    t = 0.0
+    y, t, a = y0.copy(), 0.0, None
     states: list[np.ndarray] = []
     while True:
         step = min(h, t_end - t)
@@ -139,14 +152,16 @@ def _rk4(rhs, y0: np.ndarray, stops: list[float], h: float, monitor=None) -> lis
             stop = stops[len(states)]
             if t >= stop - 1e-14 * max(1.0, stop):
                 states.append(y)
-            elif stop - t < step:
-                k1 = rhs(t, y) if k1 is None else k1
-                states.append(advance(t, y, stop - t, k1))
-            else:
+                continue
+            if k1 is None:
+                a = field(t) if a is None else a
+                k1 = rhs(a, y)
+            if stop - t >= step:
                 break
+            states.append(advance(t, y, stop - t, k1)[0])
         if len(states) == len(stops):
             return states
-        y = advance(t, y, step, rhs(t, y) if k1 is None else k1)
+        y, a = advance(t, y, step, k1)
         t += step
 
 
@@ -177,8 +192,10 @@ def magnus_solve(
     a0 = as_matrix(A(0.0))
     omega0 = np.zeros_like(a0)
 
-    def rhs(t, om):
-        return magnus_rhs(om, _field_value(A, t, a0.shape[0]), order, tab)
+    field = partial(_field_value, A, dim=a0.shape[0])
+
+    def rhs(a, om):
+        return magnus_rhs(om, a, order, tab)
 
     def monitor(t, om):
         nrm = opnorm(om)
@@ -189,7 +206,7 @@ def magnus_solve(
         if trace is not None:
             trace.append((t, nrm))
 
-    omegas = _rk4(rhs, omega0, stops, h, monitor)
+    omegas = _rk4(field, rhs, omega0, stops, h, monitor)
     if checkpoints is None:
         return omegas[-1], matrix_exp(omegas[-1])
     return [(om, matrix_exp(om)) for om in omegas[:-1]]
@@ -214,18 +231,17 @@ def rk_reference(
     a0 = as_matrix(A(0.0))
     eye = np.eye(a0.shape[0], dtype=complex)
 
-    def rhs(t, y):
-        return _field_value(A, t, a0.shape[0]) @ y
+    field = partial(_field_value, A, dim=a0.shape[0])
 
     def agree(cur, prev):
         return all(opnorm(c - p) <= 1e-10 * max(opnorm(c), 1e-300)
                    for c, p in zip(cur, prev))
 
     step = h if h is not None else t_end / 64.0
-    prev = _rk4(rhs, eye, stops, step)
+    prev = _rk4(field, np.matmul, eye, stops, step)
     for _ in range(20):
         step *= 0.5
-        cur = _rk4(rhs, eye, stops, step)
+        cur = _rk4(field, np.matmul, eye, stops, step)
         if agree(cur, prev):
             return cur[-1] if checkpoints is None else cur[:-1]
         prev = cur

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, eigen_decompose, matrix_exp, opnorm
+from .core import as_matrix, eigen_decompose, matrix_exp, opnorm, stack_times
 from .divdiff import bang_shriek, compositions
 from .errors import ConvergenceThresholdExceeded, InvalidInput, SeriesDiverging
 from .funcalc import _f_bidiagonal, _resolvents, _spectrum, apply_function, bidiagonal, dd_apply
@@ -262,7 +262,9 @@ def dyson_terms_simplex(a, b, N: int) -> tuple[list, np.ndarray]:
     order-(N+1) integral whose last factor is exp(s_{N+1} (a + b)).  In the
     eigenbasis of ``a`` the a-exponential factors are diagonal, so the
     product chain needs only elementwise scalings plus multiplications by one
-    constant matrix; this is what keeps high simplex dimensions affordable.
+    constant matrix, each one GEMM over the whole point stack
+    (:func:`opcalc.core.stack_times`); this is what keeps high simplex
+    dimensions affordable.
     Raises :class:`NonDiagonalizable` when ``a`` or ``a + b`` has no usable
     eigenbasis.  This is the independent oracle for :func:`dyson_exp`.
     """
@@ -279,12 +281,11 @@ def dyson_terms_simplex(a, b, N: int) -> tuple[list, np.ndarray]:
             e = np.exp(s[:, :order, None] * lam[None, None, :])  # (P, order, d)
             x = e[:, 0, :, None] * bprime[None]
             for j in range(1, order):
-                x = x * e[:, j, None, :]
-                x = x @ bprime
+                x = stack_times(x * e[:, j, None, :], bprime)
             if closing:
-                x = x @ mix
+                x = stack_times(x, mix)
                 x = x * np.exp(s[:, order, None] * mu[None, :])[:, None, :]
-                x = x @ mixinv
+                x = stack_times(x, mixinv)
             else:
                 x = x * np.exp(s[:, order, None] * lam[None, :])[:, None, :]
             return x

@@ -32,6 +32,7 @@ from .core import (
     matrix_exp,
     nabla,
     rel_err,
+    stack_times,
 )
 from .errors import DecayViolation, SectorViolation
 from .functions import HoloFunction, Sector
@@ -265,7 +266,7 @@ def rearrange_lhs(
         u = np.atleast_1d(np.asarray(u, dtype=float))
         x = factor(fs[0], u)
         for f, b in zip(fs[1:], bmats):
-            x = x @ b
+            x = stack_times(x, b)
             x = x @ factor(f, u)
         return x
 

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import opcalc
 from opcalc import (
     Contour,
     Disc,
@@ -256,6 +260,24 @@ class TestSimplexMoments:
         assert simplex_moment_s((0, 0, 0)) == pytest.approx(0.5)
         assert simplex_moment_s((1, 0)) == pytest.approx(0.5)
         assert simplex_moment_s((1, 1, 1), exact=True) == Fraction(1, 120)
+
+    def test_float_path_meets_the_exact_value(self):
+        # every alpha of the combinatorics check, against the exact Fraction
+        alphas = [alpha for n in (1, 2, 3, 4) for total in range(0, 7)
+                  for alpha in compositions(total, n + 1)]
+        for alpha in alphas:
+            exact = simplex_moment_s(alpha, exact=True)
+            got = simplex_moment_s(alpha)
+            assert isinstance(got, float)
+            assert abs(Fraction(got) - exact) <= Fraction(1e-14) * exact
+
+    def test_import_leaves_scipy_special_out(self):
+        src = os.path.dirname(os.path.dirname(opcalc.__file__))
+        code = f"import sys; sys.path.insert(0, {src!r}); import opcalc; " \
+               "print('scipy.special' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_frozen_t(self):
         assert simplex_moment_t((1,)) == pytest.approx(0.5)

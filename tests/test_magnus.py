@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,9 @@ from opcalc import (
     rel_err,
     rk_reference,
 )
+from opcalc import magnus
 from opcalc.errors import BranchRadiusExceeded, StepRejected
-from opcalc.magnus import perturbed_triangular_field, triangular_field
+from opcalc.magnus import builtin_field, perturbed_triangular_field, triangular_field
 from opcalc.quadrature import gauss_legendre_01
 
 
@@ -49,6 +51,19 @@ class TestRhs:
         h = gen_matrix("hermitian", 2, 1)
         got = magnus_rhs(0.3 * h, h, order=10)
         assert rel_err(got, h) < 1e-13
+
+    def test_series_is_the_per_term_quotient(self):
+        # bit for bit the sum with B_n / n! divided out at every term
+        om = 0.3 * gen_matrix("random", 2, 13)
+        a = gen_matrix("random", 2, 14)
+        tab = bernoulli(28)
+        x, expected = a, tab.values[0] * a
+        for n in range(1, 29):
+            x = om @ x - x @ om
+            coeff = tab.values[n] / math.factorial(n)
+            if coeff != 0.0:
+                expected = expected + coeff * x
+        assert np.array_equal(magnus_rhs(om, a, order=28, table=tab), expected)
 
     def test_series_tail(self):
         om = 0.1 * gen_matrix("random", 2, 2)
@@ -172,23 +187,32 @@ class TestCheckpoints:
             return field(t)
 
         magnus_solve(A, 0.5, 0.125, 4, checkpoints=[0.125, 0.25, 0.375, 0.5])
-        assert len(calls) == 1 + 4 * 4
+        # the dimension read, the first stage, then a midpoint and an end per step
+        assert len(calls) == 1 + 1 + 2 * 4
 
-    def test_landing_steps_share_the_first_stage(self):
+    def test_landing_steps_share_the_first_stage(self, monkeypatch):
         # the 21 checkpoints of `magnus --rows 20 --h 0.008` sit off the grid
-        # by rounding, so most are reached by a landing step; one that
-        # recomputed rhs(t, y) would cost 577 field evaluations, against 501
-        # for the plain solve
-        field, calls = triangular_field(), []
+        # by rounding, so 19 are reached by a landing step from the grid time
+        # before them; each landing step reads the field at 2 times and adds
+        # 3 stages to the 500 of the plain 125-step solve.  One that
+        # recomputed the first stage would make 576 stages.
+        field, calls, stages = triangular_field(), [], []
 
         def A(t):
             calls.append(t)
             return field(t)
 
+        def counted_rhs(*args):
+            stages.append(1)
+            return magnus_rhs(*args)
+
         h = 0.008
         times = [k * h for k in range(6, 125, 6)] + [1.0]
+        monkeypatch.setattr(magnus, "magnus_rhs", counted_rhs)
         path = magnus_solve(A, 1.0, h, 8, checkpoints=times)
-        assert len(times) == 21 and len(calls) < 577
+        monkeypatch.undo()
+        assert len(times) == 21
+        assert len(calls) == 252 + 2 * 19 and len(stages) == 500 + 3 * 19
         assert np.array_equal(path[-1][0], magnus_solve(triangular_field(), 1.0, h, 8)[0])
 
     def test_zero_end_time(self):
@@ -214,6 +238,99 @@ class TestCheckpoints:
             magnus_solve(triangular_field(), 1.0, 0.0)
         with pytest.raises(ValueError):
             rk_reference(triangular_field(), 1.0, h=0.0)
+
+
+def _four_read_rk4(field, rhs, y0, stops, h, monitor=None):
+    """The RK4 stepper that reads the field at every stage: the reference."""
+    t_end = stops[-1]
+
+    def stage(t, y):
+        return rhs(field(t), y)
+
+    def advance(t, y, step, k1):
+        k2 = stage(t + 0.5 * step, y + 0.5 * step * k1)
+        k3 = stage(t + 0.5 * step, y + 0.5 * step * k2)
+        k4 = stage(t + step, y + step * k3)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += step
+        if not np.all(np.isfinite(y.view(float))):
+            raise StepRejected(f"non-finite state at t = {t:g}")
+        if monitor is not None:
+            monitor(t, y)
+        return y
+
+    y = y0.copy()
+    t = 0.0
+    states = []
+    while True:
+        step = min(h, t_end - t)
+        k1 = None
+        while len(states) < len(stops):
+            stop = stops[len(states)]
+            if t >= stop - 1e-14 * max(1.0, stop):
+                states.append(y)
+            elif stop - t < step:
+                k1 = stage(t, y) if k1 is None else k1
+                states.append(advance(t, y, stop - t, k1))
+            else:
+                break
+        if len(states) == len(stops):
+            return states
+        y = advance(t, y, step, stage(t, y) if k1 is None else k1)
+        t += step
+
+
+class TestFieldReads:
+    """One field read per distinct time, with the states of four reads per step."""
+
+    @staticmethod
+    def counted(field):
+        calls = []
+
+        def A(t):
+            calls.append(t)
+            return field(t)
+
+        return A, calls
+
+    @pytest.mark.parametrize("name", ["triangular", "perturbed:7"])
+    @pytest.mark.parametrize("times", [None, [7 * 0.006, 0.1, 0.25, 0.5, 0.7, 1.0]])
+    def test_states_equal_the_four_read_stepper(self, monkeypatch, name, times):
+        field = builtin_field(name)
+        h = 0.006
+        got_log = magnus_solve(field, 1.0, h, 16, checkpoints=times)
+        got_ref = rk_reference(field, 1.0, checkpoints=times)
+        monkeypatch.setattr(magnus, "_rk4", _four_read_rk4)
+        want_log = magnus_solve(field, 1.0, h, 16, checkpoints=times)
+        want_ref = rk_reference(field, 1.0, checkpoints=times)
+        if times is None:
+            got_log, want_log = [got_log], [want_log]
+            got_ref, want_ref = [got_ref], [want_ref]
+        for (om, y), (om_want, y_want) in zip(got_log, want_log, strict=True):
+            assert np.array_equal(om, om_want) and np.array_equal(y, y_want)
+        for y, y_want in zip(got_ref, want_ref, strict=True):
+            assert np.array_equal(y, y_want)
+
+    def test_read_times_are_the_distinct_stage_times(self, monkeypatch):
+        new, new_calls = self.counted(triangular_field())
+        magnus_solve(new, 1.0, 0.008, 8)
+        old, old_calls = self.counted(triangular_field())
+        monkeypatch.setattr(magnus, "_rk4", _four_read_rk4)
+        magnus_solve(old, 1.0, 0.008, 8)
+        assert set(new_calls) == set(old_calls)
+
+    def test_plain_solve(self):
+        # 125 steps: the dimension read, the first stage, 2 per step (was 501)
+        A, calls = self.counted(triangular_field())
+        magnus_solve(A, 1.0, 0.008, 8)
+        assert len(calls) == 1 + 1 + 2 * 125
+
+    def test_reference_solve(self):
+        # 64 + 128 + 256 + 512 steps in four passes, each with its own first
+        # stage, plus the dimension read (was 3841)
+        A, calls = self.counted(triangular_field())
+        rk_reference(A, 1.0)
+        assert len(calls) == 1 + 4 + 2 * 960
 
 
 class TestReference:

@@ -21,7 +21,9 @@ from opcalc import (
     taylor_series_ad,
 )
 from opcalc import funcalc
+from opcalc.core import as_matrix, eigen_decompose
 from opcalc.errors import ConvergenceThresholdExceeded
+from opcalc.quadrature import simplex_integrate
 
 EXP = exp_function()
 
@@ -283,6 +285,44 @@ class TestDyson:
         assert report.meta["exact_remainder_norm"] == pytest.approx(
             opnorm(remainder), abs=1e-10
         )
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_simplex_terms_equal_the_stacked_product(self, d, N):
+        # reference: the integrand with one stacked (P, d, d) @ (d, d) product
+        # per constant factor; the library multiplies the stack as one GEMM
+        a = gen_matrix("random", d, 111 + N)
+        b = 0.25 * gen_matrix("random", d, 115 + N)
+        am, bm = as_matrix(a), as_matrix(b)
+        spec, v, vinv = eigen_decompose(am)
+        specc, w, winv = eigen_decompose(am + bm)
+        lam, mu = spec.eigenvalues, specc.eigenvalues
+        bprime = vinv @ bm @ v
+        mix, mixinv = vinv @ w, winv @ v
+
+        def term(order, closing):
+            def integrand(s):
+                e = np.exp(s[:, :order, None] * lam[None, None, :])
+                x = e[:, 0, :, None] * bprime[None]
+                for j in range(1, order):
+                    x = x * e[:, j, None, :]
+                    x = x @ bprime
+                if closing:
+                    x = x @ mix
+                    x = x * np.exp(s[:, order, None] * mu[None, :])[:, None, :]
+                    x = x @ mixinv
+                else:
+                    x = x * np.exp(s[:, order, None] * lam[None, :])[:, None, :]
+                return x
+
+            value = simplex_integrate(integrand, order, rtol=1e-9, point_budget=1_500_000)
+            return v @ value @ vinv
+
+        terms, remainder = dyson_terms_simplex(a, b, N)
+        assert len(terms) == N
+        for n, got in enumerate(terms, start=1):
+            assert np.array_equal(got, term(n, False))
+        assert np.array_equal(remainder, term(N + 1, True))
 
     def test_jordan_block_terms_match_cauchy_coefficients(self):
         # term n is the eps^n coefficient of exp(a + eps b); trapezoid rule on
