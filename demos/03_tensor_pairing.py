@@ -6,13 +6,14 @@ adjacent lifts implement the commutator action, and a single circle integral
 produces the divided difference of a tuple that need not commute at all.
 """
 
+import numpy as np
+
 from opcalc import (
+    TensorOperator,
     dd_apply,
     dd_tensor,
-    embed_slot,
     exp_function,
     gen_matrix,
-    nabla,
     opnorm,
     pair,
     power_function,
@@ -23,27 +24,28 @@ exp = exp_function()
 a = gen_matrix("random", 2, 0)
 b1 = gen_matrix("random", 2, 1)
 b2 = gen_matrix("random", 2, 2)
+eye = np.eye(2)
 
 print("=" * 70)
 print("1. slot lifts interleave")
 print("=" * 70)
-got = pair(embed_slot(a, 2, 1), [b1, b2])
+lift = np.kron(np.kron(eye, a), eye)  # 1 (x) a (x) 1: a in slot 1 of 3
+got = pair(TensorOperator(lift, 2, 3), [b1, b2])
 print(f"  slot-1 lift of a on (b1, b2) vs b1 a b2: {rel_err(got, b1 @ a @ b2):.2e}")
 
-x = embed_slot(a, 1, 0)
-y = embed_slot(b1, 1, 1)
-print(f"  distinct slots commute: |[a^(0), b^(1)]| = "
-      f"{opnorm(x.matrix @ y.matrix - y.matrix @ x.matrix):.2e}")
+x = np.kron(a, eye)
+y = np.kron(eye, b1)
+print(f"  distinct slots commute: |[a^(0), b^(1)]| = {opnorm(x @ y - y @ x):.2e}")
 
 print()
 print("=" * 70)
 print("2. adjacent-slot differences act as commutators")
 print("=" * 70)
-nab = nabla(a, 1, 1)
+nab = np.kron(a, eye) - np.kron(eye, a)  # a^(0) - a^(1)
 ad = b1.copy()
 for n in range(1, 5):
     ad = a @ ad - ad @ a
-    via_pairing = pair(nab.power(n), [b1])
+    via_pairing = pair(TensorOperator(np.linalg.matrix_power(nab, n), 2, 2), [b1])
     print(f"  n = {n}: |pairing - nested commutator| = {opnorm(via_pairing - ad):.2e}")
 
 print()

@@ -15,13 +15,11 @@ from .core import (
     as_matrix,
     commutator,
     eigen_decompose,
-    embed_slot,
     kron,
     matrix_exp,
     matrix_from_json,
     matrix_to_json,
     multikron,
-    nabla,
     opnorm,
     pair,
     rel_err,
@@ -34,11 +32,8 @@ from .divdiff import (
     dd_hermite,
     dd_power,
     dd_recursive,
-    dd_resolvent,
-    dd_series_eval,
     multinomial_identity,
     simplex_moment_s,
-    simplex_moment_t,
 )
 from .errors import OpcalcError
 from .funcalc import (
@@ -48,11 +43,9 @@ from .funcalc import (
     apply_via_eig,
     bidiagonal,
     dd_apply,
-    dd_commuting,
     dd_tensor,
     funcalc_elementary,
     funcalc_n,
-    genocchi_hermite_matrix,
 )
 from .functions import (
     Disc,
@@ -81,25 +74,19 @@ from .ncseries import (
     dyson_terms_simplex,
     newton_interpolate,
     newton_recursion_check,
-    nth_derivative,
-    nth_derivative_fd,
     taylor_expand,
     taylor_series_ad,
 )
 from .quadrature import contour_around
 from .rearrange import (
-    ModularFamily,
-    SectorConfig,
     SectorFunction,
     family_from_exponents,
     kernel_F,
     kernel_G,
-    modular_family,
     power_rational,
     rearrange_lhs,
     rearrange_rhs_F,
     rearrange_rhs_G,
-    sector_check,
 )
 
 __version__ = "0.1.0"

@@ -1,11 +1,13 @@
-"""Dense complex matrix kernel: eigendecomposition, Kronecker slot lifts, pairing.
+"""Dense complex matrix kernel: eigendecomposition, Kronecker products, pairing.
 
 Matrices are plain ``numpy.ndarray`` of shape ``(d, d)`` and dtype complex128.
 Elements of the (n+1)-fold tensor algebra are realized as Kronecker-product
-matrices of dimension ``d**(n+1)`` and carried in :class:`TensorOperator`
-so slot bookkeeping survives arithmetic.  Slot 0 is the leftmost Kronecker
-factor, so pairing an elementary tensor ``a0 (x) ... (x) an`` with matrices
-``b1, ..., bn`` interleaves left to right: ``a0 b1 a1 b2 ... bn an``.
+matrices of dimension ``d**(n+1)``; :class:`TensorOperator` is such a
+matrix checked against its base dimension and slot count, as
+:func:`opcalc.funcalc.dd_tensor` returns it and :func:`pair` reads it.
+Slot 0 is the leftmost Kronecker factor, so pairing an elementary tensor
+``a0 (x) ... (x) an`` with matrices ``b1, ..., bn`` interleaves left to
+right: ``a0 b1 a1 b2 ... bn an``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NonDiagonalizable, SlotOutOfRange
+from .errors import DimensionMismatch, InvalidInput, NonDiagonalizable
 
 __all__ = [
     "Spectrum",
@@ -25,11 +27,10 @@ __all__ = [
     "opnorm",
     "rel_err",
     "as_matrix",
+    "as_matrices",
     "eigen_decompose",
     "kron",
     "multikron",
-    "embed_slot",
-    "nabla",
     "pair",
     "matrix_exp",
     "commutator",
@@ -66,6 +67,14 @@ def as_matrix(m, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DimensionMismatch("matrix entries must be finite")
     return a
+
+
+def as_matrices(mats) -> list[np.ndarray]:
+    """Validate a nonempty sequence of square matrices of one dimension."""
+    if len(mats) == 0:
+        raise InvalidInput("need at least one matrix")
+    d = as_matrix(mats[0]).shape[0]
+    return [as_matrix(m, dim=d) for m in mats]
 
 
 @dataclass(frozen=True)
@@ -128,61 +137,6 @@ class TensorOperator:
                 f"base_dim {self.base_dim} ** slots {self.slots}"
             )
         object.__setattr__(self, "matrix", m)
-
-    def _check_compatible(self, other: "TensorOperator") -> None:
-        if (self.base_dim, self.slots) != (other.base_dim, other.slots):
-            raise DimensionMismatch("tensor operators live in different algebras")
-
-    def __add__(self, other: "TensorOperator") -> "TensorOperator":
-        self._check_compatible(other)
-        return TensorOperator(self.matrix + other.matrix, self.base_dim, self.slots)
-
-    def __sub__(self, other: "TensorOperator") -> "TensorOperator":
-        self._check_compatible(other)
-        return TensorOperator(self.matrix - other.matrix, self.base_dim, self.slots)
-
-    def __neg__(self) -> "TensorOperator":
-        return TensorOperator(-self.matrix, self.base_dim, self.slots)
-
-    def __mul__(self, scalar: complex) -> "TensorOperator":
-        return TensorOperator(self.matrix * scalar, self.base_dim, self.slots)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
-        self._check_compatible(other)
-        return TensorOperator(self.matrix @ other.matrix, self.base_dim, self.slots)
-
-    def power(self, k: int) -> "TensorOperator":
-        return TensorOperator(
-            np.linalg.matrix_power(self.matrix, k), self.base_dim, self.slots
-        )
-
-    def norm(self) -> float:
-        return opnorm(self.matrix)
-
-
-def embed_slot(a, n: int, j: int) -> TensorOperator:
-    """Lift ``a`` into slot ``j`` of the (n+1)-fold tensor algebra: 1 (x) .. a .. (x) 1."""
-    a = as_matrix(a)
-    if not 0 <= j <= n:
-        raise SlotOutOfRange(f"slot {j} outside 0..{n}")
-    d = a.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return TensorOperator(
-        multikron([a if k == j else eye for k in range(n + 1)]), d, n + 1
-    )
-
-
-def nabla(a, n: int, j: int) -> TensorOperator:
-    """Difference of adjacent slot lifts, ``a`` in slot j-1 minus ``a`` in slot j.
-
-    Pairing a power of this operator with a matrix implements the iterated
-    commutator action of ``a`` (see :func:`pair`).
-    """
-    if not 1 <= j <= n:
-        raise SlotOutOfRange(f"slot {j} outside 1..{n}")
-    return embed_slot(a, n, j - 1) - embed_slot(a, n, j)
 
 
 def _mu_contract(big: np.ndarray, d: int, slots: int) -> np.ndarray:

@@ -10,9 +10,10 @@ The four routes:
 * :func:`dd_hermite`    -- simplex integral of f^(n) at convex combinations
   (coincident nodes welcome, needs derivatives).
 
-Closed forms: powers of the identity (:func:`dd_power`), resolvents
-(:func:`dd_resolvent`), simplex power moments, and the partial-sum factorial
-products ``alpha!?`` / ``alpha?!`` that show up as series denominators.
+Closed forms: powers of the identity (:func:`dd_power`), simplex power
+moments, and the partial-sum factorial products ``alpha!?`` / ``alpha?!``
+that show up as the denominators of the nested-commutator series
+(:func:`opcalc.ncseries.taylor_series_ad`).
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .errors import (
     CoincidentNodes,
     ContourTooTight,
     DomainViolation,
+    InvalidInput,
     OpcalcError,
-    PoleAtNode,
-    SeriesDiverging,
     ZeroNodeNegativePower,
 )
 from .functions import HoloFunction
@@ -41,11 +41,8 @@ __all__ = [
     "dd_contour",
     "dd_hermite",
     "dd_power",
-    "dd_resolvent",
     "simplex_moment_s",
-    "simplex_moment_t",
     "bang_shriek",
-    "dd_series_eval",
     "multinomial_identity",
     "compositions",
 ]
@@ -194,18 +191,11 @@ def dd_power(xs, N: int) -> complex:
     return complex(total)
 
 
-def dd_resolvent(xs, lam: complex) -> complex:
-    """Divided difference of z -> (lam - z)^-1: the product of resolvent values."""
-    x = _nodes(xs)
-    if np.any(x == lam):
-        raise PoleAtNode(f"parameter {lam} coincides with a node")
-    return complex(np.prod(1.0 / (lam - x)))
-
-
 def _check_multiindex(alpha) -> tuple[int, ...]:
-    t = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in t):
-        raise OpcalcError("multi-index parts must be nonnegative")
+    parts = tuple(alpha)
+    t = tuple(int(a) for a in parts)
+    if t != parts or any(a < 0 for a in t):
+        raise InvalidInput(f"multi-index parts must be nonnegative integers, got {parts}")
     return t
 
 
@@ -216,6 +206,8 @@ def simplex_moment_s(alpha, exact: bool = False):
     ``exact=True`` the value is returned as a :class:`fractions.Fraction`.
     """
     a = _check_multiindex(alpha)
+    if not a:
+        raise InvalidInput("alpha needs n + 1 >= 1 parts for the n-simplex")
     n = len(a) - 1
     if exact:
         num = 1
@@ -224,22 +216,6 @@ def simplex_moment_s(alpha, exact: bool = False):
         return Fraction(num, math.factorial(sum(a) + n))
     log = sum(math.lgamma(part + 1) for part in a) - math.lgamma(sum(a) + n + 1)
     return math.exp(log)
-
-
-def simplex_moment_t(alpha, exact: bool = False):
-    """Moment of the ordered-coordinate monomial t^alpha over the n-simplex.
-
-    ``alpha`` has n parts; the value is the reciprocal of the product of
-    shifted tail partial sums (a_n + 1)(a_n + a_{n-1} + 2) ... (|a| + n).
-    """
-    a = _check_multiindex(alpha)
-    n = len(a)
-    denom = 1
-    tail = 0
-    for j in range(1, n + 1):
-        tail += a[n - j]
-        denom *= tail + j
-    return Fraction(1, denom) if exact else 1.0 / denom
 
 
 def bang_shriek(alpha) -> tuple[float, float]:
@@ -263,76 +239,6 @@ def bang_shriek(alpha) -> tuple[float, float]:
     return float(fwd), float(bwd)
 
 
-def dd_series_eval(
-    f: HoloFunction,
-    variant: str,
-    a: complex,
-    x,
-    order_cap: int = 30,
-    *,
-    full_output: bool = False,
-):
-    """Power-series evaluation of a divided difference, summed by total degree.
-
-    Variants (``x`` are the free offsets, ``a`` the expansion point):
-
-    * ``origin``     -- nodes are the entries of ``x`` themselves (close to 0);
-      coefficients f^(n+|alpha|)(0) / (|alpha|+n)! with n = len(x) - 1.
-    * ``offset``     -- nodes (a, a+x_1, ..., a+x_n);
-      coefficients f^(n+|alpha|)(a) / (|alpha|+n)!.
-    * ``cumulative`` -- nodes (a, a+x_1, a+x_1+x_2, ...);
-      coefficients f^(n+|alpha|)(a) / alpha?!.
-
-    Stops after ``order_cap`` shells or once a shell drops below round-off;
-    raises :class:`SeriesDiverging` when shell magnitudes grow three times in
-    a row.  With ``full_output`` returns ``(value, last_shell_magnitude)``.
-    """
-    offs = np.atleast_1d(np.asarray(x, dtype=complex))
-    if variant == "origin":
-        n = offs.size - 1
-        center = 0.0 + 0.0j
-        parts = n + 1
-    elif variant in ("offset", "cumulative"):
-        n = offs.size
-        center = complex(a)
-        parts = n
-    else:
-        raise OpcalcError(f"unknown series variant {variant!r}")
-
-    total = 0.0 + 0.0j
-    shell_mag = 0.0
-    grows = 0
-    prev_mag = None
-    for s in range(order_cap + 1):
-        dval = complex(f.derivative(n + s, center))
-        shell = 0.0 + 0.0j
-        shell_mag = 0.0
-        for alpha in compositions(s, parts):
-            mono = complex(np.prod(offs ** np.asarray(alpha)))
-            if variant == "cumulative":
-                denom = bang_shriek(alpha)[1]
-            else:
-                denom = math.factorial(s + n)
-            term = dval * mono / denom
-            shell += term
-            shell_mag += abs(term)
-        total += shell
-        if prev_mag is not None and shell_mag > prev_mag > 0:
-            grows += 1
-            if grows >= 3:
-                raise SeriesDiverging(
-                    f"shell magnitudes grew for {grows} consecutive orders"
-                )
-        else:
-            grows = 0
-        prev_mag = shell_mag
-        if shell_mag <= 1e-16 * max(abs(total), 1e-30):
-            break
-    if full_output:
-        return total, shell_mag
-    return total
-
-
 def multinomial_identity(beta, m: int, mode: str = "<=") -> tuple[int, int]:
     """Brute-force and closed-form values of the binomial-sum identities.
 
@@ -343,6 +249,8 @@ def multinomial_identity(beta, m: int, mode: str = "<=") -> tuple[int, int]:
     """
     b = _check_multiindex(beta)
     n = len(b)
+    if n == 0:
+        raise InvalidInput("beta needs one part or more")
     if m < sum(b):
         raise OpcalcError("m must be at least |beta|")
 

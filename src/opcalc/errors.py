@@ -13,10 +13,6 @@ class NonDiagonalizable(OpcalcError):
     """Eigenvector matrix is too ill-conditioned to trust; use a contour path."""
 
 
-class SlotOutOfRange(OpcalcError):
-    """Requested tensor slot index is outside the valid range."""
-
-
 class DimensionMismatch(OpcalcError):
     """Matrix / tensor-operator dimensions are inconsistent."""
 
@@ -35,10 +31,6 @@ class DomainViolation(OpcalcError):
 
 class ZeroNodeNegativePower(OpcalcError):
     """Negative power of the identity function requires all nodes nonzero."""
-
-
-class PoleAtNode(OpcalcError):
-    """Resolvent parameter coincides with one of the nodes."""
 
 
 class SeriesDiverging(OpcalcError):

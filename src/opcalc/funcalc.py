@@ -2,7 +2,8 @@
 
 Single matrices, commuting tuples (tensor-grid circle quadrature), tensor
 divided differences of arbitrary (non-commuting) tuples, and their pairing
-with interleaved matrix factors.  All contours are circles: matrix spectra
+with interleaved matrix factors; the divided difference of a commuting tuple
+is the pairing with identity factors.  All contours are circles: matrix spectra
 are finite point sets, so a circle with margin always encloses them and keeps
 the trapezoid rule spectrally accurate.  Every entry point takes its circle
 from :func:`opcalc.quadrature.contour_around` (built around the spectrum, or
@@ -22,24 +23,22 @@ import numpy as np
 
 from .core import (
     TensorOperator,
+    as_matrices,
     as_matrix,
     commutator,
     eigen_decompose,
     opnorm,
     rel_err,
 )
-from .divdiff import compositions
 from .errors import (
     ArityCap,
     ContourViolation,
     DimensionMismatch,
-    DomainViolation,
     NonCommutingTuple,
     TensorRuleViolation,
 )
 from .functions import HoloFunction, MultivariateFunction
 from .quadrature import Contour, _circle_levels, _refine, contour_around, contour_quadrature
-from .quadrature import simplex_integrate
 from .tolerances import DEFAULTS
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "dd_tensor",
     "bidiagonal",
     "dd_apply",
-    "dd_commuting",
-    "genocchi_hermite_matrix",
 ]
 
 MAX_ARITY = 4
@@ -285,7 +282,7 @@ def dd_tensor(
     over the nodes is one matrix product of the two halves' Kronecker stacks
     and no node's d^(n+1)-square integrand is formed.
     """
-    ms = [as_matrix(m) for m in mats]
+    ms = as_matrices(mats)
     d = ms[0].shape[0]
     c = contour_around(_spectrum(ms), getattr(f, "domain", None), contour)
     halves = ms[: len(ms) // 2], ms[len(ms) // 2 :]
@@ -317,8 +314,8 @@ def bidiagonal(diag: Sequence, sup: Sequence) -> np.ndarray:
     Block (i, j) of f(B) is the pairing [a_i..a_j] f (b_{i+1} ... b_j) (Opitz
     1964).  Every block must be square of one dimension (DimensionMismatch).
     """
-    d = as_matrix(diag[0]).shape[0]
-    ms = [as_matrix(m, dim=d) for m in diag]
+    ms = as_matrices(diag)
+    d = ms[0].shape[0]
     bs = [as_matrix(b, dim=d) for b in sup]
     if len(bs) != len(ms) - 1:
         raise DimensionMismatch(f"{len(ms)} diagonal blocks need {len(ms) - 1} above them")
@@ -357,48 +354,3 @@ def dd_apply(
     fb = _f_bidiagonal(f, mats, bs, contour, stats=stats)
     d = fb.shape[0] // len(mats)
     return fb[:d, -d:]
-
-
-def dd_commuting(f: HoloFunction, a, contour: Contour | None = None) -> np.ndarray:
-    """Matrix-valued divided difference of a commuting tuple (shared contour).
-
-    The commuting case of :func:`dd_apply` with identity factors.
-    """
-    tup = _as_tuple(a)
-    eye = np.eye(tup.dim, dtype=complex)
-    return dd_apply(f, tup.mats, [eye] * (len(tup) - 1), contour)
-
-
-def genocchi_hermite_matrix(f: HoloFunction, a) -> np.ndarray:
-    """Divided difference of a commuting tuple as a simplex integral of f^(n).
-
-    The n-th derivative is applied to the convex combination matrix through the
-    single-variable contour calculus at every quadrature node; the simplex rule
-    stops at 1e-9 relative agreement.  Holomorphy on the union of combination
-    spectra is checked on a simplex lattice with 10 points per axis before
-    integrating.
-    """
-    tup = _as_tuple(a)
-    n = len(tup) - 1
-    if n == 0:
-        return apply_function(f, tup[0])
-
-    lattice = 9  # 10 lattice points per axis
-    for alpha in compositions(lattice, n + 1):
-        comb = sum(w / lattice * m for w, m in zip(alpha, tup.mats))
-        lam = np.linalg.eigvals(comb)
-        if not np.all(f.domain.contains(lam)):
-            raise DomainViolation(
-                "combination spectrum leaves the declared domain at a lattice point"
-            )
-
-    fn_deriv = f.deriv_function(n)
-
-    def integrand(s):
-        out = np.empty((len(s), tup.dim, tup.dim), dtype=complex)
-        for k, weights in enumerate(s):
-            comb = sum(w * m for w, m in zip(weights, tup.mats))
-            out[k] = apply_function(fn_deriv, comb)
-        return out
-
-    return simplex_integrate(integrand, n, rtol=1e-9, cap=32)

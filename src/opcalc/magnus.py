@@ -67,8 +67,8 @@ class BernoulliTable:
 
 def bernoulli(K: int) -> BernoulliTable:
     """Bernoulli numbers through the binomial recurrence, exactly."""
-    if K > BERNOULLI_CAP:
-        raise InvalidInput(f"table capped at K = {BERNOULLI_CAP}")
+    if not 0 <= K <= BERNOULLI_CAP:
+        raise InvalidInput(f"table order K must lie in 0..{BERNOULLI_CAP}, got {K}")
     fracs = [Fraction(1)]
     for n in range(1, K + 1):
         acc = Fraction(0)
@@ -82,8 +82,8 @@ def magnus_rhs(omega, a_t, order: int, table: BernoulliTable | None = None) -> n
     """Truncated commutator series sum_{n<=order} (B_n/n!) ad_omega^n(a_t)."""
     if table is None:
         table = bernoulli(order)
-    if order >= len(table):
-        raise InvalidInput("order exceeds the Bernoulli table length")
+    if not 0 <= order < len(table):
+        raise InvalidInput(f"order {order} outside the Bernoulli table 0..{len(table) - 1}")
     om = as_matrix(omega)
     x = as_matrix(a_t, dim=om.shape[0])
     series = table.series

@@ -3,7 +3,10 @@ and the time-ordered (Dyson) expansion of the matrix exponential.
 
 Every divided-difference pairing, confluent or not, is a block of f of one
 block-bidiagonal matrix (:func:`opcalc.funcalc.bidiagonal`), evaluated on
-one contour; no limits are taken.
+one contour; no limits are taken.  A directional derivative of the matrix
+map of f needs no routine of its own: the n-th one at a in directions
+b_1..b_n is the confluent pairing [a, ..., a] f summed over the orderings
+of the b's (:func:`opcalc.funcalc.dd_apply`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrix, eigen_decompose, matrix_exp, opnorm, stack_times
+from .core import as_matrices, as_matrix, eigen_decompose, matrix_exp, opnorm, stack_times
 from .divdiff import bang_shriek, compositions
 from .errors import ConvergenceThresholdExceeded, InvalidInput, SeriesDiverging
 from .funcalc import _f_bidiagonal, _resolvents, _spectrum, apply_function, bidiagonal, dd_apply
@@ -26,8 +29,6 @@ __all__ = [
     "newton_interpolate",
     "newton_recursion_check",
     "taylor_expand",
-    "nth_derivative",
-    "nth_derivative_fd",
     "taylor_series_ad",
     "dyson_exp",
     "dyson_terms_simplex",
@@ -77,8 +78,8 @@ def newton_interpolate(f: HoloFunction, mats, *,
     the single-variable calculus.  The report counts as converged when the last
     remainder is within 1e-8 of |f(a_n)|.
     """
-    d = as_matrix(mats[0]).shape[0]
-    ms = [as_matrix(m, dim=d) for m in mats]
+    ms = as_matrices(mats)
+    d = ms[0].shape[0]
     c = contour_around(_spectrum(ms), contour=contour)
     fb = _f_bidiagonal(f, ms, [ms[-1] - m for m in ms[:-1]], c)
     target = apply_function(f, ms[-1], c)
@@ -97,7 +98,7 @@ def newton_recursion_check(f: HoloFunction, mats, bs, *, contour: Contour | None
         ([a_0..a_{n-1}, a_{n+1}] - [a_0..a_n]) f (b_1...b_n)
         - [a_0..a_{n+1}] f (b_1...b_n (a_{n+1} - a_n)).
     """
-    ms = [as_matrix(m) for m in mats]
+    ms = as_matrices(mats)
     n = len(ms) - 2
     if n < 0 or len(bs) != n:
         raise InvalidInput("need n+2 nodes and n factors")
@@ -128,6 +129,8 @@ def taylor_expand(
     perturbation with c2 * |b| >= 1 is outside the guaranteed convergence
     region and triggers a warning (the sums are still computed).
     """
+    if N < 0:
+        raise InvalidInput(f"order N must be nonnegative, got {N}")
     am = as_matrix(a)
     d = am.shape[0]
     bm = as_matrix(b, dim=d)
@@ -155,38 +158,6 @@ def taylor_expand(
             "identity_defects": [opnorm(p + r - target) for p, r in zip(partials, rems)],
         },
     )
-
-
-def nth_derivative(f: HoloFunction, a, bs, *, contour: Contour | None = None) -> np.ndarray:
-    """n-th derivative of the matrix map induced by f, in directions bs.
-
-    Sum over all orderings of the directions of the confluent
-    divided-difference pairing; symmetric in ``bs`` by construction.
-    """
-    am = as_matrix(a)
-    bs = [as_matrix(b, dim=am.shape[0]) for b in bs]
-    n = len(bs)
-    c = contour_around(np.linalg.eigvals(am), contour=contour)
-    total = np.zeros_like(am)
-    for perm in itertools.permutations(range(n)):
-        total = total + dd_apply(f, [am] * (n + 1), [bs[k] for k in perm], c)
-    return total
-
-
-def nth_derivative_fd(f: HoloFunction, a, bs, step: float = 1e-4) -> np.ndarray:
-    """Finite-difference oracle for :func:`nth_derivative`.
-
-    Central mixed differences of s -> f(a + sum_i s_i b_i) with the given step;
-    2**n evaluations through the single-variable calculus.
-    """
-    am = as_matrix(a)
-    bs = [as_matrix(b, dim=am.shape[0]) for b in bs]
-    n = len(bs)
-    total = np.zeros_like(am)
-    for signs in itertools.product((-1.0, 1.0), repeat=n):
-        m = am + sum(s * step * b for s, b in zip(signs, bs))
-        total = total + np.prod(signs) * apply_function(f, m)
-    return total / (2.0 * step) ** n
 
 
 def taylor_series_ad(
@@ -313,6 +284,8 @@ def dyson_exp(a, b, N: int) -> ExpansionReport:
     of |exp(a + b)|.  :func:`dyson_terms_simplex` evaluates the same integrals
     by simplex quadrature and serves as the ``verify-all`` oracle.
     """
+    if N < 0:
+        raise InvalidInput(f"order N must be nonnegative, got {N}")
     am = as_matrix(a)
     bm = as_matrix(b, dim=am.shape[0])
     d = am.shape[0]

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContourViolation, QuadratureNoConvergence
+from .errors import ContourViolation, InvalidInput, QuadratureNoConvergence
 
 __all__ = [
     "Contour",
@@ -42,6 +42,7 @@ __all__ = [
 
 _TINY = 1e-300
 MAX_NODES = 8192  # most trapezoid nodes a circle quadrature doubles to
+MAX_ORDER = 128  # largest per-axis Gauss-Legendre order a simplex level doubles to
 
 
 def _norm(x) -> float:
@@ -108,10 +109,13 @@ def contour_around(points, domain=None, contour=None) -> Contour:
     """``contour``, or by default the circle around ``points`` (eigenvalues or
     nodes) at their centroid with radius 1.1 spread + 0.1 (1 + spread).
 
-    Raises :class:`ContourViolation` unless it strictly encloses every point
-    and 64 probe points on it lie in ``domain`` (when given).
+    Raises :class:`InvalidInput` for no points, and :class:`ContourViolation`
+    unless it strictly encloses every point and 64 probe points on it lie in
+    ``domain`` (when given).
     """
     pts = np.ravel(np.asarray(points, dtype=complex))
+    if pts.size == 0:
+        raise InvalidInput("a contour needs at least one point to enclose")
     if contour is None:
         center = complex(pts.mean())
         spread = float(np.max(np.abs(pts - center)))
@@ -247,12 +251,12 @@ def iter_simplex_rule(n: int, q: int):
         yield s.reshape(-1, n + 1)[cut], (wt * jac).reshape(-1)[cut]
 
 
-def _order_schedule(n: int, cap: int, point_budget: int):
+def _order_schedule(n: int, point_budget: int):
     budget_q = max(3, int(point_budget ** (1.0 / max(n, 1))))
     q = min(8, budget_q)
     schedule = [q]
     while True:
-        nxt = min(2 * q, cap, budget_q)
+        nxt = min(2 * q, MAX_ORDER, budget_q)
         if nxt <= q:
             break
         schedule.append(nxt)
@@ -265,21 +269,20 @@ def simplex_integrate(
     n: int,
     *,
     rtol: float = 1e-10,
-    cap: int = 128,
     point_budget: int = 4_000_000,
     stats: dict | None = None,
 ):
     """Integrate ``fn`` over the standard n-simplex with degree doubling.
 
     ``fn(S)`` maps a (p, n+1) block of barycentric points to p values (any
-    trailing shape).  The per-axis Gauss-Legendre order starts at 8
-    and doubles up to ``cap``, additionally capped so a level never exceeds
-    ``point_budget`` points.  A budget that leaves a single order gives no
-    error estimate, so it raises before ``fn`` is called.
+    trailing shape).  The per-axis Gauss-Legendre order starts at 8 and
+    doubles up to ``MAX_ORDER``, additionally capped so a level never
+    exceeds ``point_budget`` points.  A budget that leaves a single order
+    gives no error estimate, so it raises before ``fn`` is called.
     """
     if n == 0:
         return np.asarray(fn(np.ones((1, 1))))[0]
-    schedule = _order_schedule(n, cap, point_budget)
+    schedule = _order_schedule(n, point_budget)
     if len(schedule) == 1:
         raise QuadratureNoConvergence(
             f"point budget {point_budget} leaves the single order {schedule[0]} "

@@ -7,14 +7,16 @@ For functions f_0..f_p with power decay on a sector, the integral
 is evaluated three independent ways: directly (adaptive quadrature of the
 matrix integrand), as the kernel F applied to the commuting slot lifts
 A^(0)..A^(p) and paired with the b factors, and as A^-1 times the kernel G
-applied to cumulative products of the modular operators exp(-nabla_a).
-All three must agree; that agreement is the content of the identity this
-module verifies.
+applied to cumulative products of the modular operators exp(-nabla^(j)),
+where nabla^(j) = a^(j-1) - a^(j) is the difference of adjacent slot lifts
+of a = log A.  All three must agree; that agreement is the content of the
+identity this module verifies.
 
 Each route is one half-line quadrature in A's eigenbasis.  The slot lifts
-and the modular products are jointly diagonal there, so a kernel route
-evaluates its kernel once on all d^(p+1) eigenvalue tuples and sums it
-against V^-1 b_j V (the Daletskii-Krein form).
+and the modular products are jointly diagonal there, so neither is ever
+formed as a Kronecker matrix: a kernel route evaluates its kernel once on
+all d^(p+1) eigenvalue tuples and sums it against V^-1 b_j V (the
+Daletskii-Krein form).
 """
 
 from __future__ import annotations
@@ -24,29 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    TensorOperator,
-    as_matrix,
-    eigen_decompose,
-    embed_slot,
-    matrix_exp,
-    nabla,
-    rel_err,
-    stack_times,
-)
-from .errors import DecayViolation, SectorViolation
+from .core import as_matrix, eigen_decompose, stack_times
+from .errors import DecayViolation, InvalidInput, SectorViolation
 from .functions import HoloFunction, Sector
 from .quadrature import halfline_integrate
 
 __all__ = [
     "SectorFunction",
-    "SectorConfig",
-    "ModularFamily",
     "power_rational",
     "family_from_exponents",
-    "validate_decay",
-    "sector_check",
-    "modular_family",
     "kernel_F",
     "kernel_G",
     "rearrange_lhs",
@@ -72,25 +60,6 @@ class SectorFunction:
         return self.holo(s)
 
 
-@dataclass(frozen=True)
-class SectorConfig:
-    """Opening angle delta with the associated strip and sector descriptors."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < np.pi / 2:
-            raise SectorViolation("opening angle must lie in (0, pi/2)")
-
-    @property
-    def sector(self) -> Sector:
-        return Sector(self.delta)
-
-    @property
-    def double_sector(self) -> Sector:
-        return Sector(2.0 * self.delta)
-
-
 def power_rational(q: int, p: int = 0) -> SectorFunction:
     """The builtin family s -> s**p * (1+s)**-q (far decay q - p, near decay -p)."""
 
@@ -104,26 +73,9 @@ def power_rational(q: int, p: int = 0) -> SectorFunction:
 
 def family_from_exponents(qs) -> list[SectorFunction]:
     """[(1+s)^-q for q in qs] -- the CLI's --family parser target."""
+    if any(int(q) != q for q in qs):
+        raise InvalidInput(f"exponents must be integers, got {list(qs)}")
     return [power_rational(int(q)) for q in qs]
-
-
-def validate_decay(f: SectorFunction, delta: float) -> bool:
-    """Sample 5 rays in the double sector and check the tagged decay exponents.
-
-    |f| * |s|^alpha must stay bounded (within 100 times its value at |s| = 10)
-    as |s| grows, and |f| * |s|^beta (against |s| = 0.1) as |s| shrinks.
-    """
-    angles = np.linspace(-1.8 * delta, 1.8 * delta, 5)
-    ok = True
-    for theta in angles:
-        ray = np.exp(1j * theta)
-        far_ref = abs(f(10.0 * ray)) * 10.0**f.decay_far
-        for r in (1e2, 1e4, 1e6):
-            ok &= abs(f(r * ray)) * r**f.decay_far <= 100.0 * max(far_ref, 1e-300)
-        near_ref = abs(f(0.1 * ray)) * 0.1**f.decay_near
-        for r in (1e-2, 1e-4, 1e-6):
-            ok &= abs(f(r * ray)) * r**f.decay_near <= 100.0 * max(near_ref, 1e-300)
-    return bool(ok)
 
 
 def _check_decay(fs) -> None:
@@ -134,61 +86,6 @@ def _check_decay(fs) -> None:
             f"sum of far exponents {far:g} must exceed 1 and sum of near "
             f"exponents {near:g} must stay below 1"
         )
-
-
-def sector_check(a, delta: float) -> tuple[bool, dict]:
-    """Is spec(a) inside the strip |Im z| < delta?  Returns (flag, report)."""
-    lam = np.linalg.eigvals(as_matrix(a))
-    bad = [complex(z) for z in lam if abs(z.imag) >= delta]
-    report = {
-        "delta": float(delta),
-        "eigenvalues": [complex(z) for z in lam],
-        "violations": bad,
-    }
-    return (not bad), report
-
-
-@dataclass
-class ModularFamily:
-    """exp(a) together with cumulative products of the slot-difference exponentials."""
-
-    A: np.ndarray
-    delta_products: list  # TensorOperator, j = 1..p: exp(-nabla^(1)) ... exp(-nabla^(j))
-    delta: float
-    slot_lift_residual: float
-
-
-def modular_family(a, p: int, delta: float) -> ModularFamily:
-    """Build exp(-nabla_a^(j)) products on p+1 slots and verify their algebra.
-
-    Requires spec(a) inside the strip of half-width ``delta``.  Validates that
-    the slot lift of exp(a) into slot j equals the slot-0 lift times the
-    cumulative product (relative residual <= 1e-10), and that every product
-    spectrum stays inside the double sector.
-    """
-    am = as_matrix(a)
-    ok, report = sector_check(am, delta)
-    if not ok:
-        raise SectorViolation(f"eigenvalues outside strip: {report['violations']}")
-    A = matrix_exp(am)
-    d = am.shape[0]
-    products = []
-    cum = None
-    worst = 0.0
-    a0 = embed_slot(A, p, 0)
-    for j in range(1, p + 1):
-        dj = TensorOperator(matrix_exp(-nabla(am, p, j).matrix), d, p + 1)
-        cum = dj if cum is None else cum @ dj
-        products.append(cum)
-        worst = max(worst, rel_err((a0 @ cum).matrix, embed_slot(A, p, j).matrix))
-        mu = np.linalg.eigvals(cum.matrix)
-        if not np.all(Sector(2 * delta).contains(mu)):
-            raise SectorViolation(
-                f"modular product {j} has spectrum outside the double sector"
-            )
-    if worst > 1e-10:
-        raise SectorViolation(f"slot-lift factorization residual {worst:.3e} exceeds 1e-10")
-    return ModularFamily(A, products, delta, worst)
 
 
 def kernel_F(fs, s):

@@ -1,14 +1,19 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opcalc
 from opcalc import gen_matrix, matrix_exp, matrix_from_json, matrix_to_json, opnorm
+from opcalc import contour_around, dd_apply, dd_tensor, dyson_exp, newton_interpolate
 from opcalc import cli, verify
 from opcalc.cli import main
 from opcalc.errors import InvalidInput, OpcalcError
@@ -221,6 +226,26 @@ class TestSeriesCommands:
         assert code == 0
         assert json.loads(out)["residuals"][0]["pass"]
 
+    @pytest.mark.parametrize("argv", [
+        ["dyson", "--dim", "2", "--order", "-1"],
+        ["taylor", "--dim", "2", "--order", "-1"],
+        ["newton", "--dim", "2", "--count", "0"],
+        ["magnus", "--order", "-3"],
+    ], ids=["dyson", "taylor", "newton", "magnus"])
+    def test_empty_or_negative_order_is_input_error(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["dyson", "--dim", "2", "--order", "0"],
+        ["newton", "--dim", "2", "--count", "1"],
+    ], ids=["dyson-order-0", "newton-one-node"])
+    def test_smallest_order_still_runs(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["residuals"][0]["pass"]
+
 
 class TestMagnusCommand:
     def test_csv_columns(self, capsys):
@@ -378,6 +403,39 @@ class TestVerifyAll:
         assert out1.count("PASS") >= 16
 
 
+class TestReachability:
+    def test_every_public_name_is_loaded_in_the_package(self):
+        # a public name that only tests and demos load is library code no CLI
+        # subcommand or verify-all reaches: it must be loaded (read as a name
+        # or an attribute) by a module of the package other than __init__,
+        # outside its own top-level definition
+        src = Path(opcalc.__file__).parent
+        trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+        public = {alias.asname or alias.name for node in trees["__init__.py"].body
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        for tree in trees.values():
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                    public |= set(ast.literal_eval(node.value))
+        loaded = set()
+        for module, tree in trees.items():
+            if module == "__init__.py":
+                continue
+            for top in tree.body:
+                own = getattr(top, "name", None)
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                        name = node.attr
+                    else:
+                        continue
+                    if name != own:
+                        loaded.add(name)
+        assert sorted(public - loaded) == []
+
+
 class TestIdentityRegistry:
     """Every residual a subcommand reports is a record of ``opcalc.verify``."""
 
@@ -503,12 +561,6 @@ class TestErrorPaths:
         with pytest.raises(OpcalcError):
             multinomial_identity((2, 2), 3, "<=")
 
-    def test_series_variant(self):
-        from opcalc import dd_series_eval, exp_function
-
-        with pytest.raises(OpcalcError):
-            dd_series_eval(exp_function(), "radial", 0.0, [0.1])
-
     def test_rhs_order_vs_table(self):
         from opcalc import bernoulli, magnus_rhs
 
@@ -528,12 +580,26 @@ class TestErrorPaths:
         lambda: field_from_samples([0.0], [np.eye(2)]),
         lambda: builtin_field("spiral"),
         lambda: named_function("sinh"),
+        lambda: dyson_exp(np.eye(2), np.eye(2), -1),
+        lambda: taylor_expand(named_function("exp"), np.eye(2), np.eye(2), N=-1),
+        lambda: newton_interpolate(named_function("exp"), []),
+        lambda: dd_apply(named_function("exp"), [], []),
+        lambda: dd_tensor(named_function("exp"), []),
+        lambda: contour_around([]),
+        lambda: bernoulli(-1),
+        lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=-1, table=bernoulli(4)),
     ], ids=["expansion-report", "newton-recursion", "ad-series-side", "bernoulli-cap",
             "rhs-order", "end-time", "checkpoint-finite", "checkpoint-order", "step",
-            "samples", "builtin-field", "function-name"])
+            "samples", "builtin-field", "function-name", "dyson-order", "taylor-order",
+            "newton-nodes", "dd-apply-nodes", "dd-tensor-nodes", "contour-points",
+            "bernoulli-order", "rhs-negative-order"])
     def test_invalid_input_is_typed(self, call):
-        with pytest.raises(OpcalcError) as info:
-            call()
+        # no RuntimeWarning first: contour_around([]) used to warn twice on the
+        # empty mean before its bare ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OpcalcError) as info:
+                call()
         assert isinstance(info.value, ValueError)
 
     def test_kernel_arity(self):

@@ -8,19 +8,30 @@ from opcalc import (
     dd_apply,
     dyson_exp,
     eigen_decompose,
-    embed_slot,
     exp_function,
     gen_matrix,
     kron,
     matrix_exp,
     matrix_from_json,
     matrix_to_json,
-    nabla,
+    multikron,
     opnorm,
     pair,
     rel_err,
 )
-from opcalc.errors import DimensionMismatch, NonDiagonalizable, SlotOutOfRange
+from opcalc.errors import DimensionMismatch, NonDiagonalizable
+
+
+def lift(a, n, j):
+    """Slot-j lift 1 (x) .. a .. (x) 1 of ``a`` into the (n+1)-fold tensor algebra."""
+    eye = np.eye(a.shape[0])
+    return multikron([a if k == j else eye for k in range(n + 1)])
+
+
+def nabla_power(a, n, j, k):
+    """k-th power of nabla_j = lift(a, j-1) - lift(a, j), on n+1 slots."""
+    nab = lift(a, n, j - 1) - lift(a, n, j)
+    return TensorOperator(np.linalg.matrix_power(nab, k), a.shape[0], n + 1)
 
 
 def nested_commutator(a, b, n):
@@ -71,42 +82,30 @@ class TestKron:
 
 
 class TestSlots:
-    def test_embed_definition(self):
-        a = gen_matrix("random", 2, 5)
-        assert np.allclose(embed_slot(a, 1, 0).matrix, np.kron(a, np.eye(2)))
-        assert np.allclose(embed_slot(a, 1, 1).matrix, np.kron(np.eye(2), a))
-
-    def test_embed_range(self):
-        a = gen_matrix("random", 2, 5)
-        with pytest.raises(SlotOutOfRange):
-            embed_slot(a, 1, 2)
-        with pytest.raises(SlotOutOfRange):
-            nabla(a, 2, 0)
-
     def test_distinct_slots_commute(self):
         a = gen_matrix("random", 2, 6)
         b = gen_matrix("random", 2, 7)
-        x = embed_slot(a, 1, 0)
-        y = embed_slot(b, 1, 1)
-        defect = opnorm(commutator(x.matrix, y.matrix))
-        assert defect <= 1e-13 * opnorm(x.matrix) * opnorm(y.matrix)
+        x = lift(a, 1, 0)
+        y = lift(b, 1, 1)
+        defect = opnorm(commutator(x, y))
+        assert defect <= 1e-13 * opnorm(x) * opnorm(y)
 
     def test_middle_slot_pairing(self):
         # slot-1 lift of a paired with (b1, b2) interleaves as b1 a b2
         a = gen_matrix("random", 2, 8)
         b1 = gen_matrix("random", 2, 9)
         b2 = gen_matrix("random", 2, 10)
-        assert rel_err(pair(embed_slot(a, 2, 1), [b1, b2]), b1 @ a @ b2) < 1e-13
+        assert rel_err(pair(TensorOperator(lift(a, 2, 1), 2, 3), [b1, b2]), b1 @ a @ b2) < 1e-13
 
     def test_telescoping(self):
         a = gen_matrix("random", 2, 11)
         n = 3
         for j in range(1, n + 1):
-            total = embed_slot(a, n, n)
+            total = lift(a, n, n)
             for k in range(j, n + 1):
-                total = total + nabla(a, n, k)
+                total = total + nabla_power(a, n, k, 1).matrix
             # pure additions of Kronecker matrices: machine precision
-            assert opnorm(total.matrix - embed_slot(a, n, j - 1).matrix) <= 1e-14
+            assert opnorm(total - lift(a, n, j - 1)) <= 1e-14
 
 
 class TestPair:
@@ -133,7 +132,7 @@ class TestPair:
         t2 = TensorOperator(rng.standard_normal((4, 4)) + 0j, 2, 2)
         b1 = rng.standard_normal((2, 2)) + 0j
         b2 = rng.standard_normal((2, 2)) + 0j
-        lhs = pair(t1 + t2, [b1 + 2.0 * b2])
+        lhs = pair(TensorOperator(t1.matrix + t2.matrix, 2, 2), [b1 + 2.0 * b2])
         rhs = pair(t1, [b1]) + 2.0 * pair(t1, [b2]) + pair(t2, [b1]) + 2.0 * pair(t2, [b2])
         assert rel_err(lhs, rhs) < 1e-12
 
@@ -149,9 +148,8 @@ class TestPair:
         for d in (2, 3, 4):
             a = gen_matrix("random", d, 18 + d)
             b = gen_matrix("random", d, 25 + d)
-            nab = nabla(a, 1, 1)
             for n in range(1, 6):
-                got = pair(nab.power(n), [b])
+                got = pair(nabla_power(a, 1, 1, n), [b])
                 want = nested_commutator(a, b, n)
                 assert rel_err(got, want) < 1e-12
 
@@ -237,12 +235,6 @@ class TestTensorOperatorType:
         with pytest.raises(DimensionMismatch):
             TensorOperator(np.eye(5), 2, 2)  # 5 != 2**2
 
-    def test_algebra_mismatch(self):
-        t1 = TensorOperator(np.eye(4), 2, 2)
-        t2 = TensorOperator(np.eye(4), 4, 1)
-        with pytest.raises(DimensionMismatch):
-            _ = t1 + t2
-
 
 class TestConcurrency:
     def test_parallel_invocations_agree(self):
@@ -258,7 +250,7 @@ class TestConcurrency:
 
         def work(_):
             return (
-                pair(nabla(a, 1, 1).power(2), [b]),
+                pair(nabla_power(a, 1, 1, 2), [b]),
                 dd_contour(f, nodes),
             )
 

@@ -20,15 +20,13 @@ from opcalc import (
     dd_hermite,
     dd_power,
     dd_recursive,
-    dd_resolvent,
-    dd_series_eval,
     exp_function,
+    family_from_exponents,
     log_function,
     multinomial_identity,
     power_function,
     resolvent_function,
     simplex_moment_s,
-    simplex_moment_t,
 )
 from opcalc.quadrature import contour_around, iter_simplex_rule
 from opcalc.errors import (
@@ -36,9 +34,8 @@ from opcalc.errors import (
     ContourTooTight,
     ContourViolation,
     DomainViolation,
-    PoleAtNode,
+    InvalidInput,
     QuadratureNoConvergence,
-    SeriesDiverging,
     ZeroNodeNegativePower,
 )
 
@@ -236,23 +233,38 @@ class TestPowerClosedForm:
 
 
 class TestResolvent:
+    # closed form: [x_0..x_n] (lam - z)^-1 = prod_j (lam - x_j)^-1
     def test_frozen(self):
-        assert dd_resolvent([0.0, 1.0], 3.0) == pytest.approx(1.0 / 6.0)
+        assert dd_recursive(resolvent_function(3.0), [0.0, 1.0]) == pytest.approx(1.0 / 6.0)
 
     def test_single_node(self):
-        assert dd_resolvent([0.5], 2.0) == pytest.approx(1.0 / 1.5)
+        assert dd_explicit(resolvent_function(2.0), [0.5]) == pytest.approx(1.0 / 1.5)
 
     def test_pole(self):
-        with pytest.raises(PoleAtNode):
-            dd_resolvent([0.0, 1.0], 1.0)
+        # a node on the pole: the integral routes refuse before integrating
+        with pytest.raises(ContourViolation):
+            dd_contour(resolvent_function(1.0), [0.0, 1.0])
+        with pytest.raises(DomainViolation):
+            dd_hermite(resolvent_function(1.0), [0.0, 1.0])
 
     def test_recursive_agreement(self):
         rng = np.random.default_rng(6)
         xs = disc_nodes(rng, 3)
         lam = 3.0
-        got = dd_resolvent(xs, lam)
-        want = dd_recursive(resolvent_function(lam), xs)
+        got = dd_recursive(resolvent_function(lam), xs)
+        want = np.prod(1.0 / (lam - xs))
         assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def t_moment(alpha):
+    """Moment of the ordered-coordinate monomial t^alpha over the n-simplex
+    (n = len(alpha)): one over the shifted tail partial sums
+    (a_n + 1)(a_n + a_{n-1} + 2) ... (|a| + n)."""
+    denom, tail = 1, 0
+    for j, part in enumerate(reversed(alpha), start=1):
+        tail += part
+        denom *= tail + j
+    return Fraction(1, denom)
 
 
 class TestSimplexMoments:
@@ -279,11 +291,6 @@ class TestSimplexMoments:
                               text=True, timeout=120, check=True)
         assert proc.stdout.strip() == "False"
 
-    def test_frozen_t(self):
-        assert simplex_moment_t((1,)) == pytest.approx(0.5)
-        assert simplex_moment_t((0, 0)) == pytest.approx(0.5)
-        assert simplex_moment_t((1, 2), exact=True) == Fraction(1, 15)
-
     def test_s_exactness(self):
         for n in range(1, 5):
             for total in range(7):
@@ -305,7 +312,7 @@ class TestSimplexMoments:
                 for part in alpha:
                     fact *= math.factorial(part)
                 stated = Fraction((sum(alpha) + n + 1) * fact, int(bang_shriek(alpha)[1]))
-                assert simplex_moment_t(aprime, exact=True) == stated
+                assert t_moment(aprime) == stated
 
     def test_quadrature_agrees_with_closed_form(self):
         # independent oracle: integrate monomials with the simplex rule itself
@@ -316,7 +323,7 @@ class TestSimplexMoments:
         t = np.cumsum(s[:, :0:-1], axis=1)[:, ::-1]  # t_j = s_j + ... + s_n
         for alpha in [(1, 0, 0), (1, 2, 0), (2, 1, 1)]:
             quad = float(np.sum(w * np.prod(t ** np.asarray(alpha), axis=1)))
-            assert quad == pytest.approx(simplex_moment_t(alpha), rel=1e-12)
+            assert quad == pytest.approx(float(t_moment(alpha)), rel=1e-12)
 
 
 class TestBangShriek:
@@ -339,42 +346,23 @@ class TestBangShriek:
         assert (fwd, bwd) == (rbwd, rfwd)
 
 
-class TestSeriesEval:
-    def test_origin_confluent(self):
-        assert dd_series_eval(EXP, "origin", 0.0, [0.0, 0.0]) == pytest.approx(1.0)
-
-    def test_origin_matches_recursive(self):
-        xs = [0.0, 0.05, 0.1]
-        got = dd_series_eval(EXP, "origin", 0.0, xs, order_cap=25)
-        assert got == pytest.approx(dd_recursive(EXP, xs), rel=1e-10)
-
-    def test_offset_matches_recursive(self):
-        got = dd_series_eval(EXP, "offset", 0.0, [0.05, 0.1], order_cap=25)
-        assert got == pytest.approx(dd_recursive(EXP, [0.0, 0.05, 0.1]), rel=1e-10)
-
-    def test_cumulative_matches_recursive(self):
-        a, x = 0.3, [0.1, 0.2]
-        got = dd_series_eval(EXP, "cumulative", a, x, order_cap=25)
-        want = dd_recursive(EXP, [0.3, 0.4, 0.6])
-        assert got == pytest.approx(want, rel=1e-10)
-
-    def test_offset_confluent_matches_contour(self):
-        h = 0.05
-        got = dd_series_eval(EXP, "offset", 0.0, [h, h], order_cap=25)
-        want = dd_contour(EXP, [0.0, h, h])
-        assert got == pytest.approx(want, rel=1e-9)
-
-    def test_diverging(self):
-        f = resolvent_function(1.0, domain=Disc(0.0, 0.9))
-        with pytest.raises(SeriesDiverging):
-            dd_series_eval(f, "offset", 0.0, [2.0, 2.0], order_cap=30)
-
-    def test_tail_estimate_reported(self):
-        val, tail = dd_series_eval(EXP, "offset", 0.0, [0.1, 0.1], order_cap=4,
-                                   full_output=True)
-        assert tail > 0
-        better = dd_series_eval(EXP, "offset", 0.0, [0.1, 0.1], order_cap=25)
-        assert abs(val - better) <= 10 * tail
+@pytest.mark.parametrize("call", [
+    lambda: simplex_moment_s((1.5, 2)),
+    lambda: simplex_moment_s((1, 2.5), exact=True),
+    lambda: simplex_moment_s(()),
+    lambda: bang_shriek((2, 0.5)),
+    lambda: multinomial_identity((1.5, 1), 4),
+    lambda: multinomial_identity((), 3, "="),
+    lambda: multinomial_identity((), 3, "<="),
+    lambda: family_from_exponents([1.5, 1]),
+], ids=["moment-fractional", "moment-exact-fractional", "moment-empty",
+        "bang-shriek-fractional", "multinomial-fractional", "multinomial-empty-eq",
+        "multinomial-empty-le", "family-fractional"])
+def test_multiindex_inputs_refused_typed(call):
+    # a fractional part used to be truncated by int(), an empty one to end
+    # in a math domain error
+    with pytest.raises(InvalidInput):
+        call()
 
 
 class TestMultinomial:

@@ -16,14 +16,12 @@ from opcalc import (
     contour_around,
     dd_contour,
     dd_apply,
-    dd_commuting,
     dd_recursive,
     dd_tensor,
     exp_function,
     funcalc_elementary,
     funcalc_n,
     gen_matrix,
-    genocchi_hermite_matrix,
     matrix_exp,
     multikron,
     newton_interpolate,
@@ -387,16 +385,17 @@ class TestDDApply:
 
 
 class TestDDCommuting:
+    # a commuting tuple's divided difference: dd_apply with identity factors
     def test_scalar_slots(self):
         eye = np.eye(3)
-        got = dd_commuting(EXP, CommutingTuple([0.2 * eye, 0.9 * eye]))
+        got = dd_apply(EXP, [0.2 * eye, 0.9 * eye], [eye])
         want = dd_recursive(EXP, [0.2, 0.9]) * eye
         assert rel_err(got, want) < 1e-11
 
     def test_diagonal_eigenvalue_wise(self):
         d1 = np.diag([0.1, 0.5, -0.2])
         d2 = np.diag([0.4, -0.3, 0.2])
-        got = dd_commuting(EXP, CommutingTuple([d1, d2]))
+        got = dd_apply(EXP, [d1, d2], [np.eye(3)])
         want = np.diag(
             [dd_recursive(EXP, [d1[i, i], d2[i, i]]) for i in range(3)]
         )
@@ -404,38 +403,5 @@ class TestDDCommuting:
 
     def test_confluent_pair_is_derivative(self):
         a = gen_matrix("hermitian", 3, 41)
-        got = dd_commuting(EXP, CommutingTuple([a, a]))
+        got = dd_apply(EXP, [a, a], [np.eye(3)])
         assert rel_err(got, matrix_exp(a)) < 1e-10
-
-    def test_noncommuting_rejected(self):
-        with pytest.raises(NonCommutingTuple):
-            dd_commuting(EXP, [gen_matrix("random", 2, 42), gen_matrix("random", 2, 43)])
-
-
-class TestGenocchiHermiteMatrix:
-    def test_confluent_pair_is_derivative(self):
-        a = gen_matrix("hermitian", 2, 44)
-        got = genocchi_hermite_matrix(EXP, CommutingTuple([a, a]))
-        assert rel_err(got, matrix_exp(a)) < 1e-8
-
-    def test_zero_and_diagonal(self):
-        # [0, a] exp acts eigenvalue-wise as (e^l - 1) / l
-        d = np.diag([0.5, -0.3])
-        got = genocchi_hermite_matrix(EXP, CommutingTuple([np.zeros((2, 2)), d]))
-        want = np.diag([(np.exp(x) - 1.0) / x for x in [0.5, -0.3]])
-        assert rel_err(got, want) < 1e-8
-
-    def test_matches_contour_route(self):
-        mats = gen_matrix("commuting-pair", 2, 45)
-        tup = CommutingTuple(mats)
-        got = genocchi_hermite_matrix(EXP, tup)
-        want = dd_commuting(EXP, tup)
-        assert rel_err(got, want) <= 1e-7
-
-    def test_domain_violation(self):
-        from opcalc.errors import DomainViolation
-
-        f = HoloFunction(np.exp, Disc(0.0, 0.4), deriv=lambda k, z: np.exp(z))
-        a = gen_matrix("hermitian", 2, 46)  # norm 1 > domain radius
-        with pytest.raises(DomainViolation):
-            genocchi_hermite_matrix(f, CommutingTuple([a, a]))

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from opcalc import (
+    apply_function,
     dd_apply,
     dyson_exp,
     dyson_terms_simplex,
@@ -12,8 +14,6 @@ from opcalc import (
     matrix_exp,
     newton_interpolate,
     newton_recursion_check,
-    nth_derivative,
-    nth_derivative_fd,
     opnorm,
     power_function,
     rel_err,
@@ -26,6 +26,23 @@ from opcalc.errors import ConvergenceThresholdExceeded
 from opcalc.quadrature import simplex_integrate
 
 EXP = exp_function()
+
+
+def nth_derivative(f, a, bs):
+    """n-th derivative of the matrix map induced by f at a, in directions bs:
+    the confluent pairing [a, ..., a] f summed over all orderings of bs."""
+    return sum(dd_apply(f, [a] * (len(bs) + 1), [bs[k] for k in perm])
+               for perm in itertools.permutations(range(len(bs))))
+
+
+def nth_derivative_fd(f, a, bs, step):
+    """Central mixed differences of s -> f(a + sum_i s_i b_i): 2**n
+    evaluations of the single-variable calculus."""
+    total = 0
+    for signs in itertools.product((-1.0, 1.0), repeat=len(bs)):
+        m = a + sum(sg * step * b for sg, b in zip(signs, bs))
+        total = total + np.prod(signs) * apply_function(f, m)
+    return total / (2.0 * step) ** len(bs)
 
 
 @pytest.fixture
