@@ -14,8 +14,7 @@ from opcalc.magnus import triangular_field
 print("=" * 70)
 print("1. Bernoulli coefficients of the series")
 print("=" * 70)
-tab = bernoulli(10)
-for n, frac in enumerate(tab.fractions):
+for n, frac in enumerate(bernoulli(10)):
     print(f"  B_{n:<2d} = {frac}")
 
 print()

@@ -10,7 +10,6 @@ independent numerical oracle.
 """
 
 from .core import (
-    Spectrum,
     TensorOperator,
     as_matrix,
     commutator,
@@ -62,7 +61,6 @@ from .functions import (
 )
 from .generate import gen_matrix
 from .magnus import (
-    BernoulliTable,
     bernoulli,
     magnus_rhs,
     magnus_solve,

@@ -173,7 +173,8 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
                 raise OpcalcError("need one function name per matrix")
             fs = [named_function(nm) for nm in names]
             tup = CommutingTuple(mats)
-            value = funcalc_elementary(fs, tup, check_tol=tol.tensor_rule, stats=stats)
+            cs = None if contour is None else [contour] * len(mats)
+            value = funcalc_elementary(fs, tup, cs, check_tol=tol.tensor_rule, stats=stats)
             results["value"] = matrix_to_json(value)
             residuals.append(verify.tensor_rule_measured(stats, tol))
     elif mode == "ddtensor":
@@ -195,16 +196,16 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
 
 def _expansion_report(args, report, residuals, measure: float, rtol: float,
                       diagnostics=None) -> tuple[dict, bool]:
-    """The report of an expansion whose ``converged`` flag is judged again, as
-    ``measure <= rtol |target|`` at the --tol-scale'd ``rtol``: the library
-    judges it at the default tolerance."""
-    report.converged = measure <= rtol * max(opnorm(report.target), 1e-300)
+    """The report of an expansion, with its ``converged`` flag judged as
+    ``measure <= rtol |target|`` at the --tol-scale'd ``rtol``."""
     if getattr(args, "csv", None):
         rows = [[n, float(r)] for n, r in enumerate(report.remainder_norms)]
         _write(_csv(["order", "remainder_norm"], rows), args.csv)
     params = {k: getattr(args, k) for k in ("f", "dim", "order", "b_scale", "count")
               if hasattr(args, k)}
-    return _report(args, params, report.to_dict(), residuals, diagnostics)
+    results = report.to_dict()
+    results["converged"] = measure <= rtol * max(opnorm(report.target), 1e-300)
+    return _report(args, params, results, residuals, diagnostics)
 
 
 def _cmd_newton(args, tol) -> tuple[dict, bool]:

@@ -22,7 +22,6 @@ import scipy.linalg
 from .errors import DimensionMismatch, InvalidInput, NonDiagonalizable
 
 __all__ = [
-    "Spectrum",
     "TensorOperator",
     "opnorm",
     "rel_err",
@@ -77,18 +76,10 @@ def as_matrices(mats) -> list[np.ndarray]:
     return [as_matrix(m, dim=d) for m in mats]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a matrix plus the condition number of its eigenvector basis."""
-
-    eigenvalues: np.ndarray
-    conditioning: float
-
-
-def eigen_decompose(m) -> tuple[Spectrum, np.ndarray, np.ndarray]:
+def eigen_decompose(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonalize ``m = V diag(w) V^-1``.
 
-    Returns ``(Spectrum, V, V^-1)``.  Raises :class:`NonDiagonalizable` when the
+    Returns ``(w, V, V^-1)``.  Raises :class:`NonDiagonalizable` when the
     eigenvector condition number exceeds ``EIG_COND_CAP`` or the relative
     reconstruction residual exceeds ``EIG_RESIDUAL``; callers holding such a
     matrix must fall back to a contour method, which never needs this
@@ -105,7 +96,7 @@ def eigen_decompose(m) -> tuple[Spectrum, np.ndarray, np.ndarray]:
     residual = rel_err((v * w) @ vinv, a) if opnorm(a) > 0 else 0.0
     if residual > EIG_RESIDUAL:
         raise NonDiagonalizable(f"reconstruction residual {residual:.3e}")
-    return Spectrum(w, cond), v, vinv
+    return w, v, vinv
 
 
 def kron(x, y) -> np.ndarray:

@@ -8,7 +8,7 @@ The four routes:
 * :func:`dd_contour`    -- circle quadrature of f(z) / prod (z - x_j)
   (coincident nodes welcome),
 * :func:`dd_hermite`    -- simplex integral of f^(n) at convex combinations
-  (coincident nodes welcome, needs derivatives).
+  (coincident nodes welcome, needs the handle's derivatives).
 
 Closed forms: powers of the identity (:func:`dd_power`), simplex power
 moments, and the partial-sum factorial products ``alpha!?`` / ``alpha?!``
@@ -70,11 +70,22 @@ def _require_distinct(xs: np.ndarray) -> None:
                 )
 
 
+def _node_values(f, x: np.ndarray) -> np.ndarray:
+    """A fresh array of f at the nodes; :class:`DomainViolation` where one is not
+    finite, as at a pole."""
+    with np.errstate(all="ignore"):
+        fx = np.array(f(x), dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(fx))
+    if bad.size:
+        raise DomainViolation(f"f is not finite at node {bad[0]} ({x[bad[0]]:g})")
+    return fx
+
+
 def dd_recursive(f, xs) -> complex:
     """Divided difference by the difference-quotient recursion."""
     x = _nodes(xs)
     _require_distinct(x)
-    coef = np.asarray(f(x), dtype=complex).copy()
+    coef = _node_values(f, x)
     n = x.size - 1
     for level in range(1, n + 1):
         coef[: n + 1 - level] = (coef[: n + 1 - level] - coef[1 : n + 2 - level]) / (
@@ -87,7 +98,7 @@ def dd_explicit(f, xs) -> complex:
     """Divided difference by the permutation-symmetric sum over nodes."""
     x = _nodes(xs)
     _require_distinct(x)
-    fx = np.asarray(f(x), dtype=complex)
+    fx = _node_values(f, x)
     total = 0.0 + 0.0j
     for k in range(x.size):
         diff = x[k] - np.delete(x, k)
@@ -137,16 +148,18 @@ def dd_hermite(f: HoloFunction, xs, *, stats: dict | None = None) -> complex:
 
     Holds when f is holomorphic on the convex hull of the nodes, so the hull
     must sit strictly inside the declared domain (checked exactly before
-    integrating).  Needs ``n`` derivatives of ``f``; when the handle has none
-    they are synthesized by Cauchy circles.
-    From 8 nodes on, the simplex point budget leaves one order and so no error
-    estimate: :class:`opcalc.errors.QuadratureNoConvergence` is raised first.
+    integrating).  Reads f^(n) from the handle's ``deriv``: a handle without
+    one is refused with :class:`opcalc.errors.InvalidInput` before any point
+    is evaluated.  From 8 nodes on, the simplex point budget leaves one order
+    and so no error estimate: :class:`opcalc.errors.QuadratureNoConvergence`
+    is raised first.
     """
     x = _nodes(xs)
     n = x.size - 1
     if not f.domain.contains_hull(x):
         raise DomainViolation("convex hull of nodes leaves the function domain")
-    return complex(simplex_integrate(lambda s: np.asarray(f.derivative(n, s @ x), dtype=complex),
+    fn = f.deriv_function(n)
+    return complex(simplex_integrate(lambda s: np.asarray(fn(s @ x), dtype=complex),
                                      n, stats=stats))
 
 

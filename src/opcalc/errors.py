@@ -54,7 +54,7 @@ class TensorRuleViolation(OpcalcError):
 
 
 class SectorViolation(OpcalcError):
-    """Spectrum is not contained in the required strip or sector."""
+    """The spectrum is not contained in the required strip or sector."""
 
 
 class DecayViolation(OpcalcError):

@@ -123,8 +123,8 @@ def apply_via_eig(f, m) -> np.ndarray:
     Serves as the independent oracle for the contour route; raises
     :class:`opcalc.errors.NonDiagonalizable` for defective input.
     """
-    spec, v, vinv = eigen_decompose(m)
-    fw = np.asarray(f(spec.eigenvalues), dtype=complex)
+    w, v, vinv = eigen_decompose(m)
+    fw = np.asarray(f(w), dtype=complex)
     return (v * fw) @ vinv
 
 

@@ -1,10 +1,10 @@
 """Holomorphic function handles, domain descriptors, and the named builtins.
 
 A :class:`HoloFunction` bundles a vectorized evaluation handle with a domain
-descriptor and (optionally) a derivative handle ``deriv(k, z)``.  When no
-derivative handle is present, derivatives are synthesized by a Cauchy-integral
-circle quadrature whose radius is half the distance to the declared domain
-boundary, so everything stays inside the holomorphic toolkit.
+descriptor and (optionally) a derivative handle ``deriv(k, z)``.  Derivatives
+come from that handle alone: a handle without one refuses every derivative
+with :class:`opcalc.errors.InvalidInput`.  Every builtin carries its closed
+form.  A :class:`MultivariateFunction` takes one domain per variable.
 
 Named builtins accepted everywhere a function name is allowed (CLI included):
 
@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidInput, QuadratureNoConvergence
+from .errors import InvalidInput
 
 __all__ = [
     "Domain",
@@ -38,7 +38,6 @@ __all__ = [
     "resolvent_function",
     "rational_function",
     "named_function",
-    "cauchy_derivative",
 ]
 
 
@@ -46,9 +45,6 @@ class Domain:
     """Base descriptor for an open set on which a function is holomorphic."""
 
     def contains(self, z) -> np.ndarray:
-        raise NotImplementedError
-
-    def boundary_distance(self, z) -> np.ndarray:
         raise NotImplementedError
 
     def contains_hull(self, z) -> bool:
@@ -64,9 +60,6 @@ class Disc(Domain):
     def contains(self, z):
         return np.abs(np.asarray(z) - self.center) < self.radius
 
-    def boundary_distance(self, z):
-        return self.radius - np.abs(np.asarray(z) - self.center)
-
 
 @dataclass(frozen=True)
 class Sector(Domain):
@@ -77,12 +70,6 @@ class Sector(Domain):
     def contains(self, z):
         z = np.asarray(z)
         return (np.abs(np.angle(z)) < self.delta) & (z != 0)
-
-    def boundary_distance(self, z):
-        z = np.asarray(z)
-        gap = self.delta - np.abs(np.angle(z))
-        # distance to the bounding rays, capped by the distance to the tip
-        return np.where(gap > 0, np.abs(z) * np.sin(np.minimum(gap, np.pi / 2)), 0.0)
 
     def contains_hull(self, z) -> bool:
         # The hull's boundary is made of node-to-node segments.  From p to q, arg z
@@ -101,51 +88,8 @@ class Entire(Domain):
     def contains(self, z):
         return np.full(np.shape(z), True)
 
-    def boundary_distance(self, z):
-        # unbounded; grows with |z| so synthesized-derivative circles stay well scaled
-        return 2.0 * (1.0 + np.abs(np.asarray(z)))
-
 
 ENTIRE = Entire()
-
-
-def cauchy_derivative(f: "HoloFunction", k: int, z):
-    """k-th derivative via the Cauchy integral on a circle inside the domain.
-
-    The circle around each point has radius half the distance to the domain
-    boundary; the trapezoid count doubles from 32 until two passes agree to
-    1e-11 relative at every point, and :class:`QuadratureNoConvergence` is
-    raised when they still differ at 8192 nodes.
-    """
-    z = np.asarray(z, dtype=complex)
-    dist = np.asarray(f.domain.boundary_distance(z), dtype=float)
-    if np.any(dist <= 0):
-        raise DomainViolation("derivative synthesis point outside the declared domain")
-    rho = 0.5 * dist
-    kfac = math.factorial(k)
-
-    def estimate(m):
-        theta = 2.0 * np.pi * np.arange(m) / m
-        ring = np.exp(1j * theta)  # shape (m,)
-        zeta = z[..., None] + rho[..., None] * ring
-        vals = f(zeta) * ring ** (-k)
-        return kfac * np.mean(vals, axis=-1) / rho**k
-
-    m = 32
-    prev = estimate(m)
-    diff = np.nan
-    while m < 8192:
-        m *= 2
-        cur = estimate(m)
-        scale = np.maximum(np.abs(cur), 1e-300)
-        if np.all(np.abs(cur - prev) <= 1e-11 * scale):
-            return cur if cur.shape else complex(cur)
-        diff = np.max(np.abs(cur - prev) / scale)
-        prev = cur
-    raise QuadratureNoConvergence(
-        f"Cauchy derivative of order {k} did not stabilize within {m} nodes: "
-        f"last relative difference {diff:.3e}, rtol 1e-11"
-    )
 
 
 @dataclass(frozen=True)
@@ -161,22 +105,22 @@ class HoloFunction:
         return self.fn(np.asarray(z, dtype=complex))
 
     def derivative(self, k: int, z):
-        """f^(k)(z); uses the supplied handle or Cauchy-integral synthesis."""
-        if k == 0:
-            return self(z)
-        if self.deriv is not None:
-            return self.deriv(k, np.asarray(z, dtype=complex))
-        return cauchy_derivative(self, k, z)
+        """f^(k)(z) from the derivative handle."""
+        return self.deriv_function(k)(z)
 
     def deriv_function(self, k: int) -> "HoloFunction":
-        """The k-th derivative as a new handle on the same domain."""
+        """The k-th derivative as a new handle on the same domain.
+
+        Raises :class:`InvalidInput` for k > 0 when this handle has no ``deriv``.
+        """
         if k == 0:
             return self
+        if self.deriv is None:
+            raise InvalidInput(f"function {self.name!r} has no derivative handle")
         return HoloFunction(
-            fn=lambda z, _k=k: self.derivative(_k, z),
+            fn=lambda z, _k=k: self.deriv(_k, z),
             domain=self.domain,
-            deriv=(None if self.deriv is None
-                   else (lambda j, z, _k=k: self.deriv(_k + j, z))),
+            deriv=lambda j, z, _k=k: self.derivative(_k + j, z),
             name=f"{self.name}^({k})",
         )
 
@@ -193,10 +137,6 @@ class MultivariateFunction:
     fn: Callable
     domains: tuple = field(default_factory=tuple)
     name: str = "custom"
-
-    @property
-    def arity(self) -> int:
-        return len(self.domains)
 
     def __call__(self, *zs):
         return self.fn(*[np.asarray(z, dtype=complex) for z in zs])

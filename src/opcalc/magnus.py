@@ -4,19 +4,19 @@ The logarithm Omega(t) = log Y(t) satisfies
 
     Omega' = sum_n (B_n / n!) ad_Omega^n (A(t)),   Omega(0) = 0,
 
-with Bernoulli numbers B_n in the B_1 = -1/2 convention.  The right-hand side
-is summed as written (nested commutators, truncated at a configurable order)
-and stepped with the classical 4th-order Runge-Kutta scheme; a plain
-Runge-Kutta solver for Y itself with Richardson step-halving serves as the
-independent oracle.
+with Bernoulli numbers B_n in the B_1 = -1/2 convention, computed exactly by
+:func:`bernoulli`.  The right-hand side is summed as written (nested
+commutators, truncated at a configurable order, with the coefficients
+B_n / n! rendered to floats once per order) and stepped with the classical
+4th-order Runge-Kutta scheme; a plain Runge-Kutta solver for Y itself with
+Richardson step-halving serves as the independent oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, partial
 from fractions import Fraction
+from functools import cache, partial
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .core import as_matrix, commutator, matrix_exp, opnorm
 from .errors import BranchRadiusExceeded, InvalidInput, QuadratureNoConvergence, StepRejected
 
 __all__ = [
-    "BernoulliTable",
     "bernoulli",
     "magnus_rhs",
     "magnus_solve",
@@ -48,25 +47,8 @@ def _field_value(A, t: float, dim: int) -> np.ndarray:
     return value
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """B_0..B_K as exact rationals rendered to floats (B_1 = -1/2 convention)."""
-
-    values: tuple[float, ...]
-    fractions: tuple[Fraction, ...]
-    convention: str = "B1=-1/2"
-
-    def __len__(self):
-        return len(self.values)
-
-    @cached_property
-    def series(self) -> tuple[float, ...]:
-        """The Magnus coefficients B_n / n!, n = 0..K."""
-        return tuple(v / math.factorial(n) for n, v in enumerate(self.values))
-
-
-def bernoulli(K: int) -> BernoulliTable:
-    """Bernoulli numbers through the binomial recurrence, exactly."""
+def bernoulli(K: int) -> tuple[Fraction, ...]:
+    """B_0..B_K through the binomial recurrence, exactly (B_1 = -1/2)."""
     if not 0 <= K <= BERNOULLI_CAP:
         raise InvalidInput(f"table order K must lie in 0..{BERNOULLI_CAP}, got {K}")
     fracs = [Fraction(1)]
@@ -75,18 +57,20 @@ def bernoulli(K: int) -> BernoulliTable:
         for k in range(n):
             acc += math.comb(n + 1, k) * fracs[k]
         fracs.append(-acc / (n + 1))
-    return BernoulliTable(tuple(float(f) for f in fracs), tuple(fracs))
+    return tuple(fracs)
 
 
-def magnus_rhs(omega, a_t, order: int, table: BernoulliTable | None = None) -> np.ndarray:
+@cache
+def _series(order: int) -> tuple[float, ...]:
+    """The Magnus coefficients float(B_n) / n!, n = 0..order."""
+    return tuple(float(b) / math.factorial(n) for n, b in enumerate(bernoulli(order)))
+
+
+def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
     """Truncated commutator series sum_{n<=order} (B_n/n!) ad_omega^n(a_t)."""
-    if table is None:
-        table = bernoulli(order)
-    if not 0 <= order < len(table):
-        raise InvalidInput(f"order {order} outside the Bernoulli table 0..{len(table) - 1}")
+    series = _series(order)
     om = as_matrix(omega)
     x = as_matrix(a_t, dim=om.shape[0])
-    series = table.series
     total = series[0] * x
     for n in range(1, order + 1):
         x = commutator(om, x)
@@ -188,14 +172,14 @@ def magnus_solve(
     returns.
     """
     stops = _stops(t_end, checkpoints)
-    tab = bernoulli(order)
+    _series(order)  # refuses an order outside 0..BERNOULLI_CAP before A is read
     a0 = as_matrix(A(0.0))
     omega0 = np.zeros_like(a0)
 
     field = partial(_field_value, A, dim=a0.shape[0])
 
     def rhs(a, om):
-        return magnus_rhs(om, a, order, tab)
+        return magnus_rhs(om, a, order)
 
     def monitor(t, om):
         nrm = opnorm(om)

@@ -7,6 +7,11 @@ one contour; no limits are taken.  A directional derivative of the matrix
 map of f needs no routine of its own: the n-th one at a in directions
 b_1..b_n is the confluent pairing [a, ..., a] f summed over the orderings
 of the b's (:func:`opcalc.funcalc.dd_apply`).
+
+An expansion returns an :class:`ExpansionReport` of partial sums, remainder
+norms and an independently computed target, and passes no verdict: the
+caller judges the remainders against its own tolerance (the CLI report and
+the identity checks of :mod:`opcalc.verify`).
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ class ExpansionReport:
     partial_sums: list
     remainder_norms: list
     target: np.ndarray
-    converged: bool
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -58,7 +62,6 @@ class ExpansionReport:
             "orders": list(range(len(self.partial_sums))),
             "remainder_norms": [float(r) for r in self.remainder_norms],
             "target_norm": opnorm(self.target),
-            "converged": bool(self.converged),
             "meta": {
                 k: (v if isinstance(v, (int, float, bool, str, list)) else str(v))
                 for k, v in self.meta.items()
@@ -75,8 +78,7 @@ def newton_interpolate(f: HoloFunction, mats, *,
     commute, so the factor order matters and is preserved.  Every term is a
     block of row 0 of one f(B), B = ``bidiagonal(a_0..a_n; a_n - a_0, ...,
     a_n - a_{n-1})``.  The target f(a_n) comes from a separate quadrature of
-    the single-variable calculus.  The report counts as converged when the last
-    remainder is within 1e-8 of |f(a_n)|.
+    the single-variable calculus.
     """
     ms = as_matrices(mats)
     d = ms[0].shape[0]
@@ -85,8 +87,7 @@ def newton_interpolate(f: HoloFunction, mats, *,
     target = apply_function(f, ms[-1], c)
     partials = list(itertools.accumulate(fb[:d, j * d:(j + 1) * d] for j in range(len(ms))))
     norms = [opnorm(p - target) for p in partials]
-    converged = norms[-1] <= 1e-8 * max(opnorm(target), 1e-300)
-    return ExpansionReport(partials, norms, target, converged)
+    return ExpansionReport(partials, norms, target)
 
 
 def newton_recursion_check(f: HoloFunction, mats, bs, *, contour: Contour | None = None) -> float:
@@ -146,12 +147,10 @@ def taylor_expand(
     partials = list(itertools.accumulate(fb[:d, j * d:(j + 1) * d] for j in range(N + 1)))
     norms = [opnorm(target - p) for p in partials]
     rems = [fb[(N - j) * d:(N - j + 1) * d, -d:] for j in range(N + 1)]
-    converged = norms[-1] <= 1e-8 * max(opnorm(target), 1e-300)
     return ExpansionReport(
         partials,
         norms,
         target,
-        converged,
         meta={
             "c2": c2,
             "explicit_remainder_norms": [opnorm(r) for r in rems],
@@ -241,9 +240,8 @@ def dyson_terms_simplex(a, b, N: int) -> tuple[list, np.ndarray]:
     """
     am = as_matrix(a)
     bm = as_matrix(b, dim=am.shape[0])
-    spec, v, vinv = eigen_decompose(am)
-    specc, w, winv = eigen_decompose(am + bm)
-    lam, mu = spec.eigenvalues, specc.eigenvalues
+    lam, v, vinv = eigen_decompose(am)
+    mu, w, winv = eigen_decompose(am + bm)
     bprime = vinv @ bm @ v
     mix, mixinv = vinv @ w, winv @ v
 
@@ -280,9 +278,8 @@ def dyson_exp(a, b, N: int) -> ExpansionReport:
     the remainder is block (0, N + 1).  The report records, per order, the
     distance of the partial sum to exp(a + b); ``meta`` holds the remainder
     norm and the defect of partial + remainder = target, an identity up to
-    rounding; the report counts as converged when that defect is within 1e-7
-    of |exp(a + b)|.  :func:`dyson_terms_simplex` evaluates the same integrals
-    by simplex quadrature and serves as the ``verify-all`` oracle.
+    rounding.  :func:`dyson_terms_simplex` evaluates the same integrals by
+    simplex quadrature and serves as the ``verify-all`` oracle.
     """
     if N < 0:
         raise InvalidInput(f"order N must be nonnegative, got {N}")
@@ -295,12 +292,10 @@ def dyson_exp(a, b, N: int) -> ExpansionReport:
     norms = [opnorm(target - p) for p in partials]
     remainder = row[:, -d:]
     defect = opnorm(partials[-1] + remainder - target)
-    converged = defect <= 1e-7 * max(opnorm(target), 1e-300)
     return ExpansionReport(
         partials,
         norms,
         target,
-        converged,
         meta={
             "exact_remainder_norm": opnorm(remainder),
             "identity_defect": defect,

@@ -54,7 +54,6 @@ class SectorFunction:
     holo: HoloFunction
     decay_far: float
     decay_near: float
-    family: str = "custom"
 
     def __call__(self, s):
         return self.holo(s)
@@ -67,8 +66,7 @@ def power_rational(q: int, p: int = 0) -> SectorFunction:
         return s**p * (1.0 + s) ** (-q)
 
     holo = HoloFunction(fn, Sector(np.pi * (1 - 1e-12)), name=f"s^{p}(1+s)^-{q}")
-    return SectorFunction(holo, decay_far=float(q - p), decay_near=float(-p),
-                          family=f"s^{p}(1+s)^-{q}")
+    return SectorFunction(holo, decay_far=float(q - p), decay_near=float(-p))
 
 
 def family_from_exponents(qs) -> list[SectorFunction]:
@@ -129,8 +127,7 @@ def _eigenbasis(fs, A, bs, delta):
     bmats = [as_matrix(b, dim=Am.shape[0]) for b in bs]
     if len(bmats) != len(fs) - 1:
         raise SectorViolation(f"{len(fs)} functions need {len(fs) - 1} factors")
-    spec, v, vinv = eigen_decompose(Am)
-    lam = spec.eigenvalues
+    lam, v, vinv = eigen_decompose(Am)
     cap = delta if delta is not None else np.pi / 2
     if np.any(lam == 0) or np.any(np.abs(np.angle(lam)) >= cap):
         raise SectorViolation(

@@ -114,6 +114,17 @@ class TestDDCommand:
         assert out == ""
         assert all(f"{route}:" in err for route in verify.DD_ROUTES)
 
+    @pytest.mark.parametrize("method, message", [("recursive", "error: f is not finite"),
+                                                 ("explicit", "error: f is not finite"),
+                                                 ("all", "every route refused")])
+    def test_node_on_a_pole_is_input_error(self, method, message, capsys):
+        # f(1) is infinite for the resolvent at 1: no NaN in the report
+        code, out, err = run_cli(["dd", "--f", "resolvent:1,0", "--nodes", "[[0,0],[1,0]]",
+                                  "--method", method], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_byte_identical_reports(self, capsys):
         args = ["dd", "--f", "exp", "--nodes", "[[0,0],[1,0]]", "--seed", "5"]
         _, out1, _ = run_cli(args, capsys)
@@ -163,6 +174,24 @@ class TestFuncalcCommand:
         path.write_text(json.dumps(job))
         code, out, _ = run_cli(["funcalc", "--job", str(path)], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("diagonals, code", [([[0.1, 0.2], [0.3, 0.4]], 0),
+                                                 ([[0.1, 0.2], [3.0, 3.5]], 2),
+                                                 ([[3.0, 3.5]], 2)])
+    def test_elementary_mode_keeps_the_job_circle(self, diagonals, code, tmp_path, capsys):
+        # the circle |z| = 0.5 serves every matrix of the tuple; one that it does
+        # not enclose is refused, as in a single-matrix job
+        job = {
+            "function": ["exp"] * len(diagonals),
+            "matrices": [matrix_to_json(np.diag(d)) for d in diagonals],
+            "contour": {"auto": False, "center": [0.0, 0.0], "radius": 0.5, "nodes": 32},
+            "mode": "funcalc",
+        }
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        got, out, err = run_cli(["funcalc", "--job", str(path)], capsys)
+        assert got == code
+        assert ("error:" in err) == (code == 2)
 
     def test_ddapply_mode_checks_pairing(self, tmp_path, capsys):
         mats = [gen_matrix("random", 2, 3 + j) for j in range(3)]
@@ -435,6 +464,28 @@ class TestReachability:
                         loaded.add(name)
         assert sorted(public - loaded) == []
 
+    def test_every_field_and_method_is_read_in_the_package(self):
+        # an annotated field, property or method that no module of the package
+        # reads is a value computed for no one: its name must be loaded as an
+        # attribute somewhere in the package, or be a string constant there
+        # (the Tolerances fields are read by name through verify.IDENTITIES)
+        src = Path(opcalc.__file__).parent
+        members, read = set(), set()
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                            members.add((node.name, item.target.id))
+                        elif (isinstance(item, ast.FunctionDef)
+                              and not (item.name.startswith("__") and item.name.endswith("__"))):
+                            members.add((node.name, item.name))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+        assert sorted(f"{cls}.{name}" for cls, name in members if name not in read) == []
+
 
 class TestIdentityRegistry:
     """Every residual a subcommand reports is a record of ``opcalc.verify``."""
@@ -562,17 +613,17 @@ class TestErrorPaths:
             multinomial_identity((2, 2), 3, "<=")
 
     def test_rhs_order_vs_table(self):
-        from opcalc import bernoulli, magnus_rhs
+        from opcalc import magnus_rhs
 
         with pytest.raises(ValueError):
-            magnus_rhs(np.zeros((2, 2)), np.eye(2), order=10, table=bernoulli(4))
+            magnus_rhs(np.zeros((2, 2)), np.eye(2), order=31)  # past B_30
 
     @pytest.mark.parametrize("call", [
-        lambda: ExpansionReport([np.eye(2)], [], np.eye(2), True),
+        lambda: ExpansionReport([np.eye(2)], [], np.eye(2)),
         lambda: newton_recursion_check(named_function("exp"), [np.eye(2)], []),
         lambda: taylor_series_ad(named_function("exp"), np.eye(2), [np.eye(2)], side="up"),
         lambda: bernoulli(31),
-        lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=10, table=bernoulli(4)),
+        lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=31),
         lambda: magnus_solve(triangular_field(), -1.0, 0.1),
         lambda: magnus_solve(triangular_field(), 1.0, 0.1, checkpoints=[float("nan")]),
         lambda: magnus_solve(triangular_field(), 1.0, 0.1, checkpoints=[0.5, 0.2]),
@@ -587,7 +638,7 @@ class TestErrorPaths:
         lambda: dd_tensor(named_function("exp"), []),
         lambda: contour_around([]),
         lambda: bernoulli(-1),
-        lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=-1, table=bernoulli(4)),
+        lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=-1),
     ], ids=["expansion-report", "newton-recursion", "ad-series-side", "bernoulli-cap",
             "rhs-order", "end-time", "checkpoint-finite", "checkpoint-order", "step",
             "samples", "builtin-field", "function-name", "dyson-order", "taylor-order",

@@ -44,8 +44,8 @@ def nested_commutator(a, b, n):
 
 class TestEigenDecompose:
     def test_diagonal(self):
-        spec, v, vinv = eigen_decompose(np.diag([1.0, 2.0]))
-        assert sorted(spec.eigenvalues.real) == [1.0, 2.0]
+        w, v, vinv = eigen_decompose(np.diag([1.0, 2.0]))
+        assert sorted(w.real) == [1.0, 2.0]
         assert rel_err(v @ vinv, np.eye(2)) < 1e-14
 
     def test_jordan_block_rejected(self):
@@ -54,12 +54,8 @@ class TestEigenDecompose:
 
     def test_hermitian_reconstruction(self):
         a = gen_matrix("hermitian", 4, 0)
-        spec, v, vinv = eigen_decompose(a)
-        assert rel_err((v * spec.eigenvalues) @ vinv, a) <= 1e-10
-
-    def test_conditioning_reported(self):
-        spec, _, _ = eigen_decompose(gen_matrix("hermitian", 3, 1))
-        assert spec.conditioning < 10.0  # unitary basis
+        w, v, vinv = eigen_decompose(a)
+        assert rel_err((v * w) @ vinv, a) <= 1e-10
 
 
 class TestKron:
@@ -201,8 +197,8 @@ class TestMatrixExp:
 
     def test_normal_against_eig(self):
         a = gen_matrix("hermitian", 4, 25)
-        spec, v, vinv = eigen_decompose(a)
-        oracle = (v * np.exp(spec.eigenvalues)) @ vinv
+        w, v, vinv = eigen_decompose(a)
+        oracle = (v * np.exp(w)) @ vinv
         assert rel_err(matrix_exp(a), oracle) <= 1e-12
 
 

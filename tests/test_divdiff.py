@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from opcalc import (
     power_function,
     resolvent_function,
     simplex_moment_s,
+    taylor_series_ad,
 )
 from opcalc.quadrature import contour_around, iter_simplex_rule
 from opcalc.errors import (
@@ -185,11 +187,19 @@ class TestHermite:
             verdicts.add(want)
         assert verdicts == {True, False}
 
-    def test_synthesized_derivatives(self):
-        # no derivative handle: Cauchy-circle synthesis on a disc domain
-        f = HoloFunction(np.exp, Disc(0.0, 4.0))
-        xs = [0.1, 0.4, 0.8]
-        assert dd_hermite(f, xs) == pytest.approx(dd_recursive(EXP, xs), rel=1e-8)
+    def test_handle_without_derivatives_is_refused(self):
+        # derivatives come from the handle alone: without ``deriv`` the simplex
+        # route and the commutator series refuse before f is evaluated anywhere
+        calls = []
+        f = HoloFunction(lambda z: calls.append(z) or np.exp(z), Disc(0.0, 4.0), name="bare")
+        with pytest.raises(InvalidInput, match="'bare' has no derivative handle"):
+            f.derivative(1, 0.1)
+        with pytest.raises(InvalidInput, match="'bare' has no derivative handle"):
+            dd_hermite(f, [0.1, 0.4, 0.8])
+        with pytest.raises(InvalidInput, match="'bare' has no derivative handle"):
+            taylor_series_ad(f, 0.1 * np.eye(2), [np.eye(2)])
+        assert calls == []
+        assert dd_hermite(f, [0.3]) == pytest.approx(np.exp(0.3))  # f itself, n = 0
 
     def test_eight_nodes_refused_before_integrating(self):
         # the point budget leaves one simplex order at n = 7: no error estimate
@@ -198,12 +208,6 @@ class TestHermite:
         with pytest.raises(QuadratureNoConvergence):
             dd_hermite(f, np.linspace(0.0, 0.7, 8))
         assert calls == []
-
-    def test_synthesized_derivative_that_does_not_settle(self):
-        # order 20 on Disc(0, 4): the Cauchy circles reach 8192 nodes unsettled
-        f = HoloFunction(np.exp, Disc(0.0, 4.0))
-        with pytest.raises(QuadratureNoConvergence, match="order 20.*8192 nodes"):
-            f.derivative(20, 0.1)
 
 
 class TestPowerClosedForm:
@@ -246,6 +250,17 @@ class TestResolvent:
             dd_contour(resolvent_function(1.0), [0.0, 1.0])
         with pytest.raises(DomainViolation):
             dd_hermite(resolvent_function(1.0), [0.0, 1.0])
+
+    @pytest.mark.parametrize("route", [dd_recursive, dd_explicit])
+    @pytest.mark.parametrize("f, xs", [(resolvent_function(1.0), [0.0, 1.0]),
+                                       (power_function(-2), [0.0, 1.0, 2.0]),
+                                       (log_function(), [1.0, 0.0])])
+    def test_node_on_a_pole_is_refused_by_the_sum_routes(self, route, f, xs):
+        # f is not finite at a node: a typed error, not NaN, and no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainViolation, match="not finite at node"):
+                route(f, xs)
 
     def test_recursive_agreement(self):
         rng = np.random.default_rng(6)

@@ -34,8 +34,7 @@ def kron_oracle(fs, A, bs, route):
     """The rhs routes through the (p+1)-fold Kronecker eigenbasis: one scalar
     kernel per eigenvalue tuple on the diagonal, then the slotwise pairing."""
     p, d = len(bs), A.shape[0]
-    spec, v, vinv = eigen_decompose(A)
-    lam = spec.eigenvalues
+    lam, v, vinv = eigen_decompose(A)
     vals = np.empty(d ** (p + 1), dtype=complex)
     for flat, idx in enumerate(itertools.product(range(d), repeat=p + 1)):
         s = lam[list(idx)]
