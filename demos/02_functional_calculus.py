@@ -64,9 +64,10 @@ lhs = funcalc_n(fg, tup)
 rhs = funcalc_n(f, tup) @ funcalc_n(g, tup)
 print(f"  homomorphism (fg) = f g:     {rel_err(lhs, rhs):.2e}")
 
-value = funcalc_elementary([exp, res], tup)
+value, joint = funcalc_elementary([exp, res], tup)
 split = apply_via_eig(exp, mats[0]) @ apply_via_eig(res, mats[1])
-print(f"  elementary-tensor rule:      {rel_err(value, split):.2e}")
+print(f"  elementary-tensor rule:      {rel_err(joint, value):.2e}  (joint grid vs f(a1) g(a2))")
+print(f"  f(a1) g(a2) vs eigenbasis:   {rel_err(value, split):.2e}")
 
 print()
 print("=" * 70)

@@ -14,7 +14,6 @@ from .core import (
     as_matrix,
     commutator,
     eigen_decompose,
-    kron,
     matrix_exp,
     matrix_from_json,
     matrix_to_json,
@@ -81,7 +80,6 @@ from .rearrange import (
     family_from_exponents,
     kernel_F,
     kernel_G,
-    power_rational,
     rearrange_lhs,
     rearrange_rhs_F,
     rearrange_rhs_G,

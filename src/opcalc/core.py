@@ -28,7 +28,6 @@ __all__ = [
     "as_matrix",
     "as_matrices",
     "eigen_decompose",
-    "kron",
     "multikron",
     "pair",
     "matrix_exp",
@@ -97,11 +96,6 @@ def eigen_decompose(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if residual > EIG_RESIDUAL:
         raise NonDiagonalizable(f"reconstruction residual {residual:.3e}")
     return w, v, vinv
-
-
-def kron(x, y) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(as_matrix(x), as_matrix(y))
 
 
 def multikron(mats: Sequence[np.ndarray]) -> np.ndarray:

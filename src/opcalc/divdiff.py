@@ -212,23 +212,18 @@ def _check_multiindex(alpha) -> tuple[int, ...]:
     return t
 
 
-def simplex_moment_s(alpha, exact: bool = False):
+def simplex_moment_s(alpha) -> Fraction:
     """Moment of the barycentric monomial s^alpha over the n-simplex: a! / (|a|+n)!.
 
-    ``alpha`` has n+1 parts.  The float path goes through log-Gamma; with
-    ``exact=True`` the value is returned as a :class:`fractions.Fraction`.
+    ``alpha`` has n+1 parts; the value is an exact :class:`fractions.Fraction`.
     """
     a = _check_multiindex(alpha)
     if not a:
         raise InvalidInput("alpha needs n + 1 >= 1 parts for the n-simplex")
-    n = len(a) - 1
-    if exact:
-        num = 1
-        for part in a:
-            num *= math.factorial(part)
-        return Fraction(num, math.factorial(sum(a) + n))
-    log = sum(math.lgamma(part + 1) for part in a) - math.lgamma(sum(a) + n + 1)
-    return math.exp(log)
+    num = 1
+    for part in a:
+        num *= math.factorial(part)
+    return Fraction(num, math.factorial(sum(a) + len(a) - 1))
 
 
 def bang_shriek(alpha) -> tuple[float, float]:

@@ -139,13 +139,7 @@ def apply_function(
     return dd_apply(f, [m], [], contour, stats=stats)
 
 
-def funcalc_n(
-    f,
-    a,
-    cs: Sequence[Contour] | None = None,
-    *,
-    stats: dict | None = None,
-) -> np.ndarray:
+def funcalc_n(f, a, cs: Sequence[Contour] | None = None) -> np.ndarray:
     """f(a_1, ..., a_n) for a commuting tuple by tensor-grid circle quadrature.
 
     One circle per variable; all axes double their trapezoid counts together
@@ -222,10 +216,7 @@ def funcalc_n(
             m_nodes *= 2
             yield m_nodes, *level(m_nodes)
 
-    m_nodes, value = _refine(levels(), RTOL, opnorm)
-    if stats is not None:
-        stats["axis_nodes"] = m_nodes
-    return value
+    return _refine(levels(), RTOL, opnorm)[1]
 
 
 def funcalc_elementary(
@@ -234,13 +225,13 @@ def funcalc_elementary(
     cs: Sequence[Contour] | None = None,
     *,
     check_tol: float = DEFAULTS.tensor_rule,
-    stats: dict | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """(f_1 x ... x f_n)(a) with the product-rule cross-check.
 
     Evaluates the joint tensor-grid integral of the product function and the
     product of single-variable values, verifies they agree to ``check_tol``,
-    and returns the product of single-variable values.
+    and returns ``(value, joint)``: the product of single-variable values
+    and the joint integral (``verify.tensor_rule`` records their distance).
     """
     tup = _as_tuple(a)
     n = len(tup)
@@ -257,14 +248,12 @@ def funcalc_elementary(
     for j, fj in enumerate(fs):
         singles = singles @ apply_function(fj, tup[j], cs[j] if cs else None)
     defect = rel_err(joint, singles)
-    if stats is not None:
-        stats["tensor_rule_defect"] = defect
     if defect > check_tol:
         raise TensorRuleViolation(
             f"joint and factored evaluations differ by {defect:.3e} "
             f"(tensor-product-rule, tol {check_tol:g})"
         )
-    return singles
+    return singles, joint
 
 
 def dd_tensor(
@@ -288,7 +277,7 @@ def dd_tensor(
     halves = ms[: len(ms) // 2], ms[len(ms) // 2 :]
     p, q = (d ** len(h) for h in halves)
 
-    def kron(zeta, part):
+    def kron_stack(zeta, part):  # the half's resolvent Kronecker products, per node
         out = np.ones((len(zeta), 1, 1), dtype=complex)
         for r in (_resolvents(zeta, m) for m in part):
             k = out.shape[1] * r.shape[1]
@@ -297,7 +286,7 @@ def dd_tensor(
 
     def weighted(zeta, w):
         cw = w * np.asarray(f(zeta), dtype=complex)
-        left, right = (kron(zeta, h) for h in halves)
+        left, right = (kron_stack(zeta, h) for h in halves)
         mass = np.abs(cw) @ (np.abs(left).sum(axis=(1, 2)) * np.abs(right).sum(axis=(1, 2)))
         return np.einsum("k,kab,kce->acbe", cw, left, right, optimize=True), float(mass)
 

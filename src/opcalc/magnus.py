@@ -196,20 +196,15 @@ def magnus_solve(
     return [(om, matrix_exp(om)) for om in omegas[:-1]]
 
 
-def rk_reference(
-    A,
-    t_end: float,
-    h: float | None = None,
-    *,
-    checkpoints=None,
-):
+def rk_reference(A, t_end: float, *, checkpoints=None):
     """Propagator of Y' = A(t) Y, Y(0) = 1, by RK4 with Richardson step-halving.
 
-    The step is halved, at most 20 times, until two consecutive answers agree
-    to 1e-10 in operator norm (relative to the finer answer).  With
-    ``checkpoints``, a sorted sequence of times in [0, t_end], each pass also
-    stops at every checkpoint, a halving level is accepted only when all of
-    them agree, and the list of propagators at the checkpoints is returned.
+    The step starts at t_end / 64 and is halved, at most 20 times, until two
+    consecutive answers agree to 1e-10 in operator norm (relative to the
+    finer answer).  With ``checkpoints``, a sorted sequence of times in
+    [0, t_end], each pass also stops at every checkpoint, a halving level is
+    accepted only when all of them agree, and the list of propagators at the
+    checkpoints is returned.
     """
     stops = _stops(t_end, checkpoints)
     a0 = as_matrix(A(0.0))
@@ -221,7 +216,7 @@ def rk_reference(
         return all(opnorm(c - p) <= 1e-10 * max(opnorm(c), 1e-300)
                    for c, p in zip(cur, prev))
 
-    step = h if h is not None else t_end / 64.0
+    step = t_end / 64.0
     prev = _rk4(field, np.matmul, eye, stops, step)
     for _ in range(20):
         step *= 0.5
@@ -245,8 +240,8 @@ def triangular_field():
     return A
 
 
-def perturbed_triangular_field(seed: int, scale: float = 0.1):
-    """Triangular field plus a seeded Hermitian perturbation H0 + t H1."""
+def perturbed_triangular_field(seed: int):
+    """Triangular field plus a seeded Hermitian perturbation 0.1 (H0 + t H1)."""
     rng = np.random.default_rng(seed)
 
     def hermitian():
@@ -258,7 +253,7 @@ def perturbed_triangular_field(seed: int, scale: float = 0.1):
     base = triangular_field()
 
     def A(t):
-        return base(t) + scale * (h0 + t * h1)
+        return base(t) + 0.1 * (h0 + t * h1)
 
     return A
 

@@ -90,7 +90,7 @@ def newton_interpolate(f: HoloFunction, mats, *,
     return ExpansionReport(partials, norms, target)
 
 
-def newton_recursion_check(f: HoloFunction, mats, bs, *, contour: Contour | None = None) -> float:
+def newton_recursion_check(f: HoloFunction, mats, bs) -> float:
     """Residual of the divided-difference recursion under node exchange.
 
     ``mats`` supplies a_0, ..., a_{n+1} (so n + 2 matrices) and ``bs`` the n
@@ -103,21 +103,14 @@ def newton_recursion_check(f: HoloFunction, mats, bs, *, contour: Contour | None
     n = len(ms) - 2
     if n < 0 or len(bs) != n:
         raise InvalidInput("need n+2 nodes and n factors")
-    c = contour_around(_spectrum(ms), contour=contour)
+    c = contour_around(_spectrum(ms))
     swapped = ms[:n] + [ms[n + 1]]
     lhs = dd_apply(f, swapped, bs, c) - dd_apply(f, ms[: n + 1], bs, c)
     rhs = dd_apply(f, ms, list(bs) + [ms[n + 1] - ms[n]], c)
     return opnorm(lhs - rhs)
 
 
-def taylor_expand(
-    f: HoloFunction,
-    a,
-    b,
-    N: int,
-    *,
-    contour: Contour | None = None,
-) -> ExpansionReport:
+def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
     """Expansion of f(a + b) in confluent divided-difference terms.
 
     Partial sums accumulate the terms [a, ..., a] f (b ... b) for orders
@@ -135,7 +128,7 @@ def taylor_expand(
     am = as_matrix(a)
     d = am.shape[0]
     bm = as_matrix(b, dim=d)
-    c = contour_around(_spectrum([am, am + bm]), contour=contour)
+    c = contour_around(_spectrum([am, am + bm]))
     c2 = float(np.max(np.linalg.norm(_resolvents(c.points(128)[0], am), ord=2, axis=(1, 2))))
     if c2 * opnorm(bm) >= 1.0:
         warnings.warn(
@@ -259,9 +252,7 @@ def dyson_terms_simplex(a, b, N: int) -> tuple[list, np.ndarray]:
                 x = x * np.exp(s[:, order, None] * lam[None, :])[:, None, :]
             return x
 
-        value = simplex_integrate(integrand, order, rtol=1e-9,
-                                  point_budget=1_500_000)
-        return v @ value @ vinv
+        return v @ simplex_integrate(integrand, order) @ vinv
 
     return [term(n, False) for n in range(1, N + 1)], term(N + 1, True)
 

@@ -43,6 +43,7 @@ __all__ = [
 _TINY = 1e-300
 MAX_NODES = 8192  # most trapezoid nodes a circle quadrature doubles to
 MAX_ORDER = 128  # largest per-axis Gauss-Legendre order a simplex level doubles to
+POINT_BUDGET = 4_000_000  # most points of one simplex level
 
 
 def _norm(x) -> float:
@@ -101,8 +102,8 @@ class Contour:
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise ContourViolation("node count must be a power of two >= 16")
 
-    def points(self, m: int | None = None):
-        return circle_points(self.center, self.radius, m or self.nodes)
+    def points(self, m: int):
+        return circle_points(self.center, self.radius, m)
 
 
 def contour_around(points, domain=None, contour=None) -> Contour:
@@ -251,8 +252,8 @@ def iter_simplex_rule(n: int, q: int):
         yield s.reshape(-1, n + 1)[cut], (wt * jac).reshape(-1)[cut]
 
 
-def _order_schedule(n: int, point_budget: int):
-    budget_q = max(3, int(point_budget ** (1.0 / max(n, 1))))
+def _order_schedule(n: int):
+    budget_q = max(3, int(POINT_BUDGET ** (1.0 / max(n, 1))))
     q = min(8, budget_q)
     schedule = [q]
     while True:
@@ -264,32 +265,26 @@ def _order_schedule(n: int, point_budget: int):
     return schedule
 
 
-def simplex_integrate(
-    fn,
-    n: int,
-    *,
-    rtol: float = 1e-10,
-    point_budget: int = 4_000_000,
-    stats: dict | None = None,
-):
+def simplex_integrate(fn, n: int, *, stats: dict | None = None):
     """Integrate ``fn`` over the standard n-simplex with degree doubling.
 
     ``fn(S)`` maps a (p, n+1) block of barycentric points to p values (any
     trailing shape).  The per-axis Gauss-Legendre order starts at 8 and
     doubles up to ``MAX_ORDER``, additionally capped so a level never
-    exceeds ``point_budget`` points.  A budget that leaves a single order
-    gives no error estimate, so it raises before ``fn`` is called.
+    exceeds ``POINT_BUDGET`` points, until two levels agree to 1e-10
+    relative.  From n = 7 on the budget leaves a single order and so no
+    error estimate: that raises before ``fn`` is called.
     """
     if n == 0:
         return np.asarray(fn(np.ones((1, 1))))[0]
-    schedule = _order_schedule(n, point_budget)
+    schedule = _order_schedule(n)
     if len(schedule) == 1:
         raise QuadratureNoConvergence(
-            f"point budget {point_budget} leaves the single order {schedule[0]} "
+            f"point budget {POINT_BUDGET} leaves the single order {schedule[0]} "
             f"on the {n}-simplex, so no error estimate"
         )
     q, value = _refine(((q, *_weighted_sum(fn, iter_simplex_rule(n, q)))
-                        for q in schedule), rtol)
+                        for q in schedule), 1e-10)
     if stats is not None:
         stats["simplex_order"] = q
     return value
@@ -367,7 +362,7 @@ def adaptive_gauss_kronrod(fn, a: float, b: float, *, stats: dict | None = None)
     return value
 
 
-def halfline_integrate(fn, *, stats: dict | None = None):
+def halfline_integrate(fn):
     """Integral of ``fn`` over [0, inf) via u = t / (1 - t) and adaptive GK."""
 
     def g(t):
@@ -377,4 +372,4 @@ def halfline_integrate(fn, *, stats: dict | None = None):
         scale = (1.0 - t) ** -2
         return vals * scale.reshape(scale.shape + (1,) * (vals.ndim - 1))
 
-    return adaptive_gauss_kronrod(g, 0.0, 1.0, stats=stats)
+    return adaptive_gauss_kronrod(g, 0.0, 1.0)

@@ -1,6 +1,7 @@
 """Half-line operator integrals and their rearrangement into modular form.
 
-For functions f_0..f_p with power decay on a sector, the integral
+For the functions f_j(s) = (1 + s)^-q_j, j = 0..p, whose exponents sum
+past 1 (the power decay that makes it converge), the integral
 
     int_0^inf f_0(u A) b_1 f_1(u A) ... b_p f_p(u A) du
 
@@ -21,6 +22,7 @@ Daletskii-Krein form).
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 
@@ -28,12 +30,10 @@ import numpy as np
 
 from .core import as_matrix, eigen_decompose, stack_times
 from .errors import DecayViolation, InvalidInput, SectorViolation
-from .functions import HoloFunction, Sector
 from .quadrature import halfline_integrate
 
 __all__ = [
     "SectorFunction",
-    "power_rational",
     "family_from_exponents",
     "kernel_F",
     "kernel_G",
@@ -45,45 +45,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SectorFunction:
-    """Holomorphic function on a sector with tagged power decay.
+    """s -> (1 + s)^-q: holomorphic off the slit through -1, and decaying like
+    |s|^-q on every sector |arg s| < delta < pi."""
 
-    ``decay_far`` is the exponent alpha in |f(s)| <= C |s|^-alpha for large
-    |s|; ``decay_near`` the exponent beta for small |s|.
-    """
-
-    holo: HoloFunction
-    decay_far: float
-    decay_near: float
+    q: int
 
     def __call__(self, s):
-        return self.holo(s)
-
-
-def power_rational(q: int, p: int = 0) -> SectorFunction:
-    """The builtin family s -> s**p * (1+s)**-q (far decay q - p, near decay -p)."""
-
-    def fn(s):
-        return s**p * (1.0 + s) ** (-q)
-
-    holo = HoloFunction(fn, Sector(np.pi * (1 - 1e-12)), name=f"s^{p}(1+s)^-{q}")
-    return SectorFunction(holo, decay_far=float(q - p), decay_near=float(-p))
+        return (1.0 + np.asarray(s, dtype=complex)) ** (-self.q)
 
 
 def family_from_exponents(qs) -> list[SectorFunction]:
     """[(1+s)^-q for q in qs] -- the CLI's --family parser target."""
     if any(int(q) != q for q in qs):
         raise InvalidInput(f"exponents must be integers, got {list(qs)}")
-    return [power_rational(int(q)) for q in qs]
+    return [SectorFunction(int(q)) for q in qs]
 
 
 def _check_decay(fs) -> None:
-    far = sum(f.decay_far for f in fs)
-    near = sum(f.decay_near for f in fs)
-    if far <= 1.0 or near >= 1.0:
-        raise DecayViolation(
-            f"sum of far exponents {far:g} must exceed 1 and sum of near "
-            f"exponents {near:g} must stay below 1"
-        )
+    total = sum(f.q for f in fs)
+    if total <= 1:
+        raise DecayViolation(f"sum of decay exponents {total} must exceed 1")
 
 
 def kernel_F(fs, s):
@@ -123,6 +104,8 @@ def _eigenbasis(fs, A, bs, delta):
     """The input check of every route: decay, factor count, A = V diag(lam) V^-1
     and lam in the sector.  Returns lam, V, V^-1 and the b factors."""
     _check_decay(fs)
+    if delta is not None and not math.isfinite(delta):
+        raise InvalidInput(f"sector half-angle delta must be finite, got {delta!r}")
     Am = as_matrix(A)
     bmats = [as_matrix(b, dim=Am.shape[0]) for b in bs]
     if len(bmats) != len(fs) - 1:
@@ -137,14 +120,7 @@ def _eigenbasis(fs, A, bs, delta):
     return lam, v, vinv, bmats
 
 
-def rearrange_lhs(
-    fs,
-    A,
-    bs,
-    *,
-    delta: float | None = None,
-    stats: dict | None = None,
-) -> np.ndarray:
+def rearrange_lhs(fs, A, bs, *, delta: float | None = None) -> np.ndarray:
     """Direct adaptive quadrature of int f_0(uA) b_1 f_1(uA) ... b_p f_p(uA) du.
 
     Each factor f(uA) is V diag(f(u lam)) V^-1 in A's eigenbasis; A must be
@@ -164,7 +140,7 @@ def rearrange_lhs(
             x = x @ factor(f, u)
         return x
 
-    return halfline_integrate(integrand, stats=stats)
+    return halfline_integrate(integrand)
 
 
 def _joint_diagonal(fs, A, bs, delta, kernel):

@@ -10,7 +10,10 @@ constant of the module that reads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,11 @@ class Tolerances:
     kernel_scaling: float = 1e-9
 
     def scaled(self, factor: float) -> "Tolerances":
-        """All tolerances multiplied by ``factor``."""
+        """All tolerances multiplied by ``factor``, which must be finite and
+        positive: zero, a negative, infinite or NaN factor would fail or pass
+        every check whatever its residual (:class:`InvalidInput`)."""
+        if not (math.isfinite(factor) and factor > 0):
+            raise InvalidInput(f"tolerance scale must be finite and positive, got {factor!r}")
         return replace(
             self,
             **{name: getattr(self, name) * factor for name in self.__dataclass_fields__},

@@ -326,7 +326,7 @@ class TestMagnusCommand:
         A = builtin_field(field)
         for t, omega_norm, discrepancy in got[1:]:
             omega, y = magnus_solve(A, t, h, order)
-            reference = rk_reference(A, t, h=t / 32.0)
+            reference = rk_reference(A, t)
             assert abs(omega_norm - opnorm(omega)) <= 1e-14
             assert abs(discrepancy - opnorm(y - reference)) <= 1e-10
         assert got[-1][1] == opnorm(omega)  # t = t_end: the same solve, bit for bit
@@ -413,6 +413,14 @@ class TestRearrangeCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_delta_must_be_finite(self, delta, capsys):
+        # every comparison with a NaN half-angle is false, so the sector check
+        # was skipped and the command exited 0
+        code, out, err = run_cli(["rearrange", "--delta", delta], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "delta" in err
+
 
 class TestGenCommand:
     def test_emit_pair(self, capsys):
@@ -432,12 +440,60 @@ class TestVerifyAll:
         assert out1.count("PASS") >= 16
 
 
+def _local_names(fn) -> set:
+    """The names a function or lambda binds in its own scope: its arguments,
+    and the nested defs and classes, assignment, loop, ``with`` and import
+    targets of its body (nested function bodies are their own scopes)."""
+    a = fn.args
+    names = {x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if x}
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _global_loads(node, local: frozenset, foreign: set, out: set) -> None:
+    """Add to ``out`` every name ``node`` loads: a bare name that no enclosing
+    function binds, or an attribute of anything but a module from outside the
+    package.  A nested helper, an argument or a local of the same name as a
+    public function is not a load of that function, and neither is
+    ``np.kron``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        outer = [*node.args.defaults, *filter(None, node.args.kw_defaults),
+                 *getattr(node, "decorator_list", [])]
+        for child in outer:
+            _global_loads(child, local, foreign, out)
+        inner = local | _local_names(node)
+        for child in (node.body if isinstance(node.body, list) else [node.body]):
+            _global_loads(child, inner, foreign, out)
+        return
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+        out.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if not (isinstance(root, ast.Name) and root.id in foreign):
+            out.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        _global_loads(child, local, foreign, out)
+
+
 class TestReachability:
     def test_every_public_name_is_loaded_in_the_package(self):
         # a public name that only tests and demos load is library code no CLI
         # subcommand or verify-all reaches: it must be loaded (read as a name
         # or an attribute) by a module of the package other than __init__,
-        # outside its own top-level definition
+        # outside its own top-level definition, and not where an enclosing
+        # function binds the same name
         src = Path(opcalc.__file__).parent
         trees = {p.name: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
         public = {alias.asname or alias.name for node in trees["__init__.py"].body
@@ -451,17 +507,14 @@ class TestReachability:
         for module, tree in trees.items():
             if module == "__init__.py":
                 continue
+            # modules imported from outside the package (np, math, scipy)
+            foreign = {(alias.asname or alias.name).split(".")[0]
+                       for node in tree.body if isinstance(node, ast.Import)
+                       for alias in node.names}
             for top in tree.body:
-                own = getattr(top, "name", None)
-                for node in ast.walk(top):
-                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                        name = node.id
-                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                        name = node.attr
-                    else:
-                        continue
-                    if name != own:
-                        loaded.add(name)
+                names: set = set()
+                _global_loads(top, frozenset(), foreign, names)
+                loaded |= names - {getattr(top, "name", None)}
         assert sorted(public - loaded) == []
 
     def test_every_field_and_method_is_read_in_the_package(self):
@@ -595,11 +648,23 @@ class TestIdentityRegistry:
         alphas = [(0, 0), (1, 2, 0), (2, 1, 1, 0)]
         closed = verify.divdiff.simplex_moment_s
         monkeypatch.setattr(verify.divdiff, "simplex_moment_s",
-                            lambda a, exact=False: closed(a, exact) * (2 if a == (1, 2, 0) else 1))
+                            lambda a: closed(a) * (2 if a == (1, 2, 0) else 1))
         assert verify.combinatorics_exactness(alphas, [], DEFAULTS).value == 1.0
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", [
+        ["dd", "--f", "exp", "--nodes", "[[0,0],[1,0],[0,1]]"],
+        ["verify-all", "--seed", "0"],
+    ], ids=["dd", "verify-all"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_tol_scale_must_be_finite_and_positive(self, command, scale, capsys):
+        # NaN wrote "tolerance": NaN (not JSON), 0 and -1 reported every
+        # residual as failing, and inf passed every one: an input error
+        code, out, err = run_cli(command + ["--tol-scale", scale], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "tolerance scale" in err
+
     def test_composition_cap(self):
         from opcalc import compositions
 
@@ -639,11 +704,20 @@ class TestErrorPaths:
         lambda: contour_around([]),
         lambda: bernoulli(-1),
         lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=-1),
+        lambda: DEFAULTS.scaled(float("nan")),
+        lambda: DEFAULTS.scaled(float("inf")),
+        lambda: DEFAULTS.scaled(0.0),
+        lambda: DEFAULTS.scaled(-1.0),
+        lambda: rearrange_lhs(family_from_exponents([1, 1]), np.eye(2), [np.eye(2)],
+                              delta=float("nan")),
+        lambda: rearrange_rhs_G(family_from_exponents([1, 1]), np.eye(2), [np.eye(2)],
+                                delta=float("inf")),
     ], ids=["expansion-report", "newton-recursion", "ad-series-side", "bernoulli-cap",
             "rhs-order", "end-time", "checkpoint-finite", "checkpoint-order", "step",
             "samples", "builtin-field", "function-name", "dyson-order", "taylor-order",
             "newton-nodes", "dd-apply-nodes", "dd-tensor-nodes", "contour-points",
-            "bernoulli-order", "rhs-negative-order"])
+            "bernoulli-order", "rhs-negative-order", "tol-scale-nan", "tol-scale-inf",
+            "tol-scale-zero", "tol-scale-negative", "delta-nan", "delta-inf"])
     def test_invalid_input_is_typed(self, call):
         # no RuntimeWarning first: contour_around([]) used to warn twice on the
         # empty mean before its bare ValueError

@@ -10,7 +10,6 @@ from opcalc import (
     eigen_decompose,
     exp_function,
     gen_matrix,
-    kron,
     matrix_exp,
     matrix_from_json,
     matrix_to_json,
@@ -56,25 +55,6 @@ class TestEigenDecompose:
         a = gen_matrix("hermitian", 4, 0)
         w, v, vinv = eigen_decompose(a)
         assert rel_err((v * w) @ vinv, a) <= 1e-10
-
-
-class TestKron:
-    def test_identities(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal(self):
-        out = kron(np.diag([2.0, 3.0]), np.eye(2))
-        assert np.allclose(out, np.diag([2.0, 2.0, 3.0, 3.0]))
-
-    def test_spectrum_multiplicative(self):
-        # oracle: eigendecomposition of both sides
-        x = gen_matrix("random", 2, 3)
-        y = gen_matrix("random", 2, 4)
-        got = np.sort_complex(np.linalg.eigvals(kron(x, y)))
-        expected = np.sort_complex(
-            np.multiply.outer(np.linalg.eigvals(x), np.linalg.eigvals(y)).ravel()
-        )
-        assert np.max(np.abs(got - expected)) < 1e-8
 
 
 class TestSlots:

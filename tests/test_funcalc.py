@@ -262,19 +262,22 @@ class TestElementary:
     def test_inverse_exponentials(self):
         x = gen_matrix("hermitian", 2, 10)
         tup = CommutingTuple([x, -x])
-        got = funcalc_elementary([EXP, EXP], tup)
+        got, joint = funcalc_elementary([EXP, EXP], tup)
         assert rel_err(got, np.eye(2)) < 1e-8
+        assert rel_err(joint, np.eye(2)) < 1e-8
 
     def test_identity_functions(self):
         mats = gen_matrix("commuting-pair", 2, 11)
-        got = funcalc_elementary([power_function(1), power_function(1)], CommutingTuple(mats))
+        got, joint = funcalc_elementary([power_function(1), power_function(1)],
+                                        CommutingTuple(mats))
         assert rel_err(got, mats[0] @ mats[1]) < 1e-8
+        assert rel_err(joint, mats[0] @ mats[1]) < 1e-8
 
     def test_resolvent_rule(self):
         mats = gen_matrix("commuting-pair", 3, 12)
         lam = 3.0
         fs = [resolvent_function(lam), resolvent_function(lam)]
-        got = funcalc_elementary(fs, CommutingTuple(mats))
+        got, _ = funcalc_elementary(fs, CommutingTuple(mats))
         eye = np.eye(3)
         oracle = np.linalg.inv(lam * eye - mats[0]) @ np.linalg.inv(lam * eye - mats[1])
         assert rel_err(got, oracle) < 1e-9
@@ -286,8 +289,10 @@ class TestElementary:
         h = 0.1 * gen_matrix("hermitian", 2, 51)
         eye = np.eye(2, dtype=complex)
         tup = CommutingTuple([0.5 * h, 0.3 * h @ h + 0.1 * eye, h - 0.2 * eye])
-        got = funcalc_elementary([EXP, power_function(1), EXP], tup)
-        assert rel_err(got, matrix_exp(tup[0]) @ tup[1] @ matrix_exp(tup[2])) < 1e-9
+        got, joint = funcalc_elementary([EXP, power_function(1), EXP], tup)
+        want = matrix_exp(tup[0]) @ tup[1] @ matrix_exp(tup[2])
+        assert rel_err(got, want) < 1e-9
+        assert rel_err(joint, want) < 1e-9
 
 
 class TestDDTensor:

@@ -14,7 +14,6 @@ from opcalc import (
     multikron,
     opnorm,
     pair,
-    power_rational,
     rearrange_lhs,
     rearrange_rhs_F,
     rearrange_rhs_G,
@@ -66,19 +65,18 @@ class TestSectorGeometry:
 
 class TestFamily:
     def test_tags(self):
-        f = power_rational(q=3, p=1)
-        assert f.decay_far == 2.0
-        assert f.decay_near == -1.0
+        # each member is (1 + s)^-q, tagged by its exponent q alone
+        f, g = family_from_exponents([3, 1.0])
+        assert (f.q, g.q) == (3, 1) and isinstance(g.q, int)
+        s = np.array([0.5, 2.0 + 1.0j, 10.0])
+        assert np.array_equal(f(s), (1.0 + s) ** -3)
+        assert np.array_equal(g(s), 1.0 / (1.0 + s))
 
     def test_decay_gate(self):
-        # sum of far exponents exactly 1 must be rejected, 2 accepted
+        # sum of exponents exactly 1 must be rejected, 2 accepted
         with pytest.raises(DecayViolation):
             kernel_F(family_from_exponents([1, 0]), [1.0, 1.0])
         kernel_F(family_from_exponents([1, 1]), [1.0, 1.0])
-        # near-side gate: s^-1 factors push the small-u exponent sum to 1
-        bad = [power_rational(2, p=-1), power_rational(2)]
-        with pytest.raises(DecayViolation):
-            kernel_F(bad, [1.0, 1.0])
 
 
 class TestModularFamily:
