@@ -1,7 +1,8 @@
 """Matrix functions by circle quadrature against resolvents.
 
-A single matrix needs one circle around its spectrum; a commuting tuple gets
-one circle per variable and a tensor-grid quadrature.  Every circle comes from
+A single matrix needs one circle around its spectrum (``apply_function``); a
+commuting tuple gets one circle per variable and a tensor-grid quadrature
+(``funcalc_n``).  Every circle comes from
 ``contour_around``, which builds it around the eigenvalues and refuses one
 that misses the spectrum or leaves the function's domain.  The
 eigendecomposition route is kept strictly separate and serves as the oracle.
@@ -12,6 +13,7 @@ import numpy as np
 from opcalc import (
     CommutingTuple,
     MultivariateFunction,
+    apply_function,
     apply_via_eig,
     Contour,
     contour_around,
@@ -24,6 +26,7 @@ from opcalc import (
     resolvent_function,
 )
 from opcalc.errors import ContourViolation
+from opcalc.verify import IDENTITIES
 
 exp = exp_function()
 
@@ -38,12 +41,12 @@ try:
     contour_around(np.linalg.eigvals(a), contour=Contour(c.center, 0.5 * c.radius))
 except ContourViolation as exc:
     print(f"  half that radius is refused: {exc}")
-via_contour = funcalc_n(exp, (a,))
+via_contour = apply_function(exp, a)
 via_eig = apply_via_eig(exp, a)
 print(f"  |contour - eigen| / |eigen| = {rel_err(via_contour, via_eig):.2e}")
 
 res = resolvent_function(3.0)
-print(f"  same for (3 - z)^-1:          {rel_err(funcalc_n(res, (a,)), apply_via_eig(res, a)):.2e}")
+print(f"  same for (3 - z)^-1:          {rel_err(apply_function(res, a), apply_via_eig(res, a)):.2e}")
 
 print()
 print("=" * 70)
@@ -64,7 +67,7 @@ lhs = funcalc_n(fg, tup)
 rhs = funcalc_n(f, tup) @ funcalc_n(g, tup)
 print(f"  homomorphism (fg) = f g:     {rel_err(lhs, rhs):.2e}")
 
-value, joint = funcalc_elementary([exp, res], tup)
+value, joint = funcalc_elementary([exp, res], tup, check_tol=IDENTITIES["tensor-product-rule"])
 split = apply_via_eig(exp, mats[0]) @ apply_via_eig(res, mats[1])
 print(f"  elementary-tensor rule:      {rel_err(joint, value):.2e}  (joint grid vs f(a1) g(a2))")
 print(f"  f(a1) g(a2) vs eigenbasis:   {rel_err(value, split):.2e}")
@@ -77,6 +80,6 @@ print("=" * 70)
 eps = 1e-5
 da = gen_matrix("random", 3, 13)
 a2 = a + eps * da
-got = opnorm(funcalc_n(exp, (a,)) - funcalc_n(exp, (a2,)))
+got = opnorm(apply_function(exp, a) - apply_function(exp, a2))
 print(f"  |f(a) - f(a')| = {got:.3e} for |a - a'| = {eps * opnorm(da):.1e}")
 print(f"  empirical Lipschitz constant ~ {got / (eps * opnorm(da)):.2f}")

@@ -4,13 +4,13 @@ The integral of f_0(uA) b_1 f_1(uA) ... b_p f_p(uA) over u in (0, inf) equals
 the kernel F applied to the slot lifts of A, and equals A^-1 times the kernel
 G applied to cumulative products of the modular operators exp(-nabla_a),
 nabla_a = a^(j-1) - a^(j) the difference of adjacent slot lifts of a = log A.
-The essence is the substitution u -> u/s that turns F into G.
+The essence is the substitution u -> u/s that turns F into G.  The family
+f_j(s) = (1 + s)^-q_j is passed as its exponent list [q_0, ..., q_p].
 """
 
 import numpy as np
 
 from opcalc import (
-    family_from_exponents,
     gen_matrix,
     kernel_F,
     kernel_G,
@@ -22,7 +22,7 @@ from opcalc import (
     rel_err,
 )
 
-fam = family_from_exponents([1, 1])  # f_j(s) = (1 + s)^-1
+fam = [1, 1]  # f_0(s) = f_1(s) = (1 + s)^-1
 
 print("=" * 70)
 print("1. the scalar kernels and the scaling identity")
@@ -71,7 +71,7 @@ print()
 print("=" * 70)
 print("4. higher arity: p = 2 insertions, dimension 3")
 print("=" * 70)
-fam3 = family_from_exponents([1, 1, 1])
+fam3 = [1, 1, 1]
 a3 = gen_matrix("hermitian", 3, 4)
 A3 = matrix_exp(a3)
 bs = [gen_matrix("random", 3, 10), gen_matrix("random", 3, 11)]

@@ -76,8 +76,6 @@ from .ncseries import (
 )
 from .quadrature import contour_around
 from .rearrange import (
-    SectorFunction,
-    family_from_exponents,
     kernel_F,
     kernel_G,
     rearrange_lhs,

@@ -23,7 +23,16 @@ import time
 import numpy as np
 
 from . import divdiff, verify
-from .core import matrix_exp, matrix_from_json, matrix_to_json, opnorm, pair
+from .core import (
+    _checked_json,
+    _finite_number,
+    _number_list,
+    matrix_exp,
+    matrix_from_json,
+    matrix_to_json,
+    opnorm,
+    pair,
+)
 from .errors import InvalidInput, OpcalcError
 from .funcalc import (
     CommutingTuple,
@@ -38,13 +47,7 @@ from .generate import KINDS, gen_matrix
 from .magnus import builtin_field, field_from_samples, magnus_solve, rk_reference
 from .ncseries import dyson_exp, newton_interpolate, taylor_expand
 from .quadrature import Contour
-from .rearrange import (
-    family_from_exponents,
-    rearrange_lhs,
-    rearrange_rhs_F,
-    rearrange_rhs_G,
-)
-from .tolerances import DEFAULTS
+from .rearrange import rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
 
 __all__ = ["main", "gen_matrix"]
 
@@ -53,9 +56,16 @@ def _complex_json(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
 
 
+def _complex_from_json(value, what: str) -> complex:
+    """A JSON [re, im] pair of numbers as a complex (InvalidInput otherwise)."""
+    if len(_number_list(value, what)) != 2:
+        raise InvalidInput(f"{what} must be an [re, im] pair, got {len(value)} numbers")
+    return complex(*value)
+
+
 def _nodes_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    return np.array([complex(re, im) for re, im in data])
+    data = _checked_json(json.loads(text), list, "--nodes")
+    return np.array([_complex_from_json(p, "a --nodes entry") for p in data])
 
 
 def _write(text: str, path: str | None) -> None:
@@ -144,22 +154,25 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
     else:
         with open(args.job) as fh:
             job = json.load(fh)
-    mode = job.get("mode", "funcalc")
-    mats = [matrix_from_json(m) for m in job["matrices"]]
-    spec = job.get("contour", {"auto": True})
+    mode = _checked_json(job, dict, "a funcalc job").get("mode", "funcalc")
+    mats = [matrix_from_json(m) for m in _checked_json(job["matrices"], list, "job matrices")]
+    spec = _checked_json(job.get("contour", {"auto": True}), dict, "job contour")
     contour = None
-    if isinstance(spec, dict) and not spec.get("auto", False):
+    if not spec.get("auto", False):
         contour = Contour(
-            complex(spec["center"][0], spec["center"][1]),
-            float(spec["radius"]),
-            int(spec.get("nodes", 16)),
+            _complex_from_json(spec["center"], "contour center"),
+            float(_finite_number(spec["radius"], "contour radius")),
+            _checked_json(spec.get("nodes", 16), int, "contour nodes"),
         )
-    fnames = job["function"]
+    fnames = _checked_json(job["function"], (str, list), "job function")
+    names = [_checked_json(nm, str, "a function name")
+             for nm in ([fnames] if isinstance(fnames, str) else fnames)]
+    if not names:
+        raise InvalidInput("job function must name at least one function")
     stats: dict = {}
     residuals = []
     results: dict = {}
     if mode == "funcalc":
-        names = [fnames] if isinstance(fnames, str) else list(fnames)
         if len(mats) == 1 and len(names) == 1:
             f = named_function(names[0])
             value = apply_function(f, mats[0], contour, stats=stats)
@@ -174,18 +187,18 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
             fs = [named_function(nm) for nm in names]
             tup = CommutingTuple(mats)
             cs = None if contour is None else [contour] * len(mats)
-            value, joint = funcalc_elementary(fs, tup, cs, check_tol=tol.tensor_rule)
+            value, joint = funcalc_elementary(fs, tup, cs, check_tol=tol["tensor-product-rule"])
             results["value"] = matrix_to_json(value)
             residuals.append(verify.tensor_rule(joint, value, tol))
             stats["tensor_rule_defect"] = residuals[-1].value
     elif mode == "ddtensor":
-        f = named_function(fnames if isinstance(fnames, str) else fnames[0])
+        f = named_function(names[0])
         op = dd_tensor(f, mats, contour, stats=stats)
         results["tensor"] = matrix_to_json(op.matrix)
         results["slots"] = op.slots
     elif mode == "ddapply":
-        f = named_function(fnames if isinstance(fnames, str) else fnames[0])
-        bs = [matrix_from_json(m) for m in job["b_matrices"]]
+        f = named_function(names[0])
+        bs = [matrix_from_json(m) for m in _checked_json(job["b_matrices"], list, "job b_matrices")]
         value = dd_apply(f, mats, bs, contour, stats=stats)
         results["value"] = matrix_to_json(value)
         tensored = pair(dd_tensor(f, mats, contour), bs)
@@ -214,7 +227,7 @@ def _cmd_newton(args, tol) -> tuple[dict, bool]:
     mats = [gen_matrix("random", args.dim, args.seed + j) for j in range(args.count)]
     report = newton_interpolate(f, mats)
     return _expansion_report(args, report, [verify.newton_residual(report, tol)],
-                             report.final_residual, tol.newton_residual)
+                             report.final_residual, tol["newton-interpolation"])
 
 
 def _cmd_taylor(args, tol) -> tuple[dict, bool]:
@@ -225,7 +238,7 @@ def _cmd_taylor(args, tol) -> tuple[dict, bool]:
     residuals = [verify.taylor_decay(report, b, tol), verify.taylor_remainder(report, tol)]
     # the last remainder relative to the target, as for newton
     return _expansion_report(args, report, residuals,
-                             report.final_residual, tol.newton_residual,
+                             report.final_residual, tol["newton-interpolation"],
                              {"c2_times_b": verify.taylor_decay_bound(report, b)})
 
 
@@ -234,7 +247,8 @@ def _cmd_dyson(args, tol) -> tuple[dict, bool]:
     b = args.b_scale * gen_matrix("random", args.dim, args.seed + 1)
     report = dyson_exp(a, b, N=args.order)
     return _expansion_report(args, report, [verify.dyson_defect(report, tol)],
-                             report.meta["identity_defect"], tol.dyson_identity)
+                             report.meta["identity_defect"],
+                             tol["dyson-finite-remainder-identity"])
 
 
 def _cmd_magnus(args, tol) -> tuple[dict, bool]:
@@ -246,9 +260,11 @@ def _cmd_magnus(args, tol) -> tuple[dict, bool]:
         raise InvalidInput(f"--t-end must be finite and nonnegative, got {args.t_end!r}")
     if args.field.endswith(".json"):
         with open(args.field) as fh:
-            samples = json.load(fh)
+            samples = _checked_json(json.load(fh), dict, "a --field file")
         field = field_from_samples(
-            samples["times"], [matrix_from_json(m) for m in samples["matrices"]]
+            _number_list(samples["times"], "field times"),
+            [matrix_from_json(m) for m in _checked_json(samples["matrices"], list,
+                                                        "field matrices")],
         )
     else:
         field = builtin_field(args.field)
@@ -278,13 +294,12 @@ def _cmd_rearrange(args, tol) -> tuple[dict, bool]:
     qs = [int(q) for q in args.family.split(",")]
     if len(qs) != args.p + 1:
         raise OpcalcError(f"--family needs p+1 = {args.p + 1} exponents")
-    fs = family_from_exponents(qs)
     a = gen_matrix("hermitian", args.dim, args.seed)
     A = matrix_exp(a)
     bs = [gen_matrix("random", args.dim, args.seed + 1 + j) for j in range(args.p)]
-    lhs = rearrange_lhs(fs, A, bs, delta=args.delta)
-    rf = rearrange_rhs_F(fs, A, bs, delta=args.delta)
-    rg = rearrange_rhs_G(fs, A, bs, delta=args.delta)
+    lhs = rearrange_lhs(qs, A, bs, delta=args.delta)
+    rf = rearrange_rhs_F(qs, A, bs, delta=args.delta)
+    rg = rearrange_rhs_G(qs, A, bs, delta=args.delta)
     params = {"p": args.p, "dim": args.dim, "family": args.family, "delta": args.delta}
     results = {"lhs": matrix_to_json(lhs), "rhs_F": matrix_to_json(rf),
                "rhs_G": matrix_to_json(rg)}
@@ -437,7 +452,7 @@ def main(argv=None) -> int:
     handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
     t0 = time.perf_counter()
     try:
-        report, ok = handler(args, DEFAULTS.scaled(args.tol_scale))
+        report, ok = handler(args, verify.tolerances(args.tol_scale))
     except (OpcalcError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ right: ``a0 b1 a1 b2 ... bn an``.
 from __future__ import annotations
 
 import string
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -180,11 +181,43 @@ def matrix_to_json(m) -> dict:
     }
 
 
+def _checked_json(value, kind, what: str):
+    """``value`` if ``json.load`` decoded it as a ``kind``; :class:`InvalidInput`
+    naming ``what`` otherwise, so malformed outside input is an input error."""
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        raise InvalidInput(f"{what} must be a JSON {' or '.join(k.__name__ for k in kinds)}, "
+                           f"got {type(value).__name__}")
+    return value
+
+
+def _finite_number(value, what: str):
+    """``value`` if it is a finite JSON number.  ``json.load`` also decodes
+    NaN, the infinities and integers beyond the float range, which are refused
+    (:class:`InvalidInput`) before any arithmetic overflows on them."""
+    if not abs(_checked_json(value, (int, float), what)) <= sys.float_info.max:
+        raise InvalidInput(f"{what} must be a finite number")
+    return value
+
+
+def _number_list(value, what: str) -> list:
+    """``value`` if it is a JSON list of finite numbers (:class:`InvalidInput` otherwise)."""
+    for x in _checked_json(value, list, what):
+        _finite_number(x, f"an entry of {what}")
+    return value
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode the row-major {"dim", "re", "im"} matrix format."""
-    d = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj.get("im", np.zeros(d * d)), dtype=float)
-    if re.size != d * d or im.size != d * d:
-        raise DimensionMismatch(f"need {d * d} entries for dim {d}")
+    """Decode the row-major {"dim", "re", "im"} matrix format.
+
+    A field of the wrong JSON type is :class:`InvalidInput`; a dim below 1 or
+    an entry count other than dim^2 is :class:`DimensionMismatch`.
+    """
+    d = _checked_json(_checked_json(obj, dict, "a matrix")["dim"], int, "matrix dim")
+    re = np.asarray(_number_list(obj["re"], "matrix re"), dtype=float)
+    im = (np.asarray(_number_list(obj["im"], "matrix im"), dtype=float) if "im" in obj
+          else np.zeros(re.size))
+    if d < 1 or re.size != d * d or im.size != d * d:
+        raise DimensionMismatch(f"need dim >= 1 and dim^2 entries, got dim {d} "
+                                f"with {re.size} and {im.size}")
     return (re + 1j * im).reshape(d, d)

@@ -1,9 +1,10 @@
 """Contour-integral functional calculus on dense complex matrices.
 
-Single matrices, commuting tuples (tensor-grid circle quadrature), tensor
-divided differences of arbitrary (non-commuting) tuples, and their pairing
-with interleaved matrix factors; the divided difference of a commuting tuple
-is the pairing with identity factors.  All contours are circles: matrix spectra
+Single matrices (:func:`apply_function`), commuting tuples (tensor-grid
+circle quadrature of a :class:`MultivariateFunction`, :func:`funcalc_n`),
+tensor divided differences of arbitrary (non-commuting) tuples, and their
+pairing with interleaved matrix factors; the divided difference of a
+commuting tuple is the pairing with identity factors.  All contours are circles: matrix spectra
 are finite point sets, so a circle with margin always encloses them and keeps
 the trapezoid rule spectrally accurate.  Every entry point takes its circle
 from :func:`opcalc.quadrature.contour_around` (built around the spectrum, or
@@ -39,7 +40,6 @@ from .errors import (
 )
 from .functions import HoloFunction, MultivariateFunction
 from .quadrature import Contour, _circle_levels, _refine, contour_around, contour_quadrature
-from .tolerances import DEFAULTS
 
 __all__ = [
     "Contour",
@@ -98,11 +98,7 @@ class CommutingTuple:
 
 
 def _as_tuple(a) -> CommutingTuple:
-    if isinstance(a, CommutingTuple):
-        return a
-    if isinstance(a, np.ndarray) and a.ndim == 2:
-        a = (a,)
-    return CommutingTuple(a)
+    return a if isinstance(a, CommutingTuple) else CommutingTuple(a)
 
 
 def _spectrum(mats: Sequence) -> np.ndarray:
@@ -139,31 +135,25 @@ def apply_function(
     return dd_apply(f, [m], [], contour, stats=stats)
 
 
-def funcalc_n(f, a, cs: Sequence[Contour] | None = None) -> np.ndarray:
+def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -> np.ndarray:
     """f(a_1, ..., a_n) for a commuting tuple by tensor-grid circle quadrature.
 
     One circle per variable; all axes double their trapezoid counts together
     (up to ``MAX_AXIS_NODES``, arity capped at 4) until two levels agree by
-    the stopping rule of :func:`opcalc.quadrature._refine`, in operator norm.
+    the stopping rule of :func:`opcalc.quadrature._refine`.
     Each level tiles the grid into blocks of at most ``BLOCK`` points,
     evaluates f once per block on sparse axis grids and contracts the block
     one axis at a time against the weighted resolvents, so three and four
     variables cost time rather than memory.  Wide spectra need many nodes per
     axis; passing contours with a larger margin makes the trapezoid converge
-    geometrically faster.
+    geometrically faster.  ``f`` is a :class:`MultivariateFunction`; f of a
+    single matrix is :func:`apply_function`.
     """
     tup = _as_tuple(a)
     n = len(tup)
     if n > MAX_ARITY:
         raise ArityCap(f"tensor-grid quadrature supports up to {MAX_ARITY} variables")
-    domains: tuple = ()
-    if isinstance(f, MultivariateFunction):
-        domains = f.domains
-    elif isinstance(f, HoloFunction):
-        if n != 1:
-            raise ContourViolation("a univariate handle only evaluates a 1-tuple")
-        domains = (f.domain,)
-
+    domains = f.domains
     if cs is None:
         cs = [None] * n
     if len(cs) != n:
@@ -216,7 +206,7 @@ def funcalc_n(f, a, cs: Sequence[Contour] | None = None) -> np.ndarray:
             m_nodes *= 2
             yield m_nodes, *level(m_nodes)
 
-    return _refine(levels(), RTOL, opnorm)[1]
+    return _refine(levels(), RTOL)[1]
 
 
 def funcalc_elementary(
@@ -224,7 +214,7 @@ def funcalc_elementary(
     a,
     cs: Sequence[Contour] | None = None,
     *,
-    check_tol: float = DEFAULTS.tensor_rule,
+    check_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(f_1 x ... x f_n)(a) with the product-rule cross-check.
 
@@ -241,7 +231,6 @@ def funcalc_elementary(
         # broadcast: funcalc_n passes sparse axis grids
         fn=lambda *zs: functools.reduce(np.multiply, [fj(z) for fj, z in zip(fs, zs)]),
         domains=tuple(fj.domain for fj in fs),
-        name="*".join(fj.name for fj in fs),
     )
     joint = funcalc_n(product, tup, cs)
     singles = np.eye(tup.dim, dtype=complex)

@@ -104,10 +104,6 @@ class HoloFunction:
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=complex))
 
-    def derivative(self, k: int, z):
-        """f^(k)(z) from the derivative handle."""
-        return self.deriv_function(k)(z)
-
     def deriv_function(self, k: int) -> "HoloFunction":
         """The k-th derivative as a new handle on the same domain.
 
@@ -120,7 +116,7 @@ class HoloFunction:
         return HoloFunction(
             fn=lambda z, _k=k: self.deriv(_k, z),
             domain=self.domain,
-            deriv=lambda j, z, _k=k: self.derivative(_k + j, z),
+            deriv=lambda j, z, _k=k: self.deriv(_k + j, z),
             name=f"{self.name}^({k})",
         )
 
@@ -136,7 +132,6 @@ class MultivariateFunction:
 
     fn: Callable
     domains: tuple = field(default_factory=tuple)
-    name: str = "custom"
 
     def __call__(self, *zs):
         return self.fn(*[np.asarray(z, dtype=complex) for z in zs])

@@ -62,10 +62,7 @@ class ExpansionReport:
             "orders": list(range(len(self.partial_sums))),
             "remainder_norms": [float(r) for r in self.remainder_norms],
             "target_norm": opnorm(self.target),
-            "meta": {
-                k: (v if isinstance(v, (int, float, bool, str, list)) else str(v))
-                for k, v in self.meta.items()
-            },
+            "meta": dict(self.meta),
         }
 
 

@@ -53,16 +53,17 @@ def _norm(x) -> float:
     return float(np.linalg.norm(x.ravel()))
 
 
-def _refine(levels, rtol: float, norm=_norm):
+def _refine(levels, rtol: float):
     """``(size, value)`` of the first of the ``(size, value, mass)`` levels that
-    agrees with the one before within ``rtol`` relative, or within 2e-15 of the
-    larger mass sum |w| |f| (so exact zeros converge).
+    agrees with the one before within ``rtol`` relative in the flat norm
+    :func:`_norm`, or within 2e-15 of the larger mass sum |w| |f| (so exact
+    zeros converge).
     """
     size, prev, prev_mass = next(levels)
     err = floor = float("nan")
     for size, value, mass in levels:
-        err = norm(value - prev)
-        floor = max(rtol * norm(value), 2e-15 * max(mass, prev_mass), _TINY)
+        err = _norm(value - prev)
+        floor = max(rtol * _norm(value), 2e-15 * max(mass, prev_mass), _TINY)
         if err <= floor:
             return size, value
         prev, prev_mass = value, mass

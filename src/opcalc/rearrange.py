@@ -1,7 +1,7 @@
 """Half-line operator integrals and their rearrangement into modular form.
 
-For the functions f_j(s) = (1 + s)^-q_j, j = 0..p, whose exponents sum
-past 1 (the power decay that makes it converge), the integral
+For the functions f_j(s) = (1 + s)^-q_j, j = 0..p, whose integer exponents
+sum past 1 (the power decay that makes it converge), the integral
 
     int_0^inf f_0(u A) b_1 f_1(u A) ... b_p f_p(u A) du
 
@@ -13,7 +13,9 @@ where nabla^(j) = a^(j-1) - a^(j) is the difference of adjacent slot lifts
 of a = log A.  All three must agree; that agreement is the content of the
 identity this module verifies.
 
-Each route is one half-line quadrature in A's eigenbasis.  The slot lifts
+Every route and kernel takes the family as its exponent list ``qs`` and
+evaluates each member as :func:`opcalc.functions.rational_function`.  Each
+route is one half-line quadrature in A's eigenbasis.  The slot lifts
 and the modular products are jointly diagonal there, so neither is ever
 formed as a Kronecker matrix: a kernel route evaluates its kernel once on
 all d^(p+1) eigenvalue tuples and sums it against V^-1 b_j V (the
@@ -24,17 +26,15 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import as_matrix, eigen_decompose, stack_times
 from .errors import DecayViolation, InvalidInput, SectorViolation
+from .functions import rational_function
 from .quadrature import halfline_integrate
 
 __all__ = [
-    "SectorFunction",
-    "family_from_exponents",
     "kernel_F",
     "kernel_G",
     "rearrange_lhs",
@@ -43,39 +43,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SectorFunction:
-    """s -> (1 + s)^-q: holomorphic off the slit through -1, and decaying like
-    |s|^-q on every sector |arg s| < delta < pi."""
-
-    q: int
-
-    def __call__(self, s):
-        return (1.0 + np.asarray(s, dtype=complex)) ** (-self.q)
-
-
-def family_from_exponents(qs) -> list[SectorFunction]:
-    """[(1+s)^-q for q in qs] -- the CLI's --family parser target."""
+def _check_decay(qs) -> list:
+    """The family (1 + s)^-q, q in ``qs``, once the exponents are integers
+    (:class:`InvalidInput`) summing past 1 (:class:`DecayViolation`)."""
     if any(int(q) != q for q in qs):
         raise InvalidInput(f"exponents must be integers, got {list(qs)}")
-    return [SectorFunction(int(q)) for q in qs]
-
-
-def _check_decay(fs) -> None:
-    total = sum(f.q for f in fs)
+    total = sum(qs)
     if total <= 1:
         raise DecayViolation(f"sum of decay exponents {total} must exceed 1")
+    return [rational_function(int(q)) for q in qs]
 
 
-def kernel_F(fs, s):
-    """F(s_0..s_p) = int_0^inf f_0(u s_0) ... f_p(u s_p) du.
+def kernel_F(qs, s):
+    """F(s_0..s_p) = int_0^inf f_0(u s_0) ... f_p(u s_p) du, f_j = (1 + s)^-q_j.
 
     ``s`` is one argument tuple, or many along leading axes (the last axis
     has length p+1).  Every tuple goes through one half-line quadrature whose
     error estimate covers them all.  One tuple gives a ``complex``, many an
     array of their leading shape.
     """
-    _check_decay(fs)
+    fs = _check_decay(qs)
     pts = np.asarray(s, dtype=complex)
     if pts.ndim == 0 or pts.shape[-1] != len(fs):
         raise DecayViolation(f"{len(fs)} functions need {len(fs)}-argument tuples")
@@ -90,20 +77,20 @@ def kernel_F(fs, s):
     return complex(value) if pts.ndim == 1 else value
 
 
-def kernel_G(fs, lam):
+def kernel_G(qs, lam):
     """G(l_1..l_p) = F(1, l_1..l_p) = int_0^inf f_0(u) f_1(u l_1) ... f_p(u l_p) du.
 
     Tuples batch along leading axes as in :func:`kernel_F`.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     pts = np.concatenate([np.ones(lam.shape[:-1] + (1,)), lam], axis=-1)
-    return kernel_F(fs, pts)
+    return kernel_F(qs, pts)
 
 
-def _eigenbasis(fs, A, bs, delta):
-    """The input check of every route: decay, factor count, A = V diag(lam) V^-1
-    and lam in the sector.  Returns lam, V, V^-1 and the b factors."""
-    _check_decay(fs)
+def _eigenbasis(qs, A, bs, delta):
+    """The input check of every route: exponents, factor count, A = V diag(lam) V^-1
+    and lam in the sector.  Returns the family, lam, V, V^-1 and the b factors."""
+    fs = _check_decay(qs)
     if delta is not None and not math.isfinite(delta):
         raise InvalidInput(f"sector half-angle delta must be finite, got {delta!r}")
     Am = as_matrix(A)
@@ -117,16 +104,16 @@ def _eigenbasis(fs, A, bs, delta):
             "matrix spectrum must lie in the open sector |arg z| < "
             f"{cap:g} (eigenvalues {lam})"
         )
-    return lam, v, vinv, bmats
+    return fs, lam, v, vinv, bmats
 
 
-def rearrange_lhs(fs, A, bs, *, delta: float | None = None) -> np.ndarray:
+def rearrange_lhs(qs, A, bs, *, delta: float | None = None) -> np.ndarray:
     """Direct adaptive quadrature of int f_0(uA) b_1 f_1(uA) ... b_p f_p(uA) du.
 
     Each factor f(uA) is V diag(f(u lam)) V^-1 in A's eigenbasis; A must be
     diagonalizable (:class:`NonDiagonalizable` otherwise).
     """
-    lam, v, vinv, bmats = _eigenbasis(fs, A, bs, delta)
+    fs, lam, v, vinv, bmats = _eigenbasis(qs, A, bs, delta)
 
     def factor(f, u):
         vals = np.asarray(f(np.multiply.outer(u, lam)), dtype=complex)
@@ -143,7 +130,7 @@ def rearrange_lhs(fs, A, bs, *, delta: float | None = None) -> np.ndarray:
     return halfline_integrate(integrand)
 
 
-def _joint_diagonal(fs, A, bs, delta, kernel):
+def _joint_diagonal(qs, A, bs, delta, kernel):
     """Sum of a kernel over joint eigenvalue tuples, paired with the b factors.
 
     ``kernel(s)`` maps the meshgrid s[i_0..i_p] = (lam_{i_0}..lam_{i_p}) to the
@@ -151,7 +138,7 @@ def _joint_diagonal(fs, A, bs, delta, kernel):
     X[i_0, i_p] = sum K[i_0..i_p] b'_1[i_0, i_1] ... b'_p[i_{p-1}, i_p]
     (X = diag(K) when p = 0).
     """
-    lam, v, vinv, bmats = _eigenbasis(fs, A, bs, delta)
+    _, lam, v, vinv, bmats = _eigenbasis(qs, A, bs, delta)
     p = len(bmats)
     k = kernel(np.stack(np.meshgrid(*[lam] * (p + 1), indexing="ij"), axis=-1))
     if p == 0:
@@ -161,7 +148,7 @@ def _joint_diagonal(fs, A, bs, delta, kernel):
     return v @ np.einsum(subscripts, k, *[vinv @ b @ v for b in bmats]) @ vinv
 
 
-def rearrange_rhs_F(fs, A, bs, *, delta: float | None = None) -> np.ndarray:
+def rearrange_rhs_F(qs, A, bs, *, delta: float | None = None) -> np.ndarray:
     """Kernel F on the commuting slot lifts of A, paired with the b factors.
 
     The lifts A^(0)..A^(p) are jointly diagonal in the tensor power of A's
@@ -169,10 +156,10 @@ def rearrange_rhs_F(fs, A, bs, *, delta: float | None = None) -> np.ndarray:
     over all d^(p+1) tuples, then the Daletskii-Krein sum of
     :func:`_joint_diagonal`.
     """
-    return _joint_diagonal(fs, A, bs, delta, kernel=lambda s: kernel_F(fs, s))
+    return _joint_diagonal(qs, A, bs, delta, kernel=lambda s: kernel_F(qs, s))
 
 
-def rearrange_rhs_G(fs, A, bs, *, delta: float | None = None) -> np.ndarray:
+def rearrange_rhs_G(qs, A, bs, *, delta: float | None = None) -> np.ndarray:
     """A^-1 times kernel G on the cumulative modular products, paired with bs.
 
     The products exp(-nabla^(1))...exp(-nabla^(j)) of the log of A share the
@@ -181,6 +168,6 @@ def rearrange_rhs_G(fs, A, bs, *, delta: float | None = None) -> np.ndarray:
     ratios in one batched kernel call, and A^-1 is the factor 1 / lam_{i_0}.
     """
     return _joint_diagonal(
-        fs, A, bs, delta,
-        kernel=lambda s: kernel_G(fs, s[..., 1:] / s[..., :1]) / s[..., 0],
+        qs, A, bs, delta,
+        kernel=lambda s: kernel_G(qs, s[..., 1:] / s[..., :1]) / s[..., 0],
     )

@@ -1,8 +1,11 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from fractions import Fraction
 from math import factorial
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opcalc
 from opcalc import gen_matrix, matrix_exp, matrix_from_json, matrix_to_json, opnorm
@@ -33,13 +38,9 @@ from opcalc.ncseries import (
     taylor_expand,
     taylor_series_ad,
 )
-from opcalc.rearrange import (
-    family_from_exponents,
-    rearrange_lhs,
-    rearrange_rhs_F,
-    rearrange_rhs_G,
-)
-from opcalc.tolerances import DEFAULTS, Tolerances
+from opcalc.rearrange import rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
+
+TOL = verify.IDENTITIES
 
 
 class TestGenMatrix:
@@ -394,7 +395,7 @@ class TestMagnusCommand:
     def test_bad_flags_are_typed(self, flags):
         args = cli.build_parser().parse_args(["magnus", *flags])
         with pytest.raises(InvalidInput, match=flags[0]):
-            cli._cmd_magnus(args, DEFAULTS)
+            cli._cmd_magnus(args, TOL)
 
 
 class TestRearrangeCommand:
@@ -521,7 +522,6 @@ class TestReachability:
         # an annotated field, property or method that no module of the package
         # reads is a value computed for no one: its name must be loaded as an
         # attribute somewhere in the package, or be a string constant there
-        # (the Tolerances fields are read by name through verify.IDENTITIES)
         src = Path(opcalc.__file__).parent
         members, read = set(), set()
         for path in sorted(src.glob("*.py")):
@@ -579,25 +579,21 @@ class TestIdentityRegistry:
             residuals = json.loads(out[out.find("{"):])["residuals"]  # after PASS lines
             assert residuals, argv
             for r in residuals:
-                bound = verify.IDENTITIES.get(r["identity"])
-                assert bound is not None, (argv, r["identity"])
-                if isinstance(bound, str):
-                    bound = getattr(DEFAULTS, bound)
-                assert r["tolerance"] == bound, (argv, r["identity"])
+                assert r["identity"] in TOL, argv
+                assert r["tolerance"] == TOL[r["identity"]], (argv, r["identity"])
             emitted[argv[0]] = [r["identity"] for r in residuals]
-        battery = [check(3, DEFAULTS).identity for check in verify.BATTERY]
+        battery = [check(3, TOL).identity for check in verify.BATTERY]
         assert emitted["verify-all"] == battery
 
     def test_rearrange_residuals_are_the_registry(self, capsys):
         code, out, _ = run_cli(["rearrange", "--p", "1", "--dim", "3", "--family", "2,1",
                                 "--delta", "0.25", "--seed", "11"], capsys)
         assert code == 0
-        fs = family_from_exponents([2, 1])
         A = matrix_exp(gen_matrix("hermitian", 3, 11))
         bs = [gen_matrix("random", 3, 12)]
-        routes = [route(fs, A, bs, delta=0.25)
+        routes = [route([2, 1], A, bs, delta=0.25)
                   for route in (rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G)]
-        want = verify.rearrangement(*routes, DEFAULTS)
+        want = verify.rearrangement(*routes, TOL)
         assert json.loads(out)["residuals"] == self._entries(want)
 
     def test_taylor_residuals_are_the_registry(self, capsys):
@@ -607,8 +603,8 @@ class TestIdentityRegistry:
         a = gen_matrix("random", 3, 5)
         b = 0.2 * gen_matrix("random", 3, 6)
         report = taylor_expand(named_function("exp"), a, b, N=6)
-        want = [verify.taylor_decay(report, b, DEFAULTS),
-                verify.taylor_remainder(report, DEFAULTS)]
+        want = [verify.taylor_decay(report, b, TOL),
+                verify.taylor_remainder(report, TOL)]
         assert json.loads(out)["residuals"] == self._entries(want)
 
     def test_tol_scale_leaves_fixed_bounds(self, capsys):
@@ -617,28 +613,27 @@ class TestIdentityRegistry:
         assert code == 0
         tolerances = {r["identity"]: r["tolerance"] for r in json.loads(out)["residuals"]}
         assert tolerances == {"taylor-remainder-geometric-decay": 1.0,
-                              "taylor-finite-remainder-identity": 10 * DEFAULTS.dyson_identity}
-
-    def test_every_tolerance_bounds_an_identity(self):
-        bounds = {b for b in verify.IDENTITIES.values() if isinstance(b, str)}
-        assert set(Tolerances.__dataclass_fields__) == bounds
+                              "taylor-finite-remainder-identity":
+                                  10 * TOL["taylor-finite-remainder-identity"]}
 
     def test_tol_scale_reaches_every_field(self, capsys):
+        # every battery record is scaled but the decay ratio, and the exact
+        # counts stay at 0; the scaled table is the registry's, name for name
         runs = {}
         for scale in ("1", "10"):
             code, out, _ = run_cli(["verify-all", "--seed", "3", "--tol-scale", scale], capsys)
             assert code == 0
             runs[scale] = json.loads(out[out.find("{"):])["residuals"]
-        seen = set()
+        scaled = verify.tolerances(10.0)
         for one, ten in zip(runs["1"], runs["10"], strict=True):
-            bound = verify.IDENTITIES[one["identity"]]
             assert (ten["identity"], ten["value"]) == (one["identity"], one["value"])
-            if isinstance(bound, str):
-                seen.add(bound)
-                assert ten["tolerance"] == 10 * getattr(DEFAULTS, bound)
-            else:
-                assert ten["tolerance"] == one["tolerance"] == bound
-        assert seen == set(Tolerances.__dataclass_fields__)
+            assert one["tolerance"] == TOL[one["identity"]]
+            assert ten["tolerance"] == scaled[one["identity"]]
+        assert scaled.keys() == TOL.keys()
+        for name, tol in TOL.items():
+            unscaled = name == "taylor-remainder-geometric-decay" or tol == 0.0
+            assert scaled[name] == (tol if unscaled else 10 * tol), name
+        assert all(isinstance(tol, float) for tol in TOL.values())
 
     def test_moment_integral_at_zero_is_simplex_volume(self):
         for n in range(5):
@@ -649,7 +644,7 @@ class TestIdentityRegistry:
         closed = verify.divdiff.simplex_moment_s
         monkeypatch.setattr(verify.divdiff, "simplex_moment_s",
                             lambda a: closed(a) * (2 if a == (1, 2, 0) else 1))
-        assert verify.combinatorics_exactness(alphas, [], DEFAULTS).value == 1.0
+        assert verify.combinatorics_exactness(alphas, [], TOL).value == 1.0
 
 
 class TestErrorPaths:
@@ -704,14 +699,12 @@ class TestErrorPaths:
         lambda: contour_around([]),
         lambda: bernoulli(-1),
         lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=-1),
-        lambda: DEFAULTS.scaled(float("nan")),
-        lambda: DEFAULTS.scaled(float("inf")),
-        lambda: DEFAULTS.scaled(0.0),
-        lambda: DEFAULTS.scaled(-1.0),
-        lambda: rearrange_lhs(family_from_exponents([1, 1]), np.eye(2), [np.eye(2)],
-                              delta=float("nan")),
-        lambda: rearrange_rhs_G(family_from_exponents([1, 1]), np.eye(2), [np.eye(2)],
-                                delta=float("inf")),
+        lambda: verify.tolerances(float("nan")),
+        lambda: verify.tolerances(float("inf")),
+        lambda: verify.tolerances(0.0),
+        lambda: verify.tolerances(-1.0),
+        lambda: rearrange_lhs([1, 1], np.eye(2), [np.eye(2)], delta=float("nan")),
+        lambda: rearrange_rhs_G([1, 1], np.eye(2), [np.eye(2)], delta=float("inf")),
     ], ids=["expansion-report", "newton-recursion", "ad-series-side", "bernoulli-cap",
             "rhs-order", "end-time", "checkpoint-finite", "checkpoint-order", "step",
             "samples", "builtin-field", "function-name", "dyson-order", "taylor-order",
@@ -728,11 +721,105 @@ class TestErrorPaths:
         assert isinstance(info.value, ValueError)
 
     def test_kernel_arity(self):
-        from opcalc import family_from_exponents, kernel_F
+        from opcalc import kernel_F
         from opcalc.errors import DecayViolation
 
         with pytest.raises(DecayViolation):
-            kernel_F(family_from_exponents([1, 1]), [1.0, 1.0, 1.0])
+            kernel_F([1, 1], [1.0, 1.0, 1.0])
+
+
+_MATRIX = {"dim": 1, "re": [0.5], "im": [0.0]}
+
+
+def _write_json(directory, value) -> str:
+    path = os.path.join(directory, "input.json")
+    with open(path, "w") as fh:
+        json.dump(value, fh)
+    return path
+
+
+class TestMalformedInput:
+    """Malformed outside input is an input error: exit 2 with an ``error:``
+    line.  Exit 1 is kept for a failed residual, and no exception escapes."""
+
+    @staticmethod
+    def _refused(code, out, err):
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("nodes", ["[1,2]", '[["x",0]]', "[[NaN,0]]", f"[[1{'0' * 400},0]]"],
+                             ids=["bare-numbers", "string-entry", "nan-entry",
+                                  "int-past-float-range"])
+    def test_dd_nodes(self, nodes, capsys):
+        self._refused(*run_cli(["dd", "--f", "exp", "--nodes", nodes], capsys))
+
+    @pytest.mark.parametrize("job", [
+        [_MATRIX],
+        {"function": 5, "matrices": [_MATRIX]},
+        {"function": "exp", "matrices": 5},
+        {"function": "exp", "mode": "ddapply", "matrices": [_MATRIX, _MATRIX], "b_matrices": 5},
+        {"function": "exp", "matrices": [[0.5]]},
+        {"function": "exp", "matrices": [{"dim": 1, "re": [10**400]}]},
+        {"function": "exp", "matrices": [_MATRIX],
+         "contour": {"auto": False, "center": [0.0], "radius": 1.0}},
+        {"function": "exp", "matrices": [_MATRIX], "contour": "bogus"},
+    ], ids=["job-list", "function-number", "matrices-number", "b-matrices-number",
+            "matrix-list", "entry-past-float-range", "center-one-coordinate",
+            "contour-string"])
+    def test_funcalc_job(self, job, tmp_path, capsys):
+        path = _write_json(tmp_path, job)
+        self._refused(*run_cli(["funcalc", "--job", path], capsys))
+
+    @pytest.mark.parametrize("samples", [[0.0, 1.0], {"times": [0.0, 1.0], "matrices": 5}],
+                             ids=["file-list", "matrices-number"])
+    def test_magnus_field_file(self, samples, tmp_path, capsys):
+        path = _write_json(tmp_path, samples)
+        self._refused(*run_cli(["magnus", "--field", path, "--format", "json"], capsys))
+
+
+# Bounded JSON for the property tests below: numbers in [-4, 4] exercise
+# shape rather than overflow; strings include job keywords and function names.
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-4, 4), st.floats(-4, 4),
+                    st.sampled_from(["exp", "log", "pow:-1", "ddtensor", "ddapply"]),
+                    st.text(max_size=4))
+_KEYS = st.one_of(st.sampled_from(["mode", "function", "matrices", "b_matrices", "contour",
+                                   "auto", "center", "radius", "nodes", "dim", "re", "im"]),
+                  st.text(max_size=3))
+
+
+def _json_values(depth: int):
+    """JSON values nested at most ``depth`` containers deep."""
+    if depth == 0:
+        return _LEAVES
+    inner = _json_values(depth - 1)
+    return st.one_of(_LEAVES, st.lists(inner, max_size=4),
+                     st.dictionaries(_KEYS, inner, max_size=4))
+
+
+def _exit_contract(argv) -> None:
+    """``main`` returns 0, 1 or 2, lets no exception out, and exits 1 only
+    with a FAIL line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert code != 1 or "FAIL" in err.getvalue(), (argv, err.getvalue())
+
+
+class TestInputProperties:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(nodes=_json_values(3), f=st.sampled_from(["exp", "log", "pow:-1"]))
+    def test_dd_nodes(self, nodes, f):
+        # the "=" form keeps a value such as "-1" from reading as a flag
+        _exit_contract(["dd", "--f", f, f"--nodes={json.dumps(nodes)}"])
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(job=st.one_of(_json_values(3), st.dictionaries(_KEYS, _json_values(2), max_size=6)))
+    def test_funcalc_job(self, job):
+        with tempfile.TemporaryDirectory() as tmp:
+            _exit_contract(["funcalc", "--job", _write_json(tmp, job)])
 
 
 class TestFunctionNames:
@@ -759,7 +846,7 @@ class TestFunctionNames:
             z = 0.7
             h = 1e-6
             fd = (f(z + h) - f(z - h)) / (2 * h)
-            assert f.derivative(1, z) == pytest.approx(fd, rel=1e-8)
+            assert f.deriv_function(1)(z) == pytest.approx(fd, rel=1e-8)
 
 
 class TestConfigFile:

@@ -22,7 +22,7 @@ from opcalc import (
     dd_power,
     dd_recursive,
     exp_function,
-    family_from_exponents,
+    kernel_F,
     log_function,
     multinomial_identity,
     power_function,
@@ -193,7 +193,7 @@ class TestHermite:
         calls = []
         f = HoloFunction(lambda z: calls.append(z) or np.exp(z), Disc(0.0, 4.0), name="bare")
         with pytest.raises(InvalidInput, match="'bare' has no derivative handle"):
-            f.derivative(1, 0.1)
+            f.deriv_function(1)
         with pytest.raises(InvalidInput, match="'bare' has no derivative handle"):
             dd_hermite(f, [0.1, 0.4, 0.8])
         with pytest.raises(InvalidInput, match="'bare' has no derivative handle"):
@@ -360,7 +360,7 @@ class TestBangShriek:
     lambda: multinomial_identity((1.5, 1), 4),
     lambda: multinomial_identity((), 3, "="),
     lambda: multinomial_identity((), 3, "<="),
-    lambda: family_from_exponents([1.5, 1]),
+    lambda: kernel_F([1.5, 1], [1.0, 1.0]),
 ], ids=["moment-fractional", "moment-exact-fractional", "moment-empty",
         "bang-shriek-fractional", "multinomial-fractional", "multinomial-empty-eq",
         "multinomial-empty-le", "family-fractional"])
