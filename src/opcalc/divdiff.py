@@ -54,6 +54,8 @@ def _nodes(xs) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(xs, dtype=complex))
     if arr.size == 0:
         raise OpcalcError("node set must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput("nodes must be finite")
     return arr
 
 
@@ -117,14 +119,14 @@ def dd_contour(
     """Divided difference as a circle integral of f(z) * prod (z - x_j)^-1.
 
     Works for coincident nodes.  The circle is ``contour`` (see
-    :class:`opcalc.quadrature.Contour`) or the automatic one, as checked by
-    :func:`opcalc.quadrature.contour_around`; a quadrature node within 1e-6
-    radii of a node raises :class:`ContourTooTight`.  With ``refine=False`` a
+    :class:`opcalc.quadrature.Contour`) or the automatic one, as checked (and,
+    for a handle, widened) by :func:`opcalc.quadrature.contour_around`; a
+    quadrature node within 1e-6 radii of a node raises :class:`ContourTooTight`.  With ``refine=False`` a
     single trapezoid pass at ``contour.nodes`` is taken, which is useful for
     convergence studies.
     """
     x = _nodes(xs)
-    c = contour_around(x, f.domain if isinstance(f, HoloFunction) else None, contour)
+    c = contour_around(x, f if isinstance(f, HoloFunction) else None, contour)
 
     def batch(zeta):
         gap = np.min(np.abs(zeta[:, None] - x[None, :]))

@@ -8,8 +8,9 @@ commuting tuple is the pairing with identity factors.  All contours are circles:
 are finite point sets, so a circle with margin always encloses them and keeps
 the trapezoid rule spectrally accurate.  Every entry point takes its circle
 from :func:`opcalc.quadrature.contour_around` (built around the spectrum, or
-the one passed in, checked against the spectrum and the domain).  A pairing
-with factors is a block of f of one block-bidiagonal matrix
+the one passed in, checked against the spectrum and the domain; widened for
+f when the entry point holds its handle, which :func:`funcalc_n` does not).  A
+pairing with factors is a block of f of one block-bidiagonal matrix
 (:func:`bidiagonal`), and a single matrix is the one-slot case of
 :func:`dd_apply`.
 """
@@ -144,10 +145,12 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
     Each level tiles the grid into blocks of at most ``BLOCK`` points,
     evaluates f once per block on sparse axis grids and contracts the block
     one axis at a time against the weighted resolvents, so three and four
-    variables cost time rather than memory.  Wide spectra need many nodes per
-    axis; passing contours with a larger margin makes the trapezoid converge
-    geometrically faster.  ``f`` is a :class:`MultivariateFunction`; f of a
-    single matrix is :func:`apply_function`.
+    variables cost time rather than memory.  ``f`` is a
+    :class:`MultivariateFunction`: it holds per-axis domains but no handles,
+    so the automatic circles stay tight and wide spectra need many nodes per
+    axis.  Wider circles (as :func:`funcalc_elementary` builds from its
+    handles) converge geometrically faster.  f of a single matrix is
+    :func:`apply_function`.
     """
     tup = _as_tuple(a)
     n = len(tup)
@@ -222,11 +225,18 @@ def funcalc_elementary(
     product of single-variable values, verifies they agree to ``check_tol``,
     and returns ``(value, joint)``: the product of single-variable values
     and the joint integral (``verify.tensor_rule`` records their distance).
+    Each axis's circle is built once from its own handle (widened for f_j
+    unless given) and both evaluations use the same circles.
     """
     tup = _as_tuple(a)
     n = len(tup)
     if len(fs) != n:
         raise ContourViolation(f"need {n} functions, got {len(fs)}")
+    if cs is None:
+        cs = [None] * n
+    if len(cs) != n:
+        raise ContourViolation(f"need {n} contours, got {len(cs)}")
+    cs = [contour_around(np.linalg.eigvals(m), fj, c) for fj, m, c in zip(fs, tup, cs)]
     product = MultivariateFunction(
         # broadcast: funcalc_n passes sparse axis grids
         fn=lambda *zs: functools.reduce(np.multiply, [fj(z) for fj, z in zip(fs, zs)]),
@@ -235,7 +245,7 @@ def funcalc_elementary(
     joint = funcalc_n(product, tup, cs)
     singles = np.eye(tup.dim, dtype=complex)
     for j, fj in enumerate(fs):
-        singles = singles @ apply_function(fj, tup[j], cs[j] if cs else None)
+        singles = singles @ apply_function(fj, tup[j], cs[j])
     defect = rel_err(joint, singles)
     if defect > check_tol:
         raise TensorRuleViolation(
@@ -262,7 +272,7 @@ def dd_tensor(
     """
     ms = as_matrices(mats)
     d = ms[0].shape[0]
-    c = contour_around(_spectrum(ms), getattr(f, "domain", None), contour)
+    c = contour_around(_spectrum(ms), f, contour)
     halves = ms[: len(ms) // 2], ms[len(ms) // 2 :]
     p, q = (d ** len(h) for h in halves)
 
@@ -308,7 +318,7 @@ def _f_bidiagonal(f, diag, sup, contour=None, *, stats=None) -> np.ndarray:
     eigenvalues of B, which is defective when blocks repeat.
     """
     big = bidiagonal(diag, sup)
-    c = contour_around(_spectrum(diag), getattr(f, "domain", None), contour)
+    c = contour_around(_spectrum(diag), f, contour)
     return contour_quadrature(
         lambda zeta: np.asarray(f(zeta), dtype=complex)[:, None, None] * _resolvents(zeta, big),
         c.center, c.radius, start=c.nodes, rtol=RTOL, stats=stats,

@@ -16,6 +16,7 @@ Named builtins accepted everywhere a function name is allowed (CLI included):
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, field
@@ -51,6 +52,12 @@ class Domain:
         """Whether the convex hull of ``z`` lies in the set (exact for convex sets)."""
         return bool(np.all(self.contains(z)))
 
+    def clearance(self, center: complex) -> float:
+        """Exact distance from ``center`` to the complement of the set: every
+        circle about ``center`` of a smaller radius lies in it.  0 here, which
+        a domain that does not know its distance keeps."""
+        return 0.0
+
 
 @dataclass(frozen=True)
 class Disc(Domain):
@@ -59,6 +66,9 @@ class Disc(Domain):
 
     def contains(self, z):
         return np.abs(np.asarray(z) - self.center) < self.radius
+
+    def clearance(self, center: complex) -> float:
+        return max(0.0, self.radius - abs(center - self.center))
 
 
 @dataclass(frozen=True)
@@ -82,11 +92,26 @@ class Sector(Domain):
         end = np.angle(p)[:, None] + turn
         return bool(np.all((np.abs(turn) < np.pi) & (np.abs(end) < self.delta)))
 
+    def clearance(self, center: complex) -> float:
+        # the complement is the closed wedge |arg z| >= delta, with 0; from a
+        # point of the sector its nearest point lies on one of the two rays
+        if not self.contains(center):
+            return 0.0
+
+        def to_ray(angle):  # distance to {t e^(i angle): t >= 0}
+            along = center * cmath.rect(1.0, -angle)  # center in the ray's frame
+            return abs(along.imag) if along.real > 0 else abs(center)
+
+        return min(to_ray(self.delta), to_ray(-self.delta))
+
 
 @dataclass(frozen=True)
 class Entire(Domain):
     def contains(self, z):
         return np.full(np.shape(z), True)
+
+    def clearance(self, center: complex) -> float:
+        return math.inf
 
 
 ENTIRE = Entire()

@@ -11,7 +11,8 @@ Three families:
 * globally adaptive 15-point Gauss-Kronrod panels, plus the substitution
   ``u = t / (1 - t)`` for integrals over [0, inf).
 
-Every circle of the contour calculus comes from :func:`contour_around`, and
+Every circle of the contour calculus comes from :func:`contour_around` (sized
+for the function when it holds the handle), and
 every refining rule (circle and simplex doubling, and the tensor grid of
 ``funcalc.funcalc_n``) stops by the one rule of :func:`_refine`.
 
@@ -20,13 +21,16 @@ All reductions run in a fixed order so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import cmath
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContourViolation, InvalidInput, QuadratureNoConvergence
+from .functions import HoloFunction
 
 __all__ = [
     "Contour",
@@ -57,13 +61,18 @@ def _refine(levels, rtol: float):
     """``(size, value)`` of the first of the ``(size, value, mass)`` levels that
     agrees with the one before within ``rtol`` relative in the flat norm
     :func:`_norm`, or within 2e-15 of the larger mass sum |w| |f| (so exact
-    zeros converge).
+    zeros converge).  A level whose difference or floor is not finite (an
+    overflow, a NaN) raises :class:`QuadratureNoConvergence` at once.
     """
     size, prev, prev_mass = next(levels)
     err = floor = float("nan")
     for size, value, mass in levels:
         err = _norm(value - prev)
         floor = max(rtol * _norm(value), 2e-15 * max(mass, prev_mass), _TINY)
+        if not (math.isfinite(err) and math.isfinite(floor)):
+            raise QuadratureNoConvergence(
+                f"non-finite level at size {size}: difference {err:.3e}, floor {floor:.3e}"
+            )
         if err <= floor:
             return size, value
         prev, prev_mass = value, mass
@@ -98,8 +107,10 @@ class Contour:
     nodes: int = 16
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ContourViolation("contour radius must be positive")
+        if not cmath.isfinite(self.center):
+            raise ContourViolation(f"contour center must be finite, got {self.center!r}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ContourViolation(f"contour radius must be finite and positive, got {self.radius!r}")
         if self.nodes < 16 or self.nodes & (self.nodes - 1):
             raise ContourViolation("node count must be a power of two >= 16")
 
@@ -107,17 +118,28 @@ class Contour:
         return circle_points(self.center, self.radius, m)
 
 
-def contour_around(points, domain=None, contour=None) -> Contour:
-    """``contour``, or by default the circle around ``points`` (eigenvalues or
-    nodes) at their centroid with radius 1.1 spread + 0.1 (1 + spread).
+def contour_around(points, f=None, contour=None) -> Contour:
+    """``contour``, or by default a circle around ``points`` (eigenvalues or
+    nodes) at their centroid.
 
-    Raises :class:`InvalidInput` for no points, and :class:`ContourViolation`
-    unless it strictly encloses every point and 64 probe points on it lie in
-    ``domain`` (when given).
+    ``f`` is the function handle, a bare :class:`opcalc.functions.Domain`, or
+    None.  The default circle has radius R0 = 1.1 s + 0.1 (1 + s), s the
+    spread of the points.  Given a handle, it widens that circle (see
+    :func:`_widened`): the trapezoid error falls like (rho / R)^m, rho the
+    points' reach from the centre, so a wider circle needs fewer nodes.
+
+    Raises :class:`InvalidInput` for no points or a point that is not finite,
+    and :class:`ContourViolation` unless the circle strictly encloses every
+    point and 64 probe points on it lie in the domain (when known).  A default
+    circle is checked before it widens, so widening never changes a refusal.
     """
     pts = np.ravel(np.asarray(points, dtype=complex))
     if pts.size == 0:
         raise InvalidInput("a contour needs at least one point to enclose")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInput("contour points must be finite")
+    domain = f.domain if isinstance(f, HoloFunction) else f
+    spread = None
     if contour is None:
         center = complex(pts.mean())
         spread = float(np.max(np.abs(pts - center)))
@@ -127,7 +149,38 @@ def contour_around(points, domain=None, contour=None) -> Contour:
     probe, _ = circle_points(contour.center, contour.radius, 64)
     if domain is not None and not np.all(domain.contains(probe)):
         raise ContourViolation("contour exits the declared function domain")
-    return contour
+    if spread is None or not isinstance(f, HoloFunction):
+        return contour
+    return _widened(f, contour, spread, probe)
+
+
+def _widened(f: HoloFunction, c: Contour, spread: float, probe) -> Contour:
+    """The default circle ``c`` (radius R0, 64 ``probe`` points) widened for ``f``.
+
+    With D the domain's clearance from the centre, the widest candidate is
+    R_max = min(2 R0, sqrt(s D)) (2 R0 when D is infinite): the geometric
+    mean of the spread and D balances the rate rho / R against the
+    singularity's own rate R / D.  It takes the first radius
+    R0 + (R_max - R0) / 2^k, k = 0..4, whose 64 probe values have max |f| at
+    most 10 times that on ``probe`` (the round-off floor grows with max |f|),
+    else R0.  R_max > R0 only when D > R0, and then R_max < D, so the circle
+    stays in the domain exactly.
+    """
+    clearance = f.domain.clearance(c.center)
+    r_max = 2.0 * c.radius
+    if clearance < math.inf:
+        r_max = min(r_max, math.sqrt(spread * clearance))
+    if r_max <= c.radius:
+        return c
+    with np.errstate(all="ignore"):  # an overflow on a probe just refuses that radius
+        cap = 10.0 * np.max(np.abs(f(probe)))
+        if not math.isfinite(cap):
+            return c
+        for k in range(5):
+            radius = c.radius + (r_max - c.radius) / 2**k
+            if np.max(np.abs(f(circle_points(c.center, radius, 64)[0]))) <= cap:
+                return Contour(c.center, radius, c.nodes)
+    return c
 
 
 def circle_points(center: complex, radius: float, m: int):

@@ -24,18 +24,21 @@ from opcalc import (
     gen_matrix,
     matrix_exp,
     multikron,
+    named_function,
     newton_interpolate,
     opnorm,
     pair,
     power_function,
     rel_err,
     resolvent_function,
+    taylor_expand,
 )
 from opcalc.errors import (
     ArityCap,
     ContourViolation,
     DimensionMismatch,
     NonCommutingTuple,
+    QuadratureNoConvergence,
 )
 from opcalc import funcalc
 from opcalc.quadrature import circle_points, contour_quadrature
@@ -54,6 +57,22 @@ def circle_for(*mats, nodes=16):
     """The automatic circle around the union of the spectra, starting at ``nodes``."""
     c = contour_around(np.concatenate([np.linalg.eigvals(m) for m in mats]))
     return Contour(c.center, c.radius, nodes)
+
+
+def counting(h, sizes):
+    """``h`` with the same domain and derivatives, appending each argument's size to ``sizes``."""
+    def fn(z):
+        sizes.append(np.size(z))
+        return h(z)
+    return HoloFunction(fn, h.domain, h.deriv, h.name)
+
+
+def normal_matrix(seed, eigs):
+    """U diag(eigs) U^H for a seeded unitary U."""
+    rng = np.random.default_rng(seed)
+    d = len(eigs)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return (u * np.asarray(eigs)) @ u.conj().T
 
 
 def wide_circles(tup, scale=2.0):
@@ -291,8 +310,9 @@ class TestElementary:
         assert rel_err(got, oracle) < 1e-9
 
     def test_three_variables_in_the_leading_axis_loop(self, monkeypatch):
-        # past 16 nodes per axis the leading axis is split into runs (single
-        # nodes at 64) next to whole trailing axes; the tuple converges at 64
+        # past 16 nodes per axis the leading axis is split into runs (4 nodes
+        # at 32, single nodes at 64) next to whole trailing axes; on the
+        # circles widened for exp and id the tuple converges at 32
         monkeypatch.setattr(funcalc, "BLOCK", 4096)
         h = 0.1 * gen_matrix("hermitian", 2, 51)
         eye = np.eye(2, dtype=complex)
@@ -301,6 +321,84 @@ class TestElementary:
         want = matrix_exp(tup[0]) @ tup[1] @ matrix_exp(tup[2])
         assert rel_err(got, want) < 1e-9
         assert rel_err(joint, want) < 1e-9
+
+
+class TestCirclesSizedForTheFunction:
+    """Automatic circles widen for the handle they are built for."""
+
+    TRIPLE = (["resolvent:3,0", "exp", "pow:2"],
+              [[0.3, -0.4 + 0.2j, 0.1j], [0.5 + 0.5j, -1.0, 0.2], [1.0, 2.0, 1.5 - 0.5j]])
+
+    def triple(self):
+        rng = np.random.default_rng(17)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        return CommutingTuple([(u * np.asarray(e)) @ u.conj().T for e in self.TRIPLE[1]])
+
+    def test_commuting_triple_converges_at_64_nodes_per_axis(self):
+        tup = self.triple()
+        sizes = []
+        fs = [counting(named_function(n), sizes) for n in self.TRIPLE[0]]
+        got, joint = funcalc_elementary(fs, tup, check_tol=RULE)
+        # the last level's axis grids: 64 nodes each (256 on the tight circles)
+        assert max(sizes) == 64
+        want = np.eye(3, dtype=complex)
+        for name, m in zip(self.TRIPLE[0], tup):
+            want = want @ apply_via_eig(named_function(name), m)
+        assert rel_err(got, want) < 1e-12
+        assert rel_err(joint, want) < 1e-12
+
+    def test_bare_multivariate_function_keeps_the_tight_circles(self):
+        # funcalc_n holds per-axis domains but no handles: its automatic
+        # circles are the tight ones, bit for bit, where the handles would widen
+        tup = CommutingTuple(self.triple()[:2])
+        fs = [named_function(n) for n in self.TRIPLE[0][:2]]
+        f = MultivariateFunction(lambda z1, z2: fs[0](z1) * fs[1](z2),
+                                 (fs[0].domain, fs[1].domain))
+        tight = [contour_around(np.linalg.eigvals(m)) for m in tup]
+        assert all(contour_around(np.linalg.eigvals(m), fj).radius > c.radius
+                   for fj, m, c in zip(fs, tup, tight))
+        assert np.array_equal(funcalc_n(f, tup), funcalc_n(f, tup, tight))
+
+    def test_single_matrix_needs_fewer_nodes(self):
+        a = normal_matrix(5, [0.8, -0.5 + 0.6j, 0.2 - 0.9j])
+        stats, tight_stats = {}, {}
+        got = apply_function(EXP, a, stats=stats)
+        tight = apply_function(EXP, a, contour_around(np.linalg.eigvals(a)), stats=tight_stats)
+        assert tight_stats["contour_nodes"] == 256
+        assert stats["contour_nodes"] == 64
+        want = apply_via_eig(EXP, a)
+        assert rel_err(got, want) < 1e-13 and rel_err(tight, want) < 1e-13
+
+    @pytest.mark.parametrize("radius", [10.0, 30.0])
+    def test_wide_spectrum_exp_stays_within_10x_of_the_tight_error(self, radius):
+        # exp grows by e^(R - R0) across the widening and so does its round-off
+        # floor; the |f| cap keeps that within 10x
+        rng = np.random.default_rng(2)
+        eigs = radius * np.exp(2j * np.pi * rng.random(4)) * np.sqrt(rng.random(4))
+        eigs[0] = radius
+        a = normal_matrix(2, eigs)
+        want = normal_matrix(2, np.exp(eigs))
+        tight = contour_around(np.linalg.eigvals(a))
+        assert contour_around(np.linalg.eigvals(a), EXP).radius > tight.radius
+        err = rel_err(apply_function(EXP, a), want)
+        assert err <= 10.0 * rel_err(apply_function(EXP, a, tight), want)
+
+    def test_overflow_on_the_circle_is_refused(self):
+        # the level sums overflow, and inf <= inf must not read as agreement
+        # (accepted, the value had entries near 1e216 where e^300 is 1e130)
+        a = normal_matrix(4, [300.0, 272.5 + 58.4j, -28.1 - 219.0j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureNoConvergence, match="non-finite level"):
+                apply_function(EXP, a)
+
+    def test_taylor_contraction_constant_is_read_on_the_tight_circle(self):
+        a = normal_matrix(8, [0.5, -0.3 + 0.4j])
+        b = 0.05 * normal_matrix(9, [1.0, -1.0j])
+        report = taylor_expand(EXP, a, b, N=3)
+        c = contour_around(np.concatenate([np.linalg.eigvals(a), np.linalg.eigvals(a + b)]))
+        zeta = circle_points(c.center, c.radius, 128)[0]
+        c2 = max(opnorm(np.linalg.inv(z * np.eye(2) - a)) for z in zeta)
+        assert report.meta["c2"] == pytest.approx(c2, rel=1e-12)
 
 
 class TestDDTensor:
