@@ -5,11 +5,14 @@ The logarithm Omega(t) = log Y(t) satisfies
     Omega' = sum_n (B_n / n!) ad_Omega^n (A(t)),   Omega(0) = 0,
 
 with Bernoulli numbers B_n in the B_1 = -1/2 convention, computed exactly by
-:func:`bernoulli`.  The right-hand side is summed as written (nested
-commutators, truncated at a configurable order, with the coefficients
-B_n / n! rendered to floats once per order) and stepped with the classical
-4th-order Runge-Kutta scheme; a plain Runge-Kutta solver for Y itself with
-Richardson step-halving serves as the independent oracle.
+:func:`bernoulli`.  The right-hand side is the series truncated at a
+configurable order, with the coefficients B_n / n! rendered to floats once
+per order.  On d x d matrices ad_Omega = L_Omega - R_Omega is the single
+d^2 x d^2 operator Omega (x) I - I (x) Omega^T (row-major vec), so up to
+d = 8 the powers ad_Omega^n(A) are one Krylov block of matrix-vector
+products; above that they are nested commutators.  The equation is stepped
+with the classical 4th-order Runge-Kutta scheme; a plain Runge-Kutta solver
+for Y itself with Richardson extrapolation serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -67,17 +70,35 @@ def _series(order: int) -> tuple[float, ...]:
 
 
 def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
-    """Truncated commutator series sum_{n<=order} (B_n/n!) ad_omega^n(a_t)."""
+    """Truncated commutator series sum_{n<=order} (B_n/n!) ad_omega^n(a_t).
+
+    Up to d = 8 the powers ad_omega^n(a_t) fill the rows of one Krylov block,
+    each a product with the d^2 x d^2 matrix of ad_omega, and the series is
+    one product of the coefficients with that block.  Above d = 8 the d^4
+    entries of that matrix cost more than the commutators they replace, so
+    the powers are nested commutators.
+    """
     series = _series(order)
     om = as_matrix(omega)
-    x = as_matrix(a_t, dim=om.shape[0])
-    total = series[0] * x
+    d = om.shape[0]
+    x = as_matrix(a_t, dim=d)
+    if d > 8:
+        total = series[0] * x
+        for n in range(1, order + 1):
+            x = commutator(om, x)
+            if series[n] != 0.0:
+                total = total + series[n] * x
+        return total
+    # Omega (x) I - I (x) Omega^T: row (i, k), column (j, l) holds
+    # Omega[i, j] delta_kl - delta_ij Omega[l, k]
+    eye = np.eye(d)
+    ad = np.multiply.outer(om, eye) - np.multiply.outer(eye, om.T)
+    ad = ad.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    block = np.empty((order + 1, d * d), dtype=complex)
+    block[0] = x.ravel()
     for n in range(1, order + 1):
-        x = commutator(om, x)
-        coeff = series[n]
-        if coeff != 0.0:
-            total = total + coeff * x
-    return total
+        np.matmul(ad, block[n - 1], out=block[n])
+    return (np.array(series) @ block).reshape(d, d)
 
 
 def _stops(t_end: float, checkpoints) -> list[float]:
@@ -182,6 +203,10 @@ def magnus_solve(
         return magnus_rhs(om, a, order)
 
     def monitor(t, om):
+        # |Omega|_2 <= |Omega|_F: below pi (less a rounding margin) the SVD
+        # cannot refuse, so it runs only for a trace row or near the radius
+        if trace is None and np.vdot(om, om).real < BRANCH_RADIUS**2 * (1 - 1e-9):
+            return
         nrm = opnorm(om)
         if nrm >= BRANCH_RADIUS:
             raise BranchRadiusExceeded(
@@ -197,14 +222,16 @@ def magnus_solve(
 
 
 def rk_reference(A, t_end: float, *, checkpoints=None):
-    """Propagator of Y' = A(t) Y, Y(0) = 1, by RK4 with Richardson step-halving.
+    """Propagator of Y' = A(t) Y, Y(0) = 1, by RK4 with Richardson extrapolation.
 
-    The step starts at t_end / 64 and is halved, at most 20 times, until two
-    consecutive answers agree to 1e-10 in operator norm (relative to the
-    finer answer).  With ``checkpoints``, a sorted sequence of times in
-    [0, t_end], each pass also stops at every checkpoint, a halving level is
-    accepted only when all of them agree, and the list of propagators at the
-    checkpoints is returned.
+    RK4 runs with step t_end / 64, then halved, at most 20 times.  Each
+    halving gives the extrapolated value (16 y_{h/2} - y_h) / 15, which
+    cancels the h^4 error term, and the first extrapolated value that agrees
+    with the one before to 1e-10 in operator norm (relative to the newer
+    value) is returned: at least three passes.  With ``checkpoints``, a
+    sorted sequence of times in [0, t_end], each pass also stops at every
+    checkpoint, a halving level is accepted only when all of them agree, and
+    the list of propagators at the checkpoints is returned.
     """
     stops = _stops(t_end, checkpoints)
     a0 = as_matrix(A(0.0))
@@ -217,13 +244,15 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
                    for c, p in zip(cur, prev))
 
     step = t_end / 64.0
-    prev = _rk4(field, np.matmul, eye, stops, step)
+    coarse = _rk4(field, np.matmul, eye, stops, step)
+    prev = None
     for _ in range(20):
         step *= 0.5
-        cur = _rk4(field, np.matmul, eye, stops, step)
-        if agree(cur, prev):
+        fine = _rk4(field, np.matmul, eye, stops, step)
+        cur = [(16.0 * f - c) / 15.0 for f, c in zip(fine, coarse)]
+        if prev is not None and agree(cur, prev):
             return cur[-1] if checkpoints is None else cur[:-1]
-        prev = cur
+        coarse, prev = fine, cur
     raise QuadratureNoConvergence("step halving did not stabilize the propagator")
 
 

@@ -63,19 +63,22 @@ def _refine(levels, rtol: float):
     :func:`_norm`, or within 2e-15 of the larger mass sum |w| |f| (so exact
     zeros converge).  A level whose difference or floor is not finite (an
     overflow, a NaN) raises :class:`QuadratureNoConvergence` at once.
+    The levels are computed and compared with numpy's overflow and invalid
+    warnings off: the finiteness check is what reports them.
     """
-    size, prev, prev_mass = next(levels)
-    err = floor = float("nan")
-    for size, value, mass in levels:
-        err = _norm(value - prev)
-        floor = max(rtol * _norm(value), 2e-15 * max(mass, prev_mass), _TINY)
-        if not (math.isfinite(err) and math.isfinite(floor)):
-            raise QuadratureNoConvergence(
-                f"non-finite level at size {size}: difference {err:.3e}, floor {floor:.3e}"
-            )
-        if err <= floor:
-            return size, value
-        prev, prev_mass = value, mass
+    with np.errstate(over="ignore", invalid="ignore"):
+        size, prev, prev_mass = next(levels)
+        err = floor = float("nan")
+        for size, value, mass in levels:
+            err = _norm(value - prev)
+            floor = max(rtol * _norm(value), 2e-15 * max(mass, prev_mass), _TINY)
+            if not (math.isfinite(err) and math.isfinite(floor)):
+                raise QuadratureNoConvergence(
+                    f"non-finite level at size {size}: difference {err:.3e}, floor {floor:.3e}"
+                )
+            if err <= floor:
+                return size, value
+            prev, prev_mass = value, mass
     raise QuadratureNoConvergence(
         f"no two levels agreed up to size {size}: "
         f"last difference {err:.3e}, floor {floor:.3e}"

@@ -385,9 +385,12 @@ class TestCirclesSizedForTheFunction:
 
     def test_overflow_on_the_circle_is_refused(self):
         # the level sums overflow, and inf <= inf must not read as agreement
-        # (accepted, the value had entries near 1e216 where e^300 is 1e130)
-        a = normal_matrix(4, [300.0, 272.5 + 58.4j, -28.1 - 219.0j])
-        with np.errstate(over="ignore", invalid="ignore"):
+        # (accepted, the value had entries near 1e216 where e^300 is 1e130).
+        # The level norms (and, at 700, e^z on the circle) overflow; tier-1
+        # turns a RuntimeWarning into an error, so this also checks that
+        # none escapes ahead of the typed refusal
+        eigs = [300.0, 272.5 + 58.4j, -28.1 - 219.0j]
+        for a in (normal_matrix(4, eigs), np.diag(eigs), np.diag([700.0, 1.0])):
             with pytest.raises(QuadratureNoConvergence, match="non-finite level"):
                 apply_function(EXP, a)
 

@@ -20,6 +20,17 @@ from opcalc.magnus import builtin_field, perturbed_triangular_field, triangular_
 from opcalc.quadrature import gauss_legendre_01
 
 
+def _nested_commutator_rhs(om, a, order):
+    """The series summed as written: nested commutators, term by term."""
+    series = magnus._series(order)
+    x, total = a, series[0] * a
+    for n in range(1, order + 1):
+        x = om @ x - x @ om
+        if series[n] != 0.0:
+            total = total + series[n] * x
+    return total
+
+
 class TestBernoulli:
     def test_frozen_values(self):
         tab = bernoulli(8)
@@ -55,17 +66,28 @@ class TestRhs:
         assert rel_err(got, h) < 1e-13
 
     def test_series_is_the_per_term_quotient(self):
-        # bit for bit the sum with B_n / n! divided out at every term
+        # the coefficients bit for bit B_n / n!, divided out at every term;
+        # the sum, taken through the ad matrix, to rounding of the
+        # nested-commutator sum
+        tab = bernoulli(28)
+        assert magnus._series(28) == tuple(
+            float(tab[n]) / math.factorial(n) for n in range(29)
+        )
         om = 0.3 * gen_matrix("random", 2, 13)
         a = gen_matrix("random", 2, 14)
-        tab = bernoulli(28)
-        x, expected = a, float(tab[0]) * a
-        for n in range(1, 29):
-            x = om @ x - x @ om
-            coeff = float(tab[n]) / math.factorial(n)
-            if coeff != 0.0:
-                expected = expected + coeff * x
-        assert np.array_equal(magnus_rhs(om, a, order=28), expected)
+        expected = _nested_commutator_rhs(om, a, 28)
+        assert rel_err(magnus_rhs(om, a, order=28), expected) <= 1e-14
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 8, 28, 30])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_ad_matrix_is_the_nested_commutators(self, d, order):
+        # both sides of the d <= 8 gate, with |Omega| up to 0.99 pi
+        rng = np.random.default_rng(d)
+        for scale in (0.3, 0.99 * np.pi):
+            om, a = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+            om = scale * om / opnorm(om)
+            expected = _nested_commutator_rhs(om, a, order)
+            assert rel_err(magnus_rhs(om, a, order), expected) <= 1e-14
 
     def test_series_tail(self):
         om = 0.1 * gen_matrix("random", 2, 2)
@@ -98,6 +120,30 @@ class TestSolve:
         big = np.array([[0.0, 4.0], [-4.0, 0.0]], dtype=complex)
         with pytest.raises(BranchRadiusExceeded):
             magnus_solve(lambda t: big, 2.0, h=0.01, order=8)
+
+    @pytest.mark.parametrize("entries, refused_at, svds", [
+        ([[0.5, 6.0], [0.0, -0.5]], "0.53", 1),
+        # |Omega|_F >= pi from t = 1.29 while |Omega|_2 < pi until 1.31
+        ([[1.0, 2.0], [0.0, -1.0]], "1.31", 3),
+    ])
+    def test_branch_radius_without_trace(self, monkeypatch, entries, refused_at, svds):
+        # without a trace the SVD runs only once |Omega|_F reaches pi, and
+        # refuses at the step, with the message, of the SVD at every step
+        a0 = np.array(entries, dtype=complex)
+        norms = []
+
+        def counted_opnorm(m):
+            norms.append(opnorm(m))
+            return norms[-1]
+
+        with pytest.raises(BranchRadiusExceeded) as traced:
+            magnus_solve(lambda t: a0, 2.0, h=0.01, order=8, trace=[])
+        monkeypatch.setattr(magnus, "opnorm", counted_opnorm)
+        with pytest.raises(BranchRadiusExceeded) as untraced:
+            magnus_solve(lambda t: a0, 2.0, h=0.01, order=8)
+        assert str(untraced.value) == str(traced.value)
+        assert str(traced.value).endswith(f"at t = {refused_at}")
+        assert len(norms) == svds and norms[-1] >= np.pi > max(norms[:-1], default=0.0)
 
     def test_nan_rejected(self):
         def field(t):
@@ -326,14 +372,35 @@ class TestFieldReads:
         assert len(calls) == 1 + 1 + 2 * 125
 
     def test_reference_solve(self):
-        # 64 + 128 + 256 + 512 steps in four passes, each with its own first
-        # stage, plus the dimension read (was 3841)
+        # 64 + 128 + 256 steps in three passes, each with its own first
+        # stage, plus the dimension read
         A, calls = self.counted(triangular_field())
         rk_reference(A, 1.0)
-        assert len(calls) == 1 + 4 + 2 * 960
+        assert len(calls) == 1 + 3 + 2 * 448
 
 
 class TestReference:
+    @pytest.mark.parametrize("name", ["triangular", "perturbed:5"])
+    def test_three_passes_reach_a_fine_oracle(self, monkeypatch, name):
+        # the extrapolated values of steps 1/64..1/256 agree to 1e-10, and the
+        # last is within 1e-12 of the one from steps 1/4096 and 1/8192
+        field, rk4_pass, passes = builtin_field(name), magnus._rk4, []
+
+        def counted_rk4(*args):
+            passes.append(args[4])
+            return rk4_pass(*args)
+
+        monkeypatch.setattr(magnus, "_rk4", counted_rk4)
+        y = rk_reference(field, 1.0)
+        monkeypatch.undo()
+        assert passes == [1 / 64, 1 / 128, 1 / 256]
+
+        def rk4(h):
+            return rk4_pass(field, np.matmul, np.eye(2, dtype=complex), [1.0], h)[0]
+
+        oracle = (16.0 * rk4(1 / 8192) - rk4(1 / 4096)) / 15.0
+        assert rel_err(y, oracle) <= 1e-12
+
     def test_zero_field(self):
         y = rk_reference(lambda t: np.zeros((2, 2)), 1.0)
         assert np.array_equal(y, np.eye(2))
