@@ -3,10 +3,13 @@ and the time-ordered (Dyson) expansion of the matrix exponential.
 
 Every divided-difference pairing, confluent or not, is a block of f of one
 block-bidiagonal matrix (:func:`opcalc.funcalc.bidiagonal`), evaluated on
-one contour; no limits are taken.  A directional derivative of the matrix
-map of f needs no routine of its own: the n-th one at a in directions
-b_1..b_n is the confluent pairing [a, ..., a] f summed over the orderings
-of the b's (:func:`opcalc.funcalc.dd_apply`).
+one contour; no limits are taken.  Its resolvent is built from the d x d
+resolvents R_i = (z - a_i)^-1, block (i, j) being R_i b_{i+1} ... b_j R_j,
+so the repeated a of a Taylor expansion costs one inverse per node.  A
+directional derivative of the matrix map of f needs no routine of its own:
+the n-th one at a in directions b_1..b_n is the confluent pairing
+[a, ..., a] f summed over the orderings of the b's
+(:func:`opcalc.funcalc.dd_apply`).
 
 An expansion returns an :class:`ExpansionReport` of partial sums, remainder
 norms and an independently computed target, and passes no verdict: the

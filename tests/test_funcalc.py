@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opcalc import (
     CommutingTuple,
@@ -496,6 +498,137 @@ class TestDDApply:
         combo = dd_apply(h, mats, bs, c)
         parts = dd_apply(EXP, mats, bs, c) + 0.7 * dd_apply(power_function(2), mats, bs, c)
         assert rel_err(combo, parts) < 1e-12
+
+
+def bidiagonal_integrand(f, diag, sup, contour):
+    """The per-node integrand ``_f_bidiagonal`` hands to the circle quadrature."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcalc, "contour_quadrature", lambda fn, *args, **kwargs: seen.append(fn))
+        funcalc._f_bidiagonal(f, diag, sup, contour)
+    return seen[0]
+
+
+def worst_node_error(f, diag, sup, contour, nodes=32):
+    """Largest relative difference, over ``nodes`` circle nodes, between the
+    integrand and f(zeta) times the dense inverse of zeta - ``bidiagonal``."""
+    zeta, _ = contour.points(nodes)
+    got = bidiagonal_integrand(f, diag, sup, contour)(zeta)
+    big = bidiagonal(diag, sup)
+    eye = np.eye(big.shape[0])
+    return max(rel_err(g, f(z) * np.linalg.inv(z * eye - big)) for g, z in zip(got, zeta))
+
+
+def departure_from_normality(m) -> float:
+    """sqrt(|m|_F^2 - sum |lambda|^2), Henrici's measure."""
+    return math.sqrt(max(np.linalg.norm(m) ** 2 - np.sum(np.abs(np.linalg.eigvals(m)) ** 2), 0.0))
+
+
+class TestBidiagonalResolvent:
+    """f(zeta) (zeta - B)^-1 from d x d resolvents equals the dense inverse."""
+
+    @pytest.mark.parametrize("pattern", ["repeated", "distinct", "non-commuting"])
+    def test_diagonal_block_patterns(self, pattern):
+        a, c = gen_matrix("random", 3, 60), gen_matrix("random", 3, 61)
+        diag = {
+            "repeated": [a, a, a, a],
+            "distinct": [a, 0.5 * a + np.eye(3), -a, 2.0 * a],
+            "non-commuting": [a, c, a, c],
+        }[pattern]
+        sup = [gen_matrix("random", 3, 62 + j) for j in range(3)]
+        assert worst_node_error(EXP, diag, sup, Contour(0.2, 4.0)) <= 1e-12
+
+    def test_single_block_is_the_resolvent(self):
+        a = gen_matrix("random", 4, 63)
+        assert worst_node_error(EXP, [a], [], Contour(0.0, 2.0)) <= 1e-12
+
+    def test_scalar_blocks(self):
+        diag = [np.array([[x]]) for x in (0.3, -0.5 + 0.2j, 0.3, 0.9j)]
+        sup = [np.array([[y]]) for y in (1.5, -0.7j, 2.0)]
+        assert worst_node_error(EXP, diag, sup, Contour(0.0, 2.0)) <= 1e-12
+
+    def test_strongly_non_normal_blocks(self):
+        u, _ = np.linalg.qr(gen_matrix("random", 3, 64))
+        t = np.array([[1.0, 120.0, 0.0], [0.0, 1.3, 0.0], [0.0, 0.0, 0.7]])
+        a = u @ t @ u.conj().T
+        b = gen_matrix("random", 3, 65)
+        assert departure_from_normality(a) >= 1e2
+        diag = [a, a + 1e-3 * b, a]
+        sup = [gen_matrix("random", 3, 66), 10.0 * b]
+        reach = max(np.max(np.abs(np.linalg.eigvals(m) - 1.0)) for m in diag)
+        assert worst_node_error(EXP, diag, sup, Contour(1.0, 2.0 * reach + 0.5)) <= 1e-12
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(blocks=st.integers(1, 6), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           repeat=st.booleans())
+    def test_matches_the_dense_inverse(self, blocks, d, seed, repeat):
+        rng = np.random.default_rng(seed)
+
+        def mat():  # Gaussian blocks: non-normal with probability one
+            return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+        diag = [mat() for _ in range(blocks)]
+        if repeat:  # Taylor's pattern: one block repeated, another last
+            diag = [diag[0]] * (blocks - 1) + diag[-1:]
+        sup = [mat() for _ in range(blocks - 1)]
+        reach = max(np.max(np.abs(np.linalg.eigvals(m))) for m in diag)
+        assert worst_node_error(EXP, diag, sup, Contour(0.0, 1.5 * reach + 0.5), 16) <= 1e-12
+
+    def _inverted_shapes(self, monkeypatch, call):
+        shapes = []
+        inv = np.linalg.inv
+
+        def recording(x):
+            shapes.append(np.shape(x))
+            return inv(x)
+
+        monkeypatch.setattr(np.linalg, "inv", recording)
+        call()
+        return shapes
+
+    @pytest.mark.parametrize("route", ["taylor", "newton", "dd_apply"])
+    def test_only_d_by_d_blocks_are_inverted(self, monkeypatch, route):
+        d = 3
+        mats = [gen_matrix("random", d, 70 + j) for j in range(4)]
+        call = {
+            "taylor": lambda: taylor_expand(EXP, mats[0], 0.05 * mats[1], 5),
+            "newton": lambda: newton_interpolate(EXP, mats),
+            "dd_apply": lambda: dd_apply(EXP, mats, mats[1:]),
+        }[route]
+        shapes = self._inverted_shapes(monkeypatch, call)
+        assert shapes and all(s[-2:] == (d, d) for s in shapes)
+
+    def test_taylor_inverts_its_two_distinct_blocks_per_batch(self, monkeypatch):
+        a, b = gen_matrix("random", 2, 75), 0.05 * gen_matrix("random", 2, 76)
+        shapes = self._inverted_shapes(monkeypatch, lambda: taylor_expand(EXP, a, b, 6))
+        stacks = [s[0] for s in shapes if len(s) == 4]  # batched over distinct blocks
+        assert 2 in stacks and set(stacks) <= {1, 2}  # 1: the target f(a + b)
+
+
+class TestDaletskiKrein:
+    """Contour-free oracle for pairings: for diagonalisable a_0 = V diag(lam) V^-1
+    and a_1 = W diag(mu) W^-1, [a_0, a_1] f (b) = V ((V^-1 b W) o D) W^-1 with
+    D_ij = [lam_i, mu_j] f (the first-order noncommutative Taylor term)."""
+
+    @staticmethod
+    def diagonalisable(rng, d):
+        v = np.eye(d) + 0.3 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        eigs = 2.0 + 0.6 * np.sqrt(rng.uniform(0, 1, d)) * np.exp(2j * np.pi * rng.uniform(0, 1, d))
+        return eigs, v
+
+    @pytest.mark.parametrize("name", ["exp", "log", "pow:-1"])
+    def test_first_order_pairing(self, name):
+        f = named_function(name)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            lam, v = self.diagonalisable(rng, 3)
+            mu, w = self.diagonalisable(rng, 3)
+            a0, a1 = (v * lam) @ np.linalg.inv(v), (w * mu) @ np.linalg.inv(w)
+            b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            assert opnorm(a0 @ a1 - a1 @ a0) > 1e-2  # the slots do not commute
+            dd = (f(lam)[:, None] - f(mu)[None, :]) / (lam[:, None] - mu[None, :])
+            want = v @ ((np.linalg.solve(v, b) @ w) * dd) @ np.linalg.inv(w)
+            assert rel_err(dd_apply(f, [a0, a1], [b]), want) <= 1e-12, seed
 
 
 class TestDDCommuting:
