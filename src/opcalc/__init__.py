@@ -17,7 +17,6 @@ from .core import (
     matrix_exp,
     matrix_from_json,
     matrix_to_json,
-    multikron,
     opnorm,
     pair,
     rel_err,

@@ -11,7 +11,8 @@ from :func:`opcalc.quadrature.contour_around` (built around the spectrum, or
 the one passed in, checked against the spectrum and the domain; widened for
 f when the entry point holds its handle, which :func:`funcalc_n` does not).  A
 pairing with factors is a block of f of one block-bidiagonal matrix B
-(:func:`bidiagonal`), and a single matrix is the one-slot case of
+(:func:`bidiagonal`), read from the block array of f(B) that this module
+alone lays out, and a single matrix is the one-slot case of
 :func:`dd_apply`.  The resolvent of B is never inverted whole: it is built
 from the d x d resolvents R_i = (z - a_i)^-1 of its diagonal blocks, block
 (i, j) being R_i b_{i+1} R_{i+1} ... b_j R_j.
@@ -71,11 +72,7 @@ class CommutingTuple:
     """
 
     def __init__(self, mats: Sequence):
-        self.mats = tuple(as_matrix(m) for m in mats)
-        if not self.mats:
-            raise NonCommutingTuple("empty tuple")
-        d = self.mats[0].shape[0]
-        self.mats = tuple(as_matrix(m, dim=d) for m in self.mats)
+        self.mats = tuple(as_matrices(mats))
         norms = [max(opnorm(m), 1e-300) for m in self.mats]
         for i in range(len(self.mats)):
             for j in range(i + 1, len(self.mats)):
@@ -330,8 +327,16 @@ def bidiagonal(diag: Sequence, sup: Sequence) -> np.ndarray:
                       for j in range(len(ms))] for i in range(len(ms))])
 
 
+def _block_array(fb: np.ndarray, count: int) -> np.ndarray:
+    """The ``(count, count, d, d)`` view of a (count d)-square matrix whose
+    ``[i, j]`` is block (i, j): how every pairing is read off f(B)."""
+    d = fb.shape[0] // count
+    return fb.reshape(count, d, count, d).swapaxes(1, 2)
+
+
 def _f_bidiagonal(f, diag, sup, contour=None, *, stats=None) -> np.ndarray:
-    """f(B), B = ``bidiagonal(diag, sup)``, by circle quadrature of f(z) (z - B)^-1.
+    """f(B), B = ``bidiagonal(diag, sup)``, by circle quadrature of f(z) (z - B)^-1,
+    as the ``(n+1, n+1, d, d)`` block array of :func:`_block_array`.
 
     (z - B)^-1 is block upper triangular with block (i, j) equal to
     R_i b_{i+1} R_{i+1} ... b_j R_j, R_i = (z - a_i)^-1, so block row i is
@@ -362,8 +367,9 @@ def _f_bidiagonal(f, diag, sup, contour=None, *, stats=None) -> np.ndarray:
                 np.matmul(rb, out[:, hi:hi + d, hi:], out=out[:, lo:hi, hi:])
         return out
 
-    return contour_quadrature(integrand, c.center, c.radius, start=c.nodes, rtol=RTOL,
-                              stats=stats, chunk=max(1, ENTRIES // size**2))
+    fb = contour_quadrature(integrand, c.center, c.radius, start=c.nodes, rtol=RTOL,
+                            stats=stats, chunk=max(1, ENTRIES // size**2))
+    return _block_array(fb, len(ms))
 
 
 def dd_apply(
@@ -380,6 +386,4 @@ def dd_apply(
     so the d^(n+1) tensor operator is never built; equals
     ``pair(dd_tensor(f, mats), bs)``.
     """
-    fb = _f_bidiagonal(f, mats, bs, contour, stats=stats)
-    d = fb.shape[0] // len(mats)
-    return fb[:d, -d:]
+    return _f_bidiagonal(f, mats, bs, contour, stats=stats)[0, -1]

@@ -115,6 +115,7 @@ class Entire(Domain):
 
 
 ENTIRE = Entire()
+SLIT_PLANE = Sector(np.pi * (1 - 1e-12))  # the plane cut along (-inf, 0]
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def log_function() -> HoloFunction:
     def dlog(k, z):
         return (-1.0) ** (k - 1) * math.factorial(k - 1) * z ** (-k)
 
-    return HoloFunction(np.log, Sector(np.pi * (1 - 1e-12)), deriv=dlog, name="log")
+    return HoloFunction(np.log, SLIT_PLANE, deriv=dlog, name="log")
 
 
 def power_function(n: int) -> HoloFunction:
@@ -189,14 +190,13 @@ def power_function(n: int) -> HoloFunction:
             return np.zeros_like(np.asarray(z, dtype=complex))
         return coeff * z ** (n - k)
 
-    domain = ENTIRE if n >= 0 else Sector(np.pi * (1 - 1e-12))
+    domain = ENTIRE if n >= 0 else SLIT_PLANE
     return HoloFunction(lambda z: z ** n, domain, deriv=dpow, name=f"pow:{n}")
 
 
-def resolvent_function(lam: complex, domain: Domain | None = None) -> HoloFunction:
+def resolvent_function(lam: complex) -> HoloFunction:
     """z -> (lam - z)^-1 on a disc staying clear of the pole."""
-    if domain is None:
-        domain = Disc(0.0, 0.95 * abs(lam)) if lam != 0 else Sector(np.pi * (1 - 1e-12))
+    domain = Disc(0.0, 0.95 * abs(lam)) if lam != 0 else SLIT_PLANE
 
     def dres(k, z):
         return math.factorial(k) * (lam - z) ** (-(k + 1))
@@ -218,7 +218,7 @@ def rational_function(k: int) -> HoloFunction:
 
     return HoloFunction(
         lambda s: (1.0 + s) ** (-k),
-        Sector(np.pi * (1 - 1e-12)),
+        SLIT_PLANE,
         deriv=drat,
         name=f"rational:{k}",
     )

@@ -3,7 +3,8 @@ and the time-ordered (Dyson) expansion of the matrix exponential.
 
 Every divided-difference pairing, confluent or not, is a block of f of one
 block-bidiagonal matrix (:func:`opcalc.funcalc.bidiagonal`), evaluated on
-one contour; no limits are taken.  Its resolvent is built from the d x d
+one contour and read by block index from the block array funcalc lays out;
+no limits are taken.  Its resolvent is built from the d x d
 resolvents R_i = (z - a_i)^-1, block (i, j) being R_i b_{i+1} ... b_j R_j,
 so the repeated a of a Taylor expansion costs one inverse per node.  A
 directional derivative of the matrix map of f needs no routine of its own:
@@ -25,10 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_matrices, as_matrix, eigen_decompose, matrix_exp, opnorm, stack_times
+from .core import (as_matrices, as_matrix, commutator, eigen_decompose, matrix_exp, opnorm,
+                   stack_times)
 from .divdiff import bang_shriek, compositions
 from .errors import ConvergenceThresholdExceeded, InvalidInput, SeriesDiverging
-from .funcalc import _f_bidiagonal, _resolvents, _spectrum, apply_function, bidiagonal, dd_apply
+from .funcalc import (_block_array, _f_bidiagonal, _resolvents, _spectrum, apply_function,
+                      bidiagonal, dd_apply)
 from .functions import HoloFunction
 from .quadrature import Contour, contour_around, simplex_integrate
 
@@ -81,11 +84,10 @@ def newton_interpolate(f: HoloFunction, mats, *,
     the single-variable calculus.
     """
     ms = as_matrices(mats)
-    d = ms[0].shape[0]
     c = contour_around(_spectrum(ms), contour=contour)
     fb = _f_bidiagonal(f, ms, [ms[-1] - m for m in ms[:-1]], c)
     target = apply_function(f, ms[-1], c)
-    partials = list(itertools.accumulate(fb[:d, j * d:(j + 1) * d] for j in range(len(ms))))
+    partials = list(itertools.accumulate(fb[0]))
     norms = [opnorm(p - target) for p in partials]
     return ExpansionReport(partials, norms, target)
 
@@ -126,8 +128,7 @@ def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
     if N < 0:
         raise InvalidInput(f"order N must be nonnegative, got {N}")
     am = as_matrix(a)
-    d = am.shape[0]
-    bm = as_matrix(b, dim=d)
+    bm = as_matrix(b, dim=am.shape[0])
     c = contour_around(_spectrum([am, am + bm]))
     c2 = float(np.max(np.linalg.norm(_resolvents(c.points(128)[0], am), ord=2, axis=(1, 2))))
     if c2 * opnorm(bm) >= 1.0:
@@ -137,9 +138,9 @@ def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
         )
     fb = _f_bidiagonal(f, [am] * (N + 1) + [am + bm], [bm] * (N + 1), c)
     target = apply_function(f, am + bm, c)
-    partials = list(itertools.accumulate(fb[:d, j * d:(j + 1) * d] for j in range(N + 1)))
+    partials = list(itertools.accumulate(fb[0, :N + 1]))
     norms = [opnorm(target - p) for p in partials]
-    rems = [fb[(N - j) * d:(N - j + 1) * d, -d:] for j in range(N + 1)]
+    rems = fb[N::-1, -1]
     return ExpansionReport(
         partials,
         norms,
@@ -152,26 +153,20 @@ def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
     )
 
 
-def taylor_series_ad(
-    f: HoloFunction,
-    a,
-    bs,
-    order_cap: int = 30,
-    side: str = "left-f",
-) -> np.ndarray:
-    """Divided-difference pairing rewritten as a nested-commutator series.
+def taylor_series_ad(f: HoloFunction, a, bs, order_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Divided-difference pairing rewritten as both nested-commutator series.
 
-    ``side="left-f"`` sums (-1)^|alpha| f^(n+|alpha|)(a) ad^alpha(b) / alpha?!
-    (derivative factor on the left, back-to-front denominators);
-    ``side="right-f"`` sums ad^alpha(b) f^(n+|alpha|)(a) / alpha!? with the
-    derivative factor on the right.  ``ad^alpha(b)`` is the product of
-    iterated commutators ad_a^{alpha_j}(b_j).  Matrix-argument derivatives go
-    through the single-variable calculus.  Shells are total-degree layers;
-    the sum stops early once a shell drops below 1e-14 of the running sum and
-    raises :class:`SeriesDiverging` after three growing shells.
+    Returns ``(left, right)``: ``left`` sums (-1)^|alpha| f^(n+|alpha|)(a)
+    ad^alpha(b) / alpha?! (derivative factor on the left, back-to-front
+    denominators), ``right`` sums ad^alpha(b) f^(n+|alpha|)(a) / alpha!? with
+    the derivative factor on the right.  ``ad^alpha(b)`` is the product of
+    iterated commutators ad_a^{alpha_j}(b_j).  Shells are total-degree
+    layers, up to ``order_cap``; each shell's matrix-argument derivative goes
+    once through the single-variable calculus and serves both sums.  The
+    sums stop once both shells drop below 1e-14 of their running sums and
+    raise :class:`SeriesDiverging` after three consecutive shells whose
+    larger norm grew.
     """
-    if side not in ("left-f", "right-f"):
-        raise InvalidInput(f"side must be 'left-f' or 'right-f', got {side!r}")
     am = as_matrix(a)
     bs = [as_matrix(b, dim=am.shape[0]) for b in bs]
     n = len(bs)
@@ -182,39 +177,36 @@ def taylor_series_ad(
     for b in bs:
         row = [b]
         for _ in range(order_cap):
-            x = row[-1]
-            row.append(am @ x - x @ am)
+            row.append(commutator(am, row[-1]))
         ad.append(row)
 
-    total = np.zeros_like(am)
+    left, right = np.zeros_like(am), np.zeros_like(am)
     prev_mag = None
     grows = 0
     for s in range(order_cap + 1):
         deriv_mat = apply_function(f.deriv_function(n + s), am, c)
-        shell = np.zeros_like(am)
+        shell_left, shell_right = np.zeros_like(am), np.zeros_like(am)
         for alpha in compositions(s, n):
             prod = np.eye(am.shape[0], dtype=complex)
             for j, k in enumerate(alpha):
                 prod = prod @ ad[j][k]
             fwd, bwd = bang_shriek(alpha)
-            if side == "left-f":
-                shell = shell + (-1.0) ** s * (deriv_mat @ prod) / bwd
-            else:
-                shell = shell + (prod @ deriv_mat) / fwd
-        total = total + shell
-        mag = opnorm(shell)
+            shell_left = shell_left + (-1.0) ** s * (deriv_mat @ prod) / bwd
+            shell_right = shell_right + (prod @ deriv_mat) / fwd
+        left, right = left + shell_left, right + shell_right
+        mag_left, mag_right = opnorm(shell_left), opnorm(shell_right)
+        mag = max(mag_left, mag_right)
         if prev_mag is not None and mag > prev_mag > 0:
             grows += 1
             if grows >= 3:
-                raise SeriesDiverging(
-                    f"shell norms grew for {grows} consecutive orders"
-                )
+                raise SeriesDiverging(f"shell norms grew for {grows} consecutive orders")
         else:
             grows = 0
         prev_mag = mag
-        if mag <= 1e-14 * max(opnorm(total), 1e-300):
+        if (mag_left <= 1e-14 * max(opnorm(left), 1e-300)
+                and mag_right <= 1e-14 * max(opnorm(right), 1e-300)):
             break
-    return total
+    return left, right
 
 
 def dyson_terms_simplex(a, b, N: int) -> tuple[list, np.ndarray]:
@@ -276,12 +268,11 @@ def dyson_exp(a, b, N: int) -> ExpansionReport:
         raise InvalidInput(f"order N must be nonnegative, got {N}")
     am = as_matrix(a)
     bm = as_matrix(b, dim=am.shape[0])
-    d = am.shape[0]
     target = matrix_exp(am + bm)
-    row = matrix_exp(bidiagonal([am] * (N + 1) + [am + bm], [bm] * (N + 1)))[:d]
-    partials = list(itertools.accumulate(row[:, k * d:(k + 1) * d] for k in range(N + 1)))
+    eb = _block_array(matrix_exp(bidiagonal([am] * (N + 1) + [am + bm], [bm] * (N + 1))), N + 2)
+    partials = list(itertools.accumulate(eb[0, :N + 1]))
     norms = [opnorm(target - p) for p in partials]
-    remainder = row[:, -d:]
+    remainder = eb[0, -1]
     defect = opnorm(partials[-1] + remainder - target)
     return ExpansionReport(
         partials,

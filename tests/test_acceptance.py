@@ -202,8 +202,7 @@ def test_criterion_6_taylor_and_commutator_series():
         for n in (1, 2, 3):
             a = 0.4 * gen_matrix("random", 2, 6000 + n)
             bs = [0.4 * gen_matrix("random", 2, 6100 + n + j) for j in range(n)]
-            left = taylor_series_ad(f, a, bs, order_cap=cap, side="left-f")
-            right = taylor_series_ad(f, a, bs, order_cap=cap, side="right-f")
+            left, right = taylor_series_ad(f, a, bs, order_cap=cap)
             direct = dd_apply(f, [a] * (n + 1), bs)
             # each orientation against the other and the direct pairing
             worst = max(worst, commutator_series(left, right, direct, TOL).value,

@@ -36,7 +36,6 @@ from opcalc.ncseries import (
     ExpansionReport,
     newton_recursion_check,
     taylor_expand,
-    taylor_series_ad,
 )
 from opcalc.rearrange import rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
 
@@ -681,7 +680,6 @@ class TestErrorPaths:
     @pytest.mark.parametrize("call", [
         lambda: ExpansionReport([np.eye(2)], [], np.eye(2)),
         lambda: newton_recursion_check(named_function("exp"), [np.eye(2)], []),
-        lambda: taylor_series_ad(named_function("exp"), np.eye(2), [np.eye(2)], side="up"),
         lambda: bernoulli(31),
         lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=31),
         lambda: magnus_solve(triangular_field(), -1.0, 0.1),
@@ -705,7 +703,7 @@ class TestErrorPaths:
         lambda: verify.tolerances(-1.0),
         lambda: rearrange_lhs([1, 1], np.eye(2), [np.eye(2)], delta=float("nan")),
         lambda: rearrange_rhs_G([1, 1], np.eye(2), [np.eye(2)], delta=float("inf")),
-    ], ids=["expansion-report", "newton-recursion", "ad-series-side", "bernoulli-cap",
+    ], ids=["expansion-report", "newton-recursion", "bernoulli-cap",
             "rhs-order", "end-time", "checkpoint-finite", "checkpoint-order", "step",
             "samples", "builtin-field", "function-name", "dyson-order", "taylor-order",
             "newton-nodes", "dd-apply-nodes", "dd-tensor-nodes", "contour-points",

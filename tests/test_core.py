@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from opcalc import (
     matrix_exp,
     matrix_from_json,
     matrix_to_json,
-    multikron,
     opnorm,
     pair,
     rel_err,
@@ -24,7 +25,7 @@ from opcalc.errors import DimensionMismatch, NonDiagonalizable
 def lift(a, n, j):
     """Slot-j lift 1 (x) .. a .. (x) 1 of ``a`` into the (n+1)-fold tensor algebra."""
     eye = np.eye(a.shape[0])
-    return multikron([a if k == j else eye for k in range(n + 1)])
+    return functools.reduce(np.kron, [a if k == j else eye for k in range(n + 1)])
 
 
 def nabla_power(a, n, j, k):
@@ -101,6 +102,21 @@ class TestPair:
         a = gen_matrix("random", 3, 16)
         t = TensorOperator(a, 3, 1)
         assert np.array_equal(pair(t, []), a)
+
+    def test_single_slot_is_a_copy(self):
+        # the pairing is a new matrix, never a view of the frozen operator's
+        t = TensorOperator(gen_matrix("random", 3, 16), 3, 1)
+        assert not np.shares_memory(pair(t, []), t.matrix)
+
+    def test_six_slot_elementary_tensor(self):
+        # the (2, 5) ddapply shape: a0 (x) ... (x) a5 paired with b1..b5
+        a = [gen_matrix("random", 2, 60 + j) for j in range(6)]
+        b = [gen_matrix("random", 2, 70 + j) for j in range(5)]
+        t = TensorOperator(functools.reduce(np.kron, a), 2, 6)
+        want = a[0]
+        for aj, bj in zip(a[1:], b):
+            want = want @ bj @ aj
+        assert rel_err(pair(t, b), want) < 1e-13
 
     def test_bilinearity(self):
         rng = np.random.default_rng(17)

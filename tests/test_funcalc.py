@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -25,7 +26,6 @@ from opcalc import (
     funcalc_n,
     gen_matrix,
     matrix_exp,
-    multikron,
     named_function,
     newton_interpolate,
     opnorm,
@@ -39,6 +39,7 @@ from opcalc.errors import (
     ArityCap,
     ContourViolation,
     DimensionMismatch,
+    InvalidInput,
     NonCommutingTuple,
     QuadratureNoConvergence,
 )
@@ -116,6 +117,15 @@ class TestCommutingTuple:
     def test_rejects_noncommuting(self):
         with pytest.raises(NonCommutingTuple):
             CommutingTuple([gen_matrix("random", 3, 2), gen_matrix("random", 3, 3)])
+
+    def test_empty_tuple_is_invalid_input(self):
+        # an empty tuple is refused like every other empty matrix list
+        with pytest.raises(InvalidInput):
+            CommutingTuple([])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            CommutingTuple([np.eye(2), np.eye(3)])
 
 
 class TestFuncalcN:
@@ -425,9 +435,9 @@ class TestDDTensor:
     def test_resolvent_factorizes(self):
         mats = [gen_matrix("random", 2, 14 + j) for j in range(3)]
         lam = 4.0
-        op = dd_tensor(resolvent_function(lam, domain=Disc(0.0, 3.5)), mats)
+        op = dd_tensor(dataclasses.replace(resolvent_function(lam), domain=Disc(0.0, 3.5)), mats)
         eye = np.eye(2)
-        oracle = multikron([np.linalg.inv(lam * eye - m) for m in mats])
+        oracle = functools.reduce(np.kron, [np.linalg.inv(lam * eye - m) for m in mats])
         assert rel_err(op.matrix, oracle) < 1e-9
 
     @pytest.mark.parametrize("slots", [1, 2, 3, 4, 5])
@@ -438,7 +448,8 @@ class TestDDTensor:
 
         def full(zeta):
             return np.exp(zeta)[:, None, None] * np.stack(
-                [multikron([np.linalg.inv(z * np.eye(2) - m) for m in mats]) for z in zeta])
+                [functools.reduce(np.kron, [np.linalg.inv(z * np.eye(2) - m) for m in mats])
+                 for z in zeta])
 
         want = contour_quadrature(full, c.center, c.radius, start=c.nodes, rtol=1e-12)
         assert rel_err(dd_tensor(EXP, mats).matrix, want) < 1e-12
@@ -502,9 +513,10 @@ class TestDDApply:
 
 def bidiagonal_integrand(f, diag, sup, contour):
     """The per-node integrand ``_f_bidiagonal`` hands to the circle quadrature."""
-    seen = []
+    seen, shape = [], bidiagonal(diag, sup).shape
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(funcalc, "contour_quadrature", lambda fn, *args, **kwargs: seen.append(fn))
+        mp.setattr(funcalc, "contour_quadrature",
+                   lambda fn, *args, **kwargs: seen.append(fn) or np.zeros(shape))
         funcalc._f_bidiagonal(f, diag, sup, contour)
     return seen[0]
 

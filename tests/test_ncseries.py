@@ -20,9 +20,9 @@ from opcalc import (
     taylor_expand,
     taylor_series_ad,
 )
-from opcalc import funcalc
+from opcalc import funcalc, ncseries
 from opcalc.core import as_matrix, eigen_decompose
-from opcalc.errors import ConvergenceThresholdExceeded
+from opcalc.errors import ConvergenceThresholdExceeded, SeriesDiverging
 from opcalc.quadrature import simplex_integrate
 
 EXP = exp_function()
@@ -204,24 +204,23 @@ class TestAdSeries:
         a = c * np.eye(2)
         b1 = gen_matrix("random", 2, 80)
         b2 = gen_matrix("random", 2, 81)
-        got = taylor_series_ad(EXP, a, [b1, b2], order_cap=10)
         want = np.exp(c) / math.factorial(2) * (b1 @ b2)
-        assert rel_err(got, want) <= 1e-12
+        for got in taylor_series_ad(EXP, a, [b1, b2], order_cap=10):
+            assert rel_err(got, want) <= 1e-12
 
     def test_polynomial_truncates_exactly(self):
         a = 0.3 * gen_matrix("random", 2, 82)
         b = 0.3 * gen_matrix("random", 2, 83)
         f = power_function(3)
-        got = taylor_series_ad(f, a, [b], order_cap=10)
         want = dd_apply(f, [a, a], [b])
-        assert rel_err(got, want) <= 1e-10
+        for got in taylor_series_ad(f, a, [b], order_cap=10):
+            assert rel_err(got, want) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_two_sides_and_direct(self, n):
         a = 0.4 * gen_matrix("random", 2, 84)
         bs = [0.4 * gen_matrix("random", 2, 85 + j) for j in range(n)]
-        left = taylor_series_ad(EXP, a, bs, order_cap=40, side="left-f")
-        right = taylor_series_ad(EXP, a, bs, order_cap=40, side="right-f")
+        left, right = taylor_series_ad(EXP, a, bs, order_cap=40)
         direct = dd_apply(EXP, [a] * (n + 1), bs)
         scale = max(opnorm(direct), 1e-300)
         assert opnorm(left - right) / scale <= 1e-6
@@ -233,12 +232,33 @@ class TestAdSeries:
         # equal directions, orders summed: the commutator series of f(a + b)
         a = 0.4 * gen_matrix("random", 2, 88)
         b = 0.15 * gen_matrix("random", 2, 89)
+        k = ["left-f", "right-f"].index(side)
         total = np.zeros((2, 2), dtype=complex)
         for n in range(7):
-            total = total + taylor_series_ad(EXP, a, [b] * n, order_cap=40, side=side)
+            total = total + taylor_series_ad(EXP, a, [b] * n, order_cap=40)[k]
         target = matrix_exp(a + b)
         # truncation after order 6 leaves ~|b|^7 e / 7!
         assert rel_err(total, target) <= 5e-9
+
+    def test_one_derivative_quadrature_per_shell(self, monkeypatch):
+        # both sums read the same f^(n+s)(a): each derivative order is integrated once
+        orders = []
+
+        def counted(f, m, contour=None):
+            orders.append(f.name)
+            return apply_function(f, m, contour)
+
+        monkeypatch.setattr(ncseries, "apply_function", counted)
+        a = 0.4 * gen_matrix("random", 2, 84)
+        taylor_series_ad(EXP, a, [0.4 * gen_matrix("random", 2, 85)], order_cap=40)
+        assert len(orders) > 3 and len(set(orders)) == len(orders)
+
+    def test_growing_shells_raise(self):
+        # |ad_a^s(b)| = 8^s, so the shells e^4 8^s / (s+1)! grow up to s = 6
+        a = np.diag([4.0, -4.0])
+        b = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(SeriesDiverging, match="grew for 3 consecutive orders"):
+            taylor_series_ad(EXP, a, [b], order_cap=40)
 
 
 class TestDyson:

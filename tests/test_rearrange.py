@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -10,7 +11,6 @@ from opcalc import (
     kernel_F,
     kernel_G,
     matrix_exp,
-    multikron,
     opnorm,
     pair,
     rearrange_lhs,
@@ -38,7 +38,7 @@ def kron_oracle(qs, A, bs, route):
         s = lam[list(idx)]
         vals[flat] = (kernel_F(qs, s) if route == "F"
                       else kernel_G(qs, s[1:] / s[0]))
-    w, winv = multikron([v] * (p + 1)), multikron([vinv] * (p + 1))
+    w, winv = (functools.reduce(np.kron, [m] * (p + 1)) for m in (v, vinv))
     value = pair(TensorOperator((w * vals) @ winv, d, p + 1), bs)
     return value if route == "F" else np.linalg.inv(A) @ value
 
@@ -47,7 +47,8 @@ def modular_products(a, p):
     """exp(-nabla^(1)) ... exp(-nabla^(j)) for j = 1..p on p+1 slots, where
     nabla^(j) is the slot-(j-1) lift of ``a`` minus its slot-j lift."""
     eye = np.eye(a.shape[0])
-    lifts = [multikron([a if k == j else eye for k in range(p + 1)]) for j in range(p + 1)]
+    lifts = [functools.reduce(np.kron, [a if k == j else eye for k in range(p + 1)])
+             for j in range(p + 1)]
     steps = [matrix_exp(lifts[j] - lifts[j - 1]) for j in range(1, p + 1)]
     return list(itertools.accumulate(steps, np.matmul))
 
@@ -102,7 +103,8 @@ class TestModularFamily:
         A = matrix_exp(a)
         for j, prod in enumerate(modular_products(a, 2), start=1):
             lift = [A if k == j else eye for k in range(3)]
-            assert rel_err(multikron([A, eye, eye]) @ prod, multikron(lift)) <= 1e-10
+            assert rel_err(functools.reduce(np.kron, [A, eye, eye]) @ prod,
+                           functools.reduce(np.kron, lift)) <= 1e-10
 
 
 class TestKernels:
