@@ -19,6 +19,7 @@ that show up as the denominators of the nested-commutator series
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator
 
@@ -250,12 +251,16 @@ def bang_shriek(alpha) -> tuple[float, float]:
 
 
 def multinomial_identity(beta, m: int, mode: str = "<=") -> tuple[int, int]:
-    """Brute-force and closed-form values of the binomial-sum identities.
+    """Summed and closed-form values of the binomial-sum identities.
 
     Sums ``prod_j C(alpha_j, beta_j)`` over all multi-indices ``alpha >= beta``
     with ``|alpha| <= m`` (``mode="<="``) or ``|alpha| = m`` (``mode="="``),
     and pairs the result with the closed forms ``C(m+n, |beta|+n)`` resp.
-    ``C(m+n-1, |beta|+n-1)``.  Exact integer arithmetic throughout.
+    ``C(m+n-1, |beta|+n-1)``.  With alpha = beta + gamma, the shell
+    |alpha| = |beta| + g sums the product over the compositions gamma of g,
+    which is coefficient g of the convolution of the per-part sequences
+    C(beta_j + g, beta_j), g = 0..m - |beta|: one exact integer convolution
+    gives every shell, without enumerating compositions.
     """
     b = _check_multiindex(beta)
     n = len(b)
@@ -263,23 +268,13 @@ def multinomial_identity(beta, m: int, mode: str = "<=") -> tuple[int, int]:
         raise InvalidInput("beta needs one part or more")
     if m < sum(b):
         raise OpcalcError("m must be at least |beta|")
-
-    def shell(total: int) -> int:
-        # alpha = beta + gamma runs over {alpha >= beta, |alpha| = total}
-        acc = 0
-        for gamma in compositions(total - sum(b), n):
-            term = 1
-            for gj, bj in zip(gamma, b):
-                term *= math.comb(bj + gj, bj)
-            acc += term
-        return acc
-
-    if mode == "=":
-        brute = shell(m)
-        closed = math.comb(m + n - 1, sum(b) + n - 1)
-    elif mode == "<=":
-        brute = sum(shell(t) for t in range(sum(b), m + 1))
-        closed = math.comb(m + n, sum(b) + n)
-    else:
+    if mode not in ("=", "<="):
         raise OpcalcError(f"unknown mode {mode!r}")
-    return brute, closed
+    top = m - sum(b)
+    shells = [1] + [0] * top
+    for bj in b:
+        part = [math.comb(bj + g, bj) for g in range(top + 1)]
+        shells = [sum(map(operator.mul, shells[:g + 1], part[g::-1])) for g in range(top + 1)]
+    if mode == "=":
+        return shells[top], math.comb(m + n - 1, sum(b) + n - 1)
+    return sum(shells), math.comb(m + n, sum(b) + n)

@@ -1,20 +1,26 @@
 """Quadrature engines shared across modules.
 
-Three families:
+Four families:
 
 * trapezoid sums on circles with nested node doubling: each level reuses
   the integrand values of the one before and evaluates only the new nodes
   (spectrally accurate for integrands holomorphic in an annulus around the
   circle),
 * Gauss-Legendre rules on the standard simplex through the map
-  ``t_j = u_1 * ... * u_j`` from the unit cube (smooth integrands only),
+  ``t_j = u_1 * ... * u_j`` from the unit cube (Duffy): positive weights, so
+  the rule of ``divdiff.dd_hermite``, whose integrands f^(n) need only be
+  smooth on the simplex,
+* Grundmann-Moller rules on the standard simplex: rational, of degree 2s+1
+  with C(n+s+1, s) points, but with weights of both signs, so only for
+  entire integrands such as the Dyson oracle's
+  (``ncseries.dyson_terms_simplex``),
 * globally adaptive 15-point Gauss-Kronrod panels, plus the substitution
   ``u = t / (1 - t)`` for integrals over [0, inf).
 
 Every circle of the contour calculus comes from :func:`contour_around` (sized
-for the function when it holds the handle), and
-every refining rule (circle and simplex doubling, and the tensor grid of
-``funcalc.funcalc_n``) stops by the one rule of :func:`_refine`.
+for the function when it holds the handle), and every refining rule (circle
+doubling, both simplex rules, and the tensor grid of ``funcalc.funcalc_n``)
+stops by the one rule of :func:`_refine`.
 
 All reductions run in a fixed order so repeated runs are bit-identical.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,6 +46,7 @@ __all__ = [
     "contour_quadrature",
     "iter_simplex_rule",
     "simplex_integrate",
+    "grundmann_moller_integrate",
     "adaptive_gauss_kronrod",
     "halfline_integrate",
     "gauss_legendre_01",
@@ -47,7 +55,7 @@ __all__ = [
 _TINY = 1e-300
 MAX_NODES = 8192  # most trapezoid nodes a circle quadrature doubles to
 MAX_ORDER = 128  # largest per-axis Gauss-Legendre order a simplex level doubles to
-POINT_BUDGET = 4_000_000  # most points of one simplex level
+POINT_BUDGET = 4_000_000  # most points of one simplex level, for either rule
 
 
 def _norm(x) -> float:
@@ -344,6 +352,61 @@ def simplex_integrate(fn, n: int, *, stats: dict | None = None):
                         for q in schedule), 1e-10)
     if stats is not None:
         stats["simplex_order"] = q
+    return value
+
+
+def _gm_shell(n: int, k: int):
+    """``(S, w)`` blocks of at most 2^18 of the points (2 beta + 1) / (2k + n + 1),
+    beta in N^(n+1) with |beta| = k, each with weight 1.  beta is read off the
+    n bar positions of a stars-and-bars word of length n + k."""
+    bars = itertools.combinations(range(n + k), n)
+    while block := list(itertools.islice(bars, 1 << 18)):
+        gaps = np.diff(np.array(block, dtype=float), axis=1, prepend=-1.0, append=n + k)
+        yield (2.0 * gaps - 1.0) / (2 * k + n + 1), np.ones(len(block))
+
+
+@lru_cache(maxsize=None)
+def _gm_weights(n: int, s: int):
+    """Weights of the shells k = 0..s in the Grundmann-Moller rule of degree
+    2s+1 on the n-simplex: (-1)^(s-k) (2k+n+1)^(2s+1) / (4^s (s-k)! (s+k+n+1)!),
+    each rounded once from its exact rational value."""
+    return tuple((-1) ** (s - k) * (2 * k + n + 1) ** (2 * s + 1)
+                 / (4**s * math.factorial(s - k) * math.factorial(s + k + n + 1))
+                 for k in range(s + 1))
+
+
+def _gm_levels(fn, n: int):
+    """``(s, value, mass)`` of the Grundmann-Moller rules of degree 2s+1 on the
+    n-simplex, s = 0..12, while a rule has at most ``POINT_BUDGET`` points.
+
+    Rule s weighs the shells k = 0..s of :func:`_gm_shell`, and a shell's
+    points do not depend on s, so each shell is evaluated once and its sum
+    and mass sum serve every later rule: all of rules 0..s cost the
+    C(n+s+1, s) points of rule s alone.
+    """
+    sums = []
+    for s in range(13):
+        if math.comb(n + s + 1, s) > POINT_BUDGET:
+            return
+        sums.append(_weighted_sum(fn, _gm_shell(n, s)))
+        weights = _gm_weights(n, s)
+        value = sum(w * part for w, (part, _) in zip(weights, sums))
+        mass = sum(abs(w) * part_mass for w, (_, part_mass) in zip(weights, sums))
+        yield s, value, mass
+
+
+def grundmann_moller_integrate(fn, n: int):
+    """Integrate ``fn`` over the standard n-simplex with Grundmann-Moller rules.
+
+    ``fn(S)`` maps a (p, n+1) block of barycentric points to p values (any
+    trailing shape).  The rules s = 2, 3, ..., 12 (Grundmann and Moller 1978,
+    SIAM J. Numer. Anal. 15: degree 2s+1, C(n+s+1, s) points, all interior),
+    up to ``POINT_BUDGET`` points, are compared by :func:`_refine` at 1e-13
+    relative.  The weights alternate in sign, so the rules converge only for
+    integrands smooth on a neighbourhood of the simplex, such as entire
+    ones; for any other, :class:`QuadratureNoConvergence` is raised.
+    """
+    _, value = _refine(itertools.islice(_gm_levels(fn, n), 2, None), 1e-13)
     return value
 
 

@@ -161,14 +161,18 @@ def _simplex_moment_integral(alpha) -> Fraction:
     The map t_k = u_1 ... u_k of :func:`opcalc.quadrature.iter_simplex_rule`
     turns it into the product over k = 1..n of int_0^1 u^e (1 - u)^a du with
     e = alpha_k + ... + alpha_n + n - k and a = alpha_{k-1}; expanding
-    (1 - u)^a binomially makes each factor sum_i C(a, i) (-1)^i / (e + i + 1).
+    (1 - u)^a binomially makes each factor sum_i C(a, i) (-1)^i / (e + i + 1),
+    summed in integers over the common denominator lcm(e + 1, ..., e + a + 1)
+    and reduced once at the end.
     """
     n = len(alpha) - 1
-    total = Fraction(1)
+    num = den = 1
     for k in range(1, n + 1):
         e, a = sum(alpha[k:]) + n - k, alpha[k - 1]
-        total *= sum(Fraction((-1) ** i * math.comb(a, i), e + i + 1) for i in range(a + 1))
-    return total
+        lcm = math.lcm(*range(e + 1, e + a + 2))
+        num *= sum((-1) ** i * math.comb(a, i) * (lcm // (e + i + 1)) for i in range(a + 1))
+        den *= lcm
+    return Fraction(num, den)
 
 
 def combinatorics_exactness(alphas, multinomials, tol: dict) -> Residual:

@@ -37,6 +37,7 @@ from opcalc.errors import (
     ContourViolation,
     DomainViolation,
     InvalidInput,
+    OpcalcError,
     QuadratureNoConvergence,
     ZeroNodeNegativePower,
 )
@@ -371,6 +372,24 @@ def test_multiindex_inputs_refused_typed(call):
         call()
 
 
+def enumerated_multinomial(beta, m, mode):
+    """Sum of prod_j C(alpha_j, beta_j) over alpha >= beta, |alpha| <= m or = m,
+    by enumerating every composition alpha = beta + gamma of each shell."""
+
+    def shell(total):
+        acc = 0
+        for gamma in compositions(total - sum(beta), len(beta)):
+            term = 1
+            for gj, bj in zip(gamma, beta):
+                term *= math.comb(bj + gj, bj)
+            acc += term
+        return acc
+
+    if mode == "=":
+        return shell(m)
+    return sum(shell(t) for t in range(sum(beta), m + 1))
+
+
 class TestMultinomial:
     def test_frozen(self):
         assert multinomial_identity((0,), 2, "<=") == (3, 3)
@@ -378,13 +397,18 @@ class TestMultinomial:
         assert multinomial_identity((1, 0), 2, "=") == (3, 3)
 
     def test_exhaustive(self):
-        for n in range(1, 5):
-            for btot in range(5):
+        # covers verify-all's range (n <= 4, |beta| <= 4, m <= 8) and beyond
+        for n in range(1, 6):
+            for btot in range(6):
                 for beta in compositions(btot, n):
-                    for m in range(btot, 9):
+                    for m in range(btot, 11):
                         for mode in ("<=", "="):
-                            brute, closed = multinomial_identity(beta, m, mode)
-                            assert brute == closed
+                            summed, closed = multinomial_identity(beta, m, mode)
+                            assert summed == enumerated_multinomial(beta, m, mode) == closed
+
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(OpcalcError, match="unknown mode"):
+            multinomial_identity((1, 0), 2, "<")
 
 
 class TestNearCoincidence:

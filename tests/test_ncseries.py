@@ -23,7 +23,7 @@ from opcalc import (
 from opcalc import funcalc, ncseries
 from opcalc.core import as_matrix, eigen_decompose
 from opcalc.errors import ConvergenceThresholdExceeded, SeriesDiverging
-from opcalc.quadrature import simplex_integrate
+from opcalc.quadrature import grundmann_moller_integrate
 
 EXP = exp_function()
 
@@ -303,20 +303,22 @@ class TestDyson:
         report = dyson_exp(a, b, N=2)
         assert np.array_equal(report.target, matrix_exp(a + b))
 
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
     def test_block_terms_match_simplex_quadrature(self, d, N):
+        # orders 4 and 5 integrate on the 5- and 6-simplex, which a product
+        # rule of q^n points cannot reach at this accuracy
         a = gen_matrix("random", d, 101 + N)
         b = 0.25 * gen_matrix("random", d, 105 + N)
         report = dyson_exp(a, b, N=N)
         terms, remainder = dyson_terms_simplex(a, b, N)
         for n, term in enumerate(terms, start=1):
             block = report.partial_sums[n] - report.partial_sums[n - 1]
-            assert opnorm(block - term) <= 1e-10
+            assert opnorm(block - term) <= 1e-12
         # target minus the last partial sum is the block remainder up to the
         # identity defect
         closing = report.target - report.partial_sums[-1]
-        assert opnorm(closing - remainder) <= 1e-10
+        assert opnorm(closing - remainder) <= 1e-12
         assert report.meta["exact_remainder_norm"] == pytest.approx(
             opnorm(remainder), abs=1e-10
         )
@@ -349,7 +351,7 @@ class TestDyson:
                     x = x * np.exp(s[:, order, None] * lam[None, :])[:, None, :]
                 return x
 
-            return v @ simplex_integrate(integrand, order) @ vinv
+            return v @ grundmann_moller_integrate(integrand, order) @ vinv
 
         terms, remainder = dyson_terms_simplex(a, b, N)
         assert len(terms) == N

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -11,11 +12,15 @@ from opcalc.errors import ContourViolation, InvalidInput, QuadratureNoConvergenc
 from opcalc.functions import Domain, HoloFunction
 from opcalc.quadrature import (
     Contour,
+    _gm_levels,
+    _gm_shell,
+    _gm_weights,
     _refine,
     circle_points,
     contour_around,
     contour_quadrature,
     gauss_legendre_01,
+    grundmann_moller_integrate,
     iter_simplex_rule,
     simplex_integrate,
 )
@@ -185,6 +190,89 @@ def test_simplex_rule_is_bit_identical_to_index_decoding(n, q):
     for (s, w), (s_ref, w_ref) in zip(chunks, want):
         assert s.shape == s_ref.shape and w.shape == w_ref.shape
         assert s.tobytes() == s_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+
+def _partitions(total, parts, largest=None):
+    """Nonincreasing parts-tuples of nonnegative integers summing to ``total``."""
+    largest = total if largest is None else largest
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(min(total, largest), -1, -1):
+        for rest in _partitions(total - head, parts - 1, head):
+            yield (head,) + rest
+
+
+def _gm_rule(n, s):
+    """Rule s as one (points, weights) pair, shells k = 0..s in order."""
+    pts, wts = [], []
+    for k, w in enumerate(_gm_weights(n, s)):
+        shell = np.concatenate([p for p, _ in _gm_shell(n, k)])
+        pts.append(shell)
+        wts.append(np.full(len(shell), w))
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+class TestGrundmannMoller:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_level_s_integrates_degree_2s_plus_1(self, n):
+        # permuting the coordinates permutes each shell and keeps its weight,
+        # so one alpha per orbit (nonincreasing parts) covers every monomial
+        for k in range(9):
+            shell = np.concatenate([p for p, _ in _gm_shell(n, k)])
+            assert len(shell) == math.comb(n + k, n)
+            for perm in (np.roll(np.arange(n + 1), 1), np.r_[1, 0, 2:n + 1]):
+                assert np.array_equal(np.unique(shell[:, perm], axis=0), np.unique(shell, axis=0))
+        alphas = [a for total in range(19) for a in _partitions(total, n + 1)]
+        powers = np.array(alphas)
+
+        def monomials(S):
+            return np.prod(S[:, None, :] ** powers[None], axis=2)
+
+        exact = np.array([float(divdiff.simplex_moment_s(a)) for a in alphas])
+        degree = powers.sum(axis=1)
+        for s, value, _ in itertools.islice(_gm_levels(monomials, n), 9):
+            pts, w = _gm_rule(n, s)
+            mass = np.abs(w) @ np.abs(monomials(pts))
+            err = np.abs(value - exact)
+            ok = degree <= 2 * s + 1
+            # the weights alternate in sign, so a level rounds relative to its
+            # mass sum |w| |s^alpha| (up to 4e3 times the moment at n = 6,
+            # s = 8); relative to the moment alone the error stays below 1e-13
+            # up to s = 4
+            assert np.all(err[ok] <= 1e-14 * mass[ok])
+            if s <= 4:
+                assert np.all(err[ok] <= 1e-13 * exact[ok])
+            # and the degree is sharp: some monomial of degree 2s+2 is missed
+            assert np.max(err[degree == 2 * s + 2] / mass[degree == 2 * s + 2]) > 1e-8
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_weights_sum_to_the_simplex_volume(self, n):
+        for s in range(13):
+            counts = [math.comb(n + k, n) for k in range(s + 1)]
+            assert sum(counts) == math.comb(n + s + 1, s)
+            w = _gm_weights(n, s)
+            total = math.fsum(wk * c for wk, c in zip(w, counts))
+            mass = math.fsum(abs(wk) * c for wk, c in zip(w, counts))
+            assert abs(total - 1 / math.factorial(n)) <= 2.3e-16 * mass
+
+    def test_zero_simplex_is_one_point(self):
+        # every shell of the 0-simplex is the point s_0 = 1
+        got = grundmann_moller_integrate(lambda S: S[:, :, None] * np.array([2.0, -3.0]), 0)
+        assert np.allclose(got, [[2.0, -3.0]], rtol=1e-15, atol=0)
+
+    def test_nan_integrand_is_refused(self):
+        with pytest.raises(QuadratureNoConvergence, match="non-finite level"):
+            grundmann_moller_integrate(lambda S: np.full(len(S), np.nan), 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_singular_integrand_runs_to_the_cap_and_refuses(self, n):
+        # s_0^(-1/2) is integrable but not smooth at the face s_0 = 0
+        fn, points = counted(lambda S: S[:, 0] ** -0.5)
+        with pytest.raises(QuadratureNoConvergence, match="up to size 12"):
+            grundmann_moller_integrate(fn, n)
+        assert sum(points) == math.comb(n + 13, 12)
 
 
 class TestContourAround:
