@@ -34,7 +34,8 @@ class ZeroNodeNegativePower(OpcalcError):
 
 
 class SeriesDiverging(OpcalcError):
-    """Shell magnitudes of a series grew for several consecutive orders."""
+    """Shell magnitudes of a series grew for several consecutive orders, or
+    had not settled by the order cap."""
 
 
 class NonCommutingTuple(OpcalcError):

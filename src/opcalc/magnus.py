@@ -24,7 +24,8 @@ from functools import cache, partial
 import numpy as np
 
 from .core import as_matrix, commutator, matrix_exp, opnorm
-from .errors import BranchRadiusExceeded, InvalidInput, QuadratureNoConvergence, StepRejected
+from .errors import BranchRadiusExceeded, InvalidInput, StepRejected
+from .quadrature import _refine
 
 __all__ = [
     "bernoulli",
@@ -174,7 +175,7 @@ def magnus_solve(
     A,
     t_end: float,
     h: float,
-    order: int = 8,
+    order: int,
     *,
     trace: list | None = None,
     checkpoints=None,
@@ -226,12 +227,12 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
 
     RK4 runs with step t_end / 64, then halved, at most 20 times.  Each
     halving gives the extrapolated value (16 y_{h/2} - y_h) / 15, which
-    cancels the h^4 error term, and the first extrapolated value that agrees
-    with the one before to 1e-10 in operator norm (relative to the newer
-    value) is returned: at least three passes.  With ``checkpoints``, a
-    sorted sequence of times in [0, t_end], each pass also stops at every
-    checkpoint, a halving level is accepted only when all of them agree, and
-    the list of propagators at the checkpoints is returned.
+    cancels the h^4 error term, and :func:`opcalc.quadrature._refine` returns
+    the first that agrees with the one before to 1e-10, relative in the flat
+    norm (at least three passes).  With ``checkpoints``, a sorted sequence of
+    times in [0, t_end], each pass also stops at every checkpoint, the values
+    at all of them are compared as one stack, and the list of propagators at
+    the checkpoints is returned.
     """
     stops = _stops(t_end, checkpoints)
     a0 = as_matrix(A(0.0))
@@ -239,21 +240,17 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
 
     field = partial(_field_value, A, dim=a0.shape[0])
 
-    def agree(cur, prev):
-        return all(opnorm(c - p) <= 1e-10 * max(opnorm(c), 1e-300)
-                   for c, p in zip(cur, prev))
+    def levels():
+        step = t_end / 64.0
+        coarse = np.array(_rk4(field, np.matmul, eye, stops, step))
+        for k in range(1, 21):
+            step *= 0.5
+            fine = np.array(_rk4(field, np.matmul, eye, stops, step))
+            yield 64 << k, (16.0 * fine - coarse) / 15.0, 0.0
+            coarse = fine
 
-    step = t_end / 64.0
-    coarse = _rk4(field, np.matmul, eye, stops, step)
-    prev = None
-    for _ in range(20):
-        step *= 0.5
-        fine = _rk4(field, np.matmul, eye, stops, step)
-        cur = [(16.0 * f - c) / 15.0 for f, c in zip(fine, coarse)]
-        if prev is not None and agree(cur, prev):
-            return cur[-1] if checkpoints is None else cur[:-1]
-        coarse, prev = fine, cur
-    raise QuadratureNoConvergence("step halving did not stabilize the propagator")
+    _, ys = _refine(levels(), 1e-10)
+    return ys[-1] if checkpoints is None else list(ys[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,7 @@ def taylor_series_ad(f: HoloFunction, a, bs, order_cap: int) -> tuple[np.ndarray
     once through the single-variable calculus and serves both sums.  The
     sums stop once both shells drop below 1e-14 of their running sums and
     raise :class:`SeriesDiverging` after three consecutive shells whose
-    larger norm grew.
+    larger norm grew, or when shell ``order_cap`` passes without that stop.
     """
     am = as_matrix(a)
     bs = [as_matrix(b, dim=am.shape[0]) for b in bs]
@@ -205,8 +205,8 @@ def taylor_series_ad(f: HoloFunction, a, bs, order_cap: int) -> tuple[np.ndarray
         prev_mag = mag
         if (mag_left <= 1e-14 * max(opnorm(left), 1e-300)
                 and mag_right <= 1e-14 * max(opnorm(right), 1e-300)):
-            break
-    return left, right
+            return left, right
+    raise SeriesDiverging(f"shells had not fallen below 1e-14 of their sums by order_cap {order_cap}")
 
 
 def dyson_terms_simplex(a, b, N: int) -> tuple[list, np.ndarray]:

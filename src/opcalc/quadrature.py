@@ -14,13 +14,13 @@ Four families:
   with C(n+s+1, s) points, but with weights of both signs, so only for
   entire integrands such as the Dyson oracle's
   (``ncseries.dyson_terms_simplex``),
-* globally adaptive 15-point Gauss-Kronrod panels, plus the substitution
-  ``u = t / (1 - t)`` for integrals over [0, inf).
+* the 15-point Kronrod rule on 1, 2, 4, ... equal panels, plus the
+  substitution ``u = t / (1 - t)`` for integrals over [0, inf).
 
 Every circle of the contour calculus comes from :func:`contour_around` (sized
 for the function when it holds the handle), and every refining rule (circle
-doubling, both simplex rules, and the tensor grid of ``funcalc.funcalc_n``)
-stops by the one rule of :func:`_refine`.
+doubling, both simplex rules, Kronrod panel halving, and the tensor grid of
+``funcalc.funcalc_n``) stops by the one rule of :func:`_refine`.
 
 All reductions run in a fixed order so repeated runs are bit-identical.
 """
@@ -28,7 +28,6 @@ All reductions run in a fixed order so repeated runs are bit-identical.
 from __future__ import annotations
 
 import cmath
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -411,7 +410,7 @@ def grundmann_moller_integrate(fn, n: int):
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod
+# Gauss-Kronrod panels
 
 _XGK = np.array([
     -0.9914553711208126, -0.9491079123427585, -0.8648644233597691,
@@ -429,61 +428,36 @@ _WGK = np.array([
     0.1406532597155259, 0.1047900103222502, 0.0630920926299786,
     0.0229353220105292,
 ])
-# 7-point Gauss weights sit on Kronrod nodes 1, 3, 5, 7, 9, 11, 13
-_WG = np.array([
-    0.1294849661688697, 0.2797053914892767, 0.3818300505051189,
-    0.4179591836734694,
-    0.3818300505051189, 0.2797053914892767, 0.1294849661688697,
-])
-_GAUSS_IDX = np.arange(1, 14, 2)
+GK_PANELS = 4096  # most equal panels a Gauss-Kronrod level halves to
 
 
-def _gk15(fn, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _XGK
-    vals = np.asarray(fn(x))
-    k15 = half * np.tensordot(_WGK, vals, axes=(0, 0))
-    g7 = half * np.tensordot(_WG, vals[_GAUSS_IDX], axes=(0, 0))
-    err = _norm(k15 - g7)
-    if not np.isfinite(err):
-        raise QuadratureNoConvergence(f"non-finite error estimate on panel [{a:.3g}, {b:.3g}]")
-    return k15, err
+def _gk_levels(fn, a: float, b: float):
+    """``(panels, value, mass)`` of the 15-point Kronrod rule on 1, 2, 4, ...,
+    ``GK_PANELS`` equal panels of [a, b], one ``fn`` call per panel."""
+    panels = 1
+    while panels <= GK_PANELS:
+        half = 0.5 * (b - a) / panels
+        mids = a + half * (2.0 * np.arange(panels) + 1.0)
+        yield panels, *_weighted_sum(fn, ((mid + half * _XGK, half * _WGK) for mid in mids))
+        panels *= 2
 
 
 def adaptive_gauss_kronrod(fn, a: float, b: float, *, stats: dict | None = None):
-    """Globally adaptive Gauss-Kronrod on [a, b], worst panel split first.
+    """The 15-point Kronrod rule on [a, b] under panel halving.
 
-    ``fn(x)`` maps a node array to integrand values (any trailing shape);
-    errors are measured in the flat 2-norm of the Kronrod-Gauss difference.
-    Splits until the summed error estimate is at most 1e-10 relative, with at
-    most 30 halvings of a panel and 20000 panels.
+    ``fn(x)`` maps the 15 nodes of one panel to integrand values (any
+    trailing shape).  Level k applies the rule on 2^k equal panels, up to
+    ``GK_PANELS``, and :func:`_refine` returns the first level that agrees
+    with the one before to 1e-12 relative.
     """
-    value, err = _gk15(fn, a, b)
-    heap = [(-err, 0, a, b, 0, value)]
-    counter = 1
-    total_err = err
-    while total_err > 1e-10 * max(_norm(value), _TINY) and heap:
-        if len(heap) >= 20000:
-            raise QuadratureNoConvergence("panel limit reached")
-        neg_err, _, pa, pb, depth, pval = heapq.heappop(heap)
-        if depth >= 30:
-            raise QuadratureNoConvergence(f"panel depth cap 30 reached on [{pa:.3g}, {pb:.3g}]")
-        pm = 0.5 * (pa + pb)
-        lv, le = _gk15(fn, pa, pm)
-        rv, re_ = _gk15(fn, pm, pb)
-        value = value - pval + lv + rv
-        total_err = total_err + neg_err + le + re_
-        heapq.heappush(heap, (-le, counter, pa, pm, depth + 1, lv))
-        heapq.heappush(heap, (-re_, counter + 1, pm, pb, depth + 1, rv))
-        counter += 2
+    panels, value = _refine(_gk_levels(fn, a, b), 1e-12)
     if stats is not None:
-        stats["gk_panels"] = len(heap)
+        stats["gk_panels"] = panels
     return value
 
 
 def halfline_integrate(fn):
-    """Integral of ``fn`` over [0, inf) via u = t / (1 - t) and adaptive GK."""
+    """Integral of ``fn`` over [0, inf) via u = t / (1 - t) and Kronrod panels."""
 
     def g(t):
         t = np.asarray(t)

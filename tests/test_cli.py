@@ -682,10 +682,10 @@ class TestErrorPaths:
         lambda: newton_recursion_check(named_function("exp"), [np.eye(2)], []),
         lambda: bernoulli(31),
         lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=31),
-        lambda: magnus_solve(triangular_field(), -1.0, 0.1),
-        lambda: magnus_solve(triangular_field(), 1.0, 0.1, checkpoints=[float("nan")]),
-        lambda: magnus_solve(triangular_field(), 1.0, 0.1, checkpoints=[0.5, 0.2]),
-        lambda: magnus_solve(triangular_field(), 1.0, 0.0),
+        lambda: magnus_solve(triangular_field(), -1.0, 0.1, 8),
+        lambda: magnus_solve(triangular_field(), 1.0, 0.1, 8, checkpoints=[float("nan")]),
+        lambda: magnus_solve(triangular_field(), 1.0, 0.1, 8, checkpoints=[0.5, 0.2]),
+        lambda: magnus_solve(triangular_field(), 1.0, 0.0, 8),
         lambda: field_from_samples([0.0], [np.eye(2)]),
         lambda: builtin_field("spiral"),
         lambda: named_function("sinh"),

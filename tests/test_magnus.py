@@ -15,7 +15,7 @@ from opcalc import (
     rk_reference,
 )
 from opcalc import magnus
-from opcalc.errors import BranchRadiusExceeded, StepRejected
+from opcalc.errors import BranchRadiusExceeded, QuadratureNoConvergence, StepRejected
 from opcalc.magnus import builtin_field, perturbed_triangular_field, triangular_field
 from opcalc.quadrature import gauss_legendre_01
 
@@ -270,20 +270,20 @@ class TestCheckpoints:
     @pytest.mark.parametrize("t_end", [-1.0, np.inf, np.nan])
     def test_bad_end_time(self, t_end):
         with pytest.raises(ValueError):
-            magnus_solve(triangular_field(), t_end, 0.01)
+            magnus_solve(triangular_field(), t_end, 0.01, 8)
         with pytest.raises(ValueError):
             rk_reference(triangular_field(), t_end)
 
     @pytest.mark.parametrize("times", [[0.5, 0.25], [-0.1, 0.5], [0.5, 2.0]])
     def test_bad_checkpoints(self, times):
         with pytest.raises(ValueError):
-            magnus_solve(triangular_field(), 1.0, 0.01, checkpoints=times)
+            magnus_solve(triangular_field(), 1.0, 0.01, 8, checkpoints=times)
         with pytest.raises(ValueError):
             rk_reference(triangular_field(), 1.0, checkpoints=times)
 
     def test_zero_step(self):
         with pytest.raises(ValueError):
-            magnus_solve(triangular_field(), 1.0, 0.0)
+            magnus_solve(triangular_field(), 1.0, 0.0, 8)
 
 
 def _four_read_rk4(field, rhs, y0, stops, h, monitor=None):
@@ -400,6 +400,27 @@ class TestReference:
 
         oracle = (16.0 * rk4(1 / 8192) - rk4(1 / 4096)) / 15.0
         assert rel_err(y, oracle) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["triangular", "perturbed:5"])
+    def test_three_passes_with_checkpoints(self, monkeypatch, name):
+        # the checkpoint stack is one level of the refinement: it settles with the end value
+        field, rk4_pass, passes = builtin_field(name), magnus._rk4, []
+
+        def counted_rk4(*args):
+            passes.append(args[4])
+            return rk4_pass(*args)
+
+        monkeypatch.setattr(magnus, "_rk4", counted_rk4)
+        path = rk_reference(field, 1.0, checkpoints=[0.25, 0.5, 1.0])
+        assert passes == [1 / 64, 1 / 128, 1 / 256]
+        assert len(path) == 3
+
+    def test_unsettled_passes_raise(self, monkeypatch):
+        # a pass whose state scales like 1/h: each extrapolated level doubles
+        monkeypatch.setattr(magnus, "_rk4", lambda field, rhs, y0, stops, h: [y0 / h for _ in stops])
+        with pytest.raises(QuadratureNoConvergence,
+                           match=r"up to size 67108864: last difference 4\.903e\+07, floor 9\.807e-03"):
+            rk_reference(triangular_field(), 1.0)
 
     def test_zero_field(self):
         y = rk_reference(lambda t: np.zeros((2, 2)), 1.0)

@@ -253,6 +253,12 @@ class TestAdSeries:
         taylor_series_ad(EXP, a, [0.4 * gen_matrix("random", 2, 85)], order_cap=40)
         assert len(orders) > 3 and len(set(orders)) == len(orders)
 
+    def test_order_cap_reached_raises(self):
+        # a generic exp case needs 10-15 shells; two shells leave the series truncated
+        a = 0.4 * gen_matrix("random", 2, 84)
+        with pytest.raises(SeriesDiverging, match="by order_cap 2"):
+            taylor_series_ad(EXP, a, [0.4 * gen_matrix("random", 2, 85)], order_cap=2)
+
     def test_growing_shells_raise(self):
         # |ad_a^s(b)| = 8^s, so the shells e^4 8^s / (s+1)! grow up to s = 6
         a = np.diag([4.0, -4.0])

@@ -15,12 +15,15 @@ from opcalc.quadrature import (
     _gm_levels,
     _gm_shell,
     _gm_weights,
+    _gk_levels,
     _refine,
+    adaptive_gauss_kronrod,
     circle_points,
     contour_around,
     contour_quadrature,
     gauss_legendre_01,
     grundmann_moller_integrate,
+    halfline_integrate,
     iter_simplex_rule,
     simplex_integrate,
 )
@@ -273,6 +276,44 @@ class TestGrundmannMoller:
         with pytest.raises(QuadratureNoConvergence, match="up to size 12"):
             grundmann_moller_integrate(fn, n)
         assert sum(points) == math.comb(n + 13, 12)
+
+
+class TestGaussKronrod:
+    @pytest.mark.parametrize("k", range(24))
+    def test_one_panel_integrates_degree_23(self, k):
+        # level 0 is the 15-point Kronrod rule on one panel, exact to degree 23
+        size, value, _ = next(_gk_levels(lambda x: x**k, 0.0, 1.0))
+        assert size == 1
+        assert abs(value - 1.0 / (k + 1)) <= 1e-15
+
+    def test_polynomial_accepted_at_two_panels(self):
+        stats = {}
+        value = adaptive_gauss_kronrod(lambda x: 3.0 * x**5 - x**2 + 1.0, -1.0, 2.0, stats=stats)
+        assert stats == {"gk_panels": 2}
+        assert value == pytest.approx(31.5, rel=1e-15)  # 63/2 - 3 + 3
+
+    def test_singular_integrand_refused_at_the_panel_cap(self):
+        # x^(-1/2): the level differences shrink only by sqrt(2) per halving
+        with pytest.raises(QuadratureNoConvergence, match=f"size {quadrature.GK_PANELS}:"):
+            adaptive_gauss_kronrod(lambda x: x**-0.5, 0.0, 1.0)
+
+    def test_nan_integrand_refused_at_the_first_comparison(self):
+        calls = []
+
+        def fn(x):
+            calls.append(len(x))
+            return np.full(len(x), np.nan)
+
+        with pytest.raises(QuadratureNoConvergence, match="non-finite level at size 2"):
+            adaptive_gauss_kronrod(fn, 0.0, 1.0)
+        assert calls == [15, 15, 15]
+
+    def test_halfline_scalar_and_matrix_integrands(self):
+        assert halfline_integrate(lambda u: (1.0 + u) ** -2) == pytest.approx(1.0, rel=1e-14)
+        m = np.array([[1.0, 2.0], [0.5, 3.0]])
+        got = halfline_integrate(lambda u: np.multiply.outer((1.0 + u) ** -2, m))
+        assert got.shape == (2, 2)
+        np.testing.assert_allclose(got, m, rtol=1e-14)
 
 
 class TestContourAround:

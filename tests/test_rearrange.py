@@ -1,6 +1,7 @@
 import functools
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -143,6 +144,19 @@ class TestKernels:
             c = rng.uniform(0.3, 3.0)
             assert abs(kernel_F(fam, c * s) - F / c) <= 1e-9 * abs(F)
 
+
+    @pytest.mark.parametrize("qs, s", [
+        ((1, 1), (1.0, 0.7 * np.exp(1.55j))),
+        ((2, 1), (0.5 * np.exp(1.55j), 3.0 * np.exp(-1.2j))),
+        ((1, 2, 1), (1.0, 0.7 * np.exp(1.55j), 1.3 * np.exp(-1.55j))),
+    ])
+    def test_F_at_the_sector_edge_against_mpmath(self, qs, s):
+        # |arg s| = 1.55 against pi/2: the poles u = -1/s_j sit near the imaginary axis
+        with mpmath.workdps(30):
+            want = complex(mpmath.quad(
+                lambda u: mpmath.fprod((1 + u * mpmath.mpc(z)) ** -q for q, z in zip(qs, s)),
+                [0, 1, mpmath.inf]))
+        assert abs(kernel_F(qs, s) - want) <= 1e-15 * abs(want)
 
 class TestThreeWay:
     def test_diagonal_resolvent_square(self):
