@@ -13,6 +13,11 @@ d = 8 the powers ad_Omega^n(A) are one Krylov block of matrix-vector
 products; above that they are nested commutators.  The equation is stepped
 with the classical 4th-order Runge-Kutta scheme; a plain Runge-Kutta solver
 for Y itself with Richardson extrapolation serves as the independent oracle.
+Both walk the steps that :func:`_grid` lays out for a pass.  Since
+Y' = A(t) Y is linear, one RK4 step of the oracle is a d x d matrix, a
+polynomial in the field at the start, middle and end of the step, so each
+pass forms the matrices of all its steps as one stack and multiplies the
+states up.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .core import as_matrix, commutator, matrix_exp, opnorm
+from .core import as_matrices, as_matrix, commutator, matrix_exp, opnorm
 from .errors import BranchRadiusExceeded, InvalidInput, StepRejected
 from .quadrature import _refine
 
@@ -70,6 +75,21 @@ def _series(order: int) -> tuple[float, ...]:
     return tuple(float(b) / math.factorial(n) for n, b in enumerate(bernoulli(order)))
 
 
+@cache
+def _coefficients(order: int) -> np.ndarray:
+    """:func:`_series` as a read-only array: the row that sums a Krylov block."""
+    coefficients = np.array(_series(order))
+    coefficients.flags.writeable = False
+    return coefficients
+
+
+@cache
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
     """Truncated commutator series sum_{n<=order} (B_n/n!) ad_omega^n(a_t).
 
@@ -79,11 +99,12 @@ def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
     entries of that matrix cost more than the commutators they replace, so
     the powers are nested commutators.
     """
-    series = _series(order)
+    coefficients = _coefficients(order)
     om = as_matrix(omega)
     d = om.shape[0]
     x = as_matrix(a_t, dim=d)
     if d > 8:
+        series = _series(order)
         total = series[0] * x
         for n in range(1, order + 1):
             x = commutator(om, x)
@@ -92,14 +113,14 @@ def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
         return total
     # Omega (x) I - I (x) Omega^T: row (i, k), column (j, l) holds
     # Omega[i, j] delta_kl - delta_ij Omega[l, k]
-    eye = np.eye(d)
+    eye = _identity(d)
     ad = np.multiply.outer(om, eye) - np.multiply.outer(eye, om.T)
     ad = ad.transpose(0, 2, 1, 3).reshape(d * d, d * d)
     block = np.empty((order + 1, d * d), dtype=complex)
     block[0] = x.ravel()
-    for n in range(1, order + 1):
-        np.matmul(ad, block[n - 1], out=block[n])
-    return (np.array(series) @ block).reshape(d, d)
+    for previous, row in zip(block, block[1:]):
+        np.matmul(ad, previous, out=row)
+    return (coefficients @ block).reshape(d, d)
 
 
 def _stops(t_end: float, checkpoints) -> list[float]:
@@ -114,16 +135,43 @@ def _stops(t_end: float, checkpoints) -> list[float]:
     return stops
 
 
+def _grid(stops: list[float], h: float) -> list[tuple[float, float, int]]:
+    """The steps of one pass from t = 0 with step ``h``, to each sorted stop.
+
+    Each step is ``(t, step, stop)``: a step of the grid has ``stop`` -1, and
+    a step that reaches stop ``stops[stop]`` is the last before its state is
+    read.  The grid 0, h, 2h, ... ends with one step shortened to land on the
+    last stop, so it does not depend on the other stops.  A stop within
+    ``1e-14 * max(1, stop)`` of a grid time is read there, by a step of
+    length zero; a stop short of the next grid time is reached by one step
+    shortened to land on it, taken from the grid time before it.  Each state
+    is therefore the one a pass ending at that stop would reach, bit for bit.
+    """
+    t_end = stops[-1]
+    if not h > 0 and t_end > 0:
+        raise InvalidInput("step must be positive")
+    steps: list[tuple[float, float, int]] = []
+    t, n = 0.0, 0
+    while True:
+        step = min(h, t_end - t)
+        while n < len(stops):
+            stop = stops[n]
+            if t >= stop - 1e-14 * max(1.0, stop):
+                steps.append((t, 0.0, n))
+            elif stop - t < step:
+                steps.append((t, stop - t, n))
+            else:
+                break
+            n += 1
+        if n == len(stops):
+            return steps
+        steps.append((t, step, -1))
+        t += step
+
+
 def _rk4(field, rhs, y0: np.ndarray, stops: list[float], h: float,
          monitor=None) -> list[np.ndarray]:
-    """Classical RK4 from t = 0 with step ``h``; the state at each sorted stop.
-
-    The grid 0, h, 2h, ... ends with one step shortened to land on the last
-    stop, so it does not depend on the other stops.  A stop within
-    ``1e-14 * max(1, stop)`` of a grid time is read there without a step; a
-    stop short of the next grid time is reached by one step shortened to land
-    on it, taken from the grid time before it.  Each state is therefore the
-    one a solve ending at that stop would return, bit for bit.
+    """Classical RK4 over :func:`_grid`; the state at each sorted stop.
 
     The stages are ``rhs(field(t), y)``, and ``field`` is read once per
     distinct time: a step reads it at its midpoint, which the second and
@@ -131,9 +179,6 @@ def _rk4(field, rhs, y0: np.ndarray, stops: list[float], h: float,
     stage.  The first stage at a grid time is computed once and shared by
     the landing steps and the main step taken from there.
     """
-    t_end = stops[-1]
-    if not h > 0 and t_end > 0:
-        raise InvalidInput("step must be positive")
 
     def advance(t, y, step, k1):
         a_mid = field(t + 0.5 * step)
@@ -149,26 +194,21 @@ def _rk4(field, rhs, y0: np.ndarray, stops: list[float], h: float,
             monitor(t, y)
         return y, a_end
 
-    y, t, a = y0.copy(), 0.0, None
+    y, a, k1 = y0.copy(), None, None
     states: list[np.ndarray] = []
-    while True:
-        step = min(h, t_end - t)
-        k1 = None
-        while len(states) < len(stops):
-            stop = stops[len(states)]
-            if t >= stop - 1e-14 * max(1.0, stop):
-                states.append(y)
-                continue
-            if k1 is None:
-                a = field(t) if a is None else a
-                k1 = rhs(a, y)
-            if stop - t >= step:
-                break
-            states.append(advance(t, y, stop - t, k1)[0])
-        if len(states) == len(stops):
-            return states
-        y, a = advance(t, y, step, k1)
-        t += step
+    for t, step, stop in _grid(stops, h):
+        if step == 0.0:
+            states.append(y)
+            continue
+        if k1 is None:
+            a = field(t) if a is None else a
+            k1 = rhs(a, y)
+        if stop >= 0:
+            states.append(advance(t, y, step, k1)[0])
+        else:
+            y, a = advance(t, y, step, k1)
+            k1 = None
+    return states
 
 
 def magnus_solve(
@@ -222,6 +262,58 @@ def magnus_solve(
     return [(om, matrix_exp(om)) for om in omegas[:-1]]
 
 
+def _field_stack(A, times: list[float], dim: int) -> np.ndarray:
+    """``A`` at each of ``times``, validated as one (n, dim, dim) complex stack."""
+    values = [A(t) for t in times]
+    for t, value in zip(times, values):
+        if np.shape(value) != (dim, dim):
+            raise StepRejected(f"field returned shape {np.shape(value)} at t = {t:g}")
+    stack = np.array(values, dtype=complex)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise StepRejected(f"field is not finite at t = {times[int(np.argmin(finite))]:g}")
+    return stack
+
+
+def _reference_pass(A, y0: np.ndarray, stops: list[float], h: float) -> list[np.ndarray]:
+    """RK4 for Y' = A(t) Y over :func:`_grid`; the state at each sorted stop.
+
+    A step of length s from t is the matrix R = I + (s/6)(K1 + 2 K2 + 2 K3 + K4),
+    with K1 = A(t), K2 = A_m (I + (s/2) K1), K3 = A_m (I + (s/2) K2) and
+    K4 = A(t + s)(I + s K3), where A_m = A(t + s/2).  ``A`` is read once per
+    distinct stage time of the pass, and the R of every step are formed as
+    one stack; the states are then one product per step.
+    """
+    grid = _grid(stops, h)
+    moving = [(t, step) for t, step, _ in grid if step != 0.0]
+    if moving:
+        t, s = np.array(moving).T
+        times, where = np.unique(np.concatenate([t, t + 0.5 * s, t + s]), return_inverse=True)
+        k1, a_mid, a_end = _field_stack(A, times.tolist(), y0.shape[0])[where].reshape(
+            3, len(moving), *y0.shape)
+        s = s[:, None, None]
+        k2 = a_mid + (0.5 * s) * (a_mid @ k1)
+        k3 = a_mid + (0.5 * s) * (a_mid @ k2)
+        k4 = a_end + s * (a_end @ k3)
+        matrices = iter(_identity(y0.shape[0]) + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    y, states, path = y0, [], []
+    for _, step, stop in grid:
+        if step == 0.0:
+            states.append(y)
+            continue
+        path.append(next(matrices) @ y)
+        if stop >= 0:
+            states.append(path[-1])
+        else:
+            y = path[-1]
+    if path:
+        finite = np.isfinite(np.array(path)).all(axis=(1, 2))
+        if not finite.all():
+            t0, s0 = moving[int(np.argmin(finite))]
+            raise StepRejected(f"non-finite state at t = {t0 + s0:g}")
+    return states
+
+
 def rk_reference(A, t_end: float, *, checkpoints=None):
     """Propagator of Y' = A(t) Y, Y(0) = 1, by RK4 with Richardson extrapolation.
 
@@ -229,23 +321,23 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
     halving gives the extrapolated value (16 y_{h/2} - y_h) / 15, which
     cancels the h^4 error term, and :func:`opcalc.quadrature._refine` returns
     the first that agrees with the one before to 1e-10, relative in the flat
-    norm (at least three passes).  With ``checkpoints``, a sorted sequence of
-    times in [0, t_end], each pass also stops at every checkpoint, the values
-    at all of them are compared as one stack, and the list of propagators at
-    the checkpoints is returned.
+    norm (at least three passes).  Each pass reads ``A`` once per distinct
+    stage time of its grid, forms the d x d matrix of every RK4 step as one
+    stack (:func:`_reference_pass`), and multiplies the states up.  With
+    ``checkpoints``, a sorted sequence of times in [0, t_end], each pass also
+    stops at every checkpoint, the values at all of them are compared as one
+    stack, and the list of propagators at the checkpoints is returned.
     """
     stops = _stops(t_end, checkpoints)
     a0 = as_matrix(A(0.0))
     eye = np.eye(a0.shape[0], dtype=complex)
 
-    field = partial(_field_value, A, dim=a0.shape[0])
-
     def levels():
         step = t_end / 64.0
-        coarse = np.array(_rk4(field, np.matmul, eye, stops, step))
+        coarse = np.array(_reference_pass(A, eye, stops, step))
         for k in range(1, 21):
             step *= 0.5
-            fine = np.array(_rk4(field, np.matmul, eye, stops, step))
+            fine = np.array(_reference_pass(A, eye, stops, step))
             yield 64 << k, (16.0 * fine - coarse) / 15.0, 0.0
             coarse = fine
 
@@ -285,11 +377,17 @@ def perturbed_triangular_field(seed: int):
 
 
 def field_from_samples(times, mats):
-    """Piecewise-linear field through the given (time, matrix) samples."""
+    """Piecewise-linear field through the given (time, matrix) samples.
+
+    The matrices must share one dimension (:class:`DimensionMismatch`
+    otherwise) and the times must be finite (:class:`InvalidInput`).
+    """
     ts = np.asarray(times, dtype=float)
-    ms = [as_matrix(m) for m in mats]
+    ms = as_matrices(list(mats))
     if ts.size != len(ms) or ts.size < 2:
         raise InvalidInput("need matching times and matrices, at least two samples")
+    if not np.isfinite(ts).all():
+        raise InvalidInput("sample times must be finite")
     order = np.argsort(ts)
     ts = ts[order]
     ms = [ms[k] for k in order]

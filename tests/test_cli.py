@@ -768,8 +768,13 @@ class TestMalformedInput:
         path = _write_json(tmp_path, job)
         self._refused(*run_cli(["funcalc", "--job", path], capsys))
 
-    @pytest.mark.parametrize("samples", [[0.0, 1.0], {"times": [0.0, 1.0], "matrices": 5}],
-                             ids=["file-list", "matrices-number"])
+    @pytest.mark.parametrize("samples", [
+        [0.0, 1.0],
+        {"times": [0.0, 1.0], "matrices": 5},
+        {"times": [0.0, 0.5, 1.0], "matrices": [{"dim": 2, "re": [1, 0, 0, 1]}, _MATRIX,
+                                                 {"dim": 2, "re": [1, 0, 0, 1]}]},
+        {"times": [0.0, float("nan")], "matrices": [_MATRIX, _MATRIX]},
+    ], ids=["file-list", "matrices-number", "mixed-dimensions", "nan-time"])
     def test_magnus_field_file(self, samples, tmp_path, capsys):
         path = _write_json(tmp_path, samples)
         self._refused(*run_cli(["magnus", "--field", path, "--format", "json"], capsys))

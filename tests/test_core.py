@@ -58,6 +58,19 @@ class TestEigenDecompose:
         assert rel_err((v * w) @ vinv, a) <= 1e-10
 
 
+class TestOpnorm:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bit_for_bit_the_matrix_two_norm(self, d):
+        rng = np.random.default_rng(d)
+        for m in (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
+                  rng.standard_normal((d, d)), np.zeros((d, d), dtype=complex)):
+            assert opnorm(m) == float(np.linalg.norm(m, 2))
+
+    @pytest.mark.parametrize("x", [0.0, -2.5, 3 - 4j])
+    def test_zero_dimensional_input_is_its_modulus(self, x):
+        assert opnorm(np.asarray(x)) == abs(x)
+
+
 class TestSlots:
     def test_distinct_slots_commute(self):
         a = gen_matrix("random", 2, 6)

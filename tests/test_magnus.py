@@ -342,20 +342,17 @@ class TestFieldReads:
     @pytest.mark.parametrize("name", ["triangular", "perturbed:7"])
     @pytest.mark.parametrize("times", [None, [7 * 0.006, 0.1, 0.25, 0.5, 0.7, 1.0]])
     def test_states_equal_the_four_read_stepper(self, monkeypatch, name, times):
+        # the solve only: the reference's passes are held to the stage-wise
+        # stepper in TestReferencePass
         field = builtin_field(name)
         h = 0.006
         got_log = magnus_solve(field, 1.0, h, 16, checkpoints=times)
-        got_ref = rk_reference(field, 1.0, checkpoints=times)
         monkeypatch.setattr(magnus, "_rk4", _four_read_rk4)
         want_log = magnus_solve(field, 1.0, h, 16, checkpoints=times)
-        want_ref = rk_reference(field, 1.0, checkpoints=times)
         if times is None:
             got_log, want_log = [got_log], [want_log]
-            got_ref, want_ref = [got_ref], [want_ref]
         for (om, y), (om_want, y_want) in zip(got_log, want_log, strict=True):
             assert np.array_equal(om, om_want) and np.array_equal(y, y_want)
-        for y, y_want in zip(got_ref, want_ref, strict=True):
-            assert np.array_equal(y, y_want)
 
     def test_read_times_are_the_distinct_stage_times(self, monkeypatch):
         new, new_calls = self.counted(triangular_field())
@@ -379,24 +376,77 @@ class TestFieldReads:
         assert len(calls) == 1 + 3 + 2 * 448
 
 
+class TestReferencePass:
+    """One pass of the reference: stacked step matrices, the states of the
+    stage-wise stepper, one read of the field per distinct stage time."""
+
+    @pytest.mark.parametrize("t_end, h, times", [
+        (1.0, 1 / 64, None),
+        # stops on the grid and landing steps between grid times
+        (1.0, 1 / 64, [0.0, 0.25, 0.3, 0.5, 0.71, 1.0]),
+        # 15 * 0.03 sits within rounding of t_end = 0.45
+        (0.45, 0.03, [k * 0.03 for k in range(1, 16)]),
+        # landing steps from the grid time before each, one per grid interval
+        (1.0, 0.008, [k * 0.008 for k in range(6, 125, 6)]),
+        # near-coincident stops off the grid
+        (0.7, 0.05, [0.123, 0.123 + 1e-15, 0.3, 0.3 + 1e-9, 0.7]),
+        (0.0, 0.0, [0.0]),
+    ], ids=["plain", "on-grid-and-landing", "near-t-end", "rows-20", "near-coincident",
+            "zero-end-time"])
+    @pytest.mark.parametrize("name", ["triangular", "perturbed:7"])
+    def test_equals_the_stage_wise_stepper(self, name, t_end, h, times):
+        field = builtin_field(name)
+        stops = magnus._stops(t_end, times)
+        eye = np.eye(2, dtype=complex)
+        calls, staged = [], []
+
+        def A(t):
+            calls.append(t)
+            return field(t)
+
+        def staged_field(t):
+            staged.append(t)
+            return field(t)
+
+        got = magnus._reference_pass(A, eye, stops, h)
+        want = magnus._rk4(staged_field, np.matmul, eye, stops, h)
+        assert len(got) == len(want) == len(stops)
+        for y, y_want in zip(got, want):
+            assert rel_err(y, y_want) <= 1e-13
+        assert len(calls) == len(set(calls)) and set(calls) == set(staged)
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda t: np.full((2, 2), np.nan), "field is not finite at t = 0.40625"),
+        (lambda t: np.eye(3), "field returned shape (3, 3) at t = 0.40625"),
+    ], ids=["not-finite", "shape"])
+    def test_first_bad_time_is_named(self, bad, message):
+        # read at t > 0.4 only: the first such stage time is the midpoint 52/128
+        def A(t):
+            return bad(t) if t > 0.4 else np.eye(2)
+
+        with pytest.raises(StepRejected) as info:
+            rk_reference(A, 1.0)
+        assert str(info.value) == message
+
+
 class TestReference:
     @pytest.mark.parametrize("name", ["triangular", "perturbed:5"])
     def test_three_passes_reach_a_fine_oracle(self, monkeypatch, name):
         # the extrapolated values of steps 1/64..1/256 agree to 1e-10, and the
         # last is within 1e-12 of the one from steps 1/4096 and 1/8192
-        field, rk4_pass, passes = builtin_field(name), magnus._rk4, []
+        field, reference_pass, passes = builtin_field(name), magnus._reference_pass, []
 
-        def counted_rk4(*args):
-            passes.append(args[4])
-            return rk4_pass(*args)
+        def counted_pass(*args):
+            passes.append(args[3])
+            return reference_pass(*args)
 
-        monkeypatch.setattr(magnus, "_rk4", counted_rk4)
+        monkeypatch.setattr(magnus, "_reference_pass", counted_pass)
         y = rk_reference(field, 1.0)
         monkeypatch.undo()
         assert passes == [1 / 64, 1 / 128, 1 / 256]
 
         def rk4(h):
-            return rk4_pass(field, np.matmul, np.eye(2, dtype=complex), [1.0], h)[0]
+            return magnus._rk4(field, np.matmul, np.eye(2, dtype=complex), [1.0], h)[0]
 
         oracle = (16.0 * rk4(1 / 8192) - rk4(1 / 4096)) / 15.0
         assert rel_err(y, oracle) <= 1e-12
@@ -404,20 +454,20 @@ class TestReference:
     @pytest.mark.parametrize("name", ["triangular", "perturbed:5"])
     def test_three_passes_with_checkpoints(self, monkeypatch, name):
         # the checkpoint stack is one level of the refinement: it settles with the end value
-        field, rk4_pass, passes = builtin_field(name), magnus._rk4, []
+        field, reference_pass, passes = builtin_field(name), magnus._reference_pass, []
 
-        def counted_rk4(*args):
-            passes.append(args[4])
-            return rk4_pass(*args)
+        def counted_pass(*args):
+            passes.append(args[3])
+            return reference_pass(*args)
 
-        monkeypatch.setattr(magnus, "_rk4", counted_rk4)
+        monkeypatch.setattr(magnus, "_reference_pass", counted_pass)
         path = rk_reference(field, 1.0, checkpoints=[0.25, 0.5, 1.0])
         assert passes == [1 / 64, 1 / 128, 1 / 256]
         assert len(path) == 3
 
     def test_unsettled_passes_raise(self, monkeypatch):
         # a pass whose state scales like 1/h: each extrapolated level doubles
-        monkeypatch.setattr(magnus, "_rk4", lambda field, rhs, y0, stops, h: [y0 / h for _ in stops])
+        monkeypatch.setattr(magnus, "_reference_pass", lambda A, y0, stops, h: [y0 / h for _ in stops])
         with pytest.raises(QuadratureNoConvergence,
                            match=r"up to size 67108864: last difference 4\.903e\+07, floor 9\.807e-03"):
             rk_reference(triangular_field(), 1.0)
@@ -472,6 +522,22 @@ class TestSampledField:
             from opcalc.magnus import field_from_samples
 
             field_from_samples([0.0], [np.eye(2)])
+
+    def test_samples_share_one_dimension(self):
+        # a 1 x 1 sample among 2 x 2 ones would broadcast into the field
+        from opcalc.errors import DimensionMismatch
+        from opcalc.magnus import field_from_samples
+
+        with pytest.raises(DimensionMismatch):
+            field_from_samples([0.0, 0.5, 1.0], [np.eye(2), [[3.0]], np.eye(2)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sample_times_are_finite(self, bad):
+        from opcalc.errors import InvalidInput
+        from opcalc.magnus import field_from_samples
+
+        with pytest.raises(InvalidInput, match="sample times must be finite"):
+            field_from_samples([0.0, bad, 1.0], [np.eye(2)] * 3)
 
 
 class TestPerturbedFields:
