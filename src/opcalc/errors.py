@@ -71,7 +71,7 @@ class BranchRadiusExceeded(OpcalcError):
 
 
 class StepRejected(OpcalcError):
-    """Integrator step produced non-finite values."""
+    """An integrator step or field value is not finite, or a field value has the wrong shape."""
 
 
 class ConvergenceThresholdExceeded(UserWarning):

@@ -236,12 +236,15 @@ def named_function(name: str) -> HoloFunction:
         return log_function()
     if name == "id":
         return power_function(1)
-    if name.startswith("pow:"):
-        return power_function(int(name.split(":", 1)[1]))
-    if name.startswith("resolvent:"):
-        parts = name.split(":", 1)[1].split(",")
-        lam = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
-        return resolvent_function(lam)
+    try:
+        if name.startswith("pow:"):
+            return power_function(int(name.split(":", 1)[1]))
+        if name.startswith("resolvent:"):
+            parts = name.split(":", 1)[1].split(",")
+            lam = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
+            return resolvent_function(lam)
+    except ValueError:
+        raise InvalidInput(f"malformed number in function name {name!r}") from None
     m = _RATIONAL_RE.match(name)
     if m:
         return rational_function(int(m.group(1)))

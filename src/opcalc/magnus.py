@@ -13,18 +13,18 @@ d = 8 the powers ad_Omega^n(A) are one Krylov block of matrix-vector
 products; above that they are nested commutators.  The equation is stepped
 with the classical 4th-order Runge-Kutta scheme; a plain Runge-Kutta solver
 for Y itself with Richardson extrapolation serves as the independent oracle.
-Both walk the steps that :func:`_grid` lays out for a pass.  Since
-Y' = A(t) Y is linear, one RK4 step of the oracle is a d x d matrix, a
-polynomial in the field at the start, middle and end of the step, so each
-pass forms the matrices of all its steps as one stack and multiplies the
-states up.
+Both walk the steps that :func:`_grid` lays out for a pass, on the field of
+the whole pass read at once by :func:`_stage_fields`.  Since Y' = A(t) Y is
+linear, one RK4 step of the oracle is a d x d matrix, a polynomial in that
+field, so each pass forms the matrices of all its steps as one stack.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -47,17 +47,10 @@ BERNOULLI_CAP = 30
 BRANCH_RADIUS = np.pi
 
 
-def _field_value(A, t: float, dim: int) -> np.ndarray:
-    value = np.asarray(A(t), dtype=complex)
-    if value.shape != (dim, dim):
-        raise StepRejected(f"field returned shape {value.shape} at t = {t:g}")
-    if not np.isfinite(value).all():
-        raise StepRejected(f"field is not finite at t = {t:g}")
-    return value
-
-
 def bernoulli(K: int) -> tuple[Fraction, ...]:
     """B_0..B_K through the binomial recurrence, exactly (B_1 = -1/2)."""
+    if not isinstance(K, numbers.Integral):
+        raise InvalidInput(f"table order K must be an integer, got {K!r}")
     if not 0 <= K <= BERNOULLI_CAP:
         raise InvalidInput(f"table order K must lie in 0..{BERNOULLI_CAP}, got {K}")
     fracs = [Fraction(1)]
@@ -69,16 +62,13 @@ def bernoulli(K: int) -> tuple[Fraction, ...]:
     return tuple(fracs)
 
 
-@cache
-def _series(order: int) -> tuple[float, ...]:
-    """The Magnus coefficients float(B_n) / n!, n = 0..order."""
-    return tuple(float(b) / math.factorial(n) for n, b in enumerate(bernoulli(order)))
-
-
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _coefficients(order: int) -> np.ndarray:
-    """:func:`_series` as a read-only array: the row that sums a Krylov block."""
-    coefficients = np.array(_series(order))
+    """The Magnus coefficients float(B_n) / n!, n = 0..order, as a read-only row.
+
+    Keyed by the type of ``order`` too: :func:`bernoulli` refuses 8.0 once 8 is cached.
+    """
+    coefficients = np.array([float(b) / math.factorial(n) for n, b in enumerate(bernoulli(order))])
     coefficients.flags.writeable = False
     return coefficients
 
@@ -104,12 +94,11 @@ def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
     d = om.shape[0]
     x = as_matrix(a_t, dim=d)
     if d > 8:
-        series = _series(order)
-        total = series[0] * x
-        for n in range(1, order + 1):
+        total = coefficients[0] * x
+        for c in coefficients[1:]:
             x = commutator(om, x)
-            if series[n] != 0.0:
-                total = total + series[n] * x
+            if c != 0.0:
+                total = total + c * x
         return total
     # Omega (x) I - I (x) Omega^T: row (i, k), column (j, l) holds
     # Omega[i, j] delta_kl - delta_ij Omega[l, k]
@@ -169,46 +158,27 @@ def _grid(stops: list[float], h: float) -> list[tuple[float, float, int]]:
         t += step
 
 
-def _rk4(field, rhs, y0: np.ndarray, stops: list[float], h: float,
-         monitor=None) -> list[np.ndarray]:
-    """Classical RK4 over :func:`_grid`; the state at each sorted stop.
+def _stage_fields(A, grid: list[tuple[float, float, int]], dim: int) -> np.ndarray:
+    """The field at the start, middle and end of every step of ``grid``.
 
-    The stages are ``rhs(field(t), y)``, and ``field`` is read once per
-    distinct time: a step reads it at its midpoint, which the second and
-    third stages share, and at its end, which is the next step's first
-    stage.  The first stage at a grid time is computed once and shared by
-    the landing steps and the main step taken from there.
+    Returns a (3, steps, dim, dim) complex stack with one column per step of
+    nonzero length.  ``A`` is read once per distinct time, in increasing
+    order, and the values are validated as one stack: :class:`StepRejected`
+    names the first time whose value has the wrong shape, else the first
+    whose value is not finite.
     """
-
-    def advance(t, y, step, k1):
-        a_mid = field(t + 0.5 * step)
-        k2 = rhs(a_mid, y + 0.5 * step * k1)
-        k3 = rhs(a_mid, y + 0.5 * step * k2)
-        a_end = field(t + step)
-        k4 = rhs(a_end, y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += step
-        if not np.isfinite(y).all():
-            raise StepRejected(f"non-finite state at t = {t:g}")
-        if monitor is not None:
-            monitor(t, y)
-        return y, a_end
-
-    y, a, k1 = y0.copy(), None, None
-    states: list[np.ndarray] = []
-    for t, step, stop in _grid(stops, h):
-        if step == 0.0:
-            states.append(y)
-            continue
-        if k1 is None:
-            a = field(t) if a is None else a
-            k1 = rhs(a, y)
-        if stop >= 0:
-            states.append(advance(t, y, step, k1)[0])
-        else:
-            y, a = advance(t, y, step, k1)
-            k1 = None
-    return states
+    t, s = np.array([(t, step) for t, step, _ in grid if step != 0.0]).reshape(-1, 2).T
+    times, where = np.unique(np.concatenate([t, t + 0.5 * s, t + s]), return_inverse=True)
+    times = times.tolist()
+    values = [A(x) for x in times]
+    for x, value in zip(times, values):
+        if np.shape(value) != (dim, dim):
+            raise StepRejected(f"field returned shape {np.shape(value)} at t = {x:g}")
+    stack = np.array(values, dtype=complex).reshape(len(times), dim, dim)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise StepRejected(f"field is not finite at t = {times[int(np.argmin(finite))]:g}")
+    return stack[where].reshape(3, len(t), dim, dim)
 
 
 def magnus_solve(
@@ -223,10 +193,13 @@ def magnus_solve(
     """Integrate the log of the propagator and return (Omega(t_end), exp(Omega)).
 
     ``A`` is a callable t -> matrix.  The commutator series is truncated at
-    ``order``; stepping is classical RK4 with fixed step ``h``.  The solve
-    aborts with :class:`BranchRadiusExceeded` once |Omega| reaches
-    ``BRANCH_RADIUS`` (pi), where the principal logarithm could no longer be
-    trusted.  ``trace``, when given, collects (t, |Omega(t)|) rows.
+    ``order``; stepping is classical RK4 with fixed step ``h`` over
+    :func:`_grid`, with the first stage at a grid time shared by the steps
+    taken from there.  The field of the whole pass is read before the first
+    step (:func:`_stage_fields`).  The solve then aborts with
+    :class:`BranchRadiusExceeded` once |Omega| reaches ``BRANCH_RADIUS``
+    (pi), where the principal logarithm could no longer be trusted.
+    ``trace``, when given, collects (t, |Omega(t)|) rows.
 
     With ``checkpoints``, a sorted sequence of times in [0, t_end], the same
     pass to ``t_end`` returns instead a list of (Omega(t), exp(Omega(t))), one
@@ -234,45 +207,40 @@ def magnus_solve(
     returns.
     """
     stops = _stops(t_end, checkpoints)
-    _series(order)  # refuses an order outside 0..BERNOULLI_CAP before A is read
+    _coefficients(order)  # refuses a bad order before A is read
     a0 = as_matrix(A(0.0))
-    omega0 = np.zeros_like(a0)
-
-    field = partial(_field_value, A, dim=a0.shape[0])
-
-    def rhs(a, om):
-        return magnus_rhs(om, a, order)
-
-    def monitor(t, om):
+    grid = _grid(stops, h)
+    fields = zip(*_stage_fields(A, grid, a0.shape[0]))
+    om, k1, omegas = np.zeros_like(a0), None, []
+    for t, step, stop in grid:
+        if step == 0.0:
+            omegas.append(om)
+            continue
+        a_start, a_mid, a_end = next(fields)
+        if k1 is None:
+            k1 = magnus_rhs(om, a_start, order)
+        k2 = magnus_rhs(om + 0.5 * step * k1, a_mid, order)
+        k3 = magnus_rhs(om + 0.5 * step * k2, a_mid, order)
+        k4 = magnus_rhs(om + step * k3, a_end, order)
+        y = om + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += step
+        if not np.isfinite(y).all():
+            raise StepRejected(f"non-finite state at t = {t:g}")
         # |Omega|_2 <= |Omega|_F: below pi (less a rounding margin) the SVD
         # cannot refuse, so it runs only for a trace row or near the radius
-        if trace is None and np.vdot(om, om).real < BRANCH_RADIUS**2 * (1 - 1e-9):
-            return
-        nrm = opnorm(om)
-        if nrm >= BRANCH_RADIUS:
-            raise BranchRadiusExceeded(
-                f"|Omega| = {nrm:.4f} >= {BRANCH_RADIUS:.4f} at t = {t:g}"
-            )
-        if trace is not None:
-            trace.append((t, nrm))
-
-    omegas = _rk4(field, rhs, omega0, stops, h, monitor)
+        if trace is not None or np.vdot(y, y).real >= BRANCH_RADIUS**2 * (1 - 1e-9):
+            nrm = opnorm(y)
+            if nrm >= BRANCH_RADIUS:
+                raise BranchRadiusExceeded(f"|Omega| = {nrm:.4f} >= {BRANCH_RADIUS:.4f} at t = {t:g}")
+            if trace is not None:
+                trace.append((t, nrm))
+        if stop >= 0:
+            omegas.append(y)
+        else:
+            om, k1 = y, None
     if checkpoints is None:
         return omegas[-1], matrix_exp(omegas[-1])
     return [(om, matrix_exp(om)) for om in omegas[:-1]]
-
-
-def _field_stack(A, times: list[float], dim: int) -> np.ndarray:
-    """``A`` at each of ``times``, validated as one (n, dim, dim) complex stack."""
-    values = [A(t) for t in times]
-    for t, value in zip(times, values):
-        if np.shape(value) != (dim, dim):
-            raise StepRejected(f"field returned shape {np.shape(value)} at t = {t:g}")
-    stack = np.array(values, dtype=complex)
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        raise StepRejected(f"field is not finite at t = {times[int(np.argmin(finite))]:g}")
-    return stack
 
 
 def _reference_pass(A, y0: np.ndarray, stops: list[float], h: float) -> list[np.ndarray]:
@@ -280,22 +248,18 @@ def _reference_pass(A, y0: np.ndarray, stops: list[float], h: float) -> list[np.
 
     A step of length s from t is the matrix R = I + (s/6)(K1 + 2 K2 + 2 K3 + K4),
     with K1 = A(t), K2 = A_m (I + (s/2) K1), K3 = A_m (I + (s/2) K2) and
-    K4 = A(t + s)(I + s K3), where A_m = A(t + s/2).  ``A`` is read once per
-    distinct stage time of the pass, and the R of every step are formed as
+    K4 = A(t + s)(I + s K3), where A_m = A(t + s/2).  The field of the pass
+    comes from :func:`_stage_fields`, and the R of every step are formed as
     one stack; the states are then one product per step.
     """
     grid = _grid(stops, h)
+    k1, a_mid, a_end = _stage_fields(A, grid, y0.shape[0])
     moving = [(t, step) for t, step, _ in grid if step != 0.0]
-    if moving:
-        t, s = np.array(moving).T
-        times, where = np.unique(np.concatenate([t, t + 0.5 * s, t + s]), return_inverse=True)
-        k1, a_mid, a_end = _field_stack(A, times.tolist(), y0.shape[0])[where].reshape(
-            3, len(moving), *y0.shape)
-        s = s[:, None, None]
-        k2 = a_mid + (0.5 * s) * (a_mid @ k1)
-        k3 = a_mid + (0.5 * s) * (a_mid @ k2)
-        k4 = a_end + s * (a_end @ k3)
-        matrices = iter(_identity(y0.shape[0]) + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    s = np.array([step for _, step in moving]).reshape(-1, 1, 1)
+    k2 = a_mid + (0.5 * s) * (a_mid @ k1)
+    k3 = a_mid + (0.5 * s) * (a_mid @ k2)
+    k4 = a_end + s * (a_end @ k3)
+    matrices = iter(_identity(y0.shape[0]) + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     y, states, path = y0, [], []
     for _, step, stop in grid:
         if step == 0.0:
@@ -321,8 +285,9 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
     halving gives the extrapolated value (16 y_{h/2} - y_h) / 15, which
     cancels the h^4 error term, and :func:`opcalc.quadrature._refine` returns
     the first that agrees with the one before to 1e-10, relative in the flat
-    norm (at least three passes).  Each pass reads ``A`` once per distinct
-    stage time of its grid, forms the d x d matrix of every RK4 step as one
+    norm (at least three passes).  Each pass reads its field the way the
+    solve does, once per distinct stage time of its grid and all at once
+    (:func:`_stage_fields`), forms the d x d matrix of every RK4 step as one
     stack (:func:`_reference_pass`), and multiplies the states up.  With
     ``checkpoints``, a sorted sequence of times in [0, t_end], each pass also
     stops at every checkpoint, the values at all of them are compared as one
@@ -409,5 +374,8 @@ def builtin_field(name: str):
     if name == "triangular":
         return triangular_field()
     if name.startswith("perturbed:"):
-        return perturbed_triangular_field(int(name.split(":", 1)[1]))
+        try:
+            return perturbed_triangular_field(int(name.split(":", 1)[1]))
+        except ValueError:
+            raise InvalidInput(f"field seed must be a nonnegative integer: {name!r}") from None
     raise InvalidInput(f"unknown builtin field {name!r}")

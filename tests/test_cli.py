@@ -703,12 +703,20 @@ class TestErrorPaths:
         lambda: verify.tolerances(-1.0),
         lambda: rearrange_lhs([1, 1], np.eye(2), [np.eye(2)], delta=float("nan")),
         lambda: rearrange_rhs_G([1, 1], np.eye(2), [np.eye(2)], delta=float("inf")),
+        lambda: bernoulli(3.0),
+        lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=8.0),
+        lambda: magnus_solve(triangular_field(), 1.0, 0.01, 8.5),
+        lambda: builtin_field("perturbed:x"),
+        lambda: named_function("pow:x"),
+        lambda: named_function("resolvent:1,a"),
     ], ids=["expansion-report", "newton-recursion", "bernoulli-cap",
             "rhs-order", "end-time", "checkpoint-finite", "checkpoint-order", "step",
             "samples", "builtin-field", "function-name", "dyson-order", "taylor-order",
             "newton-nodes", "dd-apply-nodes", "dd-tensor-nodes", "contour-points",
             "bernoulli-order", "rhs-negative-order", "tol-scale-nan", "tol-scale-inf",
-            "tol-scale-zero", "tol-scale-negative", "delta-nan", "delta-inf"])
+            "tol-scale-zero", "tol-scale-negative", "delta-nan", "delta-inf",
+            "bernoulli-float", "rhs-float-order", "solve-float-order", "field-seed",
+            "pow-exponent", "resolvent-point"])
     def test_invalid_input_is_typed(self, call):
         # no RuntimeWarning first: contour_around([]) used to warn twice on the
         # empty mean before its bare ValueError
@@ -717,6 +725,14 @@ class TestErrorPaths:
             with pytest.raises(OpcalcError) as info:
                 call()
         assert isinstance(info.value, ValueError)
+
+    def test_numpy_integer_orders_are_read(self):
+        om, a = np.array([[0.1, 0.2], [0.0, -0.3]]), np.array([[1.0, 0.0], [0.5, 2.0]])
+        assert bernoulli(np.int64(8)) == bernoulli(8)
+        assert np.array_equal(magnus_rhs(om, a, order=np.int64(8)), magnus_rhs(om, a, order=8))
+        got = magnus_solve(triangular_field(), 0.5, 0.1, np.int32(8))
+        want = magnus_solve(triangular_field(), 0.5, 0.1, 8)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
     def test_kernel_arity(self):
         from opcalc import kernel_F

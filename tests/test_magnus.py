@@ -22,13 +22,61 @@ from opcalc.quadrature import gauss_legendre_01
 
 def _nested_commutator_rhs(om, a, order):
     """The series summed as written: nested commutators, term by term."""
-    series = magnus._series(order)
+    series = magnus._coefficients(order)
     x, total = a, series[0] * a
     for n in range(1, order + 1):
         x = om @ x - x @ om
         if series[n] != 0.0:
             total = total + series[n] * x
     return total
+
+
+def _four_read_rk4(field, rhs, y0, stops, h):
+    """The RK4 stepper that reads the field at every stage: the oracle of
+    both passes, the solve's (``rhs`` the series) and the reference's
+    (``rhs`` the product)."""
+    t_end = stops[-1]
+
+    def stage(t, y):
+        return rhs(field(t), y)
+
+    def advance(t, y, step, k1):
+        k2 = stage(t + 0.5 * step, y + 0.5 * step * k1)
+        k3 = stage(t + 0.5 * step, y + 0.5 * step * k2)
+        k4 = stage(t + step, y + step * k3)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y.view(float))):
+            raise StepRejected(f"non-finite state at t = {t + step:g}")
+        return y
+
+    y = y0.copy()
+    t = 0.0
+    states = []
+    while True:
+        step = min(h, t_end - t)
+        k1 = None
+        while len(states) < len(stops):
+            stop = stops[len(states)]
+            if t >= stop - 1e-14 * max(1.0, stop):
+                states.append(y)
+            elif stop - t < step:
+                k1 = stage(t, y) if k1 is None else k1
+                states.append(advance(t, y, stop - t, k1))
+            else:
+                break
+        if len(states) == len(stops):
+            return states
+        y = advance(t, y, step, stage(t, y) if k1 is None else k1)
+        t += step
+
+
+def _four_read_solve(A, t_end, h, order, checkpoints=None):
+    """``magnus_solve``'s return for a 2 x 2 field, from the stage-wise stepper."""
+    omegas = _four_read_rk4(A, lambda a, om: magnus_rhs(om, a, order),
+                            np.zeros((2, 2), dtype=complex), magnus._stops(t_end, checkpoints), h)
+    if checkpoints is None:
+        return omegas[-1], matrix_exp(omegas[-1])
+    return [(om, matrix_exp(om)) for om in omegas[:-1]]
 
 
 class TestBernoulli:
@@ -70,9 +118,9 @@ class TestRhs:
         # the sum, taken through the ad matrix, to rounding of the
         # nested-commutator sum
         tab = bernoulli(28)
-        assert magnus._series(28) == tuple(
+        assert magnus._coefficients(28).tolist() == [
             float(tab[n]) / math.factorial(n) for n in range(29)
-        )
+        ]
         om = 0.3 * gen_matrix("random", 2, 13)
         a = gen_matrix("random", 2, 14)
         expected = _nested_commutator_rhs(om, a, 28)
@@ -286,46 +334,6 @@ class TestCheckpoints:
             magnus_solve(triangular_field(), 1.0, 0.0, 8)
 
 
-def _four_read_rk4(field, rhs, y0, stops, h, monitor=None):
-    """The RK4 stepper that reads the field at every stage: the reference."""
-    t_end = stops[-1]
-
-    def stage(t, y):
-        return rhs(field(t), y)
-
-    def advance(t, y, step, k1):
-        k2 = stage(t + 0.5 * step, y + 0.5 * step * k1)
-        k3 = stage(t + 0.5 * step, y + 0.5 * step * k2)
-        k4 = stage(t + step, y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += step
-        if not np.all(np.isfinite(y.view(float))):
-            raise StepRejected(f"non-finite state at t = {t:g}")
-        if monitor is not None:
-            monitor(t, y)
-        return y
-
-    y = y0.copy()
-    t = 0.0
-    states = []
-    while True:
-        step = min(h, t_end - t)
-        k1 = None
-        while len(states) < len(stops):
-            stop = stops[len(states)]
-            if t >= stop - 1e-14 * max(1.0, stop):
-                states.append(y)
-            elif stop - t < step:
-                k1 = stage(t, y) if k1 is None else k1
-                states.append(advance(t, y, stop - t, k1))
-            else:
-                break
-        if len(states) == len(stops):
-            return states
-        y = advance(t, y, step, stage(t, y) if k1 is None else k1)
-        t += step
-
-
 class TestFieldReads:
     """One field read per distinct time, with the states of four reads per step."""
 
@@ -341,25 +349,23 @@ class TestFieldReads:
 
     @pytest.mark.parametrize("name", ["triangular", "perturbed:7"])
     @pytest.mark.parametrize("times", [None, [7 * 0.006, 0.1, 0.25, 0.5, 0.7, 1.0]])
-    def test_states_equal_the_four_read_stepper(self, monkeypatch, name, times):
+    def test_states_equal_the_four_read_stepper(self, name, times):
         # the solve only: the reference's passes are held to the stage-wise
         # stepper in TestReferencePass
         field = builtin_field(name)
         h = 0.006
         got_log = magnus_solve(field, 1.0, h, 16, checkpoints=times)
-        monkeypatch.setattr(magnus, "_rk4", _four_read_rk4)
-        want_log = magnus_solve(field, 1.0, h, 16, checkpoints=times)
+        want_log = _four_read_solve(field, 1.0, h, 16, checkpoints=times)
         if times is None:
             got_log, want_log = [got_log], [want_log]
         for (om, y), (om_want, y_want) in zip(got_log, want_log, strict=True):
             assert np.array_equal(om, om_want) and np.array_equal(y, y_want)
 
-    def test_read_times_are_the_distinct_stage_times(self, monkeypatch):
+    def test_read_times_are_the_distinct_stage_times(self):
         new, new_calls = self.counted(triangular_field())
         magnus_solve(new, 1.0, 0.008, 8)
         old, old_calls = self.counted(triangular_field())
-        monkeypatch.setattr(magnus, "_rk4", _four_read_rk4)
-        magnus_solve(old, 1.0, 0.008, 8)
+        _four_read_solve(old, 1.0, 0.008, 8)
         assert set(new_calls) == set(old_calls)
 
     def test_plain_solve(self):
@@ -409,24 +415,44 @@ class TestReferencePass:
             return field(t)
 
         got = magnus._reference_pass(A, eye, stops, h)
-        want = magnus._rk4(staged_field, np.matmul, eye, stops, h)
+        want = _four_read_rk4(staged_field, np.matmul, eye, stops, h)
         assert len(got) == len(want) == len(stops)
         for y, y_want in zip(got, want):
             assert rel_err(y, y_want) <= 1e-13
         assert len(calls) == len(set(calls)) and set(calls) == set(staged)
 
-    @pytest.mark.parametrize("bad, message", [
-        (lambda t: np.full((2, 2), np.nan), "field is not finite at t = 0.40625"),
-        (lambda t: np.eye(3), "field returned shape (3, 3) at t = 0.40625"),
-    ], ids=["not-finite", "shape"])
-    def test_first_bad_time_is_named(self, bad, message):
-        # read at t > 0.4 only: the first such stage time is the midpoint 52/128
+    @pytest.mark.parametrize("solve, bad, message", [
+        pytest.param(solve, bad, message, id=f"{prefix}{kind}")
+        for prefix, solve in [("", lambda A: rk_reference(A, 1.0)),
+                              ("solve-", lambda A: magnus_solve(A, 1.0, 1 / 64, 8))]
+        for kind, bad, message in [
+            ("not-finite", lambda t: np.full((2, 2), np.nan), "field is not finite at t = 0.40625"),
+            ("shape", lambda t: np.eye(3), "field returned shape (3, 3) at t = 0.40625"),
+        ]
+    ])
+    def test_first_bad_time_is_named(self, solve, bad, message):
+        # bad at t > 0.4 only: the first such stage time of a pass with step
+        # 1/64 is the midpoint 52/128, in the solve's pass and the reference's first
         def A(t):
             return bad(t) if t > 0.4 else np.eye(2)
 
         with pytest.raises(StepRejected) as info:
-            rk_reference(A, 1.0)
+            solve(A)
         assert str(info.value) == message
+
+    def test_field_is_read_before_the_first_step(self):
+        # |Omega| = 4t reaches pi at t = 0.79, before the field goes bad at
+        # t > 1.503: the pass is read before its first step, so the bad field
+        # is refused first
+        big = np.array([[0.0, 4.0], [-4.0, 0.0]], dtype=complex)
+
+        def A(t):
+            return big if t <= 1.503 else np.full((2, 2), np.nan)
+
+        with pytest.raises(StepRejected, match=r"field is not finite at t = 1\.505$"):
+            magnus_solve(A, 2.0, h=0.01, order=8)
+        with pytest.raises(BranchRadiusExceeded):
+            magnus_solve(A, 1.5, h=0.01, order=8)
 
 
 class TestReference:
@@ -446,7 +472,7 @@ class TestReference:
         assert passes == [1 / 64, 1 / 128, 1 / 256]
 
         def rk4(h):
-            return magnus._rk4(field, np.matmul, np.eye(2, dtype=complex), [1.0], h)[0]
+            return _four_read_rk4(field, np.matmul, np.eye(2, dtype=complex), [1.0], h)[0]
 
         oracle = (16.0 * rk4(1 / 8192) - rk4(1 / 4096)) / 15.0
         assert rel_err(y, oracle) <= 1e-12
