@@ -10,9 +10,11 @@ configurable order, with the coefficients B_n / n! rendered to floats once
 per order.  On d x d matrices ad_Omega = L_Omega - R_Omega is the single
 d^2 x d^2 operator Omega (x) I - I (x) Omega^T (row-major vec), so up to
 d = 8 the powers ad_Omega^n(A) are one Krylov block of matrix-vector
-products; above that they are nested commutators.  The equation is stepped
-with the classical 4th-order Runge-Kutta scheme; a plain Runge-Kutta solver
-for Y itself with Richardson extrapolation serves as the independent oracle.
+products, each row one BLAS gemv through ``ndarray.dot`` (bit for bit what
+``np.matmul`` gives, at half its call cost); above that they are nested
+commutators.  The equation is stepped with the classical 4th-order
+Runge-Kutta scheme; a plain Runge-Kutta solver for Y itself with Richardson
+extrapolation serves as the independent oracle.
 Both walk the steps that :func:`_grid` lays out for a pass, on the field of
 the whole pass read at once by :func:`_stage_fields`.  Since Y' = A(t) Y is
 linear, one RK4 step of the oracle is a d x d matrix, a polynomial in that
@@ -85,9 +87,10 @@ def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
 
     Up to d = 8 the powers ad_omega^n(a_t) fill the rows of one Krylov block,
     each a product with the d^2 x d^2 matrix of ad_omega, and the series is
-    one product of the coefficients with that block.  Above d = 8 the d^4
-    entries of that matrix cost more than the commutators they replace, so
-    the powers are nested commutators.
+    one product of the coefficients with that block.  Each row is one BLAS
+    gemv through ``ndarray.dot``, bit for bit what ``np.matmul`` gives.
+    Above d = 8 the d^4 entries of that matrix cost more than the
+    commutators they replace, so the powers are nested commutators.
     """
     coefficients = _coefficients(order)
     om = as_matrix(omega)
@@ -107,9 +110,10 @@ def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
     ad = ad.transpose(0, 2, 1, 3).reshape(d * d, d * d)
     block = np.empty((order + 1, d * d), dtype=complex)
     block[0] = x.ravel()
+    product = ad.dot
     for previous, row in zip(block, block[1:]):
-        np.matmul(ad, previous, out=row)
-    return (coefficients @ block).reshape(d, d)
+        product(previous, out=row)
+    return coefficients.dot(block).reshape(d, d)
 
 
 def _stops(t_end: float, checkpoints) -> list[float]:
@@ -196,7 +200,8 @@ def magnus_solve(
     ``order``; stepping is classical RK4 with fixed step ``h`` over
     :func:`_grid`, with the first stage at a grid time shared by the steps
     taken from there.  The field of the whole pass is read before the first
-    step (:func:`_stage_fields`).  The solve then aborts with
+    step (:func:`_stage_fields`); a pass of more than 2**20 steps is refused
+    with :class:`InvalidInput` before that.  The solve then aborts with
     :class:`BranchRadiusExceeded` once |Omega| reaches ``BRANCH_RADIUS``
     (pi), where the principal logarithm could no longer be trusted.
     ``trace``, when given, collects (t, |Omega(t)|) rows.
@@ -208,6 +213,9 @@ def magnus_solve(
     """
     stops = _stops(t_end, checkpoints)
     _coefficients(order)  # refuses a bad order before A is read
+    # the grid and the field stack hold every step: refuse a pass too long to hold
+    if h > 0 and t_end / h > 2**20:
+        raise InvalidInput(f"t_end / h = {t_end / h:.4g} steps, more than 2**20")
     a0 = as_matrix(A(0.0))
     grid = _grid(stops, h)
     fields = zip(*_stage_fields(A, grid, a0.shape[0]))
@@ -265,7 +273,7 @@ def _reference_pass(A, y0: np.ndarray, stops: list[float], h: float) -> list[np.
         if step == 0.0:
             states.append(y)
             continue
-        path.append(next(matrices) @ y)
+        path.append(next(matrices).dot(y))
         if stop >= 0:
             states.append(path[-1])
         else:

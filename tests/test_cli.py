@@ -384,6 +384,11 @@ class TestMagnusCommand:
             assert code == 2
             assert "--h" in err
 
+    def test_step_count_past_the_cap_rejected(self, capsys):
+        code, out, err = run_cli(["magnus", "--h", "1e-9"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "2**20" in err
+
     def test_bad_end_time_rejected(self, capsys):
         for t_end in ("-1", "inf", "nan"):
             code, out, err = run_cli(["magnus", "--t-end", t_end], capsys)

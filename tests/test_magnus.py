@@ -15,7 +15,8 @@ from opcalc import (
     rk_reference,
 )
 from opcalc import magnus
-from opcalc.errors import BranchRadiusExceeded, QuadratureNoConvergence, StepRejected
+from opcalc.core import as_matrix, commutator
+from opcalc.errors import BranchRadiusExceeded, InvalidInput, QuadratureNoConvergence, StepRejected
 from opcalc.magnus import builtin_field, perturbed_triangular_field, triangular_field
 from opcalc.quadrature import gauss_legendre_01
 
@@ -29,6 +30,58 @@ def _nested_commutator_rhs(om, a, order):
         if series[n] != 0.0:
             total = total + series[n] * x
     return total
+
+
+def _matmul_rhs(omega, a_t, order):
+    """``magnus_rhs`` with its Krylov rows and series through ``np.matmul``:
+    the ``ndarray.dot`` rows are held to it bit for bit."""
+    coefficients = magnus._coefficients(order)
+    om = as_matrix(omega)
+    d = om.shape[0]
+    x = as_matrix(a_t, dim=d)
+    if d > 8:
+        total = coefficients[0] * x
+        for c in coefficients[1:]:
+            x = commutator(om, x)
+            if c != 0.0:
+                total = total + c * x
+        return total
+    eye = magnus._identity(d)
+    ad = np.multiply.outer(om, eye) - np.multiply.outer(eye, om.T)
+    ad = ad.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    block = np.empty((order + 1, d * d), dtype=complex)
+    block[0] = x.ravel()
+    for previous, row in zip(block, block[1:]):
+        np.matmul(ad, previous, out=row)
+    return (coefficients @ block).reshape(d, d)
+
+
+def _matmul_reference_pass(A, y0, stops, h):
+    """``magnus._reference_pass`` with its states multiplied up through ``@``."""
+    grid = magnus._grid(stops, h)
+    k1, a_mid, a_end = magnus._stage_fields(A, grid, y0.shape[0])
+    moving = [(t, step) for t, step, _ in grid if step != 0.0]
+    s = np.array([step for _, step in moving]).reshape(-1, 1, 1)
+    k2 = a_mid + (0.5 * s) * (a_mid @ k1)
+    k3 = a_mid + (0.5 * s) * (a_mid @ k2)
+    k4 = a_end + s * (a_end @ k3)
+    matrices = iter(magnus._identity(y0.shape[0]) + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    y, states, path = y0, [], []
+    for _, step, stop in grid:
+        if step == 0.0:
+            states.append(y)
+            continue
+        path.append(next(matrices) @ y)
+        if stop >= 0:
+            states.append(path[-1])
+        else:
+            y = path[-1]
+    if path:
+        finite = np.isfinite(np.array(path)).all(axis=(1, 2))
+        if not finite.all():
+            t0, s0 = moving[int(np.argmin(finite))]
+            raise StepRejected(f"non-finite state at t = {t0 + s0:g}")
+    return states
 
 
 def _four_read_rk4(field, rhs, y0, stops, h):
@@ -136,6 +189,26 @@ class TestRhs:
             om = scale * om / opnorm(om)
             expected = _nested_commutator_rhs(om, a, order)
             assert rel_err(magnus_rhs(om, a, order), expected) <= 1e-14
+
+    @pytest.mark.parametrize("order", [0, 1, 8, 28, 30])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_rows_equal_the_matmul_rows(self, d, order):
+        # bit for bit: ndarray.dot reaches the gemv that np.matmul does; above
+        # d = 8 the nested commutators are unchanged
+        rng = np.random.default_rng(100 + d)
+        complex_om = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        real_om = rng.standard_normal((d, d))
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        omegas = [complex_om, real_om]
+        if d > 1:
+            # departure from normality sqrt(|Omega|_F^2 - sum |lambda|^2) >= 1e2
+            skewed = np.diag(rng.standard_normal(d)) + 100.0 * np.triu(np.ones((d, d)), 1)
+            eigs = np.linalg.eigvals(skewed)
+            assert np.sqrt(np.vdot(skewed, skewed).real - np.vdot(eigs, eigs).real) >= 1e2
+            omegas.append(skewed)
+        for om in omegas:
+            for x in (a, a.real):
+                assert np.array_equal(magnus_rhs(om, x, order), _matmul_rhs(om, x, order))
 
     def test_series_tail(self):
         om = 0.1 * gen_matrix("random", 2, 2)
@@ -333,6 +406,18 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             magnus_solve(triangular_field(), 1.0, 0.0, 8)
 
+    def test_step_count_past_the_cap(self):
+        # 1e12 steps: refused before the grid is laid out or the field read
+        calls = []
+
+        def A(t):
+            calls.append(t)
+            return triangular_field()(t)
+
+        with pytest.raises(InvalidInput, match=r"t_end / h = 1e\+12 steps, more than 2\*\*20"):
+            magnus_solve(A, 1.0, 1e-12, 8)
+        assert calls == []
+
 
 class TestFieldReads:
     """One field read per distinct time, with the states of four reads per step."""
@@ -420,6 +505,19 @@ class TestReferencePass:
         for y, y_want in zip(got, want):
             assert rel_err(y, y_want) <= 1e-13
         assert len(calls) == len(set(calls)) and set(calls) == set(staged)
+
+    @pytest.mark.parametrize("h", [1 / 64, 1 / 200])
+    @pytest.mark.parametrize("times", [None, [0.0, 0.25, 0.3, 0.5, 0.71, 1.0]])
+    @pytest.mark.parametrize("name", ["triangular", "perturbed:7"])
+    def test_states_equal_the_matmul_chain(self, name, times, h):
+        # bit for bit: each state is next(matrices).dot(y), as @ gives it
+        field = builtin_field(name)
+        stops = magnus._stops(1.0, times)
+        eye = np.eye(2, dtype=complex)
+        got = magnus._reference_pass(field, eye, stops, h)
+        want = _matmul_reference_pass(field, eye, stops, h)
+        assert len(got) == len(want) == len(stops)
+        assert all(np.array_equal(y, y_want) for y, y_want in zip(got, want))
 
     @pytest.mark.parametrize("solve, bad, message", [
         pytest.param(solve, bad, message, id=f"{prefix}{kind}")
