@@ -8,7 +8,10 @@ the exit status is 0 only if all residuals pass (1 on residual failure, 2 on
 input errors).
 
 Reports contain no timestamps or timings unless ``--timings`` is passed, so
-identical job specs and seeds produce byte-identical output.
+identical job specs and seeds produce byte-identical output.  :func:`_dumps`
+writes them, byte for byte as ``json.dumps(report, indent=2, sort_keys=True)``
+would, with each list of finite floats joined in one pass over
+``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .functions import named_function
 from .generate import KINDS, gen_matrix
 from .magnus import builtin_field, field_from_samples, magnus_solve, rk_reference
 from .ncseries import dyson_exp, newton_interpolate, taylor_expand
-from .quadrature import Contour
+from .quadrature import MAX_NODES, Contour
 from .rearrange import rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
 
 __all__ = ["main", "gen_matrix"]
@@ -66,6 +69,49 @@ def _complex_from_json(value, what: str) -> complex:
 def _nodes_from_json(text: str) -> np.ndarray:
     data = _checked_json(json.loads(text), list, "--nodes")
     return np.array([_complex_from_json(p, "a --nodes entry") for p in data])
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # the C function json uses
+
+
+def _dumps(report) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte.
+
+    The pure-Python encoder that ``indent`` selects formats one float at a
+    time; a list of finite floats (a matrix's ``re`` or ``im``) is written
+    here as one join over ``float.__repr__``.  Scalars are spelled as json
+    spells them, and anything but str-keyed dicts, lists, tuples and scalars
+    goes to ``json.dumps`` itself.
+    """
+    def write(o, pad: str) -> str:
+        if isinstance(o, str):
+            return _encode_str(o)
+        if o is None or o is True or o is False:
+            return "null" if o is None else "true" if o else "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            if math.isfinite(o):
+                return float.__repr__(o)
+            return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+        inner = pad + "  "
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            if set(map(type, o)) == {float} and math.isfinite(sum(o)):
+                body = (",\n" + inner).join(map(float.__repr__, o))
+            else:
+                body = (",\n" + inner).join([write(x, inner) for x in o])
+            return f"[\n{inner}{body}\n{pad}]"
+        if isinstance(o, dict) and all(isinstance(k, str) for k in o):
+            if not o:
+                return "{}"
+            body = (",\n" + inner).join([f"{_encode_str(k)}: {write(v, inner)}"
+                                         for k, v in sorted(o.items())])
+            return f"{{\n{inner}{body}\n{pad}}}"
+        return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+    return write(report, "")
 
 
 def _write(text: str, path: str | None) -> None:
@@ -159,10 +205,14 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
     spec = _checked_json(job.get("contour", {"auto": True}), dict, "job contour")
     contour = None
     if not spec.get("auto", False):
+        nodes = _checked_json(spec.get("nodes", 16), int, "contour nodes")
+        if nodes > MAX_NODES // 2:  # so that a second level can be compared with it
+            raise InvalidInput(f"contour nodes {nodes} exceed {MAX_NODES // 2}, "
+                               f"half of the {MAX_NODES} a circle refines to")
         contour = Contour(
             _complex_from_json(spec["center"], "contour center"),
             float(_finite_number(spec["radius"], "contour radius")),
-            _checked_json(spec.get("nodes", 16), int, "contour nodes"),
+            nodes,
         )
     fnames = _checked_json(job["function"], (str, list), "job function")
     names = [_checked_json(nm, str, "a function name")
@@ -459,7 +509,7 @@ def main(argv=None) -> int:
     if args.subcommand != "magnus" or args.format == "json":
         if args.timings:
             report["timings"] = {"wall_seconds": time.perf_counter() - t0}
-        _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
+        _write(_dumps(report) + "\n", args.output)
     return 0 if ok else 1
 
 

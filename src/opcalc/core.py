@@ -171,9 +171,10 @@ def matrix_to_json(m) -> dict:
 
 def _checked_json(value, kind, what: str):
     """``value`` if ``json.load`` decoded it as a ``kind``; :class:`InvalidInput`
-    naming ``what`` otherwise, so malformed outside input is an input error."""
-    if not isinstance(value, kind):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
+    naming ``what`` otherwise, so malformed outside input is an input error.
+    A JSON ``true`` or ``false`` is no number, though ``bool`` subclasses ``int``."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise InvalidInput(f"{what} must be a JSON {' or '.join(k.__name__ for k in kinds)}, "
                            f"got {type(value).__name__}")
     return value

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -766,9 +767,10 @@ class TestMalformedInput:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("nodes", ["[1,2]", '[["x",0]]', "[[NaN,0]]", f"[[1{'0' * 400},0]]"],
+    @pytest.mark.parametrize("nodes", ["[1,2]", '[["x",0]]', "[[NaN,0]]", f"[[1{'0' * 400},0]]",
+                                       "[[true,0],[1,0]]"],
                              ids=["bare-numbers", "string-entry", "nan-entry",
-                                  "int-past-float-range"])
+                                  "int-past-float-range", "bool-entry"])
     def test_dd_nodes(self, nodes, capsys):
         self._refused(*run_cli(["dd", "--f", "exp", "--nodes", nodes], capsys))
 
@@ -788,6 +790,46 @@ class TestMalformedInput:
     def test_funcalc_job(self, job, tmp_path, capsys):
         path = _write_json(tmp_path, job)
         self._refused(*run_cli(["funcalc", "--job", path], capsys))
+
+    @pytest.mark.parametrize("job, named", [
+        ({"function": "exp", "matrices": [{"dim": True, "re": [0.5]}], "contour": {"auto": True}},
+         "matrix dim"),
+        ({"function": "exp", "matrices": [{"dim": 1, "re": [True]}]}, "matrix re"),
+        ({"function": "exp", "matrices": [{"dim": 1, "re": [0.5], "im": [False]}]}, "matrix im"),
+        ({"function": "exp", "matrices": [_MATRIX],
+          "contour": {"auto": False, "center": [True, 0.0], "radius": 1.0}}, "contour center"),
+        ({"function": "exp", "matrices": [_MATRIX],
+          "contour": {"auto": False, "center": [0.5, 0.0], "radius": True}}, "contour radius"),
+        ({"function": "exp", "matrices": [_MATRIX],
+          "contour": {"auto": False, "center": [0.5, 0.0], "radius": 1.0, "nodes": True}},
+         "contour nodes"),
+    ], ids=["dim-true", "re-true", "im-false", "center-true", "radius-true", "nodes-true"])
+    def test_json_booleans_are_not_numbers(self, job, named, tmp_path, capsys):
+        # bool subclasses int, so an isinstance check alone reads a JSON true
+        # as the number 1
+        code, out, err = run_cli(["funcalc", "--job", _write_json(tmp_path, job)], capsys)
+        self._refused(code, out, err)
+        assert err.count("\n") == 1 and named in err and "got bool" in err
+
+    @pytest.mark.parametrize("nodes", [8192, 2**40])
+    def test_contour_nodes_past_half_the_cap(self, nodes, monkeypatch, tmp_path, capsys):
+        # a circle refines to MAX_NODES (8192) at most: a job circle starting
+        # above half of it has no second level to compare with, so it is
+        # refused before one is built
+        built = []
+        monkeypatch.setattr(cli, "Contour", lambda *a: built.append(a))
+        job = {"function": "exp", "matrices": [_MATRIX],
+               "contour": {"auto": False, "center": [0.5, 0.0], "radius": 1.0, "nodes": nodes}}
+        code, out, err = run_cli(["funcalc", "--job", _write_json(tmp_path, job)], capsys)
+        self._refused(code, out, err)
+        assert err.count("\n") == 1 and f"contour nodes {nodes}" in err and built == []
+
+    def test_contour_nodes_at_half_the_cap_run(self, tmp_path, capsys):
+        job = {"function": "exp", "matrices": [_MATRIX],
+               "contour": {"auto": False, "center": [0.5, 0.0], "radius": 1.0, "nodes": 4096}}
+        code, out, _ = run_cli(["funcalc", "--job", _write_json(tmp_path, job)], capsys)
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["contour_nodes"] == 8192
 
     @pytest.mark.parametrize("samples", [
         [0.0, 1.0],
@@ -844,6 +886,74 @@ class TestInputProperties:
     def test_funcalc_job(self, job):
         with tempfile.TemporaryDirectory() as tmp:
             _exit_contract(["funcalc", "--job", _write_json(tmp, job)])
+
+
+# JSON-shaped values for the report writer: every scalar json writes, floats
+# with their edge cases, lists of finite floats (the joined path), and lists
+# that mix floats with ints or non-finite floats, nested in dicts, lists and
+# tuples
+_EDGE_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                                          2.2250738585072014e-308 / 3, 1e300, -1e300, 1e16]),
+                         st.floats())
+_REPORT_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**64, -(10**40)]),
+    _EDGE_FLOATS, st.text(), st.sampled_from(["é", "\x00\n\t\"\\", "\u2028", "\U0001f600"]),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+    st.lists(st.one_of(_EDGE_FLOATS, st.integers(-3, 3)), min_size=1, max_size=6),
+)
+_REPORT_VALUES = st.recursive(
+    _REPORT_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestReportWriter:
+    """``cli._dumps`` writes ``json.dumps(report, indent=2, sort_keys=True)``,
+    byte for byte."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(value=_REPORT_VALUES)
+    def test_writes_what_json_writes(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_every_subcommand_report(self, monkeypatch, tmp_path, capsys):
+        commuting = gen_matrix("commuting-pair", 2, 2)
+        mats = [gen_matrix("random", 2, 3 + j) for j in range(3)]
+        jobs = [
+            {"function": "exp", "matrices": [matrix_to_json(mats[0])]},
+            {"function": ["exp", "pow:2"], "matrices": [matrix_to_json(m) for m in commuting]},
+            {"function": "log", "mode": "ddtensor", "matrices": [matrix_to_json(m + 3 * np.eye(2))
+                                                                 for m in mats]},
+            {"function": "exp", "mode": "ddapply", "matrices": [matrix_to_json(m) for m in mats],
+             "b_matrices": [matrix_to_json(m) for m in mats[:2]]},
+        ]
+        for k in range(len(jobs)):
+            (tmp_path / str(k)).mkdir()
+        argvs = [
+            ["dd", "--f", "exp", "--nodes", "[[0,0],[0.5,0.1],[1,0]]", "--seed", "3"],
+            ["dd", "--f", "pow:2", "--nodes", "[[0.5,0],[0.5,0],[1,0]]"],  # notes of refusals
+            *(["funcalc", "--job", _write_json(tmp_path / str(k), job)]
+              for k, job in enumerate(jobs)),
+            ["newton", "--dim", "2", "--count", "3"],
+            ["taylor", "--dim", "2", "--order", "4", "--timings"],
+            ["dyson", "--dim", "2", "--order", "2"],
+            ["magnus", "--rows", "4", "--h", "0.01", "--format", "json"],
+            ["rearrange", "--p", "2", "--family", "1,2,1"],
+            ["verify-all", "--seed", "0"],
+            ["gen", "--kind", "commuting-pair", "--dim", "2"],
+        ]
+        written = []
+        dumps = cli._dumps
+        monkeypatch.setattr(cli, "_dumps", lambda report: written.append((report, dumps(report)))
+                            or written[-1][1])
+        for argv in argvs:
+            code, out, _ = run_cli(argv, capsys)
+            report, text = written[-1]
+            assert code == 0 and out.endswith(text + "\n"), argv
+            assert text == json.dumps(report, indent=2, sort_keys=True), argv
+        assert [r["subcommand"] for r, _ in written] == [a[0] for a in argvs]
 
 
 class TestFunctionNames:
