@@ -153,9 +153,11 @@ def dd_hermite(f: HoloFunction, xs, *, stats: dict | None = None) -> complex:
     must sit strictly inside the declared domain (checked exactly before
     integrating).  Reads f^(n) from the handle's ``deriv``: a handle without
     one is refused with :class:`opcalc.errors.InvalidInput` before any point
-    is evaluated.  From 8 nodes on, the simplex point budget leaves one order
-    and so no error estimate: :class:`opcalc.errors.QuadratureNoConvergence`
-    is raised first.
+    is evaluated.  The per-axis Gauss-Legendre order grows by half per level
+    from 8 (``stats["simplex_order"]`` is the accepted one: 12 for most node
+    sets, 40 to 90 next to a pole).  From 8 nodes on, the simplex point
+    budget leaves one order and so no error estimate:
+    :class:`opcalc.errors.QuadratureNoConvergence` is raised first.
     """
     x = _nodes(xs)
     n = x.size - 1

@@ -9,7 +9,9 @@ Four families:
 * Gauss-Legendre rules on the standard simplex through the map
   ``t_j = u_1 * ... * u_j`` from the unit cube (Duffy): positive weights, so
   the rule of ``divdiff.dd_hermite``, whose integrands f^(n) need only be
-  smooth on the simplex,
+  smooth on the simplex; the per-axis order grows by half from level to
+  level (8, 12, 18, 27, ...), so a level past the one needed costs about
+  1.5^n, not 2^n, times the points,
 * Grundmann-Moller rules on the standard simplex: rational, of degree 2s+1
   with C(n+s+1, s) points, but with weights of both signs, so only for
   entire integrands such as the Dyson oracle's
@@ -53,7 +55,7 @@ __all__ = [
 
 _TINY = 1e-300
 MAX_NODES = 8192  # most trapezoid nodes a circle quadrature doubles to
-MAX_ORDER = 128  # largest per-axis Gauss-Legendre order a simplex level doubles to
+MAX_ORDER = 128  # largest per-axis Gauss-Legendre order a simplex level grows to
 POINT_BUDGET = 4_000_000  # most points of one simplex level, for either rule
 
 
@@ -317,11 +319,15 @@ def iter_simplex_rule(n: int, q: int):
 
 
 def _order_schedule(n: int):
+    """Per-axis orders of the simplex levels on the n-simplex: from 8, each
+    ``q + q // 2`` of the last, capped by ``MAX_ORDER`` and by the order whose
+    q^n points fit ``POINT_BUDGET``.  A single order (n >= 7) means no
+    error estimate."""
     budget_q = max(3, int(POINT_BUDGET ** (1.0 / max(n, 1))))
     q = min(8, budget_q)
     schedule = [q]
     while True:
-        nxt = min(2 * q, MAX_ORDER, budget_q)
+        nxt = min(q + q // 2, MAX_ORDER, budget_q)
         if nxt <= q:
             break
         schedule.append(nxt)
@@ -330,12 +336,14 @@ def _order_schedule(n: int):
 
 
 def simplex_integrate(fn, n: int, *, stats: dict | None = None):
-    """Integrate ``fn`` over the standard n-simplex with degree doubling.
+    """Integrate ``fn`` over the standard n-simplex, raising the rule's order
+    by half per level.
 
     ``fn(S)`` maps a (p, n+1) block of barycentric points to p values (any
     trailing shape).  The per-axis Gauss-Legendre order starts at 8 and
-    doubles up to ``MAX_ORDER``, additionally capped so a level never
-    exceeds ``POINT_BUDGET`` points, until two levels agree to 1e-10
+    grows to ``q + q // 2`` per level up to ``MAX_ORDER`` (8, 12, 18, 27,
+    40, 60, 90, 128), additionally capped so a level never exceeds
+    ``POINT_BUDGET`` points (44 at n = 4), until two levels agree to 1e-10
     relative.  From n = 7 on the budget leaves a single order and so no
     error estimate: that raises before ``fn`` is called.
     """

@@ -202,6 +202,23 @@ class TestHermite:
         assert calls == []
         assert dd_hermite(f, [0.3]) == pytest.approx(np.exp(0.3))  # f itself, n = 0
 
+    # near-pole 4-node sets of the seed-1 calculus benchmark jobs (rounds 3 and
+    # 0); the closest node sits 0.034 and 0.069 from the pole at 0.  Measured
+    # relative errors against dd_power: 2.7e-13 (pow:-3, accepted at order 90)
+    # and 6.4e-14 (pow:-1, at 60)
+    @pytest.mark.parametrize("k, nodes", [
+        (-3, [0.7307231568503024 + 0.05944437639705205j, 0.030529390985764803 + 0.01500973025953273j,
+              0.7891170060890136 - 0.6543018180474969j, 0.27971027295164885 - 0.021548443393095904j]),
+        (-1, [-0.6530659309391635 + 0.4195908534329671j, 0.4716823482367913 + 0.8438674058400838j,
+              -0.2072260647884243 + 0.21302419790994326j, -0.059927022137606055 + 0.034282795722357894j]),
+    ], ids=["pow-3", "pow-1"])
+    def test_near_pole_power_matches_the_closed_form(self, k, nodes):
+        stats = {}
+        got = dd_hermite(power_function(k), nodes, stats=stats)
+        want = dd_power(np.array(nodes), k)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        assert stats["simplex_order"] < 128
+
     def test_eight_nodes_refused_before_integrating(self):
         # the point budget leaves one simplex order at n = 7: no error estimate
         calls = []

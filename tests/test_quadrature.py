@@ -148,6 +148,16 @@ def test_refine_floor_accepts_exact_zero():
     assert _refine(iter([(16, 0.0, 1.0), (32, 1e-16, 1.0)]), 0.0) == (32, 1e-16)
 
 
+def test_order_schedule_grows_by_half():
+    # q + q // 2 from 8, capped by MAX_ORDER (128) and by the per-axis order the
+    # 4e6-point budget allows, int(4e6 ** (1 / n)): 44 at n = 4, 20 at n = 5,
+    # 12 at n = 6 and 8 at n = 7, where one order is left and no estimate
+    grown = [8, 12, 18, 27, 40, 60, 90, 128]
+    assert {n: quadrature._order_schedule(n) for n in range(1, 8)} == {
+        1: grown, 2: grown, 3: grown, 4: [8, 12, 18, 27, 40, 44], 5: [8, 12, 18, 20],
+        6: [8, 12], 7: [8]}
+
+
 @pytest.mark.parametrize("n", [7, 14])
 def test_simplex_single_order_refused_before_integrating(n):
     # 4e6 points leave one Gauss-Legendre order from n = 7 on
