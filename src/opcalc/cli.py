@@ -204,7 +204,7 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
     mats = [matrix_from_json(m) for m in _checked_json(job["matrices"], list, "job matrices")]
     spec = _checked_json(job.get("contour", {"auto": True}), dict, "job contour")
     contour = None
-    if not spec.get("auto", False):
+    if not _checked_json(spec.get("auto", False), bool, "contour auto"):
         nodes = _checked_json(spec.get("nodes", 16), int, "contour nodes")
         if nodes > MAX_NODES // 2:  # so that a second level can be compared with it
             raise InvalidInput(f"contour nodes {nodes} exceed {MAX_NODES // 2}, "
@@ -272,19 +272,30 @@ def _expansion_report(args, report, residuals, measure: float, rtol: float,
     return _report(args, params, results, residuals, diagnostics)
 
 
+def _at_most(args, name: str, most: int) -> int:
+    """``args.<name>``, refused (:class:`InvalidInput`) above ``most``: a size
+    that dense arrays grow with, bounded before any is allocated."""
+    value = getattr(args, name)
+    if value > most:
+        raise InvalidInput(f"--{name} {value} exceeds {most}")
+    return value
+
+
 def _cmd_newton(args, tol) -> tuple[dict, bool]:
+    count = _at_most(args, "count", 64)
     f = named_function(args.f)
-    mats = [gen_matrix("random", args.dim, args.seed + j) for j in range(args.count)]
+    mats = [gen_matrix("random", args.dim, args.seed + j) for j in range(count)]
     report = newton_interpolate(f, mats)
     return _expansion_report(args, report, [verify.newton_residual(report, tol)],
                              report.final_residual, tol["newton-interpolation"])
 
 
 def _cmd_taylor(args, tol) -> tuple[dict, bool]:
+    order = _at_most(args, "order", 64)
     f = named_function(args.f)
     a = gen_matrix("random", args.dim, args.seed)
     b = args.b_scale * gen_matrix("random", args.dim, args.seed + 1)
-    report = taylor_expand(f, a, b, N=args.order)
+    report = taylor_expand(f, a, b, N=order)
     residuals = [verify.taylor_decay(report, b, tol), verify.taylor_remainder(report, tol)]
     # the last remainder relative to the target, as for newton
     return _expansion_report(args, report, residuals,
@@ -293,9 +304,10 @@ def _cmd_taylor(args, tol) -> tuple[dict, bool]:
 
 
 def _cmd_dyson(args, tol) -> tuple[dict, bool]:
+    order = _at_most(args, "order", 64)
     a = gen_matrix("random", args.dim, args.seed)
     b = args.b_scale * gen_matrix("random", args.dim, args.seed + 1)
-    report = dyson_exp(a, b, N=args.order)
+    report = dyson_exp(a, b, N=order)
     return _expansion_report(args, report, [verify.dyson_defect(report, tol)],
                              report.meta["identity_defect"],
                              tol["dyson-finite-remainder-identity"])
@@ -341,16 +353,17 @@ def _cmd_magnus(args, tol) -> tuple[dict, bool]:
 
 
 def _cmd_rearrange(args, tol) -> tuple[dict, bool]:
+    p = _at_most(args, "p", 6)
     qs = [int(q) for q in args.family.split(",")]
-    if len(qs) != args.p + 1:
-        raise OpcalcError(f"--family needs p+1 = {args.p + 1} exponents")
+    if len(qs) != p + 1:
+        raise OpcalcError(f"--family needs p+1 = {p + 1} exponents")
     a = gen_matrix("hermitian", args.dim, args.seed)
     A = matrix_exp(a)
-    bs = [gen_matrix("random", args.dim, args.seed + 1 + j) for j in range(args.p)]
+    bs = [gen_matrix("random", args.dim, args.seed + 1 + j) for j in range(p)]
     lhs = rearrange_lhs(qs, A, bs, delta=args.delta)
     rf = rearrange_rhs_F(qs, A, bs, delta=args.delta)
     rg = rearrange_rhs_G(qs, A, bs, delta=args.delta)
-    params = {"p": args.p, "dim": args.dim, "family": args.family, "delta": args.delta}
+    params = {"p": p, "dim": args.dim, "family": args.family, "delta": args.delta}
     results = {"lhs": matrix_to_json(lhs), "rhs_F": matrix_to_json(rf),
                "rhs_G": matrix_to_json(rg)}
     return _report(args, params, results, verify.rearrangement(lhs, rf, rg, tol))

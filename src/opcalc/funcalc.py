@@ -8,8 +8,9 @@ commuting tuple is the pairing with identity factors.  All contours are circles:
 are finite point sets, so a circle with margin always encloses them and keeps
 the trapezoid rule spectrally accurate.  Every entry point takes its circle
 from :func:`opcalc.quadrature.contour_around` (built around the spectrum, or
-the one passed in, checked against the spectrum and the domain; widened for
-f when the entry point holds its handle, which :func:`funcalc_n` does not).  A
+the one passed in, checked against the spectrum and the domain; a default
+circle widened for f, and :func:`funcalc_n`'s default circles widened
+together for its :class:`MultivariateFunction`).  A
 pairing with factors is a block of f of one block-bidiagonal matrix B
 (:func:`bidiagonal`), read from the block array of f(B) that this module
 alone lays out, and a single matrix is the one-slot case of
@@ -43,7 +44,8 @@ from .errors import (
     TensorRuleViolation,
 )
 from .functions import HoloFunction, MultivariateFunction
-from .quadrature import Contour, _circle_levels, _refine, contour_around, contour_quadrature
+from .quadrature import (Contour, _circle_levels, _refine, _torus_around, contour_around,
+                         contour_quadrature)
 
 __all__ = [
     "Contour",
@@ -155,11 +157,13 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
     evaluates f once per block on sparse axis grids and contracts the block
     one axis at a time against the weighted resolvents, so three and four
     variables cost time rather than memory.  ``f`` is a
-    :class:`MultivariateFunction`: it holds per-axis domains but no handles,
-    so the automatic circles stay tight and wide spectra need many nodes per
-    axis.  Wider circles (as :func:`funcalc_elementary` builds from its
-    handles) converge geometrically faster.  f of a single matrix is
-    :func:`apply_function`.
+    :class:`MultivariateFunction` with per-axis domains.  A circle given
+    for an axis is kept, and so is the default circle of an axis with no
+    declared domain (None); the other default circles are widened together
+    for f by the rule of :func:`opcalc.quadrature._widened`, each within
+    2 R0 and its domain's clearance, probing f on a grid of at most 4096
+    points, so that they converge geometrically faster than the tight
+    circles.  f of a single matrix is :func:`apply_function`.
     """
     tup = _as_tuple(a)
     n = len(tup)
@@ -170,9 +174,8 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
         cs = [None] * n
     if len(cs) != n:
         raise ContourViolation(f"need {n} contours, got {len(cs)}")
-    cs = [contour_around(np.linalg.eigvals(tup[j]),
-                         domains[j] if j < len(domains) else None, c)
-          for j, c in enumerate(cs)]
+    cs = _torus_around(f, [np.linalg.eigvals(m) for m in tup],
+                       [domains[j] if j < len(domains) else None for j in range(n)], cs)
 
     d = tup.dim
     start = max(16, max(c.nodes for c in cs))

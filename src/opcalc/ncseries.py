@@ -81,10 +81,12 @@ def newton_interpolate(f: HoloFunction, mats, *,
     commute, so the factor order matters and is preserved.  Every term is a
     block of row 0 of one f(B), B = ``bidiagonal(a_0..a_n; a_n - a_0, ...,
     a_n - a_{n-1})``.  The target f(a_n) comes from a separate quadrature of
-    the single-variable calculus.
+    the single-variable calculus.  Both use one circle, ``contour`` or by
+    default the circle around every node's spectrum sized for f
+    (:func:`opcalc.quadrature.contour_around`).
     """
     ms = as_matrices(mats)
-    c = contour_around(_spectrum(ms), contour=contour)
+    c = contour_around(_spectrum(ms), f, contour)
     fb = _f_bidiagonal(f, ms, [ms[-1] - m for m in ms[:-1]], c)
     target = apply_function(f, ms[-1], c)
     partials = list(itertools.accumulate(fb[0]))
@@ -105,7 +107,7 @@ def newton_recursion_check(f: HoloFunction, mats, bs) -> float:
     n = len(ms) - 2
     if n < 0 or len(bs) != n:
         raise InvalidInput("need n+2 nodes and n factors")
-    c = contour_around(_spectrum(ms))
+    c = contour_around(_spectrum(ms), f)
     swapped = ms[:n] + [ms[n + 1]]
     lhs = dd_apply(f, swapped, bs, c) - dd_apply(f, ms[: n + 1], bs, c)
     rhs = dd_apply(f, ms, list(bs) + [ms[n + 1] - ms[n]], c)
@@ -121,21 +123,26 @@ def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
     to the target f(a + b).  With B = ``bidiagonal(a, ..., a, a + b; b, ...,
     b)`` (N + 2 blocks), term j is block (0, j) of one f(B) and the explicit
     remainder after order j is block (N - j, N + 1); the target is a separate
-    quadrature.  ``meta['c2']`` holds the resolvent sup on the contour; a
-    perturbation with c2 * |b| >= 1 is outside the guaranteed convergence
-    region and triggers a warning (the sums are still computed).
+    quadrature.  Both integrate on the circle around the spectra of a and
+    a + b sized for f.  ``meta['c2']`` holds the resolvent sup of a on the
+    tight circle R0 = 1.1 s + 0.1 (1 + s) of those spectra, which the
+    geometric decay of the remainders is judged against; a perturbation
+    with c2 * |b| >= 1 is outside the guaranteed convergence region and
+    triggers a warning (the sums are still computed).
     """
     if N < 0:
         raise InvalidInput(f"order N must be nonnegative, got {N}")
     am = as_matrix(a)
     bm = as_matrix(b, dim=am.shape[0])
-    c = contour_around(_spectrum([am, am + bm]))
-    c2 = float(np.max(np.linalg.norm(_resolvents(c.points(128)[0], am), ord=2, axis=(1, 2))))
+    spectrum = _spectrum([am, am + bm])
+    tight = contour_around(spectrum)
+    c2 = float(np.max(np.linalg.norm(_resolvents(tight.points(128)[0], am), ord=2, axis=(1, 2))))
     if c2 * opnorm(bm) >= 1.0:
         warnings.warn(
             f"c2*|b| = {c2 * opnorm(bm):.3g} >= 1; remainder may not shrink",
             ConvergenceThresholdExceeded,
         )
+    c = contour_around(spectrum, f)
     fb = _f_bidiagonal(f, [am] * (N + 1) + [am + bm], [bm] * (N + 1), c)
     target = apply_function(f, am + bm, c)
     partials = list(itertools.accumulate(fb[0, :N + 1]))
@@ -162,7 +169,8 @@ def taylor_series_ad(f: HoloFunction, a, bs, order_cap: int) -> tuple[np.ndarray
     the derivative factor on the right.  ``ad^alpha(b)`` is the product of
     iterated commutators ad_a^{alpha_j}(b_j).  Shells are total-degree
     layers, up to ``order_cap``; each shell's matrix-argument derivative goes
-    once through the single-variable calculus and serves both sums.  The
+    once through the single-variable calculus, on one circle around the
+    spectrum of a sized for f, and serves both sums.  The
     sums stop once both shells drop below 1e-14 of their running sums and
     raise :class:`SeriesDiverging` after three consecutive shells whose
     larger norm grew, or when shell ``order_cap`` passes without that stop.
@@ -170,7 +178,7 @@ def taylor_series_ad(f: HoloFunction, a, bs, order_cap: int) -> tuple[np.ndarray
     am = as_matrix(a)
     bs = [as_matrix(b, dim=am.shape[0]) for b in bs]
     n = len(bs)
-    c = contour_around(np.linalg.eigvals(am))
+    c = contour_around(np.linalg.eigvals(am), f)
 
     # iterated commutator tables ad_a^k(b_j), k = 0..order_cap
     ad: list[list[np.ndarray]] = []

@@ -19,10 +19,12 @@ Four families:
 * the 15-point Kronrod rule on 1, 2, 4, ... equal panels, plus the
   substitution ``u = t / (1 - t)`` for integrals over [0, inf).
 
-Every circle of the contour calculus comes from :func:`contour_around` (sized
-for the function when it holds the handle), and every refining rule (circle
-doubling, both simplex rules, Kronrod panel halving, and the tensor grid of
-``funcalc.funcalc_n``) stops by the one rule of :func:`_refine`.
+Every circle of the contour calculus comes from :func:`contour_around`, a
+default circle built for a function is sized for it by the one rule of
+:func:`_widened` (the tensor grid's torus widens its circles together), and
+every refining rule (circle doubling, both simplex rules, Kronrod panel
+halving, and the tensor grid of ``funcalc.funcalc_n``) stops by the one rule
+of :func:`_refine`.
 
 All reductions run in a fixed order so repeated runs are bit-identical.
 """
@@ -139,60 +141,88 @@ def contour_around(points, f=None, contour=None) -> Contour:
     spread of the points.  Given a handle, it widens that circle (see
     :func:`_widened`): the trapezoid error falls like (rho / R)^m, rho the
     points' reach from the centre, so a wider circle needs fewer nodes.
+    ``funcalc.funcalc_n`` builds its torus the same way, one circle per
+    variable, and widens its default circles together for its function.
 
     Raises :class:`InvalidInput` for no points or a point that is not finite,
     and :class:`ContourViolation` unless the circle strictly encloses every
     point and 64 probe points on it lie in the domain (when known).  A default
     circle is checked before it widens, so widening never changes a refusal.
     """
-    pts = np.ravel(np.asarray(points, dtype=complex))
-    if pts.size == 0:
-        raise InvalidInput("a contour needs at least one point to enclose")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInput("contour points must be finite")
-    domain = f.domain if isinstance(f, HoloFunction) else f
-    spread = None
-    if contour is None:
-        center = complex(pts.mean())
-        spread = float(np.max(np.abs(pts - center)))
-        contour = Contour(center, 1.1 * spread + 0.1 * (1.0 + spread))
-    if np.any(np.abs(pts - contour.center) >= contour.radius):
-        raise ContourViolation("contour does not enclose the spectrum")
-    probe, _ = circle_points(contour.center, contour.radius, 64)
-    if domain is not None and not np.all(domain.contains(probe)):
-        raise ContourViolation("contour exits the declared function domain")
-    if spread is None or not isinstance(f, HoloFunction):
-        return contour
-    return _widened(f, contour, spread, probe)
+    handle = f if isinstance(f, HoloFunction) else None
+    return _torus_around(handle, [points], [f.domain if handle else f], [contour])[0]
 
 
-def _widened(f: HoloFunction, c: Contour, spread: float, probe) -> Contour:
-    """The default circle ``c`` (radius R0, 64 ``probe`` points) widened for ``f``.
+def _torus_around(f, point_sets, domains, contours) -> list:
+    """One circle per axis, as :func:`contour_around` builds and checks it
+    from the axis's points, domain (or None) and given circle (or None); the
+    default ones are then widened together for ``f``, a callable of one
+    variable per axis (none when ``f`` is None)."""
+    circles, spreads = [], []
+    for points, domain, contour in zip(point_sets, domains, contours):
+        pts = np.ravel(np.asarray(points, dtype=complex))
+        if pts.size == 0:
+            raise InvalidInput("a contour needs at least one point to enclose")
+        if not np.all(np.isfinite(pts)):
+            raise InvalidInput("contour points must be finite")
+        spread = None
+        if contour is None:
+            center = complex(pts.mean())
+            spread = float(np.max(np.abs(pts - center)))
+            contour = Contour(center, 1.1 * spread + 0.1 * (1.0 + spread))
+        if np.any(np.abs(pts - contour.center) >= contour.radius):
+            raise ContourViolation("contour does not enclose the spectrum")
+        probe, _ = circle_points(contour.center, contour.radius, 64)
+        if domain is not None and not np.all(domain.contains(probe)):
+            raise ContourViolation("contour exits the declared function domain")
+        circles.append(contour)
+        spreads.append(spread)
+    if f is None:
+        return circles
+    return _widened(f, circles, spreads, domains)
 
-    With D the domain's clearance from the centre, the widest candidate is
-    R_max = min(2 R0, sqrt(s D)) (2 R0 when D is infinite): the geometric
-    mean of the spread and D balances the rate rho / R against the
-    singularity's own rate R / D.  It takes the first radius
-    R0 + (R_max - R0) / 2^k, k = 0..4, whose 64 probe values have max |f| at
-    most 10 times that on ``probe`` (the round-off floor grows with max |f|),
-    else R0.  R_max > R0 only when D > R0, and then R_max < D, so the circle
-    stays in the domain exactly.
+
+def _widened(f, cs, spreads, domains) -> list:
+    """The circles ``cs`` widened together for ``f`` (one variable per circle).
+
+    A circle with spread s and radius R0 widens at most to
+    R_max = min(2 R0, sqrt(s D)), D the clearance of its domain from the
+    centre (2 R0 when D is infinite); a given circle (spread None) and one
+    with no declared domain (None), whose clearance is unknown, stay:
+    the geometric mean of the spread and D balances the rate rho / R
+    against the singularity's own rate R / D.  It takes the first radii
+    R0 + (R_max - R0) / 2^k, k = 0..4, whose probe grid has max |f| at most
+    10 times that on the grid at the radii R0 (the round-off floor grows
+    with max |f|), else ``cs``.  The grid holds min(64, 2^(12 // n)) points
+    per circle, n circles: at most 4096.  R_max > R0 only when D > R0, and
+    then R_max < D, so every circle stays in its domain exactly.
     """
-    clearance = f.domain.clearance(c.center)
-    r_max = 2.0 * c.radius
-    if clearance < math.inf:
-        r_max = min(r_max, math.sqrt(spread * clearance))
-    if r_max <= c.radius:
-        return c
-    with np.errstate(all="ignore"):  # an overflow on a probe just refuses that radius
-        cap = 10.0 * np.max(np.abs(f(probe)))
+    widest = []
+    for c, spread, domain in zip(cs, spreads, domains):
+        r_max = c.radius
+        if spread is not None and domain is not None:
+            r_max = 2.0 * c.radius
+            clearance = domain.clearance(c.center)
+            if clearance < math.inf:
+                r_max = min(r_max, math.sqrt(spread * clearance))
+        widest.append(max(r_max, c.radius))
+    if all(r == c.radius for r, c in zip(widest, cs)):
+        return cs
+    m = min(64, 2 ** (12 // len(cs)))
+
+    def peak(radii):  # max |f| on the probe grid at these radii
+        axes = [circle_points(c.center, r, m)[0] for c, r in zip(cs, radii)]
+        return np.max(np.abs(f(*np.meshgrid(*axes, indexing="ij", sparse=True))))
+
+    with np.errstate(all="ignore"):  # an overflow on a probe just refuses those radii
+        cap = 10.0 * peak([c.radius for c in cs])
         if not math.isfinite(cap):
-            return c
+            return cs
         for k in range(5):
-            radius = c.radius + (r_max - c.radius) / 2**k
-            if np.max(np.abs(f(circle_points(c.center, radius, 64)[0]))) <= cap:
-                return Contour(c.center, radius, c.nodes)
-    return c
+            radii = [c.radius + (r - c.radius) / 2**k for c, r in zip(cs, widest)]
+            if peak(radii) <= cap:
+                return [Contour(c.center, r, c.nodes) for c, r in zip(cs, radii)]
+    return cs
 
 
 def circle_points(center: complex, radius: float, m: int):

@@ -36,6 +36,7 @@ from .funcalc import (
     funcalc_n,
 )
 from .functions import (
+    ENTIRE,
     MultivariateFunction,
     exp_function,
     power_function,
@@ -366,9 +367,10 @@ def check_funcalc_oracle(seed: int, tol: dict) -> Residual:
 
 
 def check_homomorphism(seed: int, tol: dict) -> Residual:
-    f = MultivariateFunction(lambda z1, z2: np.exp(z1) * z2, (None, None))
-    g = MultivariateFunction(lambda z1, z2: z1 + 0.5 * z2, (None, None))
-    fg = MultivariateFunction(lambda z1, z2: f(z1, z2) * g(z1, z2), (None, None))
+    # entire, as declared, so funcalc_n widens every circle of the torus
+    f = MultivariateFunction(lambda z1, z2: np.exp(z1) * z2, (ENTIRE, ENTIRE))
+    g = MultivariateFunction(lambda z1, z2: z1 + 0.5 * z2, (ENTIRE, ENTIRE))
+    fg = MultivariateFunction(lambda z1, z2: f(z1, z2) * g(z1, z2), (ENTIRE, ENTIRE))
     records = []
     for k in range(3):
         tup = CommutingTuple(gen_matrix("commuting-pair", 2 + k, seed + k))

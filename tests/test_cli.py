@@ -811,6 +811,49 @@ class TestMalformedInput:
         self._refused(code, out, err)
         assert err.count("\n") == 1 and named in err and "got bool" in err
 
+    @pytest.mark.parametrize("auto", ["false", 1], ids=["string", "number"])
+    def test_contour_auto_is_a_json_boolean(self, auto, tmp_path, capsys):
+        # read by truthiness, "false" would drop the job's off-spectrum circle
+        job = {"function": "exp", "matrices": [_MATRIX],
+               "contour": {"auto": auto, "center": [100.0, 0.0], "radius": 1.0}}
+        code, out, err = run_cli(["funcalc", "--job", _write_json(tmp_path, job)], capsys)
+        self._refused(code, out, err)
+        assert err.count("\n") == 1 and "contour auto" in err
+
+    def test_contour_auto_false_keeps_the_given_circle(self, tmp_path, capsys):
+        job = {"function": "exp", "matrices": [_MATRIX],
+               "contour": {"auto": False, "center": [100.0, 0.0], "radius": 1.0}}
+        code, out, err = run_cli(["funcalc", "--job", _write_json(tmp_path, job)], capsys)
+        self._refused(code, out, err)
+        assert "does not enclose" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["taylor", "--dim", "8", "--order", "100000"], "--order 100000 exceeds 64"),
+        (["taylor", "--order", "65"], "--order 65 exceeds 64"),
+        (["dyson", "--order", "65"], "--order 65 exceeds 64"),
+        (["newton", "--count", "65"], "--count 65 exceeds 64"),
+        (["rearrange", "--p", "12", "--dim", "8", "--family", ",".join(["1"] * 13)],
+         "--p 12 exceeds 6"),
+    ], ids=["taylor-order-100000", "taylor-order", "dyson-order", "newton-count",
+            "rearrange-p"])
+    def test_sizes_past_their_bound(self, argv, named, monkeypatch, capsys):
+        # refused before a matrix, and so any array sized by them, is made
+        made = []
+        monkeypatch.setattr(cli, "gen_matrix", lambda *a: made.append(a))
+        code, out, err = run_cli(argv, capsys)
+        self._refused(code, out, err)
+        assert err.count("\n") == 1 and named in err and made == []
+
+    @pytest.mark.parametrize("argv", [
+        ["taylor", "--dim", "2", "--order", "64"],
+        ["dyson", "--dim", "2", "--order", "64"],
+        ["newton", "--dim", "2", "--count", "64"],
+        ["rearrange", "--p", "6", "--family", ",".join(["1"] * 7)],
+    ], ids=["taylor-order", "dyson-order", "newton-count", "rearrange-p"])
+    def test_sizes_at_their_bound_run(self, argv, capsys):
+        code, out, _ = run_cli(argv, capsys)
+        assert code in (0, 1) and json.loads(out)["subcommand"] == argv[0]
+
     @pytest.mark.parametrize("nodes", [8192, 2**40])
     def test_contour_nodes_past_half_the_cap(self, nodes, monkeypatch, tmp_path, capsys):
         # a circle refines to MAX_NODES (8192) at most: a job circle starting

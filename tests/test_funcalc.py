@@ -359,17 +359,78 @@ class TestCirclesSizedForTheFunction:
         assert rel_err(got, want) < 1e-12
         assert rel_err(joint, want) < 1e-12
 
-    def test_bare_multivariate_function_keeps_the_tight_circles(self):
-        # funcalc_n holds per-axis domains but no handles: its automatic
-        # circles are the tight ones, bit for bit, where the handles would widen
+    def test_bare_multivariate_function_widens_its_torus(self):
+        # funcalc_n holds no handles, but with no circles given it widens the
+        # whole torus by the rule of the circles, probing f on a grid of 16
+        # nodes per axis at n = 3 (4096 points)
+        tup = self.triple()
+        fs = [named_function(n) for n in self.TRIPLE[0]]
+        calls = []
+
+        def value(*zs):
+            return functools.reduce(np.multiply, [fj(z) for fj, z in zip(fs, zs)])
+
+        def product(*zs):
+            calls.append(zs)
+            return value(*zs)
+
+        f = MultivariateFunction(product, tuple(fj.domain for fj in fs))
+        tight = [contour_around(np.linalg.eigvals(m)) for m in tup]
+        funcalc_n(f, tup, tight)
+        assert max(np.size(z) for zs in calls for z in zs) == 256
+        calls.clear()
+        got = funcalc_n(f, tup)
+
+        def radii(zs):
+            return [float(np.max(np.abs(np.ravel(z) - c.center))) for z, c in zip(zs, tight)]
+
+        def peak(zs):
+            return np.max(np.abs(value(*zs)))
+
+        # the levels: 16, 32 and 64 nodes per axis
+        probes, last = calls[:-3], calls[-1]
+        assert [[np.size(z) for z in zs] for zs in calls[-3:]] == [[16] * 3, [32] * 3, [64] * 3]
+        assert 2 <= len(probes) <= 6 and all(np.size(z) == 16 for zs in probes for z in zs)
+        assert radii(probes[0]) == pytest.approx([c.radius for c in tight], rel=1e-12)
+        assert radii(probes[-1]) == pytest.approx(radii(last), rel=1e-12)
+        assert peak(probes[-1]) <= 10.0 * peak(probes[0])
+        for r, c, fj in zip(radii(last), tight, fs):
+            assert c.radius * (1 - 1e-12) <= r <= 2.0 * c.radius * (1 + 1e-12)
+            assert r < fj.domain.clearance(c.center)
+        assert max(r / c.radius for r, c in zip(radii(last), tight)) > 1.5
+        want = np.eye(3, dtype=complex)
+        for fj, m in zip(fs, tup):
+            want = want @ apply_via_eig(fj, m)
+        assert rel_err(got, want) < 1e-12
+
+    def test_a_given_torus_axis_stays(self):
+        # only the default circles widen; an axis given its circle keeps it
         tup = CommutingTuple(self.triple()[:2])
         fs = [named_function(n) for n in self.TRIPLE[0][:2]]
-        f = MultivariateFunction(lambda z1, z2: fs[0](z1) * fs[1](z2),
-                                 (fs[0].domain, fs[1].domain))
+        grids = []
+
+        def product(z1, z2):
+            grids.append((z1, z2))
+            return fs[0](z1) * fs[1](z2)
+
         tight = [contour_around(np.linalg.eigvals(m)) for m in tup]
-        assert all(contour_around(np.linalg.eigvals(m), fj).radius > c.radius
-                   for fj, m, c in zip(fs, tup, tight))
-        assert np.array_equal(funcalc_n(f, tup), funcalc_n(f, tup, tight))
+        got = funcalc_n(MultivariateFunction(product, (fs[0].domain, fs[1].domain)), tup,
+                        [tight[0], None])
+        z1, z2 = (np.ravel(z) for z in grids[-1])
+        assert np.max(np.abs(z1 - tight[0].center)) == pytest.approx(tight[0].radius, rel=1e-12)
+        assert np.max(np.abs(z2 - tight[1].center)) > 1.5 * tight[1].radius
+        want = apply_via_eig(fs[0], tup[0]) @ apply_via_eig(fs[1], tup[1])
+        assert rel_err(got, want) < 1e-12
+
+    @pytest.mark.parametrize("pole", [1.4, 1.5, 1.6])
+    def test_an_undeclared_domain_keeps_its_tight_circle(self, pole):
+        # nothing bounds how far an axis with no declared domain may widen:
+        # widened by the |f| probes alone, its circle would enclose the pole
+        # at 1.4 or 1.5 (the value would read 0) or pass near the one at 1.6
+        a = np.diag([0.0, 1.0]).astype(complex)
+        f = MultivariateFunction(lambda z: 1.0 / (pole - z), (None,))
+        got = funcalc_n(f, CommutingTuple([a]))
+        assert rel_err(got, np.diag(1.0 / (pole - np.array([0.0, 1.0])))) < 1e-12
 
     def test_single_matrix_needs_fewer_nodes(self):
         a = normal_matrix(5, [0.8, -0.5 + 0.6j, 0.2 - 0.9j])

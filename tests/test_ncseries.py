@@ -6,12 +6,15 @@ import pytest
 
 from opcalc import (
     apply_function,
+    apply_via_eig,
+    contour_around,
     dd_apply,
     dyson_exp,
     dyson_terms_simplex,
     exp_function,
     gen_matrix,
     matrix_exp,
+    named_function,
     newton_interpolate,
     newton_recursion_check,
     opnorm,
@@ -265,6 +268,84 @@ class TestAdSeries:
         b = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(SeriesDiverging, match="grew for 3 consecutive orders"):
             taylor_series_ad(EXP, a, [b], order_cap=40)
+
+
+class TestCirclesSizedForTheFunction:
+    """The expansions build their circles from the handle: they accept at
+    fewer nodes than on the tight circle R0 = 1.1 s + 0.1 (1 + s) of the
+    points alone, within 10 times its error."""
+
+    @staticmethod
+    def run(monkeypatch, expansion, tight: bool):
+        """``expansion()`` and the most nodes any of its contour quadratures
+        accepted, on the tight circles when ``tight``."""
+        nodes = []
+        inner = funcalc.contour_quadrature
+
+        def counting(batch_fn, center, radius, **kwargs):
+            stats = {}
+            value = inner(batch_fn, center, radius, **{**kwargs, "stats": stats})
+            nodes.append(stats["contour_nodes"])
+            return value
+
+        with monkeypatch.context() as m:
+            m.setattr(funcalc, "contour_quadrature", counting)
+            if tight:
+                m.setattr(ncseries, "contour_around",
+                          lambda points, f=None, contour=None: contour_around(points,
+                                                                              contour=contour))
+            return expansion(), max(nodes)
+
+    def both(self, monkeypatch, expansion):
+        return [self.run(monkeypatch, expansion, tight) for tight in (False, True)]
+
+    @pytest.mark.parametrize("name", ["exp", "resolvent:3,0"])
+    def test_newton_interpolate(self, monkeypatch, name):
+        f = named_function(name)
+        mats = [gen_matrix("random", 3, j) for j in range(3)]
+        want = apply_via_eig(f, mats[-1])
+        (wide, wide_nodes), (tight, tight_nodes) = self.both(
+            monkeypatch, lambda: newton_interpolate(f, mats))
+        assert wide_nodes < tight_nodes
+        assert rel_err(wide.target, want) <= 10.0 * rel_err(tight.target, want)
+        assert (rel_err(wide.partial_sums[-1], want)
+                <= 10.0 * rel_err(tight.partial_sums[-1], want))
+
+    def test_newton_recursion_check(self, monkeypatch):
+        mats = [gen_matrix("random", 2, 40 + j) for j in range(4)]
+        bs = [gen_matrix("random", 2, 50 + j) for j in range(2)]
+        (wide, wide_nodes), (_, tight_nodes) = self.both(
+            monkeypatch, lambda: newton_recursion_check(EXP, mats, bs))
+        assert wide_nodes < tight_nodes and wide <= 1e-13
+
+    @pytest.mark.parametrize("name", ["exp", "resolvent:3,0"])
+    def test_taylor_expand(self, monkeypatch, name):
+        # only the quadrature moves: c2 is still read on the tight circle
+        f = named_function(name)
+        a, b = gen_matrix("random", 3, 0), 0.1 * gen_matrix("random", 3, 1)
+        want = apply_via_eig(f, a + b)
+        (wide, wide_nodes), (tight, tight_nodes) = self.both(
+            monkeypatch, lambda: taylor_expand(f, a, b, N=8))
+        assert wide_nodes < tight_nodes
+        assert wide.meta["c2"] == tight.meta["c2"]
+        assert rel_err(wide.target, want) <= 10.0 * rel_err(tight.target, want)
+        assert (rel_err(wide.partial_sums[-1], want)
+                <= 10.0 * rel_err(tight.partial_sums[-1], want))
+
+    def test_taylor_series_ad(self, monkeypatch):
+        # the pairing [a, a] exp (b) in the eigenbasis of a: the divided
+        # differences of exp at its eigenvalues times b there (Daleckii-Krein)
+        a, b = 0.4 * gen_matrix("random", 2, 84), 0.4 * gen_matrix("random", 2, 85)
+        lam, v, vinv = eigen_decompose(a)
+        dd = (np.exp(lam)[:, None] - np.exp(lam)[None, :]) / (lam[:, None] - lam[None, :]
+                                                              + np.eye(2))
+        np.fill_diagonal(dd, np.exp(lam))
+        want = v @ (dd * (vinv @ b @ v)) @ vinv
+        (wide, wide_nodes), (tight, tight_nodes) = self.both(
+            monkeypatch, lambda: taylor_series_ad(EXP, a, [b], order_cap=40))
+        assert wide_nodes < tight_nodes
+        for got, ref in zip(wide, tight):
+            assert rel_err(got, want) <= 10.0 * rel_err(ref, want)
 
 
 class TestDyson:
