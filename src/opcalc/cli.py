@@ -46,7 +46,7 @@ from .funcalc import (
     funcalc_elementary,
 )
 from .functions import named_function
-from .generate import KINDS, gen_matrix
+from .generate import KINDS, MAX_DIM, gen_matrix
 from .magnus import builtin_field, field_from_samples, magnus_solve, rk_reference
 from .ncseries import dyson_exp, newton_interpolate, taylor_expand
 from .quadrature import MAX_NODES, Contour
@@ -283,8 +283,9 @@ def _at_most(args, name: str, most: int) -> int:
 
 def _cmd_newton(args, tol) -> tuple[dict, bool]:
     count = _at_most(args, "count", 64)
+    dim = _at_most(args, "dim", MAX_DIM)
     f = named_function(args.f)
-    mats = [gen_matrix("random", args.dim, args.seed + j) for j in range(count)]
+    mats = [gen_matrix("random", dim, args.seed + j) for j in range(count)]
     report = newton_interpolate(f, mats)
     return _expansion_report(args, report, [verify.newton_residual(report, tol)],
                              report.final_residual, tol["newton-interpolation"])
@@ -292,9 +293,10 @@ def _cmd_newton(args, tol) -> tuple[dict, bool]:
 
 def _cmd_taylor(args, tol) -> tuple[dict, bool]:
     order = _at_most(args, "order", 64)
+    dim = _at_most(args, "dim", MAX_DIM)
     f = named_function(args.f)
-    a = gen_matrix("random", args.dim, args.seed)
-    b = args.b_scale * gen_matrix("random", args.dim, args.seed + 1)
+    a = gen_matrix("random", dim, args.seed)
+    b = args.b_scale * gen_matrix("random", dim, args.seed + 1)
     report = taylor_expand(f, a, b, N=order)
     residuals = [verify.taylor_decay(report, b, tol), verify.taylor_remainder(report, tol)]
     # the last remainder relative to the target, as for newton
@@ -305,8 +307,9 @@ def _cmd_taylor(args, tol) -> tuple[dict, bool]:
 
 def _cmd_dyson(args, tol) -> tuple[dict, bool]:
     order = _at_most(args, "order", 64)
-    a = gen_matrix("random", args.dim, args.seed)
-    b = args.b_scale * gen_matrix("random", args.dim, args.seed + 1)
+    dim = _at_most(args, "dim", MAX_DIM)
+    a = gen_matrix("random", dim, args.seed)
+    b = args.b_scale * gen_matrix("random", dim, args.seed + 1)
     report = dyson_exp(a, b, N=order)
     return _expansion_report(args, report, [verify.dyson_defect(report, tol)],
                              report.meta["identity_defect"],
@@ -354,16 +357,20 @@ def _cmd_magnus(args, tol) -> tuple[dict, bool]:
 
 def _cmd_rearrange(args, tol) -> tuple[dict, bool]:
     p = _at_most(args, "p", 6)
+    dim = _at_most(args, "dim", MAX_DIM)
+    # the kernel routes evaluate on every (p+1)-tuple of eigenvalues at once
+    if dim ** (p + 1) > 4096:
+        raise InvalidInput(f"kernel grid --dim^(--p + 1) = {dim ** (p + 1)} exceeds 4096")
     qs = [int(q) for q in args.family.split(",")]
     if len(qs) != p + 1:
         raise OpcalcError(f"--family needs p+1 = {p + 1} exponents")
-    a = gen_matrix("hermitian", args.dim, args.seed)
+    a = gen_matrix("hermitian", dim, args.seed)
     A = matrix_exp(a)
-    bs = [gen_matrix("random", args.dim, args.seed + 1 + j) for j in range(p)]
+    bs = [gen_matrix("random", dim, args.seed + 1 + j) for j in range(p)]
     lhs = rearrange_lhs(qs, A, bs, delta=args.delta)
     rf = rearrange_rhs_F(qs, A, bs, delta=args.delta)
     rg = rearrange_rhs_G(qs, A, bs, delta=args.delta)
-    params = {"p": p, "dim": args.dim, "family": args.family, "delta": args.delta}
+    params = {"p": p, "dim": dim, "family": args.family, "delta": args.delta}
     results = {"lhs": matrix_to_json(lhs), "rhs_F": matrix_to_json(rf),
                "rhs_G": matrix_to_json(rg)}
     return _report(args, params, results, verify.rearrangement(lhs, rf, rg, tol))
@@ -379,10 +386,11 @@ def _cmd_verify_all(args, tol) -> tuple[dict, bool]:
 
 
 def _cmd_gen(args, tol) -> tuple[dict, bool]:
-    out = gen_matrix(args.kind, args.dim, args.seed)
+    dim = _at_most(args, "dim", MAX_DIM)
+    out = gen_matrix(args.kind, dim, args.seed)
     mats = list(out) if isinstance(out, tuple) else [out]
     results = {"matrices": [matrix_to_json(m) for m in mats]}
-    return _report(args, {"kind": args.kind, "dim": args.dim}, results, [])
+    return _report(args, {"kind": args.kind, "dim": dim}, results, [])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ d^2 x d^2 operator Omega (x) I - I (x) Omega^T (row-major vec), so up to
 d = 8 the powers ad_Omega^n(A) are one Krylov block of matrix-vector
 products, each row one BLAS gemv through ``ndarray.dot`` (bit for bit what
 ``np.matmul`` gives, at half its call cost); above that they are nested
-commutators.  The equation is stepped with the classical 4th-order
-Runge-Kutta scheme; a plain Runge-Kutta solver for Y itself with Richardson
-extrapolation serves as the independent oracle.
+commutators.  Their buffers and views come from a per-thread workspace
+per (order, d), and ad_Omega is gathered from the entries of Omega and a
+zero, so a stage creates no array but its result.  The equation is stepped
+with the classical 4th-order Runge-Kutta scheme; a plain Runge-Kutta solver
+for Y itself with Richardson extrapolation serves as the independent oracle.
 Both walk the steps that :func:`_grid` lays out for a pass, on the field of
 the whole pass read at once by :func:`_stage_fields`.  Since Y' = A(t) Y is
 linear, one RK4 step of the oracle is a d x d matrix, a polynomial in that
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from fractions import Fraction
 from functools import cache, lru_cache
 
@@ -82,6 +85,48 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
+@cache
+def _ad_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two index maps of ad_Omega = Omega (x) I - I (x) Omega^T into
+    ``[*Omega.ravel(), 0]``: row (i, k), column (j, l) takes Omega[i, j] from
+    the first where k = l and Omega[l, k] from the second where i = j, and
+    the zero slot d^2 elsewhere."""
+    i, k, j, l = np.indices((d, d, d, d))
+    left = np.where(k == l, i * d + j, d * d).reshape(d * d, d * d)
+    right = np.where(i == j, l * d + k, d * d).reshape(d * d, d * d)
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
+class _Workspaces(threading.local):
+    """The stage workspaces of :func:`magnus_rhs`, keyed by (order, d), one set per thread."""
+
+    def __init__(self):
+        self.by_size = {}
+
+
+_WORKSPACES = _Workspaces()
+
+
+def _workspace(order: int, d: int) -> tuple:
+    """The (order, d) stage buffers of :func:`magnus_rhs` and every view into
+    them, made once per thread: a d x d view of the gather source (Omega's
+    d^2 entries, then one zero slot) and its bound ``take``, the two index
+    maps, two d^2 x d^2 buffers (the first map's gather, then ad_Omega), a
+    d x d view of the Krylov block's first row, the block's (previous, row)
+    view pairs, the bound ``ad.dot`` and the block.
+    """
+    left, right = _ad_gather(d)
+    source = np.zeros(d * d + 1, dtype=complex)
+    minuend = np.empty((d * d, d * d), dtype=complex)
+    ad = np.empty_like(minuend)
+    block = np.empty((order + 1, d * d), dtype=complex)
+    workspace = (source[:-1].reshape(d, d), source.take, left, right, minuend, ad,
+                 block[0].reshape(d, d), list(zip(block, block[1:])), ad.dot, block)
+    _WORKSPACES.by_size[order, d] = workspace
+    return workspace
+
+
 def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
     """Truncated commutator series sum_{n<=order} (B_n/n!) ad_omega^n(a_t).
 
@@ -89,6 +134,12 @@ def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
     each a product with the d^2 x d^2 matrix of ad_omega, and the series is
     one product of the coefficients with that block.  Each row is one BLAS
     gemv through ``ndarray.dot``, bit for bit what ``np.matmul`` gives.
+    That matrix, the block and its row views are made once per thread and
+    (order, d) (:func:`_workspace`) and filled in place: making the 2 * order
+    row views cost about a sixth of a d = 2, order 28 stage.  ad_omega is two
+    gathers (:func:`_ad_gather`) and one subtraction, each entry the copy or
+    difference of Omega (x) I - I (x) Omega^T up to the sign of a structural
+    zero.  The result is a new array, never a view of the workspace.
     Above d = 8 the d^4 entries of that matrix cost more than the
     commutators they replace, so the powers are nested commutators.
     """
@@ -103,16 +154,16 @@ def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
             if c != 0.0:
                 total = total + c * x
         return total
-    # Omega (x) I - I (x) Omega^T: row (i, k), column (j, l) holds
-    # Omega[i, j] delta_kl - delta_ij Omega[l, k]
-    eye = _identity(d)
-    ad = np.multiply.outer(om, eye) - np.multiply.outer(eye, om.T)
-    ad = ad.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    block = np.empty((order + 1, d * d), dtype=complex)
-    block[0] = x.ravel()
-    product = ad.dot
-    for previous, row in zip(block, block[1:]):
-        product(previous, out=row)
+    entries, take, left, right, minuend, ad, first, pairs, product, block = (
+        _WORKSPACES.by_size.get((order, d)) or _workspace(order, d))
+    entries[...] = om
+    # every index is in range, and "clip" writes straight to ``out``
+    take(left, None, minuend, "clip")
+    take(right, None, ad, "clip")
+    np.subtract(minuend, ad, ad)
+    first[...] = x
+    for previous, row in pairs:
+        product(previous, row)
     return coefficients.dot(block).reshape(d, d)
 
 
@@ -289,17 +340,20 @@ def _reference_pass(A, y0: np.ndarray, stops: list[float], h: float) -> list[np.
 def rk_reference(A, t_end: float, *, checkpoints=None):
     """Propagator of Y' = A(t) Y, Y(0) = 1, by RK4 with Richardson extrapolation.
 
-    RK4 runs with step t_end / 64, then halved, at most 20 times.  Each
-    halving gives the extrapolated value (16 y_{h/2} - y_h) / 15, which
-    cancels the h^4 error term, and :func:`opcalc.quadrature._refine` returns
-    the first that agrees with the one before to 1e-10, relative in the flat
-    norm (at least three passes).  Each pass reads its field the way the
-    solve does, once per distinct stage time of its grid and all at once
-    (:func:`_stage_fields`), forms the d x d matrix of every RK4 step as one
-    stack (:func:`_reference_pass`), and multiplies the states up.  With
-    ``checkpoints``, a sorted sequence of times in [0, t_end], each pass also
-    stops at every checkpoint, the values at all of them are compared as one
-    stack, and the list of propagators at the checkpoints is returned.
+    RK4 runs with step t_end / 64, then halved, at most 14 times: a pass
+    holds its whole grid, so like :func:`magnus_solve` it stops at 2**20
+    steps (``64 << 14``), where a field that never settles raises
+    :class:`QuadratureNoConvergence`.  Each halving gives the extrapolated
+    value (16 y_{h/2} - y_h) / 15, which cancels the h^4 error term, and
+    :func:`opcalc.quadrature._refine` returns the first that agrees with the
+    one before to 1e-10, relative in the flat norm (at least three passes).
+    Each pass reads its field the way the solve does, once per distinct
+    stage time of its grid and all at once (:func:`_stage_fields`), forms the
+    d x d matrix of every RK4 step as one stack (:func:`_reference_pass`),
+    and multiplies the states up.  With ``checkpoints``, a sorted sequence of
+    times in [0, t_end], each pass also stops at every checkpoint, the values
+    at all of them are compared as one stack, and the list of propagators at
+    the checkpoints is returned.
     """
     stops = _stops(t_end, checkpoints)
     a0 = as_matrix(A(0.0))
@@ -308,7 +362,7 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
     def levels():
         step = t_end / 64.0
         coarse = np.array(_reference_pass(A, eye, stops, step))
-        for k in range(1, 21):
+        for k in range(1, 15):
             step *= 0.5
             fine = np.array(_reference_pass(A, eye, stops, step))
             yield 64 << k, (16.0 * fine - coarse) / 15.0, 0.0

@@ -834,8 +834,22 @@ class TestMalformedInput:
         (["newton", "--count", "65"], "--count 65 exceeds 64"),
         (["rearrange", "--p", "12", "--dim", "8", "--family", ",".join(["1"] * 13)],
          "--p 12 exceeds 6"),
+        (["newton", "--dim", "9"], "--dim 9 exceeds 8"),
+        (["taylor", "--dim", "9"], "--dim 9 exceeds 8"),
+        (["dyson", "--dim", "9"], "--dim 9 exceeds 8"),
+        (["rearrange", "--dim", "9"], "--dim 9 exceeds 8"),
+        (["gen", "--kind", "random", "--dim", "9"], "--dim 9 exceeds 8"),
+        (["rearrange", "--p", "6", "--dim", "100", "--family", ",".join(["1"] * 7)],
+         "--dim 100 exceeds 8"),
+        (["rearrange", "--p", "6", "--dim", "8", "--family", ",".join(["1"] * 7)],
+         "kernel grid --dim^(--p + 1) = 2097152 exceeds 4096"),
+        (["rearrange", "--p", "3", "--dim", "9", "--family", "1,1,1,1"], "--dim 9 exceeds 8"),
+        (["rearrange", "--p", "6", "--dim", "4", "--family", ",".join(["1"] * 7)],
+         "kernel grid --dim^(--p + 1) = 16384 exceeds 4096"),
     ], ids=["taylor-order-100000", "taylor-order", "dyson-order", "newton-count",
-            "rearrange-p"])
+            "rearrange-p", "newton-dim", "taylor-dim", "dyson-dim", "rearrange-dim", "gen-dim",
+            "rearrange-dim-100", "rearrange-grid-p6-d8", "rearrange-dim-p3",
+            "rearrange-grid-p6-d4"])
     def test_sizes_past_their_bound(self, argv, named, monkeypatch, capsys):
         # refused before a matrix, and so any array sized by them, is made
         made = []
@@ -843,6 +857,32 @@ class TestMalformedInput:
         code, out, err = run_cli(argv, capsys)
         self._refused(code, out, err)
         assert err.count("\n") == 1 and named in err and made == []
+
+    class _Made(Exception):
+        """Raised by the patched ``gen_matrix``: the sizes got past their bounds."""
+
+    @pytest.mark.parametrize("argv", [
+        ["newton", "--dim", "8", "--count", "64"],
+        ["taylor", "--dim", "8", "--order", "64"],
+        ["dyson", "--dim", "8", "--order", "64"],
+        ["gen", "--kind", "random", "--dim", "8"],
+        ["rearrange", "--p", "3", "--dim", "8", "--family", "1,1,1,1"],
+        ["rearrange", "--p", "5", "--dim", "4", "--family", ",".join(["1"] * 6)],
+        ["rearrange", "--p", "6", "--dim", "3", "--family", ",".join(["1"] * 7)],
+    ], ids=["newton", "taylor", "dyson", "gen", "rearrange-grid-p3-d8", "rearrange-grid-p5-d4",
+            "rearrange-p6-d3"])
+    def test_sizes_at_their_bound_pass_it(self, argv, monkeypatch):
+        # the first matrix is asked for at the bound, and nothing is allocated
+        made = []
+
+        def gen_matrix(*args):
+            made.append(args)
+            raise self._Made
+
+        monkeypatch.setattr(cli, "gen_matrix", gen_matrix)
+        with pytest.raises(self._Made):
+            main(argv)
+        assert made[0][1] == int(argv[argv.index("--dim") + 1])
 
     @pytest.mark.parametrize("argv", [
         ["taylor", "--dim", "2", "--order", "64"],

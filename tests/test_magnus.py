@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +34,15 @@ def _nested_commutator_rhs(om, a, order):
     return total
 
 
+def _outer_product_ad(om):
+    """ad_Omega = Omega (x) I - I (x) Omega^T from two outer products: row
+    (i, k), column (j, l) holds Omega[i, j] delta_kl - delta_ij Omega[l, k]."""
+    d = om.shape[0]
+    eye = magnus._identity(d)
+    ad = np.multiply.outer(om, eye) - np.multiply.outer(eye, om.T)
+    return ad.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 def _matmul_rhs(omega, a_t, order):
     """``magnus_rhs`` with its Krylov rows and series through ``np.matmul``:
     the ``ndarray.dot`` rows are held to it bit for bit."""
@@ -46,9 +57,7 @@ def _matmul_rhs(omega, a_t, order):
             if c != 0.0:
                 total = total + c * x
         return total
-    eye = magnus._identity(d)
-    ad = np.multiply.outer(om, eye) - np.multiply.outer(eye, om.T)
-    ad = ad.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    ad = _outer_product_ad(om)
     block = np.empty((order + 1, d * d), dtype=complex)
     block[0] = x.ravel()
     for previous, row in zip(block, block[1:]):
@@ -216,6 +225,82 @@ class TestRhs:
         low = magnus_rhs(om, a, order=6)
         high = magnus_rhs(om, a, order=12)
         assert opnorm(low - high) <= 1e-9
+
+
+class TestWorkspace:
+    @staticmethod
+    def _run_in_thread(fn):
+        out = []
+        thread = threading.Thread(target=lambda: out.append(fn()))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and len(out) == 1
+        return out[0]
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_gathered_ad_equals_the_outer_products(self, d):
+        # value for value; a structural zero may differ only in its sign
+        rng = np.random.default_rng(200 + d)
+        omegas = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
+                  rng.standard_normal((d, d)), np.zeros((d, d))]
+        if d > 1:
+            skewed = np.diag(rng.standard_normal(d)) + 100.0 * np.triu(np.ones((d, d)), 1)
+            eigs = np.linalg.eigvals(skewed)
+            assert np.sqrt(np.vdot(skewed, skewed).real - np.vdot(eigs, eigs).real) >= 1e2
+            omegas.append(skewed)
+        a = rng.standard_normal((d, d))
+        for order in (1, 8):
+            for om in omegas:
+                magnus_rhs(om, a, order)
+                ad = magnus._WORKSPACES.by_size[order, d][5]
+                assert np.array_equal(ad, _outer_product_ad(as_matrix(om)))
+
+    def test_a_result_never_aliases_the_workspace(self):
+        rng = np.random.default_rng(7)
+        om1, a1, om2, a2 = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        first = magnus_rhs(om1, a1, 8)
+        kept = first.copy()
+        magnus_rhs(om2, a2, 8)
+        assert np.array_equal(first, kept)
+        assert not any(np.shares_memory(first, part)
+                       for part in magnus._WORKSPACES.by_size[8, 3] if isinstance(part, np.ndarray))
+
+    def test_concurrent_threads_get_the_serial_results(self):
+        # two threads per (order, d) and inputs that differ: a workspace shared
+        # between threads would mix their stages
+        rng = np.random.default_rng(11)
+        cases = []
+        for order, d in ((28, 2), (28, 2), (8, 3), (8, 3)):
+            om, a = 0.3 * (rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+            cases.append((om, a, order, magnus_rhs(om, a, order)))
+        barrier = threading.Barrier(len(cases))
+        mismatches = [0] * len(cases)
+
+        def work(k):
+            om, a, order, expected = cases[k]
+            barrier.wait(timeout=60)
+            for _ in range(300):
+                mismatches[k] += not np.array_equal(magnus_rhs(om, a, order), expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == [0] * len(cases)
+
+    def test_above_d_8_builds_none(self):
+        rng = np.random.default_rng(9)
+        om, a = rng.standard_normal((2, 9, 9))
+        sizes = self._run_in_thread(lambda: (magnus_rhs(om, a, 8),
+                                             dict(magnus._WORKSPACES.by_size))[1])
+        assert sizes == {}
 
 
 class TestSolve:
@@ -593,8 +678,24 @@ class TestReference:
         # a pass whose state scales like 1/h: each extrapolated level doubles
         monkeypatch.setattr(magnus, "_reference_pass", lambda A, y0, stops, h: [y0 / h for _ in stops])
         with pytest.raises(QuadratureNoConvergence,
-                           match=r"up to size 67108864: last difference 4\.903e\+07, floor 9\.807e-03"):
+                           match=r"up to size 1048576: last difference 7\.662e\+05, floor 1\.532e-04"):
             rk_reference(triangular_field(), 1.0)
+
+    @pytest.mark.parametrize("t_end", [1.0, 3.0])
+    def test_no_pass_exceeds_the_solve_cap(self, monkeypatch, t_end):
+        # each pass holds its whole grid: halving stops at 2**20 steps, the
+        # bound magnus_solve refuses past, before memory would run out
+        steps = []
+
+        def unsettled_pass(A, y0, stops, h):
+            steps.append(round(stops[-1] / h))
+            return [y0 / h for _ in stops]
+
+        monkeypatch.setattr(magnus, "_reference_pass", unsettled_pass)
+        with pytest.raises(QuadratureNoConvergence, match="up to size 1048576"):
+            rk_reference(triangular_field(), t_end)
+        assert steps == [64 << k for k in range(15)]
+        assert max(steps) == 2**20
 
     def test_zero_field(self):
         y = rk_reference(lambda t: np.zeros((2, 2)), 1.0)
