@@ -228,15 +228,6 @@ class TestRhs:
 
 
 class TestWorkspace:
-    @staticmethod
-    def _run_in_thread(fn):
-        out = []
-        thread = threading.Thread(target=lambda: out.append(fn()))
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive() and len(out) == 1
-        return out[0]
-
     @pytest.mark.parametrize("d", range(1, 9))
     def test_gathered_ad_equals_the_outer_products(self, d):
         # value for value; a structural zero may differ only in its sign
@@ -252,7 +243,7 @@ class TestWorkspace:
         for order in (1, 8):
             for om in omegas:
                 magnus_rhs(om, a, order)
-                ad = magnus._WORKSPACES.by_size[order, d][5]
+                ad = magnus._WORKSPACES.by_size[order, d][5]  # the ad_Omega buffer
                 assert np.array_equal(ad, _outer_product_ad(as_matrix(om)))
 
     def test_a_result_never_aliases_the_workspace(self):
@@ -298,9 +289,16 @@ class TestWorkspace:
     def test_above_d_8_builds_none(self):
         rng = np.random.default_rng(9)
         om, a = rng.standard_normal((2, 9, 9))
-        sizes = self._run_in_thread(lambda: (magnus_rhs(om, a, 8),
-                                             dict(magnus._WORKSPACES.by_size))[1])
-        assert sizes == {}
+        sizes = []
+
+        def work():
+            magnus_rhs(om, a, 8)
+            sizes.append(dict(magnus._WORKSPACES.by_size))
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and sizes == [{}]
 
 
 class TestSolve:
