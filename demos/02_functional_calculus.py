@@ -4,8 +4,10 @@ A single matrix needs one circle around its spectrum (``apply_function``); a
 commuting tuple gets one circle per variable and a tensor-grid quadrature
 (``funcalc_n``).  Every circle comes from
 ``contour_around``, which builds it around the eigenvalues and refuses one
-that misses the spectrum or leaves the function's domain.  The
-eigendecomposition route is kept strictly separate and serves as the oracle.
+that misses the spectrum or leaves the function's domain, so every function
+declares its domain: a product of entire factors declares ``Entire()`` per
+variable.  The eigendecomposition route is kept strictly separate and serves
+as the oracle.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from opcalc import (
     apply_function,
     apply_via_eig,
     Contour,
+    Entire,
     contour_around,
     exp_function,
     funcalc_elementary,
@@ -57,12 +60,12 @@ mats = gen_matrix("commuting-pair", 3, 11)
 tup = CommutingTuple(mats)
 print(f"  commutator norm of the pair: {opnorm(mats[0] @ mats[1] - mats[1] @ mats[0]):.2e}")
 
-mono = MultivariateFunction(lambda z1, z2: z1 * z2, (None, None))
+mono = MultivariateFunction(lambda z1, z2: z1 * z2, (Entire(), Entire()))
 print(f"  (z1 z2)(a1, a2) vs a1 a2:    {rel_err(funcalc_n(mono, tup), mats[0] @ mats[1]):.2e}")
 
-f = MultivariateFunction(lambda z1, z2: np.exp(z1) * z2, (None, None))
-g = MultivariateFunction(lambda z1, z2: z1 + 0.5 * z2, (None, None))
-fg = MultivariateFunction(lambda z1, z2: f(z1, z2) * g(z1, z2), (None, None))
+f = MultivariateFunction(lambda z1, z2: np.exp(z1) * z2, (Entire(), Entire()))
+g = MultivariateFunction(lambda z1, z2: z1 + 0.5 * z2, (Entire(), Entire()))
+fg = MultivariateFunction(lambda z1, z2: f(z1, z2) * g(z1, z2), (Entire(), Entire()))
 lhs = funcalc_n(fg, tup)
 rhs = funcalc_n(f, tup) @ funcalc_n(g, tup)
 print(f"  homomorphism (fg) = f g:     {rel_err(lhs, rhs):.2e}")

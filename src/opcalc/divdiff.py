@@ -34,7 +34,7 @@ from .errors import (
     ZeroNodeNegativePower,
 )
 from .functions import HoloFunction
-from .quadrature import circle_points, contour_around, contour_quadrature, simplex_integrate
+from .quadrature import contour_around, contour_quadrature, simplex_integrate
 
 __all__ = [
     "dd_recursive",
@@ -109,25 +109,18 @@ def dd_explicit(f, xs) -> complex:
     return complex(total)
 
 
-def dd_contour(
-    f,
-    xs,
-    contour=None,
-    *,
-    refine: bool = True,
-    stats: dict | None = None,
-) -> complex:
+def dd_contour(f: HoloFunction, xs, contour=None, *, stats: dict | None = None) -> complex:
     """Divided difference as a circle integral of f(z) * prod (z - x_j)^-1.
 
     Works for coincident nodes.  The circle is ``contour`` (see
-    :class:`opcalc.quadrature.Contour`) or the automatic one, as checked (and,
-    for a handle, widened) by :func:`opcalc.quadrature.contour_around`; a
-    quadrature node within 1e-6 radii of a node raises :class:`ContourTooTight`.  With ``refine=False`` a
-    single trapezoid pass at ``contour.nodes`` is taken, which is useful for
-    convergence studies.
+    :class:`opcalc.quadrature.Contour`) or the automatic one, as checked
+    against f's declared domain (and widened within it) by
+    :func:`opcalc.quadrature.contour_around`, which refuses an ``f`` that is
+    not a handle with :class:`InvalidInput`; a quadrature node within 1e-6
+    radii of a node raises :class:`ContourTooTight`.
     """
     x = _nodes(xs)
-    c = contour_around(x, f if isinstance(f, HoloFunction) else None, contour)
+    c = contour_around(x, f, contour)
 
     def batch(zeta):
         gap = np.min(np.abs(zeta[:, None] - x[None, :]))
@@ -138,12 +131,7 @@ def dd_contour(
             vals = vals / (zeta - xj)
         return vals
 
-    if not refine:
-        zeta, w = circle_points(c.center, c.radius, c.nodes)
-        return complex(np.sum(w * batch(zeta)))
-    return complex(
-        contour_quadrature(batch, c.center, c.radius, start=c.nodes, stats=stats)
-    )
+    return complex(contour_quadrature(batch, c.center, c.radius, start=c.nodes, stats=stats))
 
 
 def dd_hermite(f: HoloFunction, xs, *, stats: dict | None = None) -> complex:

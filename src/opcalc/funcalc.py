@@ -40,6 +40,7 @@ from .errors import (
     ArityCap,
     ContourViolation,
     DimensionMismatch,
+    InvalidInput,
     NonCommutingTuple,
     TensorRuleViolation,
 )
@@ -157,25 +158,25 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
     evaluates f once per block on sparse axis grids and contracts the block
     one axis at a time against the weighted resolvents, so three and four
     variables cost time rather than memory.  ``f`` is a
-    :class:`MultivariateFunction` with per-axis domains.  A circle given
-    for an axis is kept, and so is the default circle of an axis with no
-    declared domain (None); the other default circles are widened together
-    for f by the rule of :func:`opcalc.quadrature._widened`, each within
-    2 R0 and its domain's clearance, probing f on a grid of at most 4096
-    points, so that they converge geometrically faster than the tight
-    circles.  f of a single matrix is :func:`apply_function`.
+    :class:`MultivariateFunction` declaring one domain per matrix (another
+    count raises :class:`InvalidInput`).  A circle given for an axis is
+    kept; the default circles are widened together for f by the rule of
+    :func:`opcalc.quadrature._widened`, each within 2 R0 and its domain's
+    clearance, probing f on a grid of at most 4096 points, so that they
+    converge geometrically faster than the tight circles.  f of a single
+    matrix is :func:`apply_function`.
     """
     tup = _as_tuple(a)
     n = len(tup)
     if n > MAX_ARITY:
         raise ArityCap(f"tensor-grid quadrature supports up to {MAX_ARITY} variables")
-    domains = f.domains
+    if len(f.domains) != n:
+        raise InvalidInput(f"need {n} domains, got {len(f.domains)}")
     if cs is None:
         cs = [None] * n
     if len(cs) != n:
         raise ContourViolation(f"need {n} contours, got {len(cs)}")
-    cs = _torus_around(f, [np.linalg.eigvals(m) for m in tup],
-                       [domains[j] if j < len(domains) else None for j in range(n)], cs)
+    cs = _torus_around(f, [np.linalg.eigvals(m) for m in tup], f.domains, cs)
 
     d = tup.dim
     start = max(16, max(c.nodes for c in cs))

@@ -1,16 +1,16 @@
 """Holomorphic function handles, domain descriptors, and the named builtins.
 
-A :class:`HoloFunction` bundles a vectorized evaluation handle with a domain
-descriptor and (optionally) a derivative handle ``deriv(k, z)``.  Derivatives
-come from that handle alone: a handle without one refuses every derivative
-with :class:`opcalc.errors.InvalidInput`.  Every builtin carries its closed
-form.  A :class:`MultivariateFunction` takes one domain per variable.
+A :class:`HoloFunction` bundles a vectorized evaluation handle, the required
+:class:`Domain` every contour route checks its circle against, and optionally
+a derivative handle ``deriv(k, z)``, the one source of derivatives: a handle
+without it refuses each with :class:`opcalc.errors.InvalidInput`.  Builtins
+carry closed forms.  A :class:`MultivariateFunction` declares a Domain per variable.
 
 Named builtins accepted everywhere a function name is allowed (CLI included):
 
 * ``exp``, ``log``, ``id``
 * ``pow:N``          -- z**N, N any integer (negative N excludes 0)
-* ``resolvent:RE,IM``-- z -> 1 / (lambda - z) with lambda = RE + i IM
+* ``resolvent:RE,IM``-- z -> 1 / (lambda - z), lambda = RE + i IM (both finite)
 * ``rational:K``     -- s -> (1 + s)**-K (also accepted: ``rational:(1+s)^-K``)
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -61,8 +61,8 @@ class Domain:
 
 @dataclass(frozen=True)
 class Disc(Domain):
-    center: complex = 0.0
-    radius: float = 1.0
+    center: complex
+    radius: float
 
     def contains(self, z):
         return np.abs(np.asarray(z) - self.center) < self.radius
@@ -123,9 +123,13 @@ class HoloFunction:
     """Holomorphic function handle: evaluation, domain, optional derivatives."""
 
     fn: Callable
-    domain: Domain = ENTIRE
+    domain: Domain
     deriv: Callable | None = None  # deriv(k, z), vectorized in z
     name: str = "custom"
+
+    def __post_init__(self):
+        if not isinstance(self.domain, Domain):
+            raise InvalidInput(f"a function declares its Domain, got {self.domain!r}")
 
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=complex))
@@ -157,7 +161,11 @@ class MultivariateFunction:
     """
 
     fn: Callable
-    domains: tuple = field(default_factory=tuple)
+    domains: tuple
+
+    def __post_init__(self):
+        if not all(isinstance(d, Domain) for d in self.domains):
+            raise InvalidInput(f"a function declares a Domain per variable, got {self.domains!r}")
 
     def __call__(self, *zs):
         return self.fn(*[np.asarray(z, dtype=complex) for z in zs])
@@ -240,11 +248,12 @@ def named_function(name: str) -> HoloFunction:
         if name.startswith("pow:"):
             return power_function(int(name.split(":", 1)[1]))
         if name.startswith("resolvent:"):
-            parts = name.split(":", 1)[1].split(",")
-            lam = complex(float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
-            return resolvent_function(lam)
-    except ValueError:
-        raise InvalidInput(f"malformed number in function name {name!r}") from None
+            lam = [float(p) for p in name.split(":", 1)[1].split(",")]
+            if len(lam) > 2 or not all(map(math.isfinite, lam)):
+                raise ValueError("a resolvent pole is RE[,IM], both finite")
+            return resolvent_function(complex(*lam))
+    except ValueError as exc:
+        raise InvalidInput(f"malformed function name {name!r}: {exc}") from None
     m = _RATIONAL_RE.match(name)
     if m:
         return rational_function(int(m.group(1)))

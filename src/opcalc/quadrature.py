@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContourViolation, InvalidInput, QuadratureNoConvergence
-from .functions import HoloFunction
+from .functions import ENTIRE, HoloFunction
 
 __all__ = [
     "Contour",
@@ -136,28 +136,29 @@ def contour_around(points, f=None, contour=None) -> Contour:
     """``contour``, or by default a circle around ``points`` (eigenvalues or
     nodes) at their centroid.
 
-    ``f`` is the function handle, a bare :class:`opcalc.functions.Domain`, or
-    None.  The default circle has radius R0 = 1.1 s + 0.1 (1 + s), s the
-    spread of the points.  Given a handle, it widens that circle (see
-    :func:`_widened`): the trapezoid error falls like (rho / R)^m, rho the
-    points' reach from the centre, so a wider circle needs fewer nodes.
-    ``funcalc.funcalc_n`` builds its torus the same way, one circle per
-    variable, and widens its default circles together for its function.
+    ``f`` is the function handle, or None for the tight reference circle.
+    The default circle has radius R0 = 1.1 s + 0.1 (1 + s), s the spread of
+    the points.  Given a handle, it widens that circle (see :func:`_widened`):
+    the trapezoid error falls like (rho / R)^m, rho the points' reach from
+    the centre, so a wider circle needs fewer nodes.  ``funcalc.funcalc_n``
+    builds its torus the same way, one circle per variable.
 
-    Raises :class:`InvalidInput` for no points or a point that is not finite,
-    and :class:`ContourViolation` unless the circle strictly encloses every
-    point and 64 probe points on it lie in the domain (when known).  A default
-    circle is checked before it widens, so widening never changes a refusal.
+    Raises :class:`InvalidInput` for an ``f`` that is not a handle, no points
+    or a point that is not finite, and :class:`ContourViolation` unless the
+    circle strictly encloses every point and 64 probe points on it lie in
+    the handle's declared domain.  A default circle is checked before it
+    widens, so widening never changes a refusal.
     """
-    handle = f if isinstance(f, HoloFunction) else None
-    return _torus_around(handle, [points], [f.domain if handle else f], [contour])[0]
+    if not (f is None or isinstance(f, HoloFunction)):
+        raise InvalidInput(f"a contour is built for a function handle, got {type(f).__name__}")
+    return _torus_around(f, [points], [ENTIRE if f is None else f.domain], [contour])[0]
 
 
 def _torus_around(f, point_sets, domains, contours) -> list:
     """One circle per axis, as :func:`contour_around` builds and checks it
-    from the axis's points, domain (or None) and given circle (or None); the
-    default ones are then widened together for ``f``, a callable of one
-    variable per axis (none when ``f`` is None)."""
+    from the axis's points, domain and given circle (or None); the default
+    ones are then widened together for ``f``, a callable of one variable per
+    axis (none when ``f`` is None)."""
     circles, spreads = [], []
     for points, domain, contour in zip(point_sets, domains, contours):
         pts = np.ravel(np.asarray(points, dtype=complex))
@@ -173,7 +174,7 @@ def _torus_around(f, point_sets, domains, contours) -> list:
         if np.any(np.abs(pts - contour.center) >= contour.radius):
             raise ContourViolation("contour does not enclose the spectrum")
         probe, _ = circle_points(contour.center, contour.radius, 64)
-        if domain is not None and not np.all(domain.contains(probe)):
+        if not np.all(domain.contains(probe)):
             raise ContourViolation("contour exits the declared function domain")
         circles.append(contour)
         spreads.append(spread)
@@ -187,8 +188,7 @@ def _widened(f, cs, spreads, domains) -> list:
 
     A circle with spread s and radius R0 widens at most to
     R_max = min(2 R0, sqrt(s D)), D the clearance of its domain from the
-    centre (2 R0 when D is infinite); a given circle (spread None) and one
-    with no declared domain (None), whose clearance is unknown, stay:
+    centre (2 R0 when D is infinite); a given circle (spread None) stays:
     the geometric mean of the spread and D balances the rate rho / R
     against the singularity's own rate R / D.  It takes the first radii
     R0 + (R_max - R0) / 2^k, k = 0..4, whose probe grid has max |f| at most
@@ -200,7 +200,7 @@ def _widened(f, cs, spreads, domains) -> list:
     widest = []
     for c, spread, domain in zip(cs, spreads, domains):
         r_max = c.radius
-        if spread is not None and domain is not None:
+        if spread is not None:
             r_max = 2.0 * c.radius
             clearance = domain.clearance(c.center)
             if clearance < math.inf:

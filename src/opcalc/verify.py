@@ -16,6 +16,7 @@ criteria in ``tests/test_acceptance.py`` on their own seeded inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,7 +53,7 @@ from .ncseries import (
     taylor_expand,
     taylor_series_ad,
 )
-from .quadrature import Contour, contour_around
+from .quadrature import circle_points, contour_around
 from .rearrange import kernel_F, kernel_G, rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
 
 __all__ = [
@@ -483,9 +484,10 @@ def check_contour_refinement(seed: int, tol: dict) -> Residual:
     f = exp_function()
     xs = _disc_nodes(rng, 3)
     exact = divdiff.dd_explicit(f, xs)
-    c = contour_around(xs)
-    approximations = [divdiff.dd_contour(f, xs, Contour(c.center, c.radius, m), refine=False)
-                      for m in (16, 32, 64, 128, 256)]
+    c = contour_around(xs, f, contour_around(xs))  # the tight circle, checked for f
+    passes = [circle_points(c.center, c.radius, m) for m in (16, 32, 64, 128, 256)]
+    approximations = [complex(np.sum(w * functools.reduce(np.divide, zeta - xs[:, None], f(zeta))))
+                      for zeta, w in passes]
     monotone, _ = contour_refinement(approximations, exact, tol)
     return monotone
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from opcalc import (
     CommutingTuple,
-    Contour,
+    Entire,
     MultivariateFunction,
     apply_function,
     apply_via_eig,
@@ -40,7 +40,7 @@ from opcalc import (
     taylor_expand,
     taylor_series_ad,
 )
-from opcalc.quadrature import contour_around
+from opcalc.quadrature import circle_points, contour_around
 from opcalc.magnus import perturbed_triangular_field, triangular_field
 from opcalc.rearrange import rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
 from opcalc.verify import IDENTITIES as TOL
@@ -145,9 +145,9 @@ def test_criterion_3_functional_calculus_oracle():
     assert worst_eig <= 1e-9
 
     worst_alg = 0.0
-    f2 = MultivariateFunction(lambda z1, z2: np.exp(z1) * z2, (None, None))
-    g2 = MultivariateFunction(lambda z1, z2: z1 + 0.5 * z2, (None, None))
-    fg = MultivariateFunction(lambda z1, z2: f2(z1, z2) * g2(z1, z2), (None, None))
+    f2 = MultivariateFunction(lambda z1, z2: np.exp(z1) * z2, (Entire(), Entire()))
+    g2 = MultivariateFunction(lambda z1, z2: z1 + 0.5 * z2, (Entire(), Entire()))
+    fg = MultivariateFunction(lambda z1, z2: f2(z1, z2) * g2(z1, z2), (Entire(), Entire()))
     for k in range(5):
         tup = CommutingTuple(gen_matrix("commuting-pair", 2 + k % 3, 2000 + k))
         lhs = funcalc_n(fg, tup)
@@ -287,9 +287,14 @@ def test_criterion_10_contour_refinement():
         xs = seeded_disc_nodes(10_000 + seed, n + 1)
         for f in (EXP, power_function(5), resolvent_function(3.0)):
             exact = dd_explicit(f, xs)
-            c = contour_around(xs)
-            approximations = [dd_contour(f, xs, Contour(c.center, c.radius, m), refine=False)
-                              for m in (16, 32, 64, 128, 256)]
+            c = contour_around(xs, f, contour_around(xs))  # the tight circle, checked for f
+            approximations = []
+            for m in (16, 32, 64, 128, 256):  # one trapezoid pass of m nodes each
+                zeta, w = circle_points(c.center, c.radius, m)
+                vals = f(zeta)
+                for x in xs:
+                    vals = vals / (zeta - x)
+                approximations.append(complex(np.sum(w * vals)))
             monotone, floor = contour_refinement(approximations, exact, TOL)
             worst += monotone.value + floor.value
             cases += 1

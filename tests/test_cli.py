@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 import opcalc
 from opcalc import gen_matrix, matrix_exp, matrix_from_json, matrix_to_json, opnorm
-from opcalc import contour_around, dd_apply, dd_tensor, dyson_exp, newton_interpolate
+from opcalc import contour_around, dd_apply, dd_contour, dd_tensor, dyson_exp, newton_interpolate
 from opcalc import cli, verify
 from opcalc.cli import main
 from opcalc.errors import InvalidInput, OpcalcError
-from opcalc.functions import named_function
+from opcalc.functions import Disc, HoloFunction, MultivariateFunction, named_function
 from opcalc.magnus import (
     bernoulli,
     builtin_field,
@@ -138,6 +138,13 @@ class TestDDCommand:
         )
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("name", ["resolvent:1,2,3", "resolvent:inf", "resolvent:0,nan"])
+    def test_malformed_resolvent_pole_is_input_error(self, name, capsys):
+        # exit 0 before: 1,2,3 read as the pole 1 + 2i, inf as the zero function
+        code, out, err = run_cli(["dd", "--f", name, "--nodes", "[[0,0],[0.5,0]]"], capsys)
+        assert (code, out) == (2, "")
+        assert "RE[,IM], both finite" in err
 
     def test_format_is_a_magnus_flag(self, capsys):
         # only magnus has a CSV report; elsewhere --format is a usage error
@@ -715,6 +722,12 @@ class TestErrorPaths:
         lambda: builtin_field("perturbed:x"),
         lambda: named_function("pow:x"),
         lambda: named_function("resolvent:1,a"),
+        lambda: named_function("resolvent:1,2,3"),
+        lambda: named_function("resolvent:inf"),
+        lambda: contour_around([0.0, 1.0], Disc(0.0, 2.0)),
+        lambda: dd_contour(np.exp, [0.0, 1.0]),
+        lambda: MultivariateFunction(np.exp, (None,)),
+        lambda: HoloFunction(np.exp, None),
     ], ids=["expansion-report", "newton-recursion", "bernoulli-cap",
             "rhs-order", "end-time", "checkpoint-finite", "checkpoint-order", "step",
             "samples", "builtin-field", "function-name", "dyson-order", "taylor-order",
@@ -722,7 +735,9 @@ class TestErrorPaths:
             "bernoulli-order", "rhs-negative-order", "tol-scale-nan", "tol-scale-inf",
             "tol-scale-zero", "tol-scale-negative", "delta-nan", "delta-inf",
             "bernoulli-float", "rhs-float-order", "solve-float-order", "field-seed",
-            "pow-exponent", "resolvent-point"])
+            "pow-exponent", "resolvent-point", "resolvent-parts", "resolvent-infinite",
+            "contour-bare-domain", "dd-contour-bare-callable", "undeclared-axis",
+            "undeclared-handle"])
     def test_invalid_input_is_typed(self, call):
         # no RuntimeWarning first: contour_around([]) used to warn twice on the
         # empty mean before its bare ValueError

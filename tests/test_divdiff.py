@@ -12,6 +12,7 @@ import opcalc
 from opcalc import (
     Contour,
     Disc,
+    Entire,
     HoloFunction,
     Sector,
     bang_shriek,
@@ -30,7 +31,7 @@ from opcalc import (
     simplex_moment_s,
     taylor_series_ad,
 )
-from opcalc.quadrature import contour_around, iter_simplex_rule
+from opcalc.quadrature import circle_points, contour_around, iter_simplex_rule
 from opcalc.errors import (
     CoincidentNodes,
     ContourTooTight,
@@ -59,7 +60,7 @@ class TestRecursive:
         assert dd_recursive(power_function(2), [1.0, 2.0]) == pytest.approx(3.0)
 
     def test_constant_vanishes(self):
-        f = HoloFunction(lambda z: np.full(np.shape(z), 2.5 + 0j))
+        f = HoloFunction(lambda z: np.full(np.shape(z), 2.5 + 0j), Entire())
         assert dd_recursive(f, [0.0, 1.0, 2.0]) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_power_closed_form(self):
@@ -128,11 +129,14 @@ class TestContour:
         rng = np.random.default_rng(3)
         xs = disc_nodes(rng, 3)
         exact = dd_explicit(EXP, xs)
-        c = contour_around(xs)
-        errs = [
-            abs(dd_contour(EXP, xs, Contour(c.center, c.radius, m), refine=False) - exact)
-            for m in (16, 32, 64, 128, 256)
-        ]
+        c = contour_around(xs, EXP, contour_around(xs))  # the tight circle, checked for exp
+        errs = []
+        for m in (16, 32, 64, 128, 256):  # one trapezoid pass of m nodes each
+            zeta, w = circle_points(c.center, c.radius, m)
+            vals = EXP(zeta)
+            for x in xs:
+                vals = vals / (zeta - x)
+            errs.append(abs(np.sum(w * vals) - exact))
         floor = 1e-13 * max(abs(exact), 1.0)
         for e0, e1 in zip(errs, errs[1:]):
             assert e1 <= e0 or e1 <= floor
@@ -222,7 +226,7 @@ class TestHermite:
     def test_eight_nodes_refused_before_integrating(self):
         # the point budget leaves one simplex order at n = 7: no error estimate
         calls = []
-        f = HoloFunction(np.exp, deriv=lambda k, z: calls.append(k) or np.exp(z))
+        f = HoloFunction(np.exp, Entire(), deriv=lambda k, z: calls.append(k) or np.exp(z))
         with pytest.raises(QuadratureNoConvergence):
             dd_hermite(f, np.linspace(0.0, 0.7, 8))
         assert calls == []

@@ -11,6 +11,7 @@ from opcalc import (
     CommutingTuple,
     Contour,
     Disc,
+    Entire,
     HoloFunction,
     MultivariateFunction,
     apply_function,
@@ -134,12 +135,12 @@ class TestFuncalcN:
         assert rel_err(got, np.diag([1.0, np.e])) < 1e-11
 
     def test_unit_function(self):
-        one = MultivariateFunction(lambda z1, z2: np.ones_like(z1), (None, None))
+        one = MultivariateFunction(lambda z1, z2: np.ones_like(z1), (Entire(), Entire()))
         tup = CommutingTuple(gen_matrix("commuting-pair", 2, 4))
         assert rel_err(funcalc_n(one, tup), np.eye(2)) < 1e-11
 
     def test_product_function(self):
-        f = MultivariateFunction(lambda z1, z2: z1 * z2, (None, None))
+        f = MultivariateFunction(lambda z1, z2: z1 * z2, (Entire(), Entire()))
         mats = gen_matrix("commuting-pair", 3, 5)
         got = funcalc_n(f, CommutingTuple(mats))
         assert rel_err(got, mats[0] @ mats[1]) < 1e-10
@@ -147,7 +148,7 @@ class TestFuncalcN:
     def test_polynomial_rule(self):
         # multi-term polynomial evaluates to the same monomial combination
         p = MultivariateFunction(
-            lambda z1, z2: 2.0 + z1**2 - 0.5 * z1 * z2 + 0.3 * z2**3, (None, None)
+            lambda z1, z2: 2.0 + z1**2 - 0.5 * z1 * z2 + 0.3 * z2**3, (Entire(), Entire())
         )
         a1, a2 = gen_matrix("commuting-pair", 3, 9)
         got = funcalc_n(p, CommutingTuple([a1, a2]))
@@ -161,7 +162,7 @@ class TestFuncalcN:
         assert rel_err(got, want) < 1e-9
 
     def test_arity_cap(self):
-        f = MultivariateFunction(lambda *z: np.ones_like(z[0]), (None,) * 5)
+        f = MultivariateFunction(lambda *z: np.ones_like(z[0]), (Entire(),) * 5)
         eye = np.eye(2)
         with pytest.raises(ArityCap):
             funcalc_n(f, CommutingTuple([eye * k for k in range(1, 6)]))
@@ -170,7 +171,7 @@ class TestFuncalcN:
         h = gen_matrix("hermitian", 2, 50)
         eye = np.eye(2, dtype=complex)
         tup = CommutingTuple([0.5 * h, 0.3 * h @ h + 0.1 * eye, h - 0.2 * eye])
-        f = MultivariateFunction(lambda a, b, c: a * b * c, (None,) * 3)
+        f = MultivariateFunction(lambda a, b, c: a * b * c, (Entire(),) * 3)
         got = funcalc_n(f, tup)
         assert rel_err(got, tup[0] @ tup[1] @ tup[2]) <= 1e-9
 
@@ -179,7 +180,7 @@ class TestFuncalcN:
         h = gen_matrix("hermitian", 2, 51)
         eye = np.eye(2, dtype=complex)
         tup = CommutingTuple([0.5 * h, 0.3 * h @ h + 0.1 * eye, h - 0.2 * eye])
-        f = MultivariateFunction(lambda a, b, c: np.exp(a) * b * c, (None,) * 3)
+        f = MultivariateFunction(lambda a, b, c: np.exp(a) * b * c, (Entire(),) * 3)
         whole = funcalc_n(f, tup)
         monkeypatch.setattr(funcalc, "BLOCK", 512)
         blocked = funcalc_n(f, tup)
@@ -199,7 +200,7 @@ class TestFuncalcN:
             sizes.append(np.broadcast(*zs).size)
             return math.prod(1 + z for z in zs)
 
-        f = MultivariateFunction(fn, (None,) * n)
+        f = MultivariateFunction(fn, (Entire(),) * n)
         whole = funcalc_n(f, tup, wide_circles(tup, 4.0))
         assert max(sizes) == 32**n
         sizes.clear()
@@ -214,7 +215,7 @@ class TestFuncalcN:
         eye = np.eye(2, dtype=complex)
         tup = CommutingTuple([h, 0.3 * h @ h + 0.1 * eye, h - 0.2 * eye, eye - h])
         f = MultivariateFunction(lambda a, b, c, e: np.exp(a) * b * np.exp(c) * e,
-                                 (None,) * 4)
+                                 (Entire(),) * 4)
         got = funcalc_n(f, tup, wide_circles(tup))
         want = matrix_exp(tup[0]) @ tup[1] @ matrix_exp(tup[2]) @ tup[3]
         assert rel_err(got, want) <= 1e-9
@@ -222,7 +223,7 @@ class TestFuncalcN:
     def test_output_that_does_not_span_the_grid(self):
         # f ignores z2, so it returns one column that broadcasts over the grid
         a1, a2 = gen_matrix("commuting-pair", 3, 6)
-        f = MultivariateFunction(lambda z1, z2: np.exp(z1), (None, None))
+        f = MultivariateFunction(lambda z1, z2: np.exp(z1), (Entire(), Entire()))
         got = funcalc_n(f, CommutingTuple([a1, a2]))
         assert rel_err(got, matrix_exp(a1)) <= 1e-9
 
@@ -233,9 +234,9 @@ class TestFuncalcN:
                 assert rel_err(funcalc_n(one_variable(f), (a,)), apply_via_eig(f, a)) <= 1e-9
 
     def test_homomorphism(self):
-        f = MultivariateFunction(lambda z1, z2: np.exp(z1) * z2, (None, None))
-        g = MultivariateFunction(lambda z1, z2: z1 + 2.0 * z2, (None, None))
-        fg = MultivariateFunction(lambda z1, z2: f(z1, z2) * g(z1, z2), (None, None))
+        f = MultivariateFunction(lambda z1, z2: np.exp(z1) * z2, (Entire(), Entire()))
+        g = MultivariateFunction(lambda z1, z2: z1 + 2.0 * z2, (Entire(), Entire()))
+        fg = MultivariateFunction(lambda z1, z2: f(z1, z2) * g(z1, z2), (Entire(), Entire()))
         tup = CommutingTuple(gen_matrix("commuting-pair", 3, 6))
         lhs = funcalc_n(fg, tup)
         rhs = funcalc_n(f, tup) @ funcalc_n(g, tup)
@@ -422,16 +423,6 @@ class TestCirclesSizedForTheFunction:
         want = apply_via_eig(fs[0], tup[0]) @ apply_via_eig(fs[1], tup[1])
         assert rel_err(got, want) < 1e-12
 
-    @pytest.mark.parametrize("pole", [1.4, 1.5, 1.6])
-    def test_an_undeclared_domain_keeps_its_tight_circle(self, pole):
-        # nothing bounds how far an axis with no declared domain may widen:
-        # widened by the |f| probes alone, its circle would enclose the pole
-        # at 1.4 or 1.5 (the value would read 0) or pass near the one at 1.6
-        a = np.diag([0.0, 1.0]).astype(complex)
-        f = MultivariateFunction(lambda z: 1.0 / (pole - z), (None,))
-        got = funcalc_n(f, CommutingTuple([a]))
-        assert rel_err(got, np.diag(1.0 / (pole - np.array([0.0, 1.0])))) < 1e-12
-
     def test_single_matrix_needs_fewer_nodes(self):
         a = normal_matrix(5, [0.8, -0.5 + 0.6j, 0.2 - 0.9j])
         stats, tight_stats = {}, {}
@@ -475,6 +466,58 @@ class TestCirclesSizedForTheFunction:
         zeta = circle_points(c.center, c.radius, 128)[0]
         c2 = max(opnorm(np.linalg.inv(z * np.eye(2) - a)) for z in zeta)
         assert report.meta["c2"] == pytest.approx(c2, rel=1e-12)
+
+
+class TestDeclaredDomains:
+    """Every function a contour integrates declares its domain: without one,
+    a circle goes unchecked or widens as if f were entire, and where it then
+    encloses a pole the sum reads 0."""
+
+    def test_nothing_is_built_without_its_domain(self):
+        with pytest.raises(TypeError):
+            HoloFunction(lambda z: 1.0 / (1.4 - z))
+        with pytest.raises(TypeError):
+            MultivariateFunction(lambda z: z)
+        with pytest.raises(TypeError):
+            Disc(0.0)
+        with pytest.raises(InvalidInput, match="declares its Domain"):
+            HoloFunction(np.exp, None)
+
+    def test_an_undeclared_domain_is_refused(self):
+        # unchecked, the tight circle about 0.5 encloses the pole: funcalc_n
+        # would read about 1e-16 on diag(0, 1), where the answer is (1 - i, -1 - i)
+        with pytest.raises(InvalidInput, match="Domain per variable"):
+            MultivariateFunction(lambda z: 1.0 / (0.5 + 0.5j - z), (None,))
+        with pytest.raises(InvalidInput, match="Domain per variable"):
+            MultivariateFunction(lambda z1, z2: z1 * z2, (Entire(), None))
+
+    def test_dd_contour_refuses_a_bare_callable(self):
+        # the pole 0.4 + 0.3i lies inside every circle about 0.5 that encloses
+        # the nodes (unchecked, the sum reads 2e-16 where dd_recursive gives
+        # -2.933 + 0.533i), so a domain that excludes it refuses the circle
+        pole = 0.4 + 0.3j
+        with pytest.raises(InvalidInput, match="function handle"):
+            dd_contour(lambda z: 1.0 / (pole - z), [0.0, 1.0])
+        with pytest.raises(ContourViolation, match="domain"):
+            dd_contour(HoloFunction(lambda z: 1.0 / (pole - z), Disc(0.0, abs(pole))), [0.0, 1.0])
+
+    def test_funcalc_n_needs_one_domain_per_matrix(self):
+        a = np.diag([0.0, 1.0]).astype(complex)
+        for domains in ((), (Entire(), Entire())):
+            with pytest.raises(InvalidInput, match="need 1 domains"):
+                funcalc_n(MultivariateFunction(lambda z: np.exp(z), domains), CommutingTuple([a]))
+
+    @pytest.mark.parametrize("pole", [1.4, 1.5, 1.6])
+    def test_a_declared_disc_gives_the_exact_values(self, pole):
+        # R0 = 0.7 about 0.5 stays in the disc; widened as for an entire f it
+        # would reach 1.4, onto the pole at 1.4, and every route would read 0
+        a = np.diag([0.0, 1.0]).astype(complex)
+        f = HoloFunction(lambda z: 1.0 / (pole - z), Disc(0.0, pole))
+        want = 1.0 / (pole - np.array([0.0, 1.0]))  # (0.714, 2.5) at 1.4
+        assert rel_err(apply_function(f, a), np.diag(want)) < 1e-12
+        assert rel_err(funcalc_n(one_variable(f), CommutingTuple([a])), np.diag(want)) < 1e-12
+        dd = want[1] - want[0]  # 1.786 at 1.4
+        assert abs(dd_contour(f, [0.0, 1.0]) - dd) < 1e-12 * abs(dd)
 
 
 class TestDDTensor:
@@ -566,7 +609,7 @@ class TestDDApply:
         mats = [gen_matrix("random", 2, 35 + j) for j in range(2)]
         bs = [gen_matrix("random", 2, 40)]
         c = circle_for(*mats, nodes=128)
-        h = HoloFunction(lambda z: np.exp(z) + 0.7 * z**2)
+        h = HoloFunction(lambda z: np.exp(z) + 0.7 * z**2, Entire())
         combo = dd_apply(h, mats, bs, c)
         parts = dd_apply(EXP, mats, bs, c) + 0.7 * dd_apply(power_function(2), mats, bs, c)
         assert rel_err(combo, parts) < 1e-12

@@ -350,10 +350,9 @@ class TestContourAround:
 
     def test_circle_must_stay_in_the_domain(self):
         # auto circle around [0, 0.9] reaches 1.09, outside the unit disc
-        for wrap in (lambda d: d, lambda d: HoloFunction(np.exp, d)):
-            with pytest.raises(ContourViolation, match="domain"):
-                contour_around([0.0, 0.9], wrap(Disc(0.0, 1.0)))
-            contour_around([0.0, 0.9], wrap(Disc(0.0, 2.0)))
+        with pytest.raises(ContourViolation, match="domain"):
+            contour_around([0.0, 0.9], HoloFunction(np.exp, Disc(0.0, 1.0)))
+        contour_around([0.0, 0.9], HoloFunction(np.exp, Disc(0.0, 2.0)))
 
     def test_without_a_handle_the_circle_is_the_tight_one(self):
         pts = np.array([0.3, -0.4 + 0.2j, 1.1j])
@@ -361,10 +360,13 @@ class TestContourAround:
         spread = float(np.max(np.abs(pts - center)))
         tight = Contour(center, 1.1 * spread + 0.1 * (1.0 + spread))
         assert contour_around(pts) == tight
-        # a bare domain bounds the circle but never widens it
-        assert contour_around(pts, Entire()) == tight
-        assert contour_around(pts, Disc(0.0, 10.0)) == tight
-        # nor does a domain that does not know its clearance
+        # a bare domain is refused: a circle is checked and sized for a handle
+        for domain in (Entire(), Disc(0.0, 10.0)):
+            with pytest.raises(InvalidInput, match="function handle"):
+                contour_around(pts, domain)
+        # given the tight circle, a handle checks it and never widens it
+        assert contour_around(pts, HoloFunction(np.exp, Disc(0.0, 10.0)), tight) is tight
+        # and by default a domain that does not know its clearance never widens
         assert contour_around(pts, HoloFunction(np.exp, _Plane())) == tight
 
     @pytest.mark.parametrize("points", [
@@ -378,7 +380,7 @@ class TestContourAround:
             c = contour_around(points, f)
         except ContourViolation:
             with pytest.raises(ContourViolation):  # refused exactly when the tight circle is
-                contour_around(points, f.domain)
+                contour_around(points, f, tight)
             return
         assert (c.center, c.nodes) == (tight.center, tight.nodes)
         assert tight.radius <= c.radius <= 2.0 * tight.radius
