@@ -47,7 +47,7 @@ print("3. the same pairing as a nested-commutator series")
 print("=" * 70)
 aa = 0.4 * gen_matrix("random", 2, 20)
 bs = [0.4 * gen_matrix("random", 2, 21), 0.4 * gen_matrix("random", 2, 22)]
-left, right = taylor_series_ad(exp, aa, bs, order_cap=40)  # both forms, one pass
+left, right = taylor_series_ad(exp, aa, bs)  # both forms, one pass
 direct = dd_apply(exp, [aa] * 3, bs)
 print(f"  derivative-left form  vs direct: {opnorm(left - direct):.2e}")
 print(f"  derivative-right form vs direct: {opnorm(right - direct):.2e}")

@@ -33,7 +33,7 @@ from .errors import (
     OpcalcError,
     ZeroNodeNegativePower,
 )
-from .functions import HoloFunction
+from .functions import HoloFunction, _handle
 from .quadrature import contour_around, contour_quadrature, simplex_integrate
 
 __all__ = [
@@ -120,7 +120,7 @@ def dd_contour(f: HoloFunction, xs, contour=None, *, stats: dict | None = None) 
     radii of a node raises :class:`ContourTooTight`.
     """
     x = _nodes(xs)
-    c = contour_around(x, f, contour)
+    c = contour_around(x, _handle(f, HoloFunction), contour)
 
     def batch(zeta):
         gap = np.min(np.abs(zeta[:, None] - x[None, :]))
@@ -149,7 +149,7 @@ def dd_hermite(f: HoloFunction, xs, *, stats: dict | None = None) -> complex:
     """
     x = _nodes(xs)
     n = x.size - 1
-    if not f.domain.contains_hull(x):
+    if not _handle(f, HoloFunction).domain.contains_hull(x):
         raise DomainViolation("convex hull of nodes leaves the function domain")
     fn = f.deriv_function(n)
     return complex(simplex_integrate(lambda s: np.asarray(fn(s @ x), dtype=complex),

@@ -33,11 +33,6 @@ class ZeroNodeNegativePower(OpcalcError):
     """Negative power of the identity function requires all nodes nonzero."""
 
 
-class SeriesDiverging(OpcalcError):
-    """Shell magnitudes of a series grew for several consecutive orders, or
-    had not settled by the order cap."""
-
-
 class NonCommutingTuple(OpcalcError):
     """Matrices fail the pairwise commutation tolerance."""
 
@@ -63,7 +58,8 @@ class DecayViolation(OpcalcError):
 
 
 class QuadratureNoConvergence(OpcalcError):
-    """Adaptive quadrature hit its refinement cap before reaching the tolerance."""
+    """A refinement did not settle: a quadrature, the Runge-Kutta reference or
+    the commutator series reached its last level before two agreed."""
 
 
 class BranchRadiusExceeded(OpcalcError):

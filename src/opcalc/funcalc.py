@@ -44,7 +44,7 @@ from .errors import (
     NonCommutingTuple,
     TensorRuleViolation,
 )
-from .functions import HoloFunction, MultivariateFunction
+from .functions import HoloFunction, MultivariateFunction, _handle
 from .quadrature import (Contour, _circle_levels, _refine, _torus_around, contour_around,
                          contour_quadrature)
 
@@ -170,7 +170,7 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
     n = len(tup)
     if n > MAX_ARITY:
         raise ArityCap(f"tensor-grid quadrature supports up to {MAX_ARITY} variables")
-    if len(f.domains) != n:
+    if len(_handle(f, MultivariateFunction).domains) != n:
         raise InvalidInput(f"need {n} domains, got {len(f.domains)}")
     if cs is None:
         cs = [None] * n
@@ -249,7 +249,8 @@ def funcalc_elementary(
         cs = [None] * n
     if len(cs) != n:
         raise ContourViolation(f"need {n} contours, got {len(cs)}")
-    cs = [contour_around(np.linalg.eigvals(m), fj, c) for fj, m, c in zip(fs, tup, cs)]
+    cs = [contour_around(np.linalg.eigvals(m), _handle(fj, HoloFunction), c)
+          for fj, m, c in zip(fs, tup, cs)]
     product = MultivariateFunction(
         # broadcast: funcalc_n passes sparse axis grids
         fn=lambda *zs: functools.reduce(np.multiply, [fj(z) for fj, z in zip(fs, zs)]),
@@ -285,7 +286,7 @@ def dd_tensor(
     """
     ms = as_matrices(mats)
     d = ms[0].shape[0]
-    c = contour_around(_spectrum(ms), f, contour)
+    c = contour_around(_spectrum(ms), _handle(f, HoloFunction), contour)
     halves = ms[: len(ms) // 2], ms[len(ms) // 2 :]
     p, q = (d ** len(h) for h in halves)
 
@@ -354,7 +355,7 @@ def _f_bidiagonal(f, diag, sup, contour=None, *, stats=None) -> np.ndarray:
     """
     ms, bs = _blocks(diag, sup)
     distinct, idx = _distinct(ms)
-    c = contour_around(_spectrum(ms), f, contour)
+    c = contour_around(_spectrum(ms), _handle(f, HoloFunction), contour)
     d = ms[0].shape[0]
     size = len(ms) * d
 

@@ -11,14 +11,13 @@ Named builtins accepted everywhere a function name is allowed (CLI included):
 * ``exp``, ``log``, ``id``
 * ``pow:N``          -- z**N, N any integer (negative N excludes 0)
 * ``resolvent:RE,IM``-- z -> 1 / (lambda - z), lambda = RE + i IM (both finite)
-* ``rational:K``     -- s -> (1 + s)**-K (also accepted: ``rational:(1+s)^-K``)
+* ``rational:K``     -- s -> (1 + s)**-K, K a nonnegative integer
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -171,6 +170,14 @@ class MultivariateFunction:
         return self.fn(*[np.asarray(z, dtype=complex) for z in zs])
 
 
+def _handle(f, kind: type):
+    """``f`` if it is a ``kind`` handle, else :class:`InvalidInput`: every route
+    that takes a handle checks it here before evaluating anything."""
+    if not isinstance(f, kind):
+        raise InvalidInput(f"f must be a {kind.__name__} function handle, got {type(f).__name__}")
+    return f
+
+
 # ---------------------------------------------------------------------------
 # builtins
 
@@ -232,9 +239,6 @@ def rational_function(k: int) -> HoloFunction:
     )
 
 
-_RATIONAL_RE = re.compile(r"rational:(?:\(1\+s\)\^-)?(\d+)\)?$")
-
-
 def named_function(name: str) -> HoloFunction:
     """Resolve a CLI-style function name to a handle."""
     name = name.strip()
@@ -252,9 +256,11 @@ def named_function(name: str) -> HoloFunction:
             if len(lam) > 2 or not all(map(math.isfinite, lam)):
                 raise ValueError("a resolvent pole is RE[,IM], both finite")
             return resolvent_function(complex(*lam))
+        if name.startswith("rational:"):
+            k = int(name.split(":", 1)[1])
+            if k < 0:
+                raise ValueError("the exponent K of rational:K is nonnegative")
+            return rational_function(k)
     except ValueError as exc:
         raise InvalidInput(f"malformed function name {name!r}: {exc}") from None
-    m = _RATIONAL_RE.match(name)
-    if m:
-        return rational_function(int(m.group(1)))
     raise InvalidInput(f"unknown function name: {name!r}")

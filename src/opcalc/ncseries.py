@@ -29,11 +29,11 @@ import numpy as np
 from .core import (as_matrices, as_matrix, commutator, eigen_decompose, matrix_exp, opnorm,
                    stack_times)
 from .divdiff import bang_shriek, compositions
-from .errors import ConvergenceThresholdExceeded, InvalidInput, SeriesDiverging
+from .errors import ConvergenceThresholdExceeded, InvalidInput
 from .funcalc import (_block_array, _f_bidiagonal, _resolvents, _spectrum, apply_function,
                       bidiagonal, dd_apply)
-from .functions import HoloFunction
-from .quadrature import Contour, contour_around, grundmann_moller_integrate
+from .functions import HoloFunction, _handle
+from .quadrature import Contour, _refine, contour_around, grundmann_moller_integrate
 
 __all__ = [
     "ExpansionReport",
@@ -44,6 +44,8 @@ __all__ = [
     "dyson_exp",
     "dyson_terms_simplex",
 ]
+
+AD_SHELLS = 40  # last total-degree shell of the commutator series
 
 
 @dataclass
@@ -160,61 +162,47 @@ def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
     )
 
 
-def taylor_series_ad(f: HoloFunction, a, bs, order_cap: int) -> tuple[np.ndarray, np.ndarray]:
+def taylor_series_ad(f: HoloFunction, a, bs) -> tuple[np.ndarray, np.ndarray]:
     """Divided-difference pairing rewritten as both nested-commutator series.
 
     Returns ``(left, right)``: ``left`` sums (-1)^|alpha| f^(n+|alpha|)(a)
     ad^alpha(b) / alpha?! (derivative factor on the left, back-to-front
     denominators), ``right`` sums ad^alpha(b) f^(n+|alpha|)(a) / alpha!? with
     the derivative factor on the right.  ``ad^alpha(b)`` is the product of
-    iterated commutators ad_a^{alpha_j}(b_j).  Shells are total-degree
-    layers, up to ``order_cap``; each shell's matrix-argument derivative goes
-    once through the single-variable calculus, on one circle around the
-    spectrum of a sized for f, and serves both sums.  The
-    sums stop once both shells drop below 1e-14 of their running sums and
-    raise :class:`SeriesDiverging` after three consecutive shells whose
-    larger norm grew, or when shell ``order_cap`` passes without that stop.
+    iterated commutators ad_a^{alpha_j}(b_j), each table growing by one
+    commutator per shell.  Shells are total-degree layers s = 0, 1, ...,
+    ``AD_SHELLS``; each shell's matrix-argument derivative goes once through
+    the single-variable calculus, on one circle around the spectrum of a
+    sized for f, and serves both sums.  The running ``(left, right)`` after
+    each shell is one level of :func:`opcalc.quadrature._refine` at 1e-14,
+    its mass the sum of |term| over the terms so far, so a series that has
+    not settled by the last shell raises :class:`QuadratureNoConvergence`.
     """
     am = as_matrix(a)
     bs = [as_matrix(b, dim=am.shape[0]) for b in bs]
     n = len(bs)
-    c = contour_around(np.linalg.eigvals(am), f)
+    c = contour_around(np.linalg.eigvals(am), _handle(f, HoloFunction))
 
-    # iterated commutator tables ad_a^k(b_j), k = 0..order_cap
-    ad: list[list[np.ndarray]] = []
-    for b in bs:
-        row = [b]
-        for _ in range(order_cap):
-            row.append(commutator(am, row[-1]))
-        ad.append(row)
+    def levels():
+        ad = [[b] for b in bs]  # ad[j][k] = ad_a^k(b_j)
+        sums, mass = np.zeros((2, *am.shape), dtype=complex), 0.0  # (left, right)
+        for s in range(AD_SHELLS + 1):
+            deriv_mat = apply_function(f.deriv_function(n + s), am, c)
+            shell = np.zeros_like(sums)
+            for alpha in compositions(s, n):
+                prod = np.eye(am.shape[0], dtype=complex)
+                for j, k in enumerate(alpha):
+                    prod = prod @ ad[j][k]
+                fwd, bwd = bang_shriek(alpha)
+                term = np.stack([(-1.0) ** s * (deriv_mat @ prod) / bwd, (prod @ deriv_mat) / fwd])
+                shell = shell + term
+                mass += float(np.abs(term).sum())
+            sums = sums + shell
+            yield s, sums, mass
+            for row in ad:  # one more commutator each for the next shell
+                row.append(commutator(am, row[-1]))
 
-    left, right = np.zeros_like(am), np.zeros_like(am)
-    prev_mag = None
-    grows = 0
-    for s in range(order_cap + 1):
-        deriv_mat = apply_function(f.deriv_function(n + s), am, c)
-        shell_left, shell_right = np.zeros_like(am), np.zeros_like(am)
-        for alpha in compositions(s, n):
-            prod = np.eye(am.shape[0], dtype=complex)
-            for j, k in enumerate(alpha):
-                prod = prod @ ad[j][k]
-            fwd, bwd = bang_shriek(alpha)
-            shell_left = shell_left + (-1.0) ** s * (deriv_mat @ prod) / bwd
-            shell_right = shell_right + (prod @ deriv_mat) / fwd
-        left, right = left + shell_left, right + shell_right
-        mag_left, mag_right = opnorm(shell_left), opnorm(shell_right)
-        mag = max(mag_left, mag_right)
-        if prev_mag is not None and mag > prev_mag > 0:
-            grows += 1
-            if grows >= 3:
-                raise SeriesDiverging(f"shell norms grew for {grows} consecutive orders")
-        else:
-            grows = 0
-        prev_mag = mag
-        if (mag_left <= 1e-14 * max(opnorm(left), 1e-300)
-                and mag_right <= 1e-14 * max(opnorm(right), 1e-300)):
-            return left, right
-    raise SeriesDiverging(f"shells had not fallen below 1e-14 of their sums by order_cap {order_cap}")
+    return tuple(_refine(levels(), 1e-14)[1])
 
 
 def dyson_terms_simplex(a, b, N: int) -> tuple[list, np.ndarray]:

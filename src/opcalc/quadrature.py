@@ -23,8 +23,9 @@ Every circle of the contour calculus comes from :func:`contour_around`, a
 default circle built for a function is sized for it by the one rule of
 :func:`_widened` (the tensor grid's torus widens its circles together), and
 every refining rule (circle doubling, both simplex rules, Kronrod panel
-halving, and the tensor grid of ``funcalc.funcalc_n``) stops by the one rule
-of :func:`_refine`.
+halving, the tensor grid of ``funcalc.funcalc_n``, the Runge-Kutta reference
+of ``magnus`` and the commutator series of ``ncseries``) stops by the one
+rule of :func:`_refine`.
 
 All reductions run in a fixed order so repeated runs are bit-identical.
 """
@@ -40,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ContourViolation, InvalidInput, QuadratureNoConvergence
-from .functions import ENTIRE, HoloFunction
+from .functions import ENTIRE, HoloFunction, _handle
 
 __all__ = [
     "Contour",
@@ -149,8 +150,8 @@ def contour_around(points, f=None, contour=None) -> Contour:
     the handle's declared domain.  A default circle is checked before it
     widens, so widening never changes a refusal.
     """
-    if not (f is None or isinstance(f, HoloFunction)):
-        raise InvalidInput(f"a contour is built for a function handle, got {type(f).__name__}")
+    if f is not None:
+        _handle(f, HoloFunction)
     return _torus_around(f, [points], [ENTIRE if f is None else f.domain], [contour])[0]
 
 

@@ -146,6 +146,14 @@ class TestDDCommand:
         assert (code, out) == (2, "")
         assert "RE[,IM], both finite" in err
 
+    @pytest.mark.parametrize("name", ["rational:-1", "rational:2)", "rational:(1+s)^-2)",
+                                      "rational:(1+s)^-2", "rational:x"])
+    def test_rational_exponent_is_a_nonnegative_integer(self, name, capsys):
+        # the regex read 2) and (1+s)^-2) as rational:2, with exit 0
+        code, out, err = run_cli(["dd", "--f", name, "--nodes", "[[0,0],[0.5,0]]"], capsys)
+        assert (code, out) == (2, "")
+        assert f"malformed function name {name!r}" in err
+
     def test_format_is_a_magnus_flag(self, capsys):
         # only magnus has a CSV report; elsewhere --format is a usage error
         with pytest.raises(SystemExit) as exc:
@@ -755,6 +763,26 @@ class TestErrorPaths:
         want = magnus_solve(triangular_field(), 0.5, 0.1, 8)
         assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
+    @pytest.mark.parametrize("f", [None, np.exp], ids=["none", "bare-callable"])
+    @pytest.mark.parametrize("route", [
+        lambda f: opcalc.apply_function(f, np.eye(2)),
+        lambda f: dd_apply(f, [np.eye(2), 2 * np.eye(2)], [np.eye(2)]),
+        lambda f: dd_tensor(f, [np.eye(2), 2 * np.eye(2)]),
+        lambda f: dd_contour(f, [0.0, 1.0]),
+        lambda f: opcalc.dd_hermite(f, [0.0, 1.0]),
+        lambda f: opcalc.funcalc_n(f, [np.eye(2)]),
+        lambda f: opcalc.funcalc_elementary([f], [np.eye(2)], check_tol=1e-8),
+        lambda f: newton_interpolate(f, [np.eye(2), 2 * np.eye(2)]),
+        lambda f: newton_recursion_check(f, [np.eye(2), 2 * np.eye(2)], []),
+        lambda f: taylor_expand(f, np.eye(2), 0.1 * np.eye(2), N=2),
+        lambda f: opcalc.taylor_series_ad(f, np.eye(2), [np.eye(2)]),
+    ], ids=["apply-function", "dd-apply", "dd-tensor", "dd-contour", "dd-hermite",
+            "funcalc-n", "funcalc-elementary", "newton-interpolate", "newton-recursion",
+            "taylor-expand", "taylor-series-ad"])
+    def test_a_function_that_is_not_a_handle_is_refused(self, route, f):
+        with pytest.raises(InvalidInput, match="function handle"):
+            route(f)
+
     def test_kernel_arity(self):
         from opcalc import kernel_F
         from opcalc.errors import DecayViolation
@@ -1066,7 +1094,7 @@ class TestFunctionNames:
         assert named_function("resolvent:3,0")(1.0) == pytest.approx(0.5)
         assert named_function("resolvent:0,1")(0.0) == pytest.approx(-1j)
         assert named_function("rational:2")(1.0) == pytest.approx(0.25)
-        assert named_function("rational:(1+s)^-2")(1.0) == pytest.approx(0.25)
+        assert named_function("rational:0")(1.0) == 1.0
         with pytest.raises(ValueError):
             named_function("sinh")
 

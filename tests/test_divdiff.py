@@ -202,7 +202,7 @@ class TestHermite:
         with pytest.raises(InvalidInput, match="'bare' has no derivative handle"):
             dd_hermite(f, [0.1, 0.4, 0.8])
         with pytest.raises(InvalidInput, match="'bare' has no derivative handle"):
-            taylor_series_ad(f, 0.1 * np.eye(2), [np.eye(2)], order_cap=10)
+            taylor_series_ad(f, 0.1 * np.eye(2), [np.eye(2)])
         assert calls == []
         assert dd_hermite(f, [0.3]) == pytest.approx(np.exp(0.3))  # f itself, n = 0
 

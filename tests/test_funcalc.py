@@ -605,6 +605,29 @@ class TestDDApply:
         with pytest.raises(DimensionMismatch):
             bidiagonal(mats[:1], [np.eye(3)])
 
+    # a rational f of B is a rational expression in B, formed without a circle
+    @pytest.mark.parametrize("name, rational", [
+        ("pow:3", lambda big: np.linalg.matrix_power(big, 3)),
+        ("pow:-1", np.linalg.inv),
+        ("pow:-2", lambda big: np.linalg.matrix_power(np.linalg.inv(big), 2)),
+        ("resolvent:3,0", lambda big: np.linalg.inv(3.0 * np.eye(len(big)) - big)),
+        ("rational:2",
+         lambda big: np.linalg.matrix_power(np.linalg.inv(np.eye(len(big)) + big), 2)),
+    ])
+    def test_rational_f_is_a_block_of_the_rational_expression(self, name, rational):
+        # contour-free oracle: block (0, n) of f(B), B = bidiagonal(mats, bs),
+        # over 40 seeded pairings with spectra within 0.3 of 1.5
+        f = named_function(name)
+        worst = 0.0
+        for k in range(40):
+            d, n = 2 + k % 3, 1 + k // 3 % 3
+            mats = [1.5 * np.eye(d) + 0.3 * gen_matrix("random", d, 900 + 10 * k + j)
+                    for j in range(n + 1)]
+            bs = [0.5 * gen_matrix("random", d, 1400 + 10 * k + j) for j in range(n)]
+            want = rational(bidiagonal(mats, bs))[:d, -d:]
+            worst = max(worst, rel_err(dd_apply(f, mats, bs), want))
+        assert worst <= 1e-13
+
     def test_linearity_in_f(self):
         mats = [gen_matrix("random", 2, 35 + j) for j in range(2)]
         bs = [gen_matrix("random", 2, 40)]

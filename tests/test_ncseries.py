@@ -25,7 +25,7 @@ from opcalc import (
 )
 from opcalc import funcalc, ncseries
 from opcalc.core import as_matrix, eigen_decompose
-from opcalc.errors import ConvergenceThresholdExceeded, SeriesDiverging
+from opcalc.errors import ConvergenceThresholdExceeded, QuadratureNoConvergence
 from opcalc.quadrature import grundmann_moller_integrate
 
 EXP = exp_function()
@@ -208,7 +208,7 @@ class TestAdSeries:
         b1 = gen_matrix("random", 2, 80)
         b2 = gen_matrix("random", 2, 81)
         want = np.exp(c) / math.factorial(2) * (b1 @ b2)
-        for got in taylor_series_ad(EXP, a, [b1, b2], order_cap=10):
+        for got in taylor_series_ad(EXP, a, [b1, b2]):
             assert rel_err(got, want) <= 1e-12
 
     def test_polynomial_truncates_exactly(self):
@@ -216,14 +216,14 @@ class TestAdSeries:
         b = 0.3 * gen_matrix("random", 2, 83)
         f = power_function(3)
         want = dd_apply(f, [a, a], [b])
-        for got in taylor_series_ad(f, a, [b], order_cap=10):
+        for got in taylor_series_ad(f, a, [b]):
             assert rel_err(got, want) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_two_sides_and_direct(self, n):
         a = 0.4 * gen_matrix("random", 2, 84)
         bs = [0.4 * gen_matrix("random", 2, 85 + j) for j in range(n)]
-        left, right = taylor_series_ad(EXP, a, bs, order_cap=40)
+        left, right = taylor_series_ad(EXP, a, bs)
         direct = dd_apply(EXP, [a] * (n + 1), bs)
         scale = max(opnorm(direct), 1e-300)
         assert opnorm(left - right) / scale <= 1e-6
@@ -238,7 +238,7 @@ class TestAdSeries:
         k = ["left-f", "right-f"].index(side)
         total = np.zeros((2, 2), dtype=complex)
         for n in range(7):
-            total = total + taylor_series_ad(EXP, a, [b] * n, order_cap=40)[k]
+            total = total + taylor_series_ad(EXP, a, [b] * n)[k]
         target = matrix_exp(a + b)
         # truncation after order 6 leaves ~|b|^7 e / 7!
         assert rel_err(total, target) <= 5e-9
@@ -253,21 +253,31 @@ class TestAdSeries:
 
         monkeypatch.setattr(ncseries, "apply_function", counted)
         a = 0.4 * gen_matrix("random", 2, 84)
-        taylor_series_ad(EXP, a, [0.4 * gen_matrix("random", 2, 85)], order_cap=40)
+        taylor_series_ad(EXP, a, [0.4 * gen_matrix("random", 2, 85)])
         assert len(orders) > 3 and len(set(orders)) == len(orders)
 
-    def test_order_cap_reached_raises(self):
-        # a generic exp case needs 10-15 shells; two shells leave the series truncated
+    def test_last_shell_reached_raises(self, monkeypatch):
+        # a generic exp case needs 10-15 shells; shells 0..2 leave the series truncated
+        monkeypatch.setattr(ncseries, "AD_SHELLS", 2)
         a = 0.4 * gen_matrix("random", 2, 84)
-        with pytest.raises(SeriesDiverging, match="by order_cap 2"):
-            taylor_series_ad(EXP, a, [0.4 * gen_matrix("random", 2, 85)], order_cap=2)
+        with pytest.raises(QuadratureNoConvergence, match="up to size 2"):
+            taylor_series_ad(EXP, a, [0.4 * gen_matrix("random", 2, 85)])
 
-    def test_growing_shells_raise(self):
+    def test_shells_that_grow_then_fall_converge(self):
         # |ad_a^s(b)| = 8^s, so the shells e^4 8^s / (s+1)! grow up to s = 6
+        # and then fall; the pairing [a, a] exp (b) is the divided difference
+        # (e^4 - e^-4) / 8 off the diagonal
         a = np.diag([4.0, -4.0])
         b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(SeriesDiverging, match="grew for 3 consecutive orders"):
-            taylor_series_ad(EXP, a, [b], order_cap=40)
+        want = (np.exp(4.0) - np.exp(-4.0)) / 8.0 * b
+        for got in taylor_series_ad(EXP, a, [b]):
+            assert rel_err(got, want) <= 1e-11
+
+    def test_divergent_series_raises(self):
+        # |ad_a^s(b)| = 2^s and log^(1+s)(1) = (-1)^s s!, so the shells grow like 2^s / (s+1)
+        b = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(QuadratureNoConvergence, match="up to size 40"):
+            taylor_series_ad(named_function("log"), np.diag([1.0, 3.0]), [b])
 
 
 class TestCirclesSizedForTheFunction:
@@ -342,7 +352,7 @@ class TestCirclesSizedForTheFunction:
         np.fill_diagonal(dd, np.exp(lam))
         want = v @ (dd * (vinv @ b @ v)) @ vinv
         (wide, wide_nodes), (tight, tight_nodes) = self.both(
-            monkeypatch, lambda: taylor_series_ad(EXP, a, [b], order_cap=40))
+            monkeypatch, lambda: taylor_series_ad(EXP, a, [b]))
         assert wide_nodes < tight_nodes
         for got, ref in zip(wide, tight):
             assert rel_err(got, want) <= 10.0 * rel_err(ref, want)
