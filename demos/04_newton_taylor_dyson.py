@@ -2,7 +2,8 @@
 
 Matrix nodes do not commute, so the order of the increment factors matters
 and is preserved.  Every expansion is closed by an explicit remainder term,
-and partial sum + remainder must reproduce the target to quadrature accuracy.
+and partial sum + remainder must reproduce the target to rounding: all three
+are blocks of one f(B).
 """
 
 from opcalc import (

@@ -28,6 +28,7 @@ import numpy as np
 from . import divdiff, verify
 from .core import (
     _checked_json,
+    _field,
     _finite_number,
     _number_list,
     matrix_exp,
@@ -201,7 +202,8 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
         with open(args.job) as fh:
             job = json.load(fh)
     mode = _checked_json(job, dict, "a funcalc job").get("mode", "funcalc")
-    mats = [matrix_from_json(m) for m in _checked_json(job["matrices"], list, "job matrices")]
+    mats = [matrix_from_json(m)
+            for m in _checked_json(_field(job, "matrices", "a funcalc job"), list, "job matrices")]
     spec = _checked_json(job.get("contour", {"auto": True}), dict, "job contour")
     contour = None
     if not _checked_json(spec.get("auto", False), bool, "contour auto"):
@@ -210,11 +212,11 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
             raise InvalidInput(f"contour nodes {nodes} exceed {MAX_NODES // 2}, "
                                f"half of the {MAX_NODES} a circle refines to")
         contour = Contour(
-            _complex_from_json(spec["center"], "contour center"),
-            float(_finite_number(spec["radius"], "contour radius")),
+            _complex_from_json(_field(spec, "center", "job contour"), "contour center"),
+            float(_finite_number(_field(spec, "radius", "job contour"), "contour radius")),
             nodes,
         )
-    fnames = _checked_json(job["function"], (str, list), "job function")
+    fnames = _checked_json(_field(job, "function", "a funcalc job"), (str, list), "job function")
     names = [_checked_json(nm, str, "a function name")
              for nm in ([fnames] if isinstance(fnames, str) else fnames)]
     if not names:
@@ -248,7 +250,8 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
         results["slots"] = op.slots
     elif mode == "ddapply":
         f = named_function(names[0])
-        bs = [matrix_from_json(m) for m in _checked_json(job["b_matrices"], list, "job b_matrices")]
+        bs = [matrix_from_json(m) for m in _checked_json(_field(job, "b_matrices", "a funcalc job"),
+                                                         list, "job b_matrices")]
         value = dd_apply(f, mats, bs, contour, stats=stats)
         results["value"] = matrix_to_json(value)
         tensored = pair(dd_tensor(f, mats, contour), bs)
@@ -327,9 +330,9 @@ def _cmd_magnus(args, tol) -> tuple[dict, bool]:
         with open(args.field) as fh:
             samples = _checked_json(json.load(fh), dict, "a --field file")
         field = field_from_samples(
-            _number_list(samples["times"], "field times"),
-            [matrix_from_json(m) for m in _checked_json(samples["matrices"], list,
-                                                        "field matrices")],
+            _number_list(_field(samples, "times", "a --field file"), "field times"),
+            [matrix_from_json(m) for m in _checked_json(
+                _field(samples, "matrices", "a --field file"), list, "field matrices")],
         )
     else:
         field = builtin_field(args.field)
@@ -361,7 +364,10 @@ def _cmd_rearrange(args, tol) -> tuple[dict, bool]:
     # the kernel routes evaluate on every (p+1)-tuple of eigenvalues at once
     if dim ** (p + 1) > 4096:
         raise InvalidInput(f"kernel grid --dim^(--p + 1) = {dim ** (p + 1)} exceeds 4096")
-    qs = [int(q) for q in args.family.split(",")]
+    try:
+        qs = [int(q) for q in args.family.split(",")]
+    except ValueError:
+        raise InvalidInput(f"--family entries must be integers, got {args.family!r}") from None
     if len(qs) != p + 1:
         raise OpcalcError(f"--family needs p+1 = {p + 1} exponents")
     a = gen_matrix("hermitian", dim, args.seed)

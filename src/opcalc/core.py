@@ -180,6 +180,13 @@ def _checked_json(value, kind, what: str):
     return value
 
 
+def _field(obj: dict, key: str, what: str):
+    """``obj[key]``; a missing key is :class:`InvalidInput` naming it, not a bare KeyError."""
+    if key not in obj:
+        raise InvalidInput(f"{what} has no {key!r} field")
+    return obj[key]
+
+
 def _finite_number(value, what: str):
     """``value`` if it is a finite JSON number.  ``json.load`` also decodes
     NaN, the infinities and integers beyond the float range, which are refused
@@ -202,8 +209,9 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     A field of the wrong JSON type is :class:`InvalidInput`; a dim below 1 or
     an entry count other than dim^2 is :class:`DimensionMismatch`.
     """
-    d = _checked_json(_checked_json(obj, dict, "a matrix")["dim"], int, "matrix dim")
-    re = np.asarray(_number_list(obj["re"], "matrix re"), dtype=float)
+    d = _checked_json(_field(_checked_json(obj, dict, "a matrix"), "dim", "a matrix"), int,
+                      "matrix dim")
+    re = np.asarray(_number_list(_field(obj, "re", "a matrix"), "matrix re"), dtype=float)
     im = (np.asarray(_number_list(obj["im"], "matrix im"), dtype=float) if "im" in obj
           else np.zeros(re.size))
     if d < 1 or re.size != d * d or im.size != d * d:

@@ -74,10 +74,10 @@ def _require_distinct(xs: np.ndarray) -> None:
 
 
 def _node_values(f, x: np.ndarray) -> np.ndarray:
-    """A fresh array of f at the nodes; :class:`DomainViolation` where one is not
-    finite, as at a pole."""
+    """A fresh array of the handle f at the nodes (:class:`InvalidInput` for a
+    non-handle); :class:`DomainViolation` where one is not finite, as at a pole."""
     with np.errstate(all="ignore"):
-        fx = np.array(f(x), dtype=complex)
+        fx = np.array(_handle(f, HoloFunction)(x), dtype=complex)
     bad = np.flatnonzero(~np.isfinite(fx))
     if bad.size:
         raise DomainViolation(f"f is not finite at node {bad[0]} ({x[bad[0]]:g})")

@@ -120,30 +120,30 @@ def _spectrum(mats: Sequence) -> np.ndarray:
 
 
 def _resolvents(zeta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Stack of (zeta_k - a)^-1 over the contour nodes; for a stack of
-    matrices ``a``, one such stack per matrix, in one batched inverse."""
-    eye = np.eye(a.shape[-1], dtype=complex)
-    return np.linalg.inv(zeta[:, None, None] * eye - a[..., None, :, :])
+    """Stack of (zeta_k - a)^-1 over the contour nodes; for a stack of matrices
+    ``a``, one such stack per matrix, in one batched inverse.  A node where
+    zeta_k - a is singular is a :class:`ContourViolation` naming the node."""
+    shifted = zeta[:, None, None] * np.eye(a.shape[-1], dtype=complex) - a[..., None, :, :]
+    try:
+        return np.linalg.inv(shifted)
+    except np.linalg.LinAlgError:  # name the node of least |det| over the matrices
+        k = np.argmin(np.linalg.slogdet(shifted)[1].reshape(-1, len(zeta)).min(axis=0))
+        raise ContourViolation(f"singular resolvent at contour node {zeta[k]:.6g}") from None
 
 
 def apply_via_eig(f, m) -> np.ndarray:
     """Eigendecomposition route: V diag(f(w)) V^-1.
 
     Serves as the independent oracle for the contour route; raises
-    :class:`opcalc.errors.NonDiagonalizable` for defective input.
+    :class:`NonDiagonalizable` for defective input, :class:`InvalidInput` for a non-handle.
     """
     w, v, vinv = eigen_decompose(m)
-    fw = np.asarray(f(w), dtype=complex)
+    fw = np.asarray(_handle(f, HoloFunction)(w), dtype=complex)
     return (v * fw) @ vinv
 
 
-def apply_function(
-    f: HoloFunction,
-    m,
-    contour: Contour | None = None,
-    *,
-    stats: dict | None = None,
-) -> np.ndarray:
+def apply_function(f: HoloFunction, m, contour: Contour | None = None, *,
+                   stats: dict | None = None) -> np.ndarray:
     """f(m) by circle quadrature of f(z) (z - m)^-1: the one-slot :func:`dd_apply`."""
     return dd_apply(f, [m], [], contour, stats=stats)
 
@@ -339,23 +339,22 @@ def _block_array(fb: np.ndarray, count: int) -> np.ndarray:
     return fb.reshape(count, d, count, d).swapaxes(1, 2)
 
 
-def _f_bidiagonal(f, diag, sup, contour=None, *, stats=None) -> np.ndarray:
-    """f(B), B = ``bidiagonal(diag, sup)``, by circle quadrature of f(z) (z - B)^-1,
-    as the ``(n+1, n+1, d, d)`` block array of :func:`_block_array`.
+def _f_bidiagonal(f, diag, sup, c: Contour, *, stats=None) -> np.ndarray:
+    """f(B), B = ``bidiagonal(diag, sup)``, by circle quadrature of f(z) (z - B)^-1
+    on ``c``, as the ``(n+1, n+1, d, d)`` block array of :func:`_block_array`.
 
-    (z - B)^-1 is block upper triangular with block (i, j) equal to
-    R_i b_{i+1} R_{i+1} ... b_j R_j, R_i = (z - a_i)^-1, so block row i is
-    [R_i, (R_i b_{i+1}) row_{i+1}], filled from the last row up.  A node
-    batch takes one batched inverse of the distinct diagonal blocks (Taylor's
-    repeated a is inverted once), one product per factor b_{i+1} over all
-    nodes and one batched product per block row: O((n+1)^2 d^3) per node,
-    against O((n+1)^3 d^3) for inverting z - B whole.  The circle is built
-    around the diagonal blocks' spectra, not from the eigenvalues of B,
-    which is defective when blocks repeat.
+    The caller has built and checked ``c`` (:func:`opcalc.quadrature.contour_around`)
+    around the diagonal blocks' spectra, not B's (defective when blocks
+    repeat), for f's domain.  (z - B)^-1 is block upper triangular with block
+    (i, j) equal to R_i b_{i+1} R_{i+1} ... b_j R_j, R_i = (z - a_i)^-1, so
+    block row i is [R_i, (R_i b_{i+1}) row_{i+1}], filled from the last row
+    up.  A node batch takes one batched inverse of the distinct diagonal
+    blocks (Taylor's repeated a is inverted once), one product per factor
+    b_{i+1} over all nodes and one batched product per block row:
+    O((n+1)^2 d^3) per node, against O((n+1)^3 d^3) for inverting z - B whole.
     """
     ms, bs = _blocks(diag, sup)
     distinct, idx = _distinct(ms)
-    c = contour_around(_spectrum(ms), _handle(f, HoloFunction), contour)
     d = ms[0].shape[0]
     size = len(ms) * d
 
@@ -377,18 +376,15 @@ def _f_bidiagonal(f, diag, sup, contour=None, *, stats=None) -> np.ndarray:
     return _block_array(fb, len(ms))
 
 
-def dd_apply(
-    f: HoloFunction,
-    mats: Sequence,
-    bs: Sequence,
-    contour: Contour | None = None,
-    *,
-    stats: dict | None = None,
-) -> np.ndarray:
+def dd_apply(f: HoloFunction, mats: Sequence, bs: Sequence, contour: Contour | None = None, *,
+             stats: dict | None = None) -> np.ndarray:
     """Divided difference of a tuple paired with interleaved matrix factors.
 
     [a_0..a_n] f (b_1 ... b_n) is block (0, n) of f(``bidiagonal(mats, bs)``),
     so the d^(n+1) tensor operator is never built; equals
-    ``pair(dd_tensor(f, mats), bs)``.
+    ``pair(dd_tensor(f, mats), bs)``; its circle is checked here, by
+    :func:`opcalc.quadrature.contour_around`.
     """
-    return _f_bidiagonal(f, mats, bs, contour, stats=stats)[0, -1]
+    ms, bs = _blocks(mats, bs)
+    c = contour_around(_spectrum(ms), _handle(f, HoloFunction), contour)
+    return _f_bidiagonal(f, ms, bs, c, stats=stats)[0, -1]

@@ -2,20 +2,21 @@
 and the time-ordered (Dyson) expansion of the matrix exponential.
 
 Every divided-difference pairing, confluent or not, is a block of f of one
-block-bidiagonal matrix (:func:`opcalc.funcalc.bidiagonal`), evaluated on
-one contour and read by block index from the block array funcalc lays out;
-no limits are taken.  Its resolvent is built from the d x d
-resolvents R_i = (z - a_i)^-1, block (i, j) being R_i b_{i+1} ... b_j R_j,
-so the repeated a of a Taylor expansion costs one inverse per node.  A
-directional derivative of the matrix map of f needs no routine of its own:
-the n-th one at a in directions b_1..b_n is the confluent pairing
-[a, ..., a] f summed over the orderings of the b's
+block-bidiagonal matrix (:func:`opcalc.funcalc.bidiagonal`), and so is the
+target f(a_n), f(a + b) or exp(a + b): its last diagonal block (Opitz 1964).
+An expansion evaluates f(B) once, on one circle built and checked once, and
+reads every block it reports from the block array funcalc lays out; no
+limits are taken.  The resolvent of B is built from the d x d resolvents
+R_i = (z - a_i)^-1, so the repeated a of a Taylor expansion costs one
+inverse per node.  A directional derivative of the matrix map of f needs no
+routine of its own: the n-th one at a in directions b_1..b_n is the
+confluent pairing [a, ..., a] f summed over the orderings of the b's
 (:func:`opcalc.funcalc.dd_apply`).
 
 An expansion returns an :class:`ExpansionReport` of partial sums, remainder
-norms and an independently computed target, and passes no verdict: the
-caller judges the remainders against its own tolerance (the CLI report and
-the identity checks of :mod:`opcalc.verify`).
+norms and the target, and passes no verdict: the caller judges the
+remainders against its own tolerance (the CLI report and the identity
+checks of :mod:`opcalc.verify`).
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from .core import (as_matrices, as_matrix, commutator, eigen_decompose, matrix_e
                    stack_times)
 from .divdiff import bang_shriek, compositions
 from .errors import ConvergenceThresholdExceeded, InvalidInput
-from .funcalc import (_block_array, _f_bidiagonal, _resolvents, _spectrum, apply_function,
-                      bidiagonal, dd_apply)
+from .funcalc import _block_array, _f_bidiagonal, _resolvents, _spectrum, bidiagonal
 from .functions import HoloFunction, _handle
 from .quadrature import Contour, _refine, contour_around, grundmann_moller_integrate
 
@@ -50,7 +50,8 @@ AD_SHELLS = 40  # last total-degree shell of the commutator series
 
 @dataclass
 class ExpansionReport:
-    """Partial sums of an expansion next to an independently computed target."""
+    """Partial sums of an expansion next to its target, the last diagonal
+    block of the same f(B) that holds the terms."""
 
     partial_sums: list
     remainder_norms: list
@@ -82,15 +83,14 @@ def newton_interpolate(f: HoloFunction, mats, *,
     increment products (a_n - a_0)...(a_n - a_{j-1}); the matrices need not
     commute, so the factor order matters and is preserved.  Every term is a
     block of row 0 of one f(B), B = ``bidiagonal(a_0..a_n; a_n - a_0, ...,
-    a_n - a_{n-1})``.  The target f(a_n) comes from a separate quadrature of
-    the single-variable calculus.  Both use one circle, ``contour`` or by
-    default the circle around every node's spectrum sized for f
-    (:func:`opcalc.quadrature.contour_around`).
+    a_n - a_{n-1})``, and the target f(a_n) is its block (n, n).  The circle
+    is ``contour`` or by default the one around every node's spectrum sized
+    for f (:func:`opcalc.quadrature.contour_around`).
     """
     ms = as_matrices(mats)
-    c = contour_around(_spectrum(ms), f, contour)
+    c = contour_around(_spectrum(ms), _handle(f, HoloFunction), contour)
     fb = _f_bidiagonal(f, ms, [ms[-1] - m for m in ms[:-1]], c)
-    target = apply_function(f, ms[-1], c)
+    target = fb[-1, -1]
     partials = list(itertools.accumulate(fb[0]))
     norms = [opnorm(p - target) for p in partials]
     return ExpansionReport(partials, norms, target)
@@ -104,16 +104,18 @@ def newton_recursion_check(f: HoloFunction, mats, bs) -> float:
 
         ([a_0..a_{n-1}, a_{n+1}] - [a_0..a_n]) f (b_1...b_n)
         - [a_0..a_{n+1}] f (b_1...b_n (a_{n+1} - a_n)).
+
+    [a_0..a_n] and [a_0..a_{n+1}] are blocks (0, n) and (0, n + 1) of one f(B),
+    the swapped pairing a second one, on one circle around every node sized for f.
     """
     ms = as_matrices(mats)
     n = len(ms) - 2
     if n < 0 or len(bs) != n:
         raise InvalidInput("need n+2 nodes and n factors")
-    c = contour_around(_spectrum(ms), f)
-    swapped = ms[:n] + [ms[n + 1]]
-    lhs = dd_apply(f, swapped, bs, c) - dd_apply(f, ms[: n + 1], bs, c)
-    rhs = dd_apply(f, ms, list(bs) + [ms[n + 1] - ms[n]], c)
-    return opnorm(lhs - rhs)
+    c = contour_around(_spectrum(ms), _handle(f, HoloFunction))
+    fb = _f_bidiagonal(f, ms, list(bs) + [ms[n + 1] - ms[n]], c)
+    swapped = _f_bidiagonal(f, ms[:n] + [ms[n + 1]], bs, c)[0, -1]
+    return opnorm(swapped - fb[0, n] - fb[0, n + 1])
 
 
 def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
@@ -123,14 +125,14 @@ def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
     0..N.  The remainder after each order is recorded two ways: as the
     explicit mixed-node term with a + b in the last slot, and as the distance
     to the target f(a + b).  With B = ``bidiagonal(a, ..., a, a + b; b, ...,
-    b)`` (N + 2 blocks), term j is block (0, j) of one f(B) and the explicit
-    remainder after order j is block (N - j, N + 1); the target is a separate
-    quadrature.  Both integrate on the circle around the spectra of a and
-    a + b sized for f.  ``meta['c2']`` holds the resolvent sup of a on the
-    tight circle R0 = 1.1 s + 0.1 (1 + s) of those spectra, which the
-    geometric decay of the remainders is judged against; a perturbation
-    with c2 * |b| >= 1 is outside the guaranteed convergence region and
-    triggers a warning (the sums are still computed).
+    b)`` (N + 2 blocks), term j is block (0, j) of one f(B), the explicit
+    remainder after order j is block (N - j, N + 1) and the target is block
+    (N + 1, N + 1), on the circle around the spectra of a and a + b sized
+    for f.  ``meta['c2']`` holds the resolvent sup of a on the tight circle
+    R0 = 1.1 s + 0.1 (1 + s) of those spectra, which the geometric decay of
+    the remainders is judged against; a perturbation with c2 * |b| >= 1 is
+    outside the guaranteed convergence region and triggers a warning (the
+    sums are still computed).
     """
     if N < 0:
         raise InvalidInput(f"order N must be nonnegative, got {N}")
@@ -140,26 +142,18 @@ def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
     tight = contour_around(spectrum)
     c2 = float(np.max(np.linalg.norm(_resolvents(tight.points(128)[0], am), ord=2, axis=(1, 2))))
     if c2 * opnorm(bm) >= 1.0:
-        warnings.warn(
-            f"c2*|b| = {c2 * opnorm(bm):.3g} >= 1; remainder may not shrink",
-            ConvergenceThresholdExceeded,
-        )
-    c = contour_around(spectrum, f)
+        warnings.warn(f"c2*|b| = {c2 * opnorm(bm):.3g} >= 1; remainder may not shrink",
+                      ConvergenceThresholdExceeded)
+    c = contour_around(spectrum, _handle(f, HoloFunction))
     fb = _f_bidiagonal(f, [am] * (N + 1) + [am + bm], [bm] * (N + 1), c)
-    target = apply_function(f, am + bm, c)
+    target = fb[-1, -1]
     partials = list(itertools.accumulate(fb[0, :N + 1]))
     norms = [opnorm(target - p) for p in partials]
     rems = fb[N::-1, -1]
-    return ExpansionReport(
-        partials,
-        norms,
-        target,
-        meta={
-            "c2": c2,
-            "explicit_remainder_norms": [opnorm(r) for r in rems],
-            "identity_defects": [opnorm(p + r - target) for p, r in zip(partials, rems)],
-        },
-    )
+    return ExpansionReport(partials, norms, target, {
+        "c2": c2,
+        "explicit_remainder_norms": [opnorm(r) for r in rems],
+        "identity_defects": [opnorm(p + r - target) for p, r in zip(partials, rems)]})
 
 
 def taylor_series_ad(f: HoloFunction, a, bs) -> tuple[np.ndarray, np.ndarray]:
@@ -171,12 +165,13 @@ def taylor_series_ad(f: HoloFunction, a, bs) -> tuple[np.ndarray, np.ndarray]:
     the derivative factor on the right.  ``ad^alpha(b)`` is the product of
     iterated commutators ad_a^{alpha_j}(b_j), each table growing by one
     commutator per shell.  Shells are total-degree layers s = 0, 1, ...,
-    ``AD_SHELLS``; each shell's matrix-argument derivative goes once through
-    the single-variable calculus, on one circle around the spectrum of a
-    sized for f, and serves both sums.  The running ``(left, right)`` after
-    each shell is one level of :func:`opcalc.quadrature._refine` at 1e-14,
-    its mass the sum of |term| over the terms so far, so a series that has
-    not settled by the last shell raises :class:`QuadratureNoConvergence`.
+    ``AD_SHELLS``; each shell's matrix-argument derivative is integrated
+    once, on one circle around the spectrum of a checked once for f (whose
+    domain the derivatives keep), and serves both sums.  The running
+    ``(left, right)`` after each shell is one level of
+    :func:`opcalc.quadrature._refine` at 1e-14, its mass the sum of |term|
+    over the terms so far, so a series that has not settled by the last
+    shell raises :class:`QuadratureNoConvergence`.
     """
     am = as_matrix(a)
     bs = [as_matrix(b, dim=am.shape[0]) for b in bs]
@@ -187,7 +182,7 @@ def taylor_series_ad(f: HoloFunction, a, bs) -> tuple[np.ndarray, np.ndarray]:
         ad = [[b] for b in bs]  # ad[j][k] = ad_a^k(b_j)
         sums, mass = np.zeros((2, *am.shape), dtype=complex), 0.0  # (left, right)
         for s in range(AD_SHELLS + 1):
-            deriv_mat = apply_function(f.deriv_function(n + s), am, c)
+            deriv_mat = _f_bidiagonal(f.deriv_function(n + s), [am], [], c)[0, 0]
             shell = np.zeros_like(sums)
             for alpha in compositions(s, n):
                 prod = np.eye(am.shape[0], dtype=complex)
@@ -256,29 +251,23 @@ def dyson_exp(a, b, N: int) -> ExpansionReport:
     the order-(N+1) integral whose last factor is exp(s_{N+1} (a + b)).  All
     of them are blocks of one exponential (Van Loan 1978): with B the
     block-bidiagonal matrix holding a, ..., a, a + b (N + 2 blocks) on the
-    diagonal and b on the superdiagonal, term n is block (0, n) of exp(B) and
-    the remainder is block (0, N + 1).  The report records, per order, the
-    distance of the partial sum to exp(a + b); ``meta`` holds the remainder
-    norm and the defect of partial + remainder = target, an identity up to
-    rounding.  :func:`dyson_terms_simplex` evaluates the same integrals by
-    simplex quadrature and serves as the ``verify-all`` oracle.
+    diagonal and b on the superdiagonal, term n is block (0, n) of exp(B),
+    the remainder is block (0, N + 1) and the target exp(a + b) is block
+    (N + 1, N + 1).  The report records, per order, the distance of the
+    partial sum to the target; ``meta`` holds the remainder norm and the
+    defect of partial + remainder = target, an identity up to rounding.
+    :func:`dyson_terms_simplex` evaluates the same integrals by simplex
+    quadrature and serves as the ``verify-all`` oracle.
     """
     if N < 0:
         raise InvalidInput(f"order N must be nonnegative, got {N}")
     am = as_matrix(a)
     bm = as_matrix(b, dim=am.shape[0])
-    target = matrix_exp(am + bm)
     eb = _block_array(matrix_exp(bidiagonal([am] * (N + 1) + [am + bm], [bm] * (N + 1))), N + 2)
+    target = eb[-1, -1]
     partials = list(itertools.accumulate(eb[0, :N + 1]))
     norms = [opnorm(target - p) for p in partials]
     remainder = eb[0, -1]
-    defect = opnorm(partials[-1] + remainder - target)
-    return ExpansionReport(
-        partials,
-        norms,
-        target,
-        meta={
-            "exact_remainder_norm": opnorm(remainder),
-            "identity_defect": defect,
-        },
-    )
+    return ExpansionReport(partials, norms, target, {
+        "exact_remainder_norm": opnorm(remainder),
+        "identity_defect": opnorm(partials[-1] + remainder - target)})

@@ -776,9 +776,13 @@ class TestErrorPaths:
         lambda f: newton_recursion_check(f, [np.eye(2), 2 * np.eye(2)], []),
         lambda f: taylor_expand(f, np.eye(2), 0.1 * np.eye(2), N=2),
         lambda f: opcalc.taylor_series_ad(f, np.eye(2), [np.eye(2)]),
+        lambda f: opcalc.dd_recursive(f, [0.0, 1.0]),
+        lambda f: opcalc.dd_explicit(f, [0.0, 1.0]),
+        lambda f: opcalc.apply_via_eig(f, np.eye(2)),
     ], ids=["apply-function", "dd-apply", "dd-tensor", "dd-contour", "dd-hermite",
             "funcalc-n", "funcalc-elementary", "newton-interpolate", "newton-recursion",
-            "taylor-expand", "taylor-series-ad"])
+            "taylor-expand", "taylor-series-ad", "dd-recursive", "dd-explicit",
+            "apply-via-eig"])
     def test_a_function_that_is_not_a_handle_is_refused(self, route, f):
         with pytest.raises(InvalidInput, match="function handle"):
             route(f)
@@ -967,6 +971,39 @@ class TestMalformedInput:
     def test_magnus_field_file(self, samples, tmp_path, capsys):
         path = _write_json(tmp_path, samples)
         self._refused(*run_cli(["magnus", "--field", path, "--format", "json"], capsys))
+
+    _FUNCALC = ["funcalc", "--job"]
+    _FIELD = ["magnus", "--format", "json", "--field"]
+
+    @pytest.mark.parametrize("argv, content, named", [
+        (["rearrange", "--family", "1,x"], None, "--family entries must be integers"),
+        (["rearrange", "--family", "1,1.5"], None, "--family entries must be integers"),
+        (_FUNCALC, {"function": "exp"}, "funcalc job has no 'matrices' field"),
+        (_FUNCALC, {"matrices": [_MATRIX]}, "funcalc job has no 'function' field"),
+        (_FUNCALC, {"function": "exp", "mode": "ddapply", "matrices": [_MATRIX, _MATRIX]},
+         "funcalc job has no 'b_matrices' field"),
+        (_FUNCALC, {"function": "exp", "matrices": [_MATRIX],
+                    "contour": {"auto": False, "radius": 1.0}}, "contour has no 'center' field"),
+        (_FUNCALC, {"function": "exp", "matrices": [_MATRIX],
+                    "contour": {"auto": False, "center": [0.5, 0.0]}},
+         "contour has no 'radius' field"),
+        (_FIELD, {"matrices": [_MATRIX, _MATRIX]}, "--field file has no 'times' field"),
+        (_FIELD, {"times": [0.0, 1.0]}, "--field file has no 'matrices' field"),
+        (_FUNCALC, {"function": "exp", "matrices": [{"re": [0.5]}]},
+         "matrix has no 'dim' field"),
+        (_FUNCALC, {"function": "exp", "matrices": [{"dim": 1}]}, "matrix has no 're' field"),
+    ], ids=["family-letter", "family-float", "job-matrices", "job-function", "job-b-matrices",
+            "contour-center", "contour-radius", "field-times", "field-matrices", "matrix-dim",
+            "matrix-re"])
+    def test_a_missing_or_malformed_field_is_named(self, argv, content, named, tmp_path,
+                                                   capsys):
+        # a typed InvalidInput that names the field, not a bare KeyError's
+        # "error: 'matrices'" or int()'s "invalid literal"
+        if content is not None:
+            argv = argv + [_write_json(tmp_path, content)]
+        code, out, err = run_cli(argv, capsys)
+        self._refused(code, out, err)
+        assert err.count("\n") == 1 and named in err
 
 
 # Bounded JSON for the property tests below: numbers in [-4, 4] exercise

@@ -23,7 +23,7 @@ from opcalc import (
     taylor_expand,
     taylor_series_ad,
 )
-from opcalc import funcalc, ncseries
+from opcalc import funcalc, ncseries, quadrature
 from opcalc.core import as_matrix, eigen_decompose
 from opcalc.errors import ConvergenceThresholdExceeded, QuadratureNoConvergence
 from opcalc.quadrature import grundmann_moller_integrate
@@ -62,6 +62,20 @@ def quadratures(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def circle_checks(monkeypatch):
+    """The points of every circle ``contour_around`` builds and checks."""
+    calls = []
+    inner = quadrature._torus_around
+
+    def counting(f, point_sets, domains, contours):
+        calls.append(point_sets)
+        return inner(f, point_sets, domains, contours)
+
+    monkeypatch.setattr(quadrature, "_torus_around", counting)
+    return calls
+
+
 class TestNewton:
     def test_single_node_exact(self):
         a = gen_matrix("random", 3, 0)
@@ -87,12 +101,13 @@ class TestNewton:
         assert report.remainder_norms[-1] < report.remainder_norms[0]
 
     @pytest.mark.parametrize("n", [0, 1, 3, 6])
-    def test_two_quadratures_at_every_order(self, quadratures, n):
-        # every term from one f(B), the target from its own quadrature
+    def test_one_quadrature_at_every_order(self, quadratures, circle_checks, n):
+        # every term and the target f(a_n) from one f(B) on one checked circle
         mats = [gen_matrix("random", 2, 70 + j) for j in range(n + 1)]
         report = newton_interpolate(EXP, mats)
-        assert len(quadratures) == 2
+        assert len(quadratures) == 1 and len(circle_checks) == 1
         assert len(report.partial_sums) == n + 1
+        assert rel_err(report.target, apply_function(EXP, mats[-1])) <= 1e-13
 
 
 class TestNewtonRecursion:
@@ -113,6 +128,15 @@ class TestNewtonRecursion:
         mats = [gen_matrix("random", 2, 40 + j) for j in range(4)]
         bs = [gen_matrix("random", 2, 50 + j) for j in range(2)]
         assert newton_recursion_check(EXP, mats, bs) <= 1e-9
+
+    def test_two_quadratures_on_one_checked_circle(self, quadratures, circle_checks):
+        # [a_0..a_n] and [a_0..a_{n+1}] from one f(B), the swapped pairing
+        # from its own, on the circle checked once around every node
+        mats = [gen_matrix("random", 2, 40 + j) for j in range(4)]
+        bs = [gen_matrix("random", 2, 50 + j) for j in range(2)]
+        newton_recursion_check(EXP, mats, bs)
+        assert len(set(quadratures)) == 1 and len(quadratures) == 2
+        assert len(circle_checks) == 1
 
 
 class TestTaylor:
@@ -158,12 +182,13 @@ class TestTaylor:
             taylor_expand(EXP, a, b, N=1)
 
     @pytest.mark.parametrize("N", [0, 1, 4, 10])
-    def test_two_quadratures_at_every_order(self, quadratures, N):
-        # terms and explicit remainders from one f(B), the target from its own
+    def test_one_quadrature_at_every_order(self, quadratures, N):
+        # terms, explicit remainders and the target f(a + b) from one f(B)
         a = gen_matrix("random", 2, 80)
         b = 0.05 * gen_matrix("random", 2, 81)
         report = taylor_expand(EXP, a, b, N)
-        assert len(quadratures) == 2
+        assert len(quadratures) == 1
+        assert rel_err(report.target, apply_function(EXP, a + b)) <= 1e-13
         assert len(report.meta["explicit_remainder_norms"]) == N + 1
         assert max(report.meta["identity_defects"]) <= 1e-12 * opnorm(report.target)
 
@@ -243,18 +268,21 @@ class TestAdSeries:
         # truncation after order 6 leaves ~|b|^7 e / 7!
         assert rel_err(total, target) <= 5e-9
 
-    def test_one_derivative_quadrature_per_shell(self, monkeypatch):
-        # both sums read the same f^(n+s)(a): each derivative order is integrated once
+    def test_one_derivative_quadrature_per_shell(self, monkeypatch, circle_checks):
+        # both sums read the same f^(n+s)(a): each derivative order is
+        # integrated once, every one on the circle checked once for the series
         orders = []
+        inner = ncseries._f_bidiagonal
 
-        def counted(f, m, contour=None):
+        def counted(f, diag, sup, c):
             orders.append(f.name)
-            return apply_function(f, m, contour)
+            return inner(f, diag, sup, c)
 
-        monkeypatch.setattr(ncseries, "apply_function", counted)
+        monkeypatch.setattr(ncseries, "_f_bidiagonal", counted)
         a = 0.4 * gen_matrix("random", 2, 84)
         taylor_series_ad(EXP, a, [0.4 * gen_matrix("random", 2, 85)])
         assert len(orders) > 3 and len(set(orders)) == len(orders)
+        assert len(circle_checks) == 1
 
     def test_last_shell_reached_raises(self, monkeypatch):
         # a generic exp case needs 10-15 shells; shells 0..2 leave the series truncated
@@ -394,11 +422,15 @@ class TestDyson:
             report = dyson_exp(a, b, N=3)
             assert report.meta["identity_defect"] <= 1e-7 * opnorm(report.target)
 
-    def test_target_is_pade_exponential(self):
+    def test_target_is_pade_exponential(self, monkeypatch):
+        # the target is the corner block of the one exponential of B
         a = gen_matrix("random", 2, 99)
         b = 0.1 * gen_matrix("random", 2, 100)
+        calls = []
+        monkeypatch.setattr(ncseries, "matrix_exp", lambda m: calls.append(m) or matrix_exp(m))
         report = dyson_exp(a, b, N=2)
-        assert np.array_equal(report.target, matrix_exp(a + b))
+        assert len(calls) == 1
+        assert rel_err(report.target, matrix_exp(a + b)) <= 1e-14
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
