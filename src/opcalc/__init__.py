@@ -29,7 +29,6 @@ from .divdiff import (
     dd_hermite,
     dd_power,
     dd_recursive,
-    multinomial_identity,
     simplex_moment_s,
 )
 from .errors import OpcalcError

@@ -13,7 +13,9 @@ The four routes:
 Closed forms: powers of the identity (:func:`dd_power`), simplex power
 moments, and the partial-sum factorial products ``alpha!?`` / ``alpha?!``
 that show up as the denominators of the nested-commutator series
-(:func:`opcalc.ncseries.taylor_series_ad`).
+(:func:`opcalc.ncseries.taylor_series_ad`).  :func:`multinomial_identity` checks
+one binomial-sum case; ``verify-all`` reads all cases of one beta off one
+convolution through its helpers, so it is not exported.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "dd_power",
     "simplex_moment_s",
     "bang_shriek",
-    "multinomial_identity",
     "compositions",
 ]
 
@@ -156,20 +157,40 @@ def dd_hermite(f: HoloFunction, xs, *, stats: dict | None = None) -> complex:
                                      n, stats=stats))
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int (a Python or numpy integer; :class:`InvalidInput`
+    naming ``name`` for anything else, a float included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All multi-indices in N^parts with given sum, in colex order."""
+    """All multi-indices in N^parts with given sum, in colex order.
+
+    ``total`` and ``parts`` must be nonnegative integers (:class:`InvalidInput`
+    naming the argument), checked when called, as is the cap on the count.
+    """
+    for value, name in ((total, "total"), (parts, "parts")):
+        if _integer(value, name) < 0:
+            raise InvalidInput(f"{name} must be nonnegative, got {value}")
+    count = math.comb(total + parts - 1, parts - 1) if parts else 1
+    if count > COMPOSITION_CAP:
+        raise OpcalcError(f"composition enumeration of {count} terms exceeds cap")
+    return _compositions(total, parts)
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     if parts == 0:
         if total == 0:
             yield ()
         return
-    count = math.comb(total + parts - 1, parts - 1)
-    if count > COMPOSITION_CAP:
-        raise OpcalcError(f"composition enumeration of {count} terms exceeds cap")
     if parts == 1:
         yield (total,)
         return
     for last in range(total + 1):
-        for head in compositions(total - last, parts - 1):
+        for head in _compositions(total - last, parts - 1):
             yield head + (last,)
 
 
@@ -178,8 +199,10 @@ def dd_power(xs, N: int) -> complex:
 
     Sum of node monomials of total degree N - n when N >= n, zero in the
     polynomial-degree gap 0 <= N < n, and the mirrored monomial sum divided
-    by the node product for N < 0 (all nodes nonzero).
+    by the node product for N < 0 (all nodes nonzero).  ``N`` must be an
+    integer (:class:`InvalidInput`).
     """
+    N = _integer(N, "N")
     x = _nodes(xs)
     n = x.size - 1
     if N < 0:
@@ -198,9 +221,12 @@ def dd_power(xs, N: int) -> complex:
 
 
 def _check_multiindex(alpha) -> tuple[int, ...]:
-    parts = tuple(alpha)
-    t = tuple(int(a) for a in parts)
-    if t != parts or any(a < 0 for a in t):
+    try:
+        parts = tuple(alpha)
+        t = tuple(map(int, parts))
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"a multi-index is a sequence of integers, got {alpha!r}") from None
+    if t != parts or min(t, default=0) < 0:
         raise InvalidInput(f"multi-index parts must be nonnegative integers, got {parts}")
     return t
 
@@ -240,6 +266,41 @@ def bang_shriek(alpha) -> tuple[float, float]:
     return float(fwd), float(bwd)
 
 
+def _multinomial_args(beta, m, mode: str) -> tuple[tuple[int, ...], int]:
+    """``beta`` and ``m`` of one case of :func:`multinomial_identity`, checked:
+    :class:`InvalidInput` for a bad multi-index, an empty one, an ``m`` that is
+    not an integer of at least ``|beta|``, or a mode other than "=" and "<="."""
+    b = _check_multiindex(beta)
+    if not b:
+        raise InvalidInput("beta needs one part or more")
+    m = _integer(m, "m")
+    if m < sum(b):
+        raise InvalidInput(f"m must be at least |beta| = {sum(b)}, got {m}")
+    if mode not in ("=", "<="):
+        raise InvalidInput(f"unknown mode {mode!r}")
+    return b, m
+
+
+def _multinomial_shells(b: tuple[int, ...], top: int) -> list[int]:
+    """Shells 0..top of the binomial sum of ``b``: coefficient g of the exact
+    integer convolution of the per-part sequences C(b_j + g, b_j).  Coefficient
+    g of a product of power series does not depend on where it is truncated,
+    so the shells of a smaller ``top`` are a prefix of these."""
+    shells = [1] + [0] * top
+    for bj in b:
+        part = [math.comb(bj + g, bj) for g in range(top + 1)]
+        shells = [sum(map(operator.mul, shells[:g + 1], part[g::-1])) for g in range(top + 1)]
+    return shells
+
+
+def _multinomial_closed(n: int, size: int, m: int, mode: str) -> int:
+    """The closed form of the binomial sum of an n-part beta with |beta| = size:
+    C(m+n-1, size+n-1) for mode "=", C(m+n, size+n) for "<="."""
+    if mode == "=":
+        return math.comb(m + n - 1, size + n - 1)
+    return math.comb(m + n, size + n)
+
+
 def multinomial_identity(beta, m: int, mode: str = "<=") -> tuple[int, int]:
     """Summed and closed-form values of the binomial-sum identities.
 
@@ -250,21 +311,12 @@ def multinomial_identity(beta, m: int, mode: str = "<=") -> tuple[int, int]:
     |alpha| = |beta| + g sums the product over the compositions gamma of g,
     which is coefficient g of the convolution of the per-part sequences
     C(beta_j + g, beta_j), g = 0..m - |beta|: one exact integer convolution
-    gives every shell, without enumerating compositions.
+    gives every shell, without enumerating compositions
+    (:func:`_multinomial_shells`), and :func:`_multinomial_closed` gives the
+    closed form.  A bad ``beta``, ``m`` or ``mode`` raises
+    :class:`InvalidInput` naming it.
     """
-    b = _check_multiindex(beta)
-    n = len(b)
-    if n == 0:
-        raise InvalidInput("beta needs one part or more")
-    if m < sum(b):
-        raise OpcalcError("m must be at least |beta|")
-    if mode not in ("=", "<="):
-        raise OpcalcError(f"unknown mode {mode!r}")
-    top = m - sum(b)
-    shells = [1] + [0] * top
-    for bj in b:
-        part = [math.comb(bj + g, bj) for g in range(top + 1)]
-        shells = [sum(map(operator.mul, shells[:g + 1], part[g::-1])) for g in range(top + 1)]
-    if mode == "=":
-        return shells[top], math.comb(m + n - 1, sum(b) + n - 1)
-    return sum(shells), math.comb(m + n, sum(b) + n)
+    b, m = _multinomial_args(beta, m, mode)
+    shells = _multinomial_shells(b, m - sum(b))
+    summed = shells[-1] if mode == "=" else sum(shells)
+    return summed, _multinomial_closed(len(b), sum(b), m, mode)

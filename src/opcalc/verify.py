@@ -157,39 +157,68 @@ def power_closed_form(closed, recursive, tol: dict) -> Residual:
     return _record("power-closed-form", abs(closed - recursive) / max(abs(closed), 1.0), tol)
 
 
-def _simplex_moment_integral(alpha) -> Fraction:
+def _moment_factor(e: int, a: int) -> tuple[int, int]:
+    """int_0^1 u^e (1 - u)^a du, exactly, as (numerator, denominator).
+
+    Expanding (1 - u)^a binomially makes it sum_i C(a, i) (-1)^i / (e + i + 1),
+    summed in integers over the common denominator lcm(e + 1, ..., e + a + 1).
+    """
+    lcm = math.lcm(*range(e + 1, e + a + 2))
+    return sum((-1) ** i * math.comb(a, i) * (lcm // (e + i + 1)) for i in range(a + 1)), lcm
+
+
+def _simplex_moment_integral(alpha, factor) -> Fraction:
     """The integral of s^alpha over the n-simplex, exactly, without its closed form.
 
     The map t_k = u_1 ... u_k of :func:`opcalc.quadrature.iter_simplex_rule`
     turns it into the product over k = 1..n of int_0^1 u^e (1 - u)^a du with
-    e = alpha_k + ... + alpha_n + n - k and a = alpha_{k-1}; expanding
-    (1 - u)^a binomially makes each factor sum_i C(a, i) (-1)^i / (e + i + 1),
-    summed in integers over the common denominator lcm(e + 1, ..., e + a + 1)
-    and reduced once at the end.
+    e = alpha_k + ... + alpha_n + n - k and a = alpha_{k-1}, each given by
+    ``factor(e, a)`` as :func:`_moment_factor` gives it (or by a table of its
+    values); the product is reduced once at the end.
     """
     n = len(alpha) - 1
     num = den = 1
     for k in range(1, n + 1):
-        e, a = sum(alpha[k:]) + n - k, alpha[k - 1]
-        lcm = math.lcm(*range(e + 1, e + a + 2))
-        num *= sum((-1) ** i * math.comb(a, i) * (lcm // (e + i + 1)) for i in range(a + 1))
-        den *= lcm
+        top, bottom = factor(sum(alpha[k:]) + n - k, alpha[k - 1])
+        num *= top
+        den *= bottom
     return Fraction(num, den)
+
+
+def _multinomial_readings(multinomials) -> list[tuple[int, int]]:
+    """The (summed, closed) pair of :func:`divdiff.multinomial_identity` for
+    each ``(beta, m, mode)`` triple, every triple checked and refused as that
+    function refuses it.  The triples of one beta share one convolution, up to
+    their largest m (see :func:`divdiff._multinomial_shells`): "=" reads
+    coefficient m - |beta|, "<=" the running sum up to it.
+    """
+    cases = [(*divdiff._multinomial_args(beta, m, mode), mode)
+             for beta, m, mode in multinomials]
+    tops = {}
+    for b, m, _ in cases:
+        tops[b] = max(tops.get(b, 0), m - sum(b))
+    shells = {b: divdiff._multinomial_shells(b, top) for b, top in tops.items()}
+    sums = {b: list(itertools.accumulate(s)) for b, s in shells.items()}
+    return [((shells if mode == "=" else sums)[b][m - sum(b)],
+             divdiff._multinomial_closed(len(b), sum(b), m, mode))
+            for b, m, mode in cases]
 
 
 def combinatorics_exactness(alphas, multinomials, tol: dict) -> Residual:
     """Count of exact identities that fail.
 
     ``alphas`` are compositions whose closed-form simplex moment
-    :func:`divdiff.simplex_moment_s` must equal the exact iterated integral;
-    ``multinomials`` are ``(beta, m, mode)`` triples of
-    :func:`divdiff.multinomial_identity`.
+    :func:`divdiff.simplex_moment_s` must equal the exact iterated integral
+    :func:`_simplex_moment_integral`; each of its one-dimensional factors is
+    summed once per call, in a table local to the call.  ``multinomials`` are
+    ``(beta, m, mode)`` triples of :func:`divdiff.multinomial_identity`, read
+    by :func:`_multinomial_readings` off one convolution per distinct beta.
+    Nothing is kept across calls, so every call does the same work.
     """
-    bad = sum(divdiff.simplex_moment_s(alpha) != _simplex_moment_integral(alpha)
+    factor = functools.cache(_moment_factor)
+    bad = sum(divdiff.simplex_moment_s(alpha) != _simplex_moment_integral(alpha, factor)
               for alpha in alphas)
-    for beta, m, mode in multinomials:
-        brute, closed = divdiff.multinomial_identity(beta, m, mode)
-        bad += brute != closed
+    bad += sum(summed != closed for summed, closed in _multinomial_readings(multinomials))
     return _record("simplex-moment-and-multinomial-exactness", float(bad), tol)
 
 

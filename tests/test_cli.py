@@ -657,7 +657,8 @@ class TestIdentityRegistry:
 
     def test_moment_integral_at_zero_is_simplex_volume(self):
         for n in range(5):
-            assert verify._simplex_moment_integral((0,) * (n + 1)) == Fraction(1, factorial(n))
+            assert verify._simplex_moment_integral(
+                (0,) * (n + 1), verify._moment_factor) == Fraction(1, factorial(n))
 
     def test_planted_wrong_moment_is_counted(self, monkeypatch):
         alphas = [(0, 0), (1, 2, 0), (2, 1, 1, 0)]
@@ -665,6 +666,55 @@ class TestIdentityRegistry:
         monkeypatch.setattr(verify.divdiff, "simplex_moment_s",
                             lambda a: closed(a) * (2 if a == (1, 2, 0) else 1))
         assert verify.combinatorics_exactness(alphas, [], TOL).value == 1.0
+
+    def test_planted_wrong_binomial_closed_form_is_counted(self, monkeypatch):
+        # (n, |beta|, m, mode) = (2, 3, 5, "=") is the second triple alone
+        triples = [((0,), 2, "<="), ((1, 2), 5, "="), ((1, 2), 5, "<="), ((2, 1, 0), 4, "=")]
+        closed = verify.divdiff._multinomial_closed
+        monkeypatch.setattr(verify.divdiff, "_multinomial_closed",
+                            lambda *key: closed(*key) + (key == (2, 3, 5, "=")))
+        assert verify.combinatorics_exactness([], triples, TOL).value == 1.0
+
+    def test_grouped_readings_are_the_identity_values(self, monkeypatch):
+        # every battery triple, read off its beta's one convolution, equals
+        # multinomial_identity's own value exactly, in either order of m
+        seen = []
+        monkeypatch.setattr(verify, "combinatorics_exactness",
+                            lambda alphas, multinomials, tol: seen.append((alphas, multinomials)))
+        verify.check_combinatorics(0, TOL)
+        alphas, triples = seen[0]
+        assert (len(alphas), len(triples), len({beta for beta, _, _ in triples})) == (784, 1492, 125)
+        want = [verify.divdiff.multinomial_identity(*t) for t in triples]
+        assert verify._multinomial_readings(triples) == want
+        assert verify._multinomial_readings(triples[::-1]) == want[::-1]
+
+    def test_one_convolution_per_beta_and_one_sum_per_factor_per_call(self, monkeypatch):
+        # 125 distinct beta and 49 distinct (e, a) factors per call, and
+        # nothing kept from one call to the next
+        counts = {"shells": 0, "factor": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(verify.divdiff, "_multinomial_shells",
+                            counted("shells", verify.divdiff._multinomial_shells))
+        monkeypatch.setattr(verify, "_moment_factor", counted("factor", verify._moment_factor))
+        for calls in (1, 2):
+            assert verify.check_combinatorics(0, TOL).value == 0.0
+            assert counts == {"shells": 125 * calls, "factor": 49 * calls}
+
+    @pytest.mark.parametrize("triple", [((1, 0), 2.5, "="), ((2, 2), 3, "<="),
+                                        ((1, 0), 2, "<"), ((), 3, "=")],
+                             ids=["m-fractional", "m-below-beta", "unknown-mode", "empty-beta"])
+    def test_a_bad_triple_is_refused_as_the_identity_refuses_it(self, triple):
+        with pytest.raises(InvalidInput) as grouped:
+            verify.combinatorics_exactness([], [((0,), 1, "="), triple], TOL)
+        with pytest.raises(InvalidInput) as single:
+            verify.divdiff.multinomial_identity(*triple)
+        assert str(grouped.value) == str(single.value)
 
 
 class TestErrorPaths:
@@ -687,7 +737,7 @@ class TestErrorPaths:
             list(compositions(400, 6))  # ~8e9 terms
 
     def test_multinomial_range(self):
-        from opcalc import multinomial_identity
+        from opcalc.divdiff import multinomial_identity
 
         with pytest.raises(OpcalcError):
             multinomial_identity((2, 2), 3, "<=")

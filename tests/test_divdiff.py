@@ -5,6 +5,7 @@ import sys
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,12 +26,12 @@ from opcalc import (
     exp_function,
     kernel_F,
     log_function,
-    multinomial_identity,
     power_function,
     resolvent_function,
     simplex_moment_s,
     taylor_series_ad,
 )
+from opcalc.divdiff import multinomial_identity
 from opcalc.quadrature import circle_points, contour_around, iter_simplex_rule
 from opcalc.errors import (
     CoincidentNodes,
@@ -374,22 +375,38 @@ class TestBangShriek:
         assert (fwd, bwd) == (rbwd, rfwd)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: simplex_moment_s((1.5, 2)),
-    lambda: simplex_moment_s((1, 2.5)),
-    lambda: simplex_moment_s(()),
-    lambda: bang_shriek((2, 0.5)),
-    lambda: multinomial_identity((1.5, 1), 4),
-    lambda: multinomial_identity((), 3, "="),
-    lambda: multinomial_identity((), 3, "<="),
-    lambda: kernel_F([1.5, 1], [1.0, 1.0]),
+@pytest.mark.parametrize("call, named", [
+    (lambda: simplex_moment_s((1.5, 2)), None),
+    (lambda: simplex_moment_s((1, 2.5)), None),
+    (lambda: simplex_moment_s(()), None),
+    (lambda: bang_shriek((2, 0.5)), None),
+    (lambda: multinomial_identity((1.5, 1), 4), None),
+    (lambda: multinomial_identity((), 3, "="), None),
+    (lambda: multinomial_identity((), 3, "<="), None),
+    (lambda: kernel_F([1.5, 1], [1.0, 1.0]), None),
+    (lambda: list(compositions(-3, 2)), "total"),
+    (lambda: list(compositions(2, -1)), "parts"),
+    (lambda: list(compositions(2.5, 2)), "total"),
+    (lambda: dd_power([0.5, 1.0], 2.5), "N"),
+    (lambda: dd_power([1.0, 2.0], 0.5), "N"),
+    (lambda: multinomial_identity((1, 0), 2.5, "="), "m"),
+    (lambda: multinomial_identity((2, 2), 3, "<="), "m"),
+    (lambda: multinomial_identity((1, 0), 2, "<"), "unknown mode"),
+    (lambda: multinomial_identity(("a",), 2), "a multi-index"),
 ], ids=["moment-fractional", "moment-exact-fractional", "moment-empty",
         "bang-shriek-fractional", "multinomial-fractional", "multinomial-empty-eq",
-        "multinomial-empty-le", "family-fractional"])
-def test_multiindex_inputs_refused_typed(call):
+        "multinomial-empty-le", "family-fractional", "compositions-negative-total",
+        "compositions-negative-parts", "compositions-fractional", "power-fractional",
+        "power-fractional-below-the-order",
+        "multinomial-fractional-m", "multinomial-m-below-beta", "multinomial-unknown-mode",
+        "multinomial-not-a-number"])
+def test_multiindex_inputs_refused_typed(call, named):
     # a fractional part used to be truncated by int(), an empty one to end
-    # in a math domain error
-    with pytest.raises(InvalidInput):
+    # in a math domain error; a negative or fractional count, order or m
+    # ended in an untyped ValueError or TypeError from math.comb or list
+    # arithmetic (or, for z**0.5 on two nodes, in a silent 0), and the
+    # message names the argument
+    with pytest.raises(InvalidInput, match=named and f"^{named}"):
         call()
 
 
@@ -430,6 +447,36 @@ class TestMultinomial:
     def test_unknown_mode_is_refused(self):
         with pytest.raises(OpcalcError, match="unknown mode"):
             multinomial_identity((1, 0), 2, "<")
+
+
+class TestCloseNodesInTheValueRoutes:
+    """A known wrong answer: the difference-quotient recursion and the
+    symmetric sum refuse only nodes closer than 1e-8, yet lose every digit
+    at 1e-7.  Held against 60-digit mpmath; both fail today (strict: a mend
+    turns the case into a pass, or a refusal test)."""
+
+    NODES = [0.3, 0.3000001, 0.3 + 2e-7j, 0.2999999]
+
+    @classmethod
+    def exact(cls) -> complex:
+        # the symmetric sum in 60-digit arithmetic: 0.22497646792933 + 1.1249e-8i
+        with mpmath.workdps(60):
+            x = [mpmath.mpc(z) for z in cls.NODES]
+            return complex(mpmath.fsum(
+                mpmath.exp(xk) / mpmath.fprod(xk - xj for xj in x if xj is not xk)
+                for xk in x))
+
+    def test_simplex_route_agrees_with_the_high_precision_value(self):
+        want = self.exact()
+        assert abs(dd_hermite(EXP, self.NODES) - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="nodes 1e-7 apart pass the 1e-8 gate; the recursion returns "
+                              "-13219.8 - 22204.5i and the symmetric sum -16384 - 65536i")
+    def test_recursion_and_symmetric_sum_at_nodes_1e_7_apart(self):
+        want = self.exact()
+        assert abs(dd_recursive(EXP, self.NODES) - want) <= 1e-8 * abs(want)
+        assert abs(dd_explicit(EXP, self.NODES) - want) <= 1e-8 * abs(want)
 
 
 class TestNearCoincidence:

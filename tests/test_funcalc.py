@@ -815,6 +815,20 @@ class TestCirclesAroundASingularity:
         assert rel_err(apply_function(named_function("log"), m), want) <= 1e-10
 
 
+class TestLevelAcceptedOnItsRoundOffFloor:
+    """A known wrong answer: on diag(300, 1) the circle's refinement accepts a
+    level whose difference (2.2e-3 of the value) is below its round-off floor,
+    which the e^300 entry sets far above the e^1 entry.  Held against the
+    exact value; fails today (strict: a mend turns it into a pass, or a
+    refusal test)."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the e^1 entry reads -2.578e127 + 6.32e126i")
+    def test_exp_of_a_diagonal_with_a_wide_spectrum(self):
+        value = apply_function(exp_function(), np.diag([300.0, 1.0]))[1, 1]
+        assert abs(value - math.e) <= 1e-10 * math.e
+
+
 class TestDaletskiKrein:
     """Contour-free oracle for pairings: for diagonalisable a_0 = V diag(lam) V^-1
     and a_1 = W diag(mu) W^-1, [a_0, a_1] f (b) = V ((V^-1 b W) o D) W^-1 with
