@@ -4,8 +4,10 @@ Subcommands: ``dd``, ``funcalc``, ``newton``, ``taylor``, ``dyson``,
 ``magnus``, ``rearrange``, ``verify-all``, ``gen``.  Reports are JSON (CSV for
 time/decay series); every checked residual is a record of the identity
 registry in ``opcalc.verify``, reported with the tolerance it was held to, and
-the exit status is 0 only if all residuals pass (1 on residual failure, 2 on
-input errors).
+the exit status is 0 only if all residuals pass: 1 on residual failure (a
+``FAIL`` line each), 2 on an input error (an ``OpcalcError``, a file that
+cannot be read, or one that is not JSON or not UTF-8; one ``error:`` line),
+and 3 on any other exception, which is a bug (one ``internal error:`` line).
 
 Reports contain no timestamps or timings unless ``--timings`` is passed, so
 identical job specs and seeds produce byte-identical output.  :func:`_dumps`
@@ -178,12 +180,10 @@ def _cmd_dd(args, tol) -> tuple[dict, bool]:
                 values[m] = divdiff.dd_contour(f, xs, stats=stats)
             elif m == "hermite":
                 values[m] = divdiff.dd_hermite(f, xs, stats=stats)
-            elif m == "power":
+            else:  # power, the one other --method choice
                 if not args.f.startswith("pow:"):
-                    raise OpcalcError("--method power needs --f pow:N")
+                    raise InvalidInput("--method power needs --f pow:N")
                 values[m] = divdiff.dd_power(xs, int(args.f.split(":")[1]))
-            else:
-                raise OpcalcError(f"unknown method {m!r}")
         except OpcalcError as exc:
             if args.method != "all":
                 raise
@@ -235,7 +235,7 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
                 results["oracle"] = "matrix not diagonalizable; contour value only"
         else:
             if len(names) != len(mats):
-                raise OpcalcError("need one function name per matrix")
+                raise InvalidInput("need one function name per matrix")
             fs = [named_function(nm) for nm in names]
             tup = CommutingTuple(mats)
             cs = None if contour is None else [contour] * len(mats)
@@ -257,7 +257,7 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
         tensored = pair(dd_tensor(f, mats, contour), bs)
         residuals.append(verify.pairing_consistency(value, tensored, tol))
     else:
-        raise OpcalcError(f"unknown mode {mode!r}")
+        raise InvalidInput(f"unknown mode {mode!r}")
     return _report(args, {"job": job}, results, residuals, stats)
 
 
@@ -369,7 +369,7 @@ def _cmd_rearrange(args, tol) -> tuple[dict, bool]:
     except ValueError:
         raise InvalidInput(f"--family entries must be integers, got {args.family!r}") from None
     if len(qs) != p + 1:
-        raise OpcalcError(f"--family needs p+1 = {p + 1} exponents")
+        raise InvalidInput(f"--family needs p+1 = {p + 1} exponents")
     a = gen_matrix("hermitian", dim, args.seed)
     A = matrix_exp(a)
     bs = [gen_matrix("random", dim, args.seed + 1 + j) for j in range(p)]
@@ -506,7 +506,7 @@ def _apply_config(argv: list[str]) -> list[str]:
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
+        raise InvalidInput(f"config file {path} must hold a JSON object")
     inserts: list[str] = []
     for key, value in cfg.items():
         flag = "--" + str(key).replace("_", "-")
@@ -518,25 +518,28 @@ def _apply_config(argv: list[str]) -> list[str]:
     return argv[:1] + inserts + argv[1:]
 
 
+# What an input error raises: a typed refusal, a file that cannot be opened,
+# or one that is not JSON or not UTF-8.  Anything else is a bug (exit 3).
+_INPUT_ERRORS = (OpcalcError, OSError, json.JSONDecodeError, UnicodeDecodeError)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        argv = _apply_config(argv)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    args = build_parser().parse_args(argv)
-    handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
-    t0 = time.perf_counter()
-    try:
+        args = build_parser().parse_args(_apply_config(argv))
+        handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
+        t0 = time.perf_counter()
         report, ok = handler(args, verify.tolerances(args.tol_scale))
-    except (OpcalcError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        if args.subcommand != "magnus" or args.format == "json":
+            if args.timings:
+                report["timings"] = {"wall_seconds": time.perf_counter() - t0}
+            _write(_dumps(report) + "\n", args.output)
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.subcommand != "magnus" or args.format == "json":
-        if args.timings:
-            report["timings"] = {"wall_seconds": time.perf_counter() - t0}
-        _write(_dumps(report) + "\n", args.output)
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return 0 if ok else 1
 
 

@@ -13,13 +13,14 @@ The four routes:
 Closed forms: powers of the identity (:func:`dd_power`), simplex power
 moments, and the partial-sum factorial products ``alpha!?`` / ``alpha?!``
 that show up as the denominators of the nested-commutator series
-(:func:`opcalc.ncseries.taylor_series_ad`).  :func:`multinomial_identity` checks
-one binomial-sum case; ``verify-all`` reads all cases of one beta off one
-convolution through its helpers, so it is not exported.
+(:func:`opcalc.ncseries.taylor_series_ad`).  :func:`multinomial_identity` reads
+every binomial-sum case of one beta, up to a largest m, off one exact
+convolution; ``verify-all`` checks them through it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -47,6 +48,7 @@ __all__ = [
     "simplex_moment_s",
     "bang_shriek",
     "compositions",
+    "multinomial_identity",
 ]
 
 COMPOSITION_CAP = 10**6
@@ -55,7 +57,7 @@ COMPOSITION_CAP = 10**6
 def _nodes(xs) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(xs, dtype=complex))
     if arr.size == 0:
-        raise OpcalcError("node set must be non-empty")
+        raise InvalidInput("node set must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("nodes must be finite")
     return arr
@@ -177,7 +179,7 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             raise InvalidInput(f"{name} must be nonnegative, got {value}")
     count = math.comb(total + parts - 1, parts - 1) if parts else 1
     if count > COMPOSITION_CAP:
-        raise OpcalcError(f"composition enumeration of {count} terms exceeds cap")
+        raise InvalidInput(f"composition enumeration of {count} terms exceeds cap")
     return _compositions(total, parts)
 
 
@@ -266,57 +268,34 @@ def bang_shriek(alpha) -> tuple[float, float]:
     return float(fwd), float(bwd)
 
 
-def _multinomial_args(beta, m, mode: str) -> tuple[tuple[int, ...], int]:
-    """``beta`` and ``m`` of one case of :func:`multinomial_identity`, checked:
-    :class:`InvalidInput` for a bad multi-index, an empty one, an ``m`` that is
-    not an integer of at least ``|beta|``, or a mode other than "=" and "<="."""
+def multinomial_identity(beta, m_max: int) -> dict[int, tuple[tuple[int, int], tuple[int, int]]]:
+    """Summed and closed-form values of the binomial-sum identities, for every
+    m from |beta| to ``m_max``.
+
+    Row m is ``((shell, closed), (running, closed))``: ``shell`` sums
+    ``prod_j C(alpha_j, beta_j)`` over the multi-indices ``alpha >= beta`` with
+    ``|alpha| = m``, beside its closed form ``C(m+n-1, |beta|+n-1)``, and
+    ``running`` sums it over ``|alpha| <= m``, beside ``C(m+n, |beta|+n)``.
+    With alpha = beta + gamma, the shell |alpha| = |beta| + g sums the product
+    over the compositions gamma of g, which is coefficient g of the exact
+    integer convolution of the per-part sequences C(beta_j + g, beta_j),
+    g = 0..m_max - |beta|: one convolution gives every shell, without
+    enumerating compositions.  A bad multi-index, an empty one, or an
+    ``m_max`` that is not an integer of at least ``|beta|`` raises
+    :class:`InvalidInput`.
+    """
     b = _check_multiindex(beta)
     if not b:
         raise InvalidInput("beta needs one part or more")
-    m = _integer(m, "m")
-    if m < sum(b):
-        raise InvalidInput(f"m must be at least |beta| = {sum(b)}, got {m}")
-    if mode not in ("=", "<="):
-        raise InvalidInput(f"unknown mode {mode!r}")
-    return b, m
-
-
-def _multinomial_shells(b: tuple[int, ...], top: int) -> list[int]:
-    """Shells 0..top of the binomial sum of ``b``: coefficient g of the exact
-    integer convolution of the per-part sequences C(b_j + g, b_j).  Coefficient
-    g of a product of power series does not depend on where it is truncated,
-    so the shells of a smaller ``top`` are a prefix of these."""
+    m_max = _integer(m_max, "m_max")
+    n, size = len(b), sum(b)
+    if m_max < size:
+        raise InvalidInput(f"m_max must be at least |beta| = {size}, got {m_max}")
+    top = m_max - size
     shells = [1] + [0] * top
     for bj in b:
         part = [math.comb(bj + g, bj) for g in range(top + 1)]
         shells = [sum(map(operator.mul, shells[:g + 1], part[g::-1])) for g in range(top + 1)]
-    return shells
-
-
-def _multinomial_closed(n: int, size: int, m: int, mode: str) -> int:
-    """The closed form of the binomial sum of an n-part beta with |beta| = size:
-    C(m+n-1, size+n-1) for mode "=", C(m+n, size+n) for "<="."""
-    if mode == "=":
-        return math.comb(m + n - 1, size + n - 1)
-    return math.comb(m + n, size + n)
-
-
-def multinomial_identity(beta, m: int, mode: str = "<=") -> tuple[int, int]:
-    """Summed and closed-form values of the binomial-sum identities.
-
-    Sums ``prod_j C(alpha_j, beta_j)`` over all multi-indices ``alpha >= beta``
-    with ``|alpha| <= m`` (``mode="<="``) or ``|alpha| = m`` (``mode="="``),
-    and pairs the result with the closed forms ``C(m+n, |beta|+n)`` resp.
-    ``C(m+n-1, |beta|+n-1)``.  With alpha = beta + gamma, the shell
-    |alpha| = |beta| + g sums the product over the compositions gamma of g,
-    which is coefficient g of the convolution of the per-part sequences
-    C(beta_j + g, beta_j), g = 0..m - |beta|: one exact integer convolution
-    gives every shell, without enumerating compositions
-    (:func:`_multinomial_shells`), and :func:`_multinomial_closed` gives the
-    closed form.  A bad ``beta``, ``m`` or ``mode`` raises
-    :class:`InvalidInput` naming it.
-    """
-    b, m = _multinomial_args(beta, m, mode)
-    shells = _multinomial_shells(b, m - sum(b))
-    summed = shells[-1] if mode == "=" else sum(shells)
-    return summed, _multinomial_closed(len(b), sum(b), m, mode)
+    return {size + g: ((shell, math.comb(size + g + n - 1, size + n - 1)),
+                       (running, math.comb(size + g + n, size + n)))
+            for g, (shell, running) in enumerate(zip(shells, itertools.accumulate(shells)))}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import as_matrix, opnorm
-from .errors import OpcalcError
+from .errors import InvalidInput
 
 __all__ = ["gen_matrix", "KINDS"]
 
@@ -34,7 +34,7 @@ def gen_matrix(kind: str, dim: int, seed: int):
     the other kinds return a single matrix.
     """
     if dim > MAX_DIM or dim < 1:
-        raise OpcalcError(f"dimension must be 1..{MAX_DIM}")
+        raise InvalidInput(f"dimension must be 1..{MAX_DIM}")
     rng = np.random.default_rng(seed)
     if kind == "random":
         return _normalized(_complex_gaussian(rng, dim))
@@ -62,4 +62,4 @@ def gen_matrix(kind: str, dim: int, seed: int):
                 p = p @ h
             out.append(_normalized(as_matrix(m)))
         return tuple(out)
-    raise OpcalcError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    raise InvalidInput(f"unknown kind {kind!r}; expected one of {KINDS}")

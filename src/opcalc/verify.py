@@ -185,25 +185,6 @@ def _simplex_moment_integral(alpha, factor) -> Fraction:
     return Fraction(num, den)
 
 
-def _multinomial_readings(multinomials) -> list[tuple[int, int]]:
-    """The (summed, closed) pair of :func:`divdiff.multinomial_identity` for
-    each ``(beta, m, mode)`` triple, every triple checked and refused as that
-    function refuses it.  The triples of one beta share one convolution, up to
-    their largest m (see :func:`divdiff._multinomial_shells`): "=" reads
-    coefficient m - |beta|, "<=" the running sum up to it.
-    """
-    cases = [(*divdiff._multinomial_args(beta, m, mode), mode)
-             for beta, m, mode in multinomials]
-    tops = {}
-    for b, m, _ in cases:
-        tops[b] = max(tops.get(b, 0), m - sum(b))
-    shells = {b: divdiff._multinomial_shells(b, top) for b, top in tops.items()}
-    sums = {b: list(itertools.accumulate(s)) for b, s in shells.items()}
-    return [((shells if mode == "=" else sums)[b][m - sum(b)],
-             divdiff._multinomial_closed(len(b), sum(b), m, mode))
-            for b, m, mode in cases]
-
-
 def combinatorics_exactness(alphas, multinomials, tol: dict) -> Residual:
     """Count of exact identities that fail.
 
@@ -211,14 +192,18 @@ def combinatorics_exactness(alphas, multinomials, tol: dict) -> Residual:
     :func:`divdiff.simplex_moment_s` must equal the exact iterated integral
     :func:`_simplex_moment_integral`; each of its one-dimensional factors is
     summed once per call, in a table local to the call.  ``multinomials`` are
-    ``(beta, m, mode)`` triples of :func:`divdiff.multinomial_identity`, read
-    by :func:`_multinomial_readings` off one convolution per distinct beta.
-    Nothing is kept across calls, so every call does the same work.
+    ``(beta, m_max)`` pairs: each is one call of
+    :func:`divdiff.multinomial_identity`, one convolution, and every "=" and
+    "<=" value of its rows m = |beta|..m_max that differs from its closed form
+    counts once.  Nothing is kept across calls, so every call does the same
+    work.
     """
     factor = functools.cache(_moment_factor)
     bad = sum(divdiff.simplex_moment_s(alpha) != _simplex_moment_integral(alpha, factor)
               for alpha in alphas)
-    bad += sum(summed != closed for summed, closed in _multinomial_readings(multinomials))
+    bad += sum(summed != closed for beta, m_max in multinomials
+               for row in divdiff.multinomial_identity(beta, m_max).values()
+               for summed, closed in row)
     return _record("simplex-moment-and-multinomial-exactness", float(bad), tol)
 
 
@@ -379,11 +364,13 @@ def check_dd_closed_forms(seed: int, tol: dict) -> Residual:
 
 
 def check_combinatorics(seed: int, tol: dict) -> Residual:
+    """The 784 simplex moments with n <= 4 and |alpha| <= 6, and the 1492
+    binomial-sum cases (beta, m, mode) with n <= 4, |beta| <= 4 and m <= 8,
+    read by 125 calls ``multinomial_identity(beta, 8)``; the seed is unused."""
     alphas = [alpha for n in (1, 2, 3, 4) for total in range(0, 7)
               for alpha in divdiff.compositions(total, n + 1)]
-    multinomials = [(beta, m, mode) for n in (1, 2, 3, 4) for btot in range(0, 5)
-                    for beta in divdiff.compositions(btot, n)
-                    for m in range(btot, 9) for mode in ("<=", "=")]
+    multinomials = [(beta, 8) for n in (1, 2, 3, 4) for btot in range(0, 5)
+                    for beta in divdiff.compositions(btot, n)]
     return combinatorics_exactness(alphas, multinomials, tol)
 
 

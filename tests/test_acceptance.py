@@ -119,14 +119,9 @@ def test_criterion_2_closed_forms():
             worst = max(worst, power_closed_form(closed, via, TOL).value)
     alphas = [alpha for n in range(1, 5) for total in range(0, 7)
               for alpha in compositions(total, n + 1)]
-    multinomials = []
-    for n in range(1, 5):
-        for btot in range(0, 5):
-            for beta in compositions(btot, n):
-                multinomials += [(beta, m, "=") for m in range(btot, 9)]
-                multinomials.append((beta, 8, "<="))
-                if n <= 3:
-                    multinomials += [(beta, m, "<=") for m in range(btot, 8)]
+    # every m and both modes of a beta, up to m = 8, from one call
+    multinomials = [(beta, 8) for n in range(1, 5) for btot in range(0, 5)
+                    for beta in compositions(btot, n)]
     exact_failures = int(combinatorics_exactness(alphas, multinomials, TOL).value)
     worst = max(worst, float(exact_failures))
     finish(2, "closed forms and combinatorics", worst, 1e-10, t0, 2.0,

@@ -63,11 +63,11 @@ class TestGenMatrix:
         assert opnorm(a) == pytest.approx(1.0)
 
     def test_dim_cap(self):
-        with pytest.raises(OpcalcError):
+        with pytest.raises(InvalidInput, match="dimension"):
             gen_matrix("random", 9, 0)
 
     def test_unknown_kind(self):
-        with pytest.raises(OpcalcError):
+        with pytest.raises(InvalidInput, match="unknown kind"):
             gen_matrix("sparse", 3, 0)
 
 
@@ -511,7 +511,9 @@ def _global_loads(node, local: frozenset, foreign: set, out: set) -> None:
 class TestReachability:
     def test_every_public_name_is_loaded_in_the_package(self):
         # a public name that only tests and demos load is library code no CLI
-        # subcommand or verify-all reaches: it must be loaded (read as a name
+        # subcommand or verify-all reaches: every name __init__ imports or an
+        # __all__ lists, and every top-level function and class of a module
+        # whose name has no leading underscore, must be loaded (read as a name
         # or an attribute) by a module of the package other than __init__,
         # outside its own top-level definition, and not where an enclosing
         # function binds the same name
@@ -524,6 +526,9 @@ class TestReachability:
                 if isinstance(node, ast.Assign) and any(
                         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                     public |= set(ast.literal_eval(node.value))
+                elif (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and not node.name.startswith("_")):
+                    public.add(node.name)
         loaded = set()
         for module, tree in trees.items():
             if module == "__init__.py":
@@ -668,30 +673,40 @@ class TestIdentityRegistry:
         assert verify.combinatorics_exactness(alphas, [], TOL).value == 1.0
 
     def test_planted_wrong_binomial_closed_form_is_counted(self, monkeypatch):
-        # (n, |beta|, m, mode) = (2, 3, 5, "=") is the second triple alone
-        triples = [((0,), 2, "<="), ((1, 2), 5, "="), ((1, 2), 5, "<="), ((2, 1, 0), 4, "=")]
-        closed = verify.divdiff._multinomial_closed
-        monkeypatch.setattr(verify.divdiff, "_multinomial_closed",
-                            lambda *key: closed(*key) + (key == (2, 3, 5, "=")))
-        assert verify.combinatorics_exactness([], triples, TOL).value == 1.0
+        # the "=" value of row m = 5 of beta = (1, 2) is off by one: one case
+        pairs = [((0,), 2), ((1, 2), 5), ((1, 2), 7), ((2, 1, 0), 4)]
+        identity = verify.divdiff.multinomial_identity
+
+        def planted(beta, m_max):
+            rows = identity(beta, m_max)
+            if (beta, m_max) == ((1, 2), 5):
+                (summed, closed), at_most = rows[5]
+                rows[5] = ((summed, closed + 1), at_most)
+            return rows
+
+        monkeypatch.setattr(verify.divdiff, "multinomial_identity", planted)
+        assert verify.combinatorics_exactness([], pairs, TOL).value == 1.0
 
     def test_grouped_readings_are_the_identity_values(self, monkeypatch):
-        # every battery triple, read off its beta's one convolution, equals
-        # multinomial_identity's own value exactly, in either order of m
+        # the battery reads every (beta, m, mode) case with n <= 4,
+        # |beta| <= 4 and m <= 8 through one call (beta, 8) per beta
         seen = []
         monkeypatch.setattr(verify, "combinatorics_exactness",
                             lambda alphas, multinomials, tol: seen.append((alphas, multinomials)))
         verify.check_combinatorics(0, TOL)
-        alphas, triples = seen[0]
-        assert (len(alphas), len(triples), len({beta for beta, _, _ in triples})) == (784, 1492, 125)
-        want = [verify.divdiff.multinomial_identity(*t) for t in triples]
-        assert verify._multinomial_readings(triples) == want
-        assert verify._multinomial_readings(triples[::-1]) == want[::-1]
+        alphas, pairs = seen[0]
+        assert (len(alphas), len(pairs), len({beta for beta, _ in pairs})) == (784, 125, 125)
+        assert {m_max for _, m_max in pairs} == {8}
+        cases = [value for beta, m_max in pairs
+                 for row in verify.divdiff.multinomial_identity(beta, m_max).values()
+                 for value in row]
+        assert len(cases) == 1492
+        assert all(summed == closed for summed, closed in cases)
 
     def test_one_convolution_per_beta_and_one_sum_per_factor_per_call(self, monkeypatch):
-        # 125 distinct beta and 49 distinct (e, a) factors per call, and
-        # nothing kept from one call to the next
-        counts = {"shells": 0, "factor": 0}
+        # 125 reader calls (one convolution each) and 49 distinct (e, a)
+        # factors per call, and nothing kept from one call to the next
+        counts = {"reader": 0, "factor": 0}
 
         def counted(name, fn):
             def call(*args):
@@ -699,21 +714,21 @@ class TestIdentityRegistry:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(verify.divdiff, "_multinomial_shells",
-                            counted("shells", verify.divdiff._multinomial_shells))
+        monkeypatch.setattr(verify.divdiff, "multinomial_identity",
+                            counted("reader", verify.divdiff.multinomial_identity))
         monkeypatch.setattr(verify, "_moment_factor", counted("factor", verify._moment_factor))
         for calls in (1, 2):
             assert verify.check_combinatorics(0, TOL).value == 0.0
-            assert counts == {"shells": 125 * calls, "factor": 49 * calls}
+            assert counts == {"reader": 125 * calls, "factor": 49 * calls}
 
-    @pytest.mark.parametrize("triple", [((1, 0), 2.5, "="), ((2, 2), 3, "<="),
-                                        ((1, 0), 2, "<"), ((), 3, "=")],
-                             ids=["m-fractional", "m-below-beta", "unknown-mode", "empty-beta"])
-    def test_a_bad_triple_is_refused_as_the_identity_refuses_it(self, triple):
+    @pytest.mark.parametrize("bad", [((1, 0), 2.5), ((2, 2), 3), ((), 3)],
+                             ids=["m-fractional", "m-below-beta", "empty-beta"])
+    def test_a_bad_triple_is_refused_as_the_identity_refuses_it(self, bad):
+        # a bad (beta, m_max) pair after a good one
         with pytest.raises(InvalidInput) as grouped:
-            verify.combinatorics_exactness([], [((0,), 1, "="), triple], TOL)
+            verify.combinatorics_exactness([], [((0,), 1), bad], TOL)
         with pytest.raises(InvalidInput) as single:
-            verify.divdiff.multinomial_identity(*triple)
+            verify.divdiff.multinomial_identity(*bad)
         assert str(grouped.value) == str(single.value)
 
 
@@ -733,14 +748,14 @@ class TestErrorPaths:
     def test_composition_cap(self):
         from opcalc import compositions
 
-        with pytest.raises(OpcalcError):
+        with pytest.raises(InvalidInput, match="exceeds cap"):
             list(compositions(400, 6))  # ~8e9 terms
 
     def test_multinomial_range(self):
         from opcalc.divdiff import multinomial_identity
 
         with pytest.raises(OpcalcError):
-            multinomial_identity((2, 2), 3, "<=")
+            multinomial_identity((2, 2), 3)
 
     def test_rhs_order_vs_table(self):
         from opcalc import magnus_rhs
@@ -968,8 +983,9 @@ class TestMalformedInput:
         ["rearrange", "--p", "6", "--dim", "3", "--family", ",".join(["1"] * 7)],
     ], ids=["newton", "taylor", "dyson", "gen", "rearrange-grid-p3-d8", "rearrange-grid-p5-d4",
             "rearrange-p6-d3"])
-    def test_sizes_at_their_bound_pass_it(self, argv, monkeypatch):
-        # the first matrix is asked for at the bound, and nothing is allocated
+    def test_sizes_at_their_bound_pass_it(self, argv, monkeypatch, capsys):
+        # the first matrix is asked for at the bound, and nothing is allocated;
+        # the patched call's exception is not an input error, so it exits 3
         made = []
 
         def gen_matrix(*args):
@@ -977,8 +993,8 @@ class TestMalformedInput:
             raise self._Made
 
         monkeypatch.setattr(cli, "gen_matrix", gen_matrix)
-        with pytest.raises(self._Made):
-            main(argv)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (3, "", "internal error: _Made: \n")
         assert made[0][1] == int(argv[argv.index("--dim") + 1])
 
     @pytest.mark.parametrize("argv", [
@@ -1076,8 +1092,8 @@ def _json_values(depth: int):
 
 
 def _exit_contract(argv) -> None:
-    """``main`` returns 0, 1 or 2, lets no exception out, and exits 1 only
-    with a FAIL line."""
+    """``main`` returns 0, 1 or 2 (never 3, a bug), lets no exception out,
+    and exits 1 only with a FAIL line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             np.errstate(all="ignore"), warnings.catch_warnings():
@@ -1218,6 +1234,8 @@ class TestConfigFile:
         code, out, err = run_cli(["newton", "--config", str(cfg)], capsys)
         assert code == 2
         assert out == "" and "JSON object" in err
+        with pytest.raises(InvalidInput, match="JSON object"):
+            cli._apply_config(["newton", "--config", str(cfg)])
 
     # Config values become flags in argv rather than parser defaults, so the
     # three properties below hold; set_defaults would lose each of them.
@@ -1237,6 +1255,61 @@ class TestConfigFile:
             main(["dd", "--config", str(cfg)])
         assert exc.value.code == 2
         assert next(iter(extra)) in capsys.readouterr().err
+
+
+class TestExitStatus:
+    """Exit 2 is an input error, typed as :class:`InvalidInput` where opcalc
+    refuses it; any other exception is a bug and exits 3."""
+
+    @pytest.mark.parametrize("argv, job, match", [
+        (["dd", "--f", "exp", "--nodes", "[]", "--method", "recursive"], None,
+         "node set must be non-empty"),
+        (["dd", "--f", "exp", "--nodes", "[[0,0],[1,0]]", "--method", "power"], None,
+         "--method power needs --f pow:N"),
+        (["funcalc"], {"function": ["exp", "exp", "exp"],
+                       "matrices": [matrix_to_json(np.eye(2))] * 2},
+         "need one function name per matrix"),
+        (["funcalc"], {"mode": "bogus", "function": "exp",
+                       "matrices": [matrix_to_json(np.eye(2))]}, "unknown mode"),
+        (["rearrange", "--p", "2", "--dim", "2", "--family", "1,1"], None,
+         "--family needs p\\+1"),
+        (["gen", "--kind", "random", "--dim", "0"], None, "dimension must be"),
+    ], ids=["dd-empty-nodes", "dd-power-without-pow", "funcalc-name-count",
+            "funcalc-unknown-mode", "rearrange-family-length", "gen-dimension"])
+    def test_handler_refusals_are_typed(self, argv, job, match, tmp_path, capsys):
+        if job is not None:
+            (tmp_path / "job.json").write_text(json.dumps(job))
+            argv = argv + ["--job", str(tmp_path / "job.json")]
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(InvalidInput, match=match):
+            getattr(cli, "_cmd_" + args.subcommand)(args, TOL)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_a_job_file_that_is_not_utf8_is_an_input_error(self, tmp_path, capsys):
+        job = tmp_path / "job.json"
+        job.write_bytes(b'{"function": "exp\xff"}')
+        code, out, err = run_cli(["funcalc", "--job", str(job)], capsys)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+    @pytest.mark.parametrize("bug", [ValueError("bad value"), KeyError("key")],
+                             ids=["value-error", "key-error"])
+    def test_a_library_bug_exits_3(self, bug, monkeypatch, capsys):
+        # a bare ValueError or KeyError from the library is a bug, and must
+        # not read as malformed input
+        def handler(args, tol):
+            raise bug
+
+        monkeypatch.setattr(cli, "_cmd_dd", handler)
+        code, out, err = run_cli(["dd", "--f", "exp", "--nodes", "[[0,0],[1,0]]"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"internal error: {type(bug).__name__}: ")
+        assert err.count("\n") == 1
+
+    def test_a_report_that_cannot_be_written_is_an_input_error(self, tmp_path, capsys):
+        code, out, err = run_cli(["gen", "--kind", "random", "--dim", "2", "--output",
+                                  str(tmp_path / "missing" / "report.json")], capsys)
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 class TestRepeatedCalls:

@@ -39,7 +39,6 @@ from opcalc.errors import (
     ContourViolation,
     DomainViolation,
     InvalidInput,
-    OpcalcError,
     QuadratureNoConvergence,
     ZeroNodeNegativePower,
 )
@@ -380,26 +379,24 @@ class TestBangShriek:
     (lambda: simplex_moment_s((1, 2.5)), None),
     (lambda: simplex_moment_s(()), None),
     (lambda: bang_shriek((2, 0.5)), None),
-    (lambda: multinomial_identity((1.5, 1), 4), None),
-    (lambda: multinomial_identity((), 3, "="), None),
-    (lambda: multinomial_identity((), 3, "<="), None),
+    (lambda: multinomial_identity((1.5, 1), 4), "multi-index parts"),
+    (lambda: multinomial_identity((), 3), "beta"),
+    (lambda: multinomial_identity((), 0), "beta"),
     (lambda: kernel_F([1.5, 1], [1.0, 1.0]), None),
     (lambda: list(compositions(-3, 2)), "total"),
     (lambda: list(compositions(2, -1)), "parts"),
     (lambda: list(compositions(2.5, 2)), "total"),
     (lambda: dd_power([0.5, 1.0], 2.5), "N"),
     (lambda: dd_power([1.0, 2.0], 0.5), "N"),
-    (lambda: multinomial_identity((1, 0), 2.5, "="), "m"),
-    (lambda: multinomial_identity((2, 2), 3, "<="), "m"),
-    (lambda: multinomial_identity((1, 0), 2, "<"), "unknown mode"),
+    (lambda: multinomial_identity((1, 0), 2.5), "m_max"),
+    (lambda: multinomial_identity((2, 2), 3), "m_max"),
     (lambda: multinomial_identity(("a",), 2), "a multi-index"),
 ], ids=["moment-fractional", "moment-exact-fractional", "moment-empty",
         "bang-shriek-fractional", "multinomial-fractional", "multinomial-empty-eq",
         "multinomial-empty-le", "family-fractional", "compositions-negative-total",
         "compositions-negative-parts", "compositions-fractional", "power-fractional",
         "power-fractional-below-the-order",
-        "multinomial-fractional-m", "multinomial-m-below-beta", "multinomial-unknown-mode",
-        "multinomial-not-a-number"])
+        "multinomial-fractional-m", "multinomial-m-below-beta", "multinomial-not-a-number"])
 def test_multiindex_inputs_refused_typed(call, named):
     # a fractional part used to be truncated by int(), an empty one to end
     # in a math domain error; a negative or fractional count, order or m
@@ -430,23 +427,22 @@ def enumerated_multinomial(beta, m, mode):
 
 class TestMultinomial:
     def test_frozen(self):
-        assert multinomial_identity((0,), 2, "<=") == (3, 3)
-        assert multinomial_identity((1,), 3, "<=") == (6, 6)
-        assert multinomial_identity((1, 0), 2, "=") == (3, 3)
+        # row m is (("=" sum, closed form), ("<=" sum, closed form))
+        assert multinomial_identity((0,), 2)[2][1] == (3, 3)
+        assert multinomial_identity((1,), 3)[3][1] == (6, 6)
+        assert multinomial_identity((1, 0), 2)[2][0] == (3, 3)
 
     def test_exhaustive(self):
-        # covers verify-all's range (n <= 4, |beta| <= 4, m <= 8) and beyond
+        # covers verify-all's range (n <= 4, |beta| <= 4, m <= 8) and beyond,
+        # every m of a beta from one call
         for n in range(1, 6):
             for btot in range(6):
                 for beta in compositions(btot, n):
-                    for m in range(btot, 11):
-                        for mode in ("<=", "="):
-                            summed, closed = multinomial_identity(beta, m, mode)
+                    rows = multinomial_identity(beta, 10)
+                    assert list(rows) == list(range(btot, 11))
+                    for m, row in rows.items():
+                        for mode, (summed, closed) in zip(("=", "<="), row):
                             assert summed == enumerated_multinomial(beta, m, mode) == closed
-
-    def test_unknown_mode_is_refused(self):
-        with pytest.raises(OpcalcError, match="unknown mode"):
-            multinomial_identity((1, 0), 2, "<")
 
 
 class TestCloseNodesInTheValueRoutes:

@@ -818,15 +818,23 @@ class TestCirclesAroundASingularity:
 class TestLevelAcceptedOnItsRoundOffFloor:
     """A known wrong answer: on diag(300, 1) the circle's refinement accepts a
     level whose difference (2.2e-3 of the value) is below its round-off floor,
-    which the e^300 entry sets far above the e^1 entry.  Held against the
-    exact value; fails today (strict: a mend turns it into a pass, or a
-    refusal test)."""
+    which the e^300 entry sets far above the e^1 entry; both entries are
+    wrong.  Held against the exact values; each fails today (strict: a mend
+    turns it into a pass, or a refusal test)."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the e^1 entry reads -2.578e127 + 6.32e126i")
     def test_exp_of_a_diagonal_with_a_wide_spectrum(self):
         value = apply_function(exp_function(), np.diag([300.0, 1.0]))[1, 1]
         assert abs(value - math.e) <= 1e-10 * math.e
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the e^300 entry reads (0.98681 + 0.00127i) e^300")
+    def test_exp_of_a_diagonal_with_a_wide_spectrum_dominant_entry(self):
+        # the accepted level is wrong in the entry that sets the floor too,
+        # so a gate on entries small beside the largest would not catch it
+        value = apply_function(exp_function(), np.diag([300.0, 1.0]))[0, 0]
+        assert abs(value / math.exp(300.0) - 1.0) <= 1e-10
 
 
 class TestDaletskiKrein:
