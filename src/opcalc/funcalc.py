@@ -63,7 +63,10 @@ __all__ = [
 MAX_ARITY = 4
 MAX_AXIS_NODES = 256
 RTOL = 1e-10  # relative agreement at which a contour quadrature here stops refining
-BLOCK = 1 << 22  # most grid points funcalc_n passes to f at once
+# Most grid points funcalc_n passes to f at once.  Sized to the cache, not to
+# memory: at three variables a block's values and the contraction's
+# temporaries trace 8.3 MB at their peak, where one 2^22-point block held 48 MB.
+BLOCK = 1 << 18
 ENTRIES = 1 << 23  # most integrand entries dd_tensor and dd_apply hold at once
 
 
@@ -154,10 +157,11 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
     One circle per variable; all axes double their trapezoid counts together
     (up to ``MAX_AXIS_NODES``, arity capped at 4) until two levels agree by
     the stopping rule of :func:`opcalc.quadrature._refine`.
-    Each level tiles the grid into blocks of at most ``BLOCK`` points,
-    evaluates f once per block on sparse axis grids and contracts the block
-    one axis at a time against the weighted resolvents, so three and four
-    variables cost time rather than memory.  ``f`` is a
+    Each level tiles the grid into blocks of at most ``BLOCK`` (2^18)
+    points, evaluates f once per block on sparse axis grids and contracts
+    the block one axis at a time against the weighted resolvents, so three
+    and four variables cost time rather than memory: a 128^3-point level
+    holds about 8 MB at once.  ``f`` is a
     :class:`MultivariateFunction` declaring one domain per matrix (another
     count raises :class:`InvalidInput`).  A circle given for an axis is
     kept; the default circles are widened together for f by the rule of

@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,6 +61,10 @@ _TINY = 1e-300
 MAX_NODES = 8192  # most trapezoid nodes a circle quadrature doubles to
 MAX_ORDER = 128  # largest per-axis Gauss-Legendre order a simplex level grows to
 POINT_BUDGET = 4_000_000  # most points of one simplex level, for either rule
+# Most simplex points one block holds, for either rule.  Sized to the cache,
+# not to memory: at n = 3 a block's coordinates are 512 kB, and a whole
+# dd_hermite walk traces 2.7 MB at its peak, where 2^18-point blocks held 38 MB.
+SIMPLEX_BLOCK = 1 << 14
 
 
 def _norm(x) -> float:
@@ -115,7 +120,11 @@ def _weighted_sum(fn, blocks):
 
 @dataclass(frozen=True)
 class Contour:
-    """Circular integration cycle: center, radius, starting trapezoid count."""
+    """Circular integration cycle: center, radius, starting trapezoid count.
+
+    The count is an integer (numpy's too), a power of two from 16 to
+    ``MAX_NODES // 2`` so that a second level can be compared with it.
+    """
 
     center: complex
     radius: float
@@ -126,7 +135,14 @@ class Contour:
             raise ContourViolation(f"contour center must be finite, got {self.center!r}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ContourViolation(f"contour radius must be finite and positive, got {self.radius!r}")
-        if self.nodes < 16 or self.nodes & (self.nodes - 1):
+        try:
+            nodes = operator.index(self.nodes)
+        except TypeError:
+            raise ContourViolation(f"contour nodes must be an integer, got {self.nodes!r}") from None
+        if nodes > MAX_NODES // 2:
+            raise ContourViolation(f"contour nodes {nodes} exceed {MAX_NODES // 2}, "
+                                   f"half of the {MAX_NODES} a circle refines to")
+        if nodes < 16 or nodes & (nodes - 1):
             raise ContourViolation("node count must be a power of two >= 16")
 
     def points(self, m: int):
@@ -304,7 +320,7 @@ def iter_simplex_rule(n: int, q: int):
     (nonnegative, summing to 1); w are the corresponding weights for the
     measure ds_1...ds_n, which integrate to 1/n! over the whole simplex.
     Points run in C order over the q^n axis nodes (axis 0 slowest), and a
-    chunk holds the next at most 2^18 of them.
+    chunk holds the next at most ``SIMPLEX_BLOCK`` (2^14) of them.
 
     A chunk is cut from whole rows of the trailing ``k`` axes (q^k <= 4096
     points each) under a short run of leading-axis prefixes.  The factors
@@ -317,7 +333,7 @@ def iter_simplex_rule(n: int, q: int):
         yield np.ones((1, 1)), np.ones(1)
         return
     x, w1 = gauss_legendre_01(q)
-    total, chunk = q**n, 1 << 18
+    total, chunk = q**n, SIMPLEX_BLOCK
     k = 1
     while k < n and q ** (k + 1) <= 4096:
         k += 1
@@ -394,11 +410,12 @@ def simplex_integrate(fn, n: int, *, stats: dict | None = None):
 
 
 def _gm_shell(n: int, k: int):
-    """``(S, w)`` blocks of at most 2^18 of the points (2 beta + 1) / (2k + n + 1),
-    beta in N^(n+1) with |beta| = k, each with weight 1.  beta is read off the
-    n bar positions of a stars-and-bars word of length n + k."""
+    """``(S, w)`` blocks of at most ``SIMPLEX_BLOCK`` of the points
+    (2 beta + 1) / (2k + n + 1), beta in N^(n+1) with |beta| = k, each with
+    weight 1.  beta is read off the n bar positions of a stars-and-bars word
+    of length n + k."""
     bars = itertools.combinations(range(n + k), n)
-    while block := list(itertools.islice(bars, 1 << 18)):
+    while block := list(itertools.islice(bars, SIMPLEX_BLOCK)):
         gaps = np.diff(np.array(block, dtype=float), axis=1, prepend=-1.0, append=n + k)
         yield (2.0 * gaps - 1.0) / (2 * k + n + 1), np.ones(len(block))
 

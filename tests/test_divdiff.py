@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -222,6 +223,22 @@ class TestHermite:
         want = dd_power(np.array(nodes), k)
         assert abs(got - want) <= 1e-12 * abs(want)
         assert stats["simplex_order"] < 128
+
+    def test_near_pole_walk_holds_one_cache_sized_block(self):
+        # the node set of the seed-1 calculus job that walks all eight orders
+        # up to 128 (2^21 points at the last) before it is refused; the walk
+        # holds one SIMPLEX_BLOCK of points and their temporaries at a time
+        # (2.7 MB traced), where 2^18-point blocks held 38 MB
+        nodes = [0.5015186499728225 + 0.2866899744830693j, 0.7192265377665075 + 0.28766955361410884j,
+                 -0.18970117734780456 + 0.530210129797077j, 0.04777957088050486 - 0.03759735177027058j]
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuadratureNoConvergence, match="up to size 128"):
+                dd_hermite(power_function(-3), nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_eight_nodes_refused_before_integrating(self):
         # the point budget leaves one simplex order at n = 7: no error estimate

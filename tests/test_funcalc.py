@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,34 @@ class TestContourType:
             Contour(0.0, 1.0, nodes=8)
         with pytest.raises(ContourViolation):
             Contour(0.0, 1.0, nodes=24)  # not a power of two
+
+    @pytest.mark.parametrize("nodes, match", [
+        (16.0, "contour nodes must be an integer, got 16.0"),
+        ("16", "contour nodes must be an integer"),
+        (np.float64(32.0), "contour nodes must be an integer"),
+        (8192, "contour nodes 8192 exceed 4096, half of the 8192 a circle refines to"),
+        (2**30, "contour nodes 1073741824 exceed 4096"),
+    ], ids=["float", "str", "numpy-float", "cap", "2^30"])
+    def test_node_count_refused_typed(self, nodes, match):
+        # 16.0 used to escape as an untyped TypeError, and 2^30 used to pass,
+        # leaving the first level to build 2^30 nodes
+        with pytest.raises(ContourViolation, match=match):
+            Contour(0.0, 2.0, nodes)
+
+    @pytest.mark.parametrize("nodes", [16.0, 8192])
+    def test_node_count_refused_before_the_integrand_is_called(self, nodes):
+        # 8192 used to pass, so one level of 8192 nodes was evaluated with no
+        # second level to compare it with
+        calls = []
+        with pytest.raises(ContourViolation, match="contour nodes"):
+            apply_function(counting(EXP, calls), np.eye(2), Contour(0.0, 2.0, nodes))
+        assert calls == []
+
+    @pytest.mark.parametrize("nodes", [np.int64(32), np.int32(4096), 4096])
+    def test_integer_node_counts_up_to_half_the_cap(self, nodes):
+        a = np.diag([0.25, -0.5])
+        got = apply_function(EXP, a, Contour(0.0, 2.0, nodes))
+        assert rel_err(got, np.diag(np.exp([0.25, -0.5]))) <= 1e-12
 
     def test_contour_for_point_spectrum(self):
         c = circle_for(np.zeros((2, 2)))
@@ -205,13 +234,31 @@ class TestFuncalcN:
 
         f = MultivariateFunction(fn, (Entire(),) * n)
         whole = funcalc_n(f, tup, wide_circles(tup, 4.0))
-        assert max(sizes) == 32**n
+        assert max(sizes) == min(32**n, funcalc.BLOCK)
         sizes.clear()
         monkeypatch.setattr(funcalc, "BLOCK", 3 * 8 ** (n - 1))
         blocked = funcalc_n(f, tup, wide_circles(tup, 4.0))
         assert max(sizes) <= funcalc.BLOCK
         assert rel_err(blocked, whole) <= 1e-12
         assert rel_err(blocked, functools.reduce(np.matmul, [eye + m for m in tup])) <= 1e-9
+
+    def test_three_variables_at_128_nodes_hold_one_cache_sized_block(self):
+        # levels of 64 and 128 nodes per axis agree on a polynomial; the
+        # 2^21-point level is evaluated and contracted one BLOCK at a time
+        # (8.3 MB traced), where a single 2^22-point block held 48 MB
+        h = gen_matrix("hermitian", 2, 53)
+        eye = np.eye(2, dtype=complex)
+        tup = CommutingTuple([h + k * eye for k in range(3)])
+        f = MultivariateFunction(lambda a, b, c: (1 + a) * (1 + b) * (1 + c), (Entire(),) * 3)
+        cs = [dataclasses.replace(c, nodes=64) for c in wide_circles(tup)]
+        tracemalloc.start()
+        try:
+            got = funcalc_n(f, tup, cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rel_err(got, functools.reduce(np.matmul, [eye + m for m in tup])) <= 1e-9
+        assert peak < 16 * 2**20
 
     def test_four_variables(self):
         h = 0.5 * gen_matrix("hermitian", 2, 52)

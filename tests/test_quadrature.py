@@ -178,7 +178,7 @@ def decoded_simplex_rule(n, q):
         yield np.ones((1, 1)), np.ones(1)
         return
     x, w1 = gauss_legendre_01(q)
-    total, chunk = q**n, 1 << 18
+    total, chunk = q**n, quadrature.SIMPLEX_BLOCK
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
         idx = np.stack(np.unravel_index(np.arange(lo, hi), (q,) * n), axis=1)
@@ -196,13 +196,29 @@ def decoded_simplex_rule(n, q):
 
 @pytest.mark.parametrize("n, q", [(0, 8), (1, 8), (2, 128), (3, 12), (4, 44), (5, 8)])
 def test_simplex_rule_is_bit_identical_to_index_decoding(n, q):
-    # 44^4 points do not fill whole 2^18-point chunks, so chunks cut rows apart
+    # 44^4 points in rows of 44^2 do not fill whole SIMPLEX_BLOCK chunks, so
+    # chunks cut rows apart; 8^5 points span two chunks
     chunks = list(iter_simplex_rule(n, q))
     want = list(decoded_simplex_rule(n, q))
     assert len(chunks) == len(want)
     for (s, w), (s_ref, w_ref) in zip(chunks, want):
         assert s.shape == s_ref.shape and w.shape == w_ref.shape
         assert s.tobytes() == s_ref.tobytes() and w.tobytes() == w_ref.tobytes()
+
+
+def test_simplex_integrate_never_hands_fn_more_than_a_block():
+    # a step across the simplex keeps every level apart, so the walk runs
+    # through all eight orders up to q = 128 (128^3 = 2^21 points at the last)
+    sizes = []
+
+    def fn(s):
+        sizes.append(len(s))
+        return np.sign(s[:, 0] - 1.0 / 3.0)
+
+    with pytest.raises(QuadratureNoConvergence, match="up to size 128"):
+        simplex_integrate(fn, 3)
+    assert sum(sizes) == sum(q**3 for q in (8, 12, 18, 27, 40, 60, 90, 128))
+    assert max(sizes) == quadrature.SIMPLEX_BLOCK
 
 
 def _partitions(total, parts, largest=None):
