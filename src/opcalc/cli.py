@@ -52,7 +52,7 @@ from .functions import named_function
 from .generate import KINDS, MAX_DIM, gen_matrix
 from .magnus import builtin_field, field_from_samples, magnus_solve, rk_reference
 from .ncseries import dyson_exp, newton_interpolate, taylor_expand
-from .quadrature import MAX_NODES, Contour
+from .quadrature import Contour
 from .rearrange import rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
 
 __all__ = ["main", "gen_matrix"]
@@ -207,14 +207,10 @@ def _cmd_funcalc(args, tol) -> tuple[dict, bool]:
     spec = _checked_json(job.get("contour", {"auto": True}), dict, "job contour")
     contour = None
     if not _checked_json(spec.get("auto", False), bool, "contour auto"):
-        nodes = _checked_json(spec.get("nodes", 16), int, "contour nodes")
-        if nodes > MAX_NODES // 2:  # so that a second level can be compared with it
-            raise InvalidInput(f"contour nodes {nodes} exceed {MAX_NODES // 2}, "
-                               f"half of the {MAX_NODES} a circle refines to")
-        contour = Contour(
+        contour = Contour(  # the one check of a circle, its node count included
             _complex_from_json(_field(spec, "center", "job contour"), "contour center"),
             float(_finite_number(_field(spec, "radius", "job contour"), "contour radius")),
-            nodes,
+            _checked_json(spec.get("nodes", 16), int, "contour nodes"),
         )
     fnames = _checked_json(_field(job, "function", "a funcalc job"), (str, list), "job function")
     names = [_checked_json(nm, str, "a function name")

@@ -12,6 +12,7 @@ right: ``a0 b1 a1 b2 ... bn an``.
 
 from __future__ import annotations
 
+import operator
 import string
 import sys
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ __all__ = [
     "rel_err",
     "as_matrix",
     "as_matrices",
+    "as_integer",
     "eigen_decompose",
     "pair",
     "matrix_exp",
@@ -75,6 +77,15 @@ def as_matrices(mats) -> list[np.ndarray]:
         raise InvalidInput("need at least one matrix")
     d = as_matrix(mats[0]).shape[0]
     return [as_matrix(m, dim=d) for m in mats]
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int (a Python or numpy integer; :class:`InvalidInput`
+    naming ``name`` for anything else, a float included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
 
 
 def eigen_decompose(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,9 +28,9 @@ from typing import Iterator
 
 import numpy as np
 
+from .core import as_integer
 from .errors import (
     CoincidentNodes,
-    ContourTooTight,
     DomainViolation,
     InvalidInput,
     OpcalcError,
@@ -112,23 +112,20 @@ def dd_explicit(f, xs) -> complex:
     return complex(total)
 
 
-def dd_contour(f: HoloFunction, xs, contour=None, *, stats: dict | None = None) -> complex:
+def dd_contour(f: HoloFunction, xs, *, stats: dict | None = None) -> complex:
     """Divided difference as a circle integral of f(z) * prod (z - x_j)^-1.
 
-    Works for coincident nodes.  The circle is ``contour`` (see
-    :class:`opcalc.quadrature.Contour`) or the automatic one, as checked
-    against f's declared domain (and widened within it) by
+    Works for coincident nodes.  The circle is the default one around the
+    nodes, checked against f's declared domain (and widened within it) by
     :func:`opcalc.quadrature.contour_around`, which refuses an ``f`` that is
-    not a handle with :class:`InvalidInput`; a quadrature node within 1e-6
-    radii of a node raises :class:`ContourTooTight`.
+    not a handle with :class:`InvalidInput`.  Its radius is at least
+    R0 = 1.2 s + 0.1 about the nodes' centroid, s their spread, so every
+    trapezoid node keeps 0.2 s + 0.1 from every node.
     """
     x = _nodes(xs)
-    c = contour_around(x, _handle(f, HoloFunction), contour)
+    c = contour_around(x, _handle(f, HoloFunction))
 
     def batch(zeta):
-        gap = np.min(np.abs(zeta[:, None] - x[None, :]))
-        if gap < 1e-6 * c.radius:
-            raise ContourTooTight("quadrature node within 1e-06 * radius of a node")
         vals = np.asarray(f(zeta), dtype=complex)
         for xj in x:
             vals = vals / (zeta - xj)
@@ -159,15 +156,6 @@ def dd_hermite(f: HoloFunction, xs, *, stats: dict | None = None) -> complex:
                                      n, stats=stats))
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int (a Python or numpy integer; :class:`InvalidInput`
-    naming ``name`` for anything else, a float included)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
-
-
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All multi-indices in N^parts with given sum, in colex order.
 
@@ -175,7 +163,7 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     naming the argument), checked when called, as is the cap on the count.
     """
     for value, name in ((total, "total"), (parts, "parts")):
-        if _integer(value, name) < 0:
+        if as_integer(value, name) < 0:
             raise InvalidInput(f"{name} must be nonnegative, got {value}")
     count = math.comb(total + parts - 1, parts - 1) if parts else 1
     if count > COMPOSITION_CAP:
@@ -204,7 +192,7 @@ def dd_power(xs, N: int) -> complex:
     by the node product for N < 0 (all nodes nonzero).  ``N`` must be an
     integer (:class:`InvalidInput`).
     """
-    N = _integer(N, "N")
+    N = as_integer(N, "N")
     x = _nodes(xs)
     n = x.size - 1
     if N < 0:
@@ -287,7 +275,7 @@ def multinomial_identity(beta, m_max: int) -> dict[int, tuple[tuple[int, int], t
     b = _check_multiindex(beta)
     if not b:
         raise InvalidInput("beta needs one part or more")
-    m_max = _integer(m_max, "m_max")
+    m_max = as_integer(m_max, "m_max")
     n, size = len(b), sum(b)
     if m_max < size:
         raise InvalidInput(f"m_max must be at least |beta| = {size}, got {m_max}")

@@ -21,10 +21,6 @@ class CoincidentNodes(OpcalcError):
     """Nodes too close for the difference-quotient recursion; use contour or simplex form."""
 
 
-class ContourTooTight(OpcalcError):
-    """A quadrature node on the contour is nearly on top of an interpolation node."""
-
-
 class DomainViolation(OpcalcError):
     """Evaluation would leave the declared domain of holomorphy."""
 

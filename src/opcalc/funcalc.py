@@ -183,7 +183,6 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
     cs = _torus_around(f, [np.linalg.eigvals(m) for m in tup], f.domains, cs)
 
     d = tup.dim
-    start = max(16, max(c.nodes for c in cs))
 
     def level(m_nodes: int):
         zetas, wres, nus = [], [], []
@@ -220,7 +219,7 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
         return value, mass
 
     def levels():
-        m_nodes = start
+        m_nodes = max(c.nodes for c in cs)  # each at least 16, as Contour checks
         yield m_nodes, *level(m_nodes)
         while m_nodes < MAX_AXIS_NODES:
             m_nodes *= 2
@@ -308,7 +307,7 @@ def dd_tensor(
         return np.einsum("k,kab,kce->acbe", cw, left, right, optimize=True), float(mass)
 
     step = max(1, ENTRIES // (p * p + q * q))
-    m, value = _refine(_circle_levels(weighted, c.center, c.radius, c.nodes, step), RTOL)
+    m, value = _refine(_circle_levels(weighted, c, step), RTOL)
     if stats is not None:
         stats["contour_nodes"] = m
     return TensorOperator(value.reshape(p * q, p * q), d, len(ms))

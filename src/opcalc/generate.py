@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_matrix, opnorm
+from .core import as_integer, as_matrix, opnorm
 from .errors import InvalidInput
 
 __all__ = ["gen_matrix", "KINDS"]
@@ -33,7 +33,7 @@ def gen_matrix(kind: str, dim: int, seed: int):
     polynomials in one shared Hermitian matrix, so they commute exactly;
     the other kinds return a single matrix.
     """
-    if dim > MAX_DIM or dim < 1:
+    if not 1 <= as_integer(dim, "dim") <= MAX_DIM:
         raise InvalidInput(f"dimension must be 1..{MAX_DIM}")
     rng = np.random.default_rng(seed)
     if kind == "random":

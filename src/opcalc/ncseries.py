@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (as_matrices, as_matrix, commutator, eigen_decompose, matrix_exp, opnorm,
-                   stack_times)
+from .core import (as_integer, as_matrices, as_matrix, commutator, eigen_decompose, matrix_exp,
+                   opnorm, stack_times)
 from .divdiff import bang_shriek, compositions
 from .errors import ConvergenceThresholdExceeded, InvalidInput
 from .funcalc import _block_array, _f_bidiagonal, _resolvents, _spectrum, bidiagonal
 from .functions import HoloFunction, _handle
-from .quadrature import Contour, _refine, contour_around, grundmann_moller_integrate
+from .quadrature import _refine, contour_around, grundmann_moller_integrate
 
 __all__ = [
     "ExpansionReport",
@@ -75,8 +75,7 @@ class ExpansionReport:
         }
 
 
-def newton_interpolate(f: HoloFunction, mats, *,
-                       contour: Contour | None = None) -> ExpansionReport:
+def newton_interpolate(f: HoloFunction, mats) -> ExpansionReport:
     """Interpolation expansion of f(a_n) through the nodes a_0, ..., a_n.
 
     Builds f(a_0) plus the divided-difference corrections paired with the
@@ -84,11 +83,11 @@ def newton_interpolate(f: HoloFunction, mats, *,
     commute, so the factor order matters and is preserved.  Every term is a
     block of row 0 of one f(B), B = ``bidiagonal(a_0..a_n; a_n - a_0, ...,
     a_n - a_{n-1})``, and the target f(a_n) is its block (n, n).  The circle
-    is ``contour`` or by default the one around every node's spectrum sized
-    for f (:func:`opcalc.quadrature.contour_around`).
+    is the one around every node's spectrum sized for f
+    (:func:`opcalc.quadrature.contour_around`).
     """
     ms = as_matrices(mats)
-    c = contour_around(_spectrum(ms), _handle(f, HoloFunction), contour)
+    c = contour_around(_spectrum(ms), _handle(f, HoloFunction))
     fb = _f_bidiagonal(f, ms, [ms[-1] - m for m in ms[:-1]], c)
     target = fb[-1, -1]
     partials = list(itertools.accumulate(fb[0]))
@@ -134,6 +133,7 @@ def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
     outside the guaranteed convergence region and triggers a warning (the
     sums are still computed).
     """
+    N = as_integer(N, "order N")
     if N < 0:
         raise InvalidInput(f"order N must be nonnegative, got {N}")
     am = as_matrix(a)
@@ -217,6 +217,9 @@ def dyson_terms_simplex(a, b, N: int) -> tuple[list, np.ndarray]:
     eigenbasis.  This is the independent oracle for :func:`dyson_exp`: it
     shares no code with the block exponential (``scipy.linalg.expm``).
     """
+    N = as_integer(N, "order N")
+    if N < 0:
+        raise InvalidInput(f"order N must be nonnegative, got {N}")
     am = as_matrix(a)
     bm = as_matrix(b, dim=am.shape[0])
     lam, v, vinv = eigen_decompose(am)
@@ -259,6 +262,7 @@ def dyson_exp(a, b, N: int) -> ExpansionReport:
     :func:`dyson_terms_simplex` evaluates the same integrals by simplex
     quadrature and serves as the ``verify-all`` oracle.
     """
+    N = as_integer(N, "order N")
     if N < 0:
         raise InvalidInput(f"order N must be nonnegative, got {N}")
     am = as_matrix(a)

@@ -122,7 +122,8 @@ def _weighted_sum(fn, blocks):
 class Contour:
     """Circular integration cycle: center, radius, starting trapezoid count.
 
-    The count is an integer (numpy's too), a power of two from 16 to
+    The one check of a circle: every integrator builds its circle here.  The
+    count is an integer (numpy's too), a power of two from 16 to
     ``MAX_NODES // 2`` so that a second level can be compared with it.
     """
 
@@ -262,27 +263,29 @@ def contour_quadrature(
     """Nested node-doubling trapezoid for (2 pi i)^-1 * closed circle integral.
 
     ``batch_fn(zeta)`` maps an array of contour points to their integrand
-    values (any trailing shape).  The m nodes of one level are the even nodes
-    of the next, so doubling to 2m evaluates only the m new (odd) nodes of
+    values (any trailing shape).  ``Contour(center, radius, start)`` checks
+    the circle first, so a bad one raises :class:`ContourViolation` before
+    any level is built.  The m nodes of one level are the even nodes of the
+    next, so doubling to 2m evaluates only the m new (odd) nodes of
     ``circle_points(center, radius, 2m)`` and halves the previous sum, whose
     weights ``offset/m`` become ``offset/(2m)``; every node is evaluated once,
     up to ``MAX_NODES`` nodes.  With ``chunk`` set, at most that many integrand
     values are materialized at a time (for bulky tensor-valued integrands).
     """
+    c = Contour(center, radius, start)
     step = None if chunk is None else max(1, int(chunk))
-    levels = _circle_levels(lambda zeta, w: _weighted_sum(batch_fn, [(zeta, w)]),
-                            center, radius, start, step)
+    levels = _circle_levels(lambda zeta, w: _weighted_sum(batch_fn, [(zeta, w)]), c, step)
     m, value = _refine(levels, rtol)
     if stats is not None:
         stats["contour_nodes"] = m
     return value
 
 
-def _circle_levels(weighted, center: complex, radius: float, start: int, step):
-    """``(m, value, mass)`` levels of nested node doubling up to ``MAX_NODES``;
-    ``weighted(zeta, w)`` returns the sum of ``w`` times the integrand over at
-    most ``step`` nodes (all when None), and its mass.  A level adds its new
-    (odd) nodes to half the last one."""
+def _circle_levels(weighted, c: Contour, step):
+    """``(m, value, mass)`` levels of nested node doubling on the :class:`Contour`
+    ``c``, from ``c.nodes`` up to ``MAX_NODES``; ``weighted(zeta, w)`` returns the
+    sum of ``w`` times the integrand over at most ``step`` nodes (all when None),
+    and its mass.  A level adds its new (odd) nodes to half the last one."""
     def total(zeta, w):
         size = step or len(zeta)
         value, mass = weighted(zeta[:size], w[:size])
@@ -291,12 +294,12 @@ def _circle_levels(weighted, center: complex, radius: float, start: int, step):
             value, mass = value + more, mass + more_mass
         return value, mass
 
-    m = max(16, int(start))
-    value, mass = total(*circle_points(center, radius, m))
+    m = operator.index(c.nodes)
+    value, mass = total(*c.points(m))
     yield m, value, mass
     while m < MAX_NODES:
         m *= 2
-        zeta, w = circle_points(center, radius, m)
+        zeta, w = c.points(m)
         new, new_mass = total(zeta[1::2], w[1::2])
         value, mass = 0.5 * value + new, 0.5 * mass + new_mass
         yield m, value, mass

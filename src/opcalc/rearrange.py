@@ -25,6 +25,7 @@ Daletskii-Krein form).
 from __future__ import annotations
 
 import math
+import numbers
 import string
 
 import numpy as np
@@ -44,9 +45,9 @@ __all__ = [
 
 
 def _check_decay(qs) -> list:
-    """The family (1 + s)^-q, q in ``qs``, once the exponents are integers
-    (:class:`InvalidInput`) summing past 1 (:class:`DecayViolation`)."""
-    if any(int(q) != q for q in qs):
+    """The family (1 + s)^-q, q in ``qs``, once the exponents are finite real
+    integers, 2.0 too (:class:`InvalidInput`), summing past 1 (:class:`DecayViolation`)."""
+    if not all(isinstance(q, numbers.Real) and math.isfinite(q) and int(q) == q for q in qs):
         raise InvalidInput(f"exponents must be integers, got {list(qs)}")
     total = sum(qs)
     if total <= 1:

@@ -820,6 +820,28 @@ class TestErrorPaths:
                 call()
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: taylor_expand(named_function("exp"), np.eye(2), np.eye(2), N=2.5), "order N"),
+        (lambda: dyson_exp(np.eye(2), np.eye(2), N=2.5), "order N"),
+        (lambda: dyson_exp(np.eye(2), np.eye(2), N="3"), "order N"),
+        (lambda: opcalc.dyson_terms_simplex(np.eye(2), np.eye(2), N=2.5), "order N"),
+        (lambda: opcalc.dyson_terms_simplex(np.eye(2), np.eye(2), N=-1), "order N"),
+        (lambda: opcalc.kernel_F([math.nan, 1], [1.0, 1.0]), "exponents"),
+        (lambda: opcalc.kernel_F([math.inf, 1], [1.0, 1.0]), "exponents"),
+        (lambda: rearrange_lhs([math.nan, 1], np.eye(2), [np.eye(2)]), "exponents"),
+        (lambda: rearrange_rhs_F([math.inf, 1], np.eye(2), [np.eye(2)]), "exponents"),
+        (lambda: rearrange_rhs_G([1, math.nan], np.eye(2), [np.eye(2)]), "exponents"),
+        (lambda: gen_matrix("random", 2.5, 0), "dim"),
+    ], ids=["taylor-float-order", "dyson-float-order", "dyson-str-order",
+            "dyson-simplex-float-order", "dyson-simplex-negative-order", "kernel-nan",
+            "kernel-inf", "lhs-nan", "rhs-F-inf", "rhs-G-nan", "gen-float-dim"])
+    def test_a_bad_number_is_refused_naming_it(self, call, name):
+        # each escaped as a bare TypeError, ValueError, OverflowError or
+        # IndexError before the argument was read with operator.index (or, for
+        # the exponents, as a finite real equal to its integer part)
+        with pytest.raises(InvalidInput, match=name):
+            call()
+
     def test_numpy_integer_orders_are_read(self):
         om, a = np.array([[0.1, 0.2], [0.0, -0.3]]), np.array([[1.0, 0.0], [0.5, 2.0]])
         assert bernoulli(np.int64(8)) == bernoulli(8)
@@ -1010,15 +1032,16 @@ class TestMalformedInput:
     @pytest.mark.parametrize("nodes", [8192, 2**40])
     def test_contour_nodes_past_half_the_cap(self, nodes, monkeypatch, tmp_path, capsys):
         # a circle refines to MAX_NODES (8192) at most: a job circle starting
-        # above half of it has no second level to compare with, so it is
-        # refused before one is built
-        built = []
-        monkeypatch.setattr(cli, "Contour", lambda *a: built.append(a))
+        # above half of it has no second level to compare with, so Contour,
+        # the one check of a circle, refuses it before anything is integrated
+        applied = []
+        monkeypatch.setattr(cli, "apply_function", lambda *a, **k: applied.append(a))
         job = {"function": "exp", "matrices": [_MATRIX],
                "contour": {"auto": False, "center": [0.5, 0.0], "radius": 1.0, "nodes": nodes}}
         code, out, err = run_cli(["funcalc", "--job", _write_json(tmp_path, job)], capsys)
         self._refused(code, out, err)
-        assert err.count("\n") == 1 and f"contour nodes {nodes}" in err and built == []
+        assert err.count("\n") == 1 and f"contour nodes {nodes} exceed 4096" in err
+        assert applied == []
 
     def test_contour_nodes_at_half_the_cap_run(self, tmp_path, capsys):
         job = {"function": "exp", "matrices": [_MATRIX],

@@ -12,7 +12,6 @@ import pytest
 
 import opcalc
 from opcalc import (
-    Contour,
     Disc,
     Entire,
     HoloFunction,
@@ -36,7 +35,6 @@ from opcalc.divdiff import multinomial_identity
 from opcalc.quadrature import circle_points, contour_around, iter_simplex_rule
 from opcalc.errors import (
     CoincidentNodes,
-    ContourTooTight,
     ContourViolation,
     DomainViolation,
     InvalidInput,
@@ -111,15 +109,6 @@ class TestContour:
     def test_explicit_agreement(self):
         xs = [0.1, 0.7, 1.3]
         assert dd_contour(EXP, xs) == pytest.approx(dd_explicit(EXP, xs), rel=1e-10)
-
-    def test_too_tight(self):
-        # one node grazes the integration circle at a quadrature angle
-        with pytest.raises(ContourTooTight):
-            dd_contour(EXP, [0.0, 1.0 - 1e-9], Contour(0.0, 1.0, 16))
-
-    def test_node_outside(self):
-        with pytest.raises(ContourViolation):
-            dd_contour(EXP, [0.0, 3.0], Contour(0.0, 1.0, 16))
 
     def test_domain_guard(self):
         f = resolvent_function(1.5)  # disc domain of radius 1.425

@@ -309,17 +309,15 @@ class TestFuncalcN:
         with pytest.raises(ContourViolation):
             funcalc_n(one_variable(EXP), (a,), [Contour(0.0, 1.0)])
 
-    @pytest.mark.parametrize("route", ["apply_function", "funcalc_n", "dd_tensor",
-                                       "dd_apply", "dd_contour", "newton_interpolate"])
+    @pytest.mark.parametrize("route", ["apply_function", "funcalc_n", "dd_tensor", "dd_apply"])
     def test_every_route_refuses_a_circle_that_misses_the_spectrum(self, route):
+        # the routes that take a circle: a funcalc job file can give one
         a, c = np.diag([0.0, 5.0]), Contour(0.0, 1.0)
         calls = {
             "apply_function": lambda: apply_function(EXP, a, c),
             "funcalc_n": lambda: funcalc_n(one_variable(EXP), (a,), [c]),
             "dd_tensor": lambda: dd_tensor(EXP, [a, a], c),
             "dd_apply": lambda: dd_apply(EXP, [a, a], [a], c),
-            "dd_contour": lambda: dd_contour(EXP, [0.0, 5.0], c),
-            "newton_interpolate": lambda: newton_interpolate(EXP, [a, a], contour=c),
         }
         with pytest.raises(ContourViolation, match="enclose"):
             calls[route]()

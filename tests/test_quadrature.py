@@ -116,6 +116,21 @@ def test_no_convergence_after_cap_points(monkeypatch):
     assert sum(points) == 1024
 
 
+@pytest.mark.parametrize("start", [16.0, 24, 8192, 2**30])
+def test_a_bad_start_is_refused_before_the_integrand_is_called(start, monkeypatch):
+    # start used to be read as max(16, int(start)): 16.0 was truncated, 24 was
+    # used as is, and 8192 and up were refused only after a whole first level
+    def no_level_past_the_cap(center, radius, m):
+        assert m <= quadrature.MAX_NODES, f"a level of {m} nodes was built"
+        return circle_points(center, radius, m)
+
+    monkeypatch.setattr(quadrature, "circle_points", no_level_past_the_cap)
+    fn, points = counted(np.exp)
+    with pytest.raises(ContourViolation, match="contour nodes|node count"):
+        contour_quadrature(fn, 0, 1, start=start)
+    assert points == []
+
+
 def test_refine_accepts_the_first_agreeing_pair_lazily():
     made = []
 
@@ -408,6 +423,23 @@ class TestContourAround:
         on_tight = np.max(np.abs(f(circle_points(c.center, tight.radius, 64)[0])))
         assert np.max(np.abs(f(circle_points(c.center, c.radius, 64)[0]))) <= 10.0 * on_tight
         assert np.all(f.domain.contains(circle_points(c.center, c.radius, 4096)[0]))
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(points=st.lists(st.complex_numbers(max_magnitude=10.0), min_size=1, max_size=6),
+           name=st.sampled_from(["exp", "log", "pow:-2", "resolvent:3,0"]))
+    def test_a_default_circle_keeps_its_distance_from_the_points(self, points, name):
+        # why dd_contour needs no gate against a trapezoid node on top of a
+        # node: a default circle has radius R >= 1.2 s + 0.1 about the
+        # centroid, s the spread, so every circle node is 0.2 s + 0.1 away
+        # (up to rounding), far above the old gate of 1e-6 R
+        try:
+            c = contour_around(points, named_function(name))
+        except ContourViolation:
+            return
+        x = np.asarray(points, dtype=complex)
+        spread = float(np.max(np.abs(x - x.mean())))
+        margin = c.radius - float(np.max(np.abs(x - c.center)))
+        assert margin >= (0.2 * spread + 0.1) * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("name", ["exp", "pow:4", "resolvent:3,0", "log", "rational:2"])
     def test_a_function_with_room_widens(self, name):
