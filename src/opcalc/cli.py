@@ -10,10 +10,14 @@ cannot be read, or one that is not JSON or not UTF-8; one ``error:`` line),
 and 3 on any other exception, which is a bug (one ``internal error:`` line).
 
 Reports contain no timestamps or timings unless ``--timings`` is passed, so
-identical job specs and seeds produce byte-identical output.  :func:`_dumps`
-writes them, byte for byte as ``json.dumps(report, indent=2, sort_keys=True)``
-would, with each list of finite floats joined in one pass over
-``float.__repr__``.
+identical job specs and seeds produce byte-identical output.  Every matrix in
+a report is ``{"dim", "dtype": "<c16", "b64"}``, the base64 text of its
+row-major little-endian complex128 bytes (:func:`opcalc.core.matrix_to_json`),
+exact and one string, so a d^(n+1)-square ``ddtensor`` tensor costs no decimal
+formatting; job and ``--field`` files may give a matrix in that form or as
+``{"dim", "re", "im"}``.  :func:`_dumps` writes a report byte for byte as
+``json.dumps(report, indent=2, sort_keys=True)`` would, with each list of
+finite floats joined in one pass over ``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ def _dumps(report) -> str:
     """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte.
 
     The pure-Python encoder that ``indent`` selects formats one float at a
-    time; a list of finite floats (a matrix's ``re`` or ``im``) is written
-    here as one join over ``float.__repr__``.  Scalars are spelled as json
+    time; a list of finite floats (a job's matrix echoed under ``params``) is
+    written here as one join over ``float.__repr__``.  Scalars are spelled as json
     spells them, and anything but str-keyed dicts, lists, tuples and scalars
     goes to ``json.dumps`` itself.
     """

@@ -12,6 +12,7 @@ right: ``a0 b1 a1 b2 ... bn an``.
 
 from __future__ import annotations
 
+import base64
 import operator
 import string
 import sys
@@ -171,12 +172,17 @@ def stack_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_json(m) -> dict:
-    """Encode a matrix as {"dim": d, "re": [...], "im": [...]} (row-major)."""
+    """Encode a matrix as {"dim": d, "dtype": "<c16", "b64": ...}: the base64
+    text of its row-major, little-endian complex128 bytes.
+
+    Exact and compact: it decodes to the same array bit for bit, in about a
+    third of the text of decimal floats and a small fraction of the time.
+    """
     a = as_matrix(m)
     return {
         "dim": a.shape[0],
-        "re": a.real.ravel().tolist(),
-        "im": a.imag.ravel().tolist(),
+        "dtype": "<c16",
+        "b64": base64.b64encode(a.astype("<c16", copy=False).tobytes()).decode("ascii"),
     }
 
 
@@ -215,13 +221,29 @@ def _number_list(value, what: str) -> list:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode the row-major {"dim", "re", "im"} matrix format.
+    """Decode a matrix in either of its two forms, both row-major:
+    {"dim", "dtype": "<c16", "b64"}, as :func:`matrix_to_json` writes it, or
+    {"dim", "re", "im"} of JSON numbers ("im" may be left out), as job and
+    field files may give it.  A "b64" field selects the first form.
 
-    A field of the wrong JSON type is :class:`InvalidInput`; a dim below 1 or
-    an entry count other than dim^2 is :class:`DimensionMismatch`.
+    A field of the wrong JSON type, a dtype other than "<c16" or text that is
+    not strict base64 is :class:`InvalidInput`; a dim below 1, an entry count
+    other than dim^2 (a byte count other than 16 dim^2) or an entry that is
+    not finite is :class:`DimensionMismatch`.
     """
     d = _checked_json(_field(_checked_json(obj, dict, "a matrix"), "dim", "a matrix"), int,
                       "matrix dim")
+    if "b64" in obj:
+        if _field(obj, "dtype", "a matrix") != "<c16":
+            raise InvalidInput(f"matrix dtype must be '<c16', got {obj['dtype']!r}")
+        try:
+            raw = base64.b64decode(_checked_json(obj["b64"], str, "matrix b64"), validate=True)
+        except ValueError as exc:  # binascii.Error, or a character outside ASCII
+            raise InvalidInput(f"matrix b64 is not base64: {exc}") from None
+        if d < 1 or len(raw) != 16 * d * d:
+            raise DimensionMismatch(f"need dim >= 1 and 16 dim^2 bytes, got dim {d} "
+                                    f"with {len(raw)}")
+        return as_matrix(np.frombuffer(raw, dtype="<c16").reshape(d, d).astype(complex))
     re = np.asarray(_number_list(_field(obj, "re", "a matrix"), "matrix re"), dtype=float)
     im = (np.asarray(_number_list(obj["im"], "matrix im"), dtype=float) if "im" in obj
           else np.zeros(re.size))

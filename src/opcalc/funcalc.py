@@ -167,7 +167,9 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
     kept; the default circles are widened together for f by the rule of
     :func:`opcalc.quadrature._widened`, each within 2 R0 and its domain's
     clearance, probing f on a grid of at most 4096 points, so that they
-    converge geometrically faster than the tight circles.  f of a single
+    converge geometrically faster than the tight circles.  A given circle
+    of more than ``MAX_AXIS_NODES // 2`` (128) nodes is refused
+    (:class:`ContourViolation`) before f is evaluated.  f of a single
     matrix is :func:`apply_function`.
     """
     tup = _as_tuple(a)
@@ -180,6 +182,12 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
         cs = [None] * n
     if len(cs) != n:
         raise ContourViolation(f"need {n} contours, got {len(cs)}")
+    # every axis starts at the largest given count: past half the cap there
+    # is no second level to compare with, so refuse before a point is evaluated
+    given = [c.nodes for c in cs if c is not None]
+    if given and max(given) > MAX_AXIS_NODES // 2:
+        raise ContourViolation(f"contour nodes {max(given)} exceed {MAX_AXIS_NODES // 2}, half of "
+                               f"the MAX_AXIS_NODES = {MAX_AXIS_NODES} a torus axis refines to")
     cs = _torus_around(f, [np.linalg.eigvals(m) for m in tup], f.domains, cs)
 
     d = tup.dim

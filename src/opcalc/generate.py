@@ -29,12 +29,17 @@ def _complex_gaussian(rng, d: int) -> np.ndarray:
 def gen_matrix(kind: str, dim: int, seed: int):
     """Seeded matrices of the named kind (operator norm 1, dim <= 8).
 
+    ``dim`` and ``seed`` are integers (a nonnegative seed); anything else is
+    :class:`InvalidInput` naming the argument.
+
     ``commuting-pair`` returns a tuple of two matrices built as cubic
     polynomials in one shared Hermitian matrix, so they commute exactly;
     the other kinds return a single matrix.
     """
     if not 1 <= as_integer(dim, "dim") <= MAX_DIM:
         raise InvalidInput(f"dimension must be 1..{MAX_DIM}")
+    if as_integer(seed, "seed") < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     if kind == "random":
         return _normalized(_complex_gaussian(rng, dim))

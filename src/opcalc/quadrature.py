@@ -118,6 +118,15 @@ def _weighted_sum(fn, blocks):
 # circle trapezoid
 
 
+def _finite(isfinite, value) -> bool:
+    """``isfinite(value)``, and False for a value that is not a number or
+    is an integer past the float range."""
+    try:
+        return isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class Contour:
     """Circular integration cycle: center, radius, starting trapezoid count.
@@ -132,10 +141,11 @@ class Contour:
     nodes: int = 16
 
     def __post_init__(self):
-        if not cmath.isfinite(self.center):
-            raise ContourViolation(f"contour center must be finite, got {self.center!r}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ContourViolation(f"contour radius must be finite and positive, got {self.radius!r}")
+        if not _finite(cmath.isfinite, self.center):
+            raise ContourViolation(f"contour center must be a finite number, got {self.center!r}")
+        if not (_finite(math.isfinite, self.radius) and self.radius > 0):
+            raise ContourViolation(
+                f"contour radius must be a finite positive number, got {self.radius!r}")
         try:
             nodes = operator.index(self.nodes)
         except TypeError:

@@ -1,4 +1,5 @@
 import ast
+import base64
 import contextlib
 import io
 import json
@@ -14,11 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opcalc
-from opcalc import gen_matrix, matrix_exp, matrix_from_json, matrix_to_json, opnorm
+from opcalc import TensorOperator, bidiagonal, gen_matrix, matrix_exp, matrix_from_json
+from opcalc import matrix_to_json, opnorm, pair, rel_err
 from opcalc import contour_around, dd_apply, dd_contour, dd_tensor, dyson_exp, newton_interpolate
 from opcalc import cli, verify
 from opcalc.cli import main
@@ -239,6 +242,33 @@ class TestFuncalcCommand:
         assert code == 0
         value = matrix_from_json(json.loads(out)["results"]["value"])
         assert abs(value[0, 0] - np.exp(0.3)) < 1e-10
+
+    @pytest.mark.parametrize("name, dense", [
+        ("exp", scipy.linalg.expm),
+        ("pow:3", lambda big: np.linalg.matrix_power(big, 3)),
+        ("pow:-2", lambda big: np.linalg.matrix_power(np.linalg.inv(big), 2)),
+        ("resolvent:3,0", lambda big: np.linalg.inv(3.0 * np.eye(len(big)) - big)),
+    ])
+    def test_ddtensor_pairs_to_a_block_of_f_of_the_bidiagonal(self, name, dense, tmp_path,
+                                                               capsys):
+        # contour-free oracle for the tensor ddtensor prints: read back and
+        # paired with seeded factors, it is block (0, n) of f(B),
+        # B = bidiagonal(mats, bs) (Opitz 1964), at d = 2-3 and n = 1-3
+        worst = 0.0
+        for d in (2, 3):
+            for n in (1, 2, 3):
+                mats = [1.5 * np.eye(d) + 0.3 * gen_matrix("random", d, 100 * d + 10 * n + j)
+                        for j in range(n + 1)]
+                bs = [0.5 * gen_matrix("random", d, 500 + 100 * d + 10 * n + j) for j in range(n)]
+                job = {"function": name, "mode": "ddtensor",
+                       "matrices": [matrix_to_json(m) for m in mats]}
+                code, out, _ = run_cli(["funcalc", "--job", _write_json(tmp_path, job)], capsys)
+                assert code == 0
+                results = json.loads(out)["results"]
+                tensor = TensorOperator(matrix_from_json(results["tensor"]), d, results["slots"])
+                want = dense(bidiagonal(mats, bs))[:d, -d:]
+                worst = max(worst, rel_err(pair(tensor, bs), want))
+        assert worst <= 1e-12
 
 
 class TestSeriesCommands:
@@ -832,9 +862,12 @@ class TestErrorPaths:
         (lambda: rearrange_rhs_F([math.inf, 1], np.eye(2), [np.eye(2)]), "exponents"),
         (lambda: rearrange_rhs_G([1, math.nan], np.eye(2), [np.eye(2)]), "exponents"),
         (lambda: gen_matrix("random", 2.5, 0), "dim"),
+        (lambda: gen_matrix("random", 2, 0.5), "seed"),
+        (lambda: gen_matrix("random", 2, -1), "seed"),
     ], ids=["taylor-float-order", "dyson-float-order", "dyson-str-order",
             "dyson-simplex-float-order", "dyson-simplex-negative-order", "kernel-nan",
-            "kernel-inf", "lhs-nan", "rhs-F-inf", "rhs-G-nan", "gen-float-dim"])
+            "kernel-inf", "lhs-nan", "rhs-F-inf", "rhs-G-nan", "gen-float-dim",
+            "gen-float-seed", "gen-negative-seed"])
     def test_a_bad_number_is_refused_naming_it(self, call, name):
         # each escaped as a bare TypeError, ValueError, OverflowError or
         # IndexError before the argument was read with operator.index (or, for
@@ -1050,6 +1083,54 @@ class TestMalformedInput:
         assert code == 0
         assert json.loads(out)["diagnostics"]["contour_nodes"] == 8192
 
+    @pytest.mark.parametrize("nodes", [256, 512, 4096])
+    def test_elementary_job_circle_past_half_the_axis_cap(self, nodes, tmp_path, capsys):
+        # the torus of an elementary product doubles each axis up to
+        # MAX_AXIS_NODES = 256: such a circle used to evaluate one whole level
+        # and fail with "last difference nan, floor nan"
+        job = {"function": ["exp", "exp"], "matrices": [_MATRIX, {"dim": 1, "re": [0.25]}],
+               "contour": {"auto": False, "center": [0.5, 0.0], "radius": 1.0, "nodes": nodes}}
+        code, out, err = run_cli(["funcalc", "--job", _write_json(tmp_path, job)], capsys)
+        self._refused(code, out, err)
+        assert err.count("\n") == 1 and f"contour nodes {nodes} exceed 128" in err
+        assert "MAX_AXIS_NODES" in err
+
+    def test_elementary_job_circle_at_half_the_axis_cap_runs(self, tmp_path, capsys):
+        job = {"function": ["exp", "exp"], "matrices": [_MATRIX, {"dim": 1, "re": [0.25]}],
+               "contour": {"auto": False, "center": [0.5, 0.0], "radius": 1.0, "nodes": 128}}
+        code, out, _ = run_cli(["funcalc", "--job", _write_json(tmp_path, job)], capsys)
+        assert code == 0
+        value = matrix_from_json(json.loads(out)["results"]["value"])
+        assert abs(value[0, 0] - math.exp(0.75)) <= 1e-12
+
+    @pytest.mark.parametrize("matrix, named", [
+        ({"dim": 1, "dtype": "<c16", "b64": 5}, "matrix b64 must be a JSON str"),
+        ({"dim": 1, "dtype": "<c16", "b64": ["AAAAAAAAAAAAAAAAAAAAAA=="]},
+         "matrix b64 must be a JSON str"),
+        ({"dim": 1, "dtype": "<c16", "b64": "AAAAAAAAAAAA AAAAAAAAAA=="}, "not base64"),
+        ({"dim": 1, "dtype": "<c16", "b64": "AAAAAAAAAAAAAAAAAAAAAA=" }, "not base64"),
+        ({"dim": 1, "dtype": "<c16", "b64": "AAAAAAAAAAA@AAAAAAAAAAA=="}, "not base64"),
+        ({"dim": 1, "dtype": "<c16", "b64": "AAAAAAAAAAAAAAAAAAAAAé=="}, "not base64"),
+        ({"dim": 1, "dtype": "<c16", "b64": "AAAAAAAAAAA="}, "16 dim^2 bytes, got dim 1 with 8"),
+        ({"dim": 2, "dtype": "<c16", "b64": "AAAAAAAAAAAAAAAAAAAAAA=="},
+         "16 dim^2 bytes, got dim 2 with 16"),
+        ({"dim": 0, "dtype": "<c16", "b64": ""}, "need dim >= 1"),
+        ({"dim": 1, "dtype": "<f8", "b64": "AAAAAAAAAAAAAAAAAAAAAA=="}, "matrix dtype must be '<c16'"),
+        ({"dim": 1, "dtype": None, "b64": "AAAAAAAAAAAAAAAAAAAAAA=="}, "matrix dtype must be '<c16'"),
+        ({"dim": 1, "b64": "AAAAAAAAAAAAAAAAAAAAAA=="}, "matrix has no 'dtype' field"),
+        (matrix_to_json([[1.0]]) | {"b64": base64.b64encode(
+            np.array([complex(math.nan, 0)]).astype("<c16").tobytes()).decode()}, "finite"),
+        (matrix_to_json([[1.0]]) | {"b64": base64.b64encode(
+            np.array([complex(0, math.inf)]).astype("<c16").tobytes()).decode()}, "finite"),
+    ], ids=["b64-number", "b64-list", "b64-space", "b64-padding", "b64-symbol", "b64-non-ascii",
+            "bytes-short", "bytes-dim", "dim-zero", "dtype-f8", "dtype-null", "dtype-missing",
+            "nan-entry", "inf-entry"])
+    def test_a_bad_b64_matrix_is_refused_naming_it(self, matrix, named, tmp_path, capsys):
+        job = {"function": "exp", "matrices": [matrix]}
+        code, out, err = run_cli(["funcalc", "--job", _write_json(tmp_path, job)], capsys)
+        self._refused(code, out, err)
+        assert err.count("\n") == 1 and named in err
+
     @pytest.mark.parametrize("samples", [
         [0.0, 1.0],
         {"times": [0.0, 1.0], "matrices": 5},
@@ -1096,12 +1177,15 @@ class TestMalformedInput:
 
 
 # Bounded JSON for the property tests below: numbers in [-4, 4] exercise
-# shape rather than overflow; strings include job keywords and function names.
+# shape rather than overflow; strings include job keywords, function names,
+# the b64 form's dtype and payloads of one complex entry and of half of one.
 _LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-4, 4), st.floats(-4, 4),
-                    st.sampled_from(["exp", "log", "pow:-1", "ddtensor", "ddapply"]),
+                    st.sampled_from(["exp", "log", "pow:-1", "ddtensor", "ddapply", "<c16",
+                                     "AAAAAAAAAAAAAAAAAAAAAA==", "AAAAAAAAAAA="]),
                     st.text(max_size=4))
 _KEYS = st.one_of(st.sampled_from(["mode", "function", "matrices", "b_matrices", "contour",
-                                   "auto", "center", "radius", "nodes", "dim", "re", "im"]),
+                                   "auto", "center", "radius", "nodes", "dim", "re", "im",
+                                   "b64", "dtype"]),
                   st.text(max_size=3))
 
 

@@ -1,7 +1,12 @@
+import base64
 import functools
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opcalc import (
     TensorOperator,
@@ -19,6 +24,7 @@ from opcalc import (
     pair,
     rel_err,
 )
+from opcalc.cli import _dumps
 from opcalc.errors import DimensionMismatch, NonDiagonalizable
 
 
@@ -219,6 +225,37 @@ class TestJson:
     def test_shape_guard(self):
         with pytest.raises(DimensionMismatch):
             matrix_from_json({"dim": 2, "re": [1.0, 2.0], "im": [0.0, 0.0]})
+
+    def test_writes_the_row_major_little_endian_bytes(self):
+        m = gen_matrix("random", 2, 27)
+        obj = matrix_to_json(m)
+        assert sorted(obj) == ["b64", "dim", "dtype"]
+        assert (obj["dim"], obj["dtype"]) == (2, "<c16")
+        assert base64.b64decode(obj["b64"]) == m.astype("<c16").tobytes(order="C")
+        # a transposed view is written in its own row-major order
+        assert np.array_equal(matrix_from_json(matrix_to_json(m.T)), m.T)
+
+    def test_reads_the_decimal_form(self):
+        got = matrix_from_json({"dim": 2, "re": [1, 0, 0.5, -2], "im": [0, 1, 0, 0]})
+        assert np.array_equal(got, np.array([[1, 1j], [0.5, -2]]))
+        assert np.array_equal(matrix_from_json({"dim": 1, "re": [0.5]}), [[0.5]])
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=2 * d * d, max_size=2 * d * d)))
+    @example([-0.0, 5e-324, 1e308, -1e308, -5e-324, 2.2250738585072014e-308 / 3, 0.0, -0.0])
+    @example([-0.0, -0.0])
+    def test_report_text_decodes_bit_for_bit(self, parts):
+        # through the report writer and json.loads, every bit survives: the
+        # sign of zero, subnormals and the ends of the float range
+        d = math.isqrt(len(parts) // 2)
+        m = np.empty(d * d, dtype=complex)
+        m.real, m.imag = parts[0::2], parts[1::2]
+        m = m.reshape(d, d)
+        got = matrix_from_json(json.loads(_dumps({"value": matrix_to_json(m)}))["value"])
+        assert got.view(np.uint64).tolist() == m.view(np.uint64).tolist()
+        assert got.flags.writeable
 
 
 @pytest.mark.parametrize(

@@ -111,6 +111,24 @@ class TestContourType:
         with pytest.raises(ContourViolation, match=match):
             Contour(0.0, 2.0, nodes)
 
+    @pytest.mark.parametrize("center, radius, named", [
+        (0, "1", "contour radius must be a finite positive number, got '1'"),
+        ("x", 1.0, "contour center must be a finite number, got 'x'"),
+        (0, 1j, "contour radius"),
+        (0, None, "contour radius"),
+        ([0.5, 0.0], 1.0, "contour center"),
+        (None, 1.0, "contour center"),
+        (0, 10**400, "contour radius"),
+        (10**400, 1.0, "contour center"),
+    ], ids=["radius-str", "center-str", "radius-complex", "radius-none", "center-list",
+            "center-none", "radius-past-float-range", "center-past-float-range"])
+    def test_a_center_or_radius_that_is_not_a_number_is_refused_naming_it(self, center, radius,
+                                                                          named):
+        # each escaped as a bare TypeError (or, past the float range, an
+        # OverflowError) from math.isfinite or cmath.isfinite
+        with pytest.raises(ContourViolation, match=named):
+            Contour(center, radius)
+
     @pytest.mark.parametrize("nodes", [16.0, 8192])
     def test_node_count_refused_before_the_integrand_is_called(self, nodes):
         # 8192 used to pass, so one level of 8192 nodes was evaluated with no
@@ -303,6 +321,28 @@ class TestFuncalcN:
         parts = (2.0 * funcalc_n(one_variable(f), (a,), c)
                  - 0.5 * funcalc_n(one_variable(g), (a,), c))
         assert rel_err(combo, parts) < 1e-12
+
+    @pytest.mark.parametrize("nodes", [256, 512, 4096])
+    def test_a_circle_past_half_the_axis_cap_is_refused_before_f_is_called(self, nodes):
+        # every axis doubles up to MAX_AXIS_NODES: a circle starting past half
+        # of it used to evaluate one whole level of nodes^n points, with no
+        # second level to compare it with
+        sizes = []
+        f = MultivariateFunction(lambda z1, z2: sizes.append(np.size(z1)) or np.exp(z1 + z2),
+                                 (Entire(), Entire()))
+        tup = CommutingTuple([np.diag([0.5, 0.25]), np.diag([0.25, -0.5])])
+        big = Contour(0.0, 2.0, nodes)
+        for cs in ([big, big], [big, None], [None, big]):
+            with pytest.raises(ContourViolation, match=f"contour nodes {nodes} exceed 128, "
+                                                       "half of the MAX_AXIS_NODES = 256"):
+                funcalc_n(f, tup, cs)
+        assert sizes == []
+
+    def test_a_circle_at_half_the_axis_cap_runs(self):
+        f = MultivariateFunction(lambda z1, z2: np.exp(z1 + z2), (Entire(), Entire()))
+        tup = CommutingTuple([np.diag([0.5, 0.25]), np.diag([0.25, -0.5])])
+        got = funcalc_n(f, tup, [Contour(0.0, 2.0, 128)] * 2)
+        assert rel_err(got, np.diag(np.exp([0.75, -0.25]))) <= 1e-12
 
     def test_contour_violation(self):
         a = np.diag([0.0, 5.0])
