@@ -15,9 +15,9 @@ a report is ``{"dim", "dtype": "<c16", "b64"}``, the base64 text of its
 row-major little-endian complex128 bytes (:func:`opcalc.core.matrix_to_json`),
 exact and one string, so a d^(n+1)-square ``ddtensor`` tensor costs no decimal
 formatting; job and ``--field`` files may give a matrix in that form or as
-``{"dim", "re", "im"}``.  :func:`_dumps` writes a report byte for byte as
-``json.dumps(report, indent=2, sort_keys=True)`` would, with each list of
-finite floats joined in one pass over ``float.__repr__``.
+``{"dim", "re", "im"}``.  :func:`main` writes the report a handler returns
+as ``json.dumps(report, indent=2, sort_keys=True)``; a handler that has
+written its own output (``magnus --format csv``) returns none.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .funcalc import (
 )
 from .functions import named_function
 from .generate import KINDS, MAX_DIM, gen_matrix
-from .magnus import builtin_field, field_from_samples, magnus_solve, rk_reference
+from .magnus import MAX_STEPS, builtin_field, field_from_samples, magnus_solve, rk_reference
 from .ncseries import dyson_exp, newton_interpolate, taylor_expand
 from .quadrature import Contour
 from .rearrange import rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
@@ -76,49 +76,6 @@ def _complex_from_json(value, what: str) -> complex:
 def _nodes_from_json(text: str) -> np.ndarray:
     data = _checked_json(json.loads(text), list, "--nodes")
     return np.array([_complex_from_json(p, "a --nodes entry") for p in data])
-
-
-_encode_str = json.encoder.encode_basestring_ascii  # the C function json uses
-
-
-def _dumps(report) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte.
-
-    The pure-Python encoder that ``indent`` selects formats one float at a
-    time; a list of finite floats (a job's matrix echoed under ``params``) is
-    written here as one join over ``float.__repr__``.  Scalars are spelled as json
-    spells them, and anything but str-keyed dicts, lists, tuples and scalars
-    goes to ``json.dumps`` itself.
-    """
-    def write(o, pad: str) -> str:
-        if isinstance(o, str):
-            return _encode_str(o)
-        if o is None or o is True or o is False:
-            return "null" if o is None else "true" if o else "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, float):
-            if math.isfinite(o):
-                return float.__repr__(o)
-            return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
-        inner = pad + "  "
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            if set(map(type, o)) == {float} and math.isfinite(sum(o)):
-                body = (",\n" + inner).join(map(float.__repr__, o))
-            else:
-                body = (",\n" + inner).join([write(x, inner) for x in o])
-            return f"[\n{inner}{body}\n{pad}]"
-        if isinstance(o, dict) and all(isinstance(k, str) for k in o):
-            if not o:
-                return "{}"
-            body = (",\n" + inner).join([f"{_encode_str(k)}: {write(v, inner)}"
-                                         for k, v in sorted(o.items())])
-            return f"{{\n{inner}{body}\n{pad}}}"
-        return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-
-    return write(report, "")
 
 
 def _write(text: str, path: str | None) -> None:
@@ -319,7 +276,7 @@ def _cmd_dyson(args, tol) -> tuple[dict, bool]:
                              tol["dyson-finite-remainder-identity"])
 
 
-def _cmd_magnus(args, tol) -> tuple[dict, bool]:
+def _cmd_magnus(args, tol) -> tuple[dict | None, bool]:
     if args.rows < 1:
         raise InvalidInput(f"--rows must be at least 1, got {args.rows}")
     if not (math.isfinite(args.h) and args.h > 0):
@@ -336,6 +293,9 @@ def _cmd_magnus(args, tol) -> tuple[dict, bool]:
         )
     else:
         field = builtin_field(args.field)
+    # magnus_solve's own step bound, applied before a checkpoint list that long is built
+    if args.t_end / args.h > MAX_STEPS:
+        raise InvalidInput(f"t_end / h = {args.t_end / args.h:.4g} steps, more than 2**20")
     # a remainder below 1e-9 of a step is rounding, not one more step, so no
     # checkpoint lands within rounding of t_end
     steps = max(1, math.ceil(args.t_end / args.h - 1e-9))
@@ -352,7 +312,7 @@ def _cmd_magnus(args, tol) -> tuple[dict, bool]:
     columns = ["t", "omega_norm", "discrepancy"]
     if args.format == "csv":
         _write(_csv(columns, rows), args.output)
-        return {}, _verdict([check])
+        return None, _verdict([check])
     params = {"field": args.field, "t_end": args.t_end, "h": args.h, "order": args.order,
               "rows": args.rows}
     return _report(args, params, {"rows": rows, "columns": columns}, [check])
@@ -530,10 +490,10 @@ def main(argv=None) -> int:
         handler = globals()["_cmd_" + args.subcommand.replace("-", "_")]
         t0 = time.perf_counter()
         report, ok = handler(args, verify.tolerances(args.tol_scale))
-        if args.subcommand != "magnus" or args.format == "json":
+        if report is not None:
             if args.timings:
                 report["timings"] = {"wall_seconds": time.perf_counter() - t0}
-            _write(_dumps(report) + "\n", args.output)
+            _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

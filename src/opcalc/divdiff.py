@@ -52,12 +52,17 @@ __all__ = [
 ]
 
 COMPOSITION_CAP = 10**6
+NODE_CAP = 64  # most nodes a route takes, as many as newton --count
 
 
 def _nodes(xs) -> np.ndarray:
+    """The nodes as a complex array, refused (:class:`InvalidInput`) if empty,
+    past ``NODE_CAP`` or not finite: the one node check of all five routes."""
     arr = np.atleast_1d(np.asarray(xs, dtype=complex))
     if arr.size == 0:
         raise InvalidInput("node set must be non-empty")
+    if arr.size > NODE_CAP:
+        raise InvalidInput(f"{arr.size} nodes exceed {NODE_CAP}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("nodes must be finite")
     return arr

@@ -293,10 +293,16 @@ def dd_tensor(
     f(z) * (z - a_0)^-1 (x) ... (x) (z - a_n)^-1 into an (n+1)-slot operator.
     The slots are split into a leading and a trailing half, so a level's sum
     over the nodes is one matrix product of the two halves' Kronecker stacks
-    and no node's d^(n+1)-square integrand is formed.
+    and no node's d^(n+1)-square integrand is formed.  A level's sum still
+    holds the whole tensor, d^(2(n+1)) entries: past ``ENTRIES`` the tuple is
+    refused with :class:`InvalidInput` before f is called.
     """
     ms = as_matrices(mats)
     d = ms[0].shape[0]
+    entries = d ** (2 * len(ms))
+    if entries > ENTRIES:
+        raise InvalidInput(f"a {len(ms)}-slot tensor at d = {d} has {entries} entries, "
+                           f"more than {ENTRIES}")
     c = contour_around(_spectrum(ms), _handle(f, HoloFunction), contour)
     halves = ms[: len(ms) // 2], ms[len(ms) // 2 :]
     p, q = (d ** len(h) for h in halves)

@@ -50,6 +50,7 @@ __all__ = [
 
 BERNOULLI_CAP = 30
 BRANCH_RADIUS = np.pi
+MAX_STEPS = 2**20  # most steps a magnus_solve pass holds in its grid and field stack
 
 
 def bernoulli(K: int) -> tuple[Fraction, ...]:
@@ -251,10 +252,11 @@ def magnus_solve(
     ``order``; stepping is classical RK4 with fixed step ``h`` over
     :func:`_grid`, with the first stage at a grid time shared by the steps
     taken from there.  The field of the whole pass is read before the first
-    step (:func:`_stage_fields`); a pass of more than 2**20 steps is refused
-    with :class:`InvalidInput` before that.  The solve then aborts with
-    :class:`BranchRadiusExceeded` once |Omega| reaches ``BRANCH_RADIUS``
-    (pi), where the principal logarithm could no longer be trusted.
+    step (:func:`_stage_fields`); a pass of more than ``MAX_STEPS`` (2**20)
+    steps is refused with :class:`InvalidInput` before that.  The solve then
+    aborts with :class:`BranchRadiusExceeded` once |Omega| reaches
+    ``BRANCH_RADIUS`` (pi), where the principal logarithm could no longer be
+    trusted.
     ``trace``, when given, collects (t, |Omega(t)|) rows.
 
     With ``checkpoints``, a sorted sequence of times in [0, t_end], the same
@@ -265,7 +267,7 @@ def magnus_solve(
     stops = _stops(t_end, checkpoints)
     _coefficients(order)  # refuses a bad order before A is read
     # the grid and the field stack hold every step: refuse a pass too long to hold
-    if h > 0 and t_end / h > 2**20:
+    if h > 0 and t_end / h > MAX_STEPS:
         raise InvalidInput(f"t_end / h = {t_end / h:.4g} steps, more than 2**20")
     a0 = as_matrix(A(0.0))
     grid = _grid(stops, h)

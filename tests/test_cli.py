@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 from math import factorial
@@ -81,6 +82,22 @@ def run_cli(args, capsys):
 
 
 class TestDDCommand:
+    @pytest.mark.parametrize("method", ["all", "recursive", "explicit", "contour", "hermite",
+                                        "power"])
+    def test_65_nodes_are_refused(self, method, capsys):
+        nodes = json.dumps([[k / 65, 0.5] for k in range(65)])
+        code, out, err = run_cli(["dd", "--f", "pow:3", "--nodes", nodes, "--method", method],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.count("65 nodes exceed 64") == (4 if method == "all" else 1)
+
+    def test_64_nodes_still_run(self, capsys):
+        nodes = json.dumps([[k / 64, 0.5] for k in range(64)])
+        code, out, _ = run_cli(["dd", "--f", "pow:3", "--nodes", nodes, "--method", "power"],
+                               capsys)
+        assert code == 0 and json.loads(out)["results"] == {"power": [0.0, 0.0]}
+
     def test_all_methods_agree(self, capsys):
         code, out, err = run_cli(
             ["dd", "--f", "exp", "--nodes", "[[0,0],[1,0]]", "--method", "all"], capsys
@@ -434,6 +451,21 @@ class TestMagnusCommand:
         code, out, err = run_cli(["magnus", "--h", "1e-9"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "2**20" in err
+
+    def test_step_count_past_the_cap_refused_before_the_checkpoints(self, monkeypatch, capsys):
+        # a million rows over 1e12 steps: checked late, a million checkpoint
+        # floats would be built before magnus_solve refuses the step count
+        calls = []
+        monkeypatch.setattr(cli, "magnus_solve", lambda *a, **k: calls.append(a))
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["magnus", "--h", "1e-12", "--rows", "1000000"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, calls) == (2, "", [])
+        assert err == "error: t_end / h = 1e+12 steps, more than 2**20\n"
+        assert peak < 4 * 2**20
 
     def test_bad_end_time_rejected(self, capsys):
         for t_end in ("-1", "inf", "nan"):
@@ -1224,35 +1256,10 @@ class TestInputProperties:
             _exit_contract(["funcalc", "--job", _write_json(tmp, job)])
 
 
-# JSON-shaped values for the report writer: every scalar json writes, floats
-# with their edge cases, lists of finite floats (the joined path), and lists
-# that mix floats with ints or non-finite floats, nested in dicts, lists and
-# tuples
-_EDGE_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
-                                          2.2250738585072014e-308 / 3, 1e300, -1e300, 1e16]),
-                         st.floats())
-_REPORT_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.sampled_from([2**64, -(10**40)]),
-    _EDGE_FLOATS, st.text(), st.sampled_from(["é", "\x00\n\t\"\\", "\u2028", "\U0001f600"]),
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
-    st.lists(st.one_of(_EDGE_FLOATS, st.integers(-3, 3)), min_size=1, max_size=6),
-)
-_REPORT_VALUES = st.recursive(
-    _REPORT_LEAVES,
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
-                            st.dictionaries(st.text(max_size=5), inner, max_size=4)),
-    max_leaves=24,
-)
-
-
 class TestReportWriter:
-    """``cli._dumps`` writes ``json.dumps(report, indent=2, sort_keys=True)``,
-    byte for byte."""
-
-    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-    @given(value=_REPORT_VALUES)
-    def test_writes_what_json_writes(self, value):
-        assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+    """``main`` writes the report a handler returns as
+    ``json.dumps(report, indent=2, sort_keys=True)``, and nothing when the
+    handler returns none."""
 
     def test_every_subcommand_report(self, monkeypatch, tmp_path, capsys):
         commuting = gen_matrix("commuting-pair", 2, 2)
@@ -1281,15 +1288,24 @@ class TestReportWriter:
             ["gen", "--kind", "commuting-pair", "--dim", "2"],
         ]
         written = []
-        dumps = cli._dumps
-        monkeypatch.setattr(cli, "_dumps", lambda report: written.append((report, dumps(report)))
-                            or written[-1][1])
+        write = cli._write
+        monkeypatch.setattr(cli, "_write", lambda text, path: written.append(text)
+                            or write(text, path))
         for argv in argvs:
             code, out, _ = run_cli(argv, capsys)
-            report, text = written[-1]
-            assert code == 0 and out.endswith(text + "\n"), argv
-            assert text == json.dumps(report, indent=2, sort_keys=True), argv
-        assert [r["subcommand"] for r, _ in written] == [a[0] for a in argvs]
+            text = written[-1]
+            assert code == 0 and out.endswith(text), argv
+            report = json.loads(text)
+            assert text == json.dumps(report, indent=2, sort_keys=True) + "\n", argv
+            assert report["subcommand"] == argv[0]
+        assert len(written) == len(argvs)
+
+    def test_a_handler_that_wrote_its_own_output_gets_no_report(self, monkeypatch, capsys):
+        written = []
+        monkeypatch.setattr(cli, "_write", lambda text, path: written.append(text))
+        code, _, _ = run_cli(["magnus", "--rows", "4", "--h", "0.01", "--timings"], capsys)
+        assert code == 0
+        assert len(written) == 1 and written[0].startswith("t,omega_norm,discrepancy\n")
 
 
 class TestFunctionNames:

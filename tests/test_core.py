@@ -24,7 +24,6 @@ from opcalc import (
     pair,
     rel_err,
 )
-from opcalc.cli import _dumps
 from opcalc.errors import DimensionMismatch, NonDiagonalizable
 
 
@@ -247,13 +246,15 @@ class TestJson:
     @example([-0.0, 5e-324, 1e308, -1e308, -5e-324, 2.2250738585072014e-308 / 3, 0.0, -0.0])
     @example([-0.0, -0.0])
     def test_report_text_decodes_bit_for_bit(self, parts):
-        # through the report writer and json.loads, every bit survives: the
-        # sign of zero, subnormals and the ends of the float range
+        # through json.dumps as cli.main writes a report, and json.loads,
+        # every bit survives: the sign of zero, subnormals and the ends of the
+        # float range
         d = math.isqrt(len(parts) // 2)
         m = np.empty(d * d, dtype=complex)
         m.real, m.imag = parts[0::2], parts[1::2]
         m = m.reshape(d, d)
-        got = matrix_from_json(json.loads(_dumps({"value": matrix_to_json(m)}))["value"])
+        text = json.dumps({"value": matrix_to_json(m)}, indent=2, sort_keys=True)
+        got = matrix_from_json(json.loads(text)["value"])
         assert got.view(np.uint64).tolist() == m.view(np.uint64).tolist()
         assert got.flags.writeable
 

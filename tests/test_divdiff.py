@@ -495,6 +495,38 @@ class TestNearCoincidence:
         assert abs(via_contour - limit) <= 1e-4 * abs(limit)
 
 
+class TestNodeCap:
+    """Every route refuses more than 64 nodes before it reads f; at 3000
+    nodes the recursion and the symmetric sum returned NaN."""
+
+    ROUTES = {
+        "recursive": lambda xs: dd_recursive(EXP, xs),
+        "explicit": lambda xs: dd_explicit(EXP, xs),
+        "contour": lambda xs: dd_contour(EXP, xs),
+        "hermite": lambda xs: dd_hermite(EXP, xs),
+        "power": lambda xs: dd_power(xs, 3),
+    }
+
+    @staticmethod
+    def nodes(count):
+        rng = np.random.default_rng(7)
+        return rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_65_nodes_are_refused(self, route):
+        with pytest.raises(InvalidInput, match="^65 nodes exceed 64$"):
+            self.ROUTES[route](self.nodes(65))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_64_nodes_still_run(self, route):
+        try:
+            value = self.ROUTES[route](self.nodes(64))
+        except QuadratureNoConvergence:  # the simplex point budget, from 8 nodes on
+            assert route == "hermite"
+        else:
+            assert np.isfinite(value)
+
+
 class TestFourWay:
     @pytest.mark.parametrize("fname", ["exp", "pow5", "res3"])
     def test_agreement(self, fname):

@@ -652,6 +652,34 @@ class TestDDTensor:
         monkeypatch.setattr(funcalc, "ENTRIES", 64)   # 3 nodes per batch
         assert rel_err(dd_tensor(EXP, mats).matrix, whole) < 1e-13
 
+    @pytest.mark.parametrize("slots, dim, entries", [(4, 2, 64), (5, 8, funcalc.ENTRIES),
+                                                      (4, 8, funcalc.ENTRIES)])
+    def test_a_tensor_past_entries_is_refused_before_f_is_called(self, monkeypatch, slots,
+                                                                 dim, entries):
+        # 5 slots at d = 8 would hold 8^10 complex entries, about 17 GB, per
+        # level; f raises, so without the bound nothing that large is built
+        monkeypatch.setattr(funcalc, "ENTRIES", entries)
+
+        def fn(z):
+            raise AssertionError("f was called")
+
+        mats = [gen_matrix("random", dim, 60 + j) for j in range(slots)]
+        with pytest.raises(InvalidInput, match=f"{slots}-slot tensor at d = {dim} has "
+                                               f"{dim ** (2 * slots)} entries, more than "
+                                               f"{entries}"):
+            dd_tensor(dataclasses.replace(EXP, fn=fn), mats)
+
+    def test_a_ddtensor_job_past_entries_exits_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(funcalc, "ENTRIES", 64)
+        job = {"function": "exp", "mode": "ddtensor",
+               "matrices": [matrix_to_json(gen_matrix("random", 2, 60 + j)) for j in range(4)]}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        code = cli.main(["funcalc", "--job", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: a 4-slot tensor at d = 2 has 256 entries, more than 64\n"
+
 
 class TestDDApply:
     def test_no_factors(self):
