@@ -67,7 +67,7 @@ def as_matrix(m, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {a.shape[0]}")
-    if not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise DimensionMismatch("matrix entries must be finite")
     return a
 

@@ -18,7 +18,8 @@ zero, so a stage creates no array but its result.  The equation is stepped
 with the classical 4th-order Runge-Kutta scheme; a plain Runge-Kutta solver
 for Y itself with Richardson extrapolation serves as the independent oracle.
 Both walk the steps that :func:`_grid` lays out for a pass, on the field of
-the whole pass read at once by :func:`_stage_fields`.  Since Y' = A(t) Y is
+the whole pass read at once by :func:`_stage_fields`; each halving of the
+oracle reads only the times its previous pass did not.  Since Y' = A(t) Y is
 linear, one RK4 step of the oracle is a d x d matrix, a polynomial in that
 field, so each pass forms the matrices of all its steps as one stack.
 """
@@ -34,7 +35,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .core import as_matrices, as_matrix, commutator, matrix_exp, opnorm
-from .errors import BranchRadiusExceeded, InvalidInput, StepRejected
+from .errors import BranchRadiusExceeded, DimensionMismatch, InvalidInput, StepRejected
 from .quadrature import _refine
 
 __all__ = [
@@ -111,19 +112,23 @@ _WORKSPACES = _Workspaces()
 
 def _workspace(order: int, d: int) -> tuple:
     """The (order, d) stage buffers of :func:`magnus_rhs` and every view into
-    them, made once per thread: a d x d view of the gather source (Omega's
-    d^2 entries, then one zero slot) and its bound ``take``, the two index
-    maps, two d^2 x d^2 buffers (the first map's gather, then ad_Omega), a
-    d x d view of the Krylov block's first row, the block's (previous, row)
-    view pairs, the bound ``ad.dot`` and the block.
+    them, made once per thread.  One row holds Omega's d^2 entries, a zero
+    slot and the Krylov block, whose first row is A(t): the first d^2 + 1
+    are the gather source, and the first 2 d^2 + 1 are the stage's inputs,
+    checked in one scan.  Returned: d x d views of Omega's and A(t)'s slots,
+    the inputs view, the bound ``take`` of the gather source, the two index
+    maps, two d^2 x d^2 buffers (the first map's gather, then ad_Omega),
+    the block's (previous, row) view pairs, the bound ``ad.dot`` and the
+    block.
     """
     left, right = _ad_gather(d)
-    source = np.zeros(d * d + 1, dtype=complex)
+    row = np.zeros(d * d + 1 + (order + 1) * d * d, dtype=complex)
+    source, block = row[:d * d + 1], row[d * d + 1:].reshape(order + 1, d * d)
     minuend = np.empty((d * d, d * d), dtype=complex)
     ad = np.empty_like(minuend)
-    block = np.empty((order + 1, d * d), dtype=complex)
-    workspace = (source[:-1].reshape(d, d), source.take, left, right, minuend, ad,
-                 block[0].reshape(d, d), list(zip(block, block[1:])), ad.dot, block)
+    workspace = (source[:-1].reshape(d, d), block[0].reshape(d, d), row[:2 * d * d + 1],
+                 source.take, left, right, minuend, ad, list(zip(block, block[1:])), ad.dot,
+                 block)
     _WORKSPACES.by_size[order, d] = workspace
     return workspace
 
@@ -141,28 +146,42 @@ def magnus_rhs(omega, a_t, order: int) -> np.ndarray:
     gathers (:func:`_ad_gather`) and one subtraction, each entry the copy or
     difference of Omega (x) I - I (x) Omega^T up to the sign of a structural
     zero.  The result is a new array, never a view of the workspace.
+    Omega and a_t are copied side by side into that workspace and checked
+    in one scan; only when the scan fails, or the inputs are not two float
+    or complex ndarrays of one square shape, does
+    :func:`opcalc.core.as_matrix` check them, so a bad input raises its
+    typed error and message.
     Above d = 8 the d^4 entries of that matrix cost more than the
     commutators they replace, so the powers are nested commutators.
     """
     coefficients = _coefficients(order)
-    om = as_matrix(omega)
-    d = om.shape[0]
-    x = as_matrix(a_t, dim=d)
-    if d > 8:
-        total = coefficients[0] * x
-        for c in coefficients[1:]:
-            x = commutator(om, x)
-            if c != 0.0:
-                total = total + c * x
-        return total
-    entries, take, left, right, minuend, ad, first, pairs, product, block = (
+    # magnus_solve's stage inputs pass this gate unchecked: their copies in
+    # the workspace are scanned below.  Anything else goes through as_matrix
+    if not (type(omega) is np.ndarray and type(a_t) is np.ndarray and omega.ndim == 2
+            and omega.shape == a_t.shape and 0 < omega.shape[0] == omega.shape[1] <= 8
+            and omega.dtype.kind in "fc" and a_t.dtype.kind in "fc"):
+        omega = as_matrix(omega)
+        a_t = as_matrix(a_t, dim=omega.shape[0])
+        if omega.shape[0] > 8:
+            x, total = a_t, coefficients[0] * a_t
+            for c in coefficients[1:]:
+                x = commutator(omega, x)
+                if c != 0.0:
+                    total = total + c * x
+            return total
+    d = omega.shape[0]
+    entries, first, inputs, take, left, right, minuend, ad, pairs, product, block = (
         _WORKSPACES.by_size.get((order, d)) or _workspace(order, d))
-    entries[...] = om
+    entries[...] = omega
+    first[...] = a_t
+    if np.count_nonzero(np.isfinite(inputs)) != inputs.size:
+        # as_matrix names the first input that is not finite, as it always has
+        as_matrix(omega)
+        as_matrix(a_t)
     # every index is in range, and "clip" writes straight to ``out``
     take(left, None, minuend, "clip")
     take(right, None, ad, "clip")
     np.subtract(minuend, ad, ad)
-    first[...] = x
     for previous, row in pairs:
         product(previous, row)
     return coefficients.dot(block).reshape(d, d)
@@ -214,29 +233,42 @@ def _grid(stops: list[float], h: float) -> list[tuple[float, float, int]]:
         t += step
 
 
-def _stage_fields(A, grid: list[tuple[float, float, int]], dim: int) -> np.ndarray:
+def _stage_fields(A, grid: list[tuple[float, float, int]], dim: int, known) -> tuple:
     """The field at the start, middle and end of every step of ``grid``.
 
     Returns a (3, steps, dim, dim) complex stack with one column per step of
-    nonzero length.  ``A`` is read once per distinct time, in increasing
-    order, and the values are validated as one stack: :class:`StepRejected`
-    names the first time whose value has the wrong shape, else the first
-    whose value is not finite.
+    nonzero length, and the pass's distinct stage times beside their values,
+    as one ``(times, stack)`` pair.  ``known`` is None or such a pair from
+    an earlier pass: a time equal to one of its times, float for float,
+    takes its value from there.  ``A`` is read once per other distinct time,
+    in increasing order, and the values read are validated as one stack:
+    :class:`StepRejected` names the first time whose value has the wrong
+    shape, else the first whose value is not finite.
     """
     t, s = np.array([(t, step) for t, step, _ in grid if step != 0.0]).reshape(-1, 2).T
     times, where = np.unique(np.concatenate([t, t + 0.5 * s, t + s]), return_inverse=True)
-    times = times.tolist()
-    values = [A(x) for x in times]
-    for x, value in zip(times, values):
+    stack = np.empty((len(times), dim, dim), dtype=complex)
+    unread = np.ones(len(times), dtype=bool)
+    if known is not None:
+        _, mine, theirs = np.intersect1d(times, known[0], assume_unique=True, return_indices=True)
+        stack[mine] = known[1][theirs]
+        unread[mine] = False
+    reads = times[unread].tolist()
+    values = [A(x) for x in reads]
+    for x, value in zip(reads, values):
         if np.shape(value) != (dim, dim):
             raise StepRejected(f"field returned shape {np.shape(value)} at t = {x:g}")
-    stack = np.array(values, dtype=complex).reshape(len(times), dim, dim)
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    values = np.array(values, dtype=complex).reshape(len(reads), dim, dim)
+    finite = np.isfinite(values).all(axis=(1, 2))
     if not finite.all():
-        raise StepRejected(f"field is not finite at t = {times[int(np.argmin(finite))]:g}")
-    return stack[where].reshape(3, len(t), dim, dim)
+        raise StepRejected(f"field is not finite at t = {reads[int(np.argmin(finite))]:g}")
+    stack[unread] = values
+    return stack[where].reshape(3, len(t), dim, dim), (times, stack)
 
 
+# Both passes check every state and refuse a non-finite one (StepRejected), so
+# numpy's overflow warnings on the way there would only be noise on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def magnus_solve(
     A,
     t_end: float,
@@ -271,28 +303,38 @@ def magnus_solve(
         raise InvalidInput(f"t_end / h = {t_end / h:.4g} steps, more than 2**20")
     a0 = as_matrix(A(0.0))
     grid = _grid(stops, h)
-    fields = zip(*_stage_fields(A, grid, a0.shape[0]))
+    fields = zip(*_stage_fields(A, grid, a0.shape[0], None)[0])
     om, k1, omegas = np.zeros_like(a0), None, []
     for t, step, stop in grid:
         if step == 0.0:
             omegas.append(om)
             continue
         a_start, a_mid, a_end = next(fields)
-        if k1 is None:
-            k1 = magnus_rhs(om, a_start, order)
-        k2 = magnus_rhs(om + 0.5 * step * k1, a_mid, order)
-        k3 = magnus_rhs(om + 0.5 * step * k2, a_mid, order)
-        k4 = magnus_rhs(om + step * k3, a_end, order)
-        y = om + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        try:
+            if k1 is None:
+                k1 = magnus_rhs(om, a_start, order)
+            k2 = magnus_rhs(om + 0.5 * step * k1, a_mid, order)
+            k3 = magnus_rhs(om + 0.5 * step * k2, a_mid, order)
+            k4 = magnus_rhs(om + step * k3, a_end, order)
+        except DimensionMismatch:  # a stage overflowed, so the next one's input is not finite
+            raise StepRejected(f"non-finite state at t = {t + step:g}") from None
+        # om + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), operation for
+        # operation, in k2's buffer: a stage's result is a new array
+        y = np.multiply(2.0, k2, k2)
+        np.add(k1, y, y)
+        y += np.multiply(2.0, k3, k3)
+        y += k4
+        np.multiply(step / 6.0, y, y)
+        np.add(om, y, y)
         t += step
-        if not np.isfinite(y).all():
+        if np.count_nonzero(np.isfinite(y)) != y.size:
             raise StepRejected(f"non-finite state at t = {t:g}")
         # |Omega|_2 <= |Omega|_F: below pi (less a rounding margin) the SVD
         # cannot refuse, so it runs only for a trace row or near the radius
         if trace is not None or np.vdot(y, y).real >= BRANCH_RADIUS**2 * (1 - 1e-9):
             nrm = opnorm(y)
             if nrm >= BRANCH_RADIUS:
-                raise BranchRadiusExceeded(f"|Omega| = {nrm:.4f} >= {BRANCH_RADIUS:.4f} at t = {t:g}")
+                raise BranchRadiusExceeded(f"|Omega| = {nrm:.4g} >= {BRANCH_RADIUS:.4f} at t = {t:g}")
             if trace is not None:
                 trace.append((t, nrm))
         if stop >= 0:
@@ -304,41 +346,47 @@ def magnus_solve(
     return [(om, matrix_exp(om)) for om in omegas[:-1]]
 
 
-def _reference_pass(A, y0: np.ndarray, stops: list[float], h: float) -> list[np.ndarray]:
-    """RK4 for Y' = A(t) Y over :func:`_grid`; the state at each sorted stop.
+def _reference_pass(A, y0: np.ndarray, stops: list[float], h: float, known) -> tuple:
+    """RK4 for Y' = A(t) Y over :func:`_grid`: the state at each sorted stop,
+    and the pass's ``(times, stack)`` field pair.
 
     A step of length s from t is the matrix R = I + (s/6)(K1 + 2 K2 + 2 K3 + K4),
     with K1 = A(t), K2 = A_m (I + (s/2) K1), K3 = A_m (I + (s/2) K2) and
     K4 = A(t + s)(I + s K3), where A_m = A(t + s/2).  The field of the pass
-    comes from :func:`_stage_fields`, and the R of every step are formed as
-    one stack; the states are then one product per step.
+    comes from :func:`_stage_fields`, which takes the values at the times of
+    ``known`` from there, and the R of every step are formed as one stack;
+    the states are then one product per step.
     """
     grid = _grid(stops, h)
-    k1, a_mid, a_end = _stage_fields(A, grid, y0.shape[0])
+    (k1, a_mid, a_end), known = _stage_fields(A, grid, y0.shape[0], known)
     moving = [(t, step) for t, step, _ in grid if step != 0.0]
     s = np.array([step for _, step in moving]).reshape(-1, 1, 1)
     k2 = a_mid + (0.5 * s) * (a_mid @ k1)
     k3 = a_mid + (0.5 * s) * (a_mid @ k2)
     k4 = a_end + s * (a_end @ k3)
-    matrices = iter(_identity(y0.shape[0]) + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    y, states, path = y0, [], []
+    matrices = _identity(y0.shape[0]) + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # every state of the pass, one block: the check below names the first
+    # that is not finite, which a BLAS skipping zero entries could hide later
+    path = np.empty_like(matrices)
+    y, states, steps = y0, [], zip(matrices, path)
     for _, step, stop in grid:
         if step == 0.0:
             states.append(y)
             continue
-        path.append(next(matrices).dot(y))
+        matrix, state = next(steps)
+        matrix.dot(y, state)
         if stop >= 0:
-            states.append(path[-1])
+            states.append(state)
         else:
-            y = path[-1]
-    if path:
-        finite = np.isfinite(np.array(path)).all(axis=(1, 2))
-        if not finite.all():
-            t0, s0 = moving[int(np.argmin(finite))]
-            raise StepRejected(f"non-finite state at t = {t0 + s0:g}")
-    return states
+            y = state
+    finite = np.isfinite(path).all(axis=(1, 2))
+    if not finite.all():
+        t0, s0 = moving[int(np.argmin(finite))]
+        raise StepRejected(f"non-finite state at t = {t0 + s0:g}")
+    return states, known
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rk_reference(A, t_end: float, *, checkpoints=None):
     """Propagator of Y' = A(t) Y, Y(0) = 1, by RK4 with Richardson extrapolation.
 
@@ -350,9 +398,10 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
     :func:`opcalc.quadrature._refine` returns the first that agrees with the
     one before to 1e-10, relative in the flat norm (at least three passes).
     Each pass reads its field the way the solve does, once per distinct
-    stage time of its grid and all at once (:func:`_stage_fields`), forms the
-    d x d matrix of every RK4 step as one stack (:func:`_reference_pass`),
-    and multiplies the states up.  With ``checkpoints``, a sorted sequence of
+    stage time of its grid and all at once (:func:`_stage_fields`), except at
+    the times the pass before read, whose values it takes from that pass's
+    ``(times, stack)`` pair; it forms the d x d matrix of every RK4 step as
+    one stack (:func:`_reference_pass`), and multiplies the states up.  With ``checkpoints``, a sorted sequence of
     times in [0, t_end], each pass also stops at every checkpoint, the values
     at all of them are compared as one stack, and the list of propagators at
     the checkpoints is returned.
@@ -363,10 +412,12 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
 
     def levels():
         step = t_end / 64.0
-        coarse = np.array(_reference_pass(A, eye, stops, step))
+        coarse, known = _reference_pass(A, eye, stops, step, None)
+        coarse = np.array(coarse)
         for k in range(1, 15):
             step *= 0.5
-            fine = np.array(_reference_pass(A, eye, stops, step))
+            fine, known = _reference_pass(A, eye, stops, step, known)
+            fine = np.array(fine)
             yield 64 << k, (16.0 * fine - coarse) / 15.0, 0.0
             coarse = fine
 
@@ -409,7 +460,9 @@ def field_from_samples(times, mats):
     """Piecewise-linear field through the given (time, matrix) samples.
 
     The matrices must share one dimension (:class:`DimensionMismatch`
-    otherwise) and the times must be finite (:class:`InvalidInput`).
+    otherwise), and the times must be finite and, once sorted, distinct with
+    finite gaps (:class:`InvalidInput`): a repeated time or a gap past the
+    float range leaves an interval no weight can interpolate on.
     """
     ts = np.asarray(times, dtype=float)
     ms = as_matrices(list(mats))
@@ -419,6 +472,10 @@ def field_from_samples(times, mats):
         raise InvalidInput("sample times must be finite")
     order = np.argsort(ts)
     ts = ts[order]
+    with np.errstate(over="ignore"):
+        gaps = np.diff(ts)
+    if not (np.isfinite(gaps) & (gaps > 0)).all():
+        raise InvalidInput("sample times must be distinct, with finite gaps between them")
     ms = [ms[k] for k in order]
 
     def A(t):

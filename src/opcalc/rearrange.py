@@ -61,18 +61,28 @@ def kernel_F(qs, s):
     ``s`` is one argument tuple, or many along leading axes (the last axis
     has length p+1).  Every tuple goes through one half-line quadrature whose
     error estimate covers them all.  One tuple gives a ``complex``, many an
-    array of their leading shape.
+    array of their leading shape.  Each f_j is evaluated once per distinct
+    argument of slot j, told apart by bit pattern (so +0.0 and -0.0 stay
+    apart), and its values gathered onto the tuples: on the d^(p+1)
+    eigenvalue tuples of a rearrangement route, d values per slot.
     """
     fs = _check_decay(qs)
     pts = np.asarray(s, dtype=complex)
     if pts.ndim == 0 or pts.shape[-1] != len(fs):
         raise DecayViolation(f"{len(fs)} functions need {len(fs)}-argument tuples")
+    slots = []
+    for f, column in zip(fs, np.ascontiguousarray(pts.reshape(-1, len(fs)).T)):
+        _, first, where = np.unique(column.view("V16"), return_index=True, return_inverse=True)
+        slots.append((f, column[first], where))
 
     def integrand(u):
-        vals = fs[0](np.multiply.outer(u, pts[..., 0]))
-        for j, f in enumerate(fs[1:], start=1):
-            vals = vals * f(np.multiply.outer(u, pts[..., j]))
-        return vals
+        # ``take`` keeps each factor contiguous, so the panel sums add in
+        # the order of a per-tuple evaluation, bit for bit
+        vals = None
+        for f, args, where in slots:
+            factor = f(np.multiply.outer(u, args)).take(where, axis=-1)
+            vals = factor if vals is None else vals * factor
+        return vals.reshape(np.shape(u) + pts.shape[:-1])
 
     value = halfline_integrate(integrand)
     return complex(value) if pts.ndim == 1 else value

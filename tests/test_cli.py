@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import opcalc
@@ -466,6 +466,28 @@ class TestMagnusCommand:
         assert (code, out, calls) == (2, "", [])
         assert err == "error: t_end / h = 1e+12 steps, more than 2**20\n"
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [-1e308, 1e308]],
+                             ids=["repeated", "overflowing-gap"])
+    def test_sample_times_without_a_finite_gap_are_refused(self, times, tmp_path, capsys):
+        # two samples at t = 0 ran the reference to 2**20 steps (3.3 s, 574
+        # MB) before exit 2; a gap past the float range exited 0 with an
+        # overflow warning and a field that read 1 where it should read 1.5
+        path = _write_json(tmp_path, {"times": times, "matrices": [{"dim": 1, "re": [1.0]},
+                                                                   {"dim": 1, "re": [2.0]}]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["magnus", "--field", path, "--rows", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: sample times must be distinct, with finite gaps between them\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_a_blown_up_field_is_refused_in_one_short_line(self, tmp_path, capsys):
+        samples = {"times": [0.0, 1.0],
+                   "matrices": [matrix_to_json(np.eye(2)), matrix_to_json(np.diag([1e200, 1.0]))]}
+        code, out, err = run_cli(["magnus", "--field", _write_json(tmp_path, samples)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: |Omega| = 1.25e+195 >= 3.1416 at t = 0.005\n"
 
     def test_bad_end_time_rejected(self, capsys):
         for t_end in ("-1", "inf", "nan"):
@@ -1242,7 +1264,81 @@ def _exit_contract(argv) -> None:
     assert code != 1 or "FAIL" in err.getvalue(), (argv, err.getvalue())
 
 
+def _field_file_contract(samples) -> None:
+    """``_exit_contract`` for one ``magnus --field`` file, with numpy's
+    warnings left on: exit 2 prints exactly one ``error:`` line, and no run
+    prints a traceback or raises a RuntimeWarning."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["magnus", "--field", _write_json(tmp, samples), "--t-end", "0.1",
+                     "--h", "0.02", "--order", "8", "--rows", "2", "--format", "json"])
+    text = err.getvalue()
+    assert code in (0, 1, 2), (samples, code)
+    assert code != 1 or "FAIL" in text, (samples, text)
+    assert code != 2 or (text.startswith("error: ") and text.count("\n") == 1), (samples, text)
+    assert "Traceback" not in text, (samples, text)
+    assert not [w.message for w in caught if issubclass(w.category, RuntimeWarning)], samples
+
+
+# Field-file parts for the property test below: a valid file is three 2 x 2
+# samples; each example replaces one part of it and keeps the rest valid.
+_SAMPLE_TIMES = [0.0, 0.5, 1.0]
+_SAMPLE_MATRICES = [{"dim": 2, "re": [0.5, 0.2, 0.0, -0.3], "im": [0.0, 0.1, -0.1, 0.0]},
+                    {"dim": 2, "re": [0.1, 0.4, 0.3, 0.2]},
+                    matrix_to_json(np.array([[0.3, 0.0], [0.1j, 0.5]]))]
+_EXTREME = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1e308, -1e308,
+                            1.7976931348623157e308, float("nan"), float("inf"), 10**400])
+_NUMBER = st.one_of(_EXTREME, st.integers(-3, 3), st.floats(-2.0, 2.0))
+
+
+_DROP = object()  # a part left out of the file
+
+
+def _with(part: str, value) -> dict:
+    samples = {"times": list(_SAMPLE_TIMES), "matrices": list(_SAMPLE_MATRICES)}
+    if value is _DROP:
+        del samples[part]
+    else:
+        samples[part] = value
+    return samples
+
+
+def _with_matrix(k: int, key: str, value) -> dict:
+    """The valid file with field ``key`` of matrix ``k`` set to ``value``."""
+    matrices = list(_SAMPLE_MATRICES)
+    matrices[k] = {**matrices[k], key: value} if value is not _DROP else {
+        name: v for name, v in matrices[k].items() if name != key}
+    return _with("matrices", matrices)
+
+
+# Most examples keep each part's shape (three times, four entries) so that
+# they reach the solve; the rest change the shape or the JSON type.
+_FIELD_FILES = st.one_of(
+    st.builds(_with, st.just("times"), st.lists(_NUMBER, min_size=3, max_size=3)),
+    st.builds(_with, st.just("times"), st.one_of(st.lists(_NUMBER, max_size=5),
+                                                 _json_values(1), st.just(_DROP))),
+    st.builds(_with_matrix, st.integers(0, 1), st.sampled_from(["re", "im"]),
+              st.lists(_NUMBER, min_size=4, max_size=4)),
+    st.builds(_with_matrix, st.integers(0, 1), st.sampled_from(["dim", "re", "im"]),
+              st.one_of(_NUMBER, st.lists(_NUMBER, max_size=5), _LEAVES, st.just(_DROP))),
+    st.builds(_with_matrix, st.just(2), st.sampled_from(["dim", "dtype", "b64"]),
+              st.one_of(_LEAVES, st.just(_DROP))),
+    st.builds(_with, st.just("matrices"), st.one_of(
+        st.lists(st.sampled_from(_SAMPLE_MATRICES + [_MATRIX]), max_size=4), _json_values(1),
+        st.just(_DROP))),
+)
+
+
 class TestInputProperties:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(samples=_FIELD_FILES)
+    @example(samples={"times": [-1e308, 1e308],
+                      "matrices": [{"dim": 1, "re": [1.0]}, {"dim": 1, "re": [2.0]}]})
+    def test_magnus_field_file(self, samples):
+        _field_file_contract(samples)
+
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(nodes=_json_values(3), f=st.sampled_from(["exp", "log", "pow:-1"]))
     def test_dd_nodes(self, nodes, f):

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,14 @@ from opcalc import (
 )
 from opcalc import magnus
 from opcalc.core import as_matrix, commutator
-from opcalc.errors import BranchRadiusExceeded, InvalidInput, QuadratureNoConvergence, StepRejected
-from opcalc.magnus import builtin_field, perturbed_triangular_field, triangular_field
+from opcalc.errors import (
+    BranchRadiusExceeded,
+    DimensionMismatch,
+    InvalidInput,
+    QuadratureNoConvergence,
+    StepRejected,
+)
+from opcalc.magnus import builtin_field, field_from_samples, perturbed_triangular_field, triangular_field
 from opcalc.quadrature import gauss_legendre_01
 
 
@@ -68,7 +75,7 @@ def _matmul_rhs(omega, a_t, order):
 def _matmul_reference_pass(A, y0, stops, h):
     """``magnus._reference_pass`` with its states multiplied up through ``@``."""
     grid = magnus._grid(stops, h)
-    k1, a_mid, a_end = magnus._stage_fields(A, grid, y0.shape[0])
+    k1, a_mid, a_end = magnus._stage_fields(A, grid, y0.shape[0], None)[0]
     moving = [(t, step) for t, step, _ in grid if step != 0.0]
     s = np.array([step for _, step in moving]).reshape(-1, 1, 1)
     k2 = a_mid + (0.5 * s) * (a_mid @ k1)
@@ -243,7 +250,7 @@ class TestWorkspace:
         for order in (1, 8):
             for om in omegas:
                 magnus_rhs(om, a, order)
-                ad = magnus._WORKSPACES.by_size[order, d][5]  # the ad_Omega buffer
+                ad = magnus._WORKSPACES.by_size[order, d][7]  # the ad_Omega buffer
                 assert np.array_equal(ad, _outer_product_ad(as_matrix(om)))
 
     def test_a_result_never_aliases_the_workspace(self):
@@ -299,6 +306,86 @@ class TestWorkspace:
         thread.start()
         thread.join(timeout=60)
         assert not thread.is_alive() and sizes == [{}]
+
+
+def _stage_inputs(case: str, d: int):
+    """(Omega, A(t)) of one malformed stage: each case breaks one thing."""
+    rng = np.random.default_rng(300 + d)
+    om, a = 0.3 * (rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+    if case == "omega-nan":
+        om[0, -1] = np.nan
+    elif case == "omega-inf-imag":
+        om[-1, 0] = complex(0.0, np.inf)
+    elif case == "a-nan":
+        a[-1, -1] = np.nan
+    elif case == "a-inf":
+        a[0, 0] = -np.inf
+    elif case == "both-not-finite":
+        om[0, 0] = a[0, 0] = np.nan
+    elif case == "real-a-nan":
+        a = a.real.copy()
+        a[0, -1] = np.nan
+    elif case == "a-dimension":
+        a = np.eye(d + 1)
+    elif case == "omega-not-square":
+        om = np.ones((d, d + 1))
+    elif case == "omega-vector":
+        om = om[0]
+    elif case == "empty":
+        om = a = np.zeros((0, 0))
+    elif case == "list-omega-nan":
+        om[1, 1] = np.nan
+        om = om.tolist()
+    elif case == "list-a-dimension":
+        a = np.eye(d - 1).tolist()
+    return om, a
+
+
+_BAD_STAGES = ["omega-nan", "omega-inf-imag", "a-nan", "a-inf", "both-not-finite", "real-a-nan",
+               "a-dimension", "omega-not-square", "omega-vector", "empty", "list-omega-nan",
+               "list-a-dimension"]
+
+
+class TestStageInputs:
+    """A stage's Omega and A(t) are copied side by side into the workspace
+    and checked there in one scan; a bad input raises what ``as_matrix``
+    raises, and leaves nothing behind."""
+
+    @pytest.mark.parametrize("order", [0, 12])
+    @pytest.mark.parametrize("d", [2, 9])
+    @pytest.mark.parametrize("case", _BAD_STAGES)
+    def test_a_bad_input_raises_what_as_matrix_raises(self, case, d, order):
+        # d = 9 takes the nested commutators; order 0 has no Krylov row
+        om, a = _stage_inputs(case, d)
+        with pytest.raises(DimensionMismatch) as want:
+            as_matrix(a, dim=as_matrix(om).shape[0])
+        with pytest.raises(DimensionMismatch) as got:
+            magnus_rhs(om, a, order)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("order", [0, 12])
+    @pytest.mark.parametrize("d", [2, 9])
+    def test_lists_and_real_arrays_give_the_array_bits(self, d, order):
+        rng = np.random.default_rng(400 + d)
+        om, a = 0.3 * rng.standard_normal((2, d, d))
+        for args in ((om, a), (om.tolist(), a.tolist()), (om.astype(int), a)):
+            want_args = [np.asarray(x, dtype=complex) for x in args]
+            assert magnus_rhs(*args, order).tobytes() == magnus_rhs(*want_args, order).tobytes()
+
+    @pytest.mark.parametrize("order", [0, 12])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_refused_call_leaves_no_trace(self, d, order):
+        # the next call returns the bits of a thread whose workspace is new
+        rng = np.random.default_rng(500 + d)
+        om, a = 0.3 * (rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+        fresh = []
+        thread = threading.Thread(target=lambda: fresh.append(magnus_rhs(om, a, order)))
+        thread.start()
+        thread.join(timeout=60)
+        for case in ("omega-nan", "a-inf", "both-not-finite"):
+            with pytest.raises(DimensionMismatch):
+                magnus_rhs(*_stage_inputs(case, d), order)
+            assert magnus_rhs(om, a, order).tobytes() == fresh[0].tobytes()
 
 
 class TestTriangularClosedForm:
@@ -572,11 +659,41 @@ class TestFieldReads:
         assert len(calls) == 1 + 1 + 2 * 125
 
     def test_reference_solve(self):
-        # 64 + 128 + 256 steps in three passes, each with its own first
-        # stage, plus the dimension read
+        # 64 + 128 + 256 steps in three passes: the dimension read, the 129
+        # stage times of the first pass, then the 128 and 256 that each pass
+        # adds to the one before (1 + 3 + 2 * 448 = 900 reads when every pass
+        # read all of its own)
         A, calls = self.counted(triangular_field())
         rk_reference(A, 1.0)
-        assert len(calls) == 1 + 3 + 2 * 448
+        assert len(calls) == 1 + 129 + 128 + 256 == 514
+        assert len(set(calls[1:])) == len(calls) - 1
+
+    @pytest.mark.parametrize("name", ["triangular", "perturbed:7"])
+    @pytest.mark.parametrize("t_end", [1.0, 0.3, 0.45])
+    def test_reference_passes_equal_passes_that_read_afresh(self, monkeypatch, name, t_end):
+        # bit for bit.  At t_end = 1 a pass shares every stage time of the one
+        # before; at 0.3 and 0.45 the grids round apart and share a dozen
+        field, reference_pass, passes = builtin_field(name), magnus._reference_pass, []
+
+        def recorded_pass(A, y0, stops, h, known):
+            states, handed_on = reference_pass(A, y0, stops, h, known)
+            passes.append((stops, h, states, known, handed_on))
+            return states, handed_on
+
+        monkeypatch.setattr(magnus, "_reference_pass", recorded_pass)
+        rk_reference(field, t_end)
+        monkeypatch.undo()
+        assert len(passes) == 3 and passes[0][3] is None
+        eye = np.eye(2, dtype=complex)
+        for stops, h, states, _, _ in passes:
+            want = _matmul_reference_pass(field, eye, stops, h)
+            assert [y.tobytes() for y in states] == [y.tobytes() for y in want]
+        # each pass takes the previous pass's one (times, stack) pair
+        for before, after in zip(passes, passes[1:]):
+            assert after[3] is before[4]
+        for _, _, _, _, (times, stack) in passes:
+            assert times.ndim == 1 and np.all(np.diff(times) > 0)
+            assert stack.shape == (times.size, 2, 2) and stack.dtype == complex
 
 
 class TestReferencePass:
@@ -611,7 +728,7 @@ class TestReferencePass:
             staged.append(t)
             return field(t)
 
-        got = magnus._reference_pass(A, eye, stops, h)
+        got, _ = magnus._reference_pass(A, eye, stops, h, None)
         want = _four_read_rk4(staged_field, np.matmul, eye, stops, h)
         assert len(got) == len(want) == len(stops)
         for y, y_want in zip(got, want):
@@ -626,7 +743,7 @@ class TestReferencePass:
         field = builtin_field(name)
         stops = magnus._stops(1.0, times)
         eye = np.eye(2, dtype=complex)
-        got = magnus._reference_pass(field, eye, stops, h)
+        got, _ = magnus._reference_pass(field, eye, stops, h, None)
         want = _matmul_reference_pass(field, eye, stops, h)
         assert len(got) == len(want) == len(stops)
         assert all(np.array_equal(y, y_want) for y, y_want in zip(got, want))
@@ -703,7 +820,8 @@ class TestReference:
 
     def test_unsettled_passes_raise(self, monkeypatch):
         # a pass whose state scales like 1/h: each extrapolated level doubles
-        monkeypatch.setattr(magnus, "_reference_pass", lambda A, y0, stops, h: [y0 / h for _ in stops])
+        monkeypatch.setattr(magnus, "_reference_pass",
+                            lambda A, y0, stops, h, known: ([y0 / h for _ in stops], known))
         with pytest.raises(QuadratureNoConvergence,
                            match=r"up to size 1048576: last difference 7\.662e\+05, floor 1\.532e-04"):
             rk_reference(triangular_field(), 1.0)
@@ -714,9 +832,9 @@ class TestReference:
         # bound magnus_solve refuses past, before memory would run out
         steps = []
 
-        def unsettled_pass(A, y0, stops, h):
+        def unsettled_pass(A, y0, stops, h, known):
             steps.append(round(stops[-1] / h))
-            return [y0 / h for _ in stops]
+            return [y0 / h for _ in stops], known
 
         monkeypatch.setattr(magnus, "_reference_pass", unsettled_pass)
         with pytest.raises(QuadratureNoConvergence, match="up to size 1048576"):
@@ -782,6 +900,42 @@ class TestSampledField:
 
         with pytest.raises(DimensionMismatch):
             field_from_samples([0.0, 0.5, 1.0], [np.eye(2), [[3.0]], np.eye(2)])
+
+    @pytest.mark.parametrize("times", [[0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0],
+                                       [-1e308, 1e308], [1.7e308, -1.7e308, 1.79e308]],
+                             ids=["repeated", "repeated-last", "repeated-unsorted",
+                                  "overflowing-gap", "overflowing-gap-unsorted"])
+    def test_sample_times_need_distinct_finite_gaps(self, times):
+        # a repeated time sent the reference to 2**20 steps before it gave up;
+        # a gap past the float range read 1 where the line through (-1e308, 1)
+        # and (1e308, 2) gives 1.5, with an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="sample times must be distinct, with finite gaps"):
+                field_from_samples(times, [k * np.eye(1) for k in range(1, len(times) + 1)])
+
+    def test_widest_finite_gap_interpolates(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = field_from_samples([-8e307, 8e307], [np.eye(1), 2.0 * np.eye(1)])
+            assert field(0.0)[0, 0] == 1.5 and field(1.0)[0, 0] == pytest.approx(1.5, abs=1e-15)
+
+    def test_an_overflowing_stage_is_a_rejected_step(self):
+        # a finite field whose commutator series overflows in the first step:
+        # refused as a non-finite state, with numpy's warnings kept off stderr
+        field = field_from_samples([0.0, 1.0], [np.diag([1e300, 0.0]) + np.eye(2, k=1), np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepRejected, match=r"^non-finite state at t = 0\.02$"):
+                magnus_solve(field, 0.1, 0.02, 8)
+
+    def test_a_refusal_names_a_blown_up_norm_briefly(self):
+        # |Omega| of about 1e195 in fixed point would be a 200-digit number
+        field = field_from_samples([0.0, 1.0], [np.eye(2), np.diag([1e200, 1.0])])
+        with pytest.raises(BranchRadiusExceeded) as info:
+            magnus_solve(field, 1.0, 0.005, 28)
+        assert str(info.value) == "|Omega| = 1.25e+195 >= 3.1416 at t = 0.005"
+        assert len(str(info.value)) <= 60
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_sample_times_are_finite(self, bad):

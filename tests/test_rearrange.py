@@ -21,6 +21,8 @@ from opcalc import (
 )
 from opcalc import rearrange
 from opcalc.core import TensorOperator, eigen_decompose
+from opcalc.quadrature import halfline_integrate
+from opcalc.functions import rational_function
 from opcalc.errors import (
     DecayViolation,
     NonDiagonalizable,
@@ -42,6 +44,22 @@ def kron_oracle(qs, A, bs, route):
     w, winv = (functools.reduce(np.kron, [m] * (p + 1)) for m in (v, vinv))
     value = pair(TensorOperator((w * vals) @ winv, d, p + 1), bs)
     return value if route == "F" else np.linalg.inv(A) @ value
+
+
+def per_tuple_kernel_F(qs, s):
+    """``kernel_F`` with every factor evaluated on every tuple: the integrand
+    that evaluation per distinct slot argument is held to bit for bit."""
+    fs = rearrange._check_decay(qs)
+    pts = np.asarray(s, dtype=complex)
+
+    def integrand(u):
+        vals = fs[0](np.multiply.outer(u, pts[..., 0]))
+        for j, f in enumerate(fs[1:], start=1):
+            vals = vals * f(np.multiply.outer(u, pts[..., j]))
+        return vals
+
+    value = halfline_integrate(integrand)
+    return complex(value) if pts.ndim == 1 else value
 
 
 def modular_products(a, p):
@@ -144,6 +162,50 @@ class TestKernels:
             c = rng.uniform(0.3, 3.0)
             assert abs(kernel_F(fam, c * s) - F / c) <= 1e-9 * abs(F)
 
+
+    @staticmethod
+    def _meshgrid(d, p, seed):
+        lam = np.linalg.eigvals(matrix_exp(gen_matrix("hermitian", d, seed)))
+        return np.stack(np.meshgrid(*[lam] * (p + 1), indexing="ij"), axis=-1)
+
+    @pytest.mark.parametrize("qs, s", [
+        pytest.param((2, 1, 2, 1), _meshgrid(5, 3, 1), id="meshgrid-p3-d5"),
+        pytest.param((1, 2), _meshgrid(6, 1, 2), id="meshgrid-p1-d6"),
+        pytest.param((1, 1, 2), [[1.0, 0.5 + 0.2j, 2.0], [0.3, 0.5 + 0.2j, 1.5j + 0.1],
+                                 [1.0, 0.7, 2.0]], id="explicit-tuples"),
+        pytest.param((2,), [[0.5], [0.5], [2.0 + 1j], [0.5]], id="repeated-one-slot"),
+        pytest.param((1, 1), np.full((3, 4, 2), 0.8 - 0.1j), id="one-value-per-slot"),
+        pytest.param((1, 1), [[complex(2.0, 0.0), complex(0.5, -0.0)],
+                              [complex(2.0, -0.0), complex(0.5, 0.0)],
+                              [complex(2.0, -0.0), complex(0.5, -0.0)]], id="signed-zeros"),
+        pytest.param((2, 1), (1.3, 0.7 + 0.2j), id="one-tuple"),
+    ])
+    def test_F_equals_the_per_tuple_integrand(self, qs, s):
+        # bit for bit, leading shape and type included
+        got, want = kernel_F(qs, s), per_tuple_kernel_F(qs, s)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_each_factor_sees_only_distinct_arguments(self, monkeypatch):
+        # d values per slot on the d^(p+1) tuples of a route; +0.0 and -0.0
+        # are two arguments, not one
+        seen = []
+
+        def recorded(q):
+            f = rational_function(q)
+
+            def call(z):
+                seen.append(z.shape[-1])
+                return f(z)
+
+            return call
+
+        monkeypatch.setattr(rearrange, "rational_function", recorded)
+        kernel_F((2, 1, 2, 1), self._meshgrid(5, 3, 1))
+        assert seen and set(seen) == {5}
+        seen.clear()
+        kernel_F((1, 1), [[2.0, complex(0.5, 0.0)], [2.0, complex(0.5, -0.0)]])
+        assert seen[:2] == [1, 2]
 
     @pytest.mark.parametrize("qs, s", [
         ((1, 1), (1.0, 0.7 * np.exp(1.55j))),
