@@ -106,7 +106,8 @@ def eigen_decompose(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"eigenvector condition {cond:.3e} exceeds cap {EIG_COND_CAP:.1e}"
         )
     vinv = np.linalg.inv(v)
-    residual = rel_err((v * w) @ vinv, a) if opnorm(a) > 0 else 0.0
+    scale = opnorm(a)  # one SVD: rel_err's scale, floor included
+    residual = opnorm((v * w) @ vinv - a) / max(scale, 1e-300) if scale > 0 else 0.0
     if residual > EIG_RESIDUAL:
         raise NonDiagonalizable(f"reconstruction residual {residual:.3e}")
     return w, v, vinv

@@ -134,6 +134,19 @@ def _resolvents(zeta: np.ndarray, a: np.ndarray) -> np.ndarray:
         raise ContourViolation(f"singular resolvent at contour node {zeta[k]:.6g}") from None
 
 
+def _level_resolvents(zeta: np.ndarray, a: np.ndarray, prev) -> np.ndarray:
+    """``_resolvents(zeta, a)`` on a doubling level, given the stack ``prev`` of
+    the level before (None at the first level).  The even nodes of a level
+    are the nodes of the one before, bit for bit, and so are their
+    resolvents: only the new odd nodes ``zeta[1::2]`` are inverted."""
+    if prev is None:
+        return _resolvents(zeta, a)
+    r = np.empty((len(zeta),) + prev.shape[1:], dtype=complex)
+    r[0::2] = prev
+    r[1::2] = _resolvents(zeta[1::2], a)
+    return r
+
+
 def apply_via_eig(f, m) -> np.ndarray:
     """Eigendecomposition route: V diag(f(w)) V^-1.
 
@@ -157,6 +170,8 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
     One circle per variable; all axes double their trapezoid counts together
     (up to ``MAX_AXIS_NODES``, arity capped at 4) until two levels agree by
     the stopping rule of :func:`opcalc.quadrature._refine`.
+    A level inverts each axis's resolvents only at its new (odd) nodes and
+    takes those at its even nodes from the level before.
     Each level tiles the grid into blocks of at most ``BLOCK`` (2^18)
     points, evaluates f once per block on sparse axis grids and contracts
     the block one axis at a time against the weighted resolvents, so three
@@ -192,11 +207,14 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
 
     d = tup.dim
 
-    def level(m_nodes: int):
+    def level(m_nodes: int, held: list):
+        """The level's sum and mass; ``held`` holds each axis's resolvent
+        stack of the level before (None at the first), and is given this
+        level's."""
         zetas, wres, nus = [], [], []
-        for c, m in zip(cs, tup):
+        for k, (c, m) in enumerate(zip(cs, tup)):
             zeta, w = c.points(m_nodes)
-            r = _resolvents(zeta, m)
+            r = held[k] = _level_resolvents(zeta, m, held[k])
             zetas.append(zeta)
             wres.append(w[:, None, None] * r)
             nus.append(np.abs(w) * np.linalg.norm(r, axis=(1, 2)))
@@ -227,11 +245,12 @@ def funcalc_n(f: MultivariateFunction, a, cs: Sequence[Contour] | None = None) -
         return value, mass
 
     def levels():
+        held = [None] * n
         m_nodes = max(c.nodes for c in cs)  # each at least 16, as Contour checks
-        yield m_nodes, *level(m_nodes)
+        yield m_nodes, *level(m_nodes, held)
         while m_nodes < MAX_AXIS_NODES:
             m_nodes *= 2
-            yield m_nodes, *level(m_nodes)
+            yield m_nodes, *level(m_nodes, held)
 
     return _refine(levels(), RTOL)[1]
 
@@ -356,7 +375,7 @@ def _block_array(fb: np.ndarray, count: int) -> np.ndarray:
     return fb.reshape(count, d, count, d).swapaxes(1, 2)
 
 
-def _f_bidiagonal(f, diag, sup, c: Contour, *, stats=None) -> np.ndarray:
+def _f_bidiagonal(f, diag, sup, c: Contour, known, *, stats=None) -> np.ndarray:
     """f(B), B = ``bidiagonal(diag, sup)``, by circle quadrature of f(z) (z - B)^-1
     on ``c``, as the ``(n+1, n+1, d, d)`` block array of :func:`_block_array`.
 
@@ -365,22 +384,39 @@ def _f_bidiagonal(f, diag, sup, c: Contour, *, stats=None) -> np.ndarray:
     repeat), for f's domain.  (z - B)^-1 is block upper triangular with block
     (i, j) equal to R_i b_{i+1} R_{i+1} ... b_j R_j, R_i = (z - a_i)^-1, so
     block row i is [R_i, (R_i b_{i+1}) row_{i+1}], filled from the last row
-    up.  A node batch takes one batched inverse of the distinct diagonal
-    blocks (Taylor's repeated a is inverted once), one product per factor
-    b_{i+1} over all nodes and one batched product per block row:
-    O((n+1)^2 d^3) per node, against O((n+1)^3 d^3) for inverting z - B whole.
+    up, and only the blocks below the diagonal are zeroed.  A node batch
+    takes one batched inverse of the distinct diagonal blocks (Taylor's
+    repeated a is inverted once), one product per factor b_{i+1} over all
+    nodes and one batched product per block row: O((n+1)^2 d^3) per node,
+    against O((n+1)^3 d^3) for inverting z - B whole.
+
+    ``known`` is None or a dict from the bytes of a node batch to the stack
+    of the distinct blocks' resolvents there.  A batch found in it takes its
+    stack from there; one that is not is inverted and added.  So calls on
+    one circle with the same diagonal blocks (every shell of
+    ``ncseries.taylor_series_ad``) invert each node once; its lifetime is
+    the caller's.
     """
     ms, bs = _blocks(diag, sup)
     distinct, idx = _distinct(ms)
     d = ms[0].shape[0]
     size = len(ms) * d
 
+    def resolvents(zeta):
+        if known is None:
+            return _resolvents(zeta, distinct)
+        key = zeta.tobytes()
+        if key not in known:
+            known[key] = _resolvents(zeta, distinct)
+        return known[key]
+
     def integrand(zeta):
-        r = _resolvents(zeta, distinct)
+        r = resolvents(zeta)
         fr = np.asarray(f(zeta), dtype=complex)[:, None, None] * r
-        out = np.zeros((len(zeta), size, size), dtype=complex)
+        out = np.empty((len(zeta), size, size), dtype=complex)
         for i in reversed(range(len(ms))):
             lo, hi = i * d, (i + 1) * d
+            out[:, lo:hi, :lo] = 0.0
             out[:, lo:hi, lo:hi] = fr[idx[i]]
             if hi < size:
                 # one GEMM over the node stack: a stacked matmul calls BLAS per node
@@ -404,4 +440,4 @@ def dd_apply(f: HoloFunction, mats: Sequence, bs: Sequence, contour: Contour | N
     """
     ms, bs = _blocks(mats, bs)
     c = contour_around(_spectrum(ms), _handle(f, HoloFunction), contour)
-    return _f_bidiagonal(f, ms, bs, c, stats=stats)[0, -1]
+    return _f_bidiagonal(f, ms, bs, c, None, stats=stats)[0, -1]

@@ -88,7 +88,7 @@ def newton_interpolate(f: HoloFunction, mats) -> ExpansionReport:
     """
     ms = as_matrices(mats)
     c = contour_around(_spectrum(ms), _handle(f, HoloFunction))
-    fb = _f_bidiagonal(f, ms, [ms[-1] - m for m in ms[:-1]], c)
+    fb = _f_bidiagonal(f, ms, [ms[-1] - m for m in ms[:-1]], c, None)
     target = fb[-1, -1]
     partials = list(itertools.accumulate(fb[0]))
     norms = [opnorm(p - target) for p in partials]
@@ -112,8 +112,8 @@ def newton_recursion_check(f: HoloFunction, mats, bs) -> float:
     if n < 0 or len(bs) != n:
         raise InvalidInput("need n+2 nodes and n factors")
     c = contour_around(_spectrum(ms), _handle(f, HoloFunction))
-    fb = _f_bidiagonal(f, ms, list(bs) + [ms[n + 1] - ms[n]], c)
-    swapped = _f_bidiagonal(f, ms[:n] + [ms[n + 1]], bs, c)[0, -1]
+    fb = _f_bidiagonal(f, ms, list(bs) + [ms[n + 1] - ms[n]], c, None)
+    swapped = _f_bidiagonal(f, ms[:n] + [ms[n + 1]], bs, c, None)[0, -1]
     return opnorm(swapped - fb[0, n] - fb[0, n + 1])
 
 
@@ -145,7 +145,7 @@ def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
         warnings.warn(f"c2*|b| = {c2 * opnorm(bm):.3g} >= 1; remainder may not shrink",
                       ConvergenceThresholdExceeded)
     c = contour_around(spectrum, _handle(f, HoloFunction))
-    fb = _f_bidiagonal(f, [am] * (N + 1) + [am + bm], [bm] * (N + 1), c)
+    fb = _f_bidiagonal(f, [am] * (N + 1) + [am + bm], [bm] * (N + 1), c, None)
     target = fb[-1, -1]
     partials = list(itertools.accumulate(fb[0, :N + 1]))
     norms = [opnorm(target - p) for p in partials]
@@ -167,7 +167,10 @@ def taylor_series_ad(f: HoloFunction, a, bs) -> tuple[np.ndarray, np.ndarray]:
     commutator per shell.  Shells are total-degree layers s = 0, 1, ...,
     ``AD_SHELLS``; each shell's matrix-argument derivative is integrated
     once, on one circle around the spectrum of a checked once for f (whose
-    domain the derivatives keep), and serves both sums.  The running
+    domain the derivatives keep), and serves both sums.  Every shell reads
+    the resolvents of a at each doubling level's nodes from one table built
+    in this call (the ``known`` of :func:`opcalc.funcalc._f_bidiagonal`), so
+    each node is inverted once per call, not once per shell.  The running
     ``(left, right)`` after each shell is one level of
     :func:`opcalc.quadrature._refine` at 1e-14, its mass the sum of |term|
     over the terms so far, so a series that has not settled by the last
@@ -181,8 +184,9 @@ def taylor_series_ad(f: HoloFunction, a, bs) -> tuple[np.ndarray, np.ndarray]:
     def levels():
         ad = [[b] for b in bs]  # ad[j][k] = ad_a^k(b_j)
         sums, mass = np.zeros((2, *am.shape), dtype=complex), 0.0  # (left, right)
+        known = {}  # resolvents of a per node batch, shared by every shell
         for s in range(AD_SHELLS + 1):
-            deriv_mat = _f_bidiagonal(f.deriv_function(n + s), [am], [], c)[0, 0]
+            deriv_mat = _f_bidiagonal(f.deriv_function(n + s), [am], [], c, known)[0, 0]
             shell = np.zeros_like(sums)
             for alpha in compositions(s, n):
                 prod = np.eye(am.shape[0], dtype=complex)

@@ -27,7 +27,17 @@ halving, the tensor grid of ``funcalc.funcalc_n``, the Runge-Kutta reference
 of ``magnus`` and the commutator series of ``ncseries``) stops by the one
 rule of :func:`_refine`.
 
-All reductions run in a fixed order so repeated runs are bit-identical.
+All reductions run in a fixed order so repeated runs are bit-identical.  The
+unit roots of a circle with m nodes are one read-only table per m, built on
+first use and kept for the process (at most ``ROOT_TABLES`` of them, like the
+Gauss-Legendre rules); nothing computed from an input outlives its call.  A
+doubling level takes its new nodes and weights as the strided slices
+``zeta[1::2]`` and ``w[1::2]`` of the level's full arrays, never as contiguous
+copies: the values are the same, but numpy takes other paths for contiguous
+operands and can round differently.  Contiguous weights change the GEMM of
+the level sum (98 of 1092 seeded perfbench reports changed on one AMD EPYC
+host); the nodes stay strided too, since numpy's vectorised ufunc loops may
+also depend on the layout.
 """
 
 from __future__ import annotations
@@ -36,11 +46,13 @@ import cmath
 import itertools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .core import as_integer
 from .errors import ContourViolation, InvalidInput, QuadratureNoConvergence
 from .functions import ENTIRE, HoloFunction, _handle
 
@@ -65,13 +77,23 @@ POINT_BUDGET = 4_000_000  # most points of one simplex level, for either rule
 # not to memory: at n = 3 a block's coordinates are 512 kB, and a whole
 # dd_hermite walk traces 2.7 MB at its peak, where 2^18-point blocks held 38 MB.
 SIMPLEX_BLOCK = 1 << 14
+# Most unit-root tables kept for the process, each of at most MAX_NODES
+# points: at most 8 MB.  The doubling ladder 16, 32, ..., MAX_NODES is ten.
+ROOT_TABLES = 64
+_ROOTS: dict[int, np.ndarray] = {}
+_ROOTS_LOCK = threading.Lock()
 
 
 def _norm(x) -> float:
+    """Flat 2-norm, bit for bit ``np.linalg.norm(x)``: for a complex array the
+    formula numpy's ``norm`` uses, without its argument handling."""
     x = np.asarray(x)
     if x.ndim == 0:
         return float(abs(x))
-    return float(np.linalg.norm(x.ravel()))
+    x = x.ravel(order="K")
+    if np.iscomplexobj(x):
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return float(np.linalg.norm(x))
 
 
 def _refine(levels, rtol: float):
@@ -103,12 +125,16 @@ def _refine(levels, rtol: float):
 
 
 def _weighted_sum(fn, blocks):
-    """Sum of ``w * fn(points)`` over ``(points, w)`` blocks, and its mass sum |w| |fn|."""
+    """Sum of ``w * fn(points)`` over ``(points, w)`` blocks, and its mass sum |w| |fn|.
+
+    A block's sum is the one GEMM that ``np.tensordot(w, vals, axes=(0, 0))``
+    makes, bit for bit, without its argument handling (``w @ vals`` would be
+    a GEMV and may round differently)."""
     value = None
     mass = 0.0
     for pts, w in blocks:
         vals = np.asarray(fn(pts))
-        part = np.tensordot(w, vals, axes=(0, 0))
+        part = np.dot(w.reshape(1, -1), vals.reshape(len(w), -1)).reshape(vals.shape[1:])
         value = part if value is None else value + part
         mass += float(np.sum(np.abs(w) * np.abs(vals).reshape(len(w), -1).sum(axis=1)))
     return value, mass
@@ -253,10 +279,31 @@ def _widened(f, cs, spreads, domains) -> list:
     return cs
 
 
+def _unit_roots(m: int) -> np.ndarray:
+    """exp(2 pi i k / m), k = 0..m-1, read-only.  The first ``ROOT_TABLES``
+    counts asked for keep their table for the process; a later count gets a
+    fresh one each time."""
+    roots = _ROOTS.get(m)
+    if roots is None:
+        roots = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+        roots.setflags(write=False)
+        with _ROOTS_LOCK:
+            if len(_ROOTS) < ROOT_TABLES:
+                roots = _ROOTS.setdefault(m, roots)
+    return roots
+
+
 def circle_points(center: complex, radius: float, m: int):
-    """m equispaced points on the circle and weights for (2 pi i)^-1 * closed integral."""
-    theta = 2.0 * np.pi * np.arange(m) / m
-    offset = radius * np.exp(1j * theta)
+    """m equispaced points on the circle and weights for (2 pi i)^-1 * closed integral.
+
+    ``m`` is an integer from 1 to ``MAX_NODES`` (:class:`InvalidInput`
+    otherwise).  The points are ``center + radius * roots``, the roots read
+    from the process-wide table of :func:`_unit_roots`.
+    """
+    m = as_integer(m, "node count")
+    if not 1 <= m <= MAX_NODES:
+        raise InvalidInput(f"node count must be from 1 to {MAX_NODES}, got {m}")
+    offset = radius * _unit_roots(m)
     return center + offset, offset / m
 
 
@@ -280,10 +327,13 @@ def contour_quadrature(
     ``circle_points(center, radius, 2m)`` and halves the previous sum, whose
     weights ``offset/m`` become ``offset/(2m)``; every node is evaluated once,
     up to ``MAX_NODES`` nodes.  With ``chunk`` set, at most that many integrand
-    values are materialized at a time (for bulky tensor-valued integrands).
+    values are materialized at a time (for bulky tensor-valued integrands);
+    a chunk that is not a positive integer is :class:`InvalidInput`.
     """
     c = Contour(center, radius, start)
-    step = None if chunk is None else max(1, int(chunk))
+    step = None if chunk is None else as_integer(chunk, "chunk")
+    if step is not None and step < 1:
+        raise InvalidInput(f"chunk must be a positive integer, got {step}")
     levels = _circle_levels(lambda zeta, w: _weighted_sum(batch_fn, [(zeta, w)]), c, step)
     m, value = _refine(levels, rtol)
     if stats is not None:
@@ -319,11 +369,23 @@ def _circle_levels(weighted, c: Contour, step):
 # simplex rules (ordered-coordinates simplex, s-coordinate output)
 
 
-@lru_cache(maxsize=None)
 def gauss_legendre_01(q: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
+    """Gauss-Legendre nodes and weights on [0, 1], for an order ``q`` from 1
+    to ``MAX_ORDER`` (:class:`InvalidInput` otherwise): each rule is built
+    once, read-only, and kept for the process."""
+    q = as_integer(q, "Gauss-Legendre order")
+    if not 1 <= q <= MAX_ORDER:
+        raise InvalidInput(f"Gauss-Legendre order must be from 1 to {MAX_ORDER}, got {q}")
+    return _gauss_legendre_01(q)
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre_01(q: int):
     x, w = np.polynomial.legendre.leggauss(q)
-    return 0.5 * (x + 1.0), 0.5 * w
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for part in rule:
+        part.setflags(write=False)
+    return rule
 
 
 def iter_simplex_rule(n: int, q: int):

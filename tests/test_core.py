@@ -2,6 +2,7 @@ import base64
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,26 @@ class TestEigenDecompose:
         a = gen_matrix("hermitian", 4, 0)
         w, v, vinv = eigen_decompose(a)
         assert rel_err((v * w) @ vinv, a) <= 1e-10
+
+    def test_the_input_norm_is_taken_once(self, monkeypatch):
+        # it was taken for the > 0 test and again inside rel_err: one SVD too many
+        from opcalc import core
+
+        a, inner, seen = gen_matrix("random", 3, 4), core.opnorm, []
+        monkeypatch.setattr(core, "opnorm", lambda m: seen.append(np.array_equal(m, a)) or inner(m))
+        eigen_decompose(a)
+        assert seen.count(True) == 1 and len(seen) == 2
+
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_residual_is_rel_err(self, seed, monkeypatch):
+        from opcalc import core
+
+        a = gen_matrix("random", 4, seed)
+        w, v = np.linalg.eig(a)
+        want = rel_err((v * w) @ np.linalg.inv(v), a)
+        monkeypatch.setattr(core, "EIG_RESIDUAL", -1.0)  # refuse every matrix, naming its residual
+        with pytest.raises(NonDiagonalizable, match=re.escape(f"reconstruction residual {want:.3e}")):
+            eigen_decompose(a)
 
 
 class TestOpnorm:

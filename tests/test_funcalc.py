@@ -765,7 +765,7 @@ def bidiagonal_integrand(f, diag, sup, contour):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(funcalc, "contour_quadrature",
                    lambda fn, *args, **kwargs: seen.append(fn) or np.zeros(shape))
-        funcalc._f_bidiagonal(f, diag, sup, contour)
+        funcalc._f_bidiagonal(f, diag, sup, contour, None)
     return seen[0]
 
 
@@ -997,3 +997,97 @@ class TestDDCommuting:
         a = gen_matrix("hermitian", 3, 41)
         got = dd_apply(EXP, [a, a], [np.eye(3)])
         assert rel_err(got, matrix_exp(a)) < 1e-10
+
+
+def zero_filled_integrand(f, diag, sup):
+    """``_f_bidiagonal``'s integrand as it was before its scratch stopped being
+    zero-filled: the reference its bits are held to."""
+    d, size = diag[0].shape[0], len(diag) * diag[0].shape[0]
+
+    def integrand(zeta):
+        r = [funcalc._resolvents(zeta, m) for m in diag]
+        out = np.zeros((len(zeta), size, size), dtype=complex)
+        for i in reversed(range(len(diag))):
+            lo, hi = i * d, (i + 1) * d
+            out[:, lo:hi, lo:hi] = np.asarray(f(zeta), dtype=complex)[:, None, None] * r[i]
+            if hi < size:
+                rb = (r[i].reshape(-1, d) @ sup[i]).reshape(-1, d, d)
+                np.matmul(rb, out[:, hi:hi + d, hi:], out=out[:, lo:hi, hi:])
+        return out
+
+    return integrand
+
+
+def funcalc_n_levels(f, tup, cs=None):
+    """The ``(size, value, mass)`` levels ``funcalc_n`` hands to ``_refine``."""
+    seen, refine = [], funcalc._refine
+
+    def recorded(levels, rtol):
+        def record():
+            for level in levels:
+                seen.append((level[0], level[1].copy(), level[2]))
+                yield level
+        return refine(record(), rtol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(funcalc, "_refine", recorded)
+        funcalc_n(f, tup, cs)
+    return seen
+
+
+class TestEachResolventOnce:
+    """A level inverts only its new nodes and reuses the rest, and the
+    block-bidiagonal scratch is not zero-filled: the same bits as before."""
+
+    @pytest.mark.parametrize("d, top", [(2, 8192), (3, 1024), (6, 256)])
+    def test_level_resolvents_equal_a_fresh_inversion(self, d, top):
+        a = gen_matrix("random", d, 70 + d)
+        c = contour_around(np.linalg.eigvals(a), EXP)
+        r, m = None, 16
+        while m <= top:
+            zeta = c.points(m)[0]
+            r = funcalc._level_resolvents(zeta, a, r)
+            assert r.tobytes() == funcalc._resolvents(zeta, a).tobytes(), m
+            m *= 2
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_funcalc_n_levels_equal_fresh_inversions(self, arity, monkeypatch):
+        h = gen_matrix("hermitian", 2, 31)
+        tup = CommutingTuple([h + k * np.eye(2) for k in range(arity)])
+        f = MultivariateFunction(lambda *zs: np.exp(sum(zs)) * np.cos(zs[0]), (Entire(),) * arity)
+        cs = wide_circles(tup, 1.0)
+        reused = funcalc_n_levels(f, tup, cs)
+        monkeypatch.setattr(funcalc, "_level_resolvents", lambda zeta, a, prev: funcalc._resolvents(zeta, a))
+        fresh = funcalc_n_levels(f, tup, cs)
+        assert len(reused) == len(fresh) >= 3
+        for (m, value, mass), (m2, value2, mass2) in zip(reused, fresh):
+            assert m == m2 and mass == mass2 and value.tobytes() == value2.tobytes()
+
+    @pytest.mark.parametrize("pattern", ["one slot", "repeated", "distinct"])
+    def test_bidiagonal_integrand_equals_the_zero_filled_one(self, pattern):
+        a, b = gen_matrix("random", 3, 63), gen_matrix("random", 3, 64)
+        diag = {"one slot": [a], "repeated": [a, a, a, a + b], "distinct": [a, b, -a]}[pattern]
+        sup = [gen_matrix("random", 3, 65 + j) for j in range(len(diag) - 1)]
+        contour = Contour(0.1, 9.0)
+        got_fn = bidiagonal_integrand(EXP, diag, sup, contour)
+        want_fn = zero_filled_integrand(EXP, diag, sup)
+        for m in (16, 64):
+            zeta = contour.points(m)[0]
+            for nodes in (zeta, zeta[1::2]):
+                got, want = got_fn(nodes), want_fn(nodes)
+                assert got.tobytes() == want.tobytes()  # the blocks below the diagonal are 0 too
+
+    def test_known_inverts_each_node_batch_once(self, monkeypatch):
+        a = gen_matrix("random", 2, 66)
+        c = contour_around(np.linalg.eigvals(a), EXP)
+        fresh = [funcalc._f_bidiagonal(g, [a], [], c, None)
+                 for g in (EXP, EXP.deriv_function(1), EXP.deriv_function(2))]
+        batches = []
+        inner = funcalc._resolvents
+        monkeypatch.setattr(funcalc, "_resolvents", lambda zeta, m: batches.append(len(zeta)) or inner(zeta, m))
+        known = {}
+        shared = [funcalc._f_bidiagonal(g, [a], [], c, known)
+                  for g in (EXP, EXP.deriv_function(1), EXP.deriv_function(2))]
+        assert [x.tobytes() for x in shared] == [x.tobytes() for x in fresh]
+        # one inversion per node batch, each kept once: none repeated by a later call
+        assert sorted(batches) == sorted(r.shape[-3] for r in known.values())

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -274,9 +276,9 @@ class TestAdSeries:
         orders = []
         inner = ncseries._f_bidiagonal
 
-        def counted(f, diag, sup, c):
+        def counted(f, diag, sup, c, known):
             orders.append(f.name)
-            return inner(f, diag, sup, c)
+            return inner(f, diag, sup, c, known)
 
         monkeypatch.setattr(ncseries, "_f_bidiagonal", counted)
         a = 0.4 * gen_matrix("random", 2, 84)
@@ -502,3 +504,75 @@ class TestDyson:
             term = report.partial_sums[n] - (report.partial_sums[n - 1] if n else 0)
             assert opnorm(term - coeff) <= 1e-12 * opnorm(report.target)
         assert report.meta["identity_defect"] <= 1e-7 * opnorm(report.target)
+
+
+class TestOneResolventTablePerSeries:
+    """Every shell of a commutator series reads one table of resolvents of a,
+    built in the call: the bits of a per-shell build, and no state shared
+    between calls or threads."""
+
+    CASES = [  # (f, a, bs)
+        (EXP, 0.4 * gen_matrix("random", 2, 84), [0.4 * gen_matrix("random", 2, 85)]),
+        (EXP, 0.3 * gen_matrix("random", 3, 86), [0.2 * gen_matrix("random", 3, 87 + j) for j in range(2)]),
+        (named_function("log"), np.eye(2) + 0.2 * gen_matrix("random", 2, 90),
+         [0.1 * gen_matrix("random", 2, 91)]),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_equals_the_per_shell_build(self, case, monkeypatch):
+        f, a, bs = self.CASES[case]
+        shared = taylor_series_ad(f, a, bs)
+        inner, tables = ncseries._f_bidiagonal, []
+
+        def per_shell(g, diag, sup, c, known):
+            tables.append(known)
+            return inner(g, diag, sup, c, None)
+
+        monkeypatch.setattr(ncseries, "_f_bidiagonal", per_shell)
+        fresh = taylor_series_ad(f, a, bs)
+        assert len(tables) > 3 and all(t is tables[0] for t in tables)
+        assert [x.tobytes() for x in shared] == [x.tobytes() for x in fresh]
+
+    def test_each_node_is_inverted_once_per_call(self, monkeypatch):
+        f, a, bs = self.CASES[0]
+        inner, batches = funcalc._resolvents, []
+        monkeypatch.setattr(funcalc, "_resolvents",
+                            lambda zeta, m: batches.append(zeta.tobytes()) or inner(zeta, m))
+        taylor_series_ad(f, a, bs)
+        first = len(batches)
+        assert first > 0 and len(set(batches)) == first
+        taylor_series_ad(f, a, bs)  # nothing kept from the first call
+        assert batches[first:] == batches[:first]
+
+    def test_two_threads_return_the_serial_bits(self):
+        f, a, bs = self.CASES[1]
+        m = gen_matrix("random", 2, 0)
+        want_series = [x.tobytes() for x in taylor_series_ad(f, a, bs)]
+        want_apply = apply_function(exp_function(), m).tobytes()
+        got, errors = {"series": [], "apply": []}, []
+
+        def run(name, call, repeats):
+            try:
+                for _ in range(repeats):
+                    got[name].append(call())
+            except Exception as exc:  # reported below, so the join cannot hide it
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(
+                    "series", lambda: [x.tobytes() for x in taylor_series_ad(f, a, bs)], 10)),
+                threading.Thread(target=run, args=(
+                    "apply", lambda: apply_function(exp_function(), m).tobytes(), 100)),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert got["series"] == [want_series] * 10
+        assert got["apply"] == [want_apply] * 100

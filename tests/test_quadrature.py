@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opcalc import Disc, Entire, Sector, divdiff, gen_matrix, named_function, quadrature
+from opcalc import Disc, Entire, Sector, bidiagonal, divdiff, gen_matrix, named_function, quadrature
 from opcalc.errors import ContourViolation, InvalidInput, QuadratureNoConvergence
 from opcalc.functions import Domain, HoloFunction
 from opcalc.quadrature import (
@@ -580,3 +580,114 @@ class TestNonFiniteInput:
         for nodes in ([math.nan], [math.inf, 0.0]):
             with pytest.raises(InvalidInput, match="finite"):
                 getattr(divdiff, route)(f, nodes)
+
+
+class TestCountRefusals:
+    """Every count a quadrature entry point takes is an integer in range, read
+    through ``core.as_integer``; anything else is InvalidInput."""
+
+    @pytest.mark.parametrize("m", [0, -3, 2.5, "3", 16.0, None, quadrature.MAX_NODES + 1])
+    def test_circle_points_refuses_a_bad_node_count(self, m):
+        # 2.5 gave 3 points whose weights summed to 0.2 - 0.145i; 0 and -3
+        # gave empty arrays, so an integral over them was silently 0
+        with pytest.raises(InvalidInput, match="node count"):
+            circle_points(0, 1, m)
+
+    @pytest.mark.parametrize("m", [1, 3, np.int64(16), quadrature.MAX_NODES])
+    def test_circle_points_takes_an_integer_in_range(self, m):
+        zeta, w = circle_points(0.5, 2.0, m)
+        assert len(zeta) == len(w) == m
+        assert abs(np.sum(w / (zeta - 0.5)) - 1.0) < 1e-14  # the residue of 1/(z - center)
+
+    @pytest.mark.parametrize("q", [0, -1, 2.5, "3", quadrature.MAX_ORDER + 1])
+    def test_gauss_legendre_refuses_a_bad_order(self, q):
+        # numpy raised a bare ValueError for 0 and TypeError for 2.5
+        with pytest.raises(InvalidInput, match="Gauss-Legendre order"):
+            gauss_legendre_01(q)
+
+    def test_gauss_legendre_rules_are_read_only(self):
+        x, w = gauss_legendre_01(np.int64(12))
+        assert gauss_legendre_01(12)[0] is x  # one rule per order, kept
+        for part in (x, w):
+            with pytest.raises(ValueError):
+                part[0] = 0.0
+
+    @pytest.mark.parametrize("chunk", ["3", 0, -2, 0.5, math.nan, math.inf])
+    def test_contour_quadrature_refuses_a_bad_chunk(self, chunk):
+        # "3" was accepted; 0, -2 and 0.5 became 1; NaN and infinity escaped
+        # as ValueError and OverflowError
+        fn, points = counted(np.exp)
+        with pytest.raises(InvalidInput, match="chunk"):
+            contour_quadrature(fn, 0, 1, chunk=chunk)
+        assert points == []
+
+
+def _direct_circle_points(center, radius, m):
+    """The formula ``circle_points`` computed at every call before its roots were tabled."""
+    theta = 2.0 * np.pi * np.arange(m) / m
+    offset = radius * np.exp(1j * theta)
+    return center + offset, offset / m
+
+
+_B = bidiagonal([gen_matrix("random", 2, 40 + k) for k in range(3)],
+                [gen_matrix("random", 2, 50 + k) for k in range(2)])
+
+
+def _block_bidiagonal(zeta):
+    # f(z) (z - B)^-1 for a three-slot block-bidiagonal B: zero below the block diagonal
+    return np.exp(zeta)[:, None, None] * np.linalg.inv(zeta[:, None, None] * np.eye(6) - _B)
+
+
+class TestFixedCostsBitForBit:
+    """The tabled roots, the one-GEMM level sums and the inlined norm give the
+    bits of the formulas they replace."""
+
+    LADDER = [16 * 2**k for k in range(10)]  # 16 .. MAX_NODES
+
+    @pytest.mark.parametrize("m", sorted(set(LADDER + [8, 16, 64])))
+    def test_circle_points_equal_the_direct_formula(self, m):
+        for center, radius in ((0.0, 1.0), (0.3 - 1.7j, 2.5), (1e3, 1e-3)):
+            for _ in range(2):  # the first call may fill the table, the second reads it
+                zeta, w = circle_points(center, radius, m)
+                want_zeta, want_w = _direct_circle_points(center, radius, m)
+                assert zeta.tobytes() == want_zeta.tobytes()
+                assert w.tobytes() == want_w.tobytes()
+
+    def test_even_nodes_of_a_level_are_the_level_before(self):
+        for m in self.LADDER[:-1]:
+            assert (circle_points(0.2j, 3.0, 2 * m)[0][0::2].tobytes()
+                    == circle_points(0.2j, 3.0, m)[0].tobytes())
+
+    def test_the_roots_table_is_read_only_and_bounded(self):
+        zeta, _ = circle_points(0, 1, 32)
+        zeta[:] = 0  # the caller's points are its own
+        assert circle_points(0, 1, 32)[0][1] != 0
+        table = quadrature._unit_roots(32)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+        from opcalc import verify
+
+        verify.run_battery(0, verify.tolerances(1.0))
+        assert 0 < len(quadrature._ROOTS) <= quadrature.ROOT_TABLES == 64
+        assert all(len(r) <= quadrature.MAX_NODES and not r.flags.writeable
+                   for r in quadrature._ROOTS.values())
+
+    @pytest.mark.parametrize("batch_fn", [_scalar, _resolvent, _block_bidiagonal],
+                             ids=["scalar", "d-by-d", "block-bidiagonal"])
+    def test_weighted_sum_equals_tensordot(self, batch_fn):
+        for m in (16, 32, 64):
+            zeta, w = circle_points(0.1, 3.5, m)
+            for pts, wts in ((zeta, w), (zeta[1::2], w[1::2])):
+                vals = np.asarray(batch_fn(pts))
+                value, mass = quadrature._weighted_sum(batch_fn, [(pts, wts)])
+                want = np.tensordot(wts, vals, axes=(0, 0))
+                assert value.shape == want.shape and value.tobytes() == want.tobytes()
+                assert mass == float(np.sum(np.abs(wts) * np.abs(vals).reshape(len(wts), -1).sum(axis=1)))
+
+    @pytest.mark.parametrize("x", [
+        np.exp(1j * np.arange(7.0)), np.arange(12.0).reshape(3, 4) * (1 - 2j),
+        gen_matrix("random", 5, 3), np.arange(5.0), np.asfortranarray(gen_matrix("random", 4, 9)),
+        gen_matrix("random", 4, 9)[:, ::2]])
+    def test_norm_equals_numpy(self, x):
+        assert quadrature._norm(x) == float(np.linalg.norm(x.ravel(order="K")))
