@@ -312,9 +312,12 @@ def dd_tensor(
     f(z) * (z - a_0)^-1 (x) ... (x) (z - a_n)^-1 into an (n+1)-slot operator.
     The slots are split into a leading and a trailing half, so a level's sum
     over the nodes is one matrix product of the two halves' Kronecker stacks
-    and no node's d^(n+1)-square integrand is formed.  A level's sum still
-    holds the whole tensor, d^(2(n+1)) entries: past ``ENTRIES`` the tuple is
-    refused with :class:`InvalidInput` before f is called.
+    and no node's d^(n+1)-square integrand is formed.  A node batch takes one
+    batched inverse of the distinct slots (:func:`_distinct`) and gathers
+    each slot's resolvents from it, so a repeated slot is inverted once.  A
+    level's sum still holds the whole tensor, d^(2(n+1)) entries: past
+    ``ENTRIES`` the tuple is refused with :class:`InvalidInput` before f is
+    called.
     """
     ms = as_matrices(mats)
     d = ms[0].shape[0]
@@ -323,19 +326,21 @@ def dd_tensor(
         raise InvalidInput(f"a {len(ms)}-slot tensor at d = {d} has {entries} entries, "
                            f"more than {ENTRIES}")
     c = contour_around(_spectrum(ms), _handle(f, HoloFunction), contour)
-    halves = ms[: len(ms) // 2], ms[len(ms) // 2 :]
+    distinct, idx = _distinct(ms)
+    halves = idx[: len(ms) // 2], idx[len(ms) // 2 :]
     p, q = (d ** len(h) for h in halves)
 
-    def kron_stack(zeta, part):  # the half's resolvent Kronecker products, per node
-        out = np.ones((len(zeta), 1, 1), dtype=complex)
-        for r in (_resolvents(zeta, m) for m in part):
-            k = out.shape[1] * r.shape[1]
-            out = np.einsum("kab,kcd->kacbd", out, r).reshape(len(zeta), k, k)
+    def kron_stack(r, part):  # the half's resolvent Kronecker products, per node
+        out = np.ones((r.shape[1], 1, 1), dtype=complex)
+        for j in part:
+            k = out.shape[1] * d
+            out = np.einsum("kab,kcd->kacbd", out, r[j]).reshape(len(out), k, k)
         return out
 
     def weighted(zeta, w):
         cw = w * np.asarray(f(zeta), dtype=complex)
-        left, right = (kron_stack(zeta, h) for h in halves)
+        r = _resolvents(zeta, distinct)
+        left, right = (kron_stack(r, h) for h in halves)
         mass = np.abs(cw) @ (np.abs(left).sum(axis=(1, 2)) * np.abs(right).sum(axis=(1, 2)))
         return np.einsum("k,kab,kce->acbe", cw, left, right, optimize=True), float(mass)
 

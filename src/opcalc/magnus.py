@@ -19,9 +19,12 @@ with the classical 4th-order Runge-Kutta scheme; a plain Runge-Kutta solver
 for Y itself with Richardson extrapolation serves as the independent oracle.
 Both walk the steps that :func:`_grid` lays out for a pass, on the field of
 the whole pass read at once by :func:`_stage_fields`; each halving of the
-oracle reads only the times its previous pass did not.  Since Y' = A(t) Y is
-linear, one RK4 step of the oracle is a d x d matrix, a polynomial in that
-field, so each pass forms the matrices of all its steps as one stack.
+oracle reads only the times its previous pass did not.  The fields the
+library builds (:class:`_Field`) evaluate those times as one stack, bit for
+bit their per-time values; any other callable is read once per time.  Since
+Y' = A(t) Y is linear, one RK4 step of the oracle is a d x d matrix, a
+polynomial in that field, so each pass forms the matrices of all its steps
+as one stack.
 """
 
 from __future__ import annotations
@@ -233,6 +236,19 @@ def _grid(stops: list[float], h: float) -> list[tuple[float, float, int]]:
         t += step
 
 
+def _read_each(A, times: np.ndarray, dim: int) -> np.ndarray:
+    """The ``(k, dim, dim)`` stack of ``A`` at ``times``, read one time at a
+    time: the read of any callable that is not a :class:`_Field`.  Each
+    value's shape is checked, and :class:`StepRejected` names the first
+    time whose value has the wrong shape."""
+    reads = times.tolist()
+    values = [A(x) for x in reads]
+    for x, value in zip(reads, values):
+        if np.shape(value) != (dim, dim):
+            raise StepRejected(f"field returned shape {np.shape(value)} at t = {x:g}")
+    return np.array(values, dtype=complex).reshape(len(reads), dim, dim)
+
+
 def _stage_fields(A, grid: list[tuple[float, float, int]], dim: int, known) -> tuple:
     """The field at the start, middle and end of every step of ``grid``.
 
@@ -240,10 +256,13 @@ def _stage_fields(A, grid: list[tuple[float, float, int]], dim: int, known) -> t
     nonzero length, and the pass's distinct stage times beside their values,
     as one ``(times, stack)`` pair.  ``known`` is None or such a pair from
     an earlier pass: a time equal to one of its times, float for float,
-    takes its value from there.  ``A`` is read once per other distinct time,
-    in increasing order, and the values read are validated as one stack:
-    :class:`StepRejected` names the first time whose value has the wrong
-    shape, else the first whose value is not finite.
+    takes its value from there.  The other distinct times are read in one
+    ``read(times)``, in increasing order: a field the library builds
+    (:class:`_Field`) evaluates them as one stack, and any other callable is
+    read once per time (:func:`_read_each`); no callable but a
+    :class:`_Field` is ever handed an array.  The values read are validated
+    as one stack: :class:`StepRejected` names the first time whose value
+    has the wrong shape, else the first whose value is not finite.
     """
     t, s = np.array([(t, step) for t, step, _ in grid if step != 0.0]).reshape(-1, 2).T
     times, where = np.unique(np.concatenate([t, t + 0.5 * s, t + s]), return_inverse=True)
@@ -253,12 +272,8 @@ def _stage_fields(A, grid: list[tuple[float, float, int]], dim: int, known) -> t
         _, mine, theirs = np.intersect1d(times, known[0], assume_unique=True, return_indices=True)
         stack[mine] = known[1][theirs]
         unread[mine] = False
-    reads = times[unread].tolist()
-    values = [A(x) for x in reads]
-    for x, value in zip(reads, values):
-        if np.shape(value) != (dim, dim):
-            raise StepRejected(f"field returned shape {np.shape(value)} at t = {x:g}")
-    values = np.array(values, dtype=complex).reshape(len(reads), dim, dim)
+    reads = times[unread]
+    values = A.stack(reads) if isinstance(A, _Field) else _read_each(A, reads, dim)
     finite = np.isfinite(values).all(axis=(1, 2))
     if not finite.all():
         raise StepRejected(f"field is not finite at t = {reads[int(np.argmin(finite))]:g}")
@@ -429,17 +444,38 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
 # test fields
 
 
+class _Field:
+    """A field the library builds: ``field(t)`` is A(t), and
+    ``field.stack(times)`` is the ``(k, d, d)`` complex stack of A at a 1-D
+    float array of times, bit for bit the stack of the per-time values.
+    :func:`_stage_fields` reads a pass's times through ``stack``."""
+
+    def __init__(self, at, stack):
+        self.at, self.stack = at, stack
+
+    def __call__(self, t):
+        return self.at(t)
+
+
 def triangular_field():
-    """The 2x2 upper-triangular field [[2, t], [0, -1]]."""
+    """The 2x2 upper-triangular field [[2, t], [0, -1]]; a stack read writes
+    the times into entry (0, 1) of a constant stack."""
 
     def A(t):
         return np.array([[2.0, t], [0.0, -1.0]], dtype=complex)
 
-    return A
+    def stack(times):
+        out = np.empty((len(times), 2, 2), dtype=complex)
+        out[...] = ((2.0, 0.0), (0.0, -1.0))
+        out[:, 0, 1] = times
+        return out
+
+    return _Field(A, stack)
 
 
 def perturbed_triangular_field(seed: int):
-    """Triangular field plus a seeded Hermitian perturbation 0.1 (H0 + t H1)."""
+    """Triangular field plus a seeded Hermitian perturbation 0.1 (H0 + t H1);
+    a stack read applies the same operations to the whole array of times."""
     rng = np.random.default_rng(seed)
 
     def hermitian():
@@ -453,7 +489,10 @@ def perturbed_triangular_field(seed: int):
     def A(t):
         return base(t) + 0.1 * (h0 + t * h1)
 
-    return A
+    def stack(times):
+        return base.stack(times) + 0.1 * (h0 + times[:, None, None] * h1)
+
+    return _Field(A, stack)
 
 
 def field_from_samples(times, mats):
@@ -462,7 +501,16 @@ def field_from_samples(times, mats):
     The matrices must share one dimension (:class:`DimensionMismatch`
     otherwise), and the times must be finite and, once sorted, distinct with
     finite gaps (:class:`InvalidInput`): a repeated time or a gap past the
-    float range leaves an interval no weight can interpolate on.
+    float range leaves an interval no weight can interpolate on.  Two
+    consecutive times whose gap is at most 1e-14 * max(1, |t_k|, |t_{k+1}|),
+    the tolerance within which :func:`_grid` reads a stop at a grid time,
+    are refused too (:class:`InvalidInput`): no step grid resolves the
+    interval between them, so the field would jump between grid times and
+    :func:`rk_reference` could only halve its step to ``2**20`` steps.
+    A time at or before the first sample reads the first matrix, one at or
+    after the last the last; between them A(t) is (1 - w) m_k + w m_{k+1}.
+    A stack read finds every k with one ``searchsorted`` and applies the
+    same formula to the whole array.
     """
     ts = np.asarray(times, dtype=float)
     ms = as_matrices(list(mats))
@@ -476,7 +524,13 @@ def field_from_samples(times, mats):
         gaps = np.diff(ts)
     if not (np.isfinite(gaps) & (gaps > 0)).all():
         raise InvalidInput("sample times must be distinct, with finite gaps between them")
-    ms = [ms[k] for k in order]
+    close = gaps <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(ts[:-1]), np.abs(ts[1:])))
+    if close.any():
+        k = int(np.argmax(close))
+        raise InvalidInput(f"sample times {ts[k]:g} and {ts[k + 1]:g} are closer than a step "
+                           f"grid resolves (gap {gaps[k]:.3g})")
+    ms = np.stack(ms)[order]
+    ms.flags.writeable = False
 
     def A(t):
         if t <= ts[0]:
@@ -487,11 +541,23 @@ def field_from_samples(times, mats):
         w = (t - ts[k]) / (ts[k + 1] - ts[k])
         return (1.0 - w) * ms[k] + w * ms[k + 1]
 
-    return A
+    def stack(times):
+        low, high = times <= ts[0], times >= ts[-1]
+        inner = ~(low | high)
+        t = times[inner]
+        k = np.searchsorted(ts, t) - 1
+        w = ((t - ts[k]) / (ts[k + 1] - ts[k]))[:, None, None]
+        out = np.empty((len(times),) + ms.shape[1:], dtype=complex)
+        out[low], out[high] = ms[0], ms[-1]
+        out[inner] = (1.0 - w) * ms[k] + w * ms[k + 1]
+        return out
+
+    return _Field(A, stack)
 
 
 def builtin_field(name: str):
-    """Resolve a CLI field name: 'triangular' or 'perturbed:SEED'."""
+    """Resolve a CLI field name: 'triangular' or 'perturbed:SEED'.  Either
+    field also reads an array of times as one stack (:class:`_Field`)."""
     if name == "triangular":
         return triangular_field()
     if name.startswith("perturbed:"):

@@ -482,6 +482,22 @@ class TestMagnusCommand:
         assert err == "error: sample times must be distinct, with finite gaps between them\n"
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_sample_times_closer_than_the_grid_resolves_are_refused(self, tmp_path, capsys):
+        # a kink 1.07e-241 after t = 0 snaps onto the grid time 0: the
+        # reference ran to 2**20 steps (about 4.2 s and 1 GB) before exit 2
+        samples = {"times": [0.0, 1.07e-241, -5.25e-153],
+                   "matrices": [matrix_to_json(np.eye(2)), matrix_to_json(2.0 * np.eye(2)),
+                                matrix_to_json(np.diag([1.0, -1.0]))]}
+        path = _write_json(tmp_path, samples)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["magnus", "--field", path, "--t-end", "0.1", "--h", "0.02",
+                                      "--order", "8", "--rows", "2", "--format", "json"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: sample times -5.25e-153 and 0 are closer than a step grid "
+                       "resolves (gap 5.25e-153)\n")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_a_blown_up_field_is_refused_in_one_short_line(self, tmp_path, capsys):
         samples = {"times": [0.0, 1.0],
                    "matrices": [matrix_to_json(np.eye(2)), matrix_to_json(np.diag([1e200, 1.0]))]}

@@ -1091,3 +1091,38 @@ class TestEachResolventOnce:
         assert [x.tobytes() for x in shared] == [x.tobytes() for x in fresh]
         # one inversion per node batch, each kept once: none repeated by a later call
         assert sorted(batches) == sorted(r.shape[-3] for r in known.values())
+
+    @pytest.mark.parametrize("pattern, distinct", [([0, 0, 0, 0], 1), ([0, 1, 0, 1], 2),
+                                                   ([0, 1, 2], 3), ([1, 1, 0], 2)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dd_tensor_inverts_each_distinct_slot_once(self, pattern, distinct, d, monkeypatch):
+        # one batched inverse per node batch, of the distinct slots alone,
+        # with the bits of the per-slot inversions
+        mats = [0.4 * gen_matrix("random", d, 80 + k) for k in pattern]
+        calls = []
+        inner = funcalc._resolvents
+
+        def counted(zeta, a):
+            calls.append(a.shape)
+            return inner(zeta, a)
+
+        monkeypatch.setattr(funcalc, "_resolvents", counted)
+        got = dd_tensor(EXP, mats).matrix
+        batches = len(calls)
+        assert calls == [(distinct, d, d)] * batches
+        calls.clear()
+        monkeypatch.setattr(funcalc, "_distinct", lambda ms: (np.stack(ms), list(range(len(ms)))))
+        want = dd_tensor(EXP, mats).matrix
+        assert calls == [(len(mats), d, d)] * batches
+        assert got.tobytes() == want.tobytes()
+
+    def test_dd_tensor_of_one_repeated_slot_inverts_once_per_batch(self, monkeypatch):
+        # four slots of one matrix: each of the 128 nodes of the accepted
+        # level inverted once, where each slot was inverted on its own
+        # before (16 batches over 512 nodes)
+        a = gen_matrix("random", 2, 0)
+        count = []
+        inner = funcalc._resolvents
+        monkeypatch.setattr(funcalc, "_resolvents", lambda zeta, m: count.append(len(zeta)) or inner(zeta, m))
+        dd_tensor(EXP, [a] * 4)
+        assert count == [16, 16, 32, 64]

@@ -696,6 +696,99 @@ class TestFieldReads:
             assert stack.shape == (times.size, 2, 2) and stack.dtype == complex
 
 
+_SAMPLE_SETS = {
+    "two": ([0.0, 1.0], [gen_matrix("hermitian", 2, 9), gen_matrix("hermitian", 2, 10)]),
+    "unsorted-real": ([0.7, -0.2, 0.3, 0.05], [np.diag([1.0, 2.0 + k]) for k in range(4)]),
+    "d3": ([0.0, 0.125, 0.5, 0.75, 1.0], [0.5 * gen_matrix("random", 3, 20 + k) for k in range(5)]),
+}
+
+
+def _sampled(name):
+    return field_from_samples(*_SAMPLE_SETS[name])
+
+
+class TestStackReads:
+    """A field the library builds reads an array of times as one stack, bit
+    for bit its per-time values, and each pass reads it once."""
+
+    @pytest.mark.parametrize("field", [
+        pytest.param(lambda: triangular_field(), id="triangular"),
+        pytest.param(lambda: builtin_field("perturbed:7"), id="perturbed-7"),
+        pytest.param(lambda: perturbed_triangular_field(123), id="perturbed-123"),
+        *[pytest.param(lambda name=name: _sampled(name), id=f"samples-{name}")
+          for name in _SAMPLE_SETS],
+    ])
+    def test_the_stack_is_the_per_time_values(self, field):
+        field = field()
+        rng = np.random.default_rng(5)
+        samples = [t for ts, _ in _SAMPLE_SETS.values() for t in ts]
+        # at, before and after every sample time, and between them
+        times = np.sort(np.concatenate([
+            rng.uniform(-0.5, 1.5, 400), samples, np.nextafter(samples, -np.inf),
+            np.nextafter(samples, np.inf), [-3.0, 0.0, 1.0, 7.0, 2.0**-30]]))
+        got = field.stack(times)
+        want = np.array([field(t) for t in times.tolist()], dtype=complex)
+        assert got.dtype == complex and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert field.stack(times[:0]).shape == (0,) + want.shape[1:]
+
+    @pytest.mark.parametrize("name", ["triangular", "perturbed:7", "samples"])
+    @pytest.mark.parametrize("times", [None, [7 * 0.006, 0.1, 0.25, 0.5, 0.7, 1.0]])
+    def test_passes_equal_the_passes_on_a_plain_wrapper(self, name, times):
+        field = _sampled("d3") if name == "samples" else builtin_field(name)
+
+        def plain(t):
+            return field(t)
+
+        for got, want in [(magnus_solve(field, 1.0, 0.006, 16, checkpoints=times),
+                           magnus_solve(plain, 1.0, 0.006, 16, checkpoints=times)),
+                          (rk_reference(field, 1.0, checkpoints=times),
+                           rk_reference(plain, 1.0, checkpoints=times))]:
+            assert _flat_bytes(got) == _flat_bytes(want)
+
+    @pytest.mark.parametrize("name", ["triangular", "perturbed:7", "samples"])
+    def test_a_library_field_is_read_once_per_pass(self, name):
+        field = _sampled("two") if name == "samples" else builtin_field(name)
+        at, stack, calls, stacks = field.at, field.stack, [], []
+
+        def counted_at(t):
+            calls.append(t)
+            return at(t)
+
+        def counted_stack(times):
+            stacks.append(len(times))
+            return stack(times)
+
+        field.at, field.stack = counted_at, counted_stack
+        magnus_solve(field, 1.0, 0.008, 8)
+        # the first read that sizes the pass, then one stack of the distinct
+        # stage times: the first stage and two per step of 125
+        assert calls == [0.0] and stacks == [1 + 2 * 125]
+        calls.clear()
+        stacks.clear()
+        rk_reference(field, 1.0, checkpoints=[0.25, 0.5])
+        # three passes, each reading only the times the one before did not
+        assert calls == [0.0] and stacks == [129, 128, 256]
+
+    def test_a_plain_callable_is_read_one_float_at_a_time(self):
+        field = triangular_field()
+
+        def A(t):
+            assert type(t) is float
+            return field(t)
+
+        magnus_solve(A, 1.0, 0.01, 8, checkpoints=[0.5])
+        rk_reference(A, 1.0, checkpoints=[0.5])
+
+
+def _flat_bytes(result):
+    """The bytes of every matrix of a solve's or a reference's return."""
+    if isinstance(result, np.ndarray):
+        return [result.tobytes()]
+    return [m.tobytes() for item in result
+            for m in (item if isinstance(item, tuple) else (item,))]
+
+
 class TestReferencePass:
     """One pass of the reference: stacked step matrices, the states of the
     stage-wise stepper, one read of the field per distinct stage time."""
@@ -936,6 +1029,20 @@ class TestSampledField:
             magnus_solve(field, 1.0, 0.005, 28)
         assert str(info.value) == "|Omega| = 1.25e+195 >= 3.1416 at t = 0.005"
         assert len(str(info.value)) <= 60
+
+    @pytest.mark.parametrize("times", [[0.0, 1.07e-241, -5.25e-153], [0.0, 1e-14, 1.0],
+                                       [1e3, 1e3 + 5e-12, 2e3], [-2.0, -2.0 + 1e-14]],
+                             ids=["below-the-snap", "at-the-snap", "relative-snap", "negative"])
+    def test_sample_times_closer_than_the_grid_resolves(self, times):
+        # the first sent rk_reference to 2**20 steps (about 4 s and 1 GB)
+        # before it gave up: no grid resolves its kink, so it is refused
+        with pytest.raises(InvalidInput, match="closer than a step grid resolves") as info:
+            field_from_samples(times, [k * np.eye(2) for k in range(1, len(times) + 1)])
+        assert "distinct" not in str(info.value)
+
+    def test_sample_times_just_past_the_snap_are_a_field(self):
+        field = field_from_samples([0.0, 2e-14, 1.0], [np.eye(1), 2.0 * np.eye(1), np.eye(1)])
+        assert field(1e-14)[0, 0] == 1.5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_sample_times_are_finite(self, bad):
