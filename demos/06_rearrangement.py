@@ -5,12 +5,15 @@ the kernel F applied to the slot lifts of A, and equals A^-1 times the kernel
 G applied to cumulative products of the modular operators exp(-nabla_a),
 nabla_a = a^(j-1) - a^(j) the difference of adjacent slot lifts of a = log A.
 The essence is the substitution u -> u/s that turns F into G.  The family
-f_j(s) = (1 + s)^-q_j is passed as its exponent list [q_0, ..., q_p].
+f_j(s) = (1 + s)^-q_j is passed as its exponent list [q_0, ..., q_p].  The
+three routes take one record, ``eigenbasis(qs, A, bs, delta=...)``, which
+checks the input and diagonalizes A once for all of them.
 """
 
 import numpy as np
 
 from opcalc import (
+    eigenbasis,
     gen_matrix,
     kernel_F,
     kernel_G,
@@ -59,9 +62,10 @@ print("3. the three-way identity on random data")
 print("=" * 70)
 A = matrix_exp(a)
 b = gen_matrix("random", 2, 9)
-lhs = rearrange_lhs(fam, A, [b], delta=0.3)
-rf = rearrange_rhs_F(fam, A, [b], delta=0.3)
-rg = rearrange_rhs_G(fam, A, [b], delta=0.3)
+basis = eigenbasis(fam, A, [b], delta=0.3)
+lhs = rearrange_lhs(basis)
+rf = rearrange_rhs_F(basis)
+rg = rearrange_rhs_G(basis)
 scale = opnorm(lhs)
 print(f"  direct integral vs kernel-F route: {opnorm(lhs - rf) / scale:.2e}")
 print(f"  direct integral vs kernel-G route: {opnorm(lhs - rg) / scale:.2e}")
@@ -75,9 +79,10 @@ fam3 = [1, 1, 1]
 a3 = gen_matrix("hermitian", 3, 4)
 A3 = matrix_exp(a3)
 bs = [gen_matrix("random", 3, 10), gen_matrix("random", 3, 11)]
-lhs = rearrange_lhs(fam3, A3, bs, delta=0.3)
-rf = rearrange_rhs_F(fam3, A3, bs, delta=0.3)
-rg = rearrange_rhs_G(fam3, A3, bs, delta=0.3)
+basis = eigenbasis(fam3, A3, bs, delta=0.3)
+lhs = rearrange_lhs(basis)
+rf = rearrange_rhs_F(basis)
+rg = rearrange_rhs_G(basis)
 scale = opnorm(lhs)
 print(f"  lhs vs F route: {opnorm(lhs - rf) / scale:.2e}")
 print(f"  lhs vs G route: {opnorm(lhs - rg) / scale:.2e}")

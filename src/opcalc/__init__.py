@@ -74,6 +74,7 @@ from .ncseries import (
 )
 from .quadrature import contour_around
 from .rearrange import (
+    eigenbasis,
     kernel_F,
     kernel_G,
     rearrange_lhs,

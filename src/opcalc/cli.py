@@ -57,7 +57,7 @@ from .generate import KINDS, MAX_DIM, gen_matrix
 from .magnus import MAX_STEPS, builtin_field, field_from_samples, magnus_solve, rk_reference
 from .ncseries import dyson_exp, newton_interpolate, taylor_expand
 from .quadrature import Contour
-from .rearrange import rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
+from .rearrange import eigenbasis, rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
 
 __all__ = ["main", "gen_matrix"]
 
@@ -333,9 +333,10 @@ def _cmd_rearrange(args, tol) -> tuple[dict, bool]:
     a = gen_matrix("hermitian", dim, args.seed)
     A = matrix_exp(a)
     bs = [gen_matrix("random", dim, args.seed + 1 + j) for j in range(p)]
-    lhs = rearrange_lhs(qs, A, bs, delta=args.delta)
-    rf = rearrange_rhs_F(qs, A, bs, delta=args.delta)
-    rg = rearrange_rhs_G(qs, A, bs, delta=args.delta)
+    basis = eigenbasis(qs, A, bs, delta=args.delta)  # one check for all three routes
+    lhs = rearrange_lhs(basis)
+    rf = rearrange_rhs_F(basis)
+    rg = rearrange_rhs_G(basis)
     params = {"p": p, "dim": dim, "family": args.family, "delta": args.delta}
     results = {"lhs": matrix_to_json(lhs), "rhs_F": matrix_to_json(rf),
                "rhs_G": matrix_to_json(rg)}

@@ -54,7 +54,14 @@ from .ncseries import (
     taylor_series_ad,
 )
 from .quadrature import circle_points, contour_around
-from .rearrange import kernel_F, kernel_G, rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
+from .rearrange import (
+    eigenbasis,
+    kernel_F,
+    kernel_G,
+    rearrange_lhs,
+    rearrange_rhs_F,
+    rearrange_rhs_G,
+)
 
 __all__ = [
     "IDENTITIES", "tolerances", "Residual", "dd_agreement", "power_closed_form",
@@ -480,8 +487,9 @@ def check_rearrange(seed: int, tol: dict) -> Residual:
     qs = [1, 1]
     A = matrix_exp(gen_matrix("hermitian", 2, seed))
     b = gen_matrix("random", 2, seed + 5)
-    records = rearrangement(rearrange_lhs(qs, A, [b]), rearrange_rhs_F(qs, A, [b]),
-                            rearrange_rhs_G(qs, A, [b]), tol)
+    basis = eigenbasis(qs, A, [b])
+    records = rearrangement(rearrange_lhs(basis), rearrange_rhs_F(basis),
+                            rearrange_rhs_G(basis), tol)
     return _worst("rearrangement-three-way", records, tol)
 
 

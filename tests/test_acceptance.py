@@ -42,7 +42,7 @@ from opcalc import (
 )
 from opcalc.quadrature import circle_points, contour_around
 from opcalc.magnus import perturbed_triangular_field, triangular_field
-from opcalc.rearrange import rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
+from opcalc.rearrange import eigenbasis, rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
 from opcalc.verify import IDENTITIES as TOL
 from opcalc.verify import (
     combinatorics_exactness,
@@ -256,9 +256,10 @@ def test_criterion_9_rearrangement():
                     a = gen_matrix("hermitian", d, base)
                     A = matrix_exp(a)
                     bs = [gen_matrix("random", d, base + 50 + j) for j in range(p)]
-                    lhs = rearrange_lhs(fam, A, bs, delta=0.4)
-                    rf = rearrange_rhs_F(fam, A, bs, delta=0.4)
-                    rg = rearrange_rhs_G(fam, A, bs, delta=0.4)
+                    basis = eigenbasis(fam, A, bs, delta=0.4)
+                    lhs = rearrange_lhs(basis)
+                    rf = rearrange_rhs_F(basis)
+                    rg = rearrange_rhs_G(basis)
                     worst = max(worst, *(r.value for r in rearrangement(lhs, rf, rg, TOL)))
     assert worst <= 1e-6
 

@@ -42,7 +42,7 @@ from opcalc.ncseries import (
     newton_recursion_check,
     taylor_expand,
 )
-from opcalc.rearrange import rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
+from opcalc.rearrange import eigenbasis, rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G
 
 TOL = verify.IDENTITIES
 
@@ -534,6 +534,32 @@ class TestRearrangeCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "1", "--dim", "2", "--family", "1,1"],
+        ["--p", "0", "--dim", "3", "--family", "2"],
+        ["--p", "2", "--dim", "3", "--family", "1,2,1", "--delta", "0.35"],
+        ["--p", "3", "--dim", "4", "--family", "2,1,2,1", "--delta", "0.35"],
+        ["--p", "1", "--dim", "2", "--family", "1,1", "--delta", "0"],
+    ], ids=["p1-d2", "p0-d3", "p2-d3", "p3-d4", "refused-sector"])
+    def test_one_eigendecomposition_per_job(self, argv, capsys, monkeypatch):
+        # the three routes read one record, so A is diagonalized once a job,
+        # a job refused at the sector check included
+        from opcalc import rearrange
+
+        calls = []
+        decompose = rearrange.eigen_decompose
+
+        def counted(a):
+            calls.append(a)
+            return decompose(a)
+
+        monkeypatch.setattr(rearrange, "eigen_decompose", counted)
+        for _ in range(2):
+            calls.clear()
+            code, out, err = run_cli(["rearrange", *argv], capsys)
+            assert len(calls) == 1
+            assert code == (2 if argv[-1] == "0" else 0), err
+
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_delta_must_be_finite(self, delta, capsys):
         # every comparison with a NaN half-angle is false, so the sector check
@@ -716,8 +742,8 @@ class TestIdentityRegistry:
         assert code == 0
         A = matrix_exp(gen_matrix("hermitian", 3, 11))
         bs = [gen_matrix("random", 3, 12)]
-        routes = [route([2, 1], A, bs, delta=0.25)
-                  for route in (rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G)]
+        basis = eigenbasis([2, 1], A, bs, delta=0.25)
+        routes = [route(basis) for route in (rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G)]
         want = verify.rearrangement(*routes, TOL)
         assert json.loads(out)["residuals"] == self._entries(want)
 
@@ -887,8 +913,8 @@ class TestErrorPaths:
         lambda: verify.tolerances(float("inf")),
         lambda: verify.tolerances(0.0),
         lambda: verify.tolerances(-1.0),
-        lambda: rearrange_lhs([1, 1], np.eye(2), [np.eye(2)], delta=float("nan")),
-        lambda: rearrange_rhs_G([1, 1], np.eye(2), [np.eye(2)], delta=float("inf")),
+        lambda: eigenbasis([1, 1], np.eye(2), [np.eye(2)], delta=float("nan")),
+        lambda: eigenbasis([1, 1], np.eye(2), [np.eye(2)], delta=float("inf")),
         lambda: bernoulli(3.0),
         lambda: magnus_rhs(np.zeros((2, 2)), np.eye(2), order=8.0),
         lambda: magnus_solve(triangular_field(), 1.0, 0.01, 8.5),
@@ -928,9 +954,9 @@ class TestErrorPaths:
         (lambda: opcalc.dyson_terms_simplex(np.eye(2), np.eye(2), N=-1), "order N"),
         (lambda: opcalc.kernel_F([math.nan, 1], [1.0, 1.0]), "exponents"),
         (lambda: opcalc.kernel_F([math.inf, 1], [1.0, 1.0]), "exponents"),
-        (lambda: rearrange_lhs([math.nan, 1], np.eye(2), [np.eye(2)]), "exponents"),
-        (lambda: rearrange_rhs_F([math.inf, 1], np.eye(2), [np.eye(2)]), "exponents"),
-        (lambda: rearrange_rhs_G([1, math.nan], np.eye(2), [np.eye(2)]), "exponents"),
+        (lambda: eigenbasis([math.nan, 1], np.eye(2), [np.eye(2)]), "exponents"),
+        (lambda: eigenbasis([math.inf, 1], np.eye(2), [np.eye(2)]), "exponents"),
+        (lambda: eigenbasis([1, math.nan], np.eye(2), [np.eye(2)]), "exponents"),
         (lambda: gen_matrix("random", 2.5, 0), "dim"),
         (lambda: gen_matrix("random", 2, 0.5), "seed"),
         (lambda: gen_matrix("random", 2, -1), "seed"),

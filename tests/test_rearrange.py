@@ -1,5 +1,6 @@
 import functools
 import itertools
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opcalc import (
+    eigenbasis,
     gen_matrix,
     kernel_F,
     kernel_G,
@@ -20,11 +22,13 @@ from opcalc import (
     rel_err,
 )
 from opcalc import rearrange
-from opcalc.core import TensorOperator, eigen_decompose
+from opcalc.core import TensorOperator, eigen_decompose, stack_times
 from opcalc.quadrature import halfline_integrate
 from opcalc.functions import rational_function
 from opcalc.errors import (
     DecayViolation,
+    DimensionMismatch,
+    InvalidInput,
     NonDiagonalizable,
     QuadratureNoConvergence,
     SectorViolation,
@@ -225,13 +229,13 @@ class TestThreeWay:
         # A diagonal, b = 1: int (1 + u lam)^-2 du = 1/lam entrywise
         fam = [1, 1]
         lam = np.array([0.5, 2.0])
-        got = rearrange_lhs(fam, np.diag(lam), [np.eye(2)])
+        got = rearrange_lhs(eigenbasis(fam, np.diag(lam), [np.eye(2)]))
         assert rel_err(got, np.diag(1.0 / lam)) <= 1e-9
 
     def test_identity_argument_factors_out(self):
         fam = [1, 1]
         b = gen_matrix("random", 2, 6)
-        got = rearrange_lhs(fam, np.eye(2), [b])
+        got = rearrange_lhs(eigenbasis(fam, np.eye(2), [b]))
         assert rel_err(got, b) <= 1e-9  # F(1,1) = 1
 
     def test_rhs_F_diagonal_weights(self):
@@ -239,7 +243,7 @@ class TestThreeWay:
         fam = [1, 1]
         lam = np.array([0.5, 1.5])
         b = gen_matrix("random", 2, 7)
-        got = rearrange_rhs_F(fam, np.diag(lam), [b])
+        got = rearrange_rhs_F(eigenbasis(fam, np.diag(lam), [b]))
         want = np.array(
             [[kernel_F(fam, [lam[i], lam[j]]) * b[i, j] for j in range(2)]
              for i in range(2)]
@@ -249,20 +253,20 @@ class TestThreeWay:
     def test_rhs_F_trivial_log(self):
         fam = [1, 1]
         b = gen_matrix("random", 2, 10)
-        got = rearrange_rhs_F(fam, np.eye(2), [b])
+        got = rearrange_rhs_F(eigenbasis(fam, np.eye(2), [b]))
         assert rel_err(got, kernel_F(fam, [1.0, 1.0]) * b) <= 1e-9
 
     def test_rhs_G_trivial_log(self):
         fam = [1, 1]
         b = gen_matrix("random", 2, 8)
-        got = rearrange_rhs_G(fam, np.eye(2), [b])
+        got = rearrange_rhs_G(eigenbasis(fam, np.eye(2), [b]))
         assert rel_err(got, b) <= 1e-9
 
     def test_rhs_G_diagonal_pattern(self):
         fam = [1, 1]
         lam = np.array([0.5, 1.5])
         b = gen_matrix("random", 2, 9)
-        got = rearrange_rhs_G(fam, np.diag(lam), [b])
+        got = rearrange_rhs_G(eigenbasis(fam, np.diag(lam), [b]))
         want = np.array(
             [[kernel_G(fam, [lam[j] / lam[i]]) / lam[i] * b[i, j] for j in range(2)]
              for i in range(2)]
@@ -275,9 +279,10 @@ class TestThreeWay:
         a = gen_matrix("hermitian", dim, 11 * p + dim)
         A = matrix_exp(a)
         bs = [gen_matrix("random", dim, 20 + j) for j in range(p)]
-        lhs = rearrange_lhs(fam, A, bs, delta=0.3)
-        rf = rearrange_rhs_F(fam, A, bs, delta=0.3)
-        rg = rearrange_rhs_G(fam, A, bs, delta=0.3)
+        basis = eigenbasis(fam, A, bs, delta=0.3)
+        lhs = rearrange_lhs(basis)
+        rf = rearrange_rhs_F(basis)
+        rg = rearrange_rhs_G(basis)
         scale = max(opnorm(lhs), 1e-300)
         assert opnorm(lhs - rf) / scale <= 1e-6
         assert opnorm(lhs - rg) / scale <= 1e-6
@@ -290,15 +295,16 @@ class TestThreeWay:
         assert np.all(np.abs(np.linalg.eigvals(a).imag) < 0.3)
         A = matrix_exp(a)
         b = gen_matrix("random", 2, 32)
-        lhs = rearrange_lhs(fam, A, [b], delta=0.3)
-        rf = rearrange_rhs_F(fam, A, [b], delta=0.3)
+        basis = eigenbasis(fam, A, [b], delta=0.3)
+        lhs = rearrange_lhs(basis)
+        rf = rearrange_rhs_F(basis)
         assert rel_err(lhs, rf) <= 1e-6
 
     def test_sector_gate(self):
         fam = [1, 1]
         bad = np.diag([-1.0, 1.0])  # negative real eigenvalue: outside any sector
         with pytest.raises(SectorViolation):
-            rearrange_lhs(fam, bad, [np.eye(2)])
+            eigenbasis(fam, bad, [np.eye(2)])
 
 
 class TestJointEigenbasis:
@@ -318,7 +324,7 @@ class TestJointEigenbasis:
               for _ in range(p)]
         for route, fn in (("F", rearrange_rhs_F), ("G", rearrange_rhs_G)):
             want = kron_oracle(fam, A, bs, route)
-            assert rel_err(fn(fam, A, bs), want) <= 1e-12
+            assert rel_err(fn(eigenbasis(fam, A, bs)), want) <= 1e-12
 
     @pytest.mark.parametrize("route", [rearrange_rhs_F, rearrange_rhs_G])
     def test_one_halfline_quadrature_per_route(self, route, monkeypatch):
@@ -332,7 +338,7 @@ class TestJointEigenbasis:
         monkeypatch.setattr(rearrange, "halfline_integrate", counting)
         A = matrix_exp(gen_matrix("hermitian", 3, 40))
         bs = [gen_matrix("random", 3, 41 + j) for j in range(3)]
-        route([1, 1, 1, 1], A, bs)
+        route(eigenbasis([1, 1, 1, 1], A, bs))
         assert len(calls) == 1
 
     def test_p0_is_kernel_of_A(self):
@@ -340,9 +346,10 @@ class TestJointEigenbasis:
         fam = [2]
         A = matrix_exp(gen_matrix("hermitian", 3, 42))
         inv = np.linalg.inv(A)
-        assert rel_err(rearrange_rhs_F(fam, A, []), inv) <= 1e-9
-        assert rel_err(rearrange_rhs_G(fam, A, []), inv) <= 1e-9
-        assert rel_err(rearrange_lhs(fam, A, []), inv) <= 1e-9
+        basis = eigenbasis(fam, A, [])
+        assert rel_err(rearrange_rhs_F(basis), inv) <= 1e-9
+        assert rel_err(rearrange_rhs_G(basis), inv) <= 1e-9
+        assert rel_err(rearrange_lhs(basis), inv) <= 1e-9
 
     def test_batched_kernel_F_matches_per_tuple(self):
         fam = [2, 1, 1]
@@ -362,11 +369,11 @@ class TestJointEigenbasis:
         assert kernel_G(fam, lam) == kernel_F(fam, [1, *lam])
 
     def test_jordan_block_refused_by_every_route(self):
+        # every route takes the record, so its constructor's refusal is theirs
         fam = [1, 1]
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
-        for route in (rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G):
-            with pytest.raises(NonDiagonalizable):
-                route(fam, jordan, [np.eye(2)])
+        with pytest.raises(NonDiagonalizable):
+            eigenbasis(fam, jordan, [np.eye(2)])
 
     def test_pole_on_the_half_line_raises(self):
         # (1 - u)^-1 (1 + u)^-1 has a pole at u = 1, a Kronrod node
@@ -376,3 +383,149 @@ class TestJointEigenbasis:
                 kernel_F(fam, [-1, 1])
             with pytest.raises(QuadratureNoConvergence):
                 kernel_F(fam, [[1, 1], [-1, 1], [2, 1]])
+
+
+def every_factor_lhs(qs, A, bs):
+    """``rearrange_lhs`` as it was before the record: every member's factor
+    evaluated on every panel, from a fresh eigendecomposition.  The integrand
+    that one factor per distinct exponent is held to bit for bit."""
+    fs = rearrange._check_decay(qs)
+    lam, v, vinv = eigen_decompose(A)
+    bmats = [np.asarray(b, dtype=complex) for b in bs]
+
+    def factor(f, u):
+        vals = np.asarray(f(np.multiply.outer(u, lam)), dtype=complex)
+        return np.einsum("ij,kj,jl->kil", v, vals, vinv)
+
+    def integrand(u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        x = factor(fs[0], u)
+        for f, b in zip(fs[1:], bmats):
+            x = stack_times(x, b)
+            x = x @ factor(f, u)
+        return x
+
+    return halfline_integrate(integrand)
+
+
+def fresh_joint_diagonal(qs, A, bs, route):
+    """The kernel routes as they were before the record: a fresh
+    eigendecomposition, meshgrid and V^-1 b_j V on every call."""
+    lam, v, vinv = eigen_decompose(A)
+    p = len(bs)
+    s = np.stack(np.meshgrid(*[lam] * (p + 1), indexing="ij"), axis=-1)
+    k = (kernel_F(qs, s) if route == "F"
+         else kernel_G(qs, s[..., 1:] / s[..., :1]) / s[..., 0])
+    if p == 0:
+        return (v * k) @ vinv
+    idx = "abcd"[: p + 1]
+    subscripts = ",".join([idx] + [idx[j : j + 2] for j in range(p)]) + f"->{idx[0]}{idx[p]}"
+    return v @ np.einsum(subscripts, k, *[vinv @ b @ v for b in bs]) @ vinv
+
+
+def _job(p, d, seed=7):
+    A = matrix_exp(gen_matrix("hermitian", d, seed))
+    return A, [gen_matrix("random", d, seed + 1 + j) for j in range(p)]
+
+
+class TestEigenbasisRecord:
+    @pytest.mark.parametrize("qs", [(2, 1, 2, 1), (1, 2, 1)], ids=["2121", "121"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_lhs_equals_the_every_factor_loop(self, qs, d):
+        A, bs = _job(len(qs) - 1, d)
+        got = rearrange_lhs(eigenbasis(qs, A, bs, delta=0.35))
+        assert got.tobytes() == every_factor_lhs(qs, A, bs).tobytes()
+
+    @pytest.mark.parametrize("qs", [(2, 1, 2, 1), (1, 2, 1), (2,), (1, 1)])
+    def test_kernel_routes_equal_a_fresh_decomposition(self, qs):
+        A, bs = _job(len(qs) - 1, 3)
+        basis = eigenbasis(qs, A, bs)
+        for name, route in (("F", rearrange_rhs_F), ("G", rearrange_rhs_G)):
+            assert route(basis).tobytes() == fresh_joint_diagonal(qs, A, bs, name).tobytes()
+
+    def test_lhs_evaluates_each_distinct_exponent_once_per_panel(self, monkeypatch):
+        # family 2,1,2,1 has two distinct members: two factors per panel, not four
+        evaluated, panels = [], []
+
+        def recorded(q):
+            f = rational_function(q)
+
+            def call(z):
+                evaluated.append(q)
+                return f(z)
+
+            return call
+
+        halfline = rearrange.halfline_integrate
+
+        def counting(fn, **kwargs):
+            def integrand(u):
+                panels.append(u)
+                return fn(u)
+
+            return halfline(integrand, **kwargs)
+
+        monkeypatch.setattr(rearrange, "rational_function", recorded)
+        monkeypatch.setattr(rearrange, "halfline_integrate", counting)
+        A, bs = _job(3, 3)
+        rearrange_lhs(eigenbasis((2, 1, 2, 1), A, bs))
+        assert panels and sorted(evaluated) == sorted([1, 2] * len(panels))
+
+    def test_the_record_is_frozen_and_the_callers_arrays_are_not(self):
+        A, bs = _job(2, 3)
+        basis = eigenbasis([1, 2, 1], A, bs)
+        with pytest.raises(AttributeError):
+            basis.lam = basis.lam
+        arrays = [basis.lam, basis.v, basis.vinv, basis.grid, *basis.bs, *basis.blocks]
+        assert not any(x.flags.writeable for x in arrays)
+        assert A.flags.writeable and all(b.flags.writeable for b in bs)
+        assert basis.qs == (1, 2, 1) and basis.grid.shape == (3, 3, 3, 3)
+        for b, block in zip(bs, basis.blocks):
+            assert block.tobytes() == (basis.vinv @ b @ basis.v).tobytes()
+        before = [x.copy() for x in arrays]
+        for route in (rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G):
+            route(basis)
+        assert all(np.array_equal(x, y) for x, y in zip(arrays, before))
+
+    @pytest.mark.parametrize("delta", ["x", 1j, [0.3], np.array(0.3), float("nan"), -float("inf"),
+                                       10 ** 400],
+                             ids=["str", "complex", "list", "array", "nan", "-inf", "huge-int"])
+    def test_delta_not_a_finite_real_is_refused(self, delta):
+        # "x", 1j and [0.3] escaped as a bare TypeError from math.isfinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="delta"):
+                eigenbasis([1, 1], np.eye(2), [np.eye(2)], delta=delta)
+
+    @pytest.mark.parametrize("delta", [0.3, 1, np.float64(0.3), np.float32(0.3), None])
+    def test_delta_real_numbers_are_read(self, delta):
+        A, bs = _job(1, 2)
+        got = rearrange_rhs_F(eigenbasis([1, 1], A, bs, delta=delta))
+        assert got.tobytes() == rearrange_rhs_F(eigenbasis([1, 1], A, bs)).tobytes()
+
+    def test_an_iterator_family_is_read_once(self):
+        # the exponents were iterated twice, so an iterator read as the empty
+        # family: a false DecayViolation, sum 0
+        assert kernel_F((q for q in [1, 1]), [1.0, 2.0]) == kernel_F([1, 1], [1.0, 2.0])
+        assert kernel_G(iter([1, 2]), [0.5]) == kernel_G([1, 2], [0.5])
+        A, bs = _job(1, 3)
+        got, want = eigenbasis(iter([1, 1]), A, bs), eigenbasis([1, 1], A, bs)
+        assert got.qs == want.qs == (1, 1)
+        for route in (rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G):
+            assert route(got).tobytes() == route(want).tobytes()
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: eigenbasis([1, 0], np.eye(2), [np.eye(2)]), DecayViolation),
+        (lambda: eigenbasis([1, 1], np.eye(2), []), SectorViolation),
+        (lambda: eigenbasis([1, 1], np.eye(2), [np.eye(3)]), DimensionMismatch),
+        (lambda: eigenbasis([1.5, 1], np.eye(2), [np.eye(2)]), InvalidInput),
+        (lambda: eigenbasis([1, 1], np.eye(2), [np.eye(2)], delta=0.0), SectorViolation),
+    ], ids=["decay", "factor-count", "factor-dim", "exponent", "empty-sector"])
+    def test_the_constructor_refuses_for_every_route(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    @pytest.mark.parametrize("route", [rearrange_lhs, rearrange_rhs_F, rearrange_rhs_G])
+    def test_a_route_takes_only_the_record(self, route):
+        with pytest.raises(InvalidInput, match="eigenbasis"):
+            route([1, 1])
