@@ -155,8 +155,15 @@ def pair(t: TensorOperator, bs: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with a Pade approximant)."""
-    return scipy.linalg.expm(as_matrix(m))
+    """Matrix exponential (scaling-and-squaring with a Pade approximant).
+
+    An exponential past the float range is refused with :class:`InvalidInput`,
+    with numpy's overflow warnings on the way there kept off stderr."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = scipy.linalg.expm(as_matrix(m))
+    if np.count_nonzero(np.isfinite(e)) != e.size:
+        raise InvalidInput("matrix exponential overflows the float range")
+    return e
 
 
 def commutator(x, y) -> np.ndarray:

@@ -36,9 +36,10 @@ def gen_matrix(kind: str, dim: int, seed: int):
     polynomials in one shared Hermitian matrix, so they commute exactly;
     the other kinds return a single matrix.
     """
-    if not 1 <= as_integer(dim, "dim") <= MAX_DIM:
+    dim, seed = as_integer(dim, "dim"), as_integer(seed, "seed")
+    if not 1 <= dim <= MAX_DIM:
         raise InvalidInput(f"dimension must be 1..{MAX_DIM}")
-    if as_integer(seed, "seed") < 0:
+    if seed < 0:
         raise InvalidInput(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     if kind == "random":

@@ -18,10 +18,10 @@ zero, so a stage creates no array but its result.  The equation is stepped
 with the classical 4th-order Runge-Kutta scheme; a plain Runge-Kutta solver
 for Y itself with Richardson extrapolation serves as the independent oracle.
 Both walk the steps that :func:`_grid` lays out for a pass, on the field of
-the whole pass read at once by :func:`_stage_fields`; each halving of the
-oracle reads only the times its previous pass did not.  The fields the
-library builds (:class:`_Field`) evaluate those times as one stack, bit for
-bit their per-time values; any other callable is read once per time.  Since
+the whole pass read at once by :func:`_stage_fields`, each pass its own
+distinct stage times.  The fields the library builds (:class:`_Field`)
+evaluate those times as one stack, the one formula they have; any other
+callable is read once per time.  Since
 Y' = A(t) Y is linear, one RK4 step of the oracle is a d x d matrix, a
 polynomial in that field, so each pass forms the matrices of all its steps
 as one stack.
@@ -249,14 +249,11 @@ def _read_each(A, times: np.ndarray, dim: int) -> np.ndarray:
     return np.array(values, dtype=complex).reshape(len(reads), dim, dim)
 
 
-def _stage_fields(A, grid: list[tuple[float, float, int]], dim: int, known) -> tuple:
+def _stage_fields(A, grid: list[tuple[float, float, int]], dim: int) -> np.ndarray:
     """The field at the start, middle and end of every step of ``grid``.
 
     Returns a (3, steps, dim, dim) complex stack with one column per step of
-    nonzero length, and the pass's distinct stage times beside their values,
-    as one ``(times, stack)`` pair.  ``known`` is None or such a pair from
-    an earlier pass: a time equal to one of its times, float for float,
-    takes its value from there.  The other distinct times are read in one
+    nonzero length.  The pass's distinct stage times are read in one
     ``read(times)``, in increasing order: a field the library builds
     (:class:`_Field`) evaluates them as one stack, and any other callable is
     read once per time (:func:`_read_each`); no callable but a
@@ -266,19 +263,11 @@ def _stage_fields(A, grid: list[tuple[float, float, int]], dim: int, known) -> t
     """
     t, s = np.array([(t, step) for t, step, _ in grid if step != 0.0]).reshape(-1, 2).T
     times, where = np.unique(np.concatenate([t, t + 0.5 * s, t + s]), return_inverse=True)
-    stack = np.empty((len(times), dim, dim), dtype=complex)
-    unread = np.ones(len(times), dtype=bool)
-    if known is not None:
-        _, mine, theirs = np.intersect1d(times, known[0], assume_unique=True, return_indices=True)
-        stack[mine] = known[1][theirs]
-        unread[mine] = False
-    reads = times[unread]
-    values = A.stack(reads) if isinstance(A, _Field) else _read_each(A, reads, dim)
+    values = A.stack(times) if isinstance(A, _Field) else _read_each(A, times, dim)
     finite = np.isfinite(values).all(axis=(1, 2))
     if not finite.all():
-        raise StepRejected(f"field is not finite at t = {reads[int(np.argmin(finite))]:g}")
-    stack[unread] = values
-    return stack[where].reshape(3, len(t), dim, dim), (times, stack)
+        raise StepRejected(f"field is not finite at t = {times[int(np.argmin(finite))]:g}")
+    return values[where].reshape(3, len(t), dim, dim)
 
 
 # Both passes check every state and refuse a non-finite one (StepRejected), so
@@ -318,7 +307,7 @@ def magnus_solve(
         raise InvalidInput(f"t_end / h = {t_end / h:.4g} steps, more than 2**20")
     a0 = as_matrix(A(0.0))
     grid = _grid(stops, h)
-    fields = zip(*_stage_fields(A, grid, a0.shape[0], None)[0])
+    fields = zip(*_stage_fields(A, grid, a0.shape[0]))
     om, k1, omegas = np.zeros_like(a0), None, []
     for t, step, stop in grid:
         if step == 0.0:
@@ -361,19 +350,17 @@ def magnus_solve(
     return [(om, matrix_exp(om)) for om in omegas[:-1]]
 
 
-def _reference_pass(A, y0: np.ndarray, stops: list[float], h: float, known) -> tuple:
-    """RK4 for Y' = A(t) Y over :func:`_grid`: the state at each sorted stop,
-    and the pass's ``(times, stack)`` field pair.
+def _reference_pass(A, y0: np.ndarray, stops: list[float], h: float) -> list:
+    """RK4 for Y' = A(t) Y over :func:`_grid`: the state at each sorted stop.
 
     A step of length s from t is the matrix R = I + (s/6)(K1 + 2 K2 + 2 K3 + K4),
     with K1 = A(t), K2 = A_m (I + (s/2) K1), K3 = A_m (I + (s/2) K2) and
     K4 = A(t + s)(I + s K3), where A_m = A(t + s/2).  The field of the pass
-    comes from :func:`_stage_fields`, which takes the values at the times of
-    ``known`` from there, and the R of every step are formed as one stack;
-    the states are then one product per step.
+    comes from :func:`_stage_fields`, and the R of every step are formed as
+    one stack; the states are then one product per step.
     """
     grid = _grid(stops, h)
-    (k1, a_mid, a_end), known = _stage_fields(A, grid, y0.shape[0], known)
+    k1, a_mid, a_end = _stage_fields(A, grid, y0.shape[0])
     moving = [(t, step) for t, step, _ in grid if step != 0.0]
     s = np.array([step for _, step in moving]).reshape(-1, 1, 1)
     k2 = a_mid + (0.5 * s) * (a_mid @ k1)
@@ -398,7 +385,7 @@ def _reference_pass(A, y0: np.ndarray, stops: list[float], h: float, known) -> t
     if not finite.all():
         t0, s0 = moving[int(np.argmin(finite))]
         raise StepRejected(f"non-finite state at t = {t0 + s0:g}")
-    return states, known
+    return states
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -413,13 +400,12 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
     :func:`opcalc.quadrature._refine` returns the first that agrees with the
     one before to 1e-10, relative in the flat norm (at least three passes).
     Each pass reads its field the way the solve does, once per distinct
-    stage time of its grid and all at once (:func:`_stage_fields`), except at
-    the times the pass before read, whose values it takes from that pass's
-    ``(times, stack)`` pair; it forms the d x d matrix of every RK4 step as
-    one stack (:func:`_reference_pass`), and multiplies the states up.  With ``checkpoints``, a sorted sequence of
-    times in [0, t_end], each pass also stops at every checkpoint, the values
-    at all of them are compared as one stack, and the list of propagators at
-    the checkpoints is returned.
+    stage time of its own grid and all at once (:func:`_stage_fields`); it
+    forms the d x d matrix of every RK4 step as one stack
+    (:func:`_reference_pass`), and multiplies the states up.  With
+    ``checkpoints``, a sorted sequence of times in [0, t_end], each pass also
+    stops at every checkpoint, the values at all of them are compared as one
+    stack, and the list of propagators at the checkpoints is returned.
     """
     stops = _stops(t_end, checkpoints)
     a0 = as_matrix(A(0.0))
@@ -427,12 +413,10 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
 
     def levels():
         step = t_end / 64.0
-        coarse, known = _reference_pass(A, eye, stops, step, None)
-        coarse = np.array(coarse)
+        coarse = np.array(_reference_pass(A, eye, stops, step))
         for k in range(1, 15):
             step *= 0.5
-            fine, known = _reference_pass(A, eye, stops, step, known)
-            fine = np.array(fine)
+            fine = np.array(_reference_pass(A, eye, stops, step))
             yield 64 << k, (16.0 * fine - coarse) / 15.0, 0.0
             coarse = fine
 
@@ -445,24 +429,22 @@ def rk_reference(A, t_end: float, *, checkpoints=None):
 
 
 class _Field:
-    """A field the library builds: ``field(t)`` is A(t), and
-    ``field.stack(times)`` is the ``(k, d, d)`` complex stack of A at a 1-D
-    float array of times, bit for bit the stack of the per-time values.
-    :func:`_stage_fields` reads a pass's times through ``stack``."""
+    """A field the library builds, from one formula: ``field.stack(times)``
+    is the ``(k, d, d)`` complex stack of A at a 1-D float array of times,
+    and ``field(t)`` is the one matrix of the stack at ``[t]``, so the two
+    agree bit for bit by construction.  :func:`_stage_fields` reads a pass's
+    times through ``stack``."""
 
-    def __init__(self, at, stack):
-        self.at, self.stack = at, stack
+    def __init__(self, stack):
+        self.stack = stack
 
     def __call__(self, t):
-        return self.at(t)
+        return self.stack(np.array([t], dtype=float))[0]
 
 
 def triangular_field():
-    """The 2x2 upper-triangular field [[2, t], [0, -1]]; a stack read writes
-    the times into entry (0, 1) of a constant stack."""
-
-    def A(t):
-        return np.array([[2.0, t], [0.0, -1.0]], dtype=complex)
+    """The 2x2 upper-triangular field [[2, t], [0, -1]]: the times are
+    written into entry (0, 1) of a constant stack."""
 
     def stack(times):
         out = np.empty((len(times), 2, 2), dtype=complex)
@@ -470,12 +452,12 @@ def triangular_field():
         out[:, 0, 1] = times
         return out
 
-    return _Field(A, stack)
+    return _Field(stack)
 
 
 def perturbed_triangular_field(seed: int):
-    """Triangular field plus a seeded Hermitian perturbation 0.1 (H0 + t H1);
-    a stack read applies the same operations to the whole array of times."""
+    """Triangular field plus a seeded Hermitian perturbation 0.1 (H0 + t H1),
+    applied to the whole array of times at once."""
     rng = np.random.default_rng(seed)
 
     def hermitian():
@@ -484,15 +466,12 @@ def perturbed_triangular_field(seed: int):
         return m / max(opnorm(m), 1e-300)
 
     h0, h1 = hermitian(), hermitian()
-    base = triangular_field()
-
-    def A(t):
-        return base(t) + 0.1 * (h0 + t * h1)
+    base = triangular_field().stack
 
     def stack(times):
-        return base.stack(times) + 0.1 * (h0 + times[:, None, None] * h1)
+        return base(times) + 0.1 * (h0 + times[:, None, None] * h1)
 
-    return _Field(A, stack)
+    return _Field(stack)
 
 
 def field_from_samples(times, mats):
@@ -509,8 +488,8 @@ def field_from_samples(times, mats):
     :func:`rk_reference` could only halve its step to ``2**20`` steps.
     A time at or before the first sample reads the first matrix, one at or
     after the last the last; between them A(t) is (1 - w) m_k + w m_{k+1}.
-    A stack read finds every k with one ``searchsorted`` and applies the
-    same formula to the whole array.
+    A read finds every k with one ``searchsorted`` and applies that formula
+    to the whole array of times; each read returns a new array.
     """
     ts = np.asarray(times, dtype=float)
     ms = as_matrices(list(mats))
@@ -530,16 +509,6 @@ def field_from_samples(times, mats):
         raise InvalidInput(f"sample times {ts[k]:g} and {ts[k + 1]:g} are closer than a step "
                            f"grid resolves (gap {gaps[k]:.3g})")
     ms = np.stack(ms)[order]
-    ms.flags.writeable = False
-
-    def A(t):
-        if t <= ts[0]:
-            return ms[0]
-        if t >= ts[-1]:
-            return ms[-1]
-        k = int(np.searchsorted(ts, t) - 1)
-        w = (t - ts[k]) / (ts[k + 1] - ts[k])
-        return (1.0 - w) * ms[k] + w * ms[k + 1]
 
     def stack(times):
         low, high = times <= ts[0], times >= ts[-1]
@@ -552,12 +521,12 @@ def field_from_samples(times, mats):
         out[inner] = (1.0 - w) * ms[k] + w * ms[k + 1]
         return out
 
-    return _Field(A, stack)
+    return _Field(stack)
 
 
 def builtin_field(name: str):
     """Resolve a CLI field name: 'triangular' or 'perturbed:SEED'.  Either
-    field also reads an array of times as one stack (:class:`_Field`)."""
+    field reads an array of times as one stack (:class:`_Field`)."""
     if name == "triangular":
         return triangular_field()
     if name.startswith("perturbed:"):

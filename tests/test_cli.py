@@ -74,6 +74,12 @@ class TestGenMatrix:
         with pytest.raises(InvalidInput, match="unknown kind"):
             gen_matrix("sparse", 3, 0)
 
+    def test_integer_like_arguments_are_their_ints(self):
+        # True reached numpy as itself: "TypeError: an integer is required"
+        assert gen_matrix("random", True, 0).tobytes() == gen_matrix("random", 1, 0).tobytes()
+        assert (gen_matrix("hermitian", np.int64(3), np.uint8(5)).tobytes()
+                == gen_matrix("hermitian", 3, 5).tobytes())
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -317,6 +323,13 @@ class TestSeriesCommands:
         code, out, _ = run_cli(["dyson", "--dim", "2", "--order", "2"], capsys)
         assert code == 0
         assert json.loads(out)["residuals"][0]["pass"]
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e100"])
+    def test_dyson_past_the_float_range_is_input_error(self, scale, capsys):
+        # exp(a + b) overflowed, and the SVD of the inf difference exited 3
+        code, out, err = run_cli(["dyson", "--dim", "2", "--order", "2", "--b-scale", scale], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: matrix exponential overflows the float range\n"
 
     @pytest.mark.parametrize("argv", [
         ["dyson", "--dim", "2", "--order", "-1"],
@@ -1392,6 +1405,18 @@ class TestInputProperties:
     def test_funcalc_job(self, job):
         with tempfile.TemporaryDirectory() as tmp:
             _exit_contract(["funcalc", "--job", _write_json(tmp, job)])
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(command=st.sampled_from(["dyson", "taylor"]), dim=st.integers(1, 3),
+           order=st.integers(0, 3),
+           b_scale=st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e,
+                                                     st.sampled_from([1.0, -1.0]),
+                                                     st.floats(-3.0, 300.0))))
+    @example(command="dyson", dim=2, order=2, b_scale=1e200)
+    def test_expansion_argv(self, command, dim, order, b_scale):
+        # b-scale log-uniform from 1e-3 to 1e300, either sign: an exponential
+        # past the float range is an input error, not exit 3
+        _exit_contract([command, f"--dim={dim}", f"--order={order}", f"--b-scale={b_scale!r}"])
 
 
 class TestReportWriter:

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from opcalc import (
     pair,
     rel_err,
 )
-from opcalc.errors import DimensionMismatch, NonDiagonalizable
+from opcalc.errors import DimensionMismatch, InvalidInput, NonDiagonalizable
 
 
 def lift(a, n, j):
@@ -235,6 +236,14 @@ class TestMatrixExp:
         w, v, vinv = eigen_decompose(a)
         oracle = (v * np.exp(w)) @ vinv
         assert rel_err(matrix_exp(a), oracle) <= 1e-12
+
+    def test_overflow_is_refused(self):
+        # expm went to inf with a RuntimeWarning, and a caller's SVD of the
+        # difference then raised an untyped LinAlgError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="matrix exponential overflows"):
+                matrix_exp(np.diag([800.0, 0.0]))
 
 
 class TestJson:

@@ -75,7 +75,7 @@ def _matmul_rhs(omega, a_t, order):
 def _matmul_reference_pass(A, y0, stops, h):
     """``magnus._reference_pass`` with its states multiplied up through ``@``."""
     grid = magnus._grid(stops, h)
-    k1, a_mid, a_end = magnus._stage_fields(A, grid, y0.shape[0], None)[0]
+    k1, a_mid, a_end = magnus._stage_fields(A, grid, y0.shape[0])
     moving = [(t, step) for t, step, _ in grid if step != 0.0]
     s = np.array([step for _, step in moving]).reshape(-1, 1, 1)
     k2 = a_mid + (0.5 * s) * (a_mid @ k1)
@@ -659,41 +659,52 @@ class TestFieldReads:
         assert len(calls) == 1 + 1 + 2 * 125
 
     def test_reference_solve(self):
-        # 64 + 128 + 256 steps in three passes: the dimension read, the 129
-        # stage times of the first pass, then the 128 and 256 that each pass
-        # adds to the one before (1 + 3 + 2 * 448 = 900 reads when every pass
-        # read all of its own)
+        # 64 + 128 + 256 steps in three passes: the dimension read, then the
+        # 129, 257 and 513 distinct stage times of each pass, read afresh
         A, calls = self.counted(triangular_field())
         rk_reference(A, 1.0)
-        assert len(calls) == 1 + 129 + 128 + 256 == 514
-        assert len(set(calls[1:])) == len(calls) - 1
+        assert len(calls) == 1 + 129 + 257 + 513 == 900
+        passes = [calls[1:130], calls[130:387], calls[387:]]
+        assert [len(set(times)) for times in passes] == [129, 257, 513]
+        assert all(times == sorted(times) for times in passes)
 
     @pytest.mark.parametrize("name", ["triangular", "perturbed:7"])
     @pytest.mark.parametrize("t_end", [1.0, 0.3, 0.45])
-    def test_reference_passes_equal_passes_that_read_afresh(self, monkeypatch, name, t_end):
-        # bit for bit.  At t_end = 1 a pass shares every stage time of the one
-        # before; at 0.3 and 0.45 the grids round apart and share a dozen
-        field, reference_pass, passes = builtin_field(name), magnus._reference_pass, []
+    def test_each_pass_reads_its_own_stage_times(self, monkeypatch, name, t_end):
+        # one stack per pass of the distinct stage times of its own grid, in
+        # increasing order, whether the grids of consecutive passes share
+        # their times (t_end = 1) or round apart (0.3 and 0.45); the states
+        # are bit for bit the pass's own
+        field, reference_pass, passes, stacks = builtin_field(name), magnus._reference_pass, [], []
+        stack = field.stack
 
-        def recorded_pass(A, y0, stops, h, known):
-            states, handed_on = reference_pass(A, y0, stops, h, known)
-            passes.append((stops, h, states, known, handed_on))
-            return states, handed_on
+        def counted_stack(times):
+            stacks.append(times.tolist())
+            return stack(times)
 
+        def recorded_pass(A, y0, stops, h):
+            states = reference_pass(A, y0, stops, h)
+            passes.append((stops, h, states))
+            return states
+
+        field.stack = counted_stack
         monkeypatch.setattr(magnus, "_reference_pass", recorded_pass)
         rk_reference(field, t_end)
         monkeypatch.undo()
-        assert len(passes) == 3 and passes[0][3] is None
-        eye = np.eye(2, dtype=complex)
-        for stops, h, states, _, _ in passes:
-            want = _matmul_reference_pass(field, eye, stops, h)
+        # the dimension read A(0.0), then one stack per pass
+        assert len(passes) == 3 and stacks[0] == [0.0] and len(stacks) == 4
+        fresh, eye = builtin_field(name), np.eye(2, dtype=complex)
+        for (stops, h, states), times in zip(passes, stacks[1:], strict=True):
+            staged = []
+
+            def staged_field(t):
+                staged.append(t)
+                return fresh(t)
+
+            _four_read_rk4(staged_field, np.matmul, eye, stops, h)
+            assert times == sorted(set(staged))
+            want = _matmul_reference_pass(fresh, eye, stops, h)
             assert [y.tobytes() for y in states] == [y.tobytes() for y in want]
-        # each pass takes the previous pass's one (times, stack) pair
-        for before, after in zip(passes, passes[1:]):
-            assert after[3] is before[4]
-        for _, _, _, _, (times, stack) in passes:
-            assert times.ndim == 1 and np.all(np.diff(times) > 0)
-            assert stack.shape == (times.size, 2, 2) and stack.dtype == complex
 
 
 _SAMPLE_SETS = {
@@ -749,26 +760,44 @@ class TestStackReads:
     @pytest.mark.parametrize("name", ["triangular", "perturbed:7", "samples"])
     def test_a_library_field_is_read_once_per_pass(self, name):
         field = _sampled("two") if name == "samples" else builtin_field(name)
-        at, stack, calls, stacks = field.at, field.stack, [], []
-
-        def counted_at(t):
-            calls.append(t)
-            return at(t)
+        stack, stacks = field.stack, []
 
         def counted_stack(times):
             stacks.append(len(times))
             return stack(times)
 
-        field.at, field.stack = counted_at, counted_stack
+        field.stack = counted_stack
         magnus_solve(field, 1.0, 0.008, 8)
-        # the first read that sizes the pass, then one stack of the distinct
-        # stage times: the first stage and two per step of 125
-        assert calls == [0.0] and stacks == [1 + 2 * 125]
-        calls.clear()
+        # the first read A(0.0), a stack of one time, sizes the pass; then one
+        # stack of the distinct stage times: the first stage and two per step of 125
+        assert stacks == [1, 1 + 2 * 125]
         stacks.clear()
         rk_reference(field, 1.0, checkpoints=[0.25, 0.5])
-        # three passes, each reading only the times the one before did not
-        assert calls == [0.0] and stacks == [129, 128, 256]
+        # three passes, each reading all the distinct stage times of its own grid
+        assert stacks == [1, 129, 257, 513]
+
+    @pytest.mark.parametrize("field", [
+        pytest.param(lambda: triangular_field(), id="triangular"),
+        pytest.param(lambda: perturbed_triangular_field(123), id="perturbed-123"),
+        *[pytest.param(lambda name=name: _sampled(name), id=f"samples-{name}")
+          for name in _SAMPLE_SETS],
+    ])
+    def test_a_read_at_one_time_is_its_one_time_stack(self, field):
+        # at, just before and just after every sample time: one formula, so
+        # bit for bit; a read at or past a sample end is a new array, not a
+        # view of the samples
+        field = field()
+        samples = np.array([t for ts, _ in _SAMPLE_SETS.values() for t in ts])
+        times = np.concatenate([samples, np.nextafter(samples, -np.inf),
+                                np.nextafter(samples, np.inf)])
+        reads = []
+        for t in times.tolist():
+            value = field(t)
+            assert value.shape == value.shape[-1:] * 2 and value.dtype == complex
+            assert value.tobytes() == field.stack(np.array([t]))[0].tobytes()
+            assert value.flags.writeable
+            assert not any(np.shares_memory(value, read) for read in reads)
+            reads.append(value)
 
     def test_a_plain_callable_is_read_one_float_at_a_time(self):
         field = triangular_field()
@@ -821,7 +850,7 @@ class TestReferencePass:
             staged.append(t)
             return field(t)
 
-        got, _ = magnus._reference_pass(A, eye, stops, h, None)
+        got = magnus._reference_pass(A, eye, stops, h)
         want = _four_read_rk4(staged_field, np.matmul, eye, stops, h)
         assert len(got) == len(want) == len(stops)
         for y, y_want in zip(got, want):
@@ -836,7 +865,7 @@ class TestReferencePass:
         field = builtin_field(name)
         stops = magnus._stops(1.0, times)
         eye = np.eye(2, dtype=complex)
-        got, _ = magnus._reference_pass(field, eye, stops, h, None)
+        got = magnus._reference_pass(field, eye, stops, h)
         want = _matmul_reference_pass(field, eye, stops, h)
         assert len(got) == len(want) == len(stops)
         assert all(np.array_equal(y, y_want) for y, y_want in zip(got, want))
@@ -914,7 +943,7 @@ class TestReference:
     def test_unsettled_passes_raise(self, monkeypatch):
         # a pass whose state scales like 1/h: each extrapolated level doubles
         monkeypatch.setattr(magnus, "_reference_pass",
-                            lambda A, y0, stops, h, known: ([y0 / h for _ in stops], known))
+                            lambda A, y0, stops, h: [y0 / h for _ in stops])
         with pytest.raises(QuadratureNoConvergence,
                            match=r"up to size 1048576: last difference 7\.662e\+05, floor 1\.532e-04"):
             rk_reference(triangular_field(), 1.0)
@@ -925,9 +954,9 @@ class TestReference:
         # bound magnus_solve refuses past, before memory would run out
         steps = []
 
-        def unsettled_pass(A, y0, stops, h, known):
+        def unsettled_pass(A, y0, stops, h):
             steps.append(round(stops[-1] / h))
-            return [y0 / h for _ in stops], known
+            return [y0 / h for _ in stops]
 
         monkeypatch.setattr(magnus, "_reference_pass", unsettled_pass)
         with pytest.raises(QuadratureNoConvergence, match="up to size 1048576"):

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from opcalc import (
 )
 from opcalc import funcalc, ncseries, quadrature
 from opcalc.core import as_matrix, eigen_decompose
-from opcalc.errors import ConvergenceThresholdExceeded, QuadratureNoConvergence
+from opcalc.errors import ConvergenceThresholdExceeded, InvalidInput, QuadratureNoConvergence
 from opcalc.quadrature import grundmann_moller_integrate
 
 EXP = exp_function()
@@ -389,6 +390,13 @@ class TestCirclesSizedForTheFunction:
 
 
 class TestDyson:
+    def test_an_overflowing_exponential_is_refused(self):
+        a, b = gen_matrix("random", 2, 42), gen_matrix("random", 2, 43)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match="matrix exponential overflows"):
+                dyson_exp(a, 1e200 * b, 2)
+
     def test_no_perturbation(self):
         a = gen_matrix("random", 2, 90)
         report = dyson_exp(a, np.zeros((2, 2)), N=0)
