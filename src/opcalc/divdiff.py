@@ -82,39 +82,47 @@ def _require_distinct(xs: np.ndarray) -> None:
 
 
 def _node_values(f, x: np.ndarray) -> np.ndarray:
-    """A fresh array of the handle f at the nodes (:class:`InvalidInput` for a
-    non-handle); :class:`DomainViolation` where one is not finite, as at a pole."""
-    with np.errstate(all="ignore"):
-        fx = np.array(_handle(f, HoloFunction)(x), dtype=complex)
+    """f at the nodes, a fresh array read under its callers' errstate (:class:`InvalidInput` for
+    a non-handle); :class:`DomainViolation` where one is not finite, as at a pole."""
+    fx = np.array(_handle(f, HoloFunction)(x), dtype=complex)
     bad = np.flatnonzero(~np.isfinite(fx))
     if bad.size:
         raise DomainViolation(f"f is not finite at node {bad[0]} ({x[bad[0]]:g})")
     return fx
 
 
+def _finite_value(value, what: str) -> complex:
+    """``value``, computed with numpy's warnings off, refused (InvalidInput) unless finite."""
+    if not np.isfinite(value := complex(value)):
+        raise InvalidInput(f"{what} is not a finite number on these nodes")
+    return value
+
+
 def dd_recursive(f, xs) -> complex:
     """Divided difference by the difference-quotient recursion."""
     x = _nodes(xs)
-    _require_distinct(x)
-    coef = _node_values(f, x)
-    n = x.size - 1
-    for level in range(1, n + 1):
-        coef[: n + 1 - level] = (coef[: n + 1 - level] - coef[1 : n + 2 - level]) / (
-            x[: n + 1 - level] - x[level:]
-        )
-    return complex(coef[0])
+    with np.errstate(all="ignore"):
+        _require_distinct(x)
+        coef = _node_values(f, x)
+        n = x.size - 1
+        for level in range(1, n + 1):
+            coef[: n + 1 - level] = (coef[: n + 1 - level] - coef[1 : n + 2 - level]) / (
+                x[: n + 1 - level] - x[level:]
+            )
+    return _finite_value(coef[0], "the recursion's value")
 
 
 def dd_explicit(f, xs) -> complex:
     """Divided difference by the permutation-symmetric sum over nodes."""
     x = _nodes(xs)
-    _require_distinct(x)
-    fx = _node_values(f, x)
-    total = 0.0 + 0.0j
-    for k in range(x.size):
-        diff = x[k] - np.delete(x, k)
-        total += fx[k] / np.prod(diff)
-    return complex(total)
+    with np.errstate(all="ignore"):
+        _require_distinct(x)
+        fx = _node_values(f, x)
+        total = 0.0 + 0.0j
+        for k in range(x.size):
+            diff = x[k] - np.delete(x, k)
+            total += fx[k] / np.prod(diff)
+    return _finite_value(total, "the explicit sum")
 
 
 def dd_contour(f: HoloFunction, xs, *, stats: dict | None = None) -> complex:
@@ -195,24 +203,23 @@ def dd_power(xs, N: int) -> complex:
     Sum of node monomials of total degree N - n when N >= n, zero in the
     polynomial-degree gap 0 <= N < n, and the mirrored monomial sum divided
     by the node product for N < 0 (all nodes nonzero).  ``N`` must be an
-    integer (:class:`InvalidInput`).
+    integer and the value finite (:class:`InvalidInput` otherwise).
     """
     N = as_integer(N, "N")
     x = _nodes(xs)
     n = x.size - 1
-    if N < 0:
-        if np.any(x == 0):
-            raise ZeroNodeNegativePower("negative power needs nonzero nodes")
-        total = 0.0 + 0.0j
-        for alpha in compositions(abs(N) - 1, n + 1):
-            total += np.prod(x ** (-np.asarray(alpha)))
-        return complex((-1.0) ** n / np.prod(x) * total)
-    if N < n:
+    if N < 0 and np.any(x == 0):
+        raise ZeroNodeNegativePower("negative power needs nonzero nodes")
+    if 0 <= N < n:
         return 0.0 + 0.0j
+    power, degree = (np.negative, abs(N) - 1) if N < 0 else (np.asarray, N - n)
     total = 0.0 + 0.0j
-    for alpha in compositions(N - n, n + 1):
-        total += np.prod(x ** np.asarray(alpha))
-    return complex(total)
+    with np.errstate(all="ignore"):
+        for alpha in compositions(degree, n + 1):
+            total += np.prod(x ** power(alpha))
+        if N < 0:
+            total = (-1.0) ** n / np.prod(x) * total
+    return _finite_value(total, f"the closed form of z**{N}")
 
 
 def _check_multiindex(alpha) -> tuple[int, ...]:
@@ -234,10 +241,7 @@ def simplex_moment_s(alpha) -> Fraction:
     a = _check_multiindex(alpha)
     if not a:
         raise InvalidInput("alpha needs n + 1 >= 1 parts for the n-simplex")
-    num = 1
-    for part in a:
-        num *= math.factorial(part)
-    return Fraction(num, math.factorial(sum(a) + len(a) - 1))
+    return Fraction(math.prod(map(math.factorial, a)), math.factorial(sum(a) + len(a) - 1))
 
 
 def bang_shriek(alpha) -> tuple[float, float]:
@@ -248,10 +252,7 @@ def bang_shriek(alpha) -> tuple[float, float]:
     """
     a = _check_multiindex(alpha)
     n = len(a)
-    fact = 1
-    for part in a:
-        fact *= math.factorial(part)
-    fwd = bwd = fact
+    fwd = bwd = math.prod(map(math.factorial, a))
     head = tail = 0
     for j in range(1, n + 1):
         head += a[j - 1]

@@ -1,4 +1,4 @@
-"""Exception and warning types shared by all opcalc modules."""
+"""Exception types shared by all opcalc modules."""
 
 
 class OpcalcError(Exception):
@@ -64,7 +64,3 @@ class BranchRadiusExceeded(OpcalcError):
 
 class StepRejected(OpcalcError):
     """An integrator step or field value is not finite, or a field value has the wrong shape."""
-
-
-class ConvergenceThresholdExceeded(UserWarning):
-    """Perturbation is outside the estimated convergence region; result may be unreliable."""

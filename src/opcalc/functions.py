@@ -83,11 +83,12 @@ class Sector(Domain):
     def contains_hull(self, z) -> bool:
         # The hull's boundary is made of node-to-node segments.  From p to q, arg z
         # sweeps monotonically from angle(p) by angle(q / p), which is pi through 0;
-        # the sweep must stay inside the sector.
+        # the sweep must stay inside the sector (a NaN quotient of extreme nodes fails).
         p = np.ravel(np.asarray(z, dtype=complex))
         if not np.all(self.contains(p)):
             return False
-        turn = np.angle(p[None, :] / p[:, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            turn = np.angle(p[None, :] / p[:, None])
         end = np.angle(p)[:, None] + turn
         return bool(np.all((np.abs(turn) < np.pi) & (np.abs(end) < self.delta)))
 
@@ -97,9 +98,9 @@ class Sector(Domain):
         if not self.contains(center):
             return 0.0
 
-        def to_ray(angle):  # distance to {t e^(i angle): t >= 0}
+        def to_ray(angle):  # distance to {t e^(i angle): t >= 0}; hypot, as abs may raise
             along = center * cmath.rect(1.0, -angle)  # center in the ray's frame
-            return abs(along.imag) if along.real > 0 else abs(center)
+            return abs(along.imag) if along.real > 0 else math.hypot(center.real, center.imag)
 
         return min(to_ray(self.delta), to_ray(-self.delta))
 

@@ -22,7 +22,6 @@ checks of :mod:`opcalc.verify`).
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .core import (as_integer, as_matrices, as_matrix, commutator, eigen_decompose, matrix_exp,
                    opnorm, stack_times)
 from .divdiff import bang_shriek, compositions
-from .errors import ConvergenceThresholdExceeded, InvalidInput
+from .errors import InvalidInput
 from .funcalc import _block_array, _f_bidiagonal, _resolvents, _spectrum, bidiagonal
 from .functions import HoloFunction, _handle
 from .quadrature import _refine, contour_around, grundmann_moller_integrate
@@ -130,8 +129,8 @@ def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
     for f.  ``meta['c2']`` holds the resolvent sup of a on the tight circle
     R0 = 1.1 s + 0.1 (1 + s) of those spectra, which the geometric decay of
     the remainders is judged against; a perturbation with c2 * |b| >= 1 is
-    outside the guaranteed convergence region and triggers a warning (the
-    sums are still computed).
+    outside the guaranteed convergence region, and the sums are computed
+    all the same.
     """
     N = as_integer(N, "order N")
     if N < 0:
@@ -141,9 +140,6 @@ def taylor_expand(f: HoloFunction, a, b, N: int) -> ExpansionReport:
     spectrum = _spectrum([am, am + bm])
     tight = contour_around(spectrum)
     c2 = float(np.max(np.linalg.norm(_resolvents(tight.points(128)[0], am), ord=2, axis=(1, 2))))
-    if c2 * opnorm(bm) >= 1.0:
-        warnings.warn(f"c2*|b| = {c2 * opnorm(bm):.3g} >= 1; remainder may not shrink",
-                      ConvergenceThresholdExceeded)
     c = contour_around(spectrum, _handle(f, HoloFunction))
     fb = _f_bidiagonal(f, [am] * (N + 1) + [am + bm], [bm] * (N + 1), c, None)
     target = fb[-1, -1]

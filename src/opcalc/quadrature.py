@@ -102,10 +102,10 @@ def _refine(levels, rtol: float):
     :func:`_norm`, or within 2e-15 of the larger mass sum |w| |f| (so exact
     zeros converge).  A level whose difference or floor is not finite (an
     overflow, a NaN) raises :class:`QuadratureNoConvergence` at once.
-    The levels are computed and compared with numpy's overflow and invalid
-    warnings off: the finiteness check is what reports them.
+    The levels are computed and compared with numpy's overflow, divide and
+    invalid warnings off: the finiteness check is what reports them.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         size, prev, prev_mass = next(levels)
         err = floor = float("nan")
         for size, value, mass in levels:
@@ -221,15 +221,16 @@ def _torus_around(f, point_sets, domains, contours) -> list:
         if not np.all(np.isfinite(pts)):
             raise InvalidInput("contour points must be finite")
         spread = None
-        if contour is None:
-            center = complex(pts.mean())
-            spread = float(np.max(np.abs(pts - center)))
-            contour = Contour(center, 1.1 * spread + 0.1 * (1.0 + spread))
-        if np.any(np.abs(pts - contour.center) >= contour.radius):
-            raise ContourViolation("contour does not enclose the spectrum")
-        probe, _ = circle_points(contour.center, contour.radius, 64)
-        if not np.all(domain.contains(probe)):
-            raise ContourViolation("contour exits the declared function domain")
+        with np.errstate(over="ignore", invalid="ignore"):  # a spread past the float range fails
+            if contour is None:
+                center = complex(pts.mean())
+                spread = float(np.max(np.abs(pts - center)))
+                contour = Contour(center, 1.1 * spread + 0.1 * (1.0 + spread))
+            if np.any(np.abs(pts - contour.center) >= contour.radius):
+                raise ContourViolation("contour does not enclose the spectrum")
+            probe, _ = circle_points(contour.center, contour.radius, 64)
+            if not np.all(domain.contains(probe)):
+                raise ContourViolation("contour exits the declared function domain")
         circles.append(contour)
         spreads.append(spread)
     if f is None:
@@ -469,8 +470,12 @@ def simplex_integrate(fn, n: int, *, stats: dict | None = None):
     relative.  From n = 7 on the budget leaves a single order and so no
     error estimate: that raises before ``fn`` is called.
     """
-    if n == 0:
-        return np.asarray(fn(np.ones((1, 1))))[0]
+    if n == 0:  # one point; a value that is not finite raises as a level would
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            value = np.asarray(fn(np.ones((1, 1))))[0]
+        if not np.all(np.isfinite(value)):
+            raise QuadratureNoConvergence("non-finite value at the one point of the 0-simplex")
+        return value
     schedule = _order_schedule(n)
     if len(schedule) == 1:
         raise QuadratureNoConvergence(

@@ -138,7 +138,7 @@ def eigenbasis(qs, A, bs, *, delta: float | None = None) -> _Eigenbasis:
     """The input check of every route, run once: the record the routes take.
 
     Checks the exponents (:class:`InvalidInput`, :class:`DecayViolation`),
-    ``delta``, a finite real number or None for pi/2 (:class:`InvalidInput`),
+    ``delta``, a finite real number up to pi or None for pi/2 (:class:`InvalidInput`),
     one b factor per member after the first (:class:`SectorViolation`),
     A = V diag(lam) V^-1 (:class:`NonDiagonalizable`) and lam in the open
     sector |arg z| < delta (:class:`SectorViolation`), then forms each
@@ -154,9 +154,9 @@ def eigenbasis(qs, A, bs, *, delta: float | None = None) -> _Eigenbasis:
             cap = float(delta) if isinstance(delta, numbers.Real) else math.nan
         except OverflowError:  # an int past the float range
             cap = math.inf
-        if not math.isfinite(cap):
+        if not math.isfinite(cap) or cap > np.pi:  # a wider sector takes in a pole at u s = -1
             raise InvalidInput(
-                f"sector half-angle delta must be a finite real number, got {delta!r}")
+                f"sector half-angle delta must be a finite real number up to pi, got {delta!r}")
     Am = as_matrix(A)
     bmats = [as_matrix(b, dim=Am.shape[0]) for b in bs]
     if len(bmats) != len(fs) - 1:
@@ -165,7 +165,7 @@ def eigenbasis(qs, A, bs, *, delta: float | None = None) -> _Eigenbasis:
     if np.any(lam == 0) or np.any(np.abs(np.angle(lam)) >= cap):
         raise SectorViolation(
             "matrix spectrum must lie in the open sector |arg z| < "
-            f"{cap:g} (eigenvalues {lam})"
+            f"{cap:g} (eigenvalues {', '.join(f'{z:.6g}' for z in lam)})"
         )
     grid = np.stack(np.meshgrid(*[lam] * len(fs), indexing="ij"), axis=-1)
     return _Eigenbasis(

@@ -1308,33 +1308,22 @@ def _json_values(depth: int):
 
 
 def _exit_contract(argv) -> None:
-    """``main`` returns 0, 1 or 2 (never 3, a bug), lets no exception out,
-    and exits 1 only with a FAIL line."""
+    """``main`` returns 0, 1 or 2 (never 3, a bug) and lets no exception out.
+    Exit 0 prints nothing to stderr, exit 1 only ``FAIL`` lines and exit 2
+    exactly one ``error:`` line.  Python's and numpy's warnings stay on, and
+    no run raises one."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = main(argv)
-    assert code in (0, 1, 2), (argv, code)
-    assert code != 1 or "FAIL" in err.getvalue(), (argv, err.getvalue())
-
-
-def _field_file_contract(samples) -> None:
-    """``_exit_contract`` for one ``magnus --field`` file, with numpy's
-    warnings left on: exit 2 prints exactly one ``error:`` line, and no run
-    prints a traceback or raises a RuntimeWarning."""
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            np.errstate(over="warn", divide="warn", invalid="warn"), \
+            warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["magnus", "--field", _write_json(tmp, samples), "--t-end", "0.1",
-                     "--h", "0.02", "--order", "8", "--rows", "2", "--format", "json"])
+        code = main(argv)
     text = err.getvalue()
-    assert code in (0, 1, 2), (samples, code)
-    assert code != 1 or "FAIL" in text, (samples, text)
-    assert code != 2 or (text.startswith("error: ") and text.count("\n") == 1), (samples, text)
-    assert "Traceback" not in text, (samples, text)
-    assert not [w.message for w in caught if issubclass(w.category, RuntimeWarning)], samples
+    assert code in (0, 1, 2), (argv, code, text)
+    assert not [str(w.message) for w in caught], (argv, [str(w.message) for w in caught])
+    lines = text.splitlines()
+    assert {0: not lines, 1: lines and all(line.startswith("FAIL ") for line in lines),
+            2: len(lines) == 1 and lines[0].startswith("error: ")}[code], (argv, text)
 
 
 # Field-file parts for the property test below: a valid file is three 2 x 2
@@ -1386,19 +1375,35 @@ _FIELD_FILES = st.one_of(
 )
 
 
+# Node coordinates near 0 and near the float range, where a closed form or
+# an integrand under- or overflows.
+_NEAR_EDGE = st.sampled_from([0.0, 5e-324, 1e-300, 2e-300, -1e-300, 1e-150, 1.0, 1e150,
+                              1e300, -1e300, 1e308, -1.7976931348623157e308])
+_DD_METHODS = ["recursive", "explicit", "contour", "hermite", "power", "all"]
+
+
 class TestInputProperties:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(samples=_FIELD_FILES)
     @example(samples={"times": [-1e308, 1e308],
                       "matrices": [{"dim": 1, "re": [1.0]}, {"dim": 1, "re": [2.0]}]})
     def test_magnus_field_file(self, samples):
-        _field_file_contract(samples)
+        with tempfile.TemporaryDirectory() as tmp:
+            _exit_contract(["magnus", "--field", _write_json(tmp, samples), "--t-end", "0.1",
+                            "--h", "0.02", "--order", "8", "--rows", "2", "--format", "json"])
 
-    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
-    @given(nodes=_json_values(3), f=st.sampled_from(["exp", "log", "pow:-1"]))
-    def test_dd_nodes(self, nodes, f):
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(nodes=st.one_of(_json_values(3), st.lists(st.lists(_NEAR_EDGE, min_size=2, max_size=2),
+                                                     min_size=1, max_size=4)),
+           f=st.sampled_from(["exp", "log", "pow:-1", "pow:-3", "pow:5"]),
+           method=st.sampled_from(_DD_METHODS))
+    @example(nodes=[[1e300, 0], [-1e300, 0]], f="pow:5", method="power")
+    @example(nodes=[[1e-300, 0], [2e-300, 0]], f="pow:-3", method="power")
+    @example(nodes=[[1e-300, 0], [2e-300, 0]], f="pow:-3", method="hermite")
+    @example(nodes=[[1e-300, 0], [2e-300, 0]], f="pow:-3", method="all")
+    def test_dd_nodes(self, nodes, f, method):
         # the "=" form keeps a value such as "-1" from reading as a flag
-        _exit_contract(["dd", "--f", f, f"--nodes={json.dumps(nodes)}"])
+        _exit_contract(["dd", "--f", f, f"--nodes={json.dumps(nodes)}", "--method", method])
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(job=st.one_of(_json_values(3), st.dictionaries(_KEYS, _json_values(2), max_size=6)))
@@ -1413,10 +1418,35 @@ class TestInputProperties:
                                                      st.sampled_from([1.0, -1.0]),
                                                      st.floats(-3.0, 300.0))))
     @example(command="dyson", dim=2, order=2, b_scale=1e200)
+    @example(command="taylor", dim=3, order=8, b_scale=1e3)
     def test_expansion_argv(self, command, dim, order, b_scale):
         # b-scale log-uniform from 1e-3 to 1e300, either sign: an exponential
         # past the float range is an input error, not exit 3
         _exit_contract([command, f"--dim={dim}", f"--order={order}", f"--b-scale={b_scale!r}"])
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(f=st.sampled_from(["exp", "log", "pow:-1", "pow:3", "resolvent:0.5,0", "rational:2",
+                              "nope"]),
+           dim=st.integers(-1, 3), count=st.integers(-1, 5), seed=st.integers(-1, 3))
+    def test_newton_argv(self, f, dim, count, seed):
+        _exit_contract(["newton", "--f", f, f"--dim={dim}", f"--count={count}",
+                        f"--seed={seed}"])
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(p=st.integers(-1, 3), dim=st.integers(-1, 4),
+           family=st.one_of(st.lists(st.integers(-1, 3), max_size=5).map(
+               lambda qs: ",".join(map(str, qs))), st.text(max_size=3)),
+           delta=st.one_of(st.floats(-4.0, 4.0),
+                           st.sampled_from([0.0, -0.0, -1.0, math.pi, 3.2, 1e300, math.inf,
+                                            -math.inf, math.nan])))
+    @example(p=1, dim=8, family="1,1", delta=-1.0)
+    @example(p=1, dim=3, family="1,1", delta=3.2)
+    def test_rearrange_argv(self, p, dim, family, delta):
+        # delta <= 0 leaves an empty sector, one above pi takes in the
+        # negative axis; both are input errors, as is a family that fails
+        # the decay conditions
+        _exit_contract(["rearrange", f"--p={p}", f"--dim={dim}", f"--family={family}",
+                        f"--delta={delta!r}"])
 
 
 class TestReportWriter:

@@ -254,6 +254,14 @@ class TestPowerClosedForm:
         with pytest.raises(ZeroNodeNegativePower):
             dd_power([0.0, 1.0], -2)
 
+    @pytest.mark.parametrize("nodes, N", [([1e300, -1e300], 5), ([1e-300, 2e-300], -3)])
+    def test_a_value_that_is_not_finite_is_refused(self, nodes, N):
+        # it returned NaN, after six to twelve lines of numpy RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=r"closed form of z\*\*"):
+                dd_power(nodes, N)
+
     def test_recursion_sweep(self):
         rng = np.random.default_rng(5)
         for n in (0, 1, 2, 3):

@@ -28,7 +28,7 @@ from opcalc import (
 )
 from opcalc import funcalc, ncseries, quadrature
 from opcalc.core import as_matrix, eigen_decompose
-from opcalc.errors import ConvergenceThresholdExceeded, InvalidInput, QuadratureNoConvergence
+from opcalc.errors import InvalidInput, QuadratureNoConvergence
 from opcalc.quadrature import grundmann_moller_integrate
 
 EXP = exp_function()
@@ -153,10 +153,9 @@ class TestTaylor:
 
     def test_nilpotent_terminates(self):
         b = np.array([[0.0, 1.0], [0.0, 0.0]])
-        # the norm-based threshold is pessimistic here (point spectrum {0}),
-        # but the series terminates and the sum is exact anyway
-        with pytest.warns(ConvergenceThresholdExceeded):
-            report = taylor_expand(EXP, np.zeros((2, 2)), b, N=1)
+        # the norm-based threshold c2 |b| < 1 fails here (point spectrum
+        # {0}), but the series terminates and the sum is exact anyway
+        report = taylor_expand(EXP, np.zeros((2, 2)), b, N=1)
         assert rel_err(report.partial_sums[1], np.eye(2) + b) <= 1e-10
         assert report.remainder_norms[1] <= 1e-10
 
@@ -178,11 +177,15 @@ class TestTaylor:
         report = taylor_expand(EXP, a, b, N=4)
         assert max(report.meta["identity_defects"]) <= 1e-9 * opnorm(report.target)
 
-    def test_threshold_warning(self):
+    def test_threshold_exceeded_is_reported_not_warned(self):
+        # outside the convergence region the sums are computed all the same,
+        # and meta["c2"] is where a caller reads that c2 |b| >= 1
         a = gen_matrix("random", 2, 64)
         b = 2.0 * gen_matrix("random", 2, 65)
-        with pytest.warns(ConvergenceThresholdExceeded):
-            taylor_expand(EXP, a, b, N=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = taylor_expand(EXP, a, b, N=1)
+        assert report.meta["c2"] * opnorm(b) >= 1.0
 
     @pytest.mark.parametrize("N", [0, 1, 4, 10])
     def test_one_quadrature_at_every_order(self, quadratures, N):

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opcalc import Disc, Entire, Sector, bidiagonal, divdiff, gen_matrix, named_function, quadrature
-from opcalc.errors import ContourViolation, InvalidInput, QuadratureNoConvergence
+from opcalc.errors import ContourViolation, InvalidInput, OpcalcError, QuadratureNoConvergence
 from opcalc.functions import Domain, HoloFunction
 from opcalc.quadrature import (
     Contour,
@@ -580,6 +581,38 @@ class TestNonFiniteInput:
         for nodes in ([math.nan], [math.inf, 0.0]):
             with pytest.raises(InvalidInput, match="finite"):
                 getattr(divdiff, route)(f, nodes)
+
+    @pytest.mark.parametrize("route", ["dd_recursive", "dd_explicit", "dd_contour", "dd_hermite"])
+    @pytest.mark.parametrize("f, nodes", [
+        ("pow:-3", [1e-300j]), ("pow:-3", [1e-300, 2e-300]), ("log", [5e-324j]),
+        ("exp", [1e300, 0.5]), ("pow:-1", [1e300, -1.7976931348623157e308j]),
+        ("pow:-1", [1e308 - 1.7976931348623157e308j]),
+        ("pow:-1", [1e308, -1.7976931348623157e308]), ("pow:-1", [1e200, -1e200, 1e200j])],
+        ids=["one-tiny", "two-tiny", "subnormal", "huge", "huge-spread", "past-abs",
+             "past-subtract", "past-product"])
+    def test_extreme_nodes_give_a_finite_value_or_a_typed_refusal(self, route, f, nodes):
+        # these returned NaN with numpy's RuntimeWarnings, or raised an untyped
+        # OverflowError from abs() of a circle centre past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = getattr(divdiff, route)(named_function(f), nodes)
+            except OpcalcError:
+                return
+        assert cmath.isfinite(value)
+
+    def test_the_one_point_of_the_0_simplex_must_be_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureNoConvergence, match="0-simplex"):
+                simplex_integrate(lambda s: 1.0 / (0.0 * s[:, 0]), 0)
+
+    def test_a_hull_quotient_past_the_float_range_leaves_the_sector(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not Sector(SLIT).contains_hull([5e-324j])
+            assert Sector(SLIT).contains_hull([1.0, 2.0 + 1.0j])
+            assert Sector(SLIT).clearance(1e308 - 1.7976931348623157e308j) == math.inf
 
 
 class TestCountRefusals:

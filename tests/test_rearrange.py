@@ -497,6 +497,27 @@ class TestEigenbasisRecord:
             with pytest.raises(InvalidInput, match="delta"):
                 eigenbasis([1, 1], np.eye(2), [np.eye(2)], delta=delta)
 
+    @pytest.mark.parametrize("delta", [3.2, np.pi + 1e-12, 1e300])
+    def test_a_sector_past_pi_is_refused(self, delta):
+        # |arg z| < delta then takes in the negative axis, where (1 + us)^-q
+        # has a pole on the half-line: diag(-1, 2) was accepted at 3.2, and
+        # rearrange_lhs failed with a non-finite level
+        with pytest.raises(InvalidInput, match="up to pi"):
+            eigenbasis([1, 1], np.diag([-1.0, 2.0]), [np.eye(2)], delta=delta)
+
+    def test_pi_is_the_widest_sector(self):
+        basis = eigenbasis([1, 1], np.diag([1.0, 2.0j]), [np.eye(2)], delta=np.pi)
+        assert basis.lam.tolist() == [1.0, 2.0j]
+        with pytest.raises(SectorViolation):
+            eigenbasis([1, 1], np.diag([-1.0, 2.0]), [np.eye(2)], delta=np.pi)
+
+    def test_the_sector_refusal_is_one_line(self):
+        # numpy's array repr wrapped the eigenvalues over several lines
+        A = np.diag(np.exp(np.linspace(-1.0, 1.0, 8)))
+        with pytest.raises(SectorViolation) as info:
+            eigenbasis([1, 1], A, [np.eye(8)], delta=-1)
+        assert "\n" not in str(info.value) and str(info.value).count(",") == 7
+
     @pytest.mark.parametrize("delta", [0.3, 1, np.float64(0.3), np.float32(0.3), None])
     def test_delta_real_numbers_are_read(self, delta):
         A, bs = _job(1, 2)
