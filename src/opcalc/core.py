@@ -100,13 +100,17 @@ def eigen_decompose(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     a = as_matrix(m)
     w, v = np.linalg.eig(a)
-    cond = float(np.linalg.cond(v))
+    # one stacked SVD of [V, A]: each matrix's singular values bit for bit its
+    # own SVD's, so cond(V) is np.linalg.cond(v) and the scale opnorm(a)
+    sv = np.linalg.svd(np.stack([v, a]), compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = float(sv[0, 0] / sv[0, -1])
     if not np.isfinite(cond) or cond > EIG_COND_CAP:
         raise NonDiagonalizable(
             f"eigenvector condition {cond:.3e} exceeds cap {EIG_COND_CAP:.1e}"
         )
     vinv = np.linalg.inv(v)
-    scale = opnorm(a)  # one SVD: rel_err's scale, floor included
+    scale = float(sv[1, 0])  # rel_err's scale, floor included
     residual = opnorm((v * w) @ vinv - a) / max(scale, 1e-300) if scale > 0 else 0.0
     if residual > EIG_RESIDUAL:
         raise NonDiagonalizable(f"reconstruction residual {residual:.3e}")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Iterator
 
@@ -69,8 +70,12 @@ def _nodes(xs) -> np.ndarray:
 
 
 def _require_distinct(xs: np.ndarray) -> None:
-    """Refuse nodes closer than 1e-8 relative to the largest (at least 1)."""
-    scale = max(1.0, float(np.max(np.abs(xs))))
+    """Refuse nodes closer than 1e-8 relative to the largest (at least 1).
+
+    The scale is capped at the largest float, so a modulus past the float
+    range (1.7e308 + 1.7e308i) does not make every pair coincident; the
+    callers read it under ``np.errstate``, so its overflow is not reported."""
+    scale = min(max(1.0, float(np.max(np.abs(xs)))), sys.float_info.max)
     n = xs.size
     for i in range(n):
         for j in range(i + 1, n):

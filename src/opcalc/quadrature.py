@@ -30,7 +30,9 @@ rule of :func:`_refine`.
 All reductions run in a fixed order so repeated runs are bit-identical.  The
 unit roots of a circle with m nodes are one read-only table per m, built on
 first use and kept for the process (at most ``ROOT_TABLES`` of them, like the
-Gauss-Legendre rules); nothing computed from an input outlives its call.  A
+Gauss-Legendre rules), and so are the Kronrod nodes and weights of [a, b] on
+each panel count (at most ``GK_TABLES``; the half-line map reads those of
+[0, 1] alone); nothing else computed from an input outlives its call.  A
 doubling level takes its new nodes and weights as the strided slices
 ``zeta[1::2]`` and ``w[1::2]`` of the level's full arrays, never as contiguous
 copies: the values are the same, but numpy takes other paths for contiguous
@@ -565,26 +567,56 @@ _WGK = np.array([
     0.0229353220105292,
 ])
 GK_PANELS = 4096  # most equal panels a Gauss-Kronrod level halves to
+# Most panel tables kept for the process, each of at most GK_PANELS x 15
+# nodes (0.49 MB): at most 16 MB.  The ladder 1, 2, ..., GK_PANELS of one
+# interval is 13, about 1 MB; the half-line map uses the one interval [0, 1].
+GK_TABLES = 32
+_GK: dict[tuple, tuple] = {}
+_GK_LOCK = threading.Lock()
+
+
+def _gk_table(a: float, b: float, panels: int) -> tuple:
+    """Nodes and weights of the Kronrod rule on ``panels`` equal panels of
+    [a, b], read-only: row k of the (panels, 15) nodes is panel k's
+    ``mid + half * _XGK`` and the weights ``half * _WGK`` serve every panel.
+    The first ``GK_TABLES`` keys asked for with a finite interval keep their
+    table for the process (a NaN bound equals no key, so it would take a new
+    place on every call); any other key gets a fresh one each time."""
+    key = (a, b, panels)
+    table = _GK.get(key)
+    if table is None:
+        half = 0.5 * (b - a) / panels
+        mids = a + half * (2.0 * np.arange(panels) + 1.0)
+        table = mids[:, None] + half * _XGK, half * _WGK
+        for part in table:
+            part.setflags(write=False)
+        with _GK_LOCK:
+            if len(_GK) < GK_TABLES and math.isfinite(a) and math.isfinite(b):
+                table = _GK.setdefault(key, table)
+    return table
 
 
 def _gk_levels(fn, a: float, b: float):
     """``(panels, value, mass)`` of the 15-point Kronrod rule on 1, 2, 4, ...,
-    ``GK_PANELS`` equal panels of [a, b], one ``fn`` call per panel."""
+    ``GK_PANELS`` equal panels of [a, b], one ``fn`` call per panel on a
+    read-only row of the level's table from :func:`_gk_table`."""
+    a, b = float(a), float(b)
     panels = 1
     while panels <= GK_PANELS:
-        half = 0.5 * (b - a) / panels
-        mids = a + half * (2.0 * np.arange(panels) + 1.0)
-        yield panels, *_weighted_sum(fn, ((mid + half * _XGK, half * _WGK) for mid in mids))
+        nodes, weights = _gk_table(a, b, panels)
+        yield panels, *_weighted_sum(fn, ((x, weights) for x in nodes))
         panels *= 2
 
 
 def adaptive_gauss_kronrod(fn, a: float, b: float, *, stats: dict | None = None):
     """The 15-point Kronrod rule on [a, b] under panel halving.
 
-    ``fn(x)`` maps the 15 nodes of one panel to integrand values (any
-    trailing shape).  Level k applies the rule on 2^k equal panels, up to
-    ``GK_PANELS``, and :func:`_refine` returns the first level that agrees
-    with the one before to 1e-12 relative.
+    ``fn(x)`` maps the 15 nodes of one panel, a read-only array, to
+    integrand values (any trailing shape).  Level k applies the rule on 2^k
+    equal panels, up to ``GK_PANELS``, and :func:`_refine` returns the first
+    level that agrees with the one before to 1e-12 relative.  ``a`` and
+    ``b`` are read as floats; each level's nodes and weights come from the
+    process-wide table of :func:`_gk_table`, built on first use.
     """
     panels, value = _refine(_gk_levels(fn, a, b), 1e-12)
     if stats is not None:

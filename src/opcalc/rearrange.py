@@ -16,14 +16,15 @@ identity this module verifies.
 Every kernel takes the family as its exponent list ``qs`` and evaluates
 each member as :func:`opcalc.functions.rational_function`.  A route takes
 the record of :func:`eigenbasis`, which checks the family, the b factors,
-A = V diag(lam) V^-1 and the sector once, and holds lam, V, V^-1, each
-V^-1 b_j V and the grid of joint eigenvalue tuples for all three routes.
-Each route is one half-line quadrature in A's eigenbasis.  The slot lifts
-and the modular products are jointly diagonal there, so neither is ever
-formed as a Kronecker matrix: a kernel route evaluates its kernel once on
-all d^(p+1) eigenvalue tuples and sums it against V^-1 b_j V (the
-Daletskii-Krein form).  The caller holds the record, so nothing computed
-from an input outlives the call that holds it.
+A = V diag(lam) V^-1 and the sector once, and holds lam, V, V^-1 and each
+V^-1 b_j V for all three routes.  Each route is one half-line quadrature in
+A's eigenbasis.  The slot lifts and the modular products are jointly
+diagonal there, so neither is ever formed as a Kronecker matrix: a kernel
+route hands the record to its kernel, which evaluates each slot's factor on
+the d eigenvalues (F) or the d x d eigenvalue ratios (G) read off lam and
+multiplies the factors out over all d^(p+1) eigenvalue tuples, and sums the
+result against V^-1 b_j V (the Daletskii-Krein form).  The caller holds the
+record, so nothing computed from an input outlives the call that holds it.
 """
 
 from __future__ import annotations
@@ -63,47 +64,106 @@ def _check_decay(qs) -> list:
     return [rational_function(int(q)) for q in qs]
 
 
+def _tuple_slots(tuples: np.ndarray) -> list:
+    """``(args, where)`` of each slot (last axis) of dense argument tuples:
+    the slot's distinct values, told apart by bit pattern (so +0.0 and -0.0
+    stay apart), and the indices that gather them back onto its column."""
+    flat = tuples.reshape(math.prod(tuples.shape[:-1]), tuples.shape[-1])
+    slots = []
+    for column in np.ascontiguousarray(flat.T):
+        _, first, where = np.unique(column.view("V16"), return_index=True, return_inverse=True)
+        slots.append((column[first], where))
+    return slots
+
+
+def _halfline_kernel(fs, slots, shape):
+    """int_0^inf f_0(u x_0) ... f_p(u x_p) du on every tuple of leading ``shape``.
+
+    ``slots`` holds, for each f_j, its distinct arguments (1-D) and the
+    indices that gather their values onto the tuples, broadcast against
+    ``shape``.  Each f_j is evaluated once per distinct argument.  ``take``
+    keeps each factor contiguous and the factors multiply left to right, so
+    the panel sums add in the order of a per-tuple evaluation, bit for bit.
+    """
+    def integrand(u):
+        vals = None
+        for f, (args, where) in zip(fs, slots):
+            factor = f(np.multiply.outer(u, args)).take(where, axis=-1)
+            vals = factor if vals is None else vals * factor
+        return vals.reshape(np.shape(u) + shape)
+
+    return halfline_integrate(integrand)
+
+
+def _record_family(qs, e) -> list:
+    """The members of ``qs`` for the record ``e``: its own when ``qs`` is its
+    family, so the exponents are not checked twice."""
+    qs = tuple(qs)
+    fs = list(e.fs) if qs == e.qs else _check_decay(qs)
+    if len(fs) != len(e.fs):
+        raise DecayViolation(f"{len(fs)} functions need {len(fs)}-argument tuples, "
+                             f"the record holds {len(e.fs)}")
+    return fs
+
+
+def _axes(d: int, n: int, *axes) -> tuple:
+    """The shape of an index array over ``axes`` of the d^n tuple grid."""
+    return tuple(d if k in axes else 1 for k in range(n))
+
+
 def kernel_F(qs, s):
     """F(s_0..s_p) = int_0^inf f_0(u s_0) ... f_p(u s_p) du, f_j = (1 + s)^-q_j.
 
     ``s`` is one argument tuple, or many along leading axes (the last axis
-    has length p+1).  Every tuple goes through one half-line quadrature whose
-    error estimate covers them all.  One tuple gives a ``complex``, many an
-    array of their leading shape.  Each f_j is evaluated once per distinct
-    argument of slot j, told apart by bit pattern (so +0.0 and -0.0 stay
-    apart), and its values gathered onto the tuples: on the d^(p+1)
-    eigenvalue tuples of a rearrangement route, d values per slot.
+    has length p+1), or the record of :func:`eigenbasis`, whose joint
+    eigenvalue tuples (lam_{i_0}..lam_{i_p}) it then takes, with an array of
+    shape (d,) * (p+1).  Every tuple goes through one half-line quadrature
+    whose error estimate covers them all.  One tuple gives a ``complex``,
+    many an array of their leading shape.  Each f_j is evaluated once per
+    distinct argument of slot j and its values gathered onto the tuples: on
+    a record, the d eigenvalues, read off lam; on dense tuples, each
+    column's values told apart by bit pattern (so +0.0 and -0.0 stay apart).
+    Both give the same value, bit for bit.
     """
+    if isinstance(s, _Eigenbasis):
+        fs, d = _record_family(qs, s), s.lam.size
+        index = np.arange(d)
+        slots = [(s.lam, index.reshape(_axes(d, len(fs), j))) for j in range(len(fs))]
+        return _halfline_kernel(fs, slots, (d,) * len(fs))
     fs = _check_decay(qs)
     pts = np.asarray(s, dtype=complex)
     if pts.ndim == 0 or pts.shape[-1] != len(fs):
         raise DecayViolation(f"{len(fs)} functions need {len(fs)}-argument tuples")
-    slots = []
-    for f, column in zip(fs, np.ascontiguousarray(pts.reshape(-1, len(fs)).T)):
-        _, first, where = np.unique(column.view("V16"), return_index=True, return_inverse=True)
-        slots.append((f, column[first], where))
-
-    def integrand(u):
-        # ``take`` keeps each factor contiguous, so the panel sums add in
-        # the order of a per-tuple evaluation, bit for bit
-        vals = None
-        for f, args, where in slots:
-            factor = f(np.multiply.outer(u, args)).take(where, axis=-1)
-            vals = factor if vals is None else vals * factor
-        return vals.reshape(np.shape(u) + pts.shape[:-1])
-
-    value = halfline_integrate(integrand)
+    value = _halfline_kernel(fs, _tuple_slots(pts), pts.shape[:-1])
     return complex(value) if pts.ndim == 1 else value
 
 
 def kernel_G(qs, lam):
     """G(l_1..l_p) = F(1, l_1..l_p) = int_0^inf f_0(u) f_1(u l_1) ... f_p(u l_p) du.
 
-    Tuples batch along leading axes as in :func:`kernel_F`.
+    ``lam`` is one ratio tuple, or many along leading axes as in
+    :func:`kernel_F`, or the record of :func:`eigenbasis`, whose ratio
+    tuples lam_{i_j} / lam_{i_0}, j = 1..p, it then takes, with an array of
+    shape (d,) * (p+1) indexed by (i_0..i_p).  f_0 is evaluated at the one
+    argument 1; on a record slot j reads the d x d table lam_k / lam_i over
+    the axes i_0 and i_j.
     """
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    pts = np.concatenate([np.ones(lam.shape[:-1] + (1,)), lam], axis=-1)
-    return kernel_F(qs, pts)
+    if isinstance(lam, _Eigenbasis):
+        fs, d = _record_family(qs, lam), lam.lam.size
+        n = len(fs)
+        ratios = (lam.lam / lam.lam[:, None]).ravel()
+        index = np.arange(d * d)
+        slots = [(np.ones(1, dtype=complex), np.zeros(_axes(d, n, 0), dtype=np.intp))]
+        slots += [(ratios, index.reshape(_axes(d, n, 0, j))) for j in range(1, n)]
+        return _halfline_kernel(fs, slots, (d,) * n)
+    fs = _check_decay(qs)
+    ratios = np.atleast_1d(np.asarray(lam, dtype=complex))
+    if ratios.shape[-1] != len(fs) - 1:
+        raise DecayViolation(f"{len(fs)} functions need {len(fs) - 1}-argument ratio tuples")
+    count = math.prod(ratios.shape[:-1])
+    slots = [(np.ones(1, dtype=complex), np.zeros(count, dtype=np.intp)), *_tuple_slots(ratios)]
+    value = _halfline_kernel(fs, slots, ratios.shape[:-1])
+    return complex(value) if ratios.ndim == 1 else value
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -119,9 +179,9 @@ class _Eigenbasis:
 
     ``qs`` holds the exponents as ints and ``fs`` their members of the
     family; A = V diag(lam) V^-1 with ``v`` = V and ``vinv`` = V^-1; ``bs``
-    holds the b factors, ``blocks`` each V^-1 b_j V, and ``grid`` the joint
-    eigenvalue tuples, grid[i_0..i_p] = (lam_{i_0}..lam_{i_p}).  Every array
-    is a read-only view.
+    holds the b factors and ``blocks`` each V^-1 b_j V.  Every array is a
+    read-only view.  The kernels read their joint eigenvalue tuples
+    (lam_{i_0}..lam_{i_p}) off lam, so no tuple grid is kept.
     """
 
     qs: tuple
@@ -131,7 +191,6 @@ class _Eigenbasis:
     vinv: np.ndarray
     bs: tuple
     blocks: tuple
-    grid: np.ndarray
 
 
 def eigenbasis(qs, A, bs, *, delta: float | None = None) -> _Eigenbasis:
@@ -142,8 +201,7 @@ def eigenbasis(qs, A, bs, *, delta: float | None = None) -> _Eigenbasis:
     one b factor per member after the first (:class:`SectorViolation`),
     A = V diag(lam) V^-1 (:class:`NonDiagonalizable`) and lam in the open
     sector |arg z| < delta (:class:`SectorViolation`), then forms each
-    V^-1 b_j V and the grid of d^(p+1) joint eigenvalue tuples.  The caller
-    holds the record; nothing of it is kept here.
+    V^-1 b_j V.  The caller holds the record; nothing of it is kept here.
     """
     qs = tuple(qs)
     fs = _check_decay(qs)
@@ -167,12 +225,11 @@ def eigenbasis(qs, A, bs, *, delta: float | None = None) -> _Eigenbasis:
             "matrix spectrum must lie in the open sector |arg z| < "
             f"{cap:g} (eigenvalues {', '.join(f'{z:.6g}' for z in lam)})"
         )
-    grid = np.stack(np.meshgrid(*[lam] * len(fs), indexing="ij"), axis=-1)
     return _Eigenbasis(
         qs=tuple(int(q) for q in qs), fs=tuple(fs),
         lam=_read_only(lam), v=_read_only(v), vinv=_read_only(vinv),
         bs=tuple(_read_only(b) for b in bmats),
-        blocks=tuple(_read_only(vinv @ b @ v) for b in bmats), grid=_read_only(grid),
+        blocks=tuple(_read_only(vinv @ b @ v) for b in bmats),
     )
 
 
@@ -209,7 +266,8 @@ def rearrange_lhs(basis) -> np.ndarray:
 def _joint_diagonal(e: _Eigenbasis, k: np.ndarray) -> np.ndarray:
     """Sum of a kernel over joint eigenvalue tuples, paired with the b factors.
 
-    ``k`` holds the kernel's values K[i_0..i_p] on the record's grid.  With
+    ``k`` holds the kernel's values K[i_0..i_p] on the joint eigenvalue
+    tuples (lam_{i_0}..lam_{i_p}), an array of shape (d,) * (p+1).  With
     b'_j = V^-1 b_j V the result is V X V^-1, where
     X[i_0, i_p] = sum K[i_0..i_p] b'_1[i_0, i_1] ... b'_p[i_{p-1}, i_p]
     (X = diag(K) when p = 0).
@@ -227,11 +285,12 @@ def rearrange_rhs_F(basis) -> np.ndarray:
 
     ``basis`` is the record of :func:`eigenbasis`.  The lifts A^(0)..A^(p)
     are jointly diagonal in the tensor power of A's eigenbasis, so F acts on
-    the record's tuples of eigenvalues: one batched kernel call over all
-    d^(p+1) tuples, then the Daletskii-Krein sum of :func:`_joint_diagonal`.
+    tuples of eigenvalues: one kernel call on the record, which reads each
+    slot's d arguments off lam and covers all d^(p+1) tuples, then the
+    Daletskii-Krein sum of :func:`_joint_diagonal`.
     """
     e = _checked(basis)
-    return _joint_diagonal(e, kernel_F(e.qs, e.grid))
+    return _joint_diagonal(e, kernel_F(e.qs, e))
 
 
 def rearrange_rhs_G(basis) -> np.ndarray:
@@ -241,8 +300,9 @@ def rearrange_rhs_G(basis) -> np.ndarray:
     exp(-nabla^(1))...exp(-nabla^(j)) of the log of A share the joint
     eigenbasis of the slot lifts; their eigenvalues on the tuple (i_0..i_p)
     are the ratios lam_{i_j} / lam_{i_0}.  So G acts on tuples of ratios in
-    one batched kernel call, and A^-1 is the factor 1 / lam_{i_0}.
+    one kernel call on the record, which reads each slot's d x d ratio table
+    off lam, and A^-1 is the factor 1 / lam_{i_0}.
     """
     e = _checked(basis)
-    s = e.grid
-    return _joint_diagonal(e, kernel_G(e.qs, s[..., 1:] / s[..., :1]) / s[..., 0])
+    first = e.lam.reshape((-1,) + (1,) * len(e.blocks))
+    return _joint_diagonal(e, kernel_G(e.qs, e) / first)

@@ -98,6 +98,15 @@ class TestDDCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.count("65 nodes exceed 64") == (4 if method == "all" else 1)
 
+    @pytest.mark.parametrize("method", ["recursive", "explicit"])
+    def test_a_node_modulus_past_the_float_range_is_refused_for_its_value(self, method, capsys):
+        # the coincidence scale overflowed, so these nodes 2.4e308 apart were
+        # refused as "closer than 1e-08 * inf"
+        code, out, err = run_cli(["dd", "--f", "exp", "--nodes", "[[1.7e308,1.7e308],[0,0]]",
+                                  "--method", method], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: f is not finite at node 0 (1.7e+308+1.7e+308j)\n"
+
     def test_64_nodes_still_run(self, capsys):
         nodes = json.dumps([[k / 64, 0.5] for k in range(64)])
         code, out, _ = run_cli(["dd", "--f", "pow:3", "--nodes", nodes, "--method", "power"],
@@ -1401,6 +1410,7 @@ class TestInputProperties:
     @example(nodes=[[1e-300, 0], [2e-300, 0]], f="pow:-3", method="power")
     @example(nodes=[[1e-300, 0], [2e-300, 0]], f="pow:-3", method="hermite")
     @example(nodes=[[1e-300, 0], [2e-300, 0]], f="pow:-3", method="all")
+    @example(nodes=[[1.7e308, 1.7e308], [0, 0]], f="exp", method="recursive")
     def test_dd_nodes(self, nodes, f, method):
         # the "=" form keeps a value such as "-1" from reading as a flag
         _exit_contract(["dd", "--f", f, f"--nodes={json.dumps(nodes)}", "--method", method])

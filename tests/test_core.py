@@ -65,13 +65,36 @@ class TestEigenDecompose:
         assert rel_err((v * w) @ vinv, a) <= 1e-10
 
     def test_the_input_norm_is_taken_once(self, monkeypatch):
-        # it was taken for the > 0 test and again inside rel_err: one SVD too many
+        # it was taken for the > 0 test and again inside rel_err: one SVD too
+        # many; now it comes from the one stacked SVD of [V, A], so opnorm
+        # reads only the reconstruction difference
         from opcalc import core
 
         a, inner, seen = gen_matrix("random", 3, 4), core.opnorm, []
         monkeypatch.setattr(core, "opnorm", lambda m: seen.append(np.array_equal(m, a)) or inner(m))
         eigen_decompose(a)
-        assert seen.count(True) == 1 and len(seen) == 2
+        assert seen == [False]
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_the_stacked_svd_gives_cond_and_norm_bit_for_bit(self, d, monkeypatch):
+        # each gate sits exactly at the value np.linalg.cond and opnorm give:
+        # at it the matrix passes, one float below it the matrix is refused
+        from opcalc import core
+
+        rng = np.random.default_rng(d)
+        z = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        for a in (z[0], 1e-200 * z[1], z[2] + z[2].conj().T + 1e150 * np.eye(d)):
+            w, v, vinv = eigen_decompose(a)
+            cond = float(np.linalg.cond(v))
+            residual = opnorm((v * w) @ vinv - a) / max(opnorm(a), 1e-300)
+            for name, gate in (("EIG_COND_CAP", cond), ("EIG_RESIDUAL", residual)):
+                monkeypatch.setattr(core, name, gate)
+                assert all(x.tobytes() == y.tobytes()
+                           for x, y in zip(eigen_decompose(a), (w, v, vinv)))
+                monkeypatch.setattr(core, name, np.nextafter(gate, -1.0))
+                with pytest.raises(NonDiagonalizable):
+                    eigen_decompose(a)
+                monkeypatch.undo()
 
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_residual_is_rel_err(self, seed, monkeypatch):

@@ -503,6 +503,35 @@ class TestNearCoincidence:
         assert abs(via_contour - limit) <= 1e-4 * abs(limit)
 
 
+class TestCoincidenceScale:
+    """The coincidence gate's scale, the largest node modulus, overflowed to
+    inf for a node such as 1.7e308 + 1.7e308i, so every pair was refused as
+    "closer than 1e-08 * inf"."""
+
+    ROUTES = [dd_recursive, dd_explicit]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_a_modulus_past_the_float_range_is_not_coincident(self, route):
+        # [a, b] id = 1 for any two distinct nodes; these are 3e307 apart
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = route(power_function(1), [1.3e308 + 1.3e308j, 1.3e308 + 1e308j])
+        assert abs(value - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_exp_there_is_refused_for_its_value(self, route):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation, match="not finite at node 0"):
+                route(EXP, [1.7e308 + 1.7e308j, 0.0])
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_the_scale_is_the_largest_float(self, route):
+        # 1e-8 of the capped scale is 1.8e300: nodes 1.7e299 apart still coincide
+        with pytest.raises(CoincidentNodes, match=r"1e-08 \* 1\.79769e\+308"):
+            route(EXP, [1.7e308 + 1.7e308j, 1.7e308 + 1.7e308j * (1 - 1e-9)])
+
+
 class TestNodeCap:
     """Every route refuses more than 64 nodes before it reads f; at 3000
     nodes the recursion and the symmetric sum returned NaN."""

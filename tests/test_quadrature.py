@@ -724,3 +724,91 @@ class TestFixedCostsBitForBit:
         gen_matrix("random", 4, 9)[:, ::2]])
     def test_norm_equals_numpy(self, x):
         assert quadrature._norm(x) == float(np.linalg.norm(x.ravel(order="K")))
+
+
+def _direct_gk_levels(fn, a, b):
+    """The Kronrod levels with each panel's nodes and weights formed per panel."""
+    panels = 1
+    while panels <= quadrature.GK_PANELS:
+        half = 0.5 * (b - a) / panels
+        mids = a + half * (2.0 * np.arange(panels) + 1.0)
+        blocks = ((mid + half * quadrature._XGK, half * quadrature._WGK) for mid in mids)
+        yield panels, *quadrature._weighted_sum(fn, blocks)
+        panels *= 2
+
+
+class TestGaussKronrodTable:
+    """The Kronrod panels of one (a, b, panel count) come from one read-only
+    table, bit for bit the per-panel nodes and weights it replaced."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_table(self, monkeypatch):
+        # these intervals would otherwise take the process table's places
+        monkeypatch.setattr(quadrature, "_GK", {})
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 2.0), (0.3, -1.7), (1e3, 1e3 + 1e-3)])
+    def test_rows_equal_the_per_panel_formula(self, a, b):
+        for panels in (1, 2, 8, 64, quadrature.GK_PANELS):
+            half = 0.5 * (b - a) / panels
+            mids = a + half * (2.0 * np.arange(panels) + 1.0)
+            for _ in range(2):  # the first call fills the table, the second reads it
+                nodes, weights = quadrature._gk_table(a, b, panels)
+                assert nodes.shape == (panels, 15)
+                assert all(row.tobytes() == (mid + half * quadrature._XGK).tobytes()
+                           for row, mid in zip(nodes, mids))
+                assert weights.tobytes() == (half * quadrature._WGK).tobytes()
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 2.0)])
+    def test_levels_equal_the_per_panel_levels(self, a, b):
+        def fn(x):
+            return np.multiply.outer(np.exp(1j * x) / (1.5 + x), [1.0, -2.0 + 0.5j])
+
+        for got, want in itertools.islice(zip(_gk_levels(fn, a, b), _direct_gk_levels(fn, a, b)), 8):
+            assert got[0] == want[0] and got[2] == want[2]
+            assert got[1].tobytes() == want[1].tobytes()
+
+    def test_integer_bounds_read_the_float_table(self):
+        adaptive_gauss_kronrod(np.cos, 0, 1)
+        assert set(quadrature._GK) == {(0.0, 1.0, 1), (0.0, 1.0, 2)}
+        assert all(type(x) is float for key in quadrature._GK for x in key[:2])
+
+    def test_the_table_is_read_only(self):
+        nodes, weights = quadrature._gk_table(0.0, 1.0, 4)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0, 0] = 0.5
+        seen = []
+
+        def fn(x):
+            seen.append(x.flags.writeable)
+            return np.cos(x)
+
+        adaptive_gauss_kronrod(fn, 0.0, 1.0)
+        assert seen and not any(seen)
+
+    def test_the_table_stops_growing_at_its_cap(self):
+        cap = quadrature.GK_TABLES
+        assert cap == 32
+        keys = [(float(k), k + 1.0, 2) for k in range(cap + 8)]
+        first = [quadrature._gk_table(*key) for key in keys]
+        assert list(quadrature._GK) == keys[:cap]
+        assert quadrature._gk_table(*keys[0])[0] is first[0][0]
+        late = quadrature._gk_table(*keys[-1])
+        assert late[0] is not first[-1][0] and late[0].tobytes() == first[-1][0].tobytes()
+        assert not late[0].flags.writeable and len(quadrature._GK) == cap
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_a_bound_that_is_not_finite_takes_no_place(self, a, b):
+        # NaN equals no key: each call took two new places until the cap
+        for _ in range(2):
+            with pytest.raises(QuadratureNoConvergence, match="non-finite level at size 2"):
+                adaptive_gauss_kronrod(np.cos, a, b)
+        assert quadrature._GK == {}
+
+    def test_the_half_line_reads_one_interval(self):
+        from opcalc import verify
+
+        verify.run_battery(0, verify.tolerances(1.0))
+        assert quadrature._GK and all(key[:2] == (0.0, 1.0) for key in quadrature._GK)
+        assert all(nodes.shape == (key[2], 15) and key[2] <= quadrature.GK_PANELS
+                   for key, (nodes, _) in quadrature._GK.items())

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import warnings
@@ -476,10 +477,13 @@ class TestEigenbasisRecord:
         basis = eigenbasis([1, 2, 1], A, bs)
         with pytest.raises(AttributeError):
             basis.lam = basis.lam
-        arrays = [basis.lam, basis.v, basis.vinv, basis.grid, *basis.bs, *basis.blocks]
+        arrays = [basis.lam, basis.v, basis.vinv, *basis.bs, *basis.blocks]
         assert not any(x.flags.writeable for x in arrays)
         assert A.flags.writeable and all(b.flags.writeable for b in bs)
-        assert basis.qs == (1, 2, 1) and basis.grid.shape == (3, 3, 3, 3)
+        # the kernels read their tuples off lam, so the record keeps no tuple grid
+        assert [f.name for f in dataclasses.fields(basis)] == [
+            "qs", "fs", "lam", "v", "vinv", "bs", "blocks"]
+        assert basis.qs == (1, 2, 1) and basis.lam.shape == (3,)
         for b, block in zip(bs, basis.blocks):
             assert block.tobytes() == (basis.vinv @ b @ basis.v).tobytes()
         before = [x.copy() for x in arrays]
@@ -550,3 +554,118 @@ class TestEigenbasisRecord:
     def test_a_route_takes_only_the_record(self, route):
         with pytest.raises(InvalidInput, match="eigenbasis"):
             route([1, 1])
+
+
+def _records(qs):
+    """Records of family ``qs`` at d = 1..6, with an exactly repeated
+    eigenvalue and with eigenvalues that differ only in the sign of a zero
+    imaginary part."""
+    p = len(qs) - 1
+    for d in range(1, 7):
+        A, bs = _job(p, d)
+        yield eigenbasis(qs, A, bs)
+    repeated = np.diag([1.5, 0.7, 1.5, 0.7, 2.0]).astype(complex)
+    signed = np.diag([complex(2.0, -0.0), complex(2.0, 0.0), complex(0.5, -0.0), 1.5 + 0.2j])
+    for A in (repeated, signed):
+        yield eigenbasis(qs, A, [np.eye(len(A))] * p)
+
+
+def _dense_tuples(e):
+    """The joint eigenvalue tuples of a record as a dense (d,) * (p+1) + (p+1,) array."""
+    return np.stack(np.meshgrid(*[e.lam] * len(e.qs), indexing="ij"), axis=-1)
+
+
+FAMILIES = [(1, 1), (2, 1), (1, 2, 1), (2, 1, 2, 1)]
+
+
+class TestKernelsOnTheRecord:
+    def test_the_records_hold_the_edge_spectra(self):
+        *_, repeated, signed = _records((1, 1))
+        assert len(set(repeated.lam.tolist())) == 3
+        assert len({z.tobytes() for z in signed.lam}) == 4 and len(set(signed.lam.tolist())) == 3
+
+    @pytest.mark.parametrize("qs", FAMILIES, ids=lambda qs: "".join(map(str, qs)))
+    def test_record_equals_the_dense_tuples_bit_for_bit(self, qs):
+        for e in _records(qs):
+            s = _dense_tuples(e)
+            for got, want in ((kernel_F(qs, e), kernel_F(qs, s)),
+                              (kernel_G(qs, e), kernel_G(qs, s[..., 1:] / s[..., :1]))):
+                assert got.shape == want.shape == (e.lam.size,) * len(qs)
+                assert got.tobytes() == want.tobytes()
+
+    def test_another_family_of_the_same_length_reads_the_same_tuples(self):
+        A, bs = _job(2, 4)
+        e = eigenbasis((1, 2, 1), A, bs)
+        s = _dense_tuples(e)
+        assert kernel_F((3, 1, 1), e).tobytes() == kernel_F((3, 1, 1), s).tobytes()
+        assert (kernel_G(iter([2, 2, 1]), e).tobytes()
+                == kernel_G((2, 2, 1), s[..., 1:] / s[..., :1]).tobytes())
+        with pytest.raises(DecayViolation, match="record holds 3"):
+            kernel_F((1, 1), e)
+        with pytest.raises(InvalidInput, match="exponents"):
+            kernel_G((1.5, 1, 1), e)
+
+    def test_each_slot_reads_its_arguments_off_lam(self, monkeypatch):
+        # F: the d eigenvalues per slot; G: the one argument 1 for slot 0, the
+        # d x d ratio table for every later slot; and no bit-pattern dedup
+        seen = []
+
+        def recorded(q):
+            f = rational_function(q)
+
+            def call(z):
+                seen.append(z.shape[1:])
+                return f(z)
+
+            return call
+
+        monkeypatch.setattr(rearrange, "rational_function", recorded)
+        A, bs = _job(3, 5)
+        e = eigenbasis((2, 1, 2, 1), A, bs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.unique called on the record path")
+
+        monkeypatch.setattr(np, "unique", refused)
+        kernel_F(e.qs, e)
+        assert seen and set(seen) == {(5,)}
+        seen.clear()
+        kernel_G(e.qs, e)
+        assert seen[:4] == [(1,), (25,), (25,), (25,)]
+        assert set(seen) == {(1,), (25,)}
+
+    @pytest.mark.parametrize("route, counts", [
+        (rearrange_rhs_F, {"kernel_F": 1}), (rearrange_rhs_G, {"kernel_G": 1})])
+    def test_a_route_calls_its_kernel_once(self, route, counts, monkeypatch):
+        # the module globals are what perfbench's tracer wraps: rhs_G counted
+        # kernel_F as well, since kernel_G called it through its global
+        calls = {"kernel_F": 0, "kernel_G": 0}
+        for name in calls:
+            inner = getattr(rearrange, name)
+
+            def counted(*args, _name=name, _inner=inner):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(rearrange, name, counted)
+        A, bs = _job(2, 3)
+        route(eigenbasis((1, 2, 1), A, bs))
+        assert calls == {"kernel_F": 0, "kernel_G": 0, **counts}
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_the_three_way_residuals_are_opnorm_bit_for_bit(d):
+    # one stacked SVD gives the four norms of verify.rearrangement
+    from opcalc import verify
+
+    rng = np.random.default_rng(d)
+    z = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    tol = verify.tolerances(1.0)
+    for lhs, F, G in ((z[0], z[0] + 1e-9 * z[1], z[0] + 1e-7 * z[2]), (0 * z[0], z[1], z[2])):
+        got = verify.rearrangement(lhs, F, G, tol)
+        scale = max(opnorm(lhs), 1e-300)
+        want = [("rearrangement:lhs=rhs-F", opnorm(lhs - F) / scale),
+                ("rearrangement:lhs=rhs-G", opnorm(lhs - G) / scale),
+                ("rearrangement:rhs-F=rhs-G", opnorm(F - G) / scale)]
+        assert [(r.identity, r.value) for r in got] == want
+        assert [r.passed for r in got] == [v <= tol[name] for name, v in want]
