@@ -5,9 +5,10 @@ Subcommands: ``dd``, ``funcalc``, ``newton``, ``taylor``, ``dyson``,
 time/decay series); every checked residual is a record of the identity
 registry in ``opcalc.verify``, reported with the tolerance it was held to, and
 the exit status is 0 only if all residuals pass: 1 on residual failure (a
-``FAIL`` line each), 2 on an input error (an ``OpcalcError``, a file that
-cannot be read, or one that is not JSON or not UTF-8; one ``error:`` line),
-and 3 on any other exception, which is a bug (one ``internal error:`` line).
+``FAIL`` line each), 2 on an input error (an ``OpcalcError``, a usage error
+in the command line, a file that cannot be read, or one that is not JSON or
+not UTF-8; one ``error:`` line), and 3 on any other exception, which is a
+bug (one ``internal error:`` line).
 
 Reports contain no timestamps or timings unless ``--timings`` is passed, so
 identical job specs and seeds produce byte-identical output.  Every matrix in
@@ -363,6 +364,13 @@ def _cmd_gen(args, tol) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
+def _usage_error(prog: str, message: str):
+    """argparse's hook for a usage error, set on the parser and on each
+    subparser: :class:`InvalidInput`, so :func:`main` reports it as every
+    input error, where argparse would print its usage block and exit."""
+    raise InvalidInput(f"{prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls.
@@ -447,6 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=3)
     common(p)
 
+    for p in (parser, *sub.choices.values()):  # --help still prints and exits 0
+        p.error = functools.partial(_usage_error, p.prog)
     return parser
 
 
@@ -455,6 +465,8 @@ def _apply_config(argv: list[str]) -> list[str]:
 
     Explicit command-line flags win because argparse keeps the last
     occurrence.  Config keys use the flag spelling (dashes or underscores).
+    A JSON boolean sets ``--timings`` alone: for any other key it is
+    :class:`InvalidInput`, where ``false`` would drop the key unseen.
     """
     path = None
     for k, tok in enumerate(argv):
@@ -472,10 +484,12 @@ def _apply_config(argv: list[str]) -> list[str]:
     for key, value in cfg.items():
         flag = "--" + str(key).replace("_", "-")
         if isinstance(value, bool):
+            if flag != "--timings":  # the one flag that takes no value
+                raise InvalidInput(f"config key {key!r} takes a value, not {json.dumps(value)}")
             if value:
                 inserts.append(flag)
-        else:
-            inserts.extend([flag, str(value)])
+        else:  # one token, so a value such as -1e-05 is not read as a flag
+            inserts.append(f"{flag}={value}")
     return argv[:1] + inserts + argv[1:]
 
 

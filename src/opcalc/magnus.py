@@ -84,13 +84,6 @@ def _coefficients(order: int) -> np.ndarray:
 
 
 @cache
-def _identity(d: int) -> np.ndarray:
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
-
-
-@cache
 def _ad_gather(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The two index maps of ad_Omega = Omega (x) I - I (x) Omega^T into
     ``[*Omega.ravel(), 0]``: row (i, k), column (j, l) takes Omega[i, j] from
@@ -366,7 +359,7 @@ def _reference_pass(A, y0: np.ndarray, stops: list[float], h: float) -> list:
     k2 = a_mid + (0.5 * s) * (a_mid @ k1)
     k3 = a_mid + (0.5 * s) * (a_mid @ k2)
     k4 = a_end + s * (a_end @ k3)
-    matrices = _identity(y0.shape[0]) + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    matrices = np.eye(y0.shape[0]) + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # every state of the pass, one block: the check below names the first
     # that is not finite, which a BLAS skipping zero entries could hide later
     path = np.empty_like(matrices)

@@ -28,18 +28,18 @@ of ``magnus`` and the commutator series of ``ncseries``) stops by the one
 rule of :func:`_refine`.
 
 All reductions run in a fixed order so repeated runs are bit-identical.  The
-unit roots of a circle with m nodes are one read-only table per m, built on
-first use and kept for the process (at most ``ROOT_TABLES`` of them, like the
-Gauss-Legendre rules), and so are the Kronrod nodes and weights of [a, b] on
-each panel count (at most ``GK_TABLES``; the half-line map reads those of
-[0, 1] alone); nothing else computed from an input outlives its call.  A
-doubling level takes its new nodes and weights as the strided slices
-``zeta[1::2]`` and ``w[1::2]`` of the level's full arrays, never as contiguous
-copies: the values are the same, but numpy takes other paths for contiguous
-operands and can round differently.  Contiguous weights change the GEMM of
-the level sum (98 of 1092 seeded perfbench reports changed on one AMD EPYC
-host); the nodes stay strided too, since numpy's vectorised ufunc loops may
-also depend on the layout.
+unit roots of a circle with m nodes are one read-only table per m, and the
+Kronrod nodes and weights of [a, b] on each panel count one per (a, b, count)
+(the half-line map reads those of [0, 1] alone): each is built on first use by
+a ``functools.lru_cache`` that keeps the ``ROOT_TABLES`` or ``GK_TABLES`` used
+last, as the Gauss-Legendre rules are kept for each of their ``MAX_ORDER``
+orders.  A doubling level takes its new nodes and weights as the strided
+slices ``zeta[1::2]`` and ``w[1::2]`` of the level's full arrays, never as
+contiguous copies: the values are the same, but numpy takes other paths for
+contiguous operands and can round differently.  Contiguous weights change the
+GEMM of the level sum (98 of 1092 seeded perfbench reports changed on one AMD
+EPYC host); the nodes stay strided too, since numpy's vectorised ufunc loops
+may also depend on the layout.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import cmath
 import itertools
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -82,8 +81,6 @@ SIMPLEX_BLOCK = 1 << 14
 # Most unit-root tables kept for the process, each of at most MAX_NODES
 # points: at most 8 MB.  The doubling ladder 16, 32, ..., MAX_NODES is ten.
 ROOT_TABLES = 64
-_ROOTS: dict[int, np.ndarray] = {}
-_ROOTS_LOCK = threading.Lock()
 
 
 def _norm(x) -> float:
@@ -282,17 +279,12 @@ def _widened(f, cs, spreads, domains) -> list:
     return cs
 
 
+@lru_cache(maxsize=ROOT_TABLES)
 def _unit_roots(m: int) -> np.ndarray:
-    """exp(2 pi i k / m), k = 0..m-1, read-only.  The first ``ROOT_TABLES``
-    counts asked for keep their table for the process; a later count gets a
-    fresh one each time."""
-    roots = _ROOTS.get(m)
-    if roots is None:
-        roots = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
-        roots.setflags(write=False)
-        with _ROOTS_LOCK:
-            if len(_ROOTS) < ROOT_TABLES:
-                roots = _ROOTS.setdefault(m, roots)
+    """exp(2 pi i k / m), k = 0..m-1, read-only, kept for the process (the
+    ``ROOT_TABLES`` counts used last)."""
+    roots = np.exp(1j * (2.0 * np.pi * np.arange(m) / m))
+    roots.setflags(write=False)
     return roots
 
 
@@ -571,28 +563,19 @@ GK_PANELS = 4096  # most equal panels a Gauss-Kronrod level halves to
 # nodes (0.49 MB): at most 16 MB.  The ladder 1, 2, ..., GK_PANELS of one
 # interval is 13, about 1 MB; the half-line map uses the one interval [0, 1].
 GK_TABLES = 32
-_GK: dict[tuple, tuple] = {}
-_GK_LOCK = threading.Lock()
 
 
+@lru_cache(maxsize=GK_TABLES)
 def _gk_table(a: float, b: float, panels: int) -> tuple:
     """Nodes and weights of the Kronrod rule on ``panels`` equal panels of
-    [a, b], read-only: row k of the (panels, 15) nodes is panel k's
-    ``mid + half * _XGK`` and the weights ``half * _WGK`` serve every panel.
-    The first ``GK_TABLES`` keys asked for with a finite interval keep their
-    table for the process (a NaN bound equals no key, so it would take a new
-    place on every call); any other key gets a fresh one each time."""
-    key = (a, b, panels)
-    table = _GK.get(key)
-    if table is None:
-        half = 0.5 * (b - a) / panels
-        mids = a + half * (2.0 * np.arange(panels) + 1.0)
-        table = mids[:, None] + half * _XGK, half * _WGK
-        for part in table:
-            part.setflags(write=False)
-        with _GK_LOCK:
-            if len(_GK) < GK_TABLES and math.isfinite(a) and math.isfinite(b):
-                table = _GK.setdefault(key, table)
+    [a, b], read-only, kept for the process (the ``GK_TABLES`` keys used
+    last): row k of the (panels, 15) nodes is panel k's ``mid + half * _XGK``
+    and the weights ``half * _WGK`` serve every panel."""
+    half = 0.5 * (b - a) / panels
+    mids = a + half * (2.0 * np.arange(panels) + 1.0)
+    table = mids[:, None] + half * _XGK, half * _WGK
+    for part in table:
+        part.setflags(write=False)
     return table
 
 

@@ -95,15 +95,21 @@ def _halfline_kernel(fs, slots, shape):
     return halfline_integrate(integrand)
 
 
-def _record_family(qs, e) -> list:
-    """The members of ``qs`` for the record ``e``: its own when ``qs`` is its
-    family, so the exponents are not checked twice."""
+def _record_family(qs, e) -> tuple:
+    """The members of the record ``e``'s family, which ``qs`` must be."""
     qs = tuple(qs)
-    fs = list(e.fs) if qs == e.qs else _check_decay(qs)
-    if len(fs) != len(e.fs):
-        raise DecayViolation(f"{len(fs)} functions need {len(fs)}-argument tuples, "
-                             f"the record holds {len(e.fs)}")
-    return fs
+    if qs != e.qs:
+        raise DecayViolation(f"the record holds the family {list(e.qs)}, not {list(qs)}")
+    return e.fs
+
+
+def _dense_kernel(fs, pts: np.ndarray, tuples: str):
+    """The kernel of ``fs`` on dense argument tuples ``pts`` (last axis): one
+    gives a ``complex``, many an array of their leading shape."""
+    if pts.ndim == 0 or pts.shape[-1] != len(fs):
+        raise DecayViolation(f"{len(fs)} functions need {tuples}")
+    value = _halfline_kernel(fs, _tuple_slots(pts), pts.shape[:-1])
+    return complex(value) if pts.ndim == 1 else value
 
 
 def _axes(d: int, n: int, *axes) -> tuple:
@@ -123,7 +129,8 @@ def kernel_F(qs, s):
     distinct argument of slot j and its values gathered onto the tuples: on
     a record, the d eigenvalues, read off lam; on dense tuples, each
     column's values told apart by bit pattern (so +0.0 and -0.0 stay apart).
-    Both give the same value, bit for bit.
+    Both give the same value, bit for bit.  A record is taken only with its
+    own family ``qs`` (:class:`DecayViolation` otherwise).
     """
     if isinstance(s, _Eigenbasis):
         fs, d = _record_family(qs, s), s.lam.size
@@ -131,11 +138,7 @@ def kernel_F(qs, s):
         slots = [(s.lam, index.reshape(_axes(d, len(fs), j))) for j in range(len(fs))]
         return _halfline_kernel(fs, slots, (d,) * len(fs))
     fs = _check_decay(qs)
-    pts = np.asarray(s, dtype=complex)
-    if pts.ndim == 0 or pts.shape[-1] != len(fs):
-        raise DecayViolation(f"{len(fs)} functions need {len(fs)}-argument tuples")
-    value = _halfline_kernel(fs, _tuple_slots(pts), pts.shape[:-1])
-    return complex(value) if pts.ndim == 1 else value
+    return _dense_kernel(fs, np.asarray(s, dtype=complex), f"{len(fs)}-argument tuples")
 
 
 def kernel_G(qs, lam):
@@ -145,8 +148,8 @@ def kernel_G(qs, lam):
     :func:`kernel_F`, or the record of :func:`eigenbasis`, whose ratio
     tuples lam_{i_j} / lam_{i_0}, j = 1..p, it then takes, with an array of
     shape (d,) * (p+1) indexed by (i_0..i_p).  f_0 is evaluated at the one
-    argument 1; on a record slot j reads the d x d table lam_k / lam_i over
-    the axes i_0 and i_j.
+    argument 1: dense ratios go through F's dense body as the tuples (1, l),
+    and on a record slot j reads the table lam_k / lam_i over axes i_0, i_j.
     """
     if isinstance(lam, _Eigenbasis):
         fs, d = _record_family(qs, lam), lam.lam.size
@@ -158,12 +161,8 @@ def kernel_G(qs, lam):
         return _halfline_kernel(fs, slots, (d,) * n)
     fs = _check_decay(qs)
     ratios = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if ratios.shape[-1] != len(fs) - 1:
-        raise DecayViolation(f"{len(fs)} functions need {len(fs) - 1}-argument ratio tuples")
-    count = math.prod(ratios.shape[:-1])
-    slots = [(np.ones(1, dtype=complex), np.zeros(count, dtype=np.intp)), *_tuple_slots(ratios)]
-    value = _halfline_kernel(fs, slots, ratios.shape[:-1])
-    return complex(value) if ratios.ndim == 1 else value
+    pts = np.concatenate([np.ones(ratios.shape[:-1] + (1,), dtype=complex), ratios], axis=-1)
+    return _dense_kernel(fs, pts, f"{len(fs) - 1}-argument ratio tuples")
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:

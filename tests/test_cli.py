@@ -191,10 +191,10 @@ class TestDDCommand:
 
     def test_format_is_a_magnus_flag(self, capsys):
         # only magnus has a CSV report; elsewhere --format is a usage error
-        with pytest.raises(SystemExit) as exc:
-            main(["dd", "--f", "exp", "--nodes", "[[0,0],[1,0]]", "--format", "csv"])
-        assert exc.value.code == 2
-        assert "--format" in capsys.readouterr().err
+        code, out, err = run_cli(["dd", "--f", "exp", "--nodes", "[[0,0],[1,0]]",
+                                  "--format", "csv"], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: opcalc: ") and "--format" in err
 
 
 class TestFuncalcCommand:
@@ -1391,6 +1391,34 @@ _NEAR_EDGE = st.sampled_from([0.0, 5e-324, 1e-300, 2e-300, -1e-300, 1e-150, 1.0,
 _DD_METHODS = ["recursive", "explicit", "contour", "hermite", "power", "all"]
 
 
+# Config files for the property test below: a valid config per subcommand,
+# one key of which (its own or a common flag's) an example sets to a JSON
+# value of any type.  Strings hold no "/", so a path (--output, --csv)
+# names a file in the example's own directory.
+_CONFIG_BASES = {
+    "gen": {"kind": "random", "dim": 2},
+    "dd": {"f": "exp", "nodes": "[[0,0],[1,0]]", "method": "all"},
+    "newton": {"f": "exp", "dim": 2, "count": 3, "csv": "decay.csv"},
+    "rearrange": {"p": 1, "dim": 2, "family": "1,1", "delta": 0.3},
+}
+_CONFIG_LEAVES = st.one_of(st.none(), st.booleans(), _NUMBER, st.integers(-3, 6),
+                           st.sampled_from(["exp", "random", "all", "2,1", "nan", "-1", "1e400"]),
+                           st.text(alphabet="ab01.,:-e[] ", max_size=5))
+_CONFIG_VALUES = st.one_of(_CONFIG_LEAVES, st.lists(_CONFIG_LEAVES, max_size=3),
+                           st.dictionaries(st.text(alphabet="ab", max_size=2), _CONFIG_LEAVES,
+                                           max_size=2))
+
+
+@st.composite
+def _config_files(draw):
+    command = draw(st.sampled_from(sorted(_CONFIG_BASES)))
+    config = dict(_CONFIG_BASES[command])
+    key = draw(st.sampled_from(sorted(config) + ["seed", "output", "tol_scale", "timings",
+                                                 "config"]))
+    config[key] = draw(_CONFIG_VALUES)
+    return command, config
+
+
 class TestInputProperties:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(samples=_FIELD_FILES)
@@ -1457,6 +1485,21 @@ class TestInputProperties:
         # the decay conditions
         _exit_contract(["rearrange", f"--p={p}", f"--dim={dim}", f"--family={family}",
                         f"--delta={delta!r}"])
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(case=_config_files())
+    @example(case=("gen", {"kind": "random", "dim": False}))
+    @example(case=("dd", {"f": "exp", "nodes": "[[0,0],[1,0]]", "method": "all",
+                          "timings": True}))
+    def test_config_file(self, case):
+        command, config = case
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                _exit_contract([command, "--config", _write_json(tmp, config)])
+            finally:
+                os.chdir(cwd)
 
 
 class TestReportWriter:
@@ -1577,10 +1620,37 @@ class TestConfigFile:
         # choices stay enforced and unknown keys are rejected
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"f": "exp", "nodes": "[[0,0],[1,0]]", **extra}))
-        with pytest.raises(SystemExit) as exc:
-            main(["dd", "--config", str(cfg)])
-        assert exc.value.code == 2
-        assert next(iter(extra)) in capsys.readouterr().err
+        code, out, err = run_cli(["dd", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and next(iter(extra)) in err
+
+    def test_a_value_that_starts_with_a_dash_is_the_flags_value(self, tmp_path, capsys):
+        # ["--b-scale", "-1e-05"] read -1e-05 as a flag: "expected one argument"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"b_scale": -1e-05, "dim": 2}))
+        code, out, err = run_cli(["taylor", "--config", str(cfg)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["params"]["b_scale"] == -1e-05
+
+    @pytest.mark.parametrize("extra", [{"dim": False}, {"dim": True}, {"seed": False},
+                                       {"bogus": False}])
+    def test_a_boolean_sets_only_the_switch(self, tmp_path, capsys, extra):
+        # false dropped the key unseen: {"dim": false} ran with dim 3 and exit 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(extra))
+        code, out, err = run_cli(["gen", "--kind", "random", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and next(iter(extra)) in err
+        with pytest.raises(InvalidInput, match=f"config key '{next(iter(extra))}' takes a value"):
+            cli._apply_config(["gen", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("timings", [False, True])
+    def test_timings_takes_a_boolean(self, tmp_path, capsys, timings):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"timings": timings}))
+        code, out, err = run_cli(["gen", "--kind", "random", "--config", str(cfg)], capsys)
+        assert (code, err) == (0, "")
+        assert ("timings" in json.loads(out)) is timings
 
 
 class TestExitStatus:
@@ -1611,6 +1681,23 @@ class TestExitStatus:
             getattr(cli, "_cmd_" + args.subcommand)(args, TOL)
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "") and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, text", [
+        ([], "opcalc: the following arguments are required: subcommand"),
+        (["dd", "--f", "exp"], "opcalc dd: the following arguments are required: --nodes"),
+        (["gen", "--kind", "random", "--dim", "x"],
+         "opcalc gen: argument --dim: invalid int value: 'x'"),
+    ], ids=["no-subcommand", "dd-without-nodes", "gen-dim-not-an-int"])
+    def test_a_usage_error_is_one_error_line(self, argv, text, capsys):
+        # argparse printed its usage block and raised SystemExit out of main
+        assert run_cli(argv, capsys) == (2, "", f"error: {text}\n")
+
+    def test_help_prints_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dd", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: opcalc dd") and err == ""
 
     def test_a_job_file_that_is_not_utf8_is_an_input_error(self, tmp_path, capsys):
         job = tmp_path / "job.json"
@@ -1678,8 +1765,7 @@ class TestRepeatedCalls:
 
     def test_usage_error_exits_2_between_calls(self, capsys):
         assert run_cli(self.DD, capsys)[0] == 0
-        with pytest.raises(SystemExit) as exc:
-            main(["dd", "--nodes", "[[0,0],[1,0]]"])  # --f is required
-        assert exc.value.code == 2
-        assert "--f" in capsys.readouterr().err
+        code, out, err = run_cli(["dd", "--nodes", "[[0,0],[1,0]]"], capsys)  # --f is required
+        assert (code, out) == (2, "")
+        assert err == "error: opcalc dd: the following arguments are required: --f\n"
         assert run_cli(self.DD, capsys)[0] == 0

@@ -45,7 +45,7 @@ def _outer_product_ad(om):
     """ad_Omega = Omega (x) I - I (x) Omega^T from two outer products: row
     (i, k), column (j, l) holds Omega[i, j] delta_kl - delta_ij Omega[l, k]."""
     d = om.shape[0]
-    eye = magnus._identity(d)
+    eye = np.eye(d)
     ad = np.multiply.outer(om, eye) - np.multiply.outer(eye, om.T)
     return ad.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
@@ -81,7 +81,7 @@ def _matmul_reference_pass(A, y0, stops, h):
     k2 = a_mid + (0.5 * s) * (a_mid @ k1)
     k3 = a_mid + (0.5 * s) * (a_mid @ k2)
     k4 = a_end + s * (a_end @ k3)
-    matrices = iter(magnus._identity(y0.shape[0]) + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    matrices = iter(np.eye(y0.shape[0]) + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     y, states, path = y0, [], []
     for _, step, stop in grid:
         if step == 0.0:

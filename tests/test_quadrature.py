@@ -702,9 +702,9 @@ class TestFixedCostsBitForBit:
         from opcalc import verify
 
         verify.run_battery(0, verify.tolerances(1.0))
-        assert 0 < len(quadrature._ROOTS) <= quadrature.ROOT_TABLES == 64
-        assert all(len(r) <= quadrature.MAX_NODES and not r.flags.writeable
-                   for r in quadrature._ROOTS.values())
+        info = quadrature._unit_roots.cache_info()
+        assert 0 < info.currsize <= info.maxsize == quadrature.ROOT_TABLES == 64
+        assert all(not quadrature._unit_roots(m).flags.writeable for m in self.LADDER)
 
     @pytest.mark.parametrize("batch_fn", [_scalar, _resolvent, _block_bidiagonal],
                              ids=["scalar", "d-by-d", "block-bidiagonal"])
@@ -742,9 +742,18 @@ class TestGaussKronrodTable:
     table, bit for bit the per-panel nodes and weights it replaced."""
 
     @pytest.fixture(autouse=True)
-    def _fresh_table(self, monkeypatch):
-        # these intervals would otherwise take the process table's places
-        monkeypatch.setattr(quadrature, "_GK", {})
+    def _fresh_table(self):
+        quadrature._gk_table.cache_clear()
+        yield
+        quadrature._gk_table.cache_clear()
+
+    @staticmethod
+    def _keys(monkeypatch) -> list:
+        """The keys every later ``_gk_table`` call asks for, in order."""
+        keys, table = [], quadrature._gk_table
+        monkeypatch.setattr(quadrature, "_gk_table",
+                            lambda *key: keys.append(key) or table(*key))
+        return keys
 
     @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 2.0), (0.3, -1.7), (1e3, 1e3 + 1e-3)])
     def test_rows_equal_the_per_panel_formula(self, a, b):
@@ -767,10 +776,14 @@ class TestGaussKronrodTable:
             assert got[0] == want[0] and got[2] == want[2]
             assert got[1].tobytes() == want[1].tobytes()
 
-    def test_integer_bounds_read_the_float_table(self):
+    def test_integer_bounds_read_the_float_table(self, monkeypatch):
+        table = quadrature._gk_table
+        keys = self._keys(monkeypatch)
         adaptive_gauss_kronrod(np.cos, 0, 1)
-        assert set(quadrature._GK) == {(0.0, 1.0, 1), (0.0, 1.0, 2)}
-        assert all(type(x) is float for key in quadrature._GK for x in key[:2])
+        assert keys == [(0.0, 1.0, 1), (0.0, 1.0, 2)]
+        assert all(type(x) is float for key in keys for x in key[:2])
+        adaptive_gauss_kronrod(np.cos, 0.0, 1.0)
+        assert table.cache_info()[:2] == (2, 2)  # hits, misses
 
     def test_the_table_is_read_only(self):
         nodes, weights = quadrature._gk_table(0.0, 1.0, 4)
@@ -788,27 +801,31 @@ class TestGaussKronrodTable:
 
     def test_the_table_stops_growing_at_its_cap(self):
         cap = quadrature.GK_TABLES
-        assert cap == 32
+        assert cap == 32 == quadrature._gk_table.cache_info().maxsize
         keys = [(float(k), k + 1.0, 2) for k in range(cap + 8)]
         first = [quadrature._gk_table(*key) for key in keys]
-        assert list(quadrature._GK) == keys[:cap]
-        assert quadrature._gk_table(*keys[0])[0] is first[0][0]
-        late = quadrature._gk_table(*keys[-1])
-        assert late[0] is not first[-1][0] and late[0].tobytes() == first[-1][0].tobytes()
-        assert not late[0].flags.writeable and len(quadrature._GK) == cap
+        assert quadrature._gk_table.cache_info().currsize == cap
+        assert quadrature._gk_table(*keys[-1])[0] is first[-1][0]
+        early = quadrature._gk_table(*keys[0])  # used least recently, so rebuilt
+        assert early[0] is not first[0][0] and early[0].tobytes() == first[0][0].tobytes()
+        assert not early[0].flags.writeable
+        assert quadrature._gk_table.cache_info().currsize == cap
 
-    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
-    def test_a_bound_that_is_not_finite_takes_no_place(self, a, b):
-        # NaN equals no key: each call took two new places until the cap
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (np.float64("nan"), 1.0), (0.0, math.inf),
+                                      (-math.inf, 0.0)])
+    def test_a_bound_that_is_not_finite_raises(self, a, b):
+        # a NaN bound may equal no key, so it can take new places: the cap holds them
         for _ in range(2):
             with pytest.raises(QuadratureNoConvergence, match="non-finite level at size 2"):
                 adaptive_gauss_kronrod(np.cos, a, b)
-        assert quadrature._GK == {}
+        assert quadrature._gk_table.cache_info().currsize <= 4
 
-    def test_the_half_line_reads_one_interval(self):
+    def test_the_half_line_reads_one_interval(self, monkeypatch):
         from opcalc import verify
 
+        table = quadrature._gk_table
+        keys = self._keys(monkeypatch)
         verify.run_battery(0, verify.tolerances(1.0))
-        assert quadrature._GK and all(key[:2] == (0.0, 1.0) for key in quadrature._GK)
-        assert all(nodes.shape == (key[2], 15) and key[2] <= quadrature.GK_PANELS
-                   for key, (nodes, _) in quadrature._GK.items())
+        assert keys and all(key[:2] == (0.0, 1.0) and key[2] <= quadrature.GK_PANELS
+                            for key in keys)
+        assert table.cache_info().currsize == len(set(keys))
